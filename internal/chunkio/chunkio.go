@@ -773,9 +773,9 @@ func downloadInto(st storage.Store, key string, dst []byte, o Options) ([]byte, 
 		}
 		return nil
 	}
-	// A manifest this process authored (storeOutputs keeps the frames it
-	// just PUT) need not be re-fetched: parse the local copy and skip the
-	// round trip. Only chunked frames qualify — a single-object frame IS
+	// A manifest this process authored (the offload output leg keeps the
+	// frames it just PUT) need not be re-fetched: parse the local copy and
+	// skip the round trip. Only chunked frames qualify — a single-object frame IS
 	// the payload, and its GET is the actual data transfer. Any parse
 	// failure falls through to the authoritative store copy.
 	if o.HaveObject != nil {

@@ -155,7 +155,10 @@ func Account(p netsim.Profile, ci CostInputs, rep *trace.Report) error {
 	}
 	spk := p.LAN.TransferParallel(fetch) // driver reads inputs from storage
 	spk += ci.DriverDecompress
-	spk += ci.Costs.JobSubmit
+	if len(ci.TaskCompute) > 0 {
+		// A transfer-only plan (target data open/close) submits no job.
+		spk += ci.Costs.JobSubmit
+	}
 	if ci.DistributeWire > 0 {
 		spk += p.LAN.Scatter([]int64{ci.DistributeWire})
 	}
@@ -225,6 +228,12 @@ func layoutReport(ci CostInputs, rep *trace.Report) {
 	down := rep.Phases[trace.PhaseDownload]
 	l := span.NewLayout(rep.Device, rep.Kernel, rec.VirtualFrontier())
 
+	stages := []span.Stage{
+		{Name: spanUpload, Dur: up},
+		{Name: spanSpark, Dur: spk},
+		{Name: spanCompute, Dur: compute},
+		{Name: spanDownload, Dur: down},
+	}
 	if ci.StreamTiles > 1 {
 		var totalOut int64
 		for _, s := range ci.OutWireSizes {
@@ -232,33 +241,18 @@ func layoutReport(ci CostInputs, rep *trace.Report) {
 		}
 		var downBarrier simtime.Duration
 		if totalOut > 0 && ci.BarrierOutWire > 0 {
-			bw := ci.BarrierOutWire
-			if bw > totalOut {
-				bw = totalOut
-			}
-			downBarrier = simtime.Duration(float64(down) * float64(bw) / float64(totalOut))
-			if downBarrier > down {
-				downBarrier = down
-			}
+			bw := min(ci.BarrierOutWire, totalOut)
+			downBarrier = min(down, simtime.Duration(float64(down)*float64(bw)/float64(totalOut)))
 		}
-		l.Streamed([]span.Stage{
-			{Name: spanUpload, Dur: up},
-			{Name: spanSpark, Dur: spk},
-			{Name: spanCompute, Dur: compute},
-			{Name: spanDownload, Dur: down - downBarrier},
-		}, ci.StreamTiles, span.Stage{Name: spanDownloadBarrier, Dur: downBarrier})
+		stages[3].Dur -= downBarrier
+		l.Streamed(stages, ci.StreamTiles, span.Stage{Name: spanDownloadBarrier, Dur: downBarrier})
 		cp := l.CriticalPath()
 		// The pipeline makespan never exceeds the stage sum, so cp <= Total
 		// and the overlap below is non-negative.
 		rep.CriticalPath = cp
 		rep.WallOverlap = rep.Total() - cp
 	} else {
-		l.Barriered([]span.Stage{
-			{Name: spanUpload, Dur: up},
-			{Name: spanSpark, Dur: spk},
-			{Name: spanCompute, Dur: compute},
-			{Name: spanDownload, Dur: down},
-		})
+		l.Barriered(stages)
 	}
 
 	// Per-tile task spans, inside the compute window. Only worth recording

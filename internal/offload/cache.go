@@ -146,8 +146,8 @@ type CacheStats struct {
 	Hits, Misses           int64
 	ChunkHits, ChunkMisses int64
 	// AvoidedGets counts manifest round trips the plugin skipped because
-	// it still held the frame it had just written (downloadOutputs reading
-	// back a manifest storeOutputs authored, and the streaming paths,
+	// it still held the frame it had just written (the barriered output leg
+	// downloading a manifest its store half authored, and the per-tile legs,
 	// whose in-process consumers never fetch the manifest at all). Filled
 	// even when the content cache itself is disabled.
 	AvoidedGets int64

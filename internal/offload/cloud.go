@@ -280,11 +280,10 @@ type CloudPlugin struct {
 	breaker   *resilience.Breaker
 	healthKey string
 
-	mu       sync.Mutex
-	cluster  *cloud.Cluster
-	initErr  error
-	jobSeq   atomic.Int64
-	lastCost float64
+	mu      sync.Mutex
+	cluster *cloud.Cluster
+	initErr error
+	jobSeq  atomic.Int64
 
 	// avoidedGets counts manifest GETs skipped via locally-held frames
 	// (see CacheStats.AvoidedGets); independent of the content cache.
@@ -469,39 +468,44 @@ func randomNonce() string {
 // succeeded, the circuit breaker admits traffic, and the storage service
 // answers a health probe. This is what the manager consults for dynamic
 // host fallback.
-//
-// The breaker gate comes first: while open, Available reports false
-// without touching storage at all — a tripped device costs nothing until
-// the cooldown elapses. The probe itself is a full Put/Get/Delete round
-// trip — three RTTs against a remote store — so its verdict is cached for
-// HealthTTL: back-to-back jobs reuse one probe instead of paying the round
-// trips on every Run call.
-func (p *CloudPlugin) Available() bool {
+func (p *CloudPlugin) Available() bool { return p.admit(true) }
+
+// admit is the availability gate. The breaker comes first: while open, admit
+// reports false without touching storage at all — a tripped device costs
+// nothing until the cooldown elapses. With probeStore the storage service
+// must also answer a health probe — a full Put/Get/Delete round trip, three
+// RTTs against a remote store — whose verdict is cached for HealthTTL:
+// back-to-back jobs reuse one probe instead of paying the round trips on
+// every call. Without it (a plan that never touches storage) the breaker's
+// word is enough, and a half-open breaker is closed or re-opened by the
+// plan's own outcome.
+func (p *CloudPlugin) admit(probeStore bool) bool {
 	p.mu.Lock()
 	initErr := p.initErr
 	p.mu.Unlock()
 	if initErr != nil {
 		return false
 	}
-	if p.breaker != nil {
-		if !p.breaker.Allow() {
-			return false
+	if p.breaker != nil && !p.breaker.Allow() {
+		return false
+	}
+	if !probeStore {
+		return true
+	}
+	if p.breaker != nil && p.breaker.State() == resilience.BreakerHalfOpen {
+		// This call holds the breaker's single half-open probe slot:
+		// bypass the TTL cache and report the fresh probe's outcome so
+		// the breaker can close or re-open.
+		ok := p.probeHealth()
+		p.healthMu.Lock()
+		p.healthOK, p.healthAt = ok, time.Now()
+		p.healthMu.Unlock()
+		if ok {
+			p.breaker.Success()
+		} else {
+			p.breaker.Failure()
 		}
-		if p.breaker.State() == resilience.BreakerHalfOpen {
-			// This call holds the breaker's single half-open probe
-			// slot: bypass the TTL cache and report the fresh probe's
-			// outcome so the breaker can close or re-open.
-			ok := p.probeHealth()
-			p.healthMu.Lock()
-			p.healthOK, p.healthAt = ok, time.Now()
-			p.healthMu.Unlock()
-			if ok {
-				p.breaker.Success()
-			} else {
-				p.breaker.Failure()
-			}
-			return ok
-		}
+		return ok
 	}
 	ttl := p.cfg.HealthTTL
 	if ttl == 0 {
@@ -633,176 +637,18 @@ func (p *CloudPlugin) logf(format string, args ...any) {
 	}
 }
 
-// tileResult is one task's output set travelling from workers to driver.
-type tileResult struct {
-	tile int
-	outs [][]byte
-}
-
-// Run implements Plugin: the full Fig. 1 workflow, wrapped in the breaker
-// feedback loop — a completed workflow closes the breaker and resets its
-// failure streak, a transient mid-flight failure counts toward the trip
-// threshold. Permanent and unclassified errors are not device-health
-// signals (a missing kernel or a validation error says nothing about the
-// cloud) and leave the breaker untouched.
+// Run implements Plugin: a standalone target region is the plan whose every
+// buffer ships — inputs up before the loop, outputs home after it — released
+// per tile whenever the streaming dataflow is on.
 func (p *CloudPlugin) Run(r *Region) (*trace.Report, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	if !p.Available() {
-		return nil, resilience.MarkTransient(fmt.Errorf("offload: cloud device unavailable (use the manager for host fallback)"))
-	}
-	p.completeDrain() // a region boundary: land any deferred scale-in first
-	rep, err := p.runWorkflow(r)
-	if err == nil {
-		p.applyCost(rep)
-	}
-	if p.breaker != nil {
-		switch {
-		case err == nil:
-			p.breaker.Success()
-		case resilience.IsTransient(err):
-			p.breaker.Failure()
-		}
-	}
-	return rep, err
-}
-
-// runWorkflow executes steps 1-8 of Fig. 1 for one region.
-func (p *CloudPlugin) runWorkflow(r *Region) (*trace.Report, error) {
-	rep := trace.NewReport(p.Name(), r.Kernel)
-	rep.Cores = p.Cores()
-	tiles := r.TileCount(p.Cores())
-	rep.Tiles = tiles
-	if tiles == 0 {
-		for l := range r.Outs {
-			if !r.Outs[l].Partitioned() {
-				copy(r.Outs[l].Data, reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data)))
-			}
-		}
-		return rep, nil
-	}
-
-	if p.cfg.AutoStartStop && p.cluster != nil {
-		if err := p.startCluster(); err != nil {
-			return nil, err
-		}
-		defer p.stopCluster()
-	}
-
-	jobID := p.jobSeq.Add(1)
-	prefix := fmt.Sprintf("jobs/%s%06d", p.keyScope(), jobID)
-	defer p.cleanup(prefix)
-	p.logf("offload: job %s: offloading %s (N=%d, %d tiles) to %s", prefix, r.Kernel, r.N, tiles, p.Name())
-
-	// Wall-clock region span on the host track; the four Fig. 1 legs hang
-	// under it so a trace shows measured time next to the modelled timeline.
-	region := span.Start("offload.region "+r.Kernel, "offload", 0)
-	region.SetAttr("job", prefix)
-	region.SetAttr("tiles", strconv.Itoa(tiles))
-	defer region.End()
-
-	// One accounting block spans the run's four storage legs (retries,
-	// deadline aborts, hedges, degraded-mode switches); it lands in the
-	// trace report so chaos soaks can see recovery work. Its context
-	// cancels stragglers when the workflow unwinds.
-	rs, cancel := newRunStats()
-	defer cancel()
-	partBase := p.partitionBase()
-
-	// Resumable session: loads an interrupted predecessor's journal (cache
-	// priming + committed-tile set) or starts fresh bookkeeping.
-	var sess *session
-	if p.cfg.Resume {
-		inputs := make([][]byte, len(r.Ins))
-		for k := range r.Ins {
-			inputs[k] = r.Ins[k].Data
-		}
-		sess = p.openSession(r, tiles, inputs)
-	}
-
-	if p.streaming() && tiles > 1 {
-		return p.streamWorkflow(rep, r, tiles, prefix, rs, sess)
-	}
-
-	// Steps 1-2: compress and upload every input on its own goroutine.
-	leg := span.Start("leg.upload", "offload", 0)
-	up, err := p.uploadInputs(prefix, r, rs)
-	leg.End()
-	if err != nil {
-		return nil, err
-	}
-	if sess != nil {
-		// Inputs are durable: journal them so a killed run's successor can
-		// skip the upload leg.
-		sess.writeJournal(r, up.keys, up.wire)
-	}
-
-	// Step 3: the driver fetches and decodes the inputs.
-	leg = span.Start("leg.fetch", "offload", 0)
-	decoded, driverDecompress, err := p.driverFetch(up.keys, r, rs)
-	leg.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Steps 4-6: build and run the Spark job.
-	leg = span.Start("leg.spark", "offload", 0)
-	parts, jm, tileRaw, err := p.runSparkJob(r, tiles, decoded, sess)
-	leg.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 7: reconstruct outputs on the driver and write them back to
-	// storage (encoded), measuring the codec work. The memo keeps the
-	// manifests this process writes, so step 8 does not pay a round trip
-	// re-reading metadata it authored.
-	memo := newManifestMemo()
-	leg = span.Start("leg.store", "offload", 0)
-	outWire, driverCompress, err := p.reconstructAndStore(prefix, r, tiles, parts, rs, memo)
-	leg.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 8: the host downloads and decodes the outputs.
-	leg = span.Start("leg.download", "offload", 0)
-	hostDecompress, err := p.downloadOutputs(prefix, r, rs, memo)
-	leg.End()
-	if err != nil {
-		return nil, err
-	}
-	p.applyNetCounters(rep, rs, partBase)
-	p.logf("offload: job %s: done (%d cache hits, %d task failures, %d storage retries)",
-		prefix, up.hits, jm.Failures, rep.StorageRetries)
-
-	// Virtual-time accounting over the whole workflow.
-	ci := p.costInputs(r, tiles, jm, up.wire, outWire, tileRaw,
-		up.compress, hostDecompress, driverDecompress+driverCompress)
-	ci.InWireSizes = up.sent
-	ci.FetchWireSizes = up.wire
-	if err := Account(p.accountProfile(), ci, rep); err != nil {
-		return nil, err
-	}
-	applyEngineCounters(rep, jm, sess)
-	if sess != nil {
-		sess.finish()
-	}
-	return rep, nil
-}
-
-// applyEngineCounters copies a job's fault-tolerance counters into the
-// region report.
-func applyEngineCounters(rep *trace.Report, jm *spark.JobMetrics, sess *session) {
-	rep.TaskFailures = jm.Failures
-	rep.ReexecutedTasks = jm.Reexecuted
-	rep.SpeculativeWins = jm.SpeculativeWins
-	rep.SpeculativeLosses = jm.SpeculativeLosses
-	rep.DeadWorkers = jm.DeadWorkers
-	if sess != nil {
-		rep.ResumedTiles = sess.resumedTiles()
-	}
+	return p.guard(&plan{
+		kernel:  r.Kernel,
+		region:  r,
+		ins:     shipBounds(r.Ins),
+		outs:    shipBounds(r.Outs),
+		prefix:  fmt.Sprintf("jobs/%s%06d", p.keyScope(), p.jobSeq.Add(1)),
+		perTile: p.streaming(),
+	})
 }
 
 // pipelined reports whether the chunked streaming engine is active (the
@@ -813,32 +659,6 @@ func (p *CloudPlugin) pipelined() bool { return p.cfg.ChunkBytes >= 0 }
 // the chunked data path must be on (sub-buffer readiness needs chunks) and
 // the overlap knob not forced off.
 func (p *CloudPlugin) streaming() bool { return p.pipelined() && p.cfg.Overlap >= 0 }
-
-// manifestMemo retains the manifest frames one run writes, so the same
-// process's later reads skip the round trip (CacheStats.AvoidedGets). It is
-// scoped to a run: keys are per-job prefixed, and holding frames across
-// jobs would risk serving stale metadata after a store wipe.
-type manifestMemo struct {
-	mu     sync.Mutex
-	frames map[string][]byte
-}
-
-func newManifestMemo() *manifestMemo {
-	return &manifestMemo{frames: make(map[string][]byte)}
-}
-
-func (m *manifestMemo) store(key string, frame []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.frames[key] = frame
-}
-
-func (m *manifestMemo) lookup(key string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.frames[key]
-	return f, ok
-}
 
 // chunkOpts assembles the transfer-engine options, including the per-leg
 // retry policy (rs accumulates the run's resilience accounting). withCache
@@ -948,434 +768,6 @@ func (p *CloudPlugin) rememberChunk(key string, wire int64) {
 	}
 }
 
-// uploadResult describes one input buffer's journey to cloud storage.
-type uploadResult struct {
-	keys []string // storage key per buffer (driver fetches these)
-	wire []int64  // per-buffer wire size (intra-cluster accounting)
-	// sent lists the wire sizes that actually crossed the WAN this time;
-	// cache hits (whole buffers and clean chunks) are absent.
-	sent     []int64
-	compress simtime.Duration
-	hits     int
-}
-
-// uploadInputs encodes and stores every input buffer concurrently through
-// the chunked transfer engine, returning per-buffer storage keys and wire
-// sizes plus the virtual host compression time (max across the parallel
-// per-buffer streams, §III.A; each stream's own cost already reflects its
-// parallel chunk compression). With the upload cache enabled, buffers whose
-// contents are already in cloud storage are not re-sent — the paper's
-// future-work data caching — and partially-changed buffers resend only
-// their dirty chunks.
-func (p *CloudPlugin) uploadInputs(prefix string, r *Region, rs *runStats) (*uploadResult, error) {
-	res := &uploadResult{
-		keys: make([]string, len(r.Ins)),
-		wire: make([]int64, len(r.Ins)),
-	}
-	durs := make([]time.Duration, len(r.Ins))
-	sent := make([]int64, len(r.Ins))
-	errs := make([]error, len(r.Ins))
-	cached := make([]bool, len(r.Ins))
-	var wg sync.WaitGroup
-	for k := range r.Ins {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			key := prefix + "/in/" + r.Ins[k].Name
-			if p.cache != nil {
-				key = contentKey(r.Ins[k].Data)
-				if wireSize, ok := p.cache.lookup(key); ok {
-					// Verify the object still exists before trusting
-					// the cache: stores can be wiped between jobs.
-					if _, err := p.cfg.Store.Stat(key); err == nil {
-						res.keys[k] = key
-						res.wire[k] = wireSize
-						cached[k] = true
-						return
-					}
-					p.cache.forget(key)
-				}
-			}
-			up, err := chunkio.Upload(p.cfg.Store, key, r.Ins[k].Data, p.chunkOpts(true, rs))
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			res.keys[k] = key
-			res.wire[k] = up.TotalWire
-			sent[k] = up.SentWire
-			durs[k] = up.CompressWall
-			if p.cache != nil {
-				p.cache.remember(key, up.TotalWire)
-			}
-		}(k)
-	}
-	wg.Wait()
-	var compress time.Duration
-	for k := range r.Ins {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("offload: uploading %s: %w", r.Ins[k].Name, errs[k])
-		}
-		if cached[k] {
-			res.hits++
-			continue
-		}
-		res.sent = append(res.sent, sent[k])
-		if durs[k] > compress {
-			compress = durs[k]
-		}
-	}
-	res.compress = simtime.FromReal(compress)
-	return res, nil
-}
-
-// driverFetch reads the inputs back from storage and decodes them, the
-// driver side of step 3. Buffers decode on parallel goroutines (one stream
-// per datum, the paper's §III.A transfer policy), so the virtual cost is
-// the slowest stream; within a stream, chunked objects fetch and decompress
-// their parts concurrently through the transfer engine.
-func (p *CloudPlugin) driverFetch(keys []string, r *Region, rs *runStats) ([][]byte, simtime.Duration, error) {
-	decoded := make([][]byte, len(r.Ins))
-	durs := make([]time.Duration, len(r.Ins))
-	errs := make([]error, len(r.Ins))
-	var wg sync.WaitGroup
-	for k := range r.Ins {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			raw, down, err := chunkio.Download(p.cfg.Store, keys[k], p.chunkOpts(false, rs))
-			if err != nil {
-				errs[k] = fmt.Errorf("fetching: %w", err)
-				return
-			}
-			durs[k] = down.DecompressWall
-			if len(raw) != len(r.Ins[k].Data) {
-				errs[k] = fmt.Errorf("decoded to %d bytes, want %d", len(raw), len(r.Ins[k].Data))
-				return
-			}
-			decoded[k] = raw
-		}(k)
-	}
-	wg.Wait()
-	var max time.Duration
-	for k := range r.Ins {
-		if errs[k] != nil {
-			return nil, 0, fmt.Errorf("offload: driver input %s: %w", r.Ins[k].Name, errs[k])
-		}
-		if durs[k] > max {
-			max = durs[k]
-		}
-	}
-	return decoded, simtime.FromReal(max), nil
-}
-
-// tileBytes reports the raw bytes task p marshals across the JNI boundary.
-func tileBytes(r *Region, tiles, p int) int64 {
-	lo, hi := TileRange(r.N, tiles, p)
-	var n int64
-	for k := range r.Ins {
-		if r.Ins[k].Partitioned() {
-			n += (hi - lo) * r.Ins[k].BytesPerIter
-		} else {
-			n += int64(len(r.Ins[k].Data))
-		}
-	}
-	for l := range r.Outs {
-		if r.Outs[l].Partitioned() {
-			n += (hi - lo) * r.Outs[l].BytesPerIter
-		} else {
-			n += int64(len(r.Outs[l].Data))
-		}
-	}
-	return n
-}
-
-// runSparkJob distributes the tiled loop over the cluster (Eq. 1-7): one
-// RDD partition per tile, partitioned inputs sliced per tile, unpartitioned
-// inputs broadcast, and the loop body invoked through the fat-binary
-// registry (the JNI analog).
-func (p *CloudPlugin) runSparkJob(r *Region, tiles int, decoded [][]byte, sess *session) ([][]tileResult, *spark.JobMetrics, int64, error) {
-	return p.runSparkJobWith(r, tiles, decoded, nil, nil, sess)
-}
-
-// runSparkJobWith is runSparkJob with the streaming dataflow's two hooks:
-// sched (non-nil) gates each tile's task on its input readiness and aborts
-// queued tiles once the transfer side has failed; sink (non-nil) receives
-// each tile's result the moment its task succeeds, while others still run.
-// sess (non-nil) makes the job resumable: tiles already committed by an
-// interrupted predecessor are served from storage, and every finished tile
-// commits its outputs before the result flows onward.
-func (p *CloudPlugin) runSparkJobWith(r *Region, tiles int, decoded [][]byte, sched *tileSched, sink func(p int, items []tileResult), sess *session) ([][]tileResult, *spark.JobMetrics, int64, error) {
-	reg := r.registry()
-	// Broadcast the unpartitioned inputs so the engine's accounting sees
-	// them; partitioned inputs are captured per tile by the closure,
-	// standing in for the scatter of Eq. 3.
-	type bcastIns struct{ bufs [][]byte }
-	unpart := make([][]byte, len(r.Ins))
-	var bcastRaw int64
-	for k := range r.Ins {
-		if !r.Ins[k].Partitioned() {
-			unpart[k] = decoded[k]
-			bcastRaw += int64(len(decoded[k]))
-		}
-	}
-	bc := spark.NewBroadcast(p.sctx, bcastIns{bufs: unpart}, bcastRaw)
-
-	rdd, err := spark.Range(p.sctx, int64(tiles), tiles)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	job := spark.MapPartitions(rdd, func(part int, _ []int64) ([]tileResult, error) {
-		if sched != nil {
-			// The gate has opened, but possibly because the transfer side
-			// failed and released everything: abort instead of computing
-			// on incomplete inputs.
-			if err := sched.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if sess != nil {
-			if outs, ok := sess.lookupTile(part, len(r.Outs)); ok {
-				return []tileResult{{tile: part, outs: outs}}, nil
-			}
-		}
-		lo, hi := TileRange(r.N, tiles, part)
-		ins := make([][]byte, len(r.Ins))
-		for k := range r.Ins {
-			if r.Ins[k].Partitioned() {
-				ins[k] = decoded[k][lo*r.Ins[k].BytesPerIter : hi*r.Ins[k].BytesPerIter]
-			} else {
-				ins[k] = bc.Value().bufs[k]
-			}
-		}
-		outSizes := make([]int64, len(r.Outs))
-		outInit := make([]byte, len(r.Outs))
-		for l := range r.Outs {
-			if r.Outs[l].Partitioned() {
-				outSizes[l] = (hi - lo) * r.Outs[l].BytesPerIter
-			} else {
-				outSizes[l] = int64(len(r.Outs[l].Data))
-				switch r.Outs[l].Reduce {
-				case ReduceMaxF32:
-					outInit[l] = remoteexec.InitNegInfF
-				case ReduceMinF32:
-					outInit[l] = remoteexec.InitPosInfF
-				}
-			}
-		}
-		if p.pool != nil {
-			// Ship the tile to its assigned remote worker process —
-			// the JNI boundary made literal.
-			worker := p.sctx.PartitionWorker(part, tiles)
-			outs, err := p.pool.Run(worker, &remoteexec.TileRequest{
-				Kernel: r.Kernel, Lo: r.Base + lo, Hi: r.Base + hi, Scalars: r.Scalars,
-				Ins: ins, OutSizes: outSizes, OutInit: outInit,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if sess != nil {
-				sess.commitTile(part, outs)
-			}
-			return []tileResult{{tile: part, outs: outs}}, nil
-		}
-		outs := make([][]byte, len(r.Outs))
-		for l := range r.Outs {
-			if r.Outs[l].Partitioned() {
-				outs[l] = make([]byte, outSizes[l])
-			} else {
-				outs[l] = reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data))
-			}
-		}
-		if err := reg.Invoke(r.Kernel, r.Base+lo, r.Base+hi, r.Scalars, ins, outs); err != nil {
-			return nil, err
-		}
-		if sess != nil {
-			sess.commitTile(part, outs)
-		}
-		return []tileResult{{tile: part, outs: outs}}, nil
-	})
-	if sched != nil {
-		job = spark.Gated(job, sched.gate)
-	}
-	parts, jm, err := job.CollectPartitionsEach(sink)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("offload: spark job: %w", err)
-	}
-	// Total raw output bytes produced by the tasks (reconstruction input).
-	var tileRaw int64
-	for _, part := range parts {
-		for _, tr := range part {
-			for _, o := range tr.outs {
-				tileRaw += int64(len(o))
-			}
-		}
-	}
-	return parts, jm, tileRaw, nil
-}
-
-// reconstruct rebuilds each output on the driver (Eq. 8): offset writes for
-// partitioned outputs, reductions otherwise.
-func reconstruct(r *Region, tiles int, parts [][]tileResult) ([][]byte, error) {
-	finals := make([][]byte, len(r.Outs))
-	for l := range r.Outs {
-		finals[l] = reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data))
-	}
-	for _, part := range parts {
-		for _, tr := range part {
-			lo, hi := TileRange(r.N, tiles, tr.tile)
-			for l := range r.Outs {
-				if r.Outs[l].Partitioned() {
-					copy(finals[l][lo*r.Outs[l].BytesPerIter:hi*r.Outs[l].BytesPerIter], tr.outs[l])
-				} else if err := combine(r.Outs[l].Reduce, finals[l], tr.outs[l]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return finals, nil
-}
-
-// storeOutputs encodes the reconstructed outputs and writes them to cloud
-// storage (step 7) through the transfer engine, measuring the driver's
-// codec work (summed across the serial per-buffer loop; each term already
-// reflects within-buffer parallel chunk compression).
-func (p *CloudPlugin) storeOutputs(prefix string, r *Region, finals [][]byte, rs *runStats, memo *manifestMemo) ([]int64, simtime.Duration, error) {
-	wire := make([]int64, len(r.Outs))
-	var compress time.Duration
-	for l := range r.Outs {
-		o := p.chunkOpts(false, rs)
-		if memo != nil {
-			o.OnManifest = memo.store
-		}
-		up, err := chunkio.Upload(p.cfg.Store, prefix+"/out/"+r.Outs[l].Name, finals[l], o)
-		if err != nil {
-			return nil, 0, fmt.Errorf("offload: storing output %s: %w", r.Outs[l].Name, err)
-		}
-		wire[l] = up.TotalWire
-		compress += up.CompressWall
-	}
-	return wire, simtime.FromReal(compress), nil
-}
-
-// reconstructAndStore composes reconstruct and storeOutputs for a
-// standalone region run.
-func (p *CloudPlugin) reconstructAndStore(prefix string, r *Region, tiles int, parts [][]tileResult, rs *runStats, memo *manifestMemo) ([]int64, simtime.Duration, error) {
-	finals, err := reconstruct(r, tiles, parts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.storeOutputs(prefix, r, finals, rs, memo)
-}
-
-// downloadOutputs brings the results back to the host buffers (step 8),
-// decoding in parallel, one stream per buffer; chunked objects additionally
-// fetch and decompress their parts concurrently within the stream.
-func (p *CloudPlugin) downloadOutputs(prefix string, r *Region, rs *runStats, memo *manifestMemo) (simtime.Duration, error) {
-	durs := make([]time.Duration, len(r.Outs))
-	errs := make([]error, len(r.Outs))
-	var wg sync.WaitGroup
-	for l := range r.Outs {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			o := p.chunkOpts(false, rs)
-			if memo != nil {
-				o.HaveObject = memo.lookup
-			}
-			raw, down, err := chunkio.Download(p.cfg.Store, prefix+"/out/"+r.Outs[l].Name, o)
-			if err != nil {
-				errs[l] = err
-				return
-			}
-			if down.RootCached {
-				p.avoidedGets.Add(1)
-			}
-			durs[l] = down.DecompressWall
-			if len(raw) != len(r.Outs[l].Data) {
-				errs[l] = fmt.Errorf("output %s decoded to %d bytes, want %d", r.Outs[l].Name, len(raw), len(r.Outs[l].Data))
-				return
-			}
-			copy(r.Outs[l].Data, raw)
-		}(l)
-	}
-	wg.Wait()
-	var max time.Duration
-	for l := range r.Outs {
-		if errs[l] != nil {
-			return 0, fmt.Errorf("offload: downloading %s: %w", r.Outs[l].Name, errs[l])
-		}
-		if durs[l] > max {
-			max = durs[l]
-		}
-	}
-	return simtime.FromReal(max), nil
-}
-
-// costInputs assembles the accounting inputs from the measured run.
-func (p *CloudPlugin) costInputs(r *Region, tiles int, jm *spark.JobMetrics,
-	inWire, outWire []int64, tileRaw int64,
-	hostCompress, hostDecompress, driverCodec simtime.Duration) CostInputs {
-
-	taskCompute := make([]simtime.Duration, tiles)
-	taskEffective := make([]simtime.Duration, tiles)
-	for i, tm := range jm.Tasks {
-		jni := p.cfg.JNI.PerCall(tileBytes(r, tiles, i))
-		taskCompute[i] = tm.Compute + jni
-		taskEffective[i] = tm.Effective + jni
-	}
-
-	// Intra-cluster wire volumes use the real measured compression
-	// ratios: Spark compresses everything it ships over the LAN, which
-	// is what makes dense inputs so much more expensive than sparse ones.
-	var distWire, bcastWire int64
-	for k := 0; k < len(r.Ins) && k < len(inWire); k++ {
-		if len(r.Ins[k].Data) == 0 {
-			continue
-		}
-		if r.Ins[k].Partitioned() {
-			distWire += inWire[k]
-		} else {
-			bcastWire += inWire[k]
-		}
-	}
-
-	// Collected bytes: every tile ships its outputs to the driver,
-	// compressed at the output's measured ratio.
-	var collectWire int64
-	outRaw := r.OutBytesRaw()
-	if outRaw > 0 && tileRaw > 0 {
-		var sumRatio float64
-		for l := 0; l < len(r.Outs) && l < len(outWire); l++ {
-			if len(r.Outs[l].Data) == 0 {
-				continue
-			}
-			sumRatio += float64(outWire[l]) / float64(outRaw)
-		}
-		collectWire = int64(float64(tileRaw) * sumRatio)
-	}
-
-	spec := p.sctx.Spec()
-	return CostInputs{
-		Workers:            spec.Workers,
-		Cores:              spec.TotalCores(),
-		PipelinedTransfers: p.pipelined(),
-		TaskCompute:        taskCompute,
-		TaskEffective:      taskEffective,
-		Tasks:              jm.Tasks,
-		InWireSizes:        inWire,
-		OutWireSizes:       outWire,
-		HostCompress:       hostCompress,
-		HostDecompress:     hostDecompress,
-		DriverDecompress:   driverCodec,
-		DistributeWire:     distWire,
-		BroadcastWire:      bcastWire,
-		CollectWire:        collectWire,
-		ReconstructRaw:     tileRaw,
-		Costs:              p.cfg.Costs,
-	}
-}
-
 // cleanup deletes the job's objects, best effort.
 func (p *CloudPlugin) cleanup(prefix string) {
 	keys, err := p.cfg.Store.List(prefix)
@@ -1416,7 +808,6 @@ func (p *CloudPlugin) stopCluster() {
 			}
 		}
 	}
-	p.lastCost = p.cluster.Cost()
 }
 
 // AccumulatedCost reports the cluster cost after the last job (0 without a

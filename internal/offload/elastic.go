@@ -8,8 +8,8 @@ package offload
 // from the new core count instead of steering by throughput observed at
 // the old width. Scale-in is never allowed to strand an in-flight tile:
 // shrinking drains first (attempts divert away, held work completes) and
-// retires workers only at a quiescent job boundary — Run completes any
-// pending drain before each region for exactly that reason.
+// retires workers only at a quiescent job boundary — the guard completes any
+// pending drain before each plan for exactly that reason.
 
 import (
 	"fmt"
@@ -51,14 +51,14 @@ func (p *CloudPlugin) ScaleWorkers(target int) (int, error) {
 	return p.sctx.Spec().Workers, nil
 }
 
-// completeDrain finishes any deferred scale-in. Run calls it before each
-// region so a drain requested mid-job lands at the next boundary without
-// the autoscaler having to poll.
+// completeDrain finishes any deferred scale-in. The guard calls it before
+// every plan — standalone region, env open, env loop, env close — so a
+// drain requested mid-job lands at the next boundary without the autoscaler
+// having to poll.
 func (p *CloudPlugin) completeDrain() {
-	if p.sctx.DrainingWorkers() == 0 {
-		return
+	if p.sctx.DrainingWorkers() > 0 {
+		p.finishDrain()
 	}
-	p.finishDrain()
 }
 
 // finishDrain retires whatever drained workers the engine will release,
@@ -90,10 +90,12 @@ func (p *CloudPlugin) invalidateRates() {
 	}
 }
 
-// applyCost stamps the region's modelled dollar cost under the device's
+// applyCost stamps a plan's modelled dollar cost under the device's
 // configured prices: $/core-hour on the effective (caller-experienced)
-// duration times the cores the region ran on, plus $/GiB on egress back to
-// the host. Devices without prices leave CostUSD at zero.
+// duration times the cores the device held, plus $/GiB on egress back to
+// the host. The guard prices every plan, so an environment's open, loops and
+// close each carry their share and trace.Merge sums them. Devices without
+// prices leave CostUSD at zero.
 func (p *CloudPlugin) applyCost(rep *trace.Report) {
 	if rep == nil || (p.cfg.CostCoreHourUSD <= 0 && p.cfg.CostEgressGiBUSD <= 0) {
 		return

@@ -203,9 +203,7 @@ func TestApplyCostStampsReport(t *testing.T) {
 		t.Fatalf("CostUSD = %v, want %v", rep.CostUSD, want)
 	}
 
-	merged := trace.NewReport("set", "scale2")
-	mergeMemberReport(merged, rep)
-	mergeMemberReport(merged, rep)
+	merged := trace.Merge("set", "scale2", trace.Parallel, rep, rep)
 	if merged.CostUSD != 2*rep.CostUSD {
 		t.Fatalf("merged cost %v, want %v", merged.CostUSD, 2*rep.CostUSD)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"ompcloud/internal/simtime"
 	"ompcloud/internal/trace"
-	"ompcloud/internal/trace/span"
 )
 
 // EnvBuffer declares one variable of a device data environment (`#pragma
@@ -44,130 +42,100 @@ type EnvPlugin interface {
 	OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error)
 }
 
-// MergeReports folds several phase reports (open, loops, close) into one
-// region-level report, the per-benchmark total used by the harness.
-func MergeReports(device, kernel string, reps ...*trace.Report) *trace.Report {
-	out := trace.NewReport(device, kernel)
-	var effSum simtime.Duration
-	anyOverlap := false
-	for _, r := range reps {
-		if r == nil {
-			continue
-		}
-		for ph, d := range r.Phases {
-			out.Add(ph, d)
-		}
-		out.BytesUploaded += r.BytesUploaded
-		out.BytesDownloaded += r.BytesDownloaded
-		out.BytesScattered += r.BytesScattered
-		out.BytesBroadcast += r.BytesBroadcast
-		out.BytesCollected += r.BytesCollected
-		out.TaskFailures += r.TaskFailures
-		out.StorageRetries += r.StorageRetries
-		out.ReexecutedTasks += r.ReexecutedTasks
-		out.SpeculativeWins += r.SpeculativeWins
-		out.SpeculativeLosses += r.SpeculativeLosses
-		out.DeadWorkers += r.DeadWorkers
-		out.ResumedTiles += r.ResumedTiles
-		out.DeadlineAborts += r.DeadlineAborts
-		out.HedgedGets += r.HedgedGets
-		out.HedgeWins += r.HedgeWins
-		out.DegradedSwitches += r.DegradedSwitches
-		out.PartitionSeconds += r.PartitionSeconds
-		out.Tiles += r.Tiles
-		if r.Cores > out.Cores {
-			out.Cores = r.Cores
-		}
-		out.FellBack = out.FellBack || r.FellBack
-		if out.FallbackReason == "" {
-			out.FallbackReason = r.FallbackReason
-		}
-		// The merged end-to-end time is the sum of each report's effective
-		// duration: phase reports run sequentially (open, loops, close), so
-		// the region's critical path is each report's own critical path —
-		// overlapped or not — laid end to end. Summing WallOverlap and
-		// subtracting from the merged Total would double-count: a fallback
-		// report's phases would inflate Total but contribute no overlap,
-		// understating the merged critical path.
-		effSum += r.Effective()
-		if r.CriticalPath > 0 {
-			anyOverlap = true
-		}
-	}
-	if anyOverlap {
-		out.CriticalPath = effSum
-		out.WallOverlap = out.Total() - effSum
-	}
-	return out
-}
-
-// --- Host environment -------------------------------------------------
-
-// hostEnv is the trivial environment of a shared-memory device: the "device
-// copies" are the host buffers themselves, so open and close are free.
-type hostEnv struct {
-	h    *HostPlugin
-	bufs map[string][]byte
-	open bool
-}
-
-// OpenEnv implements EnvPlugin.
-func (h *HostPlugin) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
-	e := &hostEnv{h: h, bufs: make(map[string][]byte, len(bufs)), open: true}
+// checkEnvBuffers rejects unnamed and duplicate environment buffers.
+func checkEnvBuffers(bufs []EnvBuffer) error {
+	seen := make(map[string]bool, len(bufs))
 	for _, b := range bufs {
 		if b.Name == "" {
-			return nil, nil, fmt.Errorf("offload: unnamed env buffer")
+			return fmt.Errorf("offload: unnamed env buffer")
 		}
-		if _, dup := e.bufs[b.Name]; dup {
-			return nil, nil, fmt.Errorf("offload: duplicate env buffer %q", b.Name)
+		if seen[b.Name] {
+			return fmt.Errorf("offload: duplicate env buffer %q", b.Name)
 		}
-		e.bufs[b.Name] = b.Data
+		seen[b.Name] = true
 	}
-	return e, trace.NewReport(h.Name(), "target-data-open"), nil
+	return nil
 }
 
-func (e *hostEnv) Buffer(name string) ([]byte, error) {
-	b, ok := e.bufs[name]
+func envBuffer(bufs map[string][]byte, name string) ([]byte, error) {
+	b, ok := bufs[name]
 	if !ok {
 		return nil, fmt.Errorf("offload: no env buffer %q", name)
 	}
 	return b, nil
 }
 
-func (e *hostEnv) Run(r *Region) (*trace.Report, error) {
+// --- Shared-memory environment -----------------------------------------
+
+// sharedEnv is the environment of a device whose loops work on host memory
+// directly, so the hoisted transfer legs are empty and open and close are
+// free. That is the host device, whose "device copies" are the host buffers
+// themselves, and the device set, where buffers stay host-resident as the
+// rendezvous between loops: a split loop's intermediates must come home
+// anyway, because successive loops partition the data differently across
+// members, and each member slice moves exactly the windows it needs through
+// that member's own storage path, where the transfer costs are accounted.
+type sharedEnv struct {
+	dev  Plugin
+	bufs map[string][]byte
+	open bool
+}
+
+func openSharedEnv(dev Plugin, bufs []EnvBuffer) (Env, *trace.Report, error) {
+	if err := checkEnvBuffers(bufs); err != nil {
+		return nil, nil, err
+	}
+	e := &sharedEnv{dev: dev, bufs: make(map[string][]byte, len(bufs)), open: true}
+	for _, b := range bufs {
+		e.bufs[b.Name] = b.Data
+	}
+	return e, trace.NewReport(dev.Name(), "target-data-open"), nil
+}
+
+// OpenEnv implements EnvPlugin.
+func (h *HostPlugin) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
+	return openSharedEnv(h, bufs)
+}
+
+// OpenEnv implements EnvPlugin.
+func (m *MultiDevice) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
+	return openSharedEnv(m, bufs)
+}
+
+func (e *sharedEnv) Buffer(name string) ([]byte, error) { return envBuffer(e.bufs, name) }
+
+func (e *sharedEnv) Run(r *Region) (*trace.Report, error) {
 	if !e.open {
 		return nil, fmt.Errorf("offload: environment already closed")
 	}
 	// Rebind region buffers to the environment's storage by name.
-	bound := *r
-	bound.Ins = append([]Buffer(nil), r.Ins...)
-	bound.Outs = append([]Buffer(nil), r.Outs...)
-	for i := range bound.Ins {
-		if b, ok := e.bufs[bound.Ins[i].Name]; ok {
-			bound.Ins[i].Data = b
+	rebind := func(bufs []Buffer) []Buffer {
+		out := append([]Buffer(nil), bufs...)
+		for i := range out {
+			if b, ok := e.bufs[out[i].Name]; ok {
+				out[i].Data = b
+			}
 		}
+		return out
 	}
-	for i := range bound.Outs {
-		if b, ok := e.bufs[bound.Outs[i].Name]; ok {
-			bound.Outs[i].Data = b
-		}
-	}
-	return e.h.Run(&bound)
+	local := *r
+	local.Ins, local.Outs = rebind(r.Ins), rebind(r.Outs)
+	return e.dev.Run(&local)
 }
 
-func (e *hostEnv) Close() (*trace.Report, error) {
+func (e *sharedEnv) Close() (*trace.Report, error) {
 	if !e.open {
 		return nil, fmt.Errorf("offload: environment already closed")
 	}
 	e.open = false
-	return trace.NewReport(e.h.Name(), "target-data-close"), nil
+	return trace.NewReport(e.dev.Name(), "target-data-close"), nil
 }
-
-var _ EnvPlugin = (*HostPlugin)(nil)
 
 // --- Cloud environment ------------------------------------------------
 
 // cloudEnv keeps the environment's buffers driver-resident between loops.
+// It only decides bindings; each of its three entry points is a plan run by
+// the device's engine under the device's guard.
 type cloudEnv struct {
 	p      *CloudPlugin
 	prefix string
@@ -178,11 +146,12 @@ type cloudEnv struct {
 	device map[string][]byte // driver-resident copies
 }
 
-// OpenEnv implements EnvPlugin: it uploads the map(to:) buffers through
-// cloud storage (Fig. 1 steps 2-3) once for the whole environment.
+// OpenEnv implements EnvPlugin: a transfer-only plan ships the map(to:)
+// buffers through cloud storage (Fig. 1 steps 1-3) once for the whole
+// environment; map(from:)/alloc buffers start zeroed on the device.
 func (p *CloudPlugin) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
-	if !p.Available() {
-		return nil, nil, fmt.Errorf("offload: cloud device unavailable")
+	if err := checkEnvBuffers(bufs); err != nil {
+		return nil, nil, err
 	}
 	e := &cloudEnv{
 		p:      p,
@@ -191,191 +160,67 @@ func (p *CloudPlugin) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
 		decl:   append([]EnvBuffer(nil), bufs...),
 		device: make(map[string][]byte, len(bufs)),
 	}
-	rep := trace.NewReport(p.Name(), "target-data-open")
-	var upNames []string
-	var upBufs []Buffer
+	pl := &plan{kernel: "target-data-open", prefix: e.prefix, keep: true}
 	for _, b := range bufs {
-		if b.Name == "" {
-			return nil, nil, fmt.Errorf("offload: unnamed env buffer")
-		}
-		if _, dup := e.device[b.Name]; dup {
-			return nil, nil, fmt.Errorf("offload: duplicate env buffer %q", b.Name)
-		}
 		if b.Upload {
-			upNames = append(upNames, b.Name)
-			upBufs = append(upBufs, Buffer{Name: b.Name, Data: b.Data})
-			e.device[b.Name] = nil // filled below
+			pl.ins = append(pl.ins, bound{name: b.Name, ship: true, host: b.Data})
 		} else {
-			// Alloc-only (map(from:)): the device side starts zeroed.
 			e.device[b.Name] = make([]byte, len(b.Data))
 		}
 	}
-	if len(upBufs) > 0 {
-		rs, cancel := newRunStats()
-		defer cancel()
-		partBase := p.partitionBase()
-		pseudo := &Region{Ins: upBufs}
-		up, err := p.uploadInputs(e.prefix, pseudo, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		decoded, driverDecompress, err := p.driverFetch(up.keys, pseudo, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.applyNetCounters(rep, rs, partBase)
-		for i, name := range upNames {
-			e.device[name] = decoded[i]
-		}
-		rep.Add(trace.PhaseUpload, transferLeg(p.pipelined(), up.compress, p.cfg.Profile.WAN.TransferParallel(up.sent)))
-		rep.Add(trace.PhaseSpark, p.cfg.Profile.LAN.TransferParallel(up.wire)+driverDecompress)
-		for _, w := range up.sent {
-			rep.BytesUploaded += w
-		}
-		emitEnvLayout(rep)
+	rep, err := p.guard(pl)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, in := range pl.ins {
+		e.device[in.name] = in.dev
 	}
 	return e, rep, nil
-}
-
-// emitEnvLayout lays an environment open/close report's phases out as a
-// barriered span tree on the virtual timeline, like Account does for region
-// reports — the env legs are modeled units too, so they appear in the trace
-// and count into the span-derived end-to-end time.
-func emitEnvLayout(rep *trace.Report) {
-	rec := span.Default()
-	span.NewLayout(rep.Device, rep.Kernel, rec.VirtualFrontier()).
-		Barriered([]span.Stage{
-			{Name: spanUpload, Dur: rep.Phases[trace.PhaseUpload]},
-			{Name: spanSpark, Dur: rep.Phases[trace.PhaseSpark]},
-			{Name: spanDownload, Dur: rep.Phases[trace.PhaseDownload]},
-		}).EmitTo(rec)
 }
 
 func (e *cloudEnv) Buffer(name string) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	b, ok := e.device[name]
-	if !ok {
-		return nil, fmt.Errorf("offload: no env buffer %q", name)
-	}
-	return b, nil
+	return envBuffer(e.device, name)
 }
 
-// Run executes one parallel loop entirely inside the cluster: partitioned
-// slices of the device buffers scatter to the workers, results reconstruct
-// into the device buffers, and nothing touches the WAN.
+// Run executes one parallel loop entirely inside the cluster — the
+// all-resident plan: partitioned slices of the device buffers scatter to the
+// workers, results reconstruct into the device buffers, and nothing touches
+// storage or the WAN. The region's own Data fields supply sizes only.
 func (e *cloudEnv) Run(r *Region) (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.open {
 		return nil, fmt.Errorf("offload: environment already closed")
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	p := e.p
-	rep := trace.NewReport(p.Name(), r.Kernel)
-	rep.Cores = p.Cores()
-	tiles := r.TileCount(p.Cores())
-	rep.Tiles = tiles
-	if tiles == 0 {
-		return rep, nil
-	}
-
-	// Bind inputs to device-resident storage.
-	decoded := make([][]byte, len(r.Ins))
-	for k := range r.Ins {
-		dev, ok := e.device[r.Ins[k].Name]
-		if !ok {
-			return nil, fmt.Errorf("offload: loop input %q is not in the data environment", r.Ins[k].Name)
+	pl := &plan{kernel: r.Kernel, region: r}
+	bind := func(what string, bufs []Buffer) (bs []bound, err error) {
+		for i := range bufs {
+			dev, ok := e.device[bufs[i].Name]
+			if !ok {
+				return nil, fmt.Errorf("offload: loop %s %q is not in the data environment", what, bufs[i].Name)
+			}
+			if len(dev) != len(bufs[i].Data) {
+				return nil, fmt.Errorf("offload: env buffer %q is %d bytes, loop expects %d", bufs[i].Name, len(dev), len(bufs[i].Data))
+			}
+			bs = append(bs, bound{name: bufs[i].Name, dev: dev})
 		}
-		if len(dev) != len(r.Ins[k].Data) {
-			return nil, fmt.Errorf("offload: env buffer %q is %d bytes, loop expects %d", r.Ins[k].Name, len(dev), len(r.Ins[k].Data))
-		}
-		decoded[k] = dev
+		return bs, nil
 	}
-	for l := range r.Outs {
-		if _, ok := e.device[r.Outs[l].Name]; !ok {
-			return nil, fmt.Errorf("offload: loop output %q is not in the data environment", r.Outs[l].Name)
-		}
-	}
-
-	// Env loops get their own per-loop session keyed on the device-resident
-	// inputs: tile-level resume (committed tiles skip recomputation). The
-	// open-phase upload is not journaled, so a restarted environment re-opens
-	// normally and each loop resumes at tile granularity.
-	var sess *session
-	if p.cfg.Resume {
-		sess = p.openSession(r, tiles, decoded)
-	}
-
-	parts, jm, tileRaw, err := p.runSparkJob(r, tiles, decoded, sess)
-	if err != nil {
+	var err error
+	if pl.ins, err = bind("input", r.Ins); err != nil {
 		return nil, err
 	}
-	finals, err := reconstruct(r, tiles, parts)
-	if err != nil {
+	if pl.outs, err = bind("output", r.Outs); err != nil {
 		return nil, err
 	}
-	for l := range r.Outs {
-		copy(e.device[r.Outs[l].Name], finals[l])
-	}
-
-	// Accounting: like a standalone run but with no host-target legs and
-	// no storage round trip (the environment pins buffers on the driver).
-	ci := p.costInputs(r, tiles, jm, nil, nil, tileRaw, 0, 0, 0)
-	ci.DistributeWire, ci.BroadcastWire, ci.CollectWire = e.intraClusterWires(r, tileRaw)
-	if err := Account(p.cfg.Profile, ci, rep); err != nil {
-		return nil, err
-	}
-	applyEngineCounters(rep, jm, sess)
-	if sess != nil {
-		sess.finish()
-	}
-	return rep, nil
+	return e.p.guard(pl)
 }
 
-// intraClusterWires estimates compressed intra-cluster traffic for an
-// env-resident loop by probing the actual device buffers (Spark compresses
-// what it ships over the LAN).
-func (e *cloudEnv) intraClusterWires(r *Region, tileRaw int64) (dist, bcast, collect int64) {
-	ratioOf := func(b []byte) float64 {
-		if len(b) == 0 {
-			return 1
-		}
-		sample := b
-		if len(sample) > 1<<20 {
-			sample = sample[:1<<20]
-		}
-		probe, err := e.p.cfg.Codec.Measure(sample)
-		if err != nil {
-			return 1
-		}
-		return probe.Effective().Ratio
-	}
-	for k := range r.Ins {
-		dev := e.device[r.Ins[k].Name]
-		wire := int64(float64(len(dev)) * ratioOf(dev))
-		if r.Ins[k].Partitioned() {
-			dist += wire
-		} else {
-			bcast += wire
-		}
-	}
-	var outRatio float64
-	var outs int
-	for l := range r.Outs {
-		outRatio += ratioOf(e.device[r.Outs[l].Name])
-		outs++
-	}
-	if outs > 0 {
-		collect = int64(float64(tileRaw) * outRatio / float64(outs))
-	}
-	return dist, bcast, collect
-}
-
-// Close writes the Download buffers to storage and brings them home
-// (Fig. 1 steps 7-8), then invalidates the environment.
+// Close brings the Download buffers home (Fig. 1 steps 7-8) with a
+// transfer-only plan, then invalidates the environment; the plan ending
+// deletes the environment's stored objects.
 func (e *cloudEnv) Close() (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -383,53 +228,17 @@ func (e *cloudEnv) Close() (*trace.Report, error) {
 		return nil, fmt.Errorf("offload: environment already closed")
 	}
 	e.open = false
-	p := e.p
-	rep := trace.NewReport(p.Name(), "target-data-close")
-	defer p.cleanup(e.prefix)
-
-	var downBufs []Buffer
-	var hostData [][]byte
+	pl := &plan{kernel: "target-data-close", prefix: e.prefix}
 	for _, b := range e.decl {
-		if !b.Download {
-			continue
+		if b.Download {
+			pl.outs = append(pl.outs, bound{name: b.Name, ship: true, host: b.Data, dev: e.device[b.Name]})
 		}
-		downBufs = append(downBufs, Buffer{Name: b.Name, Data: e.device[b.Name]})
-		hostData = append(hostData, b.Data)
 	}
-	if len(downBufs) == 0 {
-		return rep, nil
-	}
-	// Driver -> storage (encode + put), charged to Spark overhead.
-	rs, cancel := newRunStats()
-	defer cancel()
-	partBase := p.partitionBase()
-	pseudo := &Region{Outs: downBufs}
-	finals := make([][]byte, len(downBufs))
-	for i := range downBufs {
-		finals[i] = downBufs[i].Data
-	}
-	memo := newManifestMemo()
-	wire, driverCompress, err := p.storeOutputs(e.prefix, pseudo, finals, rs, memo)
-	if err != nil {
-		return nil, err
-	}
-	rep.Add(trace.PhaseSpark, driverCompress+p.cfg.Profile.LAN.TransferParallel(wire))
-
-	// Storage -> host (get + decode), the download leg.
-	for i := range pseudo.Outs {
-		pseudo.Outs[i].Data = hostData[i]
-	}
-	hostDecompress, err := p.downloadOutputs(e.prefix, pseudo, rs, memo)
-	if err != nil {
-		return nil, err
-	}
-	p.applyNetCounters(rep, rs, partBase)
-	rep.Add(trace.PhaseDownload, transferLeg(p.pipelined(), hostDecompress, p.cfg.Profile.WAN.TransferParallel(wire)))
-	for _, w := range wire {
-		rep.BytesDownloaded += w
-	}
-	emitEnvLayout(rep)
-	return rep, nil
+	return e.p.guard(pl)
 }
 
-var _ EnvPlugin = (*CloudPlugin)(nil)
+var (
+	_ EnvPlugin = (*HostPlugin)(nil)
+	_ EnvPlugin = (*MultiDevice)(nil)
+	_ EnvPlugin = (*CloudPlugin)(nil)
+)

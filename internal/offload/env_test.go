@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"ompcloud/internal/data"
-	"ompcloud/internal/simtime"
-	"ompcloud/internal/trace"
 )
 
 func TestHostEnvLifecycle(t *testing.T) {
@@ -56,33 +54,6 @@ func TestHostEnvValidation(t *testing.T) {
 	}
 	if _, _, err := h.OpenEnv([]EnvBuffer{{Name: "A"}, {Name: "A"}}); err == nil {
 		t.Fatal("duplicate buffer should error")
-	}
-}
-
-func TestMergeReportsAggregation(t *testing.T) {
-	a := trace.NewReport("d", "k1")
-	a.Add(trace.PhaseUpload, simtime.Second)
-	a.BytesUploaded = 100
-	a.Tiles = 4
-	a.Cores = 8
-	b := trace.NewReport("d", "k2")
-	b.Add(trace.PhaseCompute, 2*simtime.Second)
-	b.BytesDownloaded = 50
-	b.BytesBroadcast = 7
-	b.TaskFailures = 1
-	b.Tiles = 2
-	b.Cores = 16
-	b.FellBack = true
-
-	m := MergeReports("d", "merged", a, nil, b)
-	if m.Total() != 3*simtime.Second {
-		t.Fatalf("Total = %v", m.Total())
-	}
-	if m.BytesUploaded != 100 || m.BytesDownloaded != 50 || m.BytesBroadcast != 7 {
-		t.Fatalf("bytes wrong: %+v", m)
-	}
-	if m.Tiles != 6 || m.Cores != 16 || m.TaskFailures != 1 || !m.FellBack {
-		t.Fatalf("meta wrong: %+v", m)
 	}
 }
 

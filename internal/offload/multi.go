@@ -146,11 +146,10 @@ func (m *MultiDevice) logf(format string, args ...any) {
 // region's buffers — the per-iteration WAN burden of the transfer term.
 func partBytesPerIter(r *Region) int64 {
 	var b int64
-	for i := range r.Ins {
-		b += r.Ins[i].BytesPerIter
-	}
-	for i := range r.Outs {
-		b += r.Outs[i].BytesPerIter
+	for _, bufs := range [][]Buffer{r.Ins, r.Outs} {
+		for i := range bufs {
+			b += bufs[i].BytesPerIter
+		}
 	}
 	return b
 }
@@ -338,8 +337,7 @@ func (m *MultiDevice) Run(r *Region) (*trace.Report, error) {
 	}
 	wg.Wait()
 
-	out := trace.NewReport(m.Name(), r.Kernel)
-	var critical simtime.Duration
+	var reps []*trace.Report
 	var absorbedFrom []string
 	for i := range results {
 		if ranges[i].Width() == 0 {
@@ -349,10 +347,7 @@ func (m *MultiDevice) Run(r *Region) (*trace.Report, error) {
 		if res.err != nil {
 			return nil, fmt.Errorf("offload: multidev member %s: %w", m.cfg.Members[i].Name(), res.err)
 		}
-		mergeMemberReport(out, res.rep)
-		if eff := res.rep.Effective(); eff > critical {
-			critical = eff
-		}
+		reps = append(reps, res.rep)
 		if res.absorbed {
 			absorbedFrom = append(absorbedFrom, m.cfg.Members[i].Name())
 		} else if !m.cfg.NoRebalance && len(m.cfg.Weights) == 0 {
@@ -361,8 +356,7 @@ func (m *MultiDevice) Run(r *Region) (*trace.Report, error) {
 	}
 	// The members ran concurrently: the region's end-to-end time is the
 	// slowest member's effective duration, and everything else is overlap.
-	out.CriticalPath = critical
-	out.WallOverlap = out.Total() - critical
+	out := trace.Merge(m.Name(), r.Kernel, trace.Parallel, reps...)
 	if len(absorbedFrom) > 0 {
 		out.FellBack = true
 		out.FallbackReason = fmt.Sprintf("re-absorbed slice of %s on %s",
@@ -458,101 +452,4 @@ func (m *MultiDevice) merge(r *Region, ranges []ShareRange, subs []subRegion) er
 	return nil
 }
 
-// mergeMemberReport folds one member's report into the set's: phases and
-// counters sum (they are real work done somewhere), while the parallel
-// critical path is handled by the caller.
-func mergeMemberReport(out, r *trace.Report) {
-	for ph, d := range r.Phases {
-		out.Add(ph, d)
-	}
-	out.BytesUploaded += r.BytesUploaded
-	out.BytesDownloaded += r.BytesDownloaded
-	out.BytesScattered += r.BytesScattered
-	out.BytesBroadcast += r.BytesBroadcast
-	out.BytesCollected += r.BytesCollected
-	out.TaskFailures += r.TaskFailures
-	out.StorageRetries += r.StorageRetries
-	out.ReexecutedTasks += r.ReexecutedTasks
-	out.SpeculativeWins += r.SpeculativeWins
-	out.SpeculativeLosses += r.SpeculativeLosses
-	out.DeadWorkers += r.DeadWorkers
-	out.ResumedTiles += r.ResumedTiles
-	out.DeadlineAborts += r.DeadlineAborts
-	out.HedgedGets += r.HedgedGets
-	out.HedgeWins += r.HedgeWins
-	out.DegradedSwitches += r.DegradedSwitches
-	out.PartitionSeconds += r.PartitionSeconds
-	out.Tiles += r.Tiles
-	out.Cores += r.Cores
-	out.CostUSD += r.CostUSD
-}
-
-// --- Data environments over a device set -------------------------------
-
-// multiEnv is the device set's data environment: buffers stay host-resident
-// as the rendezvous between loops — a split loop's intermediates must come
-// home anyway, because successive loops partition the data differently
-// across members. Each loop's member slices then move exactly the windows
-// they need through each member's own storage path, which is where the
-// transfer costs are accounted.
-type multiEnv struct {
-	m    *MultiDevice
-	bufs map[string][]byte
-	open bool
-}
-
-// OpenEnv implements EnvPlugin.
-func (m *MultiDevice) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
-	e := &multiEnv{m: m, bufs: make(map[string][]byte, len(bufs)), open: true}
-	for _, b := range bufs {
-		if b.Name == "" {
-			return nil, nil, fmt.Errorf("offload: unnamed env buffer")
-		}
-		if _, dup := e.bufs[b.Name]; dup {
-			return nil, nil, fmt.Errorf("offload: duplicate env buffer %q", b.Name)
-		}
-		e.bufs[b.Name] = b.Data
-	}
-	return e, trace.NewReport(m.Name(), "target-data-open"), nil
-}
-
-func (e *multiEnv) Buffer(name string) ([]byte, error) {
-	b, ok := e.bufs[name]
-	if !ok {
-		return nil, fmt.Errorf("offload: no env buffer %q", name)
-	}
-	return b, nil
-}
-
-func (e *multiEnv) Run(r *Region) (*trace.Report, error) {
-	if !e.open {
-		return nil, fmt.Errorf("offload: environment already closed")
-	}
-	bound := *r
-	bound.Ins = append([]Buffer(nil), r.Ins...)
-	bound.Outs = append([]Buffer(nil), r.Outs...)
-	for i := range bound.Ins {
-		if b, ok := e.bufs[bound.Ins[i].Name]; ok {
-			bound.Ins[i].Data = b
-		}
-	}
-	for i := range bound.Outs {
-		if b, ok := e.bufs[bound.Outs[i].Name]; ok {
-			bound.Outs[i].Data = b
-		}
-	}
-	return e.m.Run(&bound)
-}
-
-func (e *multiEnv) Close() (*trace.Report, error) {
-	if !e.open {
-		return nil, fmt.Errorf("offload: environment already closed")
-	}
-	e.open = false
-	return trace.NewReport(e.m.Name(), "target-data-close"), nil
-}
-
-var (
-	_ Plugin    = (*MultiDevice)(nil)
-	_ EnvPlugin = (*MultiDevice)(nil)
-)
+var _ Plugin = (*MultiDevice)(nil)

@@ -49,22 +49,29 @@ const (
 // degradedMinChunk floors the shrunken degraded-mode chunk size.
 const degradedMinChunk = 64 << 10
 
-// runStats aggregates one region run's resilience accounting across the
-// four storage legs, plus the cancellation context the transfer engine
-// threads through its retry units.
+// runStats aggregates one plan's resilience accounting across its storage
+// legs, plus the cancellation context the transfer engine threads through
+// its retry units.
 type runStats struct {
 	ctx      context.Context
 	retries  atomic.Int64
 	xfer     chunkio.TransferStats
 	degraded atomic.Int64 // degraded-mode transitions during this run
+	// partBase snapshots the store's partition accounting at run start so
+	// the report carries only this run's share.
+	partBase float64
 }
 
 // newRunStats builds the per-run accounting with a cancellable context;
-// the returned cancel must run when the workflow ends so abandoned
-// transfer attempts stop promptly.
-func newRunStats() (*runStats, context.CancelFunc) {
+// the returned cancel must run when the plan ends so abandoned transfer
+// attempts stop promptly.
+func (p *CloudPlugin) newRunStats() (*runStats, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &runStats{ctx: ctx}, cancel
+	rs := &runStats{ctx: ctx}
+	if pa, ok := p.cfg.Store.(storage.PartitionAccountant); ok {
+		rs.partBase = pa.PartitionSeconds()
+	}
+	return rs, cancel
 }
 
 // legDeadlines derives the per-attempt PUT/GET deadlines from the observed
@@ -225,25 +232,16 @@ func (p *CloudPlugin) accountProfile() netsim.Profile {
 	return prof
 }
 
-// partitionBase snapshots the store's partition accounting at run start so
-// the report carries only this run's share.
-func (p *CloudPlugin) partitionBase() float64 {
-	if pa, ok := p.cfg.Store.(storage.PartitionAccountant); ok {
-		return pa.PartitionSeconds()
-	}
-	return 0
-}
-
 // applyNetCounters copies one run's transfer-guard accounting into the
 // report.
-func (p *CloudPlugin) applyNetCounters(rep *trace.Report, rs *runStats, partBase float64) {
+func (p *CloudPlugin) applyNetCounters(rep *trace.Report, rs *runStats) {
 	rep.StorageRetries = int(rs.retries.Load())
 	rep.DeadlineAborts = int(rs.xfer.DeadlineAborts.Load())
 	rep.HedgedGets = int(rs.xfer.HedgedGets.Load())
 	rep.HedgeWins = int(rs.xfer.HedgeWins.Load())
 	rep.DegradedSwitches = int(rs.degraded.Load())
 	if pa, ok := p.cfg.Store.(storage.PartitionAccountant); ok {
-		if d := pa.PartitionSeconds() - partBase; d > 0 {
+		if d := pa.PartitionSeconds() - rs.partBase; d > 0 {
 			rep.PartitionSeconds = d
 		}
 	}

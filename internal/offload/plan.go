@@ -1,0 +1,393 @@
+package offload
+
+import (
+	"fmt"
+	"strconv"
+	"time"
+
+	"ompcloud/internal/chunkio"
+	"ompcloud/internal/resilience"
+	"ompcloud/internal/simtime"
+	"ompcloud/internal/spark"
+	"ompcloud/internal/trace"
+	"ompcloud/internal/trace/span"
+)
+
+// This file is the plan engine: the one place the cloud device sequences the
+// Fig. 1 workflow. Every way of entering the device — a standalone `target`
+// region, the open, loops and close of a `target data` environment — is
+// described as a plan (which buffers cross the host-target link and which
+// are already driver-resident, whether there is a loop to run, and how the
+// legs release work to each other) and handed to guard, which wraps the
+// cross-cutting behaviour around execute once.
+
+// bound binds one buffer of a plan to where it lives. A shipped buffer
+// crosses the host-target link through cloud storage: an input travels host
+// -> dev (the engine allocates dev), an output dev -> host. A resident buffer
+// stays on the driver: tasks read an input's dev, reconstruction overwrites
+// an output's dev, and nothing touches storage.
+type bound struct {
+	name string
+	ship bool
+	host []byte
+	dev  []byte
+
+	// What executing the plan fills in. An output's final is the buffer
+	// reconstruction builds and the output leg ships; stream mirrors it home
+	// chunk by chunk under per-tile release.
+	final  []byte
+	stream *chunkio.OutStream
+	// A shipped buffer's transfer accounting.
+	key    string
+	wire   int64 // stored wire size: what a reader of the object fetches
+	sent   int64 // wire this plan put on the link (a cache hit sends none)
+	cached bool  // whole-buffer content-cache hit
+	// Modelled codec wall on the sending and the receiving side.
+	encode, decode time.Duration
+}
+
+// content is the buffer's current bytes as the plan starts.
+func (b *bound) content() []byte {
+	if b.ship {
+		return b.host
+	}
+	return b.dev
+}
+
+func shipBounds(bufs []Buffer) []bound {
+	out := make([]bound, len(bufs))
+	for i := range bufs {
+		out[i] = bound{name: bufs[i].Name, ship: true, host: bufs[i].Data}
+	}
+	return out
+}
+
+func anyShipped(bs []bound) bool {
+	for i := range bs {
+		if bs[i].ship {
+			return true
+		}
+	}
+	return false
+}
+
+// plan is one trip through the Fig. 1 workflow, as data.
+type plan struct {
+	// kernel labels the report and spans: the region's kernel, or the
+	// target-data phase of a transfer-only plan.
+	kernel string
+	// region is the loop to run (steps 4-7); nil makes the plan
+	// transfer-only. ins and outs parallel its Ins and Outs when set.
+	region    *Region
+	ins, outs []bound
+	// prefix scopes the objects the transfer legs store; "" says the plan
+	// has no storage legs at all (every buffer resident). The objects are
+	// deleted when the plan ends — unless it succeeded and keep is set,
+	// which hands them to a later plan (env open -> env close).
+	prefix string
+	keep   bool
+	// perTile selects the release policy: false puts a barrier between the
+	// legs (the paper's strict Fig. 1 ordering); true gates each tile's
+	// task on its own input windows and ships each finished tile's outputs
+	// while later tiles still compute. A one-tile loop has nothing to
+	// overlap and runs barriered either way.
+	perTile bool
+}
+
+// guard is the device's single entry point: validate, admit (breaker and
+// availability), land any deferred scale-in at this boundary, execute, price
+// the report, and feed the outcome back to the breaker — a completed plan
+// closes it and resets its failure streak, a transient failure counts toward
+// the trip threshold. Permanent and unclassified errors are not device-health
+// signals (a missing kernel or a validation error says nothing about the
+// cloud) and leave the breaker untouched.
+func (p *CloudPlugin) guard(pl *plan) (*trace.Report, error) {
+	if pl.region != nil {
+		if err := pl.region.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	// A plan without storage legs must not pay health-probe round trips.
+	if !p.admit(pl.prefix != "") {
+		return nil, resilience.MarkTransient(fmt.Errorf("offload: cloud device unavailable (use the manager for host fallback)"))
+	}
+	p.completeDrain()
+	rep, err := p.execute(pl)
+	p.applyCost(rep) // a failed plan has no report to price
+	if p.breaker != nil {
+		switch {
+		case err == nil:
+			p.breaker.Success()
+		case resilience.IsTransient(err):
+			p.breaker.Failure()
+		}
+	}
+	return rep, err
+}
+
+// execute runs the legs the plan has, in Fig. 1 order — input transfer
+// (steps 1-3), Spark job (4-6), reconstruction (7), output transfer (7-8) —
+// then fills one CostInputs from what was measured and charges it with one
+// Account call.
+func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
+	r := pl.region
+	rep = trace.NewReport(p.Name(), pl.kernel)
+	rep.Cores = p.Cores()
+	if pl.prefix != "" {
+		defer func() {
+			if err != nil || !pl.keep {
+				p.cleanup(pl.prefix)
+			}
+		}()
+	}
+	tiles := 0
+	if r == nil {
+		if !anyShipped(pl.ins) && !anyShipped(pl.outs) {
+			return rep, nil
+		}
+	} else {
+		tiles = r.TileCount(p.Cores())
+		if tiles == 0 {
+			// Zero-trip loop: reductions take their identity (partitioned
+			// outputs are empty), nothing moves.
+			for l := range r.Outs {
+				copy(pl.outs[l].content(), reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data)))
+			}
+			return rep, nil
+		}
+		if p.cfg.AutoStartStop && p.cluster != nil {
+			if err := p.startCluster(); err != nil {
+				return nil, err
+			}
+			defer p.stopCluster()
+		}
+	}
+	perTile := pl.perTile && tiles > 1
+	p.logf("offload: job %s: offloading %s (%d tiles, per-tile release %v) to %s", pl.prefix, pl.kernel, tiles, perTile, p.Name())
+
+	// Wall-clock region span on the host track; the legs hang under it so a
+	// trace shows measured time next to the modelled timeline.
+	region := span.Start("offload.region "+pl.kernel, "offload", 0)
+	region.SetAttr("job", pl.prefix)
+	region.SetAttr("tiles", strconv.Itoa(tiles))
+	defer region.End()
+
+	// One accounting block spans the plan's storage legs (retries, deadline
+	// aborts, hedges, degraded-mode switches); its context cancels
+	// stragglers when the plan unwinds.
+	rs, cancel := p.newRunStats()
+	defer cancel()
+
+	// Resumable session: loads an interrupted predecessor's journal (cache
+	// priming + committed-tile set) or starts fresh bookkeeping. A loop over
+	// resident inputs is keyed on the device copies and resumes at tile
+	// granularity only; the transfer-only plans around it are not journaled.
+	var sess *session
+	if r != nil && p.cfg.Resume {
+		sess = p.openSession(r, tiles, pl.ins)
+	}
+
+	// Input transfer. Barrier: it completes before anything else starts.
+	// Per tile: it runs behind the job, opening tile gates as windows land —
+	// against driver-side buffers whose headers must therefore be fixed
+	// before any transfer starts.
+	for k := range pl.ins {
+		if b := &pl.ins[k]; b.ship {
+			b.dev = make([]byte, len(b.host))
+		}
+	}
+	var sched *tileSched
+	inDone := make(chan error, 1)
+	if perTile {
+		sched = newTileSched(r, tiles)
+		go func() { inDone <- p.transferIn(pl, rs, sched, sess) }()
+	} else if err := p.transferIn(pl, rs, nil, sess); err != nil {
+		return nil, err
+	}
+
+	// Spark job and reconstruction. finals are rebuilt off to the side — a
+	// tofrom buffer is both read by tasks and written here — and only land
+	// in their resident dev once the job is over. A transfer-only plan ships
+	// the resident bytes as they are.
+	var jm *spark.JobMetrics
+	var tileRaw int64
+	for l := range pl.outs {
+		pl.outs[l].final = pl.outs[l].dev
+	}
+	if r != nil {
+		defer func() {
+			for l := range pl.outs {
+				if s := pl.outs[l].stream; s != nil && err != nil {
+					s.Abort()
+				}
+			}
+		}()
+		for l := range pl.outs {
+			b := &pl.outs[l]
+			b.final = reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data))
+			if !perTile || !b.ship {
+				continue
+			}
+			b.stream, err = chunkio.NewOutStream(p.cfg.Store, pl.prefix+"/out/"+b.name, b.final, b.host, p.chunkOpts(false, rs), nil)
+			if err != nil {
+				sched.fail(err)
+				<-inDone
+				return nil, fmt.Errorf("offload: storing output %s: %w", b.name, err)
+			}
+		}
+		leg := span.Start("leg.spark", "offload", 0)
+		var jobErr error
+		jm, tileRaw, jobErr = p.runSparkJob(pl, tiles, sched, sess)
+		leg.End()
+		if perTile {
+			// Input-side failures surface even when the job squeaked
+			// through (a manifest commit can fail after every chunk was
+			// piped and marked).
+			if err := <-inDone; err != nil {
+				return nil, err
+			}
+		}
+		if jobErr != nil {
+			return nil, jobErr
+		}
+		for l := range pl.outs {
+			if b := &pl.outs[l]; !b.ship {
+				copy(b.dev, b.final)
+			}
+		}
+	}
+
+	if err := p.transferOut(pl, rs, perTile); err != nil {
+		return nil, err
+	}
+	p.applyNetCounters(rep, rs)
+
+	ci := p.costInputs(pl, tiles, jm, tileRaw)
+	if perTile {
+		ci.StreamTiles = tiles
+	}
+	if err := Account(p.accountProfile(), ci, rep); err != nil {
+		return nil, err
+	}
+	if jm != nil {
+		rep.TaskFailures = jm.Failures
+		rep.ReexecutedTasks = jm.Reexecuted
+		rep.SpeculativeWins = jm.SpeculativeWins
+		rep.SpeculativeLosses = jm.SpeculativeLosses
+		rep.DeadWorkers = jm.DeadWorkers
+	}
+	if sess != nil {
+		rep.ResumedTiles = sess.resumedTiles()
+		sess.finish()
+	}
+	p.logf("offload: job %s: done (%d task failures, %d storage retries)", pl.prefix, rep.TaskFailures, rep.StorageRetries)
+	return rep, nil
+}
+
+// residentRatio estimates the compression ratio Spark gets when it ships a
+// driver-resident buffer over the LAN, by probing the actual bytes (Spark
+// compresses everything it moves; a shipped buffer's ratio was measured by
+// its transfer instead).
+func (p *CloudPlugin) residentRatio(b []byte) float64 {
+	if len(b) == 0 {
+		return 1
+	}
+	if len(b) > 1<<20 {
+		b = b[:1<<20]
+	}
+	probe, err := p.cfg.Codec.Measure(b)
+	if err != nil {
+		return 1
+	}
+	return probe.Effective().Ratio
+}
+
+// costInputs assembles the accounting inputs from what the plan's legs
+// measured. A leg the plan lacks contributes nothing: no shipped inputs means
+// no upload or fetch volume, no job means no tasks, no shipped outputs means
+// no write-back or download.
+func (p *CloudPlugin) costInputs(pl *plan, tiles int, jm *spark.JobMetrics, tileRaw int64) CostInputs {
+	r := pl.region
+	spec := p.sctx.Spec()
+	ci := CostInputs{
+		Workers:            spec.Workers,
+		Cores:              spec.TotalCores(),
+		PipelinedTransfers: p.pipelined(),
+		ReconstructRaw:     tileRaw,
+		Costs:              p.cfg.Costs,
+	}
+	if jm != nil {
+		ci.Tasks = jm.Tasks
+		ci.TaskCompute = make([]simtime.Duration, tiles)
+		ci.TaskEffective = make([]simtime.Duration, tiles)
+		for i, tm := range jm.Tasks {
+			jni := p.cfg.JNI.PerCall(tileBytes(r, tiles, i))
+			ci.TaskCompute[i] = tm.Compute + jni
+			ci.TaskEffective[i] = tm.Effective + jni
+		}
+	}
+
+	// Inputs: the host-target leg carries what was sent, the driver fetches
+	// every shipped buffer whole, and the intra-cluster scatter/broadcast
+	// moves each buffer at its real compression ratio — which is what makes
+	// dense inputs so much more expensive than sparse ones.
+	var hostEncode, driverDecode, driverEncode, hostDecode time.Duration
+	for k := range pl.ins {
+		b := &pl.ins[k]
+		lan := b.wire
+		if b.ship {
+			ci.FetchWireSizes = append(ci.FetchWireSizes, b.wire)
+			if !b.cached {
+				ci.InWireSizes = append(ci.InWireSizes, b.sent)
+			}
+			hostEncode = max(hostEncode, b.encode)
+			driverDecode = max(driverDecode, b.decode)
+		} else {
+			lan = int64(float64(len(b.dev)) * p.residentRatio(b.dev))
+		}
+		if r == nil || len(r.Ins[k].Data) == 0 {
+			continue
+		}
+		if r.Ins[k].Partitioned() {
+			ci.DistributeWire += lan
+		} else {
+			ci.BroadcastWire += lan
+		}
+	}
+
+	// Outputs: every tile ships its outputs to the driver compressed at the
+	// outputs' size-weighted ratio; the driver's store loop is serial, so
+	// its codec work adds up, while the host decodes one stream per buffer.
+	var outRaw int64
+	if r != nil {
+		outRaw = r.OutBytesRaw()
+	}
+	var collectRatio float64
+	for l := range pl.outs {
+		b := &pl.outs[l]
+		if b.ship {
+			ci.OutWireSizes = append(ci.OutWireSizes, b.wire)
+			driverEncode += b.encode
+			hostDecode = max(hostDecode, b.decode)
+		}
+		if r == nil || len(r.Outs[l].Data) == 0 {
+			continue
+		}
+		if !b.ship {
+			collectRatio += p.residentRatio(b.dev) * (float64(len(b.dev)) / float64(outRaw))
+			continue
+		}
+		collectRatio += float64(b.wire) / float64(outRaw)
+		if !r.Outs[l].Partitioned() {
+			// Final only after the last tile: cannot stream.
+			ci.BarrierOutWire += b.wire
+		}
+	}
+	if outRaw > 0 && tileRaw > 0 {
+		ci.CollectWire = int64(float64(tileRaw) * collectRatio)
+	}
+	ci.HostCompress = simtime.FromReal(hostEncode)
+	ci.HostDecompress = simtime.FromReal(hostDecode)
+	ci.DriverDecompress = simtime.FromReal(driverDecode) + simtime.FromReal(driverEncode)
+	return ci
+}

@@ -1,0 +1,372 @@
+package offload
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ompcloud/internal/data"
+	"ompcloud/internal/resilience"
+	"ompcloud/internal/spark"
+	"ompcloud/internal/storage"
+	"ompcloud/internal/trace"
+)
+
+// pathRow is one way into the cloud device's plan engine. run drives the
+// path end to end over the scale2 loop and returns the path's merged report;
+// atLoop fires right before the entry point that carries the loop (after the
+// open of an environment), which is where the drain check plants its
+// request.
+type pathRow struct {
+	name    string
+	overlap int // CloudConfig.Overlap of the row's device
+	// absorbs: the path re-runs a failed cloud member on the host, so an
+	// injected device failure still returns a (fell-back) report.
+	absorbs bool
+	run     func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error)
+}
+
+func pathRows() []pathRow {
+	standalone := func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
+		atLoop()
+		return p.Run(scale2Region(n, in, out))
+	}
+	return []pathRow{
+		{name: "standalone-barrier", overlap: -1, run: standalone},
+		{name: "standalone-per-tile", run: standalone},
+		{name: "env-open-loop-close", run: func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
+			env, open, err := p.OpenEnv([]EnvBuffer{
+				{Name: "A", Data: in, Upload: true},
+				{Name: "B", Data: out, Download: true},
+			})
+			if err != nil {
+				return nil, err
+			}
+			atLoop()
+			loop, err := env.Run(scale2Region(n, in, out))
+			if err != nil {
+				return nil, err
+			}
+			closed, err := env.Close()
+			if err != nil {
+				return nil, err
+			}
+			return trace.Merge(p.Name(), "scale2", trace.Sequential, open, loop, closed), nil
+		}},
+		{name: "multi-device-member", absorbs: true, run: func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
+			md, err := NewMultiDevice(MultiDeviceConfig{Members: []Plugin{p}, NoRebalance: true})
+			if err != nil {
+				return nil, err
+			}
+			atLoop()
+			return md.Run(scale2Region(n, in, out))
+		}},
+	}
+}
+
+// pathDevice is a priced 4x2 cloud device over st with a two-failure
+// breaker, small chunks (so regions span several) and no wall backoff.
+func pathDevice(t *testing.T, row pathRow, st storage.Store, mutate func(*CloudConfig)) *CloudPlugin {
+	t.Helper()
+	cfg := CloudConfig{
+		Spec:             spark.ClusterSpec{Workers: 4, CoresPerWorker: 2},
+		Store:            st,
+		DeviceName:       "dev-" + row.name,
+		Overlap:          row.overlap,
+		ChunkBytes:       1024,
+		RetryMax:         3,
+		RetrySleep:       func(time.Duration) {},
+		BreakerFailures:  2,
+		CostCoreHourUSD:  0.105,
+		CostEgressGiBUSD: 0.09,
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	p, err := NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// stallFirstOutPut stalls the first PUT of an output object until release
+// closes, so exactly one attempt outlives its deadline.
+type stallFirstOutPut struct {
+	storage.Store
+	release chan struct{}
+	stalled atomic.Bool
+}
+
+func (s *stallFirstOutPut) Put(key string, b []byte) error {
+	if strings.Contains(key, "/out/") && s.stalled.CompareAndSwap(false, true) {
+		<-s.release
+	}
+	return s.Store.Put(key, b)
+}
+
+// TestGuardHoldsOnEveryPath is the cross-cutting contract of the plan
+// engine: whatever the guard applies — cost, breaker feedback, drain
+// landing, degraded re-pricing, transfer counters — holds on every path into
+// the device, not only on the one it was first written for.
+func TestGuardHoldsOnEveryPath(t *testing.T) {
+	const n = int64(4000)
+	in := data.Generate(1, int(n), data.Dense, 61)
+	want := make([]byte, 4*n)
+	for i, v := range in.V {
+		data.PutFloat(want, i, 2*v)
+	}
+
+	for _, row := range pathRows() {
+		t.Run(row.name, func(t *testing.T) {
+			t.Run("clean: identical, priced, breaker success", func(t *testing.T) {
+				p := pathDevice(t, row, storage.NewMemStore(), nil)
+				p.Breaker().Failure() // a one-failure streak the clean run must reset
+				out := make([]byte, 4*n)
+				rep, err := row.run(p, n, in.Bytes(), out, func() {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatal("output diverges from the serial reference")
+				}
+				if row.name == "standalone-per-tile" && rep.CriticalPath == 0 {
+					t.Fatal("row did not release per tile")
+				}
+				if row.name == "standalone-barrier" && rep.CriticalPath != 0 {
+					t.Fatal("row did not run barriered")
+				}
+				wantCost := 0.105*float64(rep.Cores)*rep.Effective().Seconds()/3600 +
+					0.09*float64(rep.BytesDownloaded)/(1<<30)
+				if rep.CostUSD <= 0 || math.Abs(rep.CostUSD-wantCost) > wantCost*1e-9 {
+					t.Fatalf("CostUSD = %v, want applyCost's formula on the merged report = %v", rep.CostUSD, wantCost)
+				}
+				// Success reset the streak: one more failure must not trip
+				// a two-failure breaker.
+				p.Breaker().Failure()
+				if s := p.Breaker().State(); s != resilience.BreakerClosed {
+					t.Fatalf("clean run did not report success to the breaker (state %v)", s)
+				}
+			})
+
+			t.Run("deferred drain lands at the loop boundary", func(t *testing.T) {
+				p := pathDevice(t, row, storage.NewMemStore(), nil)
+				sctx := p.SparkContext()
+				out := make([]byte, 4*n)
+				if _, err := row.run(p, n, in.Bytes(), out, func() { sctx.DrainWorkers(1) }); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatal("output diverges from the serial reference")
+				}
+				if d := sctx.DrainingWorkers(); d != 0 || p.Cores() != 6 {
+					t.Fatalf("drain requested before the loop is still pending after it (%d draining, %d cores)", d, p.Cores())
+				}
+			})
+
+			t.Run("dead input leg counts one breaker failure", func(t *testing.T) {
+				fs := storage.NewFaultStore(storage.NewMemStore()).
+					Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 0))
+				p := pathDevice(t, row, fs, nil)
+				out := make([]byte, 4*n)
+				rep, err := row.run(p, n, in.Bytes(), out, func() {})
+				switch {
+				case row.absorbs && (err != nil || !rep.FellBack):
+					t.Fatalf("failed member should be absorbed: rep %+v, err %v", rep, err)
+				case !row.absorbs && !resilience.IsTransient(err):
+					t.Fatalf("want a transient error past the retry budget, got %v", err)
+				}
+				if s := p.Breaker().State(); s != resilience.BreakerClosed {
+					t.Fatalf("one failed plan must not trip a two-failure breaker (state %v)", s)
+				}
+				p.Breaker().Failure()
+				if p.Breaker().State() != resilience.BreakerOpen || p.Breaker().Trips() != 1 {
+					t.Fatal("the failed plan was not counted: a second failure should have tripped the breaker")
+				}
+			})
+
+			t.Run("degraded link is priced at the observed rate", func(t *testing.T) {
+				const observed = 1e5 // bytes/s, ~0.8 Mbps against a 200 Mbps WAN
+				st := &obsStore{Store: storage.NewMemStore(), up: observed, down: observed}
+				p := pathDevice(t, row, st, func(c *CloudConfig) { c.AdaptDegraded = true })
+				out := make([]byte, 4*n)
+				rep, err := row.run(p, n, in.Bytes(), out, func() {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatal("degraded output diverges from the serial reference")
+				}
+				if rep.DegradedSwitches < 1 {
+					t.Fatalf("DegradedSwitches = %d, the latch never engaged", rep.DegradedSwitches)
+				}
+				// At the provisioned rate each leg would be latency-bound, well
+				// under this floor.
+				for _, leg := range []struct {
+					ph    trace.Phase
+					bytes int64
+				}{{trace.PhaseUpload, rep.BytesUploaded}, {trace.PhaseDownload, rep.BytesDownloaded}} {
+					if floor := float64(leg.bytes) / observed; rep.Phases[leg.ph].Seconds() < floor {
+						t.Fatalf("%s = %v for %d bytes: priced faster than the observed rate allows (%.3fs)",
+							leg.ph, rep.Phases[leg.ph], leg.bytes, floor)
+					}
+				}
+			})
+
+			t.Run("transfer counters surface", func(t *testing.T) {
+				// Two failed input PUTs retry through; the first output PUT
+				// stalls past its deadline and is abandoned and retried.
+				stall := &stallFirstOutPut{Store: storage.NewMemStore(), release: make(chan struct{})}
+				defer close(stall.release)
+				fs := storage.NewFaultStore(stall).
+					Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 2))
+				p := pathDevice(t, row, fs, func(c *CloudConfig) {
+					c.DeadlineMult = 1
+					c.DeadlineFloor = 50 * time.Millisecond
+					c.DeadlineCap = 50 * time.Millisecond
+				})
+				out := make([]byte, 4*n)
+				rep, err := row.run(p, n, in.Bytes(), out, func() {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatal("output diverges from the serial reference")
+				}
+				if rep.FellBack {
+					t.Fatalf("recoverable faults must not fall back: %s", rep.FallbackReason)
+				}
+				if rep.StorageRetries < 2 {
+					t.Fatalf("StorageRetries = %d, want the recovered faults reported", rep.StorageRetries)
+				}
+				if rep.DeadlineAborts < 1 {
+					t.Fatalf("DeadlineAborts = %d, want the abandoned attempt reported", rep.DeadlineAborts)
+				}
+			})
+		})
+	}
+}
+
+// TestEnvLoopIssuesNoStoreOps guards the availability gate: a plan with no
+// storage legs must not pay health-probe round trips, even on a device that
+// probes on every Available() call.
+func TestEnvLoopIssuesNoStoreOps(t *testing.T) {
+	m := storage.NewMetered(storage.NewMemStore())
+	p, err := NewCloudPlugin(CloudConfig{
+		Spec:      spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
+		Store:     m,
+		HealthTTL: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(256)
+	in := data.Generate(1, int(n), data.Dense, 62)
+	out := make([]byte, 4*n)
+	env, _, err := p.OpenEnv([]EnvBuffer{
+		{Name: "A", Data: in.Bytes(), Upload: true},
+		{Name: "B", Data: out, Download: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Snapshot()
+	for i := 0; i < 3; i++ {
+		if _, err := env.Run(scale2Region(n, in.Bytes(), out)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := m.Snapshot(); after != before {
+		t.Fatalf("env loops touched the store:\n before %+v\n after  %+v", before, after)
+	}
+	if _, err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A zero-trip loop writes the reduce identity into its reduction outputs on
+// every path; inside an environment it used to leave them untouched.
+func TestEnvZeroTripLoopWritesReduceIdentity(t *testing.T) {
+	p, err := NewCloudPlugin(memCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := make([]byte, 4)
+	data.PutFloat(host, 0, 42)
+	env, _, err := p.OpenEnv([]EnvBuffer{
+		{Name: "A", Data: nil, Upload: true},
+		{Name: "M", Data: host, Upload: true, Download: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Region{
+		Kernel: "maxval", Registry: testRegistry, N: 0,
+		Ins:  []Buffer{{Name: "A", BytesPerIter: 4}},
+		Outs: []Buffer{{Name: "M", Data: host, Reduce: ReduceMaxF32}},
+	}
+	if _, err := env.Run(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	standalone := make([]byte, 4)
+	data.PutFloat(standalone, 0, 42)
+	r.Outs[0].Data = standalone
+	if _, err := p.Run(r); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := data.GetFloat(host, 0), data.GetFloat(standalone, 0); got != want || want != -1e38 {
+		t.Fatalf("zero-trip max: env wrote %v, standalone wrote %v, want the identity -1e38 from both", got, want)
+	}
+}
+
+// A failed open deletes what it stored: the upload landed, the driver fetch
+// did not, and no envs/ object may outlive the error.
+func TestFailedOpenEnvCleansUp(t *testing.T) {
+	fs := storage.NewFaultStore(storage.NewMemStore()).
+		Inject(storage.FailKeysMatching(storage.OpGet, "envs/", 0))
+	cfg := resilientConfig(fs)
+	cfg.BreakerFailures = -1
+	p, err := NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := data.Generate(1, 2000, data.Dense, 63)
+	if _, _, err := p.OpenEnv([]EnvBuffer{{Name: "A", Data: in.Bytes(), Upload: true}}); err == nil {
+		t.Fatal("open with a dead fetch leg should fail")
+	}
+	keys, err := fs.List("envs/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("failed open leaked %d objects: %v", len(keys), keys)
+	}
+}
+
+// OpenEnv on an unavailable device is retryable, and says so the way Run
+// does.
+func TestOpenEnvUnavailableIsTransient(t *testing.T) {
+	fs := storage.NewFaultStore(storage.NewMemStore()).
+		Inject(storage.FailKeysMatching(storage.OpAny, "health/", 0))
+	cfg := memCloudConfig()
+	cfg.Store = fs
+	p, err := NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := data.Generate(1, 16, data.Dense, 64)
+	out := make([]byte, 64)
+	_, runErr := p.Run(scale2Region(16, in.Bytes(), out))
+	_, _, openErr := p.OpenEnv([]EnvBuffer{{Name: "A", Data: in.Bytes(), Upload: true}})
+	if !resilience.IsTransient(runErr) || !resilience.IsTransient(openErr) {
+		t.Fatalf("unavailable device: Run transient=%v (%v), OpenEnv transient=%v (%v); want both",
+			resilience.IsTransient(runErr), runErr, resilience.IsTransient(openErr), openErr)
+	}
+}

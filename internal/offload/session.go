@@ -60,7 +60,7 @@ type session struct {
 }
 
 // sessionID derives the deterministic session identity of a region run.
-func sessionID(r *Region, tiles int, inputs [][]byte) string {
+func sessionID(r *Region, tiles int, ins []bound) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d|%s|%d|%d|", sessionJournalVersion, r.Kernel, r.N, tiles)
 	for _, s := range r.Scalars {
@@ -68,7 +68,7 @@ func sessionID(r *Region, tiles int, inputs [][]byte) string {
 	}
 	for k := range r.Ins {
 		fmt.Fprintf(h, "|in:%s:", r.Ins[k].Name)
-		sum := sha256.Sum256(inputs[k])
+		sum := sha256.Sum256(ins[k].content())
 		h.Write(sum[:])
 	}
 	for l := range r.Outs {
@@ -81,10 +81,10 @@ func sessionID(r *Region, tiles int, inputs [][]byte) string {
 // journal from an interrupted predecessor exists, primes the upload cache
 // with the recorded input objects. The existing Stat verification on every
 // cache hit keeps a stale journal harmless: a wiped store just misses.
-func (p *CloudPlugin) openSession(r *Region, tiles int, inputs [][]byte) *session {
+func (p *CloudPlugin) openSession(r *Region, tiles int, ins []bound) *session {
 	s := &session{
 		p:         p,
-		prefix:    "sessions/" + sessionID(r, tiles, inputs),
+		prefix:    "sessions/" + sessionID(r, tiles, ins),
 		tiles:     tiles,
 		committed: make(map[int]bool),
 	}
@@ -121,7 +121,7 @@ func (p *CloudPlugin) openSession(r *Region, tiles int, inputs [][]byte) *sessio
 // writeJournal persists the session metadata once the input objects are
 // durable. Keys are only recorded when content-addressed (cache enabled):
 // job-prefixed keys are deleted with their job and would be dead weight.
-func (s *session) writeJournal(r *Region, keys []string, wire []int64) {
+func (s *session) writeJournal(r *Region, ins []bound) {
 	j := sessionJournal{
 		Version: sessionJournalVersion,
 		Kernel:  r.Kernel,
@@ -129,10 +129,10 @@ func (s *session) writeJournal(r *Region, keys []string, wire []int64) {
 		Tiles:   s.tiles,
 	}
 	if s.p.cache != nil {
-		for k := range keys {
-			if k < len(wire) && strings.HasPrefix(keys[k], "cache/") {
+		for k := range ins {
+			if strings.HasPrefix(ins[k].key, "cache/") {
 				j.Inputs = append(j.Inputs, journalInput{
-					Name: r.Ins[k].Name, Key: keys[k], Wire: wire[k],
+					Name: r.Ins[k].Name, Key: ins[k].key, Wire: ins[k].wire,
 				})
 			}
 		}

@@ -1,33 +1,23 @@
 package offload
 
-import (
-	"fmt"
-	"sync"
-	"time"
+import "sync"
 
-	"ompcloud/internal/chunkio"
-	"ompcloud/internal/simtime"
-	"ompcloud/internal/trace"
-	"ompcloud/internal/trace/span"
-)
-
-// This file is the tile-granular streaming dataflow: the Fig. 1 workflow
-// with its stage barriers dissolved. The barriered runWorkflow finishes
-// every input's upload and driver fetch before the first Spark task starts,
-// and finishes every task before the first output byte heads home; here the
-// four stages form a pipeline over tiles instead:
+// This file is the readiness scheduler behind the plan engine's per-tile
+// release policy: the Fig. 1 workflow with its stage barriers dissolved. A
+// barriered plan finishes every input's upload and driver fetch before the
+// first Spark task starts, and finishes every task before the first output
+// byte heads home; released per tile, the four stages form a pipeline over
+// tiles instead:
 //
 //	host chunks  --Pipe-->  driver buffers  --gates-->  Spark tasks
 //	     tasks --sink--> in-order reconstruction --OutStream--> host buffers
 //
 // A tileSched tracks how much of each input is resident on the driver and
 // opens per-tile readiness gates (spark.Gated) in index order; finished
-// tiles stream through reconstruction in index order — which keeps
-// floating-point reductions combining in exactly the barriered order, the
-// bit-identity requirement — and a per-output OutStream ships every
-// finalized chunk while later tiles still compute. Everything both modes
-// store is laid out identically, so caches, cleanup, and readers are
-// shared.
+// tiles stream through reconstruction in index order and a per-output
+// OutStream ships every finalized chunk while later tiles still compute.
+// Everything both policies store is laid out identically, so caches,
+// cleanup, and readers are shared.
 
 // ivl is a half-open byte interval [lo, hi).
 type ivl struct{ lo, hi int64 }
@@ -150,269 +140,4 @@ func (s *tileSched) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// inTransfer is one input's transfer accounting on the streaming path.
-type inTransfer struct {
-	wire       int64 // full stored wire size (driver fetch accounting)
-	sent       int64 // wire actually sent by this run (cache hits absent)
-	cached     bool  // whole-buffer content-cache hit
-	compress   time.Duration
-	decompress time.Duration
-}
-
-// streamWorkflow executes steps 1-8 of Fig. 1 as a tile-granular pipeline.
-// The caller has validated the region, opened the cluster, and owns cleanup
-// of the job prefix.
-func (p *CloudPlugin) streamWorkflow(rep *trace.Report, r *Region, tiles int, prefix string, rs *runStats, sess *session) (*trace.Report, error) {
-	p.logf("offload: job %s: streaming dataflow (%d tiles)", prefix, tiles)
-	partBase := p.partitionBase()
-	sched := newTileSched(r, tiles)
-
-	// Driver-side input buffers exist up front: gates open against windows
-	// of these, so their headers must be fixed before any transfer starts.
-	decoded := make([][]byte, len(r.Ins))
-	for k := range r.Ins {
-		decoded[k] = make([]byte, len(r.Ins[k].Data))
-	}
-
-	// Steps 1-3, fused per input: each buffer's chunks flow host-encode ->
-	// PUT -> GET -> driver-decode, with every decoded window marked into
-	// the scheduler. A whole-buffer cache hit skips the upload half and
-	// marks windows as the driver fetch proceeds.
-	// The streaming legs overlap by construction, so their host spans do
-	// too: the input transfer span covers first chunk to last decode, and
-	// the Spark span opens while transfers are still in flight.
-	inLeg := span.Start("leg.transfer.in", "offload", 0)
-	ins := make([]inTransfer, len(r.Ins))
-	inKeys := make([]string, len(r.Ins))
-	inErrs := make([]error, len(r.Ins))
-	var iwg sync.WaitGroup
-	for k := range r.Ins {
-		iwg.Add(1)
-		go func(k int) {
-			defer iwg.Done()
-			mark := func(lo, hi int64) { sched.mark(k, lo, hi) }
-			key := prefix + "/in/" + r.Ins[k].Name
-			defer func() { inKeys[k] = key }()
-			if p.cache != nil {
-				key = contentKey(r.Ins[k].Data)
-				if wireSize, ok := p.cache.lookup(key); ok {
-					if _, err := p.cfg.Store.Stat(key); err == nil {
-						o := p.chunkOpts(false, rs)
-						o.OnChunk = mark
-						down, err := chunkio.DownloadInto(p.cfg.Store, key, decoded[k], o)
-						if err != nil {
-							inErrs[k] = fmt.Errorf("offload: driver input %s: %w", r.Ins[k].Name, err)
-							sched.fail(inErrs[k])
-							return
-						}
-						ins[k] = inTransfer{wire: wireSize, cached: true, decompress: down.DecompressWall}
-						return
-					}
-					p.cache.forget(key)
-				}
-			}
-			res, err := chunkio.Pipe(p.cfg.Store, key, r.Ins[k].Data, decoded[k], p.chunkOpts(true, rs), mark)
-			if err != nil {
-				inErrs[k] = fmt.Errorf("offload: uploading %s: %w", r.Ins[k].Name, err)
-				sched.fail(inErrs[k])
-				return
-			}
-			if res.Down.RootCached {
-				p.avoidedGets.Add(1)
-			}
-			ins[k] = inTransfer{
-				wire:       res.Up.TotalWire,
-				sent:       res.Up.SentWire,
-				compress:   res.Up.CompressWall,
-				decompress: res.Down.DecompressWall,
-			}
-			if p.cache != nil {
-				p.cache.remember(key, res.Up.TotalWire)
-			}
-		}(k)
-	}
-
-	// Steps 6-8 start before the job does: output streams mirror each
-	// reconstructed chunk into the host buffer as the frontier advances.
-	finals := make([][]byte, len(r.Outs))
-	outStreams := make([]*chunkio.OutStream, len(r.Outs))
-	abortStreams := func() {
-		for _, os := range outStreams {
-			if os != nil {
-				os.Abort()
-			}
-		}
-	}
-	for l := range r.Outs {
-		finals[l] = reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data))
-		os, err := chunkio.NewOutStream(p.cfg.Store, prefix+"/out/"+r.Outs[l].Name, finals[l], r.Outs[l].Data, p.chunkOpts(false, rs), nil)
-		if err != nil {
-			sched.fail(err)
-			abortStreams()
-			iwg.Wait()
-			return nil, fmt.Errorf("offload: storing output %s: %w", r.Outs[l].Name, err)
-		}
-		outStreams[l] = os
-	}
-
-	// The reconstruction consumer applies tiles strictly in index order —
-	// the same order the barriered reconstruct() walks partitions — so
-	// order-sensitive float reductions stay bit-identical. Out-of-order
-	// arrivals park in pending until their turn.
-	resCh := make(chan tileResult, tiles)
-	reconDone := make(chan struct{})
-	var reconErr error
-	go func() {
-		defer close(reconDone)
-		pending := make(map[int][][]byte, tiles)
-		next := 0
-		for tr := range resCh {
-			pending[tr.tile] = tr.outs
-			for {
-				outs, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				lo, hi := TileRange(r.N, tiles, next)
-				for l := range r.Outs {
-					if r.Outs[l].Partitioned() {
-						bpi := r.Outs[l].BytesPerIter
-						copy(finals[l][lo*bpi:hi*bpi], outs[l])
-					} else if err := combine(r.Outs[l].Reduce, finals[l], outs[l]); err != nil && reconErr == nil {
-						reconErr = err
-					}
-				}
-				next++
-				if reconErr != nil {
-					continue
-				}
-				for l := range r.Outs {
-					if r.Outs[l].Partitioned() {
-						outStreams[l].Advance(hi * r.Outs[l].BytesPerIter)
-					}
-				}
-			}
-		}
-		if next == tiles && reconErr == nil {
-			// Reduction outputs are final only after the last tile: their
-			// whole transfer is the barriered tail of the pipeline.
-			for l := range r.Outs {
-				if !r.Outs[l].Partitioned() {
-					outStreams[l].Advance(int64(len(finals[l])))
-				}
-			}
-		}
-	}()
-
-	// Steps 4-6: the gated Spark job. Tasks launch as their gates open and
-	// every finished tile flows to the reconstruction consumer immediately.
-	sparkLeg := span.Start("leg.spark", "offload", 0)
-	_, jm, tileRaw, jobErr := p.runSparkJobWith(r, tiles, decoded, sched, func(_ int, items []tileResult) {
-		for _, tr := range items {
-			resCh <- tr
-		}
-	}, sess)
-	sparkLeg.End()
-	close(resCh)
-	<-reconDone
-	iwg.Wait()
-	inLeg.End()
-
-	// Input-side failures surface even when the job squeaked through (a
-	// manifest commit can fail after every chunk was piped and marked).
-	for k := range r.Ins {
-		if inErrs[k] != nil {
-			abortStreams()
-			return nil, inErrs[k]
-		}
-	}
-	if sess != nil {
-		// Inputs are durable (all transfers landed) even when the job itself
-		// failed: journal them now so a killed run's successor skips the
-		// upload leg and resumes from the committed tiles.
-		wire := make([]int64, len(r.Ins))
-		for k := range r.Ins {
-			wire[k] = ins[k].wire
-		}
-		sess.writeJournal(r, inKeys, wire)
-	}
-	if jobErr != nil {
-		abortStreams()
-		return nil, jobErr
-	}
-	if reconErr != nil {
-		abortStreams()
-		return nil, reconErr
-	}
-
-	// Step 7-8 epilogue: flush the output streams (most chunks are already
-	// home; Finish ships the tail and commits the manifests).
-	outLeg := span.Start("leg.flush.out", "offload", 0)
-	defer outLeg.End()
-	outWire := make([]int64, len(r.Outs))
-	var driverCompress time.Duration
-	var hostDecompress time.Duration
-	var barrierOutWire int64
-	for l := range r.Outs {
-		res, err := outStreams[l].Finish()
-		if err != nil {
-			abortStreams()
-			return nil, fmt.Errorf("offload: storing output %s: %w", r.Outs[l].Name, err)
-		}
-		outWire[l] = res.Up.TotalWire
-		driverCompress += res.Up.CompressWall
-		if res.Down.DecompressWall > hostDecompress {
-			hostDecompress = res.Down.DecompressWall
-		}
-		if res.Down.RootCached {
-			p.avoidedGets.Add(1)
-		}
-		if !r.Outs[l].Partitioned() {
-			barrierOutWire += res.Up.TotalWire
-		}
-	}
-
-	// Accounting: identical per-phase charges to the barriered path, plus
-	// the pipeline critical path over the tiles.
-	fetchWire := make([]int64, len(r.Ins))
-	var sent []int64
-	var hostCompress time.Duration
-	var driverDecompress time.Duration
-	hits := 0
-	for k := range r.Ins {
-		fetchWire[k] = ins[k].wire
-		if ins[k].cached {
-			hits++
-		} else {
-			sent = append(sent, ins[k].sent)
-			if ins[k].compress > hostCompress {
-				hostCompress = ins[k].compress
-			}
-		}
-		if ins[k].decompress > driverDecompress {
-			driverDecompress = ins[k].decompress
-		}
-	}
-	p.applyNetCounters(rep, rs, partBase)
-	p.logf("offload: job %s: done streaming (%d cache hits, %d task failures, %d storage retries)",
-		prefix, hits, jm.Failures, rep.StorageRetries)
-
-	ci := p.costInputs(r, tiles, jm, fetchWire, outWire, tileRaw,
-		simtime.FromReal(hostCompress), simtime.FromReal(hostDecompress),
-		simtime.FromReal(driverDecompress)+simtime.FromReal(driverCompress))
-	ci.InWireSizes = sent
-	ci.FetchWireSizes = fetchWire
-	ci.StreamTiles = tiles
-	ci.BarrierOutWire = barrierOutWire
-	if err := Account(p.accountProfile(), ci, rep); err != nil {
-		return nil, err
-	}
-	applyEngineCounters(rep, jm, sess)
-	if sess != nil {
-		sess.finish()
-	}
-	return rep, nil
 }

@@ -3,7 +3,6 @@ package omp
 import (
 	"fmt"
 
-	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/trace"
@@ -15,7 +14,6 @@ import (
 // host-target link — the paper's "successive map-reduce transformations
 // within the Spark job" (§III.D).
 type DataEnv struct {
-	rt      *Runtime
 	env     offload.Env
 	device  string
 	maps    []Mapping
@@ -63,11 +61,8 @@ func (rt *Runtime) TargetData(dev Device, maps ...Mapping) (*DataEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fell {
-		rep.FellBack = true
-	}
+	rep.FellBack = fell
 	return &DataEnv{
-		rt:      rt,
 		env:     env,
 		device:  plugin.Name(),
 		maps:    maps,
@@ -118,41 +113,9 @@ func (r *EnvRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*trac
 	if r.err != nil {
 		return nil, r.err
 	}
-	for i := range r.maps {
-		if r.maps[i].err != nil {
-			return nil, r.maps[i].err
-		}
-	}
-	region := &offload.Region{
-		Kernel:   kernel,
-		Registry: r.registry,
-		N:        n,
-		Scalars:  scalars,
-		Tiles:    r.tiles,
-	}
-	for i := range r.maps {
-		m := &r.maps[i]
-		buf := offload.Buffer{Name: m.name, Data: m.bytes, BytesPerIter: m.perIter}
-		switch m.dir {
-		case dirTo:
-			region.Ins = append(region.Ins, buf)
-		case dirFrom:
-			out := buf
-			if !out.Partitioned() && m.reduce == offload.ReduceNone {
-				out.Reduce = offload.ReduceBitOr
-			} else {
-				out.Reduce = m.reduce
-			}
-			region.Outs = append(region.Outs, out)
-		case dirToFrom:
-			if !buf.Partitioned() {
-				return nil, fmt.Errorf("omp: map(tofrom: %s) must be partitioned", m.name)
-			}
-			region.Ins = append(region.Ins, buf)
-			region.Outs = append(region.Outs, buf)
-		case dirAlloc:
-			return nil, fmt.Errorf("omp: loop maps reference env buffers with To/From/ToFrom, not Alloc (%s)", m.name)
-		}
+	region, err := lower(r.maps, kernel, n, scalars, r.tiles, r.registry)
+	if err != nil {
+		return nil, err
 	}
 	rep, err := r.env.env.Run(region)
 	if err != nil {
@@ -174,18 +137,11 @@ func (e *DataEnv) Close() (*trace.Report, error) {
 		return nil, err
 	}
 	e.reports = append(e.reports, rep)
-	for i := range e.maps {
-		m := &e.maps[i]
-		if m.dir == dirTo || m.floats == nil {
-			continue
-		}
-		copy(m.floats, data.Floats(m.bytes))
-	}
+	syncFloats(e.maps)
 	return rep, nil
 }
 
 // Report merges open, loop and close reports into the environment's total.
 func (e *DataEnv) Report() *trace.Report {
-	kernel := "target-data"
-	return offload.MergeReports(e.device, kernel, e.reports...)
+	return trace.Merge(e.device, "target-data", trace.Sequential, e.reports...)
 }

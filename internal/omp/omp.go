@@ -201,29 +201,17 @@ func (t *TargetRegion) WithRegistry(reg *fatbin.Registry) *TargetRegion {
 	return t
 }
 
-// ParallelFor closes the construct with `#pragma omp parallel for` over n
-// iterations whose body is the registered kernel: it lowers the region,
-// executes it on the target device (with host fallback), and copies the
-// from-mapped buffers back. scalars are the firstprivate values the body
-// receives.
-func (t *TargetRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*trace.Report, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
-	for i := range t.maps {
-		if t.maps[i].err != nil {
-			return nil, t.maps[i].err
+// lower turns a loop construct's map clauses — a `target` region's, or those
+// of a loop inside a `target data` environment, which reference environment
+// buffers by name — into the Region a Clang-lowered `target` would hand the
+// runtime.
+func lower(maps []Mapping, kernel string, n int64, scalars []int64, tiles int, reg *fatbin.Registry) (*offload.Region, error) {
+	region := &offload.Region{Kernel: kernel, Registry: reg, N: n, Scalars: scalars, Tiles: tiles}
+	for i := range maps {
+		m := &maps[i]
+		if m.err != nil {
+			return nil, m.err
 		}
-	}
-	region := &offload.Region{
-		Kernel:   kernel,
-		Registry: t.registry,
-		N:        n,
-		Scalars:  scalars,
-		Tiles:    t.tiles,
-	}
-	for i := range t.maps {
-		m := &t.maps[i]
 		buf := offload.Buffer{Name: m.name, Data: m.bytes, BytesPerIter: m.perIter}
 		switch m.dir {
 		case dirTo:
@@ -246,21 +234,39 @@ func (t *TargetRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*t
 			region.Ins = append(region.Ins, buf)
 			region.Outs = append(region.Outs, buf)
 		case dirAlloc:
-			return nil, fmt.Errorf("omp: map(alloc: %s) is only valid in a TargetData environment", m.name)
+			return nil, fmt.Errorf("omp: map(alloc: %s) is only valid as a TargetData clause; loops map with To/From/ToFrom", m.name)
 		}
+	}
+	return region, nil
+}
+
+// ParallelFor closes the construct with `#pragma omp parallel for` over n
+// iterations whose body is the registered kernel: it lowers the region,
+// executes it on the target device (with host fallback), and copies the
+// from-mapped buffers back. scalars are the firstprivate values the body
+// receives.
+func (t *TargetRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*trace.Report, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	region, err := lower(t.maps, kernel, n, scalars, t.tiles, t.registry)
+	if err != nil {
+		return nil, err
 	}
 	rep, err := t.dev.rt.mgr.Run(t.dev.id, region)
 	if err != nil {
 		return nil, err
 	}
-	// Copy device results back into user []float32 slices (the map(from:)
-	// copy-out).
-	for i := range t.maps {
-		m := &t.maps[i]
-		if m.dir == dirTo || m.floats == nil {
-			continue
-		}
-		copy(m.floats, data.Floats(m.bytes))
-	}
+	syncFloats(t.maps)
 	return rep, nil
+}
+
+// syncFloats copies device results back into the user's []float32 slices —
+// the map(from:) copy-out.
+func syncFloats(maps []Mapping) {
+	for i := range maps {
+		if m := &maps[i]; m.dir != dirTo && m.floats != nil {
+			copy(m.floats, data.Floats(m.bytes))
+		}
+	}
 }

@@ -101,7 +101,9 @@ func (e *PoolExecutor) Run(job *Job, cores int) Result {
 		}
 	}
 	res := Result{
-		Virtual:      rep.Total(),
+		// The caller-experienced duration: on a streamed job the phase
+		// sum (Total) counts overlapped work twice over.
+		Virtual:      rep.Effective(),
 		ResumedTiles: rep.ResumedTiles,
 		Report:       rep,
 	}

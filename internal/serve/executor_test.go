@@ -38,6 +38,26 @@ func TestPoolExecutorRunsJob(t *testing.T) {
 	}
 }
 
+// Job.Virtual is documented as the modelled end-to-end duration: on a
+// streamed job that is the report's Effective() (the overlapped critical
+// path), not the phase sum Total().
+func TestPoolExecutorVirtualIsEffective(t *testing.T) {
+	exec := &PoolExecutor{Base: storage.NewMemStore(), ChunkBytes: 4096}
+	res := exec.Run(&Job{ID: "00000001-v", Tenant: "v", Spec: JobSpec{Bench: "gemm", N: 64, Seed: 3}}, 4)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Report.CriticalPath == 0 {
+		t.Fatal("a 4-tile chunked job should have streamed")
+	}
+	if res.Virtual != res.Report.Effective() {
+		t.Fatalf("Virtual = %v, want Report.Effective() = %v", res.Virtual, res.Report.Effective())
+	}
+	if res.Virtual >= res.Report.Total() {
+		t.Fatalf("streamed job's Virtual %v should be below the phase sum %v", res.Virtual, res.Report.Total())
+	}
+}
+
 func TestPoolExecutorTenantIsolation(t *testing.T) {
 	st := storage.NewMemStore()
 	exec := &PoolExecutor{Base: st, ChunkBytes: 4096}

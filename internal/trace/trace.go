@@ -143,6 +143,84 @@ func (r *Report) Effective() simtime.Duration {
 	return r.Total()
 }
 
+// Relation says how the reports handed to Merge relate in time.
+type Relation int
+
+const (
+	// Sequential reports ran one after another on one device: the open,
+	// loops and close of a target-data environment.
+	Sequential Relation = iota
+	// Parallel reports ran side by side on different devices: the members
+	// of a multi-device region.
+	Parallel
+)
+
+// Merge folds several reports into one region-level report. Phase work, byte
+// volumes, counters, tiles and CostUSD sum either way — they are real work
+// done (and paid for) somewhere. The relation decides the rest:
+//
+//   - Cores: a Sequential merge keeps the widest phase's count (the same
+//     device served every phase); a Parallel merge adds the members' up.
+//   - End-to-end time: Sequential phases lay end to end, so it is the sum of
+//     each report's Effective() — materialized into CriticalPath only when
+//     some phase overlapped, so an all-barriered merge stays barriered;
+//     Parallel members overlap entirely, so it is the slowest member's
+//     Effective(). Reconstructing either from Total() minus summed
+//     WallOverlap would misattribute the phases of a barriered (fallback)
+//     report, which inflate Total but carry no overlap.
+//
+// Nil reports are skipped.
+func Merge(device, kernel string, rel Relation, reps ...*Report) *Report {
+	out := NewReport(device, kernel)
+	var end simtime.Duration
+	overlapped := rel == Parallel
+	for _, r := range reps {
+		if r == nil {
+			continue
+		}
+		for ph, d := range r.Phases {
+			out.Add(ph, d)
+		}
+		out.BytesUploaded += r.BytesUploaded
+		out.BytesDownloaded += r.BytesDownloaded
+		out.BytesScattered += r.BytesScattered
+		out.BytesBroadcast += r.BytesBroadcast
+		out.BytesCollected += r.BytesCollected
+		out.TaskFailures += r.TaskFailures
+		out.StorageRetries += r.StorageRetries
+		out.ReexecutedTasks += r.ReexecutedTasks
+		out.SpeculativeWins += r.SpeculativeWins
+		out.SpeculativeLosses += r.SpeculativeLosses
+		out.DeadWorkers += r.DeadWorkers
+		out.ResumedTiles += r.ResumedTiles
+		out.DeadlineAborts += r.DeadlineAborts
+		out.HedgedGets += r.HedgedGets
+		out.HedgeWins += r.HedgeWins
+		out.DegradedSwitches += r.DegradedSwitches
+		out.PartitionSeconds += r.PartitionSeconds
+		out.Tiles += r.Tiles
+		out.CostUSD += r.CostUSD
+		out.FellBack = out.FellBack || r.FellBack
+		if out.FallbackReason == "" {
+			out.FallbackReason = r.FallbackReason
+		}
+		eff := r.Effective()
+		if rel == Parallel {
+			out.Cores += r.Cores
+			end = max(end, eff)
+		} else {
+			out.Cores = max(out.Cores, r.Cores)
+			end += eff
+			overlapped = overlapped || r.CriticalPath > 0
+		}
+	}
+	if overlapped {
+		out.CriticalPath = end
+		out.WallOverlap = out.Total() - end
+	}
+	return out
+}
+
 // HostTargetComm merges the two communication directions, Figure 5's first
 // bar component.
 func (r *Report) HostTargetComm() simtime.Duration {
