@@ -228,12 +228,6 @@ func layoutReport(ci CostInputs, rep *trace.Report) {
 	down := rep.Phases[trace.PhaseDownload]
 	l := span.NewLayout(rep.Device, rep.Kernel, rec.VirtualFrontier())
 
-	stages := []span.Stage{
-		{Name: spanUpload, Dur: up},
-		{Name: spanSpark, Dur: spk},
-		{Name: spanCompute, Dur: compute},
-		{Name: spanDownload, Dur: down},
-	}
 	if ci.StreamTiles > 1 {
 		var totalOut int64
 		for _, s := range ci.OutWireSizes {
@@ -241,18 +235,33 @@ func layoutReport(ci CostInputs, rep *trace.Report) {
 		}
 		var downBarrier simtime.Duration
 		if totalOut > 0 && ci.BarrierOutWire > 0 {
-			bw := min(ci.BarrierOutWire, totalOut)
-			downBarrier = min(down, simtime.Duration(float64(down)*float64(bw)/float64(totalOut)))
+			bw := ci.BarrierOutWire
+			if bw > totalOut {
+				bw = totalOut
+			}
+			downBarrier = simtime.Duration(float64(down) * float64(bw) / float64(totalOut))
+			if downBarrier > down {
+				downBarrier = down
+			}
 		}
-		stages[3].Dur -= downBarrier
-		l.Streamed(stages, ci.StreamTiles, span.Stage{Name: spanDownloadBarrier, Dur: downBarrier})
+		l.Streamed([]span.Stage{
+			{Name: spanUpload, Dur: up},
+			{Name: spanSpark, Dur: spk},
+			{Name: spanCompute, Dur: compute},
+			{Name: spanDownload, Dur: down - downBarrier},
+		}, ci.StreamTiles, span.Stage{Name: spanDownloadBarrier, Dur: downBarrier})
 		cp := l.CriticalPath()
 		// The pipeline makespan never exceeds the stage sum, so cp <= Total
 		// and the overlap below is non-negative.
 		rep.CriticalPath = cp
 		rep.WallOverlap = rep.Total() - cp
 	} else {
-		l.Barriered(stages)
+		l.Barriered([]span.Stage{
+			{Name: spanUpload, Dur: up},
+			{Name: spanSpark, Dur: spk},
+			{Name: spanCompute, Dur: compute},
+			{Name: spanDownload, Dur: down},
+		})
 	}
 
 	// Per-tile task spans, inside the compute window. Only worth recording

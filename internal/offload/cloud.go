@@ -3,7 +3,6 @@ package offload
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -492,32 +491,26 @@ func (p *CloudPlugin) admit(probeStore bool) bool {
 	if !probeStore {
 		return true
 	}
-	if p.breaker != nil && p.breaker.State() == resilience.BreakerHalfOpen {
-		// This call holds the breaker's single half-open probe slot:
-		// bypass the TTL cache and report the fresh probe's outcome so
-		// the breaker can close or re-open.
-		ok := p.probeHealth()
-		p.healthMu.Lock()
-		p.healthOK, p.healthAt = ok, time.Now()
-		p.healthMu.Unlock()
-		if ok {
-			p.breaker.Success()
-		} else {
-			p.breaker.Failure()
-		}
-		return ok
-	}
+	// A half-open breaker means this call holds its single probe slot:
+	// bypass the TTL cache and report the fresh probe's outcome so the
+	// breaker can close or re-open.
+	halfOpen := p.breaker != nil && p.breaker.State() == resilience.BreakerHalfOpen
 	ttl := p.cfg.HealthTTL
 	if ttl == 0 {
 		ttl = DefaultHealthTTL
 	}
 	p.healthMu.Lock()
 	defer p.healthMu.Unlock()
-	if ttl > 0 && !p.healthAt.IsZero() && time.Since(p.healthAt) < ttl {
+	if !halfOpen && ttl > 0 && !p.healthAt.IsZero() && time.Since(p.healthAt) < ttl {
 		return p.healthOK
 	}
 	p.healthOK = p.probeHealth()
 	p.healthAt = time.Now()
+	if halfOpen && p.healthOK {
+		p.breaker.Success()
+	} else if halfOpen {
+		p.breaker.Failure()
+	}
 	return p.healthOK
 }
 
@@ -801,11 +794,9 @@ func (p *CloudPlugin) stopCluster() {
 	insts := append([]*cloud.Instance{p.cluster.Driver}, p.cluster.Workers...)
 	for _, inst := range insts {
 		if inst.State() == cloud.Running {
-			if err := p.cfg.Provider.Stop(inst); err != nil && !errors.Is(err, cloud.ErrBadCredentials) {
-				// Best effort: a stop failure leaves the instance
-				// billable but does not fail the completed job.
-				continue
-			}
+			// Best effort: a stop failure leaves the instance billable but
+			// does not fail the completed job.
+			_ = p.cfg.Provider.Stop(inst)
 		}
 	}
 }

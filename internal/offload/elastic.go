@@ -56,9 +56,10 @@ func (p *CloudPlugin) ScaleWorkers(target int) (int, error) {
 // drain requested mid-job lands at the next boundary without the autoscaler
 // having to poll.
 func (p *CloudPlugin) completeDrain() {
-	if p.sctx.DrainingWorkers() > 0 {
-		p.finishDrain()
+	if p.sctx.DrainingWorkers() == 0 {
+		return
 	}
+	p.finishDrain()
 }
 
 // finishDrain retires whatever drained workers the engine will release,

@@ -220,21 +220,24 @@ func (e *cloudEnv) Run(r *Region) (*trace.Report, error) {
 
 // Close brings the Download buffers home (Fig. 1 steps 7-8) with a
 // transfer-only plan, then invalidates the environment; the plan ending
-// deletes the environment's stored objects.
+// deletes the environment's stored objects. A plan the guard did not admit
+// (open breaker, failed health probe) never ran: the environment stays open
+// with its results and objects intact, so the transient error can be retried.
 func (e *cloudEnv) Close() (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.open {
 		return nil, fmt.Errorf("offload: environment already closed")
 	}
-	e.open = false
 	pl := &plan{kernel: "target-data-close", prefix: e.prefix}
 	for _, b := range e.decl {
 		if b.Download {
 			pl.outs = append(pl.outs, bound{name: b.Name, ship: true, host: b.Data, dev: e.device[b.Name]})
 		}
 	}
-	return e.p.guard(pl)
+	rep, err := e.p.guard(pl)
+	e.open = err == errUnavailable
+	return rep, err
 }
 
 var (

@@ -47,15 +47,16 @@ func eachShipped(bs []bound, fn func(k int) error) error {
 }
 
 // fetch reads b's stored object into dst through the transfer engine: the
-// driver side of step 3 and the host side of step 8. onChunk, when non-nil,
-// learns each decoded window; have, when non-nil, serves manifests this
-// process wrote so they are not re-read over the wire.
-func (p *CloudPlugin) fetch(b *bound, dst []byte, rs *runStats, onChunk func(lo, hi int64), have func(key string) ([]byte, bool)) error {
+// driver side of step 3 and the host side of step 8; what names the side in
+// the error. onChunk, when non-nil, learns each decoded window; have, when
+// non-nil, serves manifests this process wrote so they are not re-read over
+// the wire.
+func (p *CloudPlugin) fetch(what string, b *bound, dst []byte, rs *runStats, onChunk func(lo, hi int64), have func(key string) ([]byte, bool)) error {
 	o := p.chunkOpts(false, rs)
 	o.OnChunk, o.HaveObject = onChunk, have
 	down, err := chunkio.DownloadInto(p.cfg.Store, b.key, dst, o)
 	if err != nil {
-		return err
+		return fmt.Errorf("offload: %s %s: %w", what, b.name, err)
 	}
 	if down.RootCached {
 		p.avoidedGets.Add(1)
@@ -125,11 +126,7 @@ func (p *CloudPlugin) transferIn(pl *plan, rs *runStats, sched *tileSched, sess 
 		return nil
 	}
 	fetchIn := func(k int) error {
-		b := &pl.ins[k]
-		if err := p.fetch(b, b.dev, rs, mark(k), nil); err != nil {
-			return fmt.Errorf("offload: driver input %s: %w", b.name, err)
-		}
-		return nil
+		return p.fetch("driver input", &pl.ins[k], pl.ins[k].dev, rs, mark(k), nil)
 	}
 	leg := func(name string, fn func(k int) error) error {
 		sc := span.Start(name, "offload", 0)
@@ -223,11 +220,7 @@ func (p *CloudPlugin) transferOut(pl *plan, rs *runStats, perTile bool) error {
 		return frame, ok
 	}
 	return eachShipped(pl.outs, func(l int) error {
-		b := &pl.outs[l]
-		if err := p.fetch(b, b.host, rs, nil, have); err != nil {
-			return fmt.Errorf("offload: downloading %s: %w", b.name, err)
-		}
-		return nil
+		return p.fetch("downloading", &pl.outs[l], pl.outs[l].host, rs, nil, have)
 	})
 }
 
@@ -235,13 +228,18 @@ func (p *CloudPlugin) transferOut(pl *plan, rs *runStats, perTile bool) error {
 func tileBytes(r *Region, tiles, p int) int64 {
 	lo, hi := TileRange(r.N, tiles, p)
 	var n int64
-	for _, bufs := range [][]Buffer{r.Ins, r.Outs} {
-		for i := range bufs {
-			if bufs[i].Partitioned() {
-				n += (hi - lo) * bufs[i].BytesPerIter
-			} else {
-				n += int64(len(bufs[i].Data))
-			}
+	for k := range r.Ins {
+		if r.Ins[k].Partitioned() {
+			n += (hi - lo) * r.Ins[k].BytesPerIter
+		} else {
+			n += int64(len(r.Ins[k].Data))
+		}
+	}
+	for l := range r.Outs {
+		if r.Outs[l].Partitioned() {
+			n += (hi - lo) * r.Outs[l].BytesPerIter
+		} else {
+			n += int64(len(r.Outs[l].Data))
 		}
 	}
 	return n

@@ -146,10 +146,11 @@ func (m *MultiDevice) logf(format string, args ...any) {
 // region's buffers — the per-iteration WAN burden of the transfer term.
 func partBytesPerIter(r *Region) int64 {
 	var b int64
-	for _, bufs := range [][]Buffer{r.Ins, r.Outs} {
-		for i := range bufs {
-			b += bufs[i].BytesPerIter
-		}
+	for i := range r.Ins {
+		b += r.Ins[i].BytesPerIter
+	}
+	for i := range r.Outs {
+		b += r.Outs[i].BytesPerIter
 	}
 	return b
 }

@@ -181,9 +181,7 @@ func (p *CloudPlugin) updateDegraded(rs *runStats) float64 {
 		now = obs < degradedEnterFrac*conf
 	}
 	if now != was && p.degraded.CompareAndSwap(was, now) {
-		if rs != nil {
-			rs.degraded.Add(1)
-		}
+		rs.degraded.Add(1)
 		span.Metrics().Counter("offload.degraded.switches").Inc()
 		state := "degraded"
 		if !now {

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -71,6 +72,10 @@ func anyShipped(bs []bound) bool {
 	return false
 }
 
+// errUnavailable is what guard returns for a plan it did not admit. Nothing
+// of the plan ran, so the caller may retry it as it stands.
+var errUnavailable = resilience.MarkTransient(errors.New("offload: cloud device unavailable (use the manager for host fallback)"))
+
 // plan is one trip through the Fig. 1 workflow, as data.
 type plan struct {
 	// kernel labels the report and spans: the region's kernel, or the
@@ -80,10 +85,11 @@ type plan struct {
 	// transfer-only. ins and outs parallel its Ins and Outs when set.
 	region    *Region
 	ins, outs []bound
-	// prefix scopes the objects the transfer legs store; "" says the plan
-	// has no storage legs at all (every buffer resident). The objects are
-	// deleted when the plan ends — unless it succeeded and keep is set,
-	// which hands them to a later plan (env open -> env close).
+	// prefix is the key scope of the objects the plan owns: the transfer legs
+	// store under it, and everything under it is deleted when the plan ends —
+	// unless it succeeded and keep is set, which hands the objects to a later
+	// plan (env open -> env close, which owns them even when it ships
+	// nothing). "" owns nothing; a plan that ships needs a scope.
 	prefix string
 	keep   bool
 	// perTile selects the release policy: false puts a barrier between the
@@ -93,6 +99,9 @@ type plan struct {
 	// overlap and runs barriered either way.
 	perTile bool
 }
+
+// shipped reports whether the plan has storage legs at all.
+func (pl *plan) shipped() bool { return anyShipped(pl.ins) || anyShipped(pl.outs) }
 
 // guard is the device's single entry point: validate, admit (breaker and
 // availability), land any deferred scale-in at this boundary, execute, price
@@ -108,8 +117,8 @@ func (p *CloudPlugin) guard(pl *plan) (*trace.Report, error) {
 		}
 	}
 	// A plan without storage legs must not pay health-probe round trips.
-	if !p.admit(pl.prefix != "") {
-		return nil, resilience.MarkTransient(fmt.Errorf("offload: cloud device unavailable (use the manager for host fallback)"))
+	if !p.admit(pl.shipped()) {
+		return nil, errUnavailable
 	}
 	p.completeDrain()
 	rep, err := p.execute(pl)
@@ -142,7 +151,7 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 	}
 	tiles := 0
 	if r == nil {
-		if !anyShipped(pl.ins) && !anyShipped(pl.outs) {
+		if !pl.shipped() {
 			return rep, nil
 		}
 	} else {

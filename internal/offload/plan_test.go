@@ -13,6 +13,7 @@ import (
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace"
+	"ompcloud/internal/xcompress"
 )
 
 // pathRow is one way into the cloud device's plan engine. run drives the
@@ -368,5 +369,96 @@ func TestOpenEnvUnavailableIsTransient(t *testing.T) {
 	if !resilience.IsTransient(runErr) || !resilience.IsTransient(openErr) {
 		t.Fatalf("unavailable device: Run transient=%v (%v), OpenEnv transient=%v (%v); want both",
 			resilience.IsTransient(runErr), runErr, resilience.IsTransient(openErr), openErr)
+	}
+}
+
+// A close the guard turns away (open breaker) never ran, so it must not cost
+// the environment: the results are still on the device, the stored objects
+// are still owned, and the same Close succeeds once the device admits it.
+func TestEnvCloseRejectedIsRetryable(t *testing.T) {
+	st := storage.NewMemStore()
+	now := time.Unix(0, 0)
+	cfg := memCloudConfig()
+	cfg.Store = st
+	cfg.BreakerFailures = 2
+	cfg.BreakerCooldown = time.Minute
+	cfg.BreakerNow = func() time.Time { return now }
+	p, err := NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(2000)
+	in := data.Generate(1, int(n), data.Dense, 65)
+	out := make([]byte, 4*n)
+	env, _, err := p.OpenEnv([]EnvBuffer{
+		{Name: "A", Data: in.Bytes(), Upload: true},
+		{Name: "B", Data: out, Download: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Run(scale2Region(n, in.Bytes(), out)); err != nil {
+		t.Fatal(err)
+	}
+	p.Breaker().Failure()
+	p.Breaker().Failure()
+	if _, err := env.Close(); !resilience.IsTransient(err) {
+		t.Fatalf("close against an open breaker: %v, want a transient rejection", err)
+	}
+	if _, err := env.Buffer("B"); err != nil {
+		t.Fatalf("rejected close dropped the environment: %v", err)
+	}
+
+	now = now.Add(2 * time.Minute) // cooldown over: the retry is the half-open probe
+	if _, err := env.Close(); err != nil {
+		t.Fatalf("retried close: %v", err)
+	}
+	want := make([]byte, 4*n)
+	for i, v := range data.Floats(in.Bytes()) {
+		data.PutFloat(want, i, 2*v)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatal("retried close did not bring the results home")
+	}
+	if keys, _ := st.List("envs/"); len(keys) != 0 {
+		t.Fatalf("closed environment leaked %d objects: %v", len(keys), keys)
+	}
+	if _, err := env.Close(); err == nil || resilience.IsTransient(err) {
+		t.Fatalf("second close after success: %v, want a permanent already-closed error", err)
+	}
+}
+
+// The outputs of a loop travel to the driver at their size-weighted
+// compression ratio whether they are shipped or resident: under an unweighted
+// mean a tiny compressible output would halve the modelled volume of a large
+// dense one.
+func TestResidentCollectWireIsSizeWeighted(t *testing.T) {
+	cfg := memCloudConfig()
+	cfg.Codec = xcompress.Codec{MinSize: 1, Algo: xcompress.AlgoDeflate}
+	p, err := NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := make([]byte, 4<<10) // zeros: compresses to almost nothing
+	large := data.Generate(1, 64<<10, data.Dense, 66).Bytes()
+	r := &Region{
+		Kernel: "two-outs", N: 1024,
+		Outs: []Buffer{
+			{Name: "S", Data: small, BytesPerIter: 4},
+			{Name: "L", Data: large, BytesPerIter: 256},
+		},
+	}
+	pl := &plan{kernel: r.Kernel, region: r, outs: []bound{{name: "S", dev: small}, {name: "L", dev: large}}}
+	raw := r.OutBytesRaw()
+	ci := p.costInputs(pl, 8, nil, raw)
+
+	rs, rl := p.residentRatio(small), p.residentRatio(large)
+	weighted := int64(rs*float64(len(small)) + rl*float64(len(large)))
+	if diff := ci.CollectWire - weighted; diff < -2 || diff > 2 {
+		t.Fatalf("CollectWire = %d, want the size-weighted %d (ratios %.3f over %d B, %.3f over %d B)",
+			ci.CollectWire, weighted, rs, len(small), rl, len(large))
+	}
+	if mean := int64(float64(raw) * (rs + rl) / 2); ci.CollectWire < mean*3/2 {
+		t.Fatalf("CollectWire = %d is not told apart from the unweighted mean %d: pick buffers whose ratios differ", ci.CollectWire, mean)
 	}
 }

@@ -18,7 +18,6 @@ type DataEnv struct {
 	device  string
 	maps    []Mapping
 	reports []*trace.Report
-	closed  bool
 	fell    bool
 }
 
@@ -61,7 +60,9 @@ func (rt *Runtime) TargetData(dev Device, maps ...Mapping) (*DataEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.FellBack = fell
+	if fell {
+		rep.FellBack = true
+	}
 	return &DataEnv{
 		env:     env,
 		device:  plugin.Name(),
@@ -81,18 +82,13 @@ type EnvRegion struct {
 	maps     []Mapping
 	tiles    int
 	registry *fatbin.Registry
-	err      error
 }
 
 // Loop opens a loop construct whose map clauses reference environment
 // buffers by name; partition strides here are per-loop, exactly like the
 // `target data map` lines of Listing 2.
 func (e *DataEnv) Loop(maps ...Mapping) *EnvRegion {
-	r := &EnvRegion{env: e, maps: maps}
-	if e.closed {
-		r.err = fmt.Errorf("omp: data environment already closed")
-	}
-	return r
+	return &EnvRegion{env: e, maps: maps}
 }
 
 // Tiles overrides Algorithm 1's automatic tiling for this loop.
@@ -110,9 +106,6 @@ func (r *EnvRegion) WithRegistry(reg *fatbin.Registry) *EnvRegion {
 // ParallelFor executes the loop inside the environment. Results stay
 // device-resident; only DataEnv.Close copies them back.
 func (r *EnvRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*trace.Report, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
 	region, err := lower(r.maps, kernel, n, scalars, r.tiles, r.registry)
 	if err != nil {
 		return nil, err
@@ -126,12 +119,11 @@ func (r *EnvRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*trac
 }
 
 // Close ends the environment: download-mapped buffers return to the host
-// and user []float32 slices are synchronized.
+// and user []float32 slices are synchronized. The device's environment is the
+// one owner of the open/closed state: it refuses loops and a second Close
+// once closed, and stays open — so Close can be retried — when the device
+// turned the close away with a transient error before running it.
 func (e *DataEnv) Close() (*trace.Report, error) {
-	if e.closed {
-		return nil, fmt.Errorf("omp: data environment already closed")
-	}
-	e.closed = true
 	rep, err := e.env.Close()
 	if err != nil {
 		return nil, err

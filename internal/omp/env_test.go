@@ -3,6 +3,7 @@ package omp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
@@ -237,5 +238,51 @@ func TestEnvBufferAccessor(t *testing.T) {
 	}
 	if _, err := env.env.Buffer("nope"); err == nil {
 		t.Fatal("unknown buffer should error")
+	}
+}
+
+// A Close the device turns away before running it (open breaker) leaves the
+// environment open at this layer too: the retry brings the results home.
+func TestTargetDataCloseRetriesAfterRejection(t *testing.T) {
+	rt, err := NewRuntime(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	plugin, err := offload.NewCloudPlugin(offload.CloudConfig{
+		Spec:            spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
+		Store:           storage.NewMemStore(),
+		BreakerFailures: 1,
+		BreakerCooldown: time.Minute,
+		BreakerNow:      func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(16)
+	a := data.Generate(1, int(n), data.Dense, 53)
+	c := data.NewMatrix(1, int(n))
+	env, err := rt.TargetData(rt.RegisterDevice(plugin), To("A", a), From("C", c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Loop(
+		To("A", a).Partition(1),
+		From("C", c).Partition(1),
+	).WithRegistry(envReg).ParallelFor(n, "square"); err != nil {
+		t.Fatal(err)
+	}
+	plugin.Breaker().Failure()
+	if _, err := env.Close(); err == nil {
+		t.Fatal("close against an open breaker should fail")
+	}
+	now = now.Add(2 * time.Minute)
+	if _, err := env.Close(); err != nil {
+		t.Fatalf("retried close: %v", err)
+	}
+	for i, v := range a.V {
+		if c.V[i] != v*v {
+			t.Fatalf("C[%d] = %v, want %v", i, c.V[i], v*v)
+		}
 	}
 }

@@ -206,7 +206,13 @@ func (t *TargetRegion) WithRegistry(reg *fatbin.Registry) *TargetRegion {
 // buffers by name — into the Region a Clang-lowered `target` would hand the
 // runtime.
 func lower(maps []Mapping, kernel string, n int64, scalars []int64, tiles int, reg *fatbin.Registry) (*offload.Region, error) {
-	region := &offload.Region{Kernel: kernel, Registry: reg, N: n, Scalars: scalars, Tiles: tiles}
+	region := &offload.Region{
+		Kernel:   kernel,
+		Registry: reg,
+		N:        n,
+		Scalars:  scalars,
+		Tiles:    tiles,
+	}
 	for i := range maps {
 		m := &maps[i]
 		if m.err != nil {
@@ -265,8 +271,10 @@ func (t *TargetRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*t
 // the map(from:) copy-out.
 func syncFloats(maps []Mapping) {
 	for i := range maps {
-		if m := &maps[i]; m.dir != dirTo && m.floats != nil {
-			copy(m.floats, data.Floats(m.bytes))
+		m := &maps[i]
+		if m.dir == dirTo || m.floats == nil {
+			continue
 		}
+		copy(m.floats, data.Floats(m.bytes))
 	}
 }
