@@ -246,10 +246,12 @@ type manifest struct {
 // can keep one flat file per key.
 func partKey(key string, i int) string { return fmt.Sprintf("%s.%05d.part", key, i) }
 
-// encBufs pools per-chunk encode scratch. Stores copy on Put, so a buffer is
-// reusable the moment its PUT returns; without the pool every chunk of every
-// transfer allocates ~1 MiB of garbage (xcompress pools the deflate state,
-// this pools the output it writes into).
+// encBufs pools per-chunk encode scratch. Stores copy on Put — MemStore into
+// the stored object, RemoteStore onto the socket; only storage.Server hands a
+// buffer it read itself to the store uncopied — so a buffer is reusable the
+// moment its PUT returns; without the pool every chunk of every transfer
+// allocates ~1 MiB of garbage (xcompress pools the deflate state, this pools
+// the output it writes into).
 var encBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)
 	return &b
@@ -258,7 +260,11 @@ var encBufs = sync.Pool{New: func() any {
 // wireBufs pools download-side wire scratch: the encoded bytes fetched from
 // the store before decoding. The upload mirror is encBufs; without this pool
 // every chunk GET materializes ~1 MiB of garbage through storage.Get even
-// though the bytes are dead the moment DecodeInto returns.
+// though the bytes are dead the moment DecodeInto returns. The pool only pays
+// off on a store that reads into the buffer it is handed
+// (storage.AppendGetter): MemStore, DiskStore, RemoteStore, and Metered or
+// PrefixStore over one of them. Behind FaultStore, Throttled or NetFault,
+// which must see every Get, each chunk still costs the Get's copy.
 var wireBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)
 	return &b

@@ -3,6 +3,7 @@ package offload
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/trace"
@@ -123,7 +124,8 @@ func (m *Manager) Host() Plugin {
 // *mid-flight* with an error classified transient — storage faults that
 // outlived the retry budget, lost workers — the region also re-runs on the
 // host (unless the device's fallback policy says fail): the host pass
-// rewrites every output buffer in full, so a half-completed device run
+// rewrites every output buffer in full, and outputs the loop also reads are
+// put back first (see inputAliasedOuts), so a half-completed device run
 // leaves no trace. Permanent and unclassified errors always propagate; a
 // kernel bug must surface, not be masked by a silent host re-run.
 func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
@@ -137,18 +139,9 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 	if !dev.Available() {
 		return m.runFallback(r, fmt.Sprintf("device %s unavailable", dev.Name()), nil)
 	}
-	// A device run may write output tiles into the user's buffers before it
-	// fails (the streaming dataflow downloads as it goes), and in/out
-	// variables appear in Ins with the same backing array — so "the host
-	// rewrites every output in full" is not enough to erase a half-done
-	// run. Snapshot the output buffers while fallback is still possible and
-	// restore them before the host pass.
-	var outSnap [][]byte
+	var snap []outSnapshot
 	if fallbackPolicyOf(dev) != FallbackFail {
-		outSnap = make([][]byte, len(r.Outs))
-		for i := range r.Outs {
-			outSnap[i] = append([]byte(nil), r.Outs[i].Data...)
-		}
+		snap = inputAliasedOuts(r)
 	}
 	rep, err := dev.Run(r)
 	if err == nil {
@@ -157,10 +150,47 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 	if !resilience.IsTransient(err) || fallbackPolicyOf(dev) == FallbackFail {
 		return nil, err
 	}
-	for i := range outSnap {
-		copy(r.Outs[i].Data, outSnap[i])
+	for _, s := range snap {
+		copy(r.Outs[s.out].Data, s.data)
 	}
 	return m.runFallback(r, err.Error(), err)
+}
+
+// outSnapshot is the pre-run content of one output buffer.
+type outSnapshot struct {
+	out  int // index into Region.Outs
+	data []byte
+}
+
+// inputAliasedOuts copies every output whose bytes overlap an input's. A
+// device run may write output tiles into the user's buffers before it fails
+// (the streaming dataflow downloads as it goes). For a pure map(from:)
+// output that is harmless: the host pass rewrites it in full, as the cloud
+// device — which starts every output from zeroes, not from the host's bytes
+// — already requires of the loop. But a map(tofrom:) variable is the same
+// backing array in Ins and Outs (and two mappings may overlap at different
+// offsets), so there the half-done run has scribbled over the host pass's
+// *input*; those, and only those, are snapshotted while fallback is still
+// possible and restored before the host pass.
+func inputAliasedOuts(r *Region) []outSnapshot {
+	var snap []outSnapshot
+	for i := range r.Outs {
+		for k := range r.Ins {
+			if bytesOverlap(r.Outs[i].Data, r.Ins[k].Data) {
+				snap = append(snap, outSnapshot{out: i, data: append([]byte(nil), r.Outs[i].Data...)})
+				break
+			}
+		}
+	}
+	return snap
+}
+
+// bytesOverlap reports whether x and y share any byte of memory (the
+// crypto/internal/alias idiom).
+func bytesOverlap(x, y []byte) bool {
+	return len(x) > 0 && len(y) > 0 &&
+		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }
 
 // fallbackPolicyOf resolves a device's fallback policy.

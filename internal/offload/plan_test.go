@@ -65,6 +65,19 @@ func pathRows() []pathRow {
 			atLoop()
 			return md.Run(scale2Region(n, in, out))
 		}},
+		{name: "manager-run", absorbs: true, run: func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
+			host, err := NewHostPlugin(2)
+			if err != nil {
+				return nil, err
+			}
+			m, err := NewManager(host)
+			if err != nil {
+				return nil, err
+			}
+			id := m.Register(p)
+			atLoop()
+			return m.Run(id, scale2Region(n, in, out))
+		}},
 	}
 }
 
@@ -177,6 +190,8 @@ func TestGuardHoldsOnEveryPath(t *testing.T) {
 				switch {
 				case row.absorbs && (err != nil || !rep.FellBack):
 					t.Fatalf("failed member should be absorbed: rep %+v, err %v", rep, err)
+				case row.absorbs && !bytes.Equal(out, want):
+					t.Fatal("host re-run diverges from the serial reference")
 				case !row.absorbs && !resilience.IsTransient(err):
 					t.Fatalf("want a transient error past the retry budget, got %v", err)
 				}

@@ -1,6 +1,8 @@
 package offload
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
+	"ompcloud/internal/trace"
 )
 
 // resilientConfig is memCloudConfig with fast, silent retries: small chunks
@@ -96,6 +99,87 @@ func TestManagerMidFlightFallback(t *testing.T) {
 		if data.GetFloat(out, i) != 2*v {
 			t.Fatalf("fallback result wrong at %d", i)
 		}
+	}
+}
+
+// scribbleDevice is a device that dies the worst way the fallback guard has
+// to cover: it overwrites every output buffer, then fails transiently.
+type scribbleDevice struct{}
+
+func (scribbleDevice) Name() string    { return "scribble" }
+func (scribbleDevice) Available() bool { return true }
+func (scribbleDevice) Cores() int      { return 2 }
+func (scribbleDevice) Run(r *Region) (*trace.Report, error) {
+	for i := range r.Outs {
+		for k := range r.Outs[i].Data {
+			r.Outs[i].Data[k] = 0xee
+		}
+	}
+	return nil, resilience.MarkTransient(errors.New("scribbled over the outputs, then died"))
+}
+
+// TestFallbackSnapshotsOnlyInputAliasedOutputs: after a device has trashed
+// the outputs and failed, the host pass must end bit-identical to a host-only
+// run. A pure map(from:) output gets there with no snapshot — the host pass
+// rewrites it in full. An output the loop also reads — a tofrom variable, or
+// one that merely overlaps an input at another offset — is put back first.
+func TestFallbackSnapshotsOnlyInputAliasedOutputs(t *testing.T) {
+	const n = int64(1000)
+	src := data.Generate(1, int(n)+1, data.Dense, 25).Bytes()
+	// build lays a region out over its own fresh memory, so that the
+	// host-only run and the fallback run start from identical bytes.
+	for _, tc := range []struct {
+		name      string
+		snapshots int
+		build     func() *Region
+	}{
+		{"from, partitioned", 0, func() *Region {
+			return scale2Region(n, bytes.Clone(src[:4*n]), make([]byte, 4*n))
+		}},
+		{"from, sum reduction", 0, func() *Region {
+			return &Region{Kernel: "sumsq", Registry: testRegistry, N: n,
+				Ins:  []Buffer{{Name: "A", Data: bytes.Clone(src[:4*n]), BytesPerIter: 4}},
+				Outs: []Buffer{{Name: "S", Data: make([]byte, 4), Reduce: ReduceSumF32}}}
+		}},
+		{"from, bit-or reduction", 0, func() *Region {
+			return &Region{Kernel: "fillwindow", Registry: testRegistry, N: n,
+				Ins:  []Buffer{{Name: "A", Data: bytes.Clone(src[:4*n]), BytesPerIter: 4}},
+				Outs: []Buffer{{Name: "B", Data: make([]byte, 4*n), Reduce: ReduceBitOr}}}
+		}},
+		{"tofrom", 1, func() *Region {
+			y := bytes.Clone(src[:4*n])
+			return scale2Region(n, y, y)
+		}},
+		{"output overlaps an input one element on", 1, func() *Region {
+			y := bytes.Clone(src)
+			r := scale2Region(n, y[:4*n], y[4:])
+			r.Tiles = 1 // one thread: the host run itself must be deterministic
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host, _ := NewHostPlugin(2)
+			m, _ := NewManager(host)
+			id := m.Register(scribbleDevice{})
+
+			want := tc.build()
+			if _, err := m.Run(DeviceHost, want); err != nil {
+				t.Fatal(err)
+			}
+			got := tc.build()
+			if snaps := len(inputAliasedOuts(got)); snaps != tc.snapshots {
+				t.Fatalf("%d outputs snapshotted, want %d", snaps, tc.snapshots)
+			}
+			rep, err := m.Run(id, got)
+			if err != nil || !rep.FellBack {
+				t.Fatalf("fallback: rep %+v, err %v", rep, err)
+			}
+			for i := range want.Outs {
+				if !bytes.Equal(got.Outs[i].Data, want.Outs[i].Data) {
+					t.Fatalf("output %s differs from the host-only run", want.Outs[i].Name)
+				}
+			}
+		})
 	}
 }
 

@@ -194,7 +194,17 @@ func (f *Front) handleReq(conn net.Conn, req *Request) *Response {
 		if client == "" {
 			client = conn.RemoteAddr().String()
 		}
+		// The waiter is registered under waitMu across Submit: the moment
+		// Submit returns the job is queued, and a Pump on another
+		// connection's goroutine may dispatch, run and deliver it. deliver
+		// takes waitMu, so it cannot look for the waiter before it exists.
+		ch := make(chan *Response, 1)
+		f.waitMu.Lock()
 		job, rej, err := f.d.Submit(req.Tenant, client, req.Spec, now)
+		if job != nil {
+			f.waiters[job.ID] = ch
+		}
+		f.waitMu.Unlock()
 		if err != nil {
 			return &Response{Status: "error", Err: err.Error()}
 		}
@@ -205,10 +215,6 @@ func (f *Front) handleReq(conn net.Conn, req *Request) *Response {
 			}
 			return r
 		}
-		ch := make(chan *Response, 1)
-		f.waitMu.Lock()
-		f.waiters[job.ID] = ch
-		f.waitMu.Unlock()
 		f.Pump()
 		return <-ch
 	case "register":

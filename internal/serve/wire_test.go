@@ -245,3 +245,49 @@ func TestFrontDrainingRejectsNewSubmissions(t *testing.T) {
 		t.Fatalf("draining submit: %+v", r)
 	}
 }
+
+// TestFrontEverySubmitReturns is the lost-response regression test: with
+// many connections submitting at once and an executor that completes
+// instantly, a Pump on one connection's goroutine can dispatch, run and
+// deliver the job another connection has just queued. handleReq used to
+// register its waiter only after Daemon.Submit returned, so such a delivery
+// found nobody and that client blocked forever.
+func TestFrontEverySubmitReturns(t *testing.T) {
+	const clients, perClient = 16, 400
+	f, _ := startFront(t, &fakeExec{}, func(c *Config) {
+		c.Limits = Limits{Rate: -1}
+		c.MaxQueue = 4 * clients
+	})
+	var wg sync.WaitGroup
+	var done atomic.Int64
+	for i := 0; i < clients; i++ {
+		c, err := DialFront(f.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				resp, err := c.Submit("alice", "cli", JobSpec{Bench: "gemm", N: 8, Seed: int64(i*perClient + k)})
+				if err != nil {
+					t.Errorf("client %d submit %d: %v", i, k, err)
+					return
+				}
+				if !resp.OK || resp.Outputs[0][0] != float32(i*perClient+k) {
+					t.Errorf("client %d submit %d: %+v", i, k, resp)
+					return
+				}
+				done.Add(1)
+			}
+		}(i)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d of %d submits returned; the rest lost their response", done.Load(), clients*perClient)
+	}
+}

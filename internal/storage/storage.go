@@ -43,6 +43,8 @@ type Store interface {
 // the object's bytes are appended to a caller-owned buffer instead of a
 // freshly allocated copy. The chunked-transfer GET hot path uses it with a
 // pooled wire buffer so a warm download performs zero allocations per chunk.
+// MemStore, DiskStore and RemoteStore (the client every deployment uses)
+// read natively into dst; Metered and PrefixStore forward to what they wrap.
 type AppendGetter interface {
 	// GetAppend appends the object stored under key to dst and returns the
 	// extended slice. On error the returned slice is dst unmodified.
@@ -52,8 +54,8 @@ type AppendGetter interface {
 // GetAppend reads key from st into dst's spare capacity, using the store's
 // native AppendGetter when it has one and falling back to Get plus a copy
 // otherwise. Wrappers that must observe every read (FaultStore's corruption
-// rules, Throttled's pacing) deliberately don't implement AppendGetter, and
-// the fallback keeps their semantics intact.
+// rules, Throttled's pacing, NetFault's link) deliberately don't implement
+// AppendGetter, and the fallback keeps their semantics intact.
 func GetAppend(st Store, key string, dst []byte) ([]byte, error) {
 	if ag, ok := st.(AppendGetter); ok {
 		return ag.GetAppend(key, dst)
@@ -63,6 +65,39 @@ func GetAppend(st Store, key string, dst []byte) ([]byte, error) {
 		return dst, err
 	}
 	return append(dst, b...), nil
+}
+
+// ownedStore is the copy-free path between a Server and the store it fronts,
+// for stores whose objects are immutable once stored. It stays unexported:
+// the public Put keeps its "copies on Put" contract (chunkio recycles its
+// encode buffers on it), and only Server — which reads a PUT body into a
+// buffer nobody else holds and writes a GET reply without modifying it — can
+// promise what these two methods require.
+type ownedStore interface {
+	// putOwned stores data itself, not a copy; the caller must not touch
+	// data afterwards.
+	putOwned(key string, data []byte) error
+	// getShared returns the stored object itself; the caller must not
+	// modify it.
+	getShared(key string) ([]byte, error)
+}
+
+// putOwned hands data over to st when st can take ownership and falls back
+// to the copying Put otherwise, so wrappers that must see every write
+// (FaultStore, Throttled, NetFault) are never bypassed.
+func putOwned(st Store, key string, data []byte) error {
+	if o, ok := st.(ownedStore); ok {
+		return o.putOwned(key, data)
+	}
+	return st.Put(key, data)
+}
+
+// getShared is the read mirror of putOwned.
+func getShared(st Store, key string) ([]byte, error) {
+	if o, ok := st.(ownedStore); ok {
+		return o.getShared(key)
+	}
+	return st.Get(key)
 }
 
 // validKey rejects keys that would be unsafe as file names or wire strings.
@@ -88,21 +123,39 @@ func NewMemStore() *MemStore {
 	return &MemStore{objects: make(map[string][]byte)}
 }
 
-// Put implements Store.
+// Put implements Store: the object is a private copy of data.
 func (s *MemStore) Put(key string, data []byte) error {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return s.putOwned(key, cp)
+}
+
+// putOwned implements ownedStore: data itself becomes the stored object.
+func (s *MemStore) putOwned(key string, data []byte) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
-	s.objects[key] = cp
+	s.objects[key] = data
 	s.mu.Unlock()
 	return nil
 }
 
 // Get implements Store.
 func (s *MemStore) Get(key string) ([]byte, error) {
+	obj, err := s.getShared(key)
+	if err != nil {
+		return nil, err
+	}
+	cp := make([]byte, len(obj))
+	copy(cp, obj)
+	return cp, nil
+}
+
+// getShared implements ownedStore. A stored object is never written again —
+// Put and Delete replace or drop the map entry, not the bytes — so a reader
+// holding the slice keeps seeing the object it asked for.
+func (s *MemStore) getShared(key string) ([]byte, error) {
 	if err := validKey(key); err != nil {
 		return nil, err
 	}
@@ -112,26 +165,17 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	cp := make([]byte, len(obj))
-	copy(cp, obj)
-	return cp, nil
+	return obj, nil
 }
 
-// GetAppend implements AppendGetter: the object is copied into dst under
-// the read lock, with no intermediate allocation when dst has capacity.
+// GetAppend implements AppendGetter: the object is copied into dst, with no
+// intermediate allocation when dst has capacity.
 func (s *MemStore) GetAppend(key string, dst []byte) ([]byte, error) {
-	if err := validKey(key); err != nil {
+	obj, err := s.getShared(key)
+	if err != nil {
 		return dst, err
 	}
-	s.mu.RLock()
-	obj, ok := s.objects[key]
-	if !ok {
-		s.mu.RUnlock()
-		return dst, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	dst = append(dst, obj...)
-	s.mu.RUnlock()
-	return dst, nil
+	return append(dst, obj...), nil
 }
 
 // Delete implements Store.
@@ -348,16 +392,15 @@ func (m *Metered) note(err error) error {
 	return err
 }
 
-// Put implements Store.
-func (m *Metered) Put(key string, data []byte) error {
-	err := m.inner.Put(key, data)
+// notePut counts one Put of n bytes that returned err.
+func (m *Metered) notePut(n int64, err error) error {
 	if err == nil {
 		m.puts.Add(1)
-		m.bytesIn.Add(int64(len(data)))
-		m.last.Store(int64(len(data)))
+		m.bytesIn.Add(n)
+		m.last.Store(n)
 		for {
 			cur := m.largest.Load()
-			if int64(len(data)) <= cur || m.largest.CompareAndSwap(cur, int64(len(data))) {
+			if n <= cur || m.largest.CompareAndSwap(cur, n) {
 				break
 			}
 		}
@@ -365,26 +408,44 @@ func (m *Metered) Put(key string, data []byte) error {
 	return m.note(err)
 }
 
+// noteGet counts one Get of n bytes that returned err.
+func (m *Metered) noteGet(n int, err error) error {
+	if err == nil {
+		m.gets.Add(1)
+		m.bytesOut.Add(int64(n))
+	}
+	return m.note(err)
+}
+
+// Put implements Store.
+func (m *Metered) Put(key string, data []byte) error {
+	return m.notePut(int64(len(data)), m.inner.Put(key, data))
+}
+
+// putOwned implements ownedStore: the same counters, the inner store's
+// copy-free write when it has one.
+func (m *Metered) putOwned(key string, data []byte) error {
+	n := int64(len(data)) // data is the inner store's once it is handed over
+	return m.notePut(n, putOwned(m.inner, key, data))
+}
+
 // Get implements Store.
 func (m *Metered) Get(key string) ([]byte, error) {
 	b, err := m.inner.Get(key)
-	if err == nil {
-		m.gets.Add(1)
-		m.bytesOut.Add(int64(len(b)))
-	}
-	return b, m.note(err)
+	return b, m.noteGet(len(b), err)
+}
+
+// getShared implements ownedStore.
+func (m *Metered) getShared(key string) ([]byte, error) {
+	b, err := getShared(m.inner, key)
+	return b, m.noteGet(len(b), err)
 }
 
 // GetAppend implements AppendGetter, forwarding to the inner store's
 // append path (or the Get fallback) and counting the bytes read.
 func (m *Metered) GetAppend(key string, dst []byte) ([]byte, error) {
-	base := len(dst)
 	out, err := GetAppend(m.inner, key, dst)
-	if err == nil {
-		m.gets.Add(1)
-		m.bytesOut.Add(int64(len(out) - base))
-	}
-	return out, m.note(err)
+	return out, m.noteGet(len(out)-len(dst), err)
 }
 
 // Delete implements Store.
@@ -431,4 +492,7 @@ var (
 	_ AppendGetter = (*MemStore)(nil)
 	_ AppendGetter = (*DiskStore)(nil)
 	_ AppendGetter = (*Metered)(nil)
+	_ AppendGetter = (*RemoteStore)(nil)
+	_ ownedStore   = (*MemStore)(nil)
+	_ ownedStore   = (*Metered)(nil)
 )

@@ -44,13 +44,16 @@ const maxObjectSize = 4 << 30
 // maxKeySize bounds the key field.
 const maxKeySize = 4096
 
+// Headers are built in the bufio.Writer's own spare buffer and parsed out of
+// the bufio.Reader's (a scratch array handed to Read or Write escapes to the
+// heap), so a request or a response costs no allocation beyond its payload.
+// Every writer flushes after each message, which is why the spare buffer
+// always has room for a header and a maxKeySize key.
+
 func writeFrame(w *bufio.Writer, status byte, payload []byte) error {
-	if err := w.WriteByte(status); err != nil {
-		return err
-	}
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(payload)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	hdr := append(w.AvailableBuffer(), status)
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -59,24 +62,66 @@ func writeFrame(w *bufio.Writer, status byte, payload []byte) error {
 	return w.Flush()
 }
 
-func readFrame(r *bufio.Reader) (status byte, payload []byte, err error) {
+// readUint reads a big-endian unsigned integer of size bytes.
+func readUint(r *bufio.Reader, size int) (uint64, error) {
+	b, err := r.Peek(size)
+	if err != nil {
+		return 0, err
+	}
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	_, err = r.Discard(size)
+	return v, err
+}
+
+// eagerAllocMax is the largest declared length allocated in one exact piece
+// before any of its bytes arrive. A chunk frame is at most ~1.13 MiB, so the
+// hot path stays one allocation; beyond it a buffer grows only as fast as
+// the peer actually sends, and an 8-byte header can no longer claim 4 GiB.
+const eagerAllocMax = 4 << 20
+
+// readBody appends the next n bytes of r to dst and returns the extended
+// slice, reading straight into dst's spare capacity when it has enough. On
+// error dst comes back unmodified (its spare capacity may be scribbled).
+func readBody(r io.Reader, dst []byte, n uint64) ([]byte, error) {
+	out := dst
+	for rem := n; rem > 0; {
+		if len(out) == cap(out) {
+			// Exact when small enough to trust the header; otherwise double
+			// what has arrived, ending on exactly the declared length.
+			step := rem
+			if step > eagerAllocMax {
+				step = min(rem, max(eagerAllocMax, uint64(len(out)-len(dst))))
+			}
+			grown := make([]byte, len(out), uint64(len(out))+step)
+			copy(grown, out)
+			out = grown
+		}
+		m := int(min(rem, uint64(cap(out)-len(out))))
+		if _, err := io.ReadFull(r, out[len(out):len(out)+m]); err != nil {
+			return dst, err
+		}
+		out = out[:len(out)+m]
+		rem -= uint64(m)
+	}
+	return out, nil
+}
+
+// readFrameHeader reads a response's status and payload length.
+func readFrameHeader(r *bufio.Reader) (status byte, n uint64, err error) {
 	status, err = r.ReadByte()
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
+	if n, err = readUint(r, 8); err != nil {
+		return 0, 0, err
 	}
-	n := binary.BigEndian.Uint64(lenBuf[:])
 	if n > maxObjectSize {
-		return 0, nil, fmt.Errorf("storage: frame of %d bytes exceeds limit", n)
+		return 0, 0, fmt.Errorf("storage: frame of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return status, payload, nil
+	return status, n, nil
 }
 
 // Server exposes a Store over TCP. It is the network face of the simulated
@@ -225,19 +270,21 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 }
 
 func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
-	var keyLen [4]byte
-	if _, err := io.ReadFull(r, keyLen[:]); err != nil {
+	n, err := readUint(r, 4)
+	if err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(keyLen[:])
 	if n > maxKeySize {
 		return fmt.Errorf("storage: oversized key")
 	}
-	keyBuf := make([]byte, n)
-	if _, err := io.ReadFull(r, keyBuf); err != nil {
+	keyBuf, err := r.Peek(int(n))
+	if err != nil {
 		return err
 	}
 	key := string(keyBuf)
+	if _, err := r.Discard(int(n)); err != nil {
+		return err
+	}
 
 	reply := func(status byte, payload []byte) error { return writeFrame(w, status, payload) }
 	fail := func(err error) error {
@@ -249,24 +296,26 @@ func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
 
 	switch op {
 	case opPut:
-		var bodyLen [8]byte
-		if _, err := io.ReadFull(r, bodyLen[:]); err != nil {
+		bn, err := readUint(r, 8)
+		if err != nil {
 			return err
 		}
-		bn := binary.BigEndian.Uint64(bodyLen[:])
 		if bn > maxObjectSize {
 			return fmt.Errorf("storage: oversized object")
 		}
-		body := make([]byte, bn)
-		if _, err := io.ReadFull(r, body); err != nil {
+		body, err := readBody(r, nil, bn)
+		if err != nil {
 			return err
 		}
-		if err := s.store.Put(key, body); err != nil {
+		// Nobody else holds body: the store may keep it as the object.
+		if err := putOwned(s.store, key, body); err != nil {
 			return fail(err)
 		}
 		return reply(statusOK, nil)
 	case opGet:
-		b, err := s.store.Get(key)
+		// Written to the socket and dropped, never modified: the stored
+		// object itself will do.
+		b, err := getShared(s.store, key)
 		if err != nil {
 			return fail(err)
 		}
@@ -287,9 +336,7 @@ func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
 		if err != nil {
 			return fail(err)
 		}
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(size))
-		return reply(statusOK, buf[:])
+		return reply(statusOK, binary.BigEndian.AppendUint64(nil, uint64(size)))
 	default:
 		return fmt.Errorf("storage: unknown op %d", op)
 	}
@@ -322,8 +369,9 @@ func splitKeys(s string) []string {
 }
 
 // RemoteStore is a Store client for a Server. A single connection is shared
-// and request/response pairs are serialized; the offloading plugin opens one
-// RemoteStore per transfer goroutine for true parallel streams.
+// and request/response pairs are serialized: the offloading plugin dials
+// once per device (offload/setup.go), so its transfer goroutines take turns
+// on the one stream.
 type RemoteStore struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -347,73 +395,82 @@ func Dial(addr string) (*RemoteStore, error) {
 // Close tears down the connection.
 func (c *RemoteStore) Close() error { return c.conn.Close() }
 
-func (c *RemoteStore) roundTrip(op byte, key string, body []byte) ([]byte, error) {
+// roundTrip sends one request and appends the reply's payload to dst. On
+// any error — local, transport or a non-OK status — it returns dst
+// unmodified; a non-OK reply's payload is still read off the wire, so the
+// connection stays framed for the next request.
+func (c *RemoteStore) roundTrip(op byte, key string, body, dst []byte) ([]byte, error) {
 	if err := validKey(key); err != nil && op != opList { // List takes a prefix, possibly empty
-		return nil, err
+		return dst, err
 	}
 	if len(key) > maxKeySize {
-		return nil, fmt.Errorf("storage: key too long")
+		return dst, fmt.Errorf("storage: key too long")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.w.WriteByte(op); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	var keyLen [4]byte
-	binary.BigEndian.PutUint32(keyLen[:], uint32(len(key)))
-	if _, err := c.w.Write(keyLen[:]); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	if _, err := c.w.WriteString(key); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
+	hdr := append(c.w.AvailableBuffer(), op)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(key)))
+	hdr = append(hdr, key...)
 	if op == opPut {
-		var bodyLen [8]byte
-		binary.BigEndian.PutUint64(bodyLen[:], uint64(len(body)))
-		if _, err := c.w.Write(bodyLen[:]); err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		if _, err := c.w.Write(body); err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
-		}
+		hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(body)))
+	}
+	if _, err := c.w.Write(hdr); err != nil {
+		return dst, fmt.Errorf("storage: %w", err)
+	}
+	if _, err := c.w.Write(body); err != nil { // nil unless a PUT
+		return dst, fmt.Errorf("storage: %w", err)
 	}
 	if err := c.w.Flush(); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+		return dst, fmt.Errorf("storage: %w", err)
 	}
-	status, payload, err := readFrame(c.r)
+	status, n, err := readFrameHeader(c.r)
 	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+		return dst, fmt.Errorf("storage: %w", err)
 	}
-	switch status {
-	case statusOK:
-		return payload, nil
-	case statusNotFound:
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	default:
-		return nil, fmt.Errorf("storage: server error: %s", payload)
+	if status != statusOK {
+		msg, err := readBody(c.r, nil, n)
+		if err != nil {
+			return dst, fmt.Errorf("storage: %w", err)
+		}
+		if status == statusNotFound {
+			return dst, fmt.Errorf("%w: %s", ErrNotFound, key)
+		}
+		return dst, fmt.Errorf("storage: server error: %s", msg)
 	}
+	out, err := readBody(c.r, dst, n) // dst itself on error
+	if err != nil {
+		err = fmt.Errorf("storage: %w", err)
+	}
+	return out, err
 }
 
 // Put implements Store.
 func (c *RemoteStore) Put(key string, data []byte) error {
-	_, err := c.roundTrip(opPut, key, data)
+	_, err := c.roundTrip(opPut, key, data, nil)
 	return err
 }
 
 // Get implements Store.
 func (c *RemoteStore) Get(key string) ([]byte, error) {
-	return c.roundTrip(opGet, key, nil)
+	return c.roundTrip(opGet, key, nil, nil)
+}
+
+// GetAppend implements AppendGetter: the payload is read off the socket
+// straight into dst's spare capacity, so a caller with a pooled buffer
+// (chunkio's wire-buffer pool) fetches a chunk without allocating.
+func (c *RemoteStore) GetAppend(key string, dst []byte) ([]byte, error) {
+	return c.roundTrip(opGet, key, nil, dst)
 }
 
 // Delete implements Store.
 func (c *RemoteStore) Delete(key string) error {
-	_, err := c.roundTrip(opDelete, key, nil)
+	_, err := c.roundTrip(opDelete, key, nil, nil)
 	return err
 }
 
 // List implements Store.
 func (c *RemoteStore) List(prefix string) ([]string, error) {
-	payload, err := c.roundTrip(opList, prefix, nil)
+	payload, err := c.roundTrip(opList, prefix, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +479,7 @@ func (c *RemoteStore) List(prefix string) ([]string, error) {
 
 // Stat implements Store.
 func (c *RemoteStore) Stat(key string) (int64, error) {
-	payload, err := c.roundTrip(opStat, key, nil)
+	payload, err := c.roundTrip(opStat, key, nil, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -1,0 +1,145 @@
+package storage
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"io"
+	"testing"
+)
+
+// frame encodes one response frame.
+func frame(status byte, payload []byte) []byte {
+	b := binary.BigEndian.AppendUint64([]byte{status}, uint64(len(payload)))
+	return append(b, payload...)
+}
+
+// request encodes one request.
+func request(op byte, key string, body []byte) []byte {
+	b := binary.BigEndian.AppendUint32([]byte{op}, uint32(len(key)))
+	b = append(b, key...)
+	if op == opPut {
+		b = append(binary.BigEndian.AppendUint64(b, uint64(len(body))), body...)
+	}
+	return b
+}
+
+// nextFrame is the fuzzers' own reading of the response format: the first
+// frame of b and what follows it, or ok=false when b does not hold a whole
+// frame within the size limit.
+func nextFrame(b []byte) (status byte, payload, rest []byte, ok bool) {
+	if len(b) < 9 {
+		return 0, nil, nil, false
+	}
+	n := binary.BigEndian.Uint64(b[1:9])
+	if n > maxObjectSize || uint64(len(b)-9) < n {
+		return 0, nil, nil, false
+	}
+	return b[0], b[9 : 9+n], b[9+n:], true
+}
+
+// FuzzServeOne feeds arbitrary bytes to the server's request decoder as one
+// connection's input. Whatever arrives, the server must not panic, must not
+// allocate or retain more than a small multiple of what it was sent (plus
+// one eagerly allocated block), and must leave behind only whole response
+// frames: a connection either answers in frame or closes.
+func FuzzServeOne(f *testing.F) {
+	f.Add(request(opPut, "k", []byte("body")))
+	f.Add(append(request(opPut, "a/b", []byte("v1")), request(opGet, "a/b", nil)...))
+	f.Add(append(request(opGet, "missing", nil), request(opStat, "missing", nil)...))
+	f.Add(append(request(opList, "", nil), request(opDelete, "k", nil)...))
+	f.Add(request(opGet, "../escape", nil))
+	f.Add(request(9, "k", nil))                                               // unknown op
+	f.Add(request(opPut, "k", nil)[:7])                                       // cut inside the header
+	f.Add(binary.BigEndian.AppendUint32([]byte{opGet}, maxKeySize+1))         // oversized key
+	f.Add(binary.BigEndian.AppendUint64(request(opGet, "k", nil)[:6], 1<<40)) // PUT-shaped tail on a GET
+	huge := request(opPut, "k", nil)
+	binary.BigEndian.PutUint64(huge[len(huge)-8:], maxObjectSize) // 4 GiB declared, 3 bytes sent
+	f.Add(append(huge, "abc"...))
+	large := request(opPut, "k", nil)
+	binary.BigEndian.PutUint64(large[len(large)-8:], eagerAllocMax+1) // past the eager threshold, cut short
+	f.Add(append(large, make([]byte, 100)...))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		mem := NewMemStore()
+		s := &Server{store: mem}
+		r := bufio.NewReader(bytes.NewReader(in))
+		var out bytes.Buffer
+		w := bufio.NewWriter(&out)
+		allocated := totalAlloc(func() {
+			for {
+				op, err := r.ReadByte()
+				if err != nil || s.serveOne(op, r, w) != nil {
+					return
+				}
+			}
+		})
+		if !raceEnabled {
+			if limit := uint64(eagerAllocMax + 8*len(in) + 1<<20); allocated > limit {
+				t.Fatalf("%d request bytes made the server allocate %d (limit %d)", len(in), allocated, limit)
+			}
+		}
+		stored := 0
+		for _, obj := range mem.objects {
+			stored += len(obj)
+		}
+		if stored > len(in) {
+			t.Fatalf("%d request bytes left %d bytes stored", len(in), stored)
+		}
+		for rest := out.Bytes(); len(rest) > 0; {
+			status, _, after, ok := nextFrame(rest)
+			if !ok || status > statusError {
+				t.Fatalf("response stream is out of frame at byte %d of %d", out.Len()-len(rest), out.Len())
+			}
+			rest = after
+		}
+	})
+}
+
+// FuzzRemoteStoreResponse feeds arbitrary bytes to the client as the
+// server's side of the connection and issues a GET. It must return exactly
+// the payload of an OK frame appended to dst, or an error and dst
+// unmodified. After a whole frame of any status the connection is still in
+// frame, so a second GET is held to the same rule on what follows.
+func FuzzRemoteStoreResponse(f *testing.F) {
+	f.Add(frame(statusOK, []byte("payload")), uint16(0))
+	f.Add(frame(statusOK, []byte("payload")), uint16(64))
+	f.Add(append(frame(statusNotFound, nil), frame(statusOK, []byte("second"))...), uint16(3))
+	f.Add(append(frame(statusError, []byte("boom")), frame(statusOK, nil)...), uint16(0))
+	f.Add(append(frame(statusOK, nil), frame(7, []byte("odd status"))...), uint16(8))
+	f.Add(frame(statusOK, []byte("truncated"))[:12], uint16(4))
+	f.Add(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize+1), uint16(0))
+	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize), "abc"...), uint16(0))
+	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusError}, eagerAllocMax+1), "abc"...), uint16(0))
+	f.Add([]byte{statusOK, 0, 0}, uint16(0))
+
+	f.Fuzz(func(t *testing.T, resp []byte, spare uint16) {
+		c := &RemoteStore{r: bufio.NewReader(bytes.NewReader(resp)), w: bufio.NewWriter(io.Discard)}
+		rest := resp
+		for call := 0; call < 2; call++ {
+			dst := append(make([]byte, 0, 3+int(spare)), "pre"...)
+			var allocated uint64
+			var out []byte
+			var err error
+			allocated = totalAlloc(func() { out, err = c.GetAppend("k", dst) })
+			if limit := uint64(eagerAllocMax + 8*len(resp) + 1<<20); !raceEnabled && allocated > limit {
+				t.Fatalf("%d response bytes made the client allocate %d (limit %d)", len(resp), allocated, limit)
+			}
+			status, payload, after, ok := nextFrame(rest)
+			rest = after
+			switch {
+			case ok && status == statusOK:
+				if err != nil || !bytes.Equal(out, append([]byte("pre"), payload...)) {
+					t.Fatalf("call %d: got %q, %v; want the frame's %d-byte payload after dst", call, out, err, len(payload))
+				}
+			case err == nil:
+				t.Fatalf("call %d: got %q with no error from a frame that is not a whole OK frame", call, out)
+			case len(out) != len(dst) || &out[0] != &dst[0] || string(out) != "pre":
+				t.Fatalf("call %d: dst came back as %q (moved: %v) alongside error %v", call, out, &out[0] != &dst[0], err)
+			}
+			if !ok {
+				return // the stream has lost its framing; nothing after it means anything
+			}
+		}
+	})
+}
