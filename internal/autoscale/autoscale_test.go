@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ompcloud/internal/config"
+	"ompcloud/internal/config/configtest"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/trace/span"
 )
@@ -163,6 +164,16 @@ func TestNoScaleInWhileWarming(t *testing.T) {
 	}
 }
 
+func TestExampleConfIsComplete(t *testing.T) {
+	f := configtest.Example(t, "../../ompcloud.conf.example")
+	if !Enabled(f) {
+		t.Fatal("the example file has no [autoscale] section to switch on")
+	}
+	r := f.Reader("")
+	readSettings(r)
+	configtest.Complete(t, f, r)
+}
+
 func TestParseSettings(t *testing.T) {
 	f, err := config.Parse(strings.NewReader(`
 [autoscale]
@@ -226,6 +237,12 @@ cost-gib-egress = 0.09
 		"[autoscale]\nmin-workers = 4\nmax-workers = 2\n",
 		"[autoscale]\nbudget-usd = -1\n",
 		"[autoscale]\ncooldown-ms = -5\n",
+		"[autoscale]\nscale-in-idle-ms = 0\n",
+		"[autoscale]\nwarmup-ms = -1\n",
+		"[autoscale]\nstep = 0\n",
+		"[autoscale]\ncost-core-hour = 0\n",
+		"[autoscale]\nmin-wokers = 2\n", // a key nothing reads
+		"[autoscale]\nworkers = 2\n",
 	} {
 		f, err := config.Parse(strings.NewReader(bad))
 		if err != nil {

@@ -1,8 +1,6 @@
 package autoscale
 
 import (
-	"fmt"
-
 	"ompcloud/internal/config"
 	"ompcloud/internal/simtime"
 )
@@ -28,100 +26,42 @@ import (
 // values for knobs whose name promises a positive quantity are rejected
 // rather than silently remapped.
 func ParseSettings(f *config.File) (Config, error) {
-	cfg := Config{}
-	if f == nil {
-		return cfg.withDefaults(), nil
+	r := f.Reader("")
+	cfg := readSettings(r)
+	if err := r.Done(); err != nil {
+		return cfg, err
 	}
+	cfg = cfg.withDefaults()
+	return cfg, cfg.Validate()
+}
+
+// readSettings is ParseSettings over a caller's reader, before defaults.
+func readSettings(r *config.Reader) Config {
 	const sec = "autoscale"
-	if p := f.Str(sec, "policy", ""); p != "" {
+	var cfg Config
+	if p := r.Str(sec, "policy", ""); p != "" {
 		pol, err := ParsePolicy(p)
-		if err != nil {
-			return cfg, err
-		}
+		r.Fail(err)
 		cfg.Policy = pol
 	}
-	intKnob := func(key string, dst *int) error {
-		v, err := f.Int(sec, key, 0)
-		if err != nil {
-			return err
-		}
-		if f.Has(sec, key) && v <= 0 {
-			return fmt.Errorf("autoscale: %s must be positive, got %d", key, v)
-		}
-		*dst = v
-		return nil
-	}
-	for _, k := range []struct {
-		key string
-		dst *int
-	}{
-		{"min-workers", &cfg.MinWorkers},
-		{"max-workers", &cfg.MaxWorkers},
-		{"worker-cores", &cfg.WorkerCores},
-		{"step", &cfg.Step},
-		{"scale-out-depth", &cfg.ScaleOutDepth},
-	} {
-		if err := intKnob(k.key, k.dst); err != nil {
-			return cfg, err
-		}
-	}
-	durKnob := func(key string, dst *simtime.Duration, allowZero bool) error {
-		ms, err := f.Float(sec, key, 0)
-		if err != nil {
-			return err
-		}
-		if f.Has(sec, key) && (ms < 0 || (!allowZero && ms == 0)) {
-			return fmt.Errorf("autoscale: %s must be positive, got %v", key, ms)
-		}
-		*dst = simtime.FromSeconds(ms / 1e3)
-		return nil
-	}
-	if err := durKnob("scale-in-idle-ms", &cfg.ScaleInIdle, false); err != nil {
-		return cfg, err
-	}
-	if err := durKnob("warmup-ms", &cfg.WarmUp, true); err != nil {
-		return cfg, err
-	}
-	if err := durKnob("cooldown-ms", &cfg.CoolDown, false); err != nil {
-		return cfg, err
-	}
+	cfg.MinWorkers = r.Int(sec, "min-workers", 0, config.Positive)
+	cfg.MaxWorkers = r.Int(sec, "max-workers", 0, config.Positive)
+	cfg.WorkerCores = r.Int(sec, "worker-cores", 0, config.Positive)
+	cfg.Step = r.Int(sec, "step", 0, config.Positive)
+	cfg.ScaleOutDepth = r.Int(sec, "scale-out-depth", 0, config.Positive)
+	cfg.ScaleInIdle = simtime.FromReal(r.Millis(sec, "scale-in-idle-ms", 0, config.Positive))
+	cfg.WarmUp = simtime.FromReal(r.Millis(sec, "warmup-ms", 0, config.NonNegative))
+	cfg.CoolDown = simtime.FromReal(r.Millis(sec, "cooldown-ms", 0, config.Positive))
 	// warmup-ms = 0 is a legitimate ask (pre-warmed capacity) but the
-	// engine's withDefaults treats 0 as unset for the other durations, so
-	// remember the explicit zero via a sentinel-free path: WarmUp < 0 is
-	// already clamped to 0 by withDefaults.
-	if f.Has(sec, "warmup-ms") && cfg.WarmUp == 0 {
-		cfg.WarmUp = -1 // withDefaults clamps to 0: explicit pre-warmed fleet
+	// engine's withDefaults treats 0 as unset, like the other durations;
+	// WarmUp < 0 it clamps to 0, so that carries the explicit zero.
+	if r.Has(sec, "warmup-ms") && cfg.WarmUp == 0 {
+		cfg.WarmUp = -1
 	}
-	budget, err := f.Float(sec, "budget-usd", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if f.Has(sec, "budget-usd") && budget < 0 {
-		return cfg, fmt.Errorf("autoscale: budget-usd must be >= 0, got %v", budget)
-	}
-	cfg.BudgetUSD = budget
-	coreHour, err := f.Float(sec, "cost-core-hour", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if f.Has(sec, "cost-core-hour") && coreHour <= 0 {
-		return cfg, fmt.Errorf("autoscale: cost-core-hour must be positive, got %v", coreHour)
-	}
-	cfg.CoreHourUSD = coreHour
-	egress, err := f.Float(sec, "cost-gib-egress", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if f.Has(sec, "cost-gib-egress") && egress < 0 {
-		return cfg, fmt.Errorf("autoscale: cost-gib-egress must be >= 0, got %v", egress)
-	}
-	cfg.EgressGiBUSD = egress
-
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	cfg.BudgetUSD = r.Float(sec, "budget-usd", 0, config.NonNegative)
+	cfg.CoreHourUSD = r.Float(sec, "cost-core-hour", 0, config.Positive)
+	cfg.EgressGiBUSD = r.Float(sec, "cost-gib-egress", 0, config.NonNegative)
+	return cfg
 }
 
 // Enabled reports whether the file asks for autoscaling at all: an

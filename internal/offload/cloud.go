@@ -253,6 +253,27 @@ func (c CloudConfig) withDefaults() CloudConfig {
 	return c
 }
 
+// validate checks everything about a (defaulted) configuration that can be
+// checked without touching its store, its provider or its workers.
+func (c CloudConfig) validate() error {
+	if err := c.Spec.Validate(); err != nil {
+		return err
+	}
+	if err := c.Profile.Validate(); err != nil {
+		return err
+	}
+	// CDC and Dedup are properties of chunks; the sequential single-stream
+	// policy (ChunkBytes < 0) has none, so combining them is a config
+	// mistake, not a request for silent no-ops.
+	if c.CDC && c.ChunkBytes < 0 {
+		return fmt.Errorf("offload: content-defined chunking needs the chunked data path; use chunk-bytes >= 0, not %d", c.ChunkBytes)
+	}
+	if c.Dedup && c.ChunkBytes < 0 {
+		return fmt.Errorf("offload: dedup needs the chunked data path; use chunk-bytes >= 0, not %d", c.ChunkBytes)
+	}
+	return nil
+}
+
 // CloudPlugin is the cloud device: it offloads target regions to the Spark
 // engine through the storage service, implementing the eight-step workflow
 // of the paper's Fig. 1 with real data movement and virtual-time accounting.
@@ -319,23 +340,11 @@ const (
 // Available(), not the constructor.
 func NewCloudPlugin(cfg CloudConfig) (*CloudPlugin, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("offload: cloud plugin needs a storage backend")
-	}
-	if err := cfg.Profile.Validate(); err != nil {
-		return nil, err
-	}
-	// CDC and Dedup are properties of chunks; the sequential single-stream
-	// policy (ChunkBytes < 0) has none, so combining them is a config
-	// mistake, not a request for silent no-ops.
-	if cfg.CDC && cfg.ChunkBytes < 0 {
-		return nil, fmt.Errorf("offload: content-defined chunking needs the chunked data path; use chunk-bytes >= 0, not %d", cfg.ChunkBytes)
-	}
-	if cfg.Dedup && cfg.ChunkBytes < 0 {
-		return nil, fmt.Errorf("offload: dedup needs the chunked data path; use chunk-bytes >= 0, not %d", cfg.ChunkBytes)
 	}
 	if cfg.RunOnDriver {
 		cfg.Profile.WAN = cfg.Profile.LAN

@@ -15,59 +15,11 @@ package offload
 
 import (
 	"fmt"
+	"io"
 	"sort"
-	"strings"
 
 	"ompcloud/internal/config"
 )
-
-// deviceSectionPrefix introduces a named device block; the name may be
-// quoted git-config style ([device "eu"]) or bare ([device eu]).
-const deviceSectionPrefix = "device "
-
-// deviceView overlays one named device section on the flat file: a lookup
-// of section s, key k first consults the device block's "s.k", then falls
-// back to the flat [s] section, then the built-in default.
-type deviceView struct {
-	f       *config.File
-	section string // the raw section name, e.g. `device "eu"`
-}
-
-func (v deviceView) devKey(section, key string) string { return section + "." + key }
-
-func (v deviceView) Has(section, key string) bool {
-	return v.f.Has(v.section, v.devKey(section, key)) || v.f.Has(section, key)
-}
-
-func (v deviceView) Str(section, key, def string) string {
-	if v.f.Has(v.section, v.devKey(section, key)) {
-		return v.f.Str(v.section, v.devKey(section, key), def)
-	}
-	return v.f.Str(section, key, def)
-}
-
-func (v deviceView) Int(section, key string, def int) (int, error) {
-	if v.f.Has(v.section, v.devKey(section, key)) {
-		return v.f.Int(v.section, v.devKey(section, key), def)
-	}
-	return v.f.Int(section, key, def)
-}
-
-func (v deviceView) Float(section, key string, def float64) (float64, error) {
-	if v.f.Has(v.section, v.devKey(section, key)) {
-		return v.f.Float(v.section, v.devKey(section, key), def)
-	}
-	return v.f.Float(section, key, def)
-}
-
-func (v deviceView) Bool(section, key string, def bool) (bool, error) {
-	if v.f.Has(v.section, v.devKey(section, key)) {
-		return v.f.Bool(v.section, v.devKey(section, key), def)
-	}
-	return v.f.Bool(section, key, def)
-}
-
-var _ confView = deviceView{}
 
 // DeviceEntry is one row of the parsed device table.
 type DeviceEntry struct {
@@ -82,98 +34,99 @@ type DeviceEntry struct {
 	Config CloudConfig
 }
 
-// parseDeviceName extracts and validates the name of a device section
-// header, or returns "" for sections that are not device blocks.
-func parseDeviceName(section string) (string, error) {
-	if !strings.HasPrefix(section, deviceSectionPrefix) {
-		return "", nil
+// deviceDraft is a device block that has been read and checked; construct
+// gives its Config the store and provider.
+type deviceDraft struct {
+	DeviceEntry
+	construct func(*CloudConfig) error
+}
+
+// readDeviceTable reads and checks every [device "..."] block, each through
+// a reader that overlays the block on the flat sections (the block's
+// "s.k", then [s] k, then the default), sorted by name. It constructs
+// nothing.
+func readDeviceTable(f *config.File) ([]deviceDraft, error) {
+	blocks, err := f.Named("device")
+	if err != nil {
+		return nil, fmt.Errorf("offload: %w", err)
 	}
-	name := strings.TrimSpace(strings.TrimPrefix(section, deviceSectionPrefix))
-	if len(name) >= 2 && name[0] == '"' && name[len(name)-1] == '"' {
-		name = name[1 : len(name)-1]
+	drafts := make([]deviceDraft, 0, len(blocks))
+	for _, b := range blocks {
+		if err := checkDeviceName(b.Name); err != nil {
+			return nil, err
+		}
+		r := f.Reader(b.Section)
+		d := readDeviceBlock(r, b)
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("offload: device %q: %w", b.Name, err)
+		}
+		drafts = append(drafts, d)
 	}
-	if name == "" {
-		return "", fmt.Errorf("offload: device section %q has an empty name", "["+section+"]")
-	}
-	for _, r := range name {
+	sort.Slice(drafts, func(i, j int) bool { return drafts[i].Name < drafts[j].Name })
+	return drafts, nil
+}
+
+// checkDeviceName restricts a device name to [A-Za-z0-9._-]: the name flows
+// into storage key prefixes and metric labels, and separators and braces
+// there would corrupt both.
+func checkDeviceName(name string) error {
+	for _, c := range name {
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '-', c == '_', c == '.':
 		default:
-			// The name flows into storage key prefixes and metric labels;
-			// separators and braces there would corrupt both.
-			return "", fmt.Errorf("offload: device name %q: character %q not allowed (want [A-Za-z0-9._-])", name, r)
+			return fmt.Errorf("offload: device name %q: character %q not allowed (want [A-Za-z0-9._-])", name, c)
 		}
 	}
-	return name, nil
+	return nil
+}
+
+// readDeviceBlock reads one device block through r, the reader overlaying
+// it: a cloud device's keys plus the block's own weight.
+func readDeviceBlock(r *config.Reader, b config.Block) deviceDraft {
+	d := deviceDraft{DeviceEntry: DeviceEntry{Name: b.Name}}
+	d.Config, d.construct = readCloudConfig(r)
+	d.Config.DeviceName = b.Name
+	d.Weight = r.Float(b.Section, "weight", 0, config.Positive)
+	return d
+}
+
+// readHost reads the [host] member of a device table.
+func readHost(r *config.Reader) (threads int, weight float64) {
+	return r.Int("host", "threads", 16, config.NonNegative), r.Float("host", "weight", 0, config.Positive)
+}
+
+// constructDevices opens every draft's store and provider, in table order.
+// When one fails, the stores already opened are closed again.
+func constructDevices(drafts []deviceDraft) ([]DeviceEntry, error) {
+	entries := make([]DeviceEntry, len(drafts))
+	for i, d := range drafts {
+		entries[i] = d.DeviceEntry
+		if err := d.construct(&entries[i].Config); err != nil {
+			for _, e := range entries[:i] {
+				if c, ok := e.Config.Store.(io.Closer); ok {
+					c.Close()
+				}
+			}
+			return nil, fmt.Errorf("offload: device %q: %w", d.Name, err)
+		}
+	}
+	return entries, nil
 }
 
 // ParseDeviceTable reads the named device blocks of a configuration file
 // into a device table, sorted by name (the split's deterministic device
 // order). An empty table — no [device "..."] sections — means the file uses
 // the legacy single-[cluster] layout; callers then fall back to
-// NewCloudPluginFromConfig. Duplicate blocks, duplicate names, and
-// non-positive explicit weights are configuration errors.
+// NewCloudPluginFromConfig. Duplicate blocks, duplicate names, unknown keys
+// and non-positive explicit weights are configuration errors, and no
+// block's store is opened unless every block is valid.
 func ParseDeviceTable(f *config.File) ([]DeviceEntry, error) {
-	if f == nil {
-		return nil, nil
-	}
-	seen := make(map[string]string) // name -> section header
-	var entries []DeviceEntry
-	for _, section := range f.Sections() {
-		name, err := parseDeviceName(section)
-		if err != nil {
-			return nil, err
-		}
-		if name == "" {
-			continue
-		}
-		if f.Duplicated(section) {
-			return nil, fmt.Errorf("offload: device %q is declared twice", name)
-		}
-		if prev, dup := seen[name]; dup {
-			return nil, fmt.Errorf("offload: device name %q is declared by both [%s] and [%s]", name, prev, section)
-		}
-		seen[name] = section
-
-		view := deviceView{f: f, section: section}
-		cfg, err := cloudConfigFromView(view)
-		if err != nil {
-			return nil, fmt.Errorf("offload: device %q: %w", name, err)
-		}
-		cfg.DeviceName = name
-
-		weight, err := f.Float(section, "weight", 0)
-		if err != nil {
-			return nil, err
-		}
-		if f.Has(section, "weight") && weight <= 0 {
-			return nil, fmt.Errorf("offload: device %q: weight must be positive, got %v", name, weight)
-		}
-		entries = append(entries, DeviceEntry{Name: name, Weight: weight, Config: cfg})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	return entries, nil
-}
-
-// NewDeviceSetFromConfig builds the cloud plugins of a device table. The
-// returned slice preserves the table's name order.
-func NewDeviceSetFromConfig(f *config.File) ([]*CloudPlugin, []float64, error) {
-	entries, err := ParseDeviceTable(f)
+	drafts, err := readDeviceTable(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plugins := make([]*CloudPlugin, 0, len(entries))
-	weights := make([]float64, 0, len(entries))
-	for _, e := range entries {
-		p, err := NewCloudPlugin(e.Config)
-		if err != nil {
-			return nil, nil, fmt.Errorf("offload: device %q: %w", e.Name, err)
-		}
-		plugins = append(plugins, p)
-		weights = append(weights, e.Weight)
-	}
-	return plugins, weights, nil
+	return constructDevices(drafts)
 }
 
 // NewMultiDeviceFromConfig assembles the multi-device split of a config
@@ -186,43 +139,50 @@ func NewDeviceSetFromConfig(f *config.File) ([]*CloudPlugin, []float64, error) {
 // refined by measured throughput. A file without device blocks returns
 // (nil, nil): the caller falls back to the legacy single-device path.
 func NewMultiDeviceFromConfig(f *config.File) (*MultiDevice, error) {
-	entries, err := ParseDeviceTable(f)
+	drafts, err := readDeviceTable(f)
 	if err != nil {
 		return nil, err
 	}
-	if len(entries) == 0 {
+	if len(drafts) == 0 {
 		return nil, nil
 	}
-	var members []Plugin
-	var weights []float64
+	r := f.Reader("")
+	hostThreads, hostWeight := readHost(r)
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	weights := make([]float64, 0, len(drafts)+1)
+	if hostThreads > 0 {
+		weights = append(weights, hostWeight)
+	}
+	for _, d := range drafts {
+		weights = append(weights, d.Weight)
+	}
 	withWeight := 0
+	for _, w := range weights {
+		if w > 0 {
+			withWeight++
+		}
+	}
+	switch withWeight {
+	case 0:
+		weights = nil // derive from provisioned capacity, refine from metrics
+	case len(weights):
+	default:
+		return nil, fmt.Errorf("offload: static weights are all-or-nothing: %d of %d members set one", withWeight, len(weights))
+	}
 
-	hostThreads, err := f.Int("host", "threads", 16)
+	entries, err := constructDevices(drafts)
 	if err != nil {
 		return nil, err
 	}
-	if f.Has("host", "threads") && hostThreads < 0 {
-		return nil, fmt.Errorf("offload: [host] threads must be >= 0, got %d", hostThreads)
-	}
+	var members []Plugin
 	var absorber *HostPlugin
 	if hostThreads > 0 {
-		host, err := NewHostPlugin(hostThreads)
-		if err != nil {
+		if absorber, err = NewHostPlugin(hostThreads); err != nil {
 			return nil, err
 		}
-		hostWeight, err := f.Float("host", "weight", 0)
-		if err != nil {
-			return nil, err
-		}
-		if f.Has("host", "weight") && hostWeight <= 0 {
-			return nil, fmt.Errorf("offload: [host] weight must be positive, got %v", hostWeight)
-		}
-		members = append(members, host)
-		weights = append(weights, hostWeight)
-		if hostWeight > 0 {
-			withWeight++
-		}
-		absorber = host
+		members = append(members, absorber)
 	}
 	for _, e := range entries {
 		p, err := NewCloudPlugin(e.Config)
@@ -230,17 +190,6 @@ func NewMultiDeviceFromConfig(f *config.File) (*MultiDevice, error) {
 			return nil, fmt.Errorf("offload: device %q: %w", e.Name, err)
 		}
 		members = append(members, p)
-		weights = append(weights, e.Weight)
-		if e.Weight > 0 {
-			withWeight++
-		}
-	}
-	switch withWeight {
-	case 0:
-		weights = nil // derive from provisioned capacity, refine from metrics
-	case len(members):
-	default:
-		return nil, fmt.Errorf("offload: static weights are all-or-nothing: %d of %d members set one", withWeight, len(members))
 	}
 	return NewMultiDevice(MultiDeviceConfig{
 		Members:  members,

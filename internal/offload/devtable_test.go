@@ -70,13 +70,6 @@ func TestParseDeviceTableEmptyIsLegacy(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("flat config should yield an empty table, got %v", entries)
 	}
-	plugins, weights, err := NewDeviceSetFromConfig(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plugins) != 0 || len(weights) != 0 {
-		t.Fatal("legacy config should build no device set")
-	}
 	// The legacy single-plugin path still works on the same file.
 	p, err := NewCloudPluginFromConfig(f)
 	if err != nil {
@@ -195,34 +188,33 @@ weight = 3
 	if md == nil {
 		t.Fatal("fully weighted table should build a MultiDevice")
 	}
-}
 
-func TestNewDeviceSetFromConfig(t *testing.T) {
-	f := parseConf(t, `
-[device "a"]
-cluster.workers = 1
-cluster.cores-per-worker = 2
-weight = 1
+	// Members keep the table's name order, names, cores and weights.
+	f = parseConf(t, `
+[host]
+threads = 0
 
 [device "b"]
 cluster.workers = 2
 cluster.cores-per-worker = 4
 weight = 3
+
+[device "a"]
+cluster.workers = 1
+cluster.cores-per-worker = 2
+weight = 1
 `)
-	plugins, weights, err := NewDeviceSetFromConfig(f)
-	if err != nil {
+	if md, err = NewMultiDeviceFromConfig(f); err != nil {
 		t.Fatal(err)
 	}
-	if len(plugins) != 2 {
-		t.Fatalf("got %d plugins", len(plugins))
+	members := md.cfg.Members
+	if len(members) != 2 || members[0].Name() != "a" || members[1].Name() != "b" {
+		t.Fatalf("members: %v", members)
 	}
-	if plugins[0].Name() != "a" || plugins[1].Name() != "b" {
-		t.Fatalf("plugin names: %q, %q", plugins[0].Name(), plugins[1].Name())
+	if members[0].Cores() != 2 || members[1].Cores() != 8 {
+		t.Fatalf("member cores: %d, %d", members[0].Cores(), members[1].Cores())
 	}
-	if plugins[0].Cores() != 2 || plugins[1].Cores() != 8 {
-		t.Fatalf("plugin cores: %d, %d", plugins[0].Cores(), plugins[1].Cores())
-	}
-	if weights[0] != 1 || weights[1] != 3 {
-		t.Fatalf("weights: %v", weights)
+	if w := md.cfg.Weights; len(w) != 2 || w[0] != 1 || w[1] != 3 {
+		t.Fatalf("weights: %v", w)
 	}
 }

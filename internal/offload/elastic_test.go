@@ -209,6 +209,13 @@ func TestApplyCostStampsReport(t *testing.T) {
 	}
 }
 
+// checkedCloudConfig reads a flat file's cloud device without constructing it.
+func checkedCloudConfig(f *config.File) (CloudConfig, error) {
+	r := f.Reader("")
+	cfg, _ := readCloudConfig(r)
+	return cfg, r.Done()
+}
+
 // The cost knobs parse from [cluster]: explicit rates, the catalogue-derived
 // auto rate, and per-device overrides through a [device] block.
 func TestCostConfigParsing(t *testing.T) {
@@ -223,7 +230,7 @@ cost-gib-egress = 0.09
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := cloudConfigFromView(f)
+	cfg, err := checkedCloudConfig(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +274,7 @@ cluster.workers = 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cloudConfigFromView(f); err == nil {
+	if _, err := checkedCloudConfig(f); err == nil {
 		t.Fatal("negative cost-core-hour accepted")
 	}
 }

@@ -257,7 +257,6 @@ func tileBytes(r *Region, tiles, p int) int64 {
 // job's metrics and the total raw output bytes the tasks produced.
 func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *session) (*spark.JobMetrics, int64, error) {
 	r, ins := pl.region, pl.ins
-	reg := r.registry()
 	// Broadcast the unpartitioned inputs so the engine's accounting sees
 	// them; partitioned inputs are captured per tile by the closure,
 	// standing in for the scatter of Eq. 3.
@@ -313,27 +312,21 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 				}
 			}
 		}
+		req := &remoteexec.TileRequest{
+			Kernel: r.Kernel, Lo: r.Base + lo, Hi: r.Base + hi, Scalars: r.Scalars,
+			Ins: tileIns, OutSizes: outSizes, OutInit: outInit,
+		}
 		var outs [][]byte
+		var err error
 		if p.pool != nil {
 			// Ship the tile to its assigned remote worker process —
 			// the JNI boundary made literal.
-			worker := p.sctx.PartitionWorker(part, tiles)
-			var err error
-			outs, err = p.pool.Run(worker, &remoteexec.TileRequest{
-				Kernel: r.Kernel, Lo: r.Base + lo, Hi: r.Base + hi, Scalars: r.Scalars,
-				Ins: tileIns, OutSizes: outSizes, OutInit: outInit,
-			})
-			if err != nil {
-				return nil, err
-			}
+			outs, err = p.pool.Run(p.sctx.PartitionWorker(part, tiles), req)
 		} else {
-			outs = make([][]byte, len(r.Outs))
-			for l := range r.Outs {
-				outs[l] = reduceIdentity(r.Outs[l].Reduce, int(outSizes[l]))
-			}
-			if err := reg.Invoke(r.Kernel, r.Base+lo, r.Base+hi, r.Scalars, tileIns, outs); err != nil {
-				return nil, err
-			}
+			outs, err = remoteexec.Execute(r.registry(), req)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if sess != nil {
 			sess.commitTile(part, outs)

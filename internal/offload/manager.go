@@ -147,7 +147,7 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 	if err == nil {
 		return rep, nil
 	}
-	if !resilience.IsTransient(err) || fallbackPolicyOf(dev) == FallbackFail {
+	if !absorbable(dev, err) {
 		return nil, err
 	}
 	for _, s := range snap {
@@ -191,6 +191,14 @@ func bytesOverlap(x, y []byte) bool {
 	return len(x) > 0 && len(y) > 0 &&
 		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
 		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
+}
+
+// absorbable is the one fallback decision: a device's failure may be re-run
+// on the host when the error is transient and the device's policy is not
+// fallback = fail. Manager.Run asks it for a whole region, MultiDevice.Run
+// for a member's slice.
+func absorbable(dev Plugin, err error) bool {
+	return resilience.IsTransient(err) && fallbackPolicyOf(dev) != FallbackFail
 }
 
 // fallbackPolicyOf resolves a device's fallback policy.

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 
-	"ompcloud/internal/resilience"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/trace"
@@ -319,9 +318,10 @@ func (m *MultiDevice) Run(r *Region) (*trace.Report, error) {
 		go func(i int, mem Plugin) {
 			defer wg.Done()
 			rep, err := mem.Run(subs[i].reg)
-			if err != nil && resilience.IsTransient(err) {
+			if err != nil && absorbable(mem, err) {
 				// Degraded split: re-absorb this member's slice into the
-				// host remainder instead of failing the region. Staging is
+				// host remainder instead of failing the region (unless the
+				// member says fallback = fail). Staging is
 				// rewritten in full by the host pass, so any partial output
 				// of the failed attempt is erased.
 				m.logf("offload: multidev: member %s failed (%v), re-absorbing %d iterations on %s",

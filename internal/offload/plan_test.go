@@ -27,13 +27,24 @@ type pathRow struct {
 	// absorbs: the path re-runs a failed cloud member on the host, so an
 	// injected device failure still returns a (fell-back) report.
 	absorbs bool
-	run     func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error)
+	// fallback is the device's policy; FallbackFail must hold wherever a
+	// host re-run would otherwise mask the device's error.
+	fallback FallbackPolicy
+	run      func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error)
 }
 
 func pathRows() []pathRow {
 	standalone := func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
 		atLoop()
 		return p.Run(scale2Region(n, in, out))
+	}
+	member := func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
+		md, err := NewMultiDevice(MultiDeviceConfig{Members: []Plugin{p}, NoRebalance: true})
+		if err != nil {
+			return nil, err
+		}
+		atLoop()
+		return md.Run(scale2Region(n, in, out))
 	}
 	return []pathRow{
 		{name: "standalone-barrier", overlap: -1, run: standalone},
@@ -57,14 +68,8 @@ func pathRows() []pathRow {
 			}
 			return trace.Merge(p.Name(), "scale2", trace.Sequential, open, loop, closed), nil
 		}},
-		{name: "multi-device-member", absorbs: true, run: func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
-			md, err := NewMultiDevice(MultiDeviceConfig{Members: []Plugin{p}, NoRebalance: true})
-			if err != nil {
-				return nil, err
-			}
-			atLoop()
-			return md.Run(scale2Region(n, in, out))
-		}},
+		{name: "multi-device-member", absorbs: true, run: member},
+		{name: "multi-device-member-fallback-fail", fallback: FallbackFail, run: member},
 		{name: "manager-run", absorbs: true, run: func(p *CloudPlugin, n int64, in, out []byte, atLoop func()) (*trace.Report, error) {
 			host, err := NewHostPlugin(2)
 			if err != nil {
@@ -94,6 +99,7 @@ func pathDevice(t *testing.T, row pathRow, st storage.Store, mutate func(*CloudC
 		RetryMax:         3,
 		RetrySleep:       func(time.Duration) {},
 		BreakerFailures:  2,
+		Fallback:         row.fallback,
 		CostCoreHourUSD:  0.105,
 		CostEgressGiBUSD: 0.09,
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"ompcloud/internal/cloud"
 	"ompcloud/internal/config"
@@ -18,116 +17,54 @@ import (
 // NewCloudPluginFromConfig assembles the cloud device from an OmpCloud
 // configuration file, the runtime mechanism of the paper's §III.A: the same
 // binary retargets clusters and storage services by editing a file, no
-// recompilation. Recognized sections and keys:
-//
-//	[cluster]     workers, cores-per-worker, instance-type, provider
-//	              (sim | none), auto-start, boot-seconds, worker-addrs
-//	              (comma-separated ompcloud-worker endpoints),
-//	              heartbeat-ms, lease-misses, speculate, speculate-quantile,
-//	              cost-core-hour ($/core-hour | auto), cost-gib-egress ($/GiB)
-//	[credentials] access-key, secret-key, region
-//	[storage]     type (memory | disk | remote), address, path
-//	[network]     wan-mbps, wan-latency-ms, lan-gbps, lan-latency-us,
-//	              mem-gbps
-//	[offload]     compress-min-bytes, codec (auto | adaptive | raw | fast |
-//	              deflate), chunk-bytes (size | -1 | cdc), chunk-parallel,
-//	              overlap, dedup, health-ttl-ms, jni-base-ms, jni-mbps,
-//	              enable-cache, verbose, run-on-driver, resume, retry-max,
-//	              retry-base-ms, retry-cap-ms, breaker-failures,
-//	              breaker-cooldown-ms, fallback (host | fail),
-//	              deadline-mult, deadline-floor-ms, deadline-cap-ms,
-//	              hedge, hedge-quantile, adapt-degraded
+// recompilation. It reads [cluster], [credentials], [storage], [network]
+// and [offload]; ompcloud.conf.example documents every key of each, and
+// TestExampleConfIsComplete fails when it falls behind this parser.
 //
 // Every key has a sensible default; an empty file yields the paper's
 // 16-worker c3.8xlarge deployment over an in-memory store. Knobs whose
 // explicit value would silently select a different mechanism than the
 // key's name promises (a zero retry backoff, a zero-threshold breaker, a
-// non-positive heartbeat) are rejected at parse time.
+// non-positive heartbeat) are rejected at parse time, as is a key nothing
+// reads. Nothing is dialed, created or provisioned until the whole file
+// has been checked.
 func NewCloudPluginFromConfig(f *config.File) (*CloudPlugin, error) {
-	if f == nil {
-		f = config.New()
+	r := f.Reader("")
+	cfg, construct := readCloudConfig(r)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	cfg, err := cloudConfigFromView(f)
-	if err != nil {
+	if err := construct(&cfg); err != nil {
 		return nil, err
 	}
 	return NewCloudPlugin(cfg)
 }
 
-// confView is the configuration surface cloudConfigFromView reads. Both
-// *config.File itself (the legacy flat layout) and deviceView (a named
-// [device "..."] block overlaying the flat sections) implement it, so one
-// assembly path serves single-device and multi-device configurations.
-type confView interface {
-	Str(section, key, def string) string
-	Int(section, key string, def int) (int, error)
-	Float(section, key string, def float64) (float64, error)
-	Bool(section, key string, def bool) (bool, error)
-	Has(section, key string) bool
-}
-
-// cloudConfigFromView assembles one cloud device's configuration from a
-// view, applying the defaults and validation documented on
-// NewCloudPluginFromConfig.
-func cloudConfigFromView(v confView) (CloudConfig, error) {
-	cfg := CloudConfig{}
-
+// readCloudConfig reads and checks every key of one cloud device, applying
+// the defaults and validation documented on NewCloudPluginFromConfig. It
+// constructs nothing: the returned configuration has no Store and no
+// Provider until construct, which the caller runs once r.Done() — and, in a
+// device table, every other block's — is clean, so a bad knob never leaves
+// a dialed connection or a created directory behind.
+func readCloudConfig(r *config.Reader) (cfg CloudConfig, construct func(*CloudConfig) error) {
 	// [cluster]
-	workers, err := v.Int("cluster", "workers", 16)
-	if err != nil {
-		return cfg, err
+	cfg.Spec = spark.ClusterSpec{
+		Workers:        r.Int("cluster", "workers", 16),
+		CoresPerWorker: r.Int("cluster", "cores-per-worker", 16),
 	}
-	cpw, err := v.Int("cluster", "cores-per-worker", 16)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Spec = spark.ClusterSpec{Workers: workers, CoresPerWorker: cpw}
-	cfg.InstanceType = v.Str("cluster", "instance-type", "c3.8xlarge")
-	autoStart, err := v.Bool("cluster", "auto-start", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.AutoStartStop = autoStart
-	if addrs := v.Str("cluster", "worker-addrs", ""); addrs != "" {
-		for _, a := range strings.Split(addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				cfg.WorkerAddrs = append(cfg.WorkerAddrs, a)
-			}
-		}
-	}
+	cfg.InstanceType = r.Str("cluster", "instance-type", "c3.8xlarge")
+	cfg.AutoStartStop = r.Bool("cluster", "auto-start", false)
+	cfg.WorkerAddrs = r.List("cluster", "worker-addrs")
 
 	// heartbeat-ms turns on lease-based worker membership; absent means no
 	// membership (workers never die on their own), so an explicit value
 	// must be a usable interval.
-	heartbeatMs, err := v.Float("cluster", "heartbeat-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("cluster", "heartbeat-ms") && heartbeatMs <= 0 {
-		return cfg, fmt.Errorf("offload: heartbeat-ms must be positive, got %v", heartbeatMs)
-	}
-	cfg.Heartbeat = time.Duration(heartbeatMs * float64(time.Millisecond))
-	leaseMisses, err := v.Int("cluster", "lease-misses", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("cluster", "lease-misses") && leaseMisses < 1 {
-		return cfg, fmt.Errorf("offload: lease-misses must be at least 1, got %d", leaseMisses)
-	}
-	cfg.LeaseMisses = leaseMisses
-	speculate, err := v.Bool("cluster", "speculate", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Speculate = speculate
-	specQuantile, err := v.Float("cluster", "speculate-quantile", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("cluster", "speculate-quantile") && (specQuantile <= 0 || specQuantile > 1) {
-		return cfg, fmt.Errorf("offload: speculate-quantile must be in (0, 1], got %v", specQuantile)
-	}
-	cfg.SpeculateQuantile = specQuantile
+	cfg.Heartbeat = r.Millis("cluster", "heartbeat-ms", 0, config.Positive)
+	cfg.LeaseMisses = r.Int("cluster", "lease-misses", 0,
+		config.Must("at least 1", func(x float64) bool { return x >= 1 }))
+	cfg.Speculate = r.Bool("cluster", "speculate", false)
+	cfg.SpeculateQuantile = r.Float("cluster", "speculate-quantile", 0,
+		config.Must("in (0, 1]", func(x float64) bool { return x > 0 && x <= 1 }))
 
 	// Cost model: cost-core-hour prices effective region time in $/core-hour
 	// ("auto" reads the instance type's catalogue price), cost-gib-egress
@@ -136,293 +73,152 @@ func cloudConfigFromView(v confView) (CloudConfig, error) {
 	// [device "..."] block the keys are cluster.cost-core-hour and
 	// cluster.cost-gib-egress, giving each member of a multi-device split
 	// its own price sheet.
-	switch raw := strings.TrimSpace(v.Str("cluster", "cost-core-hour", "")); {
-	case raw == "":
-	case strings.EqualFold(raw, "auto"):
+	if strings.EqualFold(strings.TrimSpace(r.Str("cluster", "cost-core-hour", "")), "auto") {
 		it, err := cloud.LookupType(cfg.InstanceType)
 		if err != nil {
-			return cfg, fmt.Errorf("offload: cost-core-hour auto: %w", err)
+			r.Fail(fmt.Errorf("offload: cost-core-hour auto: %w", err))
 		}
 		cfg.CostCoreHourUSD = it.PerCoreHourUSD()
-	default:
-		cch, err := v.Float("cluster", "cost-core-hour", 0)
-		if err != nil {
-			return cfg, err
-		}
-		if cch <= 0 {
-			return cfg, fmt.Errorf("offload: cost-core-hour must be positive or auto, got %v", cch)
-		}
-		cfg.CostCoreHourUSD = cch
+	} else {
+		cfg.CostCoreHourUSD = r.Float("cluster", "cost-core-hour", 0,
+			config.Must("positive or auto", func(x float64) bool { return x > 0 }))
 	}
-	egressUSD, err := v.Float("cluster", "cost-gib-egress", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("cluster", "cost-gib-egress") && egressUSD < 0 {
-		return cfg, fmt.Errorf("offload: cost-gib-egress must be >= 0, got %v", egressUSD)
-	}
-	cfg.CostEgressGiBUSD = egressUSD
+	cfg.CostEgressGiBUSD = r.Float("cluster", "cost-gib-egress", 0, config.NonNegative)
 
-	switch provider := v.Str("cluster", "provider", "none"); provider {
-	case "none":
-	case "sim":
-		bootSecs, err := v.Float("cluster", "boot-seconds", 45)
-		if err != nil {
-			return cfg, err
-		}
-		creds := cloud.Credentials{
-			AccessKey: v.Str("credentials", "access-key", ""),
-			SecretKey: v.Str("credentials", "secret-key", ""),
-			Region:    v.Str("credentials", "region", "us-east-1"),
-		}
-		cfg.Provider = cloud.NewSimProvider(creds,
-			cloud.WithBootTime(simtime.FromSeconds(bootSecs)))
-	default:
-		return cfg, fmt.Errorf("offload: unknown provider %q (want sim|none)", provider)
+	// boot-seconds and [credentials] only matter to provider = sim, path and
+	// address to one storage type each; all are read whatever the provider
+	// and type, so a file that keeps them around is not full of unknown keys.
+	provider := r.Enum("cluster", "provider", "none", "sim", "none")
+	bootSecs := r.Float("cluster", "boot-seconds", 45)
+	creds := cloud.Credentials{
+		AccessKey: r.Str("credentials", "access-key", ""),
+		SecretKey: r.Str("credentials", "secret-key", ""),
+		Region:    r.Str("credentials", "region", "us-east-1"),
 	}
 
 	// [storage]
-	switch st := v.Str("storage", "type", "memory"); st {
-	case "memory":
-		cfg.Store = storage.NewMemStore()
-	case "disk":
-		path := v.Str("storage", "path", "")
-		if path == "" {
-			return cfg, fmt.Errorf("offload: storage type disk needs a path")
-		}
-		ds, err := storage.NewDiskStore(path)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Store = ds
-	case "remote":
-		addr := v.Str("storage", "address", "")
-		if addr == "" {
-			return cfg, fmt.Errorf("offload: storage type remote needs an address")
-		}
-		rs, err := storage.Dial(addr)
-		if err != nil {
-			// An unreachable storage service must not fail
-			// construction: the device reports unavailable and the
-			// manager falls back to the host (§III.A).
-			cfg.Store = unreachableStore{addr: addr, err: err}
-		} else {
-			cfg.Store = rs
-		}
-	default:
-		return cfg, fmt.Errorf("offload: unknown storage type %q (want memory|disk|remote)", st)
+	storeType := r.Enum("storage", "type", "memory", "memory", "disk", "remote")
+	path := r.Str("storage", "path", "")
+	addr := r.Str("storage", "address", "")
+	if storeType == "disk" && path == "" {
+		r.Fail(fmt.Errorf("offload: storage type disk needs a path"))
+	}
+	if storeType == "remote" && addr == "" {
+		r.Fail(fmt.Errorf("offload: storage type remote needs an address"))
 	}
 
 	// [network]
-	profile := netsim.DefaultProfile()
-	wanMbps, err := v.Float("network", "wan-mbps", profile.WAN.BitsPerSs/1e6)
-	if err != nil {
-		return cfg, err
-	}
-	wanLatMs, err := v.Float("network", "wan-latency-ms", profile.WAN.Latency.Seconds()*1e3)
-	if err != nil {
-		return cfg, err
-	}
-	lanGbps, err := v.Float("network", "lan-gbps", profile.LAN.BitsPerSs/1e9)
-	if err != nil {
-		return cfg, err
-	}
-	lanLatUs, err := v.Float("network", "lan-latency-us", profile.LAN.Latency.Seconds()*1e6)
-	if err != nil {
-		return cfg, err
-	}
-	memGbps, err := v.Float("network", "mem-gbps", profile.MemBytesPerS/1e9)
-	if err != nil {
-		return cfg, err
-	}
+	def := netsim.DefaultProfile()
 	cfg.Profile = netsim.Profile{
-		WAN:          netsim.Link{Name: "wan", BitsPerSs: netsim.Mbps(wanMbps), Latency: simtime.FromSeconds(wanLatMs / 1e3)},
-		LAN:          netsim.Link{Name: "lan", BitsPerSs: netsim.Gbps(lanGbps), Latency: simtime.FromSeconds(lanLatUs / 1e6)},
-		MemBytesPerS: memGbps * 1e9,
+		WAN: netsim.Link{
+			Name:      "wan",
+			BitsPerSs: netsim.Mbps(r.Float("network", "wan-mbps", def.WAN.BitsPerSs/1e6)),
+			Latency:   simtime.FromReal(r.Millis("network", "wan-latency-ms", def.WAN.Latency.Real())),
+		},
+		LAN: netsim.Link{
+			Name:      "lan",
+			BitsPerSs: netsim.Gbps(r.Float("network", "lan-gbps", def.LAN.BitsPerSs/1e9)),
+			Latency:   simtime.FromSeconds(r.Float("network", "lan-latency-us", def.LAN.Latency.Seconds()*1e6) / 1e6),
+		},
+		MemBytesPerS: r.Float("network", "mem-gbps", def.MemBytesPerS/1e9) * 1e9,
 	}
 
 	// [offload]
-	minBytes, err := v.Int("offload", "compress-min-bytes", 0)
-	if err != nil {
-		return cfg, err
-	}
+	cfg.Codec.MinSize = r.Int("offload", "compress-min-bytes", 0)
 	// codec: auto (default, one probe per buffer) | adaptive (per-chunk
 	// verdicts weighing entropy against the configured WAN speed) | raw |
 	// fast | deflate (forced). ParseAlgo's error already lists the valid
 	// names.
-	algo, err := xcompress.ParseAlgo(v.Str("offload", "codec", "auto"))
+	algo, err := xcompress.ParseAlgo(r.Str("offload", "codec", "auto"))
 	if err != nil {
-		return cfg, fmt.Errorf("offload: %w", err)
+		r.Fail(fmt.Errorf("offload: %w", err))
 	}
-	cfg.Codec = xcompress.Codec{MinSize: minBytes, Algo: algo}
+	cfg.Codec.Algo = algo
 	// chunk-bytes: 0 = default 1 MiB chunks; -1 = sequential single-stream
 	// transfers (the paper's original policy); "cdc" = content-defined
 	// (Gear) chunk boundaries at the default average size. Other negatives
 	// mean nothing.
-	if strings.EqualFold(strings.TrimSpace(v.Str("offload", "chunk-bytes", "")), "cdc") {
+	if strings.EqualFold(strings.TrimSpace(r.Str("offload", "chunk-bytes", "")), "cdc") {
 		cfg.CDC = true
 	} else {
-		chunkBytes, err := v.Int("offload", "chunk-bytes", 0)
-		if err != nil {
-			return cfg, err
-		}
-		if chunkBytes < -1 {
-			return cfg, fmt.Errorf("offload: chunk-bytes must be -1 (sequential), 0 (default), a positive size, or cdc, got %d", chunkBytes)
-		}
-		cfg.ChunkBytes = chunkBytes
+		cfg.ChunkBytes = r.Int("offload", "chunk-bytes", 0,
+			config.Must("-1 (sequential), 0 (default), a positive size, or cdc", func(x float64) bool { return x >= -1 }))
 	}
-	dedup, err := v.Bool("offload", "dedup", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Dedup = dedup
+	cfg.Dedup = r.Bool("offload", "dedup", false)
 	// overlap: on (default) streams tiles through upload, compute, and
 	// download concurrently; off keeps the stage-barriered workflow. Both
 	// modes produce bit-identical outputs.
-	switch ov := v.Str("offload", "overlap", "on"); ov {
-	case "on":
-		cfg.Overlap = 0
-	case "off":
+	if r.Enum("offload", "overlap", "on", "on", "off") == "off" {
 		cfg.Overlap = -1
-	default:
-		return cfg, fmt.Errorf("offload: unknown overlap policy %q (want on|off)", ov)
 	}
-	chunkParallel, err := v.Int("offload", "chunk-parallel", 0)
-	if err != nil {
-		return cfg, err
+	cfg.ChunkParallel = r.Int("offload", "chunk-parallel", 0)
+	cfg.HealthTTL = r.Millis("offload", "health-ttl-ms", 0)
+	cfg.JNI = JNI{
+		CallBase:  simtime.FromReal(r.Millis("offload", "jni-base-ms", DefaultJNI().CallBase.Real())),
+		BytesPerS: r.Float("offload", "jni-mbps", DefaultJNI().BytesPerS/1e6) * 1e6,
 	}
-	cfg.ChunkParallel = chunkParallel
-	healthTTLMs, err := v.Float("offload", "health-ttl-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.HealthTTL = time.Duration(healthTTLMs * float64(time.Millisecond))
-	jniBaseMs, err := v.Float("offload", "jni-base-ms", 1)
-	if err != nil {
-		return cfg, err
-	}
-	jniMbps, err := v.Float("offload", "jni-mbps", DefaultJNI().BytesPerS/1e6)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.JNI = JNI{CallBase: simtime.FromSeconds(jniBaseMs / 1e3), BytesPerS: jniMbps * 1e6}
-	cache, err := v.Bool("offload", "enable-cache", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.EnableCache = cache
-	runOnDriver, err := v.Bool("offload", "run-on-driver", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.RunOnDriver = runOnDriver
-	resume, err := v.Bool("offload", "resume", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Resume = resume
+	cfg.EnableCache = r.Bool("offload", "enable-cache", false)
+	cfg.RunOnDriver = r.Bool("offload", "run-on-driver", false)
+	cfg.Resume = r.Bool("offload", "resume", false)
 	// retry-max: 0 = default 3 attempts per storage leg; negative = no
 	// retries. retry-base-ms/retry-cap-ms follow the same 0-means-default
 	// convention as the other duration knobs, so an explicit zero (or
 	// negative) backoff is a config mistake, not a request for hot-loop
 	// retries.
-	retryMax, err := v.Int("offload", "retry-max", 0)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.RetryMax = retryMax
-	retryBaseMs, err := v.Float("offload", "retry-base-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("offload", "retry-base-ms") && retryBaseMs <= 0 {
-		return cfg, fmt.Errorf("offload: retry-base-ms must be positive, got %v", retryBaseMs)
-	}
-	cfg.RetryBase = time.Duration(retryBaseMs * float64(time.Millisecond))
-	retryCapMs, err := v.Float("offload", "retry-cap-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.RetryCap = time.Duration(retryCapMs * float64(time.Millisecond))
+	cfg.RetryMax = r.Int("offload", "retry-max", 0)
+	cfg.RetryBase = r.Millis("offload", "retry-base-ms", 0, config.Positive)
+	cfg.RetryCap = r.Millis("offload", "retry-cap-ms", 0)
 	// breaker-failures: 0 = default threshold; -1 = breaker off. An
 	// explicit zero would build a breaker that trips instantly, and other
 	// negatives are typos for the -1 sentinel — both rejected.
-	breakerFailures, err := v.Int("offload", "breaker-failures", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("offload", "breaker-failures") && (breakerFailures == 0 || breakerFailures < -1) {
-		return cfg, fmt.Errorf("offload: breaker-failures must be a positive threshold or -1 to disable, got %d", breakerFailures)
-	}
-	cfg.BreakerFailures = breakerFailures
-	breakerCooldownMs, err := v.Float("offload", "breaker-cooldown-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.BreakerCooldown = time.Duration(breakerCooldownMs * float64(time.Millisecond))
+	cfg.BreakerFailures = r.Int("offload", "breaker-failures", 0,
+		config.Must("a positive threshold or -1 to disable", func(x float64) bool { return x > 0 || x == -1 }))
+	cfg.BreakerCooldown = r.Millis("offload", "breaker-cooldown-ms", 0)
 	// deadline-mult: 0 (default) = no attempt deadlines; positive = abort a
 	// storage attempt past p99 × mult of its observed latency. The floor/cap
 	// knobs clamp the derived value, so explicit non-positive values would
 	// silently disable the clamp they name — rejected.
-	deadlineMult, err := v.Float("offload", "deadline-mult", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("offload", "deadline-mult") && deadlineMult <= 0 {
-		return cfg, fmt.Errorf("offload: deadline-mult must be positive, got %v", deadlineMult)
-	}
-	cfg.DeadlineMult = deadlineMult
-	deadlineFloorMs, err := v.Float("offload", "deadline-floor-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("offload", "deadline-floor-ms") && deadlineFloorMs <= 0 {
-		return cfg, fmt.Errorf("offload: deadline-floor-ms must be positive, got %v", deadlineFloorMs)
-	}
-	cfg.DeadlineFloor = time.Duration(deadlineFloorMs * float64(time.Millisecond))
-	deadlineCapMs, err := v.Float("offload", "deadline-cap-ms", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("offload", "deadline-cap-ms") && deadlineCapMs <= 0 {
-		return cfg, fmt.Errorf("offload: deadline-cap-ms must be positive, got %v", deadlineCapMs)
-	}
-	cfg.DeadlineCap = time.Duration(deadlineCapMs * float64(time.Millisecond))
-	hedge, err := v.Bool("offload", "hedge", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Hedge = hedge
-	hedgeQuantile, err := v.Float("offload", "hedge-quantile", 0)
-	if err != nil {
-		return cfg, err
-	}
-	if v.Has("offload", "hedge-quantile") && (hedgeQuantile <= 0 || hedgeQuantile >= 1) {
-		return cfg, fmt.Errorf("offload: hedge-quantile must be in (0, 1), got %v", hedgeQuantile)
-	}
-	cfg.HedgeQuantile = hedgeQuantile
-	adaptDegraded, err := v.Bool("offload", "adapt-degraded", false)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.AdaptDegraded = adaptDegraded
-	switch fb := v.Str("offload", "fallback", "host"); fb {
-	case "host":
-		cfg.Fallback = FallbackHost
-	case "fail":
+	cfg.DeadlineMult = r.Float("offload", "deadline-mult", 0, config.Positive)
+	cfg.DeadlineFloor = r.Millis("offload", "deadline-floor-ms", 0, config.Positive)
+	cfg.DeadlineCap = r.Millis("offload", "deadline-cap-ms", 0, config.Positive)
+	cfg.Hedge = r.Bool("offload", "hedge", false)
+	cfg.HedgeQuantile = r.Float("offload", "hedge-quantile", 0,
+		config.Must("in (0, 1)", func(x float64) bool { return x > 0 && x < 1 }))
+	cfg.AdaptDegraded = r.Bool("offload", "adapt-degraded", false)
+	if r.Enum("offload", "fallback", "host", "host", "fail") == "fail" {
 		cfg.Fallback = FallbackFail
-	default:
-		return cfg, fmt.Errorf("offload: unknown fallback policy %q (want host|fail)", fb)
 	}
-	verbose, err := v.Bool("offload", "verbose", false)
-	if err != nil {
-		return cfg, err
-	}
-	if verbose {
+	if r.Bool("offload", "verbose", false) {
 		cfg.Log = log.Printf
 	}
+	r.Fail(cfg.withDefaults().validate())
 
-	return cfg, nil
+	return cfg, func(cfg *CloudConfig) error {
+		if provider == "sim" {
+			cfg.Provider = cloud.NewSimProvider(creds, cloud.WithBootTime(simtime.FromSeconds(bootSecs)))
+		}
+		switch storeType {
+		case "memory":
+			cfg.Store = storage.NewMemStore()
+		case "disk":
+			ds, err := storage.NewDiskStore(path)
+			if err != nil {
+				return err
+			}
+			cfg.Store = ds
+		case "remote":
+			rs, err := storage.Dial(addr)
+			if err != nil {
+				// An unreachable storage service must not fail
+				// construction: the device reports unavailable and the
+				// manager falls back to the host (§III.A).
+				cfg.Store = unreachableStore{addr: addr, err: err}
+			} else {
+				cfg.Store = rs
+			}
+		}
+		return nil
+	}
 }
 
 // unreachableStore is a Store whose every operation fails with the original

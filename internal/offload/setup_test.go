@@ -1,11 +1,15 @@
 package offload
 
 import (
+	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"ompcloud/internal/config"
+	"ompcloud/internal/config/configtest"
 	"ompcloud/internal/data"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/xcompress"
@@ -394,5 +398,147 @@ func TestFromConfigBadCredentialsUnavailable(t *testing.T) {
 	}
 	if p.Available() {
 		t.Fatal("sim provider without credentials should leave the device unavailable")
+	}
+}
+
+// TestExampleConfIsComplete keeps ompcloud.conf.example the list of every
+// key this package reads: the file with its optional lines switched on holds
+// no key the parsers do not know and lacks none they ask for — flat
+// sections, [host], and each [device] block with its own weight.
+func TestExampleConfIsComplete(t *testing.T) {
+	f := configtest.Example(t, "../../ompcloud.conf.example")
+	r := f.Reader("")
+	readCloudConfig(r)
+	readHost(r)
+	configtest.Complete(t, f, r)
+
+	blocks, err := f.Named("device")
+	if err != nil || len(blocks) == 0 {
+		t.Fatalf("example device table: %v, %v", blocks, err)
+	}
+	for _, b := range blocks {
+		r := f.Reader(b.Section)
+		readDeviceBlock(r, b)
+		configtest.Complete(t, f, r)
+	}
+	// And the whole file is accepted as it stands.
+	if _, err := readDeviceTable(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A key nothing reads is an error naming its section, on the flat layout and
+// inside a device table, instead of a run on the defaults.
+func TestFromConfigRejectsUnknownKeys(t *testing.T) {
+	for text, want := range map[string]string{
+		"[offload]\nretry-maxx = 1\n":                                    "offload.retry-maxx",
+		"[cluster]\nwokers = 4\n":                                        "cluster.wokers",
+		"[storage]\ntype = memory\nadress = h:1\n":                       "storage.adress",
+		"[device \"eu\"]\ncluster.wokers = 4\n":                          `device "eu".cluster.wokers`,
+		"[device \"eu\"]\nworkers = 4\n":                                 `device "eu".workers`,
+		"[network]\nwan-mbs = 5\n[device \"eu\"]\ncluster.workers = 4\n": "network.wan-mbs",
+		"[host]\nthread = 2\n[device \"eu\"]\ncluster.workers = 4\n":     "host.thread",
+	} {
+		_, err := NewDevicePluginFromConfig(parseConf(t, text))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("config %q: err = %v, want it to name %s", text, err, want)
+		}
+	}
+	// Keys that apply only under another key's value are known keys.
+	ok := "[cluster]\nworkers = 1\nprovider = none\nboot-seconds = 3\n[credentials]\naccess-key = AK\nregion = eu-west-1\n" +
+		"[storage]\ntype = memory\npath = /nowhere\naddress = 127.0.0.1:1\n" +
+		"[service]\nmax-queu = 1\n" // another program's section
+	if _, err := NewDevicePluginFromConfig(parseConf(t, ok)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingListener accepts and immediately closes connections. dialed
+// reports how many arrived since it was last called: it dials a connection
+// of its own and drains the accept log up to it, so every earlier dial —
+// accepted in order — has been counted when it returns.
+func countingListener(t *testing.T) (addr string, dialed func() int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan string) // remote address of each accepted connection
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			remote := c.RemoteAddr().String()
+			c.Close()
+			select {
+			case accepted <- remote:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); ln.Close(); <-done })
+	return ln.Addr().String(), func() (others int) {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for remote := range accepted {
+			if remote == c.LocalAddr().String() {
+				break
+			}
+			others++
+		}
+		return others
+	}
+}
+
+// The whole file is checked before anything is dialed, created or
+// provisioned: a bad knob after [storage], a bad later device block or a bad
+// [host] must not leave a connection or a directory behind.
+func TestFromConfigValidatesBeforeConstructing(t *testing.T) {
+	addr, dialed := countingListener(t)
+	dir := filepath.Join(t.TempDir(), "store")
+	remote := "[storage]\ntype = remote\naddress = " + addr + "\n"
+	for name, text := range map[string]string{
+		"bad knob after storage":     remote + "[offload]\nretry-base-ms = 0\n",
+		"unknown key":                remote + "[offload]\nretry-maxx = 1\n",
+		"bad topology":               remote + "[cluster]\nworkers = 0\n",
+		"dedup over sequential":      remote + "[offload]\ndedup = true\nchunk-bytes = -1\n",
+		"disk store, bad knob":       "[storage]\ntype = disk\npath = " + dir + "\n[offload]\nhedge-quantile = 1\n",
+		"second device block bad":    "[device \"a\"]\nstorage.type = remote\nstorage.address = " + addr + "\n[device \"b\"]\ncluster.workers = many\n",
+		"second device unknown key":  "[device \"a\"]\nstorage.type = remote\nstorage.address = " + addr + "\n[device \"b\"]\nworkers = 2\n",
+		"bad host after the devices": "[device \"a\"]\nstorage.type = remote\nstorage.address = " + addr + "\n[host]\nthreads = -1\n",
+		"mixed weights":              "[device \"a\"]\nstorage.type = remote\nstorage.address = " + addr + "\nweight = 1\n[device \"b\"]\ncluster.workers = 2\n",
+	} {
+		if _, err := NewDevicePluginFromConfig(parseConf(t, text)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if strings.HasPrefix(name, "second device") {
+			if _, err := ParseDeviceTable(parseConf(t, text)); err == nil {
+				t.Errorf("%s: device table accepted", name)
+			}
+		}
+		if n := dialed(); n != 0 {
+			t.Errorf("%s: %d storage connections were dialed for a configuration that was then rejected", name, n)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a rejected configuration created its disk store directory (stat: %v)", err)
+	}
+	// The same storage section in a valid file does dial.
+	p, err := NewCloudPluginFromConfig(parseConf(t, remote))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	if dialed() == 0 {
+		t.Fatal("valid configuration never dialed its store: the listener proves nothing")
 	}
 }

@@ -148,8 +148,10 @@ func (w *Worker) handle(conn net.Conn) {
 	}
 }
 
-// execute runs one tile, recovering kernel panics into errors so one bad
-// tile does not take the worker down.
+// execute runs one tile for a peer: Execute behind the wire's size limit,
+// with kernel panics recovered into errors so one bad tile does not take
+// the worker down, and the error flattened to the string the protocol
+// carries.
 func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 	resp = &TileResponse{}
 	defer func() {
@@ -163,18 +165,35 @@ func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 		total += int64(len(in))
 	}
 	for _, sz := range req.OutSizes {
-		if sz < 0 {
-			resp.Err = "negative output size"
-			return resp
-		}
-		total += sz
+		total += max(sz, 0)
 	}
 	if total > maxTileBytes {
 		resp.Err = "tile exceeds size limit"
 		return resp
 	}
+	outs, err := Execute(w.reg, req)
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
+	}
+	w.mu.Lock()
+	w.served++
+	w.mu.Unlock()
+	resp.Outs = outs
+	return resp
+}
+
+// Execute is the one tile executor: it allocates the request's outputs,
+// fills each with its reduction identity and invokes the kernel out of reg.
+// A worker process runs it for its peers; the cloud plugin calls it directly
+// when tiles run in-process. The kernel's error is returned as it is, so
+// its transient/permanent classification survives.
+func Execute(reg *fatbin.Registry, req *TileRequest) ([][]byte, error) {
 	outs := make([][]byte, len(req.OutSizes))
 	for i, sz := range req.OutSizes {
+		if sz < 0 {
+			return nil, errors.New("negative output size")
+		}
 		outs[i] = make([]byte, sz)
 		if i < len(req.OutInit) {
 			switch req.OutInit[i] {
@@ -185,15 +204,10 @@ func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 			}
 		}
 	}
-	if err := w.reg.Invoke(req.Kernel, req.Lo, req.Hi, req.Scalars, req.Ins, outs); err != nil {
-		resp.Err = err.Error()
-		return resp
+	if err := reg.Invoke(req.Kernel, req.Lo, req.Hi, req.Scalars, req.Ins, outs); err != nil {
+		return nil, err
 	}
-	w.mu.Lock()
-	w.served++
-	w.mu.Unlock()
-	resp.Outs = outs
-	return resp
+	return outs, nil
 }
 
 // Client executes tiles on one worker over a persistent connection.

@@ -1,13 +1,16 @@
 package remoteexec
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
+	"ompcloud/internal/resilience"
 )
 
 func testWorker(t *testing.T) (*Worker, *fatbin.Registry) {
@@ -205,5 +208,46 @@ func TestServeDefaultRegistry(t *testing.T) {
 	if _, err := c.RunTile(&TileRequest{Kernel: "remoteexec-test-missing", Hi: 1}); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// Execute is the executor both the worker and the in-process tile path run:
+// identities filled, kernel invoked, and the kernel's error returned as the
+// same value, so a transient mark or an injected fault keeps its class.
+func TestExecuteIsTheWorkersExecutor(t *testing.T) {
+	w, reg := testWorker(t)
+	kernelErr := resilience.MarkTransient(errors.New("executor lost"))
+	reg.Register("fails", func(lo, hi int64, scalars []int64, in, out [][]byte) error { return kernelErr })
+
+	req := &TileRequest{Kernel: "maxinit", OutSizes: []int64{8, 8, 4}, OutInit: []byte{InitNegInfF, InitPosInfF}}
+	local, err := Execute(reg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	remote, err := c.RunTile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(local, remote) {
+		t.Fatalf("in-process and worker outputs differ:\n%v\n%v", local, remote)
+	}
+	if got := data.Floats(local[0]); got[0] != -1e38 || got[1] != -1e38 || data.Floats(local[1])[0] != 1e38 || data.Floats(local[2])[0] != 0 {
+		t.Fatalf("identities: %v", local)
+	}
+
+	if _, err := Execute(reg, &TileRequest{Kernel: "fails"}); err != kernelErr || !resilience.IsTransient(err) {
+		t.Fatalf("kernel error came back as %v, want the kernel's own value", err)
+	}
+	if _, err := Execute(reg, &TileRequest{Kernel: "double", OutSizes: []int64{-1}}); err == nil {
+		t.Fatal("negative output size accepted")
+	}
+	// Execute does not recover: that is the worker's job, for its peers.
+	if _, err := c.RunTile(&TileRequest{Kernel: "panics"}); err == nil || !strings.Contains(err.Error(), "kernel panic") {
+		t.Fatalf("worker did not turn the panic into an error: %v", err)
 	}
 }

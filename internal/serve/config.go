@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"ompcloud/internal/config"
 	"ompcloud/internal/simtime"
@@ -15,6 +14,7 @@ import (
 //	[service]
 //	max-queue   = 64     # admission high watermark (queued jobs)
 //	tenant-rate = 4      # default quota, jobs per virtual second
+//	                     # (negative: quota off)
 //	tenant-burst = 8     # default bucket depth
 //	fair-share  = 4      # concurrent dispatch slots
 //	pool-cores  = 16     # executor pool width with no registered workers
@@ -25,8 +25,11 @@ import (
 //	rate   = 16
 //	burst  = 32
 //	weight = 2
-
-const tenantSectionPrefix = "tenant "
+//
+// 0 means the daemon default everywhere. A negative value is rejected
+// unless the key documents one above: a negative burst builds a bucket that
+// never admits a job, and a negative queue, slot count or deadline would
+// silently run on the default.
 
 // ServiceSettings is the parsed [service] policy plus the drain deadline
 // the daemon binary applies on SIGTERM.
@@ -38,91 +41,45 @@ type ServiceSettings struct {
 // DefaultDrain is the graceful-drain deadline when drain-ms is unset.
 const DefaultDrain = 5 * simtime.Second
 
-// parseTenantName extracts the name of a [tenant "..."] header, or ""
-// for sections that are not tenant blocks.
-func parseTenantName(section string) (string, error) {
-	if !strings.HasPrefix(section, tenantSectionPrefix) {
-		return "", nil
-	}
-	name := strings.TrimSpace(strings.TrimPrefix(section, tenantSectionPrefix))
-	if len(name) >= 2 && name[0] == '"' && name[len(name)-1] == '"' {
-		name = name[1 : len(name)-1]
-	}
-	if !ValidTenant(name) {
-		return "", fmt.Errorf("serve: tenant section %q: bad name", "["+section+"]")
-	}
-	return name, nil
-}
-
 // ParseSettings reads the [service] section and every [tenant "..."]
 // block. A file with no [service] section yields the daemon defaults.
 func ParseSettings(f *config.File) (ServiceSettings, error) {
-	var s ServiceSettings
-	maxQueue, err := f.Int("service", "max-queue", 0)
+	blocks, err := f.Named("tenant")
 	if err != nil {
-		return s, err
+		return ServiceSettings{}, fmt.Errorf("serve: %w", err)
 	}
-	rate, err := f.Float("service", "tenant-rate", 0)
-	if err != nil {
-		return s, err
+	r := f.Reader("")
+	s := readSettings(r, blocks)
+	return s, r.Done()
+}
+
+// readSettings is ParseSettings over a caller's reader.
+func readSettings(r *config.Reader, tenants []config.Block) ServiceSettings {
+	s := ServiceSettings{Config: Config{
+		MaxQueue: r.Int("service", "max-queue", 0, config.NonNegative),
+		Limits: Limits{
+			Rate:  r.Float("service", "tenant-rate", 0),
+			Burst: r.Float("service", "tenant-burst", 0, config.NonNegative),
+		},
+		FairShare: r.Int("service", "fair-share", 0, config.NonNegative),
+		PoolCores: r.Int("service", "pool-cores", 0),
+	}}
+	s.Drain = simtime.FromReal(r.Millis("service", "drain-ms", 0, config.NonNegative))
+	if s.Drain == 0 {
+		s.Drain = DefaultDrain
 	}
-	burst, err := f.Float("service", "tenant-burst", 0)
-	if err != nil {
-		return s, err
-	}
-	fairShare, err := f.Int("service", "fair-share", 0)
-	if err != nil {
-		return s, err
-	}
-	poolCores, err := f.Int("service", "pool-cores", 0)
-	if err != nil {
-		return s, err
-	}
-	drainMS, err := f.Int("service", "drain-ms", 0)
-	if err != nil {
-		return s, err
-	}
-	s.Config = Config{
-		MaxQueue:  maxQueue,
-		Limits:    Limits{Rate: rate, Burst: burst},
-		FairShare: fairShare,
-		PoolCores: poolCores,
-	}
-	s.Drain = DefaultDrain
-	if drainMS > 0 {
-		s.Drain = simtime.Duration(drainMS) * simtime.Millisecond
-	}
-	for _, sec := range f.Sections() {
-		name, err := parseTenantName(sec)
-		if err != nil {
-			return s, err
-		}
-		if name == "" {
-			continue
-		}
-		if f.Duplicated(sec) {
-			return s, fmt.Errorf("serve: duplicate section [%s]", sec)
+	for _, b := range tenants {
+		if !ValidTenant(b.Name) {
+			r.Fail(fmt.Errorf("serve: tenant section [%s]: bad name", b.Section))
 		}
 		if s.Config.Overrides == nil {
 			s.Config.Overrides = make(map[string]Limits)
 		}
-		if _, ok := s.Config.Overrides[name]; ok {
-			return s, fmt.Errorf("serve: tenant %q configured twice", name)
+		s.Config.Overrides[b.Name] = Limits{
+			Rate:   r.Float(b.Section, "rate", 0),
+			Burst:  r.Float(b.Section, "burst", 0, config.NonNegative),
+			Weight: r.Float(b.Section, "weight", 0, config.NonNegative),
 		}
-		var lim Limits
-		if lim.Rate, err = f.Float(sec, "rate", 0); err != nil {
-			return s, err
-		}
-		if lim.Burst, err = f.Float(sec, "burst", 0); err != nil {
-			return s, err
-		}
-		if lim.Weight, err = f.Float(sec, "weight", 0); err != nil {
-			return s, err
-		}
-		if lim.Weight < 0 {
-			return s, fmt.Errorf("serve: tenant %q: negative weight", name)
-		}
-		s.Config.Overrides[name] = lim
 	}
-	return s, nil
+	return s
 }

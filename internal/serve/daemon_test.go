@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"ompcloud/internal/config"
+	"ompcloud/internal/config/configtest"
+	"ompcloud/internal/offload"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace/span"
@@ -400,6 +402,67 @@ burst = 4
 	if empty.Config.MaxQueue != 0 || empty.Drain != DefaultDrain {
 		t.Fatalf("no-[service] defaults: %+v", empty)
 	}
+
+	// Present means valid: a negative value is an error, not a silent
+	// default (queue, slots, deadline) or a bucket that never admits a job
+	// (burst); so is a key nothing reads, and a malformed number.
+	for text, want := range map[string]string{
+		"[service]\ntenant-burst = -8\n":         "service.tenant-burst",
+		"[service]\ndrain-ms = -5\n":             "service.drain-ms",
+		"[service]\nmax-queue = -1\n":            "service.max-queue",
+		"[service]\nfair-share = -2\n":           "service.fair-share",
+		"[service]\npool-cores = many\n":         "service.pool-cores",
+		"[service]\nmax-queu = 8\n":              "service.max-queu",
+		"[tenant \"a\"]\nburst = -1\n":           `tenant "a".burst`,
+		"[tenant \"a\"]\nweight = -1\n":          `tenant "a".weight`,
+		"[tenant \"a\"]\nrat = 1\n":              `tenant "a".rat`,
+		"[tenant \"a\"]\n[tenant a]\n":           "declared by both",
+		"[tenant \"a\"]\n[tenant \"a\"]\n":       "declared twice",
+		"[tenant \"a/b\"]\nrate = 1\n":           "bad name",
+		"[tenant \"\"]\nrate = 1\n":              "empty name",
+		"[service]\nmax-queue = -1\nbogus = 1\n": "service.max-queue", // the value error comes first
+	} {
+		if _, err := ParseSettings(mustConf(t, text)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("config %q: err = %v, want it to name %s", text, err, want)
+		}
+	}
+	// The two negatives the daemon implements on purpose, and 0 = default.
+	s, err = ParseSettings(mustConf(t, "[service]\ntenant-rate = -1\npool-cores = -1\nmax-queue = 0\ndrain-ms = 0\n[tenant \"a\"]\nrate = -1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Config.Limits.Rate != -1 || s.Config.PoolCores != -1 || s.Config.Overrides["a"].Rate != -1 || s.Drain != DefaultDrain {
+		t.Fatalf("documented sentinels: %+v", s)
+	}
+}
+
+// One file serves both programs: each parser checks the sections it reads
+// and leaves the other's alone, typos included.
+func TestOneFileServesRunAndDaemon(t *testing.T) {
+	f := mustConf(t, "[cluster]\nworkers = 2\ncores-per-worker = 2\n[service]\nmax-queue = 8\n[autoscale]\nmin-workers = 1\n")
+	if _, err := ParseSettings(f); err != nil {
+		t.Errorf("daemon: %v", err)
+	}
+	if _, err := offload.NewDevicePluginFromConfig(f); err != nil {
+		t.Errorf("ompcloud-run: %v", err)
+	}
+	if _, err := ParseSettings(mustConf(t, "[cluster]\nwokers = 2\n[service]\nmax-queue = 8\n")); err != nil {
+		t.Errorf("daemon judged a [cluster] key: %v", err)
+	}
+	if _, err := offload.NewDevicePluginFromConfig(mustConf(t, "[cluster]\nworkers = 2\n[service]\nmax-queu = 8\n")); err != nil {
+		t.Errorf("ompcloud-run judged a [service] key: %v", err)
+	}
+}
+
+func TestExampleConfIsComplete(t *testing.T) {
+	f := configtest.Example(t, "../../ompcloud.conf.example")
+	blocks, err := f.Named("tenant")
+	if err != nil || len(blocks) == 0 {
+		t.Fatalf("example tenants: %v, %v", blocks, err)
+	}
+	r := f.Reader("")
+	readSettings(r, blocks)
+	configtest.Complete(t, f, r)
 }
 
 func parseConf(text string) (*config.File, error) {
