@@ -133,7 +133,8 @@ func RunTransferBench(mib int, seed int64) (*TransferBench, error) {
 				return fmt.Errorf("bench: transfer upload (%s/%s/%s): %w", kind, mode, algo, err)
 			}
 			start = time.Now()
-			back, _, err := chunkio.Download(st, "bench", opts)
+			back := make([]byte, len(payload))
+			_, err = chunkio.DownloadInto(st, "bench", back, opts)
 			downWall := time.Since(start)
 			if err != nil {
 				return fmt.Errorf("bench: transfer download (%s/%s/%s): %w", kind, mode, algo, err)
@@ -228,8 +229,8 @@ func runDedupPasses(kind data.Kind, payload []byte, wan netsim.Link) (*DedupCase
 		if err != nil {
 			return nil, 0, fmt.Errorf("bench: dedup pass (%s): %w", kind, err)
 		}
-		back, _, err := chunkio.Download(st, key, opts)
-		if err != nil {
+		back := make([]byte, len(payload))
+		if _, err := chunkio.DownloadInto(st, key, back, opts); err != nil {
 			return nil, 0, fmt.Errorf("bench: dedup readback (%s): %w", kind, err)
 		}
 		if !bytes.Equal(back, payload) {

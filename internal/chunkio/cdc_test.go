@@ -138,7 +138,7 @@ func TestCDCUploadDownloadRoundTrip(t *testing.T) {
 			if len(tc.data) > chunk && up.Chunks < 2 {
 				t.Fatalf("CDC upload produced %d chunks, want several", up.Chunks)
 			}
-			back, down, err := Download(st, "obj", o)
+			back, down, err := download(st, "obj", len(tc.data), o)
 			if err != nil {
 				t.Fatalf("Download: %v", err)
 			}
@@ -169,7 +169,7 @@ func TestCDCPipeRoundTrip(t *testing.T) {
 		t.Fatalf("CDC pipe used %d chunks, want several", res.Up.Chunks)
 	}
 	// The stored object stays readable by the plain download path.
-	back, _, err := Download(st, "obj", o)
+	back, _, err := download(st, "obj", len(data), o)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("CDC-piped object unreadable by Download: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestCDCDedupResendsOnlyDirtyChunks(t *testing.T) {
 		if up.ReusedRaw == 0 && up.Reused > 0 {
 			t.Fatal("Reused chunks must report ReusedRaw bytes")
 		}
-		back, _, err := Download(st, "v2", o)
+		back, _, err := download(st, "v2", len(edited), o)
 		if err != nil || !bytes.Equal(back, edited) {
 			t.Fatalf("dedup'd object corrupt: %v", err)
 		}
@@ -276,7 +276,7 @@ func TestCDCDedupSecondPassResendsNothing(t *testing.T) {
 	if up.SentWire >= int64(len(data))/10 {
 		t.Fatalf("second pass sent %d wire bytes for %d raw, want manifest only", up.SentWire, len(data))
 	}
-	back, _, err := Download(st, "run2", o2)
+	back, _, err := download(st, "run2", len(data), o2)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("second-pass object corrupt: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 	// Control: without ChunkSum the flipped bit sails straight through.
 	fs := storage.NewFaultStore(inner).Inject(storage.FlipBitGets("cache/c/", flipBit, 1))
 	o.Parallel = 1 // deterministic fault placement
-	got, _, err := Download(fs, "obj", o)
+	got, _, err := download(fs, "obj", len(data), o)
 	if err != nil {
 		t.Fatalf("control download: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 	fs = storage.NewFaultStore(inner).Inject(storage.FlipBitGets("cache/c/", flipBit, 1))
 	o.ChunkSum = chunkSum
 	o.Retry = resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}
-	got, res, err := Download(fs, "obj", o)
+	got, res, err := download(fs, "obj", len(data), o)
 	if err != nil {
 		t.Fatalf("ChunkSum download did not heal: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 	// as silently-wrong bytes.
 	fs = storage.NewFaultStore(inner).Inject(storage.FlipBitGets("cache/c/", flipBit, 0))
 	o.Retry = resilience.Policy{}
-	if _, _, err := Download(fs, "obj", o); err == nil {
+	if _, _, err := download(fs, "obj", len(data), o); err == nil {
 		t.Fatal("persistent corruption with no retry budget must fail, not serve wrong bytes")
 	}
 }

@@ -9,11 +9,11 @@
 // size, or content-defined cuts when Options.CDC is set), each chunk gets
 // its own codec verdict from the configured policy (one probed verdict per
 // buffer for the legacy AlgoAuto codec, a per-chunk adaptive choice for
-// AlgoAdaptive), and encoded chunks flow through a bounded
-// producer->consumer pipeline into the object store, so compression of
-// chunk k+1 overlaps the upload of chunk k.
-// Download mirrors the pipeline: concurrent Get + decompress into a
-// preallocated buffer.
+// AlgoAdaptive), and a pool of workers encodes and stores the chunks
+// concurrently, so compression of chunk k+1 overlaps the upload of chunk k.
+// DownloadInto mirrors it: concurrent Get + decompress into the caller's
+// buffer.
+// One engine (pipeState, stream.go) runs every entry point's chunks.
 //
 // On the store, a chunked object is a manifest at the object's own key —
 // a one-byte xcompress.TagChunked frame followed by JSON — plus one part
@@ -54,7 +54,7 @@ const DefaultChunkSize = 1 << 20
 const manifestVersion = 1
 
 // Options configures one transfer. The zero value is usable: default codec,
-// 1 MiB chunks, one compressor per machine core.
+// 1 MiB chunks, one chunk worker per machine core.
 type Options struct {
 	// Codec is the compression policy applied per chunk.
 	Codec xcompress.Codec
@@ -63,16 +63,10 @@ type Options struct {
 	// payload is one sequentially-encoded object — the paper's original
 	// single-stream policy, kept for ablations and comparison benches).
 	ChunkSize int
-	// Parallel bounds the concurrent chunk compressors (and download
-	// decompressors). 0 means all machine cores.
+	// Parallel bounds the concurrent chunk workers; each encodes and PUTs,
+	// or GETs and decodes, one chunk at a time, so it also caps
+	// encoded-but-unsent memory. 0 means all machine cores.
 	Parallel int
-	// Depth is the bounded queue between the compress and store stages,
-	// in chunks; it caps encoded-but-unsent memory. 0 means 2*Parallel.
-	Depth int
-	// Putters bounds concurrent store writers/readers. 0 means
-	// min(4, Parallel): enough streams to hide per-object round trips
-	// without flooding a remote store.
-	Putters int
 	// CDC switches Upload and Pipe from fixed-size cuts to Gear
 	// content-defined chunking with ChunkSize as the target average (see
 	// cdc.go): chunk boundaries follow content, so shifted or partially
@@ -114,11 +108,11 @@ type Options struct {
 	// skipping its GET would skip the actual data transfer.
 	OnManifest func(key string, frame []byte)
 	// HaveObject, when non-nil, is consulted before the root GET of a
-	// Download. If it returns a chunked manifest frame for the key, the
+	// DownloadInto. If it returns a chunked manifest frame for the key, the
 	// manifest round trip is skipped (DownloadResult.RootCached reports
 	// this); non-manifest or unparseable frames fall back to the store.
 	HaveObject func(key string) ([]byte, bool)
-	// OnChunk is invoked by Download after each chunk of a multipart
+	// OnChunk is invoked by DownloadInto after each chunk of a multipart
 	// object has been fetched, decoded, and written to its [lo, hi)
 	// window of the result buffer. Chunks complete out of order; the
 	// streaming scheduler uses this to release tiles whose input windows
@@ -197,24 +191,6 @@ func (o Options) parallel() int {
 		return o.Parallel
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) depth() int {
-	if o.Depth > 0 {
-		return o.Depth
-	}
-	return 2 * o.parallel()
-}
-
-func (o Options) putters() int {
-	if o.Putters > 0 {
-		return o.Putters
-	}
-	p := o.parallel()
-	if p > 4 {
-		p = 4
-	}
-	return p
 }
 
 // wireShare is the wire bandwidth one parallel worker can count on: the
@@ -472,214 +448,7 @@ func wallOf(durs []time.Duration, width int) (wall, cpu time.Duration) {
 	return wall, cpu
 }
 
-// Upload stores buf under key, chunked and pipelined per the options.
-// Payloads of at most one chunk are stored as a single legacy-framed object;
-// larger ones become a manifest plus parts.
-func Upload(st storage.Store, key string, buf []byte, o Options) (*UploadResult, error) {
-	cs := o.chunkSize()
-	var retries atomic.Int64
-	rootPut := newPutUnit(st, &o, &retries)
-	compHist := newHistPair("chunkio.compress.seconds", o.MetricDevice)
-	if len(buf) <= cs {
-		sc := span.Start("chunk.compress", "chunk", 0)
-		sc.SetAttr("key", key)
-		start := time.Now()
-		var enc []byte
-		var err error
-		if o.Codec.Algo == xcompress.AlgoAdaptive {
-			// The whole payload is one chunk: decide with the adaptive
-			// verdict and the full (single-stream) wire rate.
-			enc, err = o.Codec.EncodeWith(buf, o.Codec.ChunkVerdict(buf, o.WireBytesPerS))
-		} else {
-			enc, err = o.Codec.Encode(buf)
-		}
-		dur := time.Since(start)
-		sc.End()
-		compHist.Observe(dur.Seconds())
-		if err != nil {
-			// Encoding is local CPU work: retrying cannot help.
-			return nil, resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", key, err))
-		}
-		if err := rootPut.put(key, enc); err != nil {
-			return nil, fmt.Errorf("chunkio: storing %s: %w", key, err)
-		}
-		wire := int64(len(enc))
-		return &UploadResult{
-			TotalWire: wire, SentWire: wire, Chunks: 1,
-			CompressWall: dur, CompressCPU: dur,
-			Retries: int(retries.Load()),
-		}, nil
-	}
-
-	// Cut the payload (fixed-size or content-defined) and build the
-	// per-chunk codec plan: AlgoAuto probes the buffer once and reuses the
-	// verdict for every chunk; AlgoAdaptive re-decides per chunk against
-	// each worker's share of the wire.
-	cuts := cutPoints(buf, cs, o.CDC)
-	plan := o.Codec.Planner(buf, o.wireShare())
-	n := len(cuts)
-	entries := make([]chunkEntry, n)
-	durs := make([]time.Duration, n)
-	reused := 0
-	var reusedRaw int64
-
-	type putJob struct {
-		key string
-		enc []byte
-		bp  *[]byte // pooled backing buffer, returned to encBufs after PUT
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		sent     int64
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
-	jobs := make(chan int)
-	puts := make(chan putJob, o.depth())
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	var cwg sync.WaitGroup
-	for w := 0; w < o.parallel(); w++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			for i := range jobs {
-				if cerr := o.ctxErr(); cerr != nil {
-					fail(resilience.MarkPermanent(fmt.Errorf("chunkio: upload %s cancelled: %w", key, cerr)))
-					return
-				}
-				lo := 0
-				if i > 0 {
-					lo = cuts[i-1]
-				}
-				hi := cuts[i]
-				chunk := buf[lo:hi]
-				ckey := partKey(key, i)
-				if o.ChunkKey != nil {
-					sum := sha256.Sum256(chunk)
-					ckey = o.ChunkKey(sum)
-					if o.Have != nil {
-						if wire, ok := o.Have(ckey); ok {
-							entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
-							mu.Lock()
-							reused++
-							reusedRaw += int64(len(chunk))
-							mu.Unlock()
-							continue
-						}
-					}
-				}
-				bp := encBufs.Get().(*[]byte)
-				sc := span.Start("chunk.compress", "chunk", 0)
-				sc.SetAttr("key", ckey)
-				start := time.Now()
-				enc, err := o.Codec.AppendEncode((*bp)[:0], chunk, plan(chunk))
-				durs[i] = time.Since(start)
-				sc.End()
-				compHist.Observe(durs[i].Seconds())
-				if err != nil {
-					encBufs.Put(bp)
-					fail(resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", ckey, err)))
-					return
-				}
-				*bp = enc // keep any growth for the next borrower
-				entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: int64(len(enc))}
-				select {
-				case puts <- putJob{key: ckey, enc: enc, bp: bp}:
-				case <-stop:
-					encBufs.Put(bp)
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		cwg.Wait()
-		close(puts)
-	}()
-
-	var pwg sync.WaitGroup
-	for w := 0; w < o.putters(); w++ {
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			pu := newPutUnit(st, &o, &retries)
-			for pj := range puts {
-				if failed() {
-					encBufs.Put(pj.bp)
-					continue // drain without writing
-				}
-				err := pu.put(pj.key, pj.enc)
-				wire := int64(len(pj.enc))
-				encBufs.Put(pj.bp) // stores copy on Put; safe once put returns
-				if err != nil {
-					fail(fmt.Errorf("chunkio: storing %s: %w", pj.key, err))
-					continue
-				}
-				mu.Lock()
-				sent += wire
-				mu.Unlock()
-				if o.OnStored != nil {
-					o.OnStored(pj.key, wire)
-				}
-			}
-		}()
-	}
-	pwg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	m := manifest{Version: manifestVersion, ChunkSize: cs, RawSize: int64(len(buf)), Chunks: entries}
-	body, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("chunkio: %w", err)
-	}
-	frame := make([]byte, 1+len(body))
-	frame[0] = xcompress.TagChunked
-	copy(frame[1:], body)
-	if err := rootPut.put(key, frame); err != nil {
-		return nil, fmt.Errorf("chunkio: storing manifest %s: %w", key, err)
-	}
-	if o.OnManifest != nil {
-		o.OnManifest(key, frame)
-	}
-
-	res := &UploadResult{Chunks: n, Reused: reused, ReusedRaw: reusedRaw, Retries: int(retries.Load())}
-	res.TotalWire = int64(len(frame))
-	for _, e := range entries {
-		res.TotalWire += e.Wire
-	}
-	res.SentWire = sent + int64(len(frame))
-	res.CompressWall, res.CompressCPU = wallOf(durs, o.parallel())
-	return res, nil
-}
-
-// DownloadResult reports what one Download moved and what it cost.
+// DownloadResult reports what one DownloadInto moved and what it cost.
 type DownloadResult struct {
 	// WireBytes is the fetched wire volume (manifest plus parts, or the
 	// single object).
@@ -698,26 +467,17 @@ type DownloadResult struct {
 	RootCached bool
 }
 
-// Download fetches the object stored under key, transparently handling both
-// layouts: a legacy single xcompress frame or a chunked manifest, whose
-// parts are fetched and decompressed concurrently.
-func Download(st storage.Store, key string, o Options) ([]byte, *DownloadResult, error) {
-	return downloadInto(st, key, nil, o)
-}
-
-// DownloadInto is Download decoding into a caller-provided buffer, whose
-// length must equal the object's raw size. The streaming scheduler needs
-// the destination fixed up front: Options.OnChunk windows refer to a buffer
-// that consumers are already allowed to read behind the readiness frontier,
-// which an internally-allocated buffer returned at the end cannot provide.
+// DownloadInto fetches the object stored under key into dst, whose length
+// must equal the object's raw size, transparently handling both layouts: a
+// legacy single xcompress frame, or a chunked manifest whose parts are
+// fetched and decompressed concurrently. The destination is the caller's for
+// two reasons. The streaming scheduler needs it fixed up front:
+// Options.OnChunk windows refer to a buffer that consumers are already
+// allowed to read behind the readiness frontier. And the caller, not a
+// stored number, states how much memory a download may claim: an object
+// that disagrees with len(dst) is refused, and nothing is sized from what a
+// manifest says beyond the manifest's own length.
 func DownloadInto(st storage.Store, key string, dst []byte, o Options) (*DownloadResult, error) {
-	_, res, err := downloadInto(st, key, dst, o)
-	return res, err
-}
-
-func downloadInto(st storage.Store, key string, dst []byte, o Options) ([]byte, *DownloadResult, error) {
-	var retries atomic.Int64
-
 	// The root object's fetch, frame discrimination and validation form
 	// one retry unit: a truncated or bit-flipped read (single frame or
 	// manifest alike) re-fetches the object, because the store's
@@ -725,31 +485,21 @@ func downloadInto(st storage.Store, key string, dst []byte, o Options) ([]byte, 
 	var (
 		m          manifest
 		chunked    bool
-		raw        []byte
 		rootWire   int64
 		rootDur    time.Duration
-		offsets    []int64
+		cuts       []int
 		rootCached bool
+		retries    int
 	)
 	parseRoot := func(obj []byte) error {
 		if len(obj) == 0 || obj[0] != xcompress.TagChunked {
 			chunked = false
 			start := time.Now()
-			if dst != nil {
-				if err := xcompress.DecodeInto(obj, dst); err != nil {
-					rootDur = time.Since(start)
-					return corruptErr(fmt.Errorf("chunkio: decoding %s: %w", key, err))
-				}
-				rootDur = time.Since(start)
-				raw = dst
-				return nil
-			}
-			r, err := xcompress.Decode(obj)
+			err := xcompress.DecodeInto(obj, dst)
 			rootDur = time.Since(start)
 			if err != nil {
 				return corruptErr(fmt.Errorf("chunkio: decoding %s: %w", key, err))
 			}
-			raw = r
 			return nil
 		}
 		chunked = true
@@ -762,20 +512,24 @@ func downloadInto(st storage.Store, key string, dst []byte, o Options) ([]byte, 
 			// version: re-reading cannot change it.
 			return resilience.MarkPermanent(fmt.Errorf("chunkio: manifest %s has version %d, want %d", key, m.Version, manifestVersion))
 		}
-		if m.RawSize < 0 {
-			return corruptErr(fmt.Errorf("chunkio: manifest %s has negative size", key))
-		}
-		offsets = make([]int64, len(m.Chunks))
+		cuts = make([]int, len(m.Chunks))
 		var off int64
 		for i, e := range m.Chunks {
-			if e.Raw < 0 {
-				return corruptErr(fmt.Errorf("chunkio: manifest %s: chunk %d has negative size", key, i))
+			// Compared against what is left, never summed first: chunk sizes
+			// are stored numbers, and a sum may wrap back into range.
+			if e.Raw < 0 || e.Raw > m.RawSize-off {
+				return corruptErr(fmt.Errorf("chunkio: manifest %s: chunk %d claims %d of the %d bytes left", key, i, e.Raw, m.RawSize-off))
 			}
-			offsets[i] = off
 			off += e.Raw
+			cuts[i] = int(off)
 		}
 		if off != m.RawSize {
 			return corruptErr(fmt.Errorf("chunkio: manifest %s: chunks sum to %d bytes, want %d", key, off, m.RawSize))
+		}
+		if m.RawSize != int64(len(dst)) {
+			// A consistent manifest of another size: re-reading cannot
+			// change it.
+			return resilience.MarkPermanent(fmt.Errorf("chunkio: %s holds %d raw bytes, destination wants %d", key, m.RawSize, len(dst)))
 		}
 		return nil
 	}
@@ -811,88 +565,40 @@ func downloadInto(st storage.Store, key string, dst []byte, o Options) ([]byte, 
 			return perr
 		})
 		newHistPair("chunkio.get.seconds", o.MetricDevice).Observe(time.Since(start).Seconds())
-		retries.Add(int64(rout.Attempts - 1))
-		if rout.Attempts > 1 {
-			sc.SetAttr("retries", strconv.Itoa(rout.Attempts-1))
+		retries = rout.Attempts - 1
+		if retries > 0 {
+			sc.SetAttr("retries", strconv.Itoa(retries))
 		}
 		sc.End()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if !chunked {
 		if o.OnChunk != nil {
-			o.OnChunk(0, int64(len(raw)))
+			o.OnChunk(0, int64(len(dst)))
 		}
-		return raw, &DownloadResult{
+		return &DownloadResult{
 			WireBytes: rootWire, Chunks: 1,
 			DecompressWall: rootDur, DecompressCPU: rootDur,
-			Retries: int(retries.Load()),
+			Retries: retries,
 		}, nil
 	}
 
-	out := dst
-	if out == nil {
-		out = make([]byte, m.RawSize)
-	} else if int64(len(out)) != m.RawSize {
-		return nil, nil, resilience.MarkPermanent(fmt.Errorf("chunkio: %s holds %d raw bytes, destination wants %d", key, m.RawSize, len(out)))
+	// The parts are the fetch half of the chunk engine over the manifest's
+	// entries: each chunk's GET, decode and content-hash check form one
+	// retry unit (see getUnit) — DecodeInto writes straight into the
+	// chunk's disjoint window of dst, rejects any size mismatch, and a
+	// successful re-attempt fully overwrites whatever a failed one left.
+	ps := &pipeState{st: st, o: o, key: key, fetch: true, dst: dst, ready: o.OnChunk, cuts: cuts, entries: m.Chunks}
+	ps.getRetries.Add(int64(retries))
+	res, err := ps.run()
+	if err != nil {
+		return nil, err
 	}
-	durs := make([]time.Duration, len(m.Chunks))
-	errs := make([]error, len(m.Chunks))
-	wire := rootWire
-	var mu sync.Mutex
-
-	// One worker pool does Get and decode back to back: while worker a
-	// decompresses chunk k, worker b's Get of chunk k+1 is in flight —
-	// the download mirror of the upload pipeline. Each chunk's fetch,
-	// decode and content-hash check form one retry unit (see getUnit):
-	// DecodeInto writes straight into the chunk's disjoint window of out
-	// (the wire bytes land in pooled scratch, the decode has no private
-	// result buffer), rejects any size mismatch, and a successful
-	// re-attempt fully overwrites whatever a failed one left behind.
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range m.Chunks {
-			jobs <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < o.parallel(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gu := newGetUnit(st, &o, &retries)
-			for i := range jobs {
-				if cerr := o.ctxErr(); cerr != nil {
-					errs[i] = resilience.MarkPermanent(fmt.Errorf("chunkio: download %s cancelled: %w", key, cerr))
-					continue
-				}
-				e := m.Chunks[i]
-				w, dur, err := gu.fetch(e.Key, out[offsets[i]:offsets[i]+e.Raw])
-				durs[i] = dur
-				errs[i] = err
-				if err != nil {
-					continue
-				}
-				mu.Lock()
-				wire += w
-				mu.Unlock()
-				if o.OnChunk != nil {
-					o.OnChunk(offsets[i], offsets[i]+e.Raw)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	res := &DownloadResult{WireBytes: wire, Chunks: len(m.Chunks), Retries: int(retries.Load()), RootCached: rootCached}
-	res.DecompressWall, res.DecompressCPU = wallOf(durs, o.parallel())
-	return out, res, nil
+	res.Down.WireBytes += rootWire
+	res.Down.RootCached = rootCached
+	return &res.Down, nil
 }
 
 // PartKeys lists the storage keys a chunked object at key would occupy for a

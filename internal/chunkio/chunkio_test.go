@@ -36,6 +36,17 @@ func incompressible(n int, seed int64) []byte {
 	return buf
 }
 
+// download reads key into a fresh n-byte buffer: the tests know every
+// payload's length, and DownloadInto takes its destination from the caller.
+func download(st storage.Store, key string, n int, o Options) ([]byte, *DownloadResult, error) {
+	dst := make([]byte, n)
+	res, err := DownloadInto(st, key, dst, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dst, res, nil
+}
+
 func TestUploadDownloadRoundTrip(t *testing.T) {
 	const chunk = 8 << 10
 	cases := []struct {
@@ -69,7 +80,7 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 			if up.SentWire != up.TotalWire {
 				t.Errorf("cold upload SentWire %d != TotalWire %d", up.SentWire, up.TotalWire)
 			}
-			back, down, err := Download(st, "obj", o)
+			back, down, err := download(st, "obj", len(tc.data), o)
 			if err != nil {
 				t.Fatalf("Download: %v", err)
 			}
@@ -149,7 +160,7 @@ func TestDownloadLegacyObject(t *testing.T) {
 	if err := st.Put("old", enc); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	back, res, err := Download(st, "old", Options{ChunkSize: 4 << 10})
+	back, res, err := download(st, "old", len(data), Options{ChunkSize: 4 << 10})
 	if err != nil {
 		t.Fatalf("Download: %v", err)
 	}
@@ -214,7 +225,7 @@ func TestChunkReuseSkipsCleanChunks(t *testing.T) {
 		t.Errorf("warm upload sent %d bytes, want far less than cold %d", up2.SentWire, up1.SentWire)
 	}
 
-	back, _, err := Download(st, "obj", o)
+	back, _, err := download(st, "obj", len(dirty), o)
 	if err != nil {
 		t.Fatalf("Download: %v", err)
 	}
@@ -246,7 +257,7 @@ func TestDownloadMissingPartFails(t *testing.T) {
 	if err := st.Delete(partKey("obj", 3)); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, _, err := Download(st, "obj", o); err == nil {
+	if _, _, err := download(st, "obj", len(data), o); err == nil {
 		t.Fatal("Download with missing part returned nil error")
 	}
 }
@@ -279,7 +290,7 @@ func TestPartKeysMatchStoredLayout(t *testing.T) {
 func TestPipelineRace(t *testing.T) {
 	const chunk = 2 << 10
 	st := storage.NewMemStore()
-	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: chunk, Parallel: 4, Depth: 2}
+	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: chunk, Parallel: 4}
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -292,7 +303,7 @@ func TestPipelineRace(t *testing.T) {
 				errc <- err
 				return
 			}
-			back, _, err := Download(st, key, o)
+			back, _, err := download(st, key, len(data), o)
 			if err != nil {
 				errc <- err
 				return

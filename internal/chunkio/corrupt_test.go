@@ -26,7 +26,7 @@ func chunkedFixture(t *testing.T, o Options) (*storage.MemStore, []byte) {
 
 func TestDownloadTruncatedManifest(t *testing.T) {
 	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: 4 << 10, Parallel: 2}
-	st, _ := chunkedFixture(t, o)
+	st, data := chunkedFixture(t, o)
 	obj, err := st.Get("obj")
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestDownloadTruncatedManifest(t *testing.T) {
 	if err := st.Put("obj", obj[:10]); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Download(st, "obj", o)
+	got, _, err := download(st, "obj", len(data), o)
 	if err == nil {
 		t.Fatalf("truncated manifest returned %d bytes without error", len(got))
 	}
@@ -50,11 +50,11 @@ func TestDownloadTruncatedManifest(t *testing.T) {
 
 func TestDownloadMissingPartClassifiedPermanent(t *testing.T) {
 	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: 4 << 10, Parallel: 2}
-	st, _ := chunkedFixture(t, o)
+	st, data := chunkedFixture(t, o)
 	if err := st.Delete(partKey("obj", 1)); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Download(st, "obj", o)
+	got, _, err := download(st, "obj", len(data), o)
 	if err == nil {
 		t.Fatalf("missing part returned %d bytes without error", len(got))
 	}
@@ -79,7 +79,7 @@ func TestDownloadBitFlippedChunkFails(t *testing.T) {
 	if err := st.Put(key, enc); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Download(st, "obj", o)
+	got, _, err := download(st, "obj", len(data), o)
 	if err == nil {
 		if bytes.Equal(got, data) {
 			t.Fatal("bit flip silently vanished")
@@ -99,7 +99,7 @@ func TestDownloadManifestVersionMismatchPermanent(t *testing.T) {
 	if err := st.Put("obj", frame); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Download(st, "obj", o)
+	_, _, err := download(st, "obj", 0, o)
 	if err == nil || !resilience.IsPermanent(err) {
 		t.Fatalf("future manifest version must fail permanently, got %v", err)
 	}
@@ -120,7 +120,7 @@ func TestDownloadRetriesHealCorruption(t *testing.T) {
 		BaseDelay:   time.Millisecond,
 		Sleep:       func(time.Duration) {},
 	}
-	got, res, err := Download(fs, "obj", o)
+	got, res, err := download(fs, "obj", len(data), o)
 	if err != nil {
 		t.Fatalf("retries did not heal injected corruption: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestUploadRetriesHealPutFaults(t *testing.T) {
 	if up.Retries < 2 {
 		t.Fatalf("upload Retries = %d, want >= 2", up.Retries)
 	}
-	got, _, err := Download(fs, "obj", o)
+	got, _, err := download(fs, "obj", len(data), o)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip after healed upload: %v", err)
 	}
@@ -160,11 +160,11 @@ func TestUploadRetriesHealPutFaults(t *testing.T) {
 
 func TestDownloadNoRetryFailsFastOnExhaustedBudget(t *testing.T) {
 	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: 4 << 10, Parallel: 2}
-	inner, _ := chunkedFixture(t, o)
+	inner, data := chunkedFixture(t, o)
 	fs := storage.NewFaultStore(inner).
 		Inject(storage.FailKeysMatching(storage.OpGet, ".part", 0)) // dead forever
 	o.Retry = resilience.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {}}
-	_, _, err := Download(fs, "obj", o)
+	_, _, err := download(fs, "obj", len(data), o)
 	if err == nil {
 		t.Fatal("permanently failing part reads must surface an error")
 	}

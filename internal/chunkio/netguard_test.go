@@ -60,7 +60,7 @@ func TestPutDeadlineAbortsAndRetries(t *testing.T) {
 	if got := stats.DeadlineAborts.Load(); got < 1 {
 		t.Fatalf("want >=1 deadline abort, got %d", got)
 	}
-	raw, _, err := Download(st, "k", Options{})
+	raw, _, err := download(st, "k", len(payload), Options{})
 	if err != nil || !bytes.Equal(raw, payload) {
 		t.Fatalf("object unreadable after deadline recovery: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestGetDeadlineReturnsDeadlineError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats TransferStats
-	_, _, err := Download(st, "k", Options{GetTimeout: 20 * time.Millisecond, Stats: &stats})
+	_, _, err := download(st, "k", 1, Options{GetTimeout: 20 * time.Millisecond, Stats: &stats})
 	var de *DeadlineError
 	if !errors.As(err, &de) {
 		t.Fatalf("want DeadlineError, got %v", err)
@@ -106,7 +106,7 @@ func TestHedgedGetBackupWins(t *testing.T) {
 	}
 	st.gets.Store(0)
 	var stats TransferStats
-	raw, _, err := Download(st, "k", Options{HedgeDelay: 10 * time.Millisecond, Stats: &stats})
+	raw, _, err := download(st, "k", len(payload), Options{HedgeDelay: 10 * time.Millisecond, Stats: &stats})
 	if err != nil || !bytes.Equal(raw, payload) {
 		t.Fatalf("hedged download = %q, %v", raw, err)
 	}
@@ -128,7 +128,7 @@ func TestHedgeNotLaunchedWhenFast(t *testing.T) {
 	}
 	st.gets.Store(0)
 	var stats TransferStats
-	if _, _, err := Download(st, "k", Options{HedgeDelay: 5 * time.Second, Stats: &stats}); err != nil {
+	if _, _, err := download(st, "k", len(payload), Options{HedgeDelay: 5 * time.Second, Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.HedgedGets.Load() != 0 || st.gets.Load() != 1 {
@@ -158,7 +158,7 @@ func TestUploadCancelledContext(t *testing.T) {
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("cancelled upload took %v, want prompt return", el)
 	}
-	if _, _, derr := Download(storage.NewMemStore(), "k", Options{Ctx: ctx}); derr == nil || !errors.Is(derr, context.Canceled) {
+	if _, _, derr := download(storage.NewMemStore(), "k", 0, Options{Ctx: ctx}); derr == nil || !errors.Is(derr, context.Canceled) {
 		t.Fatalf("cancelled download must fail with context.Canceled, got %v", derr)
 	}
 }

@@ -14,11 +14,13 @@ import (
 	"ompcloud/internal/xcompress"
 )
 
-// This file is the streaming face of the transfer engine. Upload and
-// Download move a whole buffer and return; the offload workflow's barriers
-// between "uploaded", "fetched", "computed", and "downloaded" live above
-// them. Pipe and OutStream dissolve those barriers at chunk granularity:
+// This file is the chunk engine and its streaming faces. Every entry point
+// of the package runs the same per-chunk worker; they differ only in which
+// halves of a chunk they ask for and in who releases chunks to the workers:
 //
+//   - Upload runs the store half of every chunk and releases them all at
+//     once; DownloadInto (chunkio.go) reads the root object itself and runs
+//     the fetch half over the manifest's entries.
 //   - Pipe fuses an input's host-side upload with its driver-side fetch:
 //     the moment chunk k's PUT lands it is fetched back and decoded into
 //     the driver buffer, and a readiness callback fires for its byte
@@ -26,14 +28,13 @@ import (
 //     still compressing on the host.
 //   - OutStream is the mirror for outputs: the driver reconstructs tiles
 //     in index order into a buffer, advancing a watermark; every chunk
-//     that falls fully below the watermark is encoded, stored, fetched,
-//     and decoded into the host buffer while later tiles still compute.
+//     that falls fully below the watermark is released to run both halves
+//     while later tiles still compute.
 //
-// Both commit the manifest last, after every part, exactly like Upload —
-// a reader never observes a manifest whose parts are missing. Neither
-// fetches the manifest back: the consumer lives in the same process and
-// learns completion from the call returning, which is why the fetch half
-// reports DownloadResult.RootCached.
+// The manifest is committed last, after every part — a reader never observes
+// a manifest whose parts are missing. Pipe and OutStream never fetch it back:
+// the consumer lives in the same process and learns completion from the call
+// returning, which is why their fetch half reports DownloadResult.RootCached.
 
 // PipeResult pairs the upload and fetch halves of one fused transfer.
 type PipeResult struct {
@@ -41,21 +42,33 @@ type PipeResult struct {
 	Down DownloadResult
 }
 
-// pipeState is the per-chunk machinery shared by Pipe and OutStream: each
-// chunk flows encode -> PUT -> GET -> decode-into-window within a single
-// worker, with the PUT and the GET+decode as independent retry units, so
-// the only difference between the two entry points is who decides when a
-// chunk is ready to flow.
+// pipeState is the chunk engine: one transfer's chunks, the workers that
+// move them and the accounting they leave. A chunk has two optional halves.
+// The store half cuts the chunk out of src, asks the chunk cache whether the
+// store already has it, encodes it under the plan, PUTs it and records its
+// manifest entry. The fetch half GETs the entry's key, decodes it into the
+// same window of dst, checks the decoded content hash and announces the
+// window through ready. Both run back to back in one worker, the PUT and
+// the GET+decode as independent retry units.
 type pipeState struct {
-	st    storage.Store
-	o     Options
-	key   string
-	src   []byte
-	dst   []byte
-	cs    int
-	cuts  []int // chunk end-offsets (see cutPoints); empty in single mode
-	plan  func(chunk []byte) xcompress.Verdict
-	ready func(lo, hi int64)
+	st  storage.Store
+	o   Options
+	key string
+
+	store, fetch bool
+	src, dst     []byte
+	cuts         []int // chunk end-offsets (see cutPoints)
+	// single marks the one-chunk layout of the store half: a buffer of at
+	// most one chunk is stored as a plain frame at the root key, with no
+	// manifest, so its one GET is the data transfer itself.
+	single bool
+	plan   func(chunk []byte) xcompress.Verdict
+	ready  func(lo, hi int64)
+
+	jobs      chan int
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	compHist  histPair
 
 	entries          []chunkEntry
 	encDurs, decDurs []time.Duration
@@ -68,21 +81,90 @@ type pipeState struct {
 	stopped          atomic.Bool
 }
 
-func newPipeState(st storage.Store, key string, src, dst []byte, o Options, ready func(lo, hi int64)) *pipeState {
-	ps := &pipeState{st: st, o: o, key: key, src: src, dst: dst, cs: o.chunkSize(), ready: ready}
-	ps.cuts = cutPoints(src, ps.cs, o.CDC)
-	n := ps.chunks()
-	ps.entries = make([]chunkEntry, n)
+// newStorer prepares an engine whose chunks have a store half over src.
+func newStorer(st storage.Store, key string, src []byte, o Options) *pipeState {
+	cs := o.chunkSize()
+	ps := &pipeState{st: st, o: o, key: key, store: true, src: src, single: len(src) <= cs}
+	ps.cuts = cutPoints(src, cs, o.CDC)
+	ps.entries = make([]chunkEntry, len(ps.cuts))
+	return ps
+}
+
+// setPlan builds the per-chunk codec plan from probe, the finalized prefix
+// of src: AlgoAuto probes it once and reuses the verdict for every chunk;
+// AlgoAdaptive re-decides per chunk against each worker's share of the wire.
+// The one chunk of the single layout rides the whole wire, and outside the
+// adaptive policy keeps Encode's own streaming probe (the head is gzipped
+// once, not once to probe and again to encode).
+func (ps *pipeState) setPlan(probe []byte) {
+	switch {
+	case !ps.single:
+		ps.plan = ps.o.Codec.Planner(probe, ps.o.wireShare())
+	case ps.o.Codec.Algo == xcompress.AlgoAdaptive:
+		ps.plan = ps.o.Codec.Planner(probe, ps.o.WireBytesPerS)
+	default:
+		ps.plan = func([]byte) xcompress.Verdict { return xcompress.VerdictAuto }
+	}
+}
+
+// start launches the workers. Chunks reach them through release; the jobs
+// channel is sized to the chunk count, so releasing never blocks the caller
+// (an OutStream's producer least of all).
+func (ps *pipeState) start() {
+	n := len(ps.cuts)
+	ps.jobs = make(chan int, n)
 	ps.encDurs = make([]time.Duration, n)
 	ps.decDurs = make([]time.Duration, n)
 	ps.fetched = make([]int64, n)
 	ps.errs = make([]error, n)
-	return ps
+	if ps.store {
+		ps.compHist = newHistPair("chunkio.compress.seconds", ps.o.MetricDevice)
+	}
+	for w := min(ps.o.parallel(), n); w > 0; w-- {
+		ps.wg.Add(1)
+		go ps.work()
+	}
 }
 
-func (ps *pipeState) chunks() int { return len(ps.cuts) }
+// work is one worker: its put and get units are allocated once and reused
+// for every chunk it is handed.
+func (ps *pipeState) work() {
+	defer ps.wg.Done()
+	var pu *putUnit
+	var gu *getUnit
+	if ps.store {
+		pu = newPutUnit(ps.st, &ps.o, &ps.putRetries)
+	}
+	if ps.fetch {
+		gu = newGetUnit(ps.st, &ps.o, &ps.getRetries)
+	}
+	for i := range ps.jobs {
+		ps.runChunk(i, pu, gu)
+	}
+}
 
-// window returns chunk i's [lo, hi) byte range of src.
+// release hands chunks [from, to) to the workers.
+func (ps *pipeState) release(from, to int) {
+	for i := from; i < to; i++ {
+		ps.jobs <- i
+	}
+}
+
+// run releases every chunk at once and finishes the transfer.
+func (ps *pipeState) run() (*PipeResult, error) {
+	ps.start()
+	ps.release(0, len(ps.cuts))
+	return ps.finish()
+}
+
+// drain closes the job queue and waits for the workers to finish what was
+// released.
+func (ps *pipeState) drain() {
+	ps.closeOnce.Do(func() { close(ps.jobs) })
+	ps.wg.Wait()
+}
+
+// window returns chunk i's [lo, hi) byte range of src and dst.
 func (ps *pipeState) window(i int) (lo, hi int) {
 	if i > 0 {
 		lo = ps.cuts[i-1]
@@ -97,72 +179,92 @@ func (ps *pipeState) fail(i int, err error) {
 	ps.stopped.Store(true)
 }
 
-// runChunk moves chunk i end to end through the caller's worker-owned put
-// and get units. Cache hooks are honored like Upload's: a chunk the cache
-// already has skips its encode and PUT but is still fetched into dst — the
-// consumer side needs the bytes regardless of who stored them.
+// runChunk moves chunk i through the halves this transfer asked for.
 func (ps *pipeState) runChunk(i int, pu *putUnit, gu *getUnit) {
 	if ps.stopped.Load() {
 		return
 	}
 	if cerr := ps.o.ctxErr(); cerr != nil {
-		ps.fail(i, resilience.MarkPermanent(fmt.Errorf("chunkio: pipe %s cancelled: %w", ps.key, cerr)))
+		ps.fail(i, resilience.MarkPermanent(fmt.Errorf("chunkio: transfer of %s cancelled: %w", ps.key, cerr)))
 		return
 	}
 	lo, hi := ps.window(i)
-	chunk := ps.src[lo:hi]
-	ckey := partKey(ps.key, i)
-	have := false
-	if ps.o.ChunkKey != nil {
-		sum := sha256.Sum256(chunk)
-		ckey = ps.o.ChunkKey(sum)
-		if ps.o.Have != nil {
-			if wire, ok := ps.o.Have(ckey); ok {
-				ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
-				ps.reused.Add(1)
-				ps.reusedRaw.Add(int64(len(chunk)))
-				have = true
+	if ps.store {
+		if err := ps.storeChunk(i, ps.src[lo:hi], pu); err != nil {
+			ps.fail(i, err)
+			return
+		}
+	}
+	if ps.fetch {
+		wire, dur, err := gu.fetch(ps.entries[i].Key, ps.dst[lo:hi])
+		if err != nil {
+			ps.fail(i, err)
+			return
+		}
+		ps.decDurs[i] = dur
+		ps.fetched[i] = wire
+		if ps.ready != nil {
+			ps.ready(int64(lo), int64(hi))
+		}
+	}
+}
+
+// storeChunk is the store half of chunk i. Parts are keyed by position, or
+// by content when the chunk cache is wired (Options.ChunkKey): a chunk the
+// cache already has skips its encode and PUT, and only its manifest entry is
+// written.
+func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
+	ckey := ps.key
+	// Parts encode into scratch borrowed from encBufs. The single layout's
+	// one chunk does not: it can be the whole buffer (chunk-bytes = -1), and
+	// a buffer that large must not be parked in the pool.
+	var bp *[]byte
+	var scratch []byte
+	if !ps.single {
+		ckey = partKey(ps.key, i)
+		if ps.o.ChunkKey != nil {
+			ckey = ps.o.ChunkKey(sha256.Sum256(chunk))
+			if ps.o.Have != nil {
+				if wire, ok := ps.o.Have(ckey); ok {
+					ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
+					ps.reused.Add(1)
+					ps.reusedRaw.Add(int64(len(chunk)))
+					return nil
+				}
 			}
 		}
+		bp = encBufs.Get().(*[]byte)
+		scratch = (*bp)[:0]
 	}
-	if !have {
-		bp := encBufs.Get().(*[]byte)
-		sc := span.Start("chunk.compress", "chunk", 0)
-		sc.SetAttr("key", ckey)
-		start := time.Now()
-		enc, err := ps.o.Codec.AppendEncode((*bp)[:0], chunk, ps.plan(chunk))
-		ps.encDurs[i] = time.Since(start)
-		sc.End()
-		newHistPair("chunkio.compress.seconds", ps.o.MetricDevice).Observe(ps.encDurs[i].Seconds())
-		if err != nil {
-			encBufs.Put(bp)
-			ps.fail(i, resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", ckey, err)))
-			return
-		}
-		*bp = enc
-		err = pu.put(ckey, enc)
-		wire := int64(len(enc))
-		encBufs.Put(bp) // stores copy on Put; safe once put returns
-		if err != nil {
-			ps.fail(i, fmt.Errorf("chunkio: storing %s: %w", ckey, err))
-			return
-		}
-		ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
-		ps.sent.Add(wire)
-		if ps.o.OnStored != nil {
-			ps.o.OnStored(ckey, wire)
-		}
-	}
-	wire, dur, err := gu.fetch(ckey, ps.dst[lo:hi])
+	sc := span.Start("chunk.compress", "chunk", 0)
+	sc.SetAttr("key", ckey)
+	start := time.Now()
+	enc, err := ps.o.Codec.AppendEncode(scratch, chunk, ps.plan(chunk))
+	ps.encDurs[i] = time.Since(start)
+	sc.End()
+	ps.compHist.Observe(ps.encDurs[i].Seconds())
 	if err != nil {
-		ps.fail(i, err)
-		return
+		// Encoding is local CPU work: retrying cannot help.
+		err = resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", ckey, err))
+	} else if err = pu.put(ckey, enc); err != nil {
+		err = fmt.Errorf("chunkio: storing %s: %w", ckey, err)
 	}
-	ps.decDurs[i] = dur
-	ps.fetched[i] = wire
-	if ps.ready != nil {
-		ps.ready(int64(lo), int64(hi))
+	if bp != nil {
+		if enc != nil {
+			*bp = enc // keep any growth for the next borrower
+		}
+		encBufs.Put(bp) // stores copy on Put; safe once put returns
 	}
+	if err != nil {
+		return err
+	}
+	wire := int64(len(enc))
+	ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
+	ps.sent.Add(wire)
+	if ps.o.OnStored != nil && !ps.single {
+		ps.o.OnStored(ckey, wire)
+	}
+	return nil
 }
 
 func (ps *pipeState) firstErr() error {
@@ -174,14 +276,14 @@ func (ps *pipeState) firstErr() error {
 	return nil
 }
 
-// discardParts deletes the parts a failed pipe stored, so an aborted
-// transfer leaves no orphaned objects behind. Content-addressed chunks
-// (ChunkKey set) are exempt: they are shared cache entries that other
-// manifests may already reference, and re-uploads find them by content.
-// Best effort — a store too broken to delete is a store whose garbage the
-// caller's prefix cleanup or wipe handles.
+// discardParts deletes the objects a failed transfer stored, so an aborted
+// transfer leaves no orphans behind. Content-addressed chunks (ChunkKey set)
+// are exempt: they are shared cache entries that other manifests may already
+// reference, and re-uploads find them by content. Best effort — a store too
+// broken to delete is a store whose garbage the caller's prefix cleanup or
+// wipe handles.
 func (ps *pipeState) discardParts() {
-	if ps.o.ChunkKey != nil {
+	if !ps.store || ps.o.ChunkKey != nil {
 		return
 	}
 	for _, e := range ps.entries {
@@ -194,7 +296,7 @@ func (ps *pipeState) discardParts() {
 // commitManifest writes the manifest frame after every part has landed,
 // returning its wire length.
 func (ps *pipeState) commitManifest() (int, error) {
-	m := manifest{Version: manifestVersion, ChunkSize: ps.cs, RawSize: int64(len(ps.src)), Chunks: ps.entries}
+	m := manifest{Version: manifestVersion, ChunkSize: ps.o.chunkSize(), RawSize: int64(len(ps.src)), Chunks: ps.entries}
 	body, err := json.Marshal(m)
 	if err != nil {
 		return 0, fmt.Errorf("chunkio: %w", err)
@@ -211,10 +313,28 @@ func (ps *pipeState) commitManifest() (int, error) {
 	return len(frame), nil
 }
 
+// finish waits for every released chunk, commits the manifest of a
+// multipart store, and reports both halves' accounting. Any failure — a
+// chunk's or the manifest's — discards what the transfer stored.
+func (ps *pipeState) finish() (*PipeResult, error) {
+	ps.drain()
+	err := ps.firstErr()
+	frameLen := 0
+	if err == nil && ps.store && !ps.single {
+		frameLen, err = ps.commitManifest()
+	}
+	if err != nil {
+		ps.discardParts()
+		return nil, err
+	}
+	return ps.results(frameLen), nil
+}
+
 // results assembles the two halves' accounting after a successful run.
 func (ps *pipeState) results(frameLen int) *PipeResult {
+	n := len(ps.cuts)
 	up := UploadResult{
-		Chunks:    ps.chunks(),
+		Chunks:    n,
 		Reused:    int(ps.reused.Load()),
 		ReusedRaw: ps.reusedRaw.Load(),
 		Retries:   int(ps.putRetries.Load()),
@@ -227,9 +347,9 @@ func (ps *pipeState) results(frameLen int) *PipeResult {
 	up.CompressWall, up.CompressCPU = wallOf(ps.encDurs, ps.o.parallel())
 
 	down := DownloadResult{
-		Chunks:     ps.chunks(),
+		Chunks:     n,
 		Retries:    int(ps.getRetries.Load()),
-		RootCached: true,
+		RootCached: !ps.single,
 	}
 	for _, w := range ps.fetched {
 		down.WireBytes += w
@@ -238,134 +358,55 @@ func (ps *pipeState) results(frameLen int) *PipeResult {
 	return &PipeResult{Up: up, Down: down}
 }
 
-// pipeSingle handles the at-most-one-chunk layout shared by Pipe and
-// OutStream.Finish: a plain legacy-framed object, encoded, stored, fetched
-// back, and decoded into dst.
-func pipeSingle(st storage.Store, key string, buf, dst []byte, o Options, ready func(lo, hi int64)) (*PipeResult, error) {
-	ps := &pipeState{st: st, o: o, key: key, src: buf, dst: dst}
-	sc := span.Start("chunk.compress", "chunk", 0)
-	sc.SetAttr("key", key)
-	start := time.Now()
-	var enc []byte
-	var err error
-	if o.Codec.Algo == xcompress.AlgoAdaptive {
-		// One chunk, one stream: decide with the full wire rate.
-		enc, err = o.Codec.EncodeWith(buf, o.Codec.ChunkVerdict(buf, o.WireBytesPerS))
-	} else {
-		enc, err = o.Codec.Encode(buf)
-	}
-	encDur := time.Since(start)
-	sc.End()
-	newHistPair("chunkio.compress.seconds", o.MetricDevice).Observe(encDur.Seconds())
+// Upload stores buf under key, chunked and pipelined per the options.
+// Payloads of at most one chunk are stored as a single legacy-framed object;
+// larger ones become a manifest plus parts.
+func Upload(st storage.Store, key string, buf []byte, o Options) (*UploadResult, error) {
+	ps := newStorer(st, key, buf, o)
+	ps.setPlan(buf)
+	res, err := ps.run()
 	if err != nil {
-		return nil, resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", key, err))
-	}
-	if err := newPutUnit(st, &ps.o, &ps.putRetries).put(key, enc); err != nil {
-		return nil, fmt.Errorf("chunkio: storing %s: %w", key, err)
-	}
-	wire, decDur, err := newGetUnit(st, &ps.o, &ps.getRetries).fetch(key, dst)
-	if err != nil {
-		if o.ChunkKey == nil {
-			// The object this call stored is unreadable: remove it rather
-			// than orphan it (content-addressed objects stay — they are
-			// shared cache entries re-verified on every hit).
-			_ = st.Delete(key)
-		}
 		return nil, err
 	}
-	if ready != nil {
-		ready(0, int64(len(buf)))
-	}
-	w := int64(len(enc))
-	return &PipeResult{
-		Up: UploadResult{
-			TotalWire: w, SentWire: w, Chunks: 1,
-			CompressWall: encDur, CompressCPU: encDur,
-			Retries: int(ps.putRetries.Load()),
-		},
-		Down: DownloadResult{
-			WireBytes: wire, Chunks: 1,
-			DecompressWall: decDur, DecompressCPU: decDur,
-			Retries: int(ps.getRetries.Load()),
-		},
-	}, nil
+	return &res.Up, nil
 }
 
 // Pipe stores buf under key while concurrently fetching it back into dst
 // (which must be len(buf) bytes), invoking ready(lo, hi) — when non-nil —
 // after each byte window of dst is final. Windows complete out of order and
 // ready must be safe for concurrent calls. The stored layout is identical
-// to Upload's, so the object stays readable by Download and reusable by the
-// content cache.
+// to Upload's, so the object stays readable by DownloadInto and reusable by
+// the content cache.
 func Pipe(st storage.Store, key string, buf, dst []byte, o Options, ready func(lo, hi int64)) (*PipeResult, error) {
 	if len(dst) != len(buf) {
 		return nil, resilience.MarkPermanent(fmt.Errorf("chunkio: pipe %s: dst is %d bytes, want %d", key, len(dst), len(buf)))
 	}
-	if len(buf) <= o.chunkSize() {
-		return pipeSingle(st, key, buf, dst, o, ready)
-	}
-
-	ps := newPipeState(st, key, buf, dst, o, ready)
-	// Same per-chunk codec plan as Upload: AlgoAuto probes once and reuses
-	// the verdict; AlgoAdaptive decides per chunk.
-	ps.plan = o.Codec.Planner(buf, o.wireShare())
-
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := 0; i < ps.chunks(); i++ {
-			jobs <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < o.parallel(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pu := newPutUnit(st, &ps.o, &ps.putRetries)
-			gu := newGetUnit(st, &ps.o, &ps.getRetries)
-			for i := range jobs {
-				ps.runChunk(i, pu, gu)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ps.firstErr(); err != nil {
-		ps.discardParts()
-		return nil, err
-	}
-	frameLen, err := ps.commitManifest()
-	if err != nil {
-		ps.discardParts()
-		return nil, err
-	}
-	return ps.results(frameLen), nil
+	ps := newStorer(st, key, buf, o)
+	ps.fetch, ps.dst, ps.ready = true, dst, ready
+	ps.setPlan(buf)
+	return ps.run()
 }
 
 // OutStream ships a buffer that is still being produced. The producer fills
 // src front to back (the driver reconstructs tiles in index order) and
 // calls Advance as the frontier moves; every chunk that falls entirely
-// below the frontier is encoded, stored, fetched, and decoded into dst by
-// background workers while the producer keeps going. Finish flushes the
-// tail, commits the manifest, and reports both halves' accounting.
+// below the frontier is released to the engine's workers — encoded, stored,
+// fetched and decoded into dst — while the producer keeps going. Finish
+// flushes the tail, commits the manifest, and reports both halves'
+// accounting.
 type OutStream struct {
-	ps     *pipeState
-	single bool
+	ps *pipeState
 
-	jobs      chan int
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	mu     sync.Mutex
-	water  int64
-	next   int // next chunk index not yet enqueued
-	probed bool
+	mu    sync.Mutex
+	water int64
+	next  int // next chunk index not yet released
 }
 
 // NewOutStream prepares a stream storing src under key and mirroring it
 // into dst (len(dst) must equal len(src)). ready — when non-nil — fires
-// after each window of dst is final, like Pipe's. Payloads of at most one
-// chunk defer all work to Finish: there is nothing to overlap.
+// after each window of dst is final, like Pipe's. A payload of at most one
+// chunk is released when the frontier reaches its end: there is nothing to
+// overlap.
 //
 // Content-defined chunking is forced off: Gear cuts depend on bytes that a
 // streaming producer has not written yet, so an OutStream always uses
@@ -377,29 +418,14 @@ func NewOutStream(st storage.Store, key string, src, dst []byte, o Options, read
 		return nil, resilience.MarkPermanent(fmt.Errorf("chunkio: outstream %s: dst is %d bytes, want %d", key, len(dst), len(src)))
 	}
 	o.CDC = false
-	s := &OutStream{ps: newPipeState(st, key, src, dst, o, ready)}
-	if len(src) <= s.ps.cs {
-		s.single = true
-		return s, nil
-	}
-	// Buffered to the chunk count so Advance never blocks the producer.
-	s.jobs = make(chan int, s.ps.chunks())
-	for w := 0; w < o.parallel(); w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			pu := newPutUnit(st, &s.ps.o, &s.ps.putRetries)
-			gu := newGetUnit(st, &s.ps.o, &s.ps.getRetries)
-			for i := range s.jobs {
-				s.ps.runChunk(i, pu, gu)
-			}
-		}()
-	}
-	return s, nil
+	ps := newStorer(st, key, src, o)
+	ps.fetch, ps.dst, ps.ready = true, dst, ready
+	ps.start()
+	return &OutStream{ps: ps}, nil
 }
 
 // Advance tells the stream that src[:hi] is final. It is monotonic (a lower
-// hi than before is a no-op) and enqueues every chunk now fully below the
+// hi than before is a no-op) and releases every chunk now fully below the
 // frontier. The producer must not mutate finalized bytes afterwards.
 func (s *OutStream) Advance(hi int64) {
 	if hi > int64(len(s.ps.src)) {
@@ -407,29 +433,26 @@ func (s *OutStream) Advance(hi int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if hi <= s.water {
-		return
+	if hi > s.water {
+		s.water = hi
 	}
-	s.water = hi
-	if s.single {
-		return
-	}
-	for s.next < s.ps.chunks() {
-		end := int64(s.ps.cuts[s.next])
-		if end > s.water {
-			break
-		}
-		if !s.probed {
-			// First chunk is final, so building the plan from src[:end]
-			// reads only finalized bytes: AlgoAuto's probe samples within
-			// chunk 0, and AlgoAdaptive's plan defers all reads to each
-			// chunk's own enqueue-time verdict.
-			s.ps.plan = s.ps.o.Codec.Planner(s.ps.src[:end], s.ps.o.wireShare())
-			s.probed = true
-		}
-		s.jobs <- s.next
+	s.releaseBelow()
+}
+
+// releaseBelow releases the chunks that end at or below the frontier; the
+// caller holds s.mu.
+func (s *OutStream) releaseBelow() {
+	ps, from := s.ps, s.next
+	for s.next < len(ps.cuts) && int64(ps.cuts[s.next]) <= s.water {
 		s.next++
 	}
+	if from == 0 && s.next > 0 {
+		// The first chunk is final, so building the plan from it reads only
+		// finalized bytes: AlgoAuto's probe samples within chunk 0, and
+		// AlgoAdaptive's plan defers all reads to each chunk's own verdict.
+		ps.setPlan(ps.src[:ps.cuts[0]])
+	}
+	ps.release(from, s.next)
 }
 
 // Finish flushes everything, commits the manifest last, and returns the
@@ -437,27 +460,14 @@ func (s *OutStream) Advance(hi int64) {
 // to the full length first.
 func (s *OutStream) Finish() (*PipeResult, error) {
 	s.mu.Lock()
-	complete := s.water == int64(len(s.ps.src))
+	s.releaseBelow() // an empty buffer's one chunk ends at the initial frontier
+	complete := s.next == len(s.ps.cuts)
 	s.mu.Unlock()
 	if !complete {
 		s.Abort()
 		return nil, resilience.MarkPermanent(fmt.Errorf("chunkio: outstream %s: Finish before the frontier reached %d bytes", s.ps.key, len(s.ps.src)))
 	}
-	if s.single {
-		return pipeSingle(s.ps.st, s.ps.key, s.ps.src, s.ps.dst, s.ps.o, s.ps.ready)
-	}
-	s.closeOnce.Do(func() { close(s.jobs) })
-	s.wg.Wait()
-	if err := s.ps.firstErr(); err != nil {
-		s.ps.discardParts()
-		return nil, err
-	}
-	frameLen, err := s.ps.commitManifest()
-	if err != nil {
-		s.ps.discardParts()
-		return nil, err
-	}
-	return s.ps.results(frameLen), nil
+	return s.ps.finish()
 }
 
 // Abort stops the stream early (error paths): no manifest is committed,
@@ -465,10 +475,6 @@ func (s *OutStream) Finish() (*PipeResult, error) {
 // are deleted — an aborted stream leaves no orphaned objects.
 func (s *OutStream) Abort() {
 	s.ps.stopped.Store(true)
-	if s.single {
-		return
-	}
-	s.closeOnce.Do(func() { close(s.jobs) })
-	s.wg.Wait()
+	s.ps.drain()
 	s.ps.discardParts()
 }

@@ -134,12 +134,6 @@ type CloudConfig struct {
 	RetryBase time.Duration
 	// RetryCap bounds a single backoff. 0 means DefaultRetryCap.
 	RetryCap time.Duration
-	// RetryDeadline bounds one leg unit's total attempts plus backoff;
-	// 0 means no deadline.
-	RetryDeadline time.Duration
-	// RetrySeed feeds the deterministic backoff jitter; equal seeds
-	// replay identical backoff schedules.
-	RetrySeed uint64
 	// RetrySleep replaces the backoff clock; nil means time.Sleep.
 	RetrySleep func(time.Duration)
 
@@ -575,8 +569,6 @@ func (p *CloudPlugin) retryPolicy(rc *atomic.Int64) resilience.Policy {
 		MaxAttempts: attempts,
 		BaseDelay:   base,
 		CapDelay:    capDelay,
-		Deadline:    p.cfg.RetryDeadline,
-		Seed:        p.cfg.RetrySeed,
 		Sleep:       p.cfg.RetrySleep,
 		OnRetry: func(attempt int, err error, backoff time.Duration) {
 			if rc != nil {

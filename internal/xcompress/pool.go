@@ -174,6 +174,9 @@ func (c Codec) AppendEncode(dst, buf []byte, v Verdict) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if cap(dst) == 0 {
+			return enc, nil // nothing to extend or reuse: Encode's own buffer is the result
+		}
 		return append(dst, enc...), nil
 	}
 }
@@ -190,7 +193,7 @@ func DecodeInto(wire, dst []byte) error {
 		return fmt.Errorf("xcompress: empty payload")
 	}
 	if wire[0] == TagChunked {
-		return fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.Download")
+		return fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.DownloadInto")
 	}
 	f := frames[wire[0]]
 	if f == nil {

@@ -329,7 +329,7 @@ func Decode(wire []byte) ([]byte, error) {
 		return nil, fmt.Errorf("xcompress: empty payload")
 	}
 	if wire[0] == TagChunked {
-		return nil, fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.Download")
+		return nil, fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.DownloadInto")
 	}
 	f := frames[wire[0]]
 	if f == nil {
