@@ -13,6 +13,10 @@
 // restarted daemon has an empty registry), and deregisters on SIGTERM so
 // the pool shrinks immediately instead of waiting out the lease.
 //
+// On SIGTERM or SIGINT the worker drains: it stops accepting, closes idle
+// pooled connections, and lets tiles already inside their kernel finish and
+// answer (up to drainGrace) before it exits.
+//
 //	ompcloud-offloadd -addr 127.0.0.1:9500 &
 //	ompcloud-worker -addr 127.0.0.1:9401 -register 127.0.0.1:9500 &
 package main
@@ -31,6 +35,10 @@ import (
 	"ompcloud/internal/remoteexec"
 	"ompcloud/internal/serve"
 )
+
+// drainGrace is how long a shutdown waits for tiles in flight: past it the
+// driver sees a transport error and re-executes them elsewhere.
+const drainGrace = 30 * time.Second
 
 func main() {
 	var (
@@ -83,10 +91,10 @@ func main() {
 		}
 		daemon.Close()
 	}
-	fmt.Printf("ompcloud-worker: shutting down after %d tiles\n", w.Served())
-	if err := w.Close(); err != nil {
+	if err := w.Drain(drainGrace); err != nil {
 		fatal(err)
 	}
+	fmt.Printf("ompcloud-worker: shut down after %d tiles\n", w.Served())
 }
 
 // heartbeatLoop renews the worker's lease; an "unknown" reply means the

@@ -14,14 +14,13 @@ package remoteexec
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"net"
-	"strings"
-	"sync"
+	"sync/atomic"
+	"time"
 
+	"ompcloud/internal/endpoint"
 	"ompcloud/internal/fatbin"
 )
 
@@ -51,20 +50,16 @@ type TileResponse struct {
 	Err  string
 }
 
-// maxTileBytes bounds a single request/response to keep a confused peer
-// from forcing unbounded allocations.
+// maxTileBytes bounds a single request or response frame where it is read,
+// and the outputs a request may declare, to keep a confused peer from
+// forcing unbounded allocations.
 const maxTileBytes = 4 << 30
 
 // Worker serves tile executions from a fat-binary registry.
 type Worker struct {
-	ln  net.Listener
-	reg *fatbin.Registry
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-	served int64
+	ep     *endpoint.Server
+	reg    *fatbin.Registry
+	served atomic.Int64
 }
 
 // Serve starts a worker on addr resolving kernels from reg (nil means
@@ -73,85 +68,35 @@ func Serve(addr string, reg *fatbin.Registry) (*Worker, error) {
 	if reg == nil {
 		reg = fatbin.Default
 	}
-	ln, err := net.Listen("tcp", addr)
+	w := &Worker{reg: reg}
+	ep, err := endpoint.Listen(addr, func(c *endpoint.Conn) {
+		endpoint.ServeGob(c, maxTileBytes, w.execute)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("remoteexec: %w", err)
 	}
-	w := &Worker{ln: ln, reg: reg, conns: make(map[net.Conn]struct{})}
-	w.wg.Add(1)
-	go w.acceptLoop()
+	w.ep = ep
 	return w, nil
 }
 
 // Addr reports the listen address.
-func (w *Worker) Addr() string { return w.ln.Addr().String() }
+func (w *Worker) Addr() string { return w.ep.Addr() }
 
 // Served reports how many tiles this worker executed.
-func (w *Worker) Served() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.served
-}
+func (w *Worker) Served() int64 { return w.served.Load() }
 
-// Close stops the worker.
-func (w *Worker) Close() error {
-	w.mu.Lock()
-	w.closed = true
-	for c := range w.conns {
-		c.Close()
-	}
-	w.mu.Unlock()
-	err := w.ln.Close()
-	w.wg.Wait()
-	return err
-}
+// Close stops the worker at once, cutting off tiles in flight.
+func (w *Worker) Close() error { return w.ep.Close() }
 
-func (w *Worker) acceptLoop() {
-	defer w.wg.Done()
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			return
-		}
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			conn.Close()
-			return
-		}
-		w.conns[conn] = struct{}{}
-		w.mu.Unlock()
-		w.wg.Add(1)
-		go w.handle(conn)
-	}
-}
+// Drain stops the worker gracefully (endpoint.Server.Drain): no new
+// connections, idle pooled connections closed at once, and a tile inside
+// its kernel gets until the timeout to finish and send its response.
+func (w *Worker) Drain(timeout time.Duration) error { return w.ep.Drain(timeout) }
 
-func (w *Worker) handle(conn net.Conn) {
-	defer w.wg.Done()
-	defer func() {
-		conn.Close()
-		w.mu.Lock()
-		delete(w.conns, conn)
-		w.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req TileRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := w.execute(&req)
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
-// execute runs one tile for a peer: Execute behind the wire's size limit,
-// with kernel panics recovered into errors so one bad tile does not take
-// the worker down, and the error flattened to the string the protocol
-// carries.
+// execute runs one tile for a peer: Execute behind a limit on the outputs
+// the request declares (its inputs were bounded as they were read), with
+// kernel panics recovered into errors so one bad tile does not take the
+// worker down, and the error flattened to the string the protocol carries.
 func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 	resp = &TileResponse{}
 	defer func() {
@@ -161,24 +106,19 @@ func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 		}
 	}()
 	var total int64
-	for _, in := range req.Ins {
-		total += int64(len(in))
-	}
 	for _, sz := range req.OutSizes {
+		if sz > maxTileBytes-total {
+			resp.Err = "tile exceeds size limit"
+			return resp
+		}
 		total += max(sz, 0)
-	}
-	if total > maxTileBytes {
-		resp.Err = "tile exceeds size limit"
-		return resp
 	}
 	outs, err := Execute(w.reg, req)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
-	w.mu.Lock()
-	w.served++
-	w.mu.Unlock()
+	w.served.Add(1)
 	resp.Outs = outs
 	return resp
 }
@@ -213,42 +153,30 @@ func Execute(reg *fatbin.Registry, req *TileRequest) ([][]byte, error) {
 // Client executes tiles on one worker over a persistent connection.
 // Safe for concurrent use; requests serialize on the connection.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	rt   *endpoint.Client[TileRequest, TileResponse]
 	addr string
 }
 
 // Dial connects to a worker.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	rt, err := endpoint.Dial[TileRequest, TileResponse](addr)
 	if err != nil {
 		return nil, fmt.Errorf("remoteexec: dial %s: %w", addr, err)
 	}
-	return &Client{
-		conn: conn,
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
-		addr: addr,
-	}, nil
+	return &Client{rt: rt, addr: addr}, nil
 }
 
 // Addr reports the worker address.
 func (c *Client) Addr() string { return c.addr }
 
 // Close releases the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.rt.Close() }
 
-// RunTile executes one tile remotely.
+// RunTile executes one tile remotely. A failure of the connection wraps an
+// *endpoint.TransportError; any other error is the worker's own answer.
 func (c *Client) RunTile(req *TileRequest) ([][]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("remoteexec: %s: %w", c.addr, err)
-	}
-	var resp TileResponse
-	if err := c.dec.Decode(&resp); err != nil {
+	resp, err := c.rt.RoundTrip(req, maxTileBytes)
+	if err != nil {
 		return nil, fmt.Errorf("remoteexec: %s: %w", c.addr, err)
 	}
 	if resp.Err != "" {
@@ -302,38 +230,20 @@ func (p *Pool) Run(worker int, req *TileRequest) ([][]byte, error) {
 	return c.RunTile(req)
 }
 
-// Healthy reports whether every worker answers a trivial probe kernel
-// lookup (a failed connection shows up as an error on the next Run; this
-// is a cheap liveness check for Available()).
+// Healthy reports whether every worker answers a trivial probe (a failed
+// connection shows up as an error on the next Run; this is a cheap liveness
+// check for Available()).
 func (p *Pool) Healthy() bool {
 	for _, c := range p.clients {
-		// A zero-iteration request against a missing kernel exercises
-		// the round trip; "not found" still proves liveness.
+		// A zero-iteration request against a kernel no registry links
+		// exercises the round trip; the worker's error proves liveness.
 		_, err := c.RunTile(&TileRequest{Kernel: "__health__", Lo: 0, Hi: 0})
-		if err == nil {
-			continue
-		}
-		if isTransport(err) {
+		var down *endpoint.TransportError
+		if errors.As(err, &down) {
 			return false
 		}
 	}
 	return true
-}
-
-// isTransport distinguishes connection failures from application errors.
-func isTransport(err error) bool {
-	var netErr net.Error
-	if errors.As(err, &netErr) {
-		return true
-	}
-	// gob decode on a closed connection surfaces as io errors wrapped in
-	// our fmt errors; the application-level "not found" carries the
-	// kernel-missing text instead.
-	return !containsKernelMissing(err.Error())
-}
-
-func containsKernelMissing(s string) bool {
-	return strings.Contains(s, "not found")
 }
 
 // Close releases every client.

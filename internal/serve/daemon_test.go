@@ -14,7 +14,7 @@ import (
 	"ompcloud/internal/trace/span"
 )
 
-func newTestDaemon(t *testing.T, mutate func(*Config)) (*Daemon, *storage.MemStore) {
+func newTestDaemon(t testing.TB, mutate func(*Config)) (*Daemon, *storage.MemStore) {
 	t.Helper()
 	st := storage.NewMemStore()
 	cfg := Config{Store: st}

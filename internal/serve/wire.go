@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"ompcloud/internal/endpoint"
 	"ompcloud/internal/simtime"
 )
 
@@ -54,13 +54,8 @@ type Response struct {
 type Front struct {
 	d     *Daemon
 	exec  Executor
-	ln    net.Listener
+	ep    *endpoint.Server
 	epoch time.Time
-
-	mu     sync.Mutex
-	conns  map[net.Conn]*frontConn
-	closed bool
-	wg     sync.WaitGroup
 
 	waitMu  sync.Mutex
 	waiters map[string]chan *Response
@@ -68,28 +63,34 @@ type Front struct {
 	runWG sync.WaitGroup
 }
 
-type frontConn struct {
-	busy bool
-}
+// maxControlBytes bounds a Request frame, and a Response frame but for the
+// Outputs a submit returns: a few short strings, a JobSpec, a Stats
+// snapshot.
+const maxControlBytes = 1 << 20
+
+// maxOutputsBytes bounds a job's Outputs on the wire: a storage object's
+// limit.
+const maxOutputsBytes = 4 << 30
+
+// flushGrace is what a drain gives connections to write their last response
+// once every waiting client has been answered.
+const flushGrace = 250 * time.Millisecond
 
 // ListenAndServe starts a Front on addr.
 func ListenAndServe(addr string, d *Daemon, exec Executor) (*Front, error) {
-	ln, err := net.Listen("tcp", addr)
+	f := &Front{d: d, exec: exec, epoch: time.Now(), waiters: make(map[string]chan *Response)}
+	ep, err := endpoint.Listen(addr, func(c *endpoint.Conn) {
+		endpoint.ServeGob(c, maxControlBytes, func(req *Request) *Response { return f.handleReq(c, req) })
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	f := &Front{
-		d: d, exec: exec, ln: ln, epoch: time.Now(),
-		conns:   make(map[net.Conn]*frontConn),
-		waiters: make(map[string]chan *Response),
-	}
-	f.wg.Add(1)
-	go f.acceptLoop()
+	f.ep = ep
 	return f, nil
 }
 
 // Addr reports the listener address.
-func (f *Front) Addr() string { return f.ln.Addr().String() }
+func (f *Front) Addr() string { return f.ep.Addr() }
 
 // Now maps wall time onto the daemon's virtual clock.
 func (f *Front) Now() simtime.Duration { return simtime.FromReal(time.Since(f.epoch)) }
@@ -132,57 +133,6 @@ func (f *Front) deliver(j *Job, res Result) {
 	f.waitMu.Unlock()
 	if ok {
 		ch <- resp // buffered; never blocks
-	}
-}
-
-func (f *Front) acceptLoop() {
-	defer f.wg.Done()
-	for {
-		conn, err := f.ln.Accept()
-		if err != nil {
-			return
-		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			conn.Close()
-			return
-		}
-		st := &frontConn{}
-		f.conns[conn] = st
-		f.mu.Unlock()
-		f.wg.Add(1)
-		go f.handle(conn, st)
-	}
-}
-
-func (f *Front) handle(conn net.Conn, st *frontConn) {
-	defer f.wg.Done()
-	defer func() {
-		conn.Close()
-		f.mu.Lock()
-		delete(f.conns, conn)
-		f.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		f.mu.Lock()
-		st.busy = true
-		f.mu.Unlock()
-		resp := f.handleReq(conn, &req)
-		err := enc.Encode(resp)
-		f.mu.Lock()
-		st.busy = false
-		closed := f.closed
-		f.mu.Unlock()
-		if err != nil || closed {
-			return
-		}
 	}
 }
 
@@ -239,15 +189,15 @@ func (f *Front) handleReq(conn net.Conn, req *Request) *Response {
 	}
 }
 
-// Drain shuts the front down gracefully: admission closes first, the
-// listener stops, then queued and running jobs get until the deadline to
-// finish. Whatever has not completed by then stays in the write-ahead
-// journal — clients blocked on those jobs receive status "journaled" and
-// the next daemon life recovers them. No admitted job is ever lost: it
-// either completes (journal released) or its journal entry survives.
+// Drain shuts the front down gracefully: admission closes first, then
+// queued and running jobs get until the deadline to finish. Whatever has
+// not completed by then stays in the write-ahead journal — clients blocked
+// on those jobs receive status "journaled" and the next daemon life
+// recovers them. No admitted job is ever lost: it either completes (journal
+// released) or its journal entry survives. The connections then drain by
+// the endpoint's rule, with flushGrace to write those last responses.
 func (f *Front) Drain(timeout time.Duration) error {
 	f.d.BeginDrain()
-	err := f.ln.Close()
 	deadline := time.Now().Add(timeout)
 	f.Pump()
 	for time.Now().Before(deadline) {
@@ -264,78 +214,40 @@ func (f *Front) Drain(timeout time.Duration) error {
 		delete(f.waiters, id)
 	}
 	f.waitMu.Unlock()
-	// Give busy connections a moment to flush their final response, then
-	// tear everything down. Handlers stuck inside an abandoned executor
-	// run are not waited on — same policy as the storage server's drain.
-	flush := time.Now().Add(250 * time.Millisecond)
-	for {
-		f.mu.Lock()
-		busy := 0
-		for c, st := range f.conns {
-			if st.busy {
-				busy++
-			} else {
-				c.Close()
-			}
-		}
-		f.mu.Unlock()
-		if busy == 0 || time.Now().After(flush) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f.mu.Lock()
-	f.closed = true
-	for c := range f.conns {
-		c.Close()
-	}
-	f.mu.Unlock()
-	return err
+	return f.ep.Drain(flushGrace)
 }
 
 // Close tears the front down immediately (tests).
-func (f *Front) Close() error {
-	f.mu.Lock()
-	f.closed = true
-	for c := range f.conns {
-		c.Close()
-	}
-	f.mu.Unlock()
-	return f.ln.Close()
-}
+func (f *Front) Close() error { return f.ep.Close() }
 
 // Client is the gob client of a Front: one persistent connection,
 // round trips serialized.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	rt *endpoint.Client[Request, Response]
 }
 
 // DialFront connects to a service daemon.
 func DialFront(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	rt, err := endpoint.Dial[Request, Response](addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &Client{rt: rt}, nil
 }
 
 // Close tears down the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.rt.Close() }
 
 func (c *Client) roundTrip(req *Request) (*Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
+	limit := int64(maxControlBytes)
+	if req.Op == "submit" {
+		limit += maxOutputsBytes
+	}
+	resp, err := c.rt.RoundTrip(req, limit)
+	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Submit sends one job and blocks until it completes, is rejected, or is

@@ -1,6 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
+	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,7 +35,7 @@ func (e *fakeExec) Run(job *Job, cores int) Result {
 	}
 }
 
-func startFront(t *testing.T, exec Executor, mutate func(*Config)) (*Front, *storage.MemStore) {
+func startFront(t testing.TB, exec Executor, mutate func(*Config)) (*Front, *storage.MemStore) {
 	t.Helper()
 	d, st := newTestDaemon(t, mutate)
 	f, err := ListenAndServe("127.0.0.1:0", d, exec)
@@ -290,4 +297,86 @@ func TestFrontEverySubmitReturns(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%d of %d submits returned; the rest lost their response", done.Load(), clients*perClient)
 	}
+}
+
+// TestFrontSpeaksBareGob drives a front with what the parent commit's
+// client was — encoding/gob on a socket and nothing else — so mixed-version
+// clients, workers and daemons interoperate.
+func TestFrontSpeaksBareGob(t *testing.T) {
+	f, _ := startFront(t, &fakeExec{}, func(c *Config) { c.Limits = Limits{Rate: -1} })
+	conn, err := net.Dial("tcp", f.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	for seed := int64(1); seed <= 2; seed++ {
+		if err := enc.Encode(&Request{Op: "submit", Tenant: "alice", Client: "c", Spec: JobSpec{Bench: "gemm", N: 8, Seed: seed}}); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := dec.Decode(&resp); err != nil || !resp.OK || resp.Outputs[0][0] != float32(seed) {
+			t.Fatalf("submit %d: %+v, %v", seed, resp, err)
+		}
+	}
+}
+
+// FuzzFrontConn feeds arbitrary bytes to a front as one peer's stream.
+// Whatever arrives, the front must not panic, must not allocate more than a
+// small multiple of what it was sent (plus gob's one eagerly allocated
+// block), must close the connection, and must still serve the next one.
+func FuzzFrontConn(f *testing.F) {
+	stream := func(reqs ...*Request) []byte {
+		var b bytes.Buffer
+		enc := gob.NewEncoder(&b)
+		for _, r := range reqs {
+			if err := enc.Encode(r); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return b.Bytes()
+	}
+	valid := stream(&Request{Op: "submit", Tenant: "alice", Client: "c", Spec: JobSpec{Bench: "gemm", N: 8, Seed: 3}})
+	f.Add(valid)
+	f.Add(stream(&Request{Op: "register", WorkerAddr: "w:1", WorkerCores: 4}, &Request{Op: "heartbeat", WorkerAddr: "w:1"},
+		&Request{Op: "deregister", WorkerAddr: "w:1"}, &Request{Op: "stats"}, &Request{Op: "nope"}))
+	f.Add(stream(&Request{Op: "submit", Tenant: "a/b", Spec: JobSpec{N: -1}}))
+	f.Add(valid[:len(valid)/2])                                         // cut inside a frame
+	f.Add([]byte{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a length prefix past every limit
+	f.Add([]byte{0xfd, 0x20, 0x00, 0x00, 'a', 'b', 'c'})                // 2 MiB declared against a 1 MiB budget, 3 bytes sent
+	f.Add(stream(&Request{Op: "submit", Tenant: string(make([]byte, 2*maxControlBytes))}))
+	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
+
+	front, _ := startFront(f, &fakeExec{}, func(c *Config) { c.Limits = Limits{Rate: -1} })
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		conn, err := net.Dial("tcp", front.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		go func() {
+			conn.Write(in)
+			conn.(*net.TCPConn).CloseWrite()
+		}()
+		if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) { // EOF or a reset is closed
+			t.Fatalf("front left the connection open: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		// 10 MiB is the most encoding/gob allocates for a message before
+		// its body arrives; a job's admission costs more than its request.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(10<<20+64*len(in)+1<<20); got > limit {
+			t.Fatalf("%d bytes made the front allocate %d (limit %d)", len(in), got, limit)
+		}
+		c, err := DialFront(front.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.FrontStats(); err != nil {
+			t.Fatalf("next connection: %v", err)
+		}
+	})
 }

@@ -6,6 +6,12 @@
 // task is recomputed from its deterministic parent chain, on another worker
 // if the original is blacklisted).
 //
+// The operators are the ones something calls — the offloading plan engine,
+// the benchmark, examples/rawspark: Parallelize and Range; Map,
+// MapPartitions, Filter, Gated and Persist; one driver-mediated shuffle,
+// ReduceByKey; NewBroadcast; and the actions Collect, CollectPartitions,
+// CollectPartitionsEach, Reduce, Count and Foreach.
+//
 // Execution is real: every task runs its closure on a goroutine holding one
 // of a bounded set of machine-core slots, and its duration is measured while
 // it exclusively holds the slot. Reported times, however, are virtual: the

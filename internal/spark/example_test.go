@@ -65,16 +65,15 @@ func ExampleReduceByKey() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	byWord, err := spark.CountByKey(pairs) // or the convenience action
-	if err != nil {
-		log.Fatal(err)
-	}
 	items, _, _ := counts.Collect()
-	total := int64(0)
+	total, cloud := int64(0), int64(0)
 	for _, kv := range items {
 		total += kv.Value
+		if kv.Key == "cloud" {
+			cloud = kv.Value
+		}
 	}
-	fmt.Println(total, byWord["cloud"])
+	fmt.Println(total, cloud)
 	// Output: 6 3
 }
 

@@ -5,94 +5,6 @@ import (
 	"sync"
 )
 
-// FlatMap applies f to every element and concatenates the results within
-// each partition.
-func FlatMap[T, U any](r *RDD[T], f func(T) ([]U, error)) *RDD[U] {
-	return &RDD[U]{
-		ctx:           r.ctx,
-		name:          fmt.Sprintf("flatMap(%s)", r.name),
-		numPartitions: r.numPartitions,
-		compute: func(p int) ([]U, error) {
-			in, err := r.compute(p)
-			if err != nil {
-				return nil, err
-			}
-			var out []U
-			for _, v := range in {
-				us, err := f(v)
-				if err != nil {
-					return nil, fmt.Errorf("spark: flatMap: %w", err)
-				}
-				out = append(out, us...)
-			}
-			return out, nil
-		},
-	}
-}
-
-// Union concatenates two RDDs of the same element type: the result has
-// a.numPartitions + b.numPartitions partitions, a's first. Both operands
-// must belong to the same context.
-func Union[T any](a, b *RDD[T]) (*RDD[T], error) {
-	if a.ctx != b.ctx {
-		return nil, fmt.Errorf("spark: union across contexts")
-	}
-	return &RDD[T]{
-		ctx:           a.ctx,
-		name:          fmt.Sprintf("union(%s, %s)", a.name, b.name),
-		numPartitions: a.numPartitions + b.numPartitions,
-		compute: func(p int) ([]T, error) {
-			if p < a.numPartitions {
-				return a.compute(p)
-			}
-			return b.compute(p - a.numPartitions)
-		},
-	}, nil
-}
-
-// Indexed pairs an element with its global position.
-type Indexed[T any] struct {
-	Index int64
-	Value T
-}
-
-// ZipWithIndex pairs every element with its global index (partition order,
-// then order within the partition). Like Spark's zipWithIndex, it runs a
-// counting job eagerly to learn the per-partition offsets.
-func ZipWithIndex[T any](r *RDD[T]) (*RDD[Indexed[T]], error) {
-	counts := MapPartitions(r, func(_ int, items []T) ([]int64, error) {
-		return []int64{int64(len(items))}, nil
-	})
-	parts, _, err := counts.CollectPartitions()
-	if err != nil {
-		return nil, fmt.Errorf("spark: zipWithIndex count job: %w", err)
-	}
-	offsets := make([]int64, r.numPartitions)
-	var acc int64
-	for p, cs := range parts {
-		offsets[p] = acc
-		for _, c := range cs {
-			acc += c
-		}
-	}
-	return &RDD[Indexed[T]]{
-		ctx:           r.ctx,
-		name:          fmt.Sprintf("zipWithIndex(%s)", r.name),
-		numPartitions: r.numPartitions,
-		compute: func(p int) ([]Indexed[T], error) {
-			in, err := r.compute(p)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]Indexed[T], len(in))
-			for i, v := range in {
-				out[i] = Indexed[T]{Index: offsets[p] + int64(i), Value: v}
-			}
-			return out, nil
-		},
-	}, nil
-}
-
 // Persist returns an RDD that memoizes computed partitions in driver-side
 // memory, Spark's MEMORY_ONLY cache: downstream jobs (or retries of
 // downstream tasks) skip recomputing the lineage above this point. Cached

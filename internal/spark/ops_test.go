@@ -4,137 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestFlatMap(t *testing.T) {
-	ctx := testContext(t, 2, 2)
-	r, _ := Range(ctx, 5, 2)
-	repeated := FlatMap(r, func(v int64) ([]int64, error) {
-		out := make([]int64, v)
-		for i := range out {
-			out[i] = v
-		}
-		return out, nil
-	})
-	got, _, err := repeated.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0 -> none, 1 -> {1}, 2 -> {2,2}, ... total 0+1+2+3+4 = 10 elements.
-	if len(got) != 10 {
-		t.Fatalf("len = %d", len(got))
-	}
-	if got[0] != 1 || got[9] != 4 {
-		t.Fatalf("order wrong: %v", got)
-	}
-	n, _, err := repeated.Count()
-	if err != nil || n != 10 {
-		t.Fatalf("Count = %d, %v", n, err)
-	}
-}
-
-func TestFlatMapError(t *testing.T) {
-	ctx := testContext(t, 2, 2, WithMaxRetries(0))
-	r, _ := Range(ctx, 4, 2)
-	boom := FlatMap(r, func(v int64) ([]int64, error) {
-		if v == 2 {
-			return nil, errors.New("flat boom")
-		}
-		return []int64{v}, nil
-	})
-	if _, _, err := boom.Collect(); err == nil {
-		t.Fatal("error should propagate")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	ctx := testContext(t, 2, 2)
-	a, _ := Range(ctx, 3, 2)
-	b, _ := Range(ctx, 2, 1)
-	u, err := Union(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", u.NumPartitions())
-	}
-	got, _, err := u.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 1, 2, 0, 1}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestUnionAcrossContextsFails(t *testing.T) {
-	ctx1 := testContext(t, 1, 1)
-	ctx2 := testContext(t, 1, 1)
-	a, _ := Range(ctx1, 2, 1)
-	b, _ := Range(ctx2, 2, 1)
-	if _, err := Union(a, b); err == nil {
-		t.Fatal("cross-context union should fail")
-	}
-}
-
-func TestZipWithIndexProperty(t *testing.T) {
-	ctx := testContext(t, 3, 2)
-	f := func(items []uint16, partsRaw uint8) bool {
-		parts := int(partsRaw%6) + 1
-		r, err := Parallelize(ctx, items, parts)
-		if err != nil {
-			return false
-		}
-		zipped, err := ZipWithIndex(r)
-		if err != nil {
-			return false
-		}
-		got, _, err := zipped.Collect()
-		if err != nil || len(got) != len(items) {
-			return false
-		}
-		for i, iv := range got {
-			if iv.Index != int64(i) || iv.Value != items[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZipWithIndexAfterFilter(t *testing.T) {
-	// Uneven partition sizes after a filter: offsets must still be
-	// globally consistent.
-	ctx := testContext(t, 2, 2)
-	r, _ := Range(ctx, 100, 7)
-	odd := Filter(r, func(v int64) bool { return v%2 == 1 })
-	zipped, err := ZipWithIndex(odd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := zipped.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i, iv := range got {
-		if iv.Index != int64(i) || iv.Value != int64(2*i+1) {
-			t.Fatalf("element %d = %+v", i, iv)
-		}
-	}
-}
 
 func TestPersistAvoidsRecompute(t *testing.T) {
 	ctx := testContext(t, 2, 2)

@@ -86,40 +86,6 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], numPartitions int, op fu
 	}, nil
 }
 
-// GroupByKey gathers all values per key into slices, hash-partitioned.
-// Prefer ReduceByKey when a combiner exists: GroupByKey materializes every
-// value.
-func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], numPartitions int) (*RDD[KV[K, []V]], error) {
-	if numPartitions < 1 {
-		return nil, fmt.Errorf("spark: groupByKey needs >= 1 partition, got %d", numPartitions)
-	}
-	parts, _, err := runJob(r, nil)
-	if err != nil {
-		return nil, fmt.Errorf("spark: groupByKey shuffle: %w", err)
-	}
-	buckets := make([]map[K][]V, numPartitions)
-	for i := range buckets {
-		buckets[i] = make(map[K][]V)
-	}
-	for _, part := range parts {
-		for _, kv := range part {
-			b := buckets[hashPartition(kv.Key, numPartitions)]
-			b[kv.Key] = append(b[kv.Key], kv.Value)
-		}
-	}
-	snapshot := freezeBuckets(buckets)
-	return &RDD[KV[K, []V]]{
-		ctx:           r.ctx,
-		name:          fmt.Sprintf("groupByKey(%s, %d parts)", r.name, numPartitions),
-		numPartitions: numPartitions,
-		compute: func(p int) ([]KV[K, []V], error) {
-			out := make([]KV[K, []V], len(snapshot[p]))
-			copy(out, snapshot[p])
-			return out, nil
-		},
-	}, nil
-}
-
 // freezeBuckets turns per-partition maps into deterministic slices, sorted
 // by the formatted key so replays and retries see identical data.
 func freezeBuckets[K comparable, V any](buckets []map[K]V) [][]KV[K, V] {
@@ -135,25 +101,4 @@ func freezeBuckets[K comparable, V any](buckets []map[K]V) [][]KV[K, V] {
 		out[p] = part
 	}
 	return out
-}
-
-// CountByKey counts occurrences per key on the driver, a convenience action
-// built on ReduceByKey.
-func CountByKey[K comparable, V any](r *RDD[KV[K, V]]) (map[K]int64, error) {
-	ones := Map(r, func(kv KV[K, V]) (KV[K, int64], error) {
-		return KV[K, int64]{Key: kv.Key, Value: 1}, nil
-	})
-	reduced, err := ReduceByKey(ones, r.numPartitions, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		return nil, err
-	}
-	items, _, err := reduced.Collect()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]int64, len(items))
-	for _, kv := range items {
-		out[kv.Key] = kv.Value
-	}
-	return out, nil
 }

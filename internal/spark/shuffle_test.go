@@ -110,51 +110,6 @@ func TestReduceByKeyDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-func TestGroupByKey(t *testing.T) {
-	ctx := testContext(t, 2, 2)
-	r, _ := Range(ctx, 20, 4)
-	pairs := Map(r, func(v int64) (KV[string, int64], error) {
-		key := "even"
-		if v%2 == 1 {
-			key = "odd"
-		}
-		return KV[string, int64]{Key: key, Value: v}, nil
-	})
-	grouped, err := GroupByKey(pairs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := grouped.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("groups = %d", len(got))
-	}
-	for _, kv := range got {
-		if len(kv.Value) != 10 {
-			t.Fatalf("group %s has %d members", kv.Key, len(kv.Value))
-		}
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := testContext(t, 2, 2)
-	r, _ := Range(ctx, 30, 5)
-	pairs := Map(r, func(v int64) (KV[int64, struct{}], error) {
-		return KV[int64, struct{}]{Key: v % 3}, nil
-	})
-	counts, err := CountByKey(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := int64(0); k < 3; k++ {
-		if counts[k] != 10 {
-			t.Fatalf("count[%d] = %d", k, counts[k])
-		}
-	}
-}
-
 func TestShuffleValidation(t *testing.T) {
 	ctx := testContext(t, 1, 1)
 	r, _ := Range(ctx, 4, 2)
@@ -162,9 +117,6 @@ func TestShuffleValidation(t *testing.T) {
 		return KV[int64, int64]{Key: v, Value: v}, nil
 	})
 	if _, err := ReduceByKey(pairs, 0, func(a, b int64) int64 { return a + b }); err == nil {
-		t.Fatal("0 partitions should error")
-	}
-	if _, err := GroupByKey(pairs, 0); err == nil {
 		t.Fatal("0 partitions should error")
 	}
 }

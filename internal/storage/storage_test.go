@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -274,32 +275,38 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 }
 
+// The LIST reply is newline-joined on the server and split on the client;
+// an empty payload is no keys, not one empty key.
 func TestSplitJoinKeysProperty(t *testing.T) {
-	f := func(n uint8) bool {
-		keys := make([]string, n%20)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("key-%d", i)
-		}
-		back := splitKeys(joinKeys(keys))
-		if len(keys) == 0 {
-			return back == nil
-		}
-		if len(back) != len(keys) {
-			return false
-		}
-		for i := range keys {
-			if back[i] != keys[i] {
-				return false
+	srv, err := Serve("127.0.0.1:0", NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, n := range []int{0, 1, 2, 19, 1000} {
+		prefix := fmt.Sprintf("n%d/", n)
+		var keys []string
+		for i := 0; i < n; i++ {
+			keys = append(keys, fmt.Sprintf("%skey-%04d", prefix, i))
+			if err := c.Put(keys[i], []byte("v")); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		back, err := c.List(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, keys) {
+			t.Fatalf("%d keys came back as %d: %v", n, len(back), back)
+		}
 	}
 }
 
-// Property: MemStore round-trips arbitrary binary payloads byte-for-byte.
 func TestMemStoreRoundTripProperty(t *testing.T) {
 	s := NewMemStore()
 	f := func(payload []byte, suffix uint16) bool {

@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"time"
+
+	"ompcloud/internal/endpoint"
 )
 
 // The remote store speaks a minimal S3-flavoured binary protocol over TCP.
@@ -126,144 +129,48 @@ func readFrameHeader(r *bufio.Reader) (status byte, n uint64, err error) {
 
 // Server exposes a Store over TCP. It is the network face of the simulated
 // S3/HDFS service (cmd/ompcloud-storaged) and of the distributed examples.
+// The listener, the connection registry and shutdown are endpoint.Server's.
 type Server struct {
 	store Store
-	ln    net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]*connState
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// connState tracks whether a connection is mid-request. Graceful drain
-// closes idle connections immediately but lets a busy one finish writing
-// its current response before tearing it down.
-type connState struct {
-	busy bool
+	ep    *endpoint.Server
 }
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") backed by store. It
 // returns once the listener is ready; connections are handled on background
 // goroutines until Close.
 func Serve(addr string, store Store) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &Server{store: store}
+	ep, err := endpoint.Listen(addr, s.serveConn)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	s := &Server{store: store, ln: ln, conns: make(map[net.Conn]*connState)}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.ep = ep
 	return s, nil
 }
 
 // Addr reports the listener address, usable by clients.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ep.Addr() }
 
 // Close stops the listener and tears down open connections immediately,
 // mid-request included. Prefer Drain for a graceful shutdown.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.ep.Close() }
 
-// Drain shuts the server down gracefully: the listener closes first (no new
-// connections), idle connections are torn down immediately, and connections
-// mid-request get until the deadline to finish their current operation and
-// receive their response. Connections still busy past the deadline are
-// force-closed and their handlers abandoned — a request stuck inside the
-// backing store cannot be interrupted, and shutdown must not hang on it.
-// After a fully graceful drain every handler goroutine has exited.
-func (s *Server) Drain(timeout time.Duration) error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	err := s.ln.Close()
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		busy := 0
-		for c, st := range s.conns {
-			if st.busy {
-				busy++
-			} else {
-				c.Close()
-			}
-		}
-		s.mu.Unlock()
-		if busy == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			s.mu.Lock()
-			for c := range s.conns {
-				c.Close()
-			}
-			s.mu.Unlock()
-			// The sockets are gone; handlers blocked in a store call will
-			// notice on their next write. Don't wait for them.
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.wg.Wait()
-	return err
-}
+// Drain shuts the server down gracefully (endpoint.Server.Drain): no new
+// connections, idle ones closed at once, and a connection mid-request gets
+// until the timeout to finish its operation and receive its response.
+func (s *Server) Drain(timeout time.Duration) error { return s.ep.Drain(timeout) }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+func (s *Server) serveConn(c *endpoint.Conn) {
+	r := bufio.NewReaderSize(c, 1<<16)
+	w := bufio.NewWriterSize(c, 1<<16)
 	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		st := &connState{}
-		s.conns[conn] = st
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn, st)
-	}
-}
-
-func (s *Server) handle(conn net.Conn, st *connState) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReaderSize(conn, 1<<16)
-	w := bufio.NewWriterSize(conn, 1<<16)
-	for {
-		// The blocking wait for the next op byte happens with busy unset, so
-		// a drain can close an idle connection without cutting a request off.
+		// A request has begun once its op byte is in.
 		op, err := r.ReadByte()
-		if err != nil {
+		if err != nil || !c.Begin() {
 			return
 		}
-		s.mu.Lock()
-		st.busy = true
-		s.mu.Unlock()
 		err = s.serveOne(op, r, w)
-		s.mu.Lock()
-		st.busy = false
-		closed := s.closed
-		s.mu.Unlock()
-		if err != nil || closed {
+		if !c.End() || err != nil {
 			return
 		}
 	}
@@ -330,7 +237,7 @@ func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
 		if err != nil {
 			return fail(err)
 		}
-		return reply(statusOK, []byte(joinKeys(keys)))
+		return reply(statusOK, []byte(strings.Join(keys, "\n")))
 	case opStat:
 		size, err := s.store.Stat(key)
 		if err != nil {
@@ -340,32 +247,6 @@ func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
 	default:
 		return fmt.Errorf("storage: unknown op %d", op)
 	}
-}
-
-func joinKeys(keys []string) string {
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += "\n"
-		}
-		out += k
-	}
-	return out
-}
-
-func splitKeys(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var keys []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '\n' {
-			keys = append(keys, s[start:i])
-			start = i + 1
-		}
-	}
-	return keys
 }
 
 // RemoteStore is a Store client for a Server. A single connection is shared
@@ -474,7 +355,10 @@ func (c *RemoteStore) List(prefix string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return splitKeys(string(payload)), nil
+	if len(payload) == 0 {
+		return nil, nil // no keys, not one empty key
+	}
+	return strings.Split(string(payload), "\n"), nil
 }
 
 // Stat implements Store.

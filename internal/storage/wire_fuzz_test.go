@@ -4,8 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
+	"net"
+	"strings"
 	"testing"
+	"time"
 )
 
 // frame encodes one response frame.
@@ -142,4 +148,103 @@ func FuzzRemoteStoreResponse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWireBytesGolden pins the protocol to the bytes the previous server and
+// client put on the wire (this test passes unchanged on the commit before
+// the server moved onto internal/endpoint), so mixed-version storaged and
+// clients interoperate.
+func TestWireBytesGolden(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(strings.ReplaceAll(s, " ", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	exchanges := []struct{ name, req, resp string }{
+		{"put", "01 00000001 6b 0000000000000002 6869", "00 0000000000000000"},
+		{"get", "02 00000001 6b", "00 0000000000000002 6869"},
+		{"stat", "05 00000001 6b", "00 0000000000000008 0000000000000002"},
+		{"list", "04 00000000", "00 0000000000000001 6b"},
+		{"delete", "03 00000001 6b", "00 0000000000000000"},
+		{"get missing", "02 00000001 6b", "01 0000000000000000"},
+		{"list nothing", "04 00000001 6b", "00 0000000000000000"},
+	}
+
+	// A previous-format client (these bytes) against this server.
+	srv, err := Serve("127.0.0.1:0", NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	for _, x := range exchanges {
+		if _, err := conn.Write(unhex(x.req)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(unhex(x.resp)))
+		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, unhex(x.resp)) {
+			t.Fatalf("%s: server answered %x (%v), want %x", x.name, got, err, unhex(x.resp))
+		}
+	}
+
+	// This client against a previous-format server (these bytes).
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peerErr := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			peerErr <- err
+			return
+		}
+		defer conn.Close()
+		for _, x := range exchanges {
+			got := make([]byte, len(unhex(x.req)))
+			if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, unhex(x.req)) {
+				peerErr <- fmt.Errorf("%s: client sent %x (%v), want %x", x.name, got, err, unhex(x.req))
+				return
+			}
+			conn.Write(unhex(x.resp))
+		}
+		peerErr <- nil
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put("k", []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := c.Get("k"); err != nil || string(b) != "hi" {
+		t.Fatalf("get: %q, %v", b, err)
+	}
+	if n, err := c.Stat("k"); err != nil || n != 2 {
+		t.Fatalf("stat: %d, %v", n, err)
+	}
+	if keys, err := c.List(""); err != nil || len(keys) != 1 || keys[0] != "k" {
+		t.Fatalf("list: %q, %v", keys, err)
+	}
+	if err := c.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("get missing: %v", err)
+	}
+	if keys, err := c.List("k"); err != nil || keys != nil {
+		t.Fatalf("list nothing: %q, %v", keys, err)
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatal(err)
+	}
 }
