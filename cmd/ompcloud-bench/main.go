@@ -13,8 +13,9 @@
 //	ompcloud-bench -overlap          # barriered vs streaming dataflow -> BENCH_overlap.json
 //	ompcloud-bench -multidev         # heterogeneous host+2-cloud split -> BENCH_multidev.json
 //
-// The tool first calibrates the machine (real single-core kernel runs and
-// real gzip probes; takes a few seconds at the default -caln), then derives
+// The tool first calibrates the machine (real single-core runs of each
+// benchmark's serial reference and real gzip probes; takes a few seconds at
+// the default -caln), then derives
 // every figure through the virtual-time cost model at paper scale (~1 GB
 // matrices, 8-256 worker cores). See EXPERIMENTS.md.
 package main

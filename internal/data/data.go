@@ -11,14 +11,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 )
 
 // FloatSize is the byte width of one matrix element.
 const FloatSize = 4
 
-// Floats reinterprets a byte buffer as float32 values without copying the
-// semantic content (a decoded copy is made; Go's stdlib-only constraint rules
-// out unsafe aliasing, and benchmark kernels operate on the decoded slice).
+// Floats decodes a byte buffer into a freshly allocated float32 slice.
 func Floats(b []byte) []float32 {
 	if len(b)%FloatSize != 0 {
 		panic(fmt.Sprintf("data: buffer of %d bytes is not a whole number of float32s", len(b)))
@@ -28,6 +27,37 @@ func Floats(b []byte) []float32 {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*FloatSize:]))
 	}
 	return out
+}
+
+// hostLittleEndian reports whether a float32 in memory already has the
+// wire/file layout, the precondition for viewing instead of converting.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// FloatView returns the float32 values held in b and reports whether the
+// result shares b's memory. It does when the host is little-endian and b
+// starts on a 4-byte boundary: reads see b's bytes and writes land in them,
+// with no copy in either direction. Otherwise f is a decoded copy, and a
+// caller that wrote to it stores it back with copy(b, Bytes(f)). These two
+// functions are the only place the data path uses unsafe.
+func FloatView(b []byte) (f []float32, shared bool) {
+	p := unsafe.SliceData(b)
+	if len(b) == 0 || len(b)%FloatSize != 0 || !hostLittleEndian || uintptr(unsafe.Pointer(p))%FloatSize != 0 {
+		return Floats(b), false // which panics on a ragged length
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(p)), len(b)/FloatSize), true
+}
+
+// ByteView is FloatView's inverse: the wire/file bytes of f, sharing f's
+// memory on a little-endian host. Otherwise b is a serialized copy, and a
+// caller whose b was written to loads it back with copy(f, Floats(b)).
+func ByteView(f []float32) (b []byte, shared bool) {
+	if len(f) == 0 || !hostLittleEndian {
+		return Bytes(f), false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*FloatSize), true
 }
 
 // Bytes serializes float32 values into the wire/file layout.

@@ -1,9 +1,11 @@
 package data
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFloatsBytesRoundTrip(t *testing.T) {
@@ -188,4 +190,94 @@ func TestChecksumDiscriminates(t *testing.T) {
 	if Checksum(a) != Checksum(a) {
 		t.Fatal("checksum must be deterministic")
 	}
+}
+
+// skewed returns a copy of b that starts one byte past a 4-byte boundary.
+func skewed(b []byte) []byte {
+	buf := make([]byte, len(b)+2*FloatSize)
+	off := 1 + (FloatSize-int(uintptr(unsafe.Pointer(&buf[0]))%FloatSize))%FloatSize
+	w := buf[off : off+len(b)]
+	copy(w, b)
+	return w
+}
+
+func TestFloatViewSharesAlignedMemory(t *testing.T) {
+	in := []float32{0, 1, -1.5, math.MaxFloat32, float32(math.Inf(1)), 3.14159}
+	b := Bytes(in)
+	f, shared := FloatView(b)
+	if !shared {
+		t.Skip("big-endian host: FloatView can only copy")
+	}
+	for i := range in {
+		if math.Float32bits(f[i]) != math.Float32bits(in[i]) {
+			t.Fatalf("element %d: view reads %v, want %v", i, f[i], in[i])
+		}
+	}
+	f[2] = 42.5
+	if got := GetFloat(b, 2); got != 42.5 {
+		t.Fatalf("write through the view did not reach the bytes: %v", got)
+	}
+	PutFloat(b, 3, -8)
+	if f[3] != -8 {
+		t.Fatalf("write to the bytes is not seen through the view: %v", f[3])
+	}
+	// A window into the middle of a buffer is still a view.
+	if w, shared := FloatView(b[2*FloatSize : 4*FloatSize]); !shared || len(w) != 2 || w[0] != 42.5 {
+		t.Fatalf("sub-window view = %v, shared %v", w, shared)
+	}
+}
+
+func TestFloatViewCopiesMisalignedBuffer(t *testing.T) {
+	in := []float32{1, 2, 3, 4, 5}
+	b := skewed(Bytes(in))
+	f, shared := FloatView(b)
+	if shared {
+		t.Fatal("a buffer off the 4-byte grid cannot be viewed as float32s")
+	}
+	for i := range in {
+		if f[i] != in[i] {
+			t.Fatalf("element %d: copy reads %v, want %v", i, f[i], in[i])
+		}
+	}
+	f[0] = 9
+	if GetFloat(b, 0) != 1 {
+		t.Fatal("the fallback copy must not share memory")
+	}
+	copy(b, Bytes(f)) // the documented write-back
+	if GetFloat(b, 0) != 9 {
+		t.Fatal("write-back lost")
+	}
+}
+
+func TestByteViewSharesMemory(t *testing.T) {
+	f := []float32{1, -2, 3.5}
+	b, shared := ByteView(f)
+	if !bytes.Equal(b, Bytes(f)) {
+		t.Fatalf("ByteView = %x, wire layout is %x", b, Bytes(f))
+	}
+	if !shared {
+		t.Skip("big-endian host: ByteView can only copy")
+	}
+	PutFloat(b, 1, 7)
+	if f[1] != 7 {
+		t.Fatalf("write to the byte view did not reach the floats: %v", f[1])
+	}
+	if back, shared := FloatView(b); !shared || &back[0] != &f[0] {
+		t.Fatal("FloatView(ByteView(f)) is not f")
+	}
+}
+
+func TestViewsOfNothing(t *testing.T) {
+	if f, _ := FloatView(nil); len(f) != 0 {
+		t.Fatalf("FloatView(nil) = %v", f)
+	}
+	if b, _ := ByteView(nil); len(b) != 0 {
+		t.Fatalf("ByteView(nil) = %v", b)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for non-multiple-of-4 buffer")
+		}
+	}()
+	FloatView(make([]byte, 6))
 }

@@ -26,8 +26,17 @@ import (
 //     read-only.
 //   - out[l] is the l-th mapped output: for a partitioned output, a
 //     writable window covering [lo, hi); for an unpartitioned output, a
-//     zero-initialized full-size buffer that the runtime later combines
-//     with the declared reduction (bitwise OR by default, Eq. 8).
+//     full-size buffer holding the reduction's identity (zeroes for the
+//     default bitwise OR of Eq. 8) that the runtime later combines with the
+//     declared reduction.
+//
+// A partitioned out window is *not* zeroed: on the host device it is the
+// caller's live buffer, holding whatever the previous run left there, so a
+// body must write every element of it. And it may alias an input: a
+// map(tofrom:) variable is one buffer in both lists, so on the host in[k] and
+// out[l] can be the same memory. A body that writes its results in place
+// must therefore read element i of such an input before it writes element i
+// of the output. Windows are 4-byte aligned whenever the mapped buffer is.
 //
 // A body must touch only the windows it is handed: the reconstruction step
 // assumes disjoint writers for partitioned outputs.

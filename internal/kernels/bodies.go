@@ -27,32 +27,24 @@ const CollinearEps = 1e-4
 // The loop bodies below are the fat-binary "native kernels" the Spark
 // workers invoke (the JNI_region functions of the paper's Fig. 2). Each
 // computes iterations [lo, hi) of the annotated outer loop; partitioned
-// buffers arrive as tile-local windows, unpartitioned ones whole.
+// buffers arrive as tile-local windows, unpartitioned ones whole. Like
+// compiled C, a body computes on the bytes it is handed: it reads its inputs
+// and writes its outputs through data.FloatView. An out window arrives holding
+// whatever the caller's buffer held, and a tofrom window may be the very
+// memory of the same-index input, so a body overwrites every element of its
+// window and reads cin[i] before it writes c[i].
 func init() {
 	// mm: plain matrix multiplication C = A x B over n x n linearized
 	// matrices. ins: [A rows lo..hi, B whole]; outs: [C rows lo..hi].
 	// Shared by MgBench Mat-mul and as the building block of 2MM/3MM.
 	fatbin.Register("mm", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		b := data.Floats(in[1])
-		rows := int(hi - lo)
-		c := make([]float32, rows*n)
-		for i := 0; i < rows; i++ {
-			row := c[i*n : (i+1)*n]
-			for k := 0; k < n; k++ {
-				// No zero-skip shortcuts: the paper observes that
-				// computation time is insensitive to the data kind
-				// ("the variation is negligible for the computation
-				// time"), which holds for branch-free C kernels.
-				aik := a[i*n+k]
-				brow := b[k*n : (k+1)*n]
-				for j := range row {
-					row[j] += aik * brow[j]
-				}
-			}
-		}
-		writeFloats(out[0], c)
+		a, _ := data.FloatView(in[0])
+		b, _ := data.FloatView(in[1])
+		c, shared := data.FloatView(out[0])
+		clear(c)
+		mulAdd(c, a, b, int(hi-lo), n, 1)
+		store(out[0], c, shared)
 		return nil
 	})
 
@@ -61,22 +53,12 @@ func init() {
 	// Used by the no-partitioning ablation (Listing 1 without Listing 2).
 	fatbin.Register("mm.bcast", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0]) // whole A
-		b := data.Floats(in[1])
-		rows := int(hi - lo)
-		c := make([]float32, rows*n)
-		for i := 0; i < rows; i++ {
-			gi := int(lo) + i
-			row := c[i*n : (i+1)*n]
-			for k := 0; k < n; k++ {
-				aik := a[gi*n+k]
-				brow := b[k*n : (k+1)*n]
-				for j := range row {
-					row[j] += aik * brow[j]
-				}
-			}
-		}
-		writeFloats(out[0], c)
+		a, _ := data.FloatView(in[0]) // whole A
+		b, _ := data.FloatView(in[1])
+		c, shared := data.FloatView(out[0])
+		clear(c)
+		mulAdd(c, a[int(lo)*n:int(hi)*n], b, int(hi-lo), n, 1)
+		store(out[0], c, shared)
 		return nil
 	})
 
@@ -84,25 +66,15 @@ func init() {
 	// outs: [C rows].
 	fatbin.Register("gemm", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		b := data.Floats(in[1])
-		cin := data.Floats(in[2])
-		rows := int(hi - lo)
-		c := make([]float32, rows*n)
-		for i := 0; i < rows; i++ {
-			row := c[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = Beta * cin[i*n+j]
-			}
-			for k := 0; k < n; k++ {
-				aik := Alpha * a[i*n+k]
-				brow := b[k*n : (k+1)*n]
-				for j := range row {
-					row[j] += aik * brow[j]
-				}
-			}
+		a, _ := data.FloatView(in[0])
+		b, _ := data.FloatView(in[1])
+		cin, _ := data.FloatView(in[2])
+		c, shared := data.FloatView(out[0])
+		for i, v := range cin[:len(c)] {
+			c[i] = Beta * v
 		}
-		writeFloats(out[0], c)
+		mulAdd(c, a, b, int(hi-lo), n, Alpha)
+		store(out[0], c, shared)
 		return nil
 	})
 
@@ -111,10 +83,10 @@ func init() {
 	// scalars: [n].
 	fatbin.Register("syrk", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		cin := data.Floats(in[1])
+		a, _ := data.FloatView(in[0])
+		cin, _ := data.FloatView(in[1])
+		c, shared := data.FloatView(out[0])
 		rows := int(hi - lo)
-		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
 			gi := int(lo) + i
 			arow := a[gi*n : (gi+1)*n]
@@ -127,7 +99,7 @@ func init() {
 				c[i*n+j] = Beta*cin[i*n+j] + Alpha*acc
 			}
 		}
-		writeFloats(out[0], c)
+		store(out[0], c, shared)
 		return nil
 	})
 
@@ -135,11 +107,11 @@ func init() {
 	// B whole, C rows]; outs: [C rows]; scalars: [n].
 	fatbin.Register("syr2k", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		a := data.Floats(in[0])
-		b := data.Floats(in[1])
-		cin := data.Floats(in[2])
+		a, _ := data.FloatView(in[0])
+		b, _ := data.FloatView(in[1])
+		cin, _ := data.FloatView(in[2])
+		c, shared := data.FloatView(out[0])
 		rows := int(hi - lo)
-		c := make([]float32, rows*n)
 		for i := 0; i < rows; i++ {
 			gi := int(lo) + i
 			ai := a[gi*n : (gi+1)*n]
@@ -154,7 +126,7 @@ func init() {
 				c[i*n+j] = Beta*cin[i*n+j] + Alpha*acc
 			}
 		}
-		writeFloats(out[0], c)
+		store(out[0], c, shared)
 		return nil
 	})
 
@@ -164,9 +136,9 @@ func init() {
 	fatbin.Register("covar.mean", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		m := int(scalars[1])
-		d := data.Floats(in[0])
+		d, _ := data.FloatView(in[0])
+		mean, shared := data.FloatView(out[0])
 		cols := int(hi - lo)
-		mean := make([]float32, cols)
 		for j := 0; j < cols; j++ {
 			gj := int(lo) + j
 			var s float32
@@ -175,7 +147,7 @@ func init() {
 			}
 			mean[j] = s / float32(m)
 		}
-		writeFloats(out[0], mean)
+		store(out[0], mean, shared)
 		return nil
 	})
 
@@ -185,10 +157,10 @@ func init() {
 	fatbin.Register("covar.sym", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		m := int(scalars[1])
-		d := data.Floats(in[0])
-		mean := data.Floats(in[1])
+		d, _ := data.FloatView(in[0])
+		mean, _ := data.FloatView(in[1])
+		sym, shared := data.FloatView(out[0])
 		rows := int(hi - lo)
-		sym := make([]float32, rows*n)
 		for j1 := 0; j1 < rows; j1++ {
 			gj1 := int(lo) + j1
 			m1 := mean[gj1]
@@ -201,7 +173,7 @@ func init() {
 				sym[j1*n+j2] = acc / float32(m-1)
 			}
 		}
-		writeFloats(out[0], sym)
+		store(out[0], sym, shared)
 		return nil
 	})
 
@@ -214,7 +186,7 @@ func init() {
 	// [count, one float32, reduction(+)]; scalars: [npoints].
 	fatbin.Register("collinear", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
-		pts := data.Floats(in[0])
+		pts, _ := data.FloatView(in[0])
 		var count float32
 		for gi := int(lo); gi < int(hi); gi++ {
 			xi, yi := pts[2*gi], pts[2*gi+1]
@@ -239,9 +211,65 @@ func init() {
 	})
 }
 
-// writeFloats serializes a float32 slice into an output window.
-func writeFloats(dst []byte, src []float32) {
-	for i, v := range src {
-		data.PutFloat(dst, i, v)
+// store completes a body's writes to the out window w: nothing is left to do
+// when c is a view of w, and the decoded copy FloatView handed out for a
+// misaligned window (or on a big-endian host) is encoded back.
+func store(w []byte, c []float32, shared bool) {
+	if !shared {
+		copy(w, data.Bytes(c))
+	}
+}
+
+// mulAdd is the micro-kernel mm, mm.bcast and gemm share: for the rows x n
+// tiles c and a and the n x n matrix b, c[i][j] += (alpha*a[i][k]) * b[k][j].
+// It sweeps j once per block of 2 rows x 4 k, holding the eight scaled a
+// values and the two running sums in registers, so b's rows are loaded once
+// per two output rows and c once per four k instead of once per k. Every
+// c[i][j] still receives its n products one at a time in ascending k — the
+// order of the plain i-k-j loop in serial.go — so the result is bit-identical
+// to it; alpha = 1 multiplies exactly.
+func mulAdd(c, a, b []float32, rows, n int, alpha float32) {
+	i := 0
+	for ; i+2 <= rows; i += 2 {
+		a0, a1 := a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n]
+		c0, c1 := c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
+		k := 0
+		for ; k+4 <= n; k += 4 {
+			p0, p1, p2, p3 := alpha*a0[k], alpha*a0[k+1], alpha*a0[k+2], alpha*a0[k+3]
+			q0, q1, q2, q3 := alpha*a1[k], alpha*a1[k+1], alpha*a1[k+2], alpha*a1[k+3]
+			b0, b1, b2, b3 := b[k*n:(k+1)*n], b[(k+1)*n:(k+2)*n], b[(k+2)*n:(k+3)*n], b[(k+3)*n:(k+4)*n]
+			for j := range c0 {
+				v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
+				s := c0[j]
+				s += p0 * v0
+				s += p1 * v1
+				s += p2 * v2
+				s += p3 * v3
+				c0[j] = s
+				t := c1[j]
+				t += q0 * v0
+				t += q1 * v1
+				t += q2 * v2
+				t += q3 * v3
+				c1[j] = t
+			}
+		}
+		for ; k < n; k++ {
+			axpy(c0, alpha*a0[k], b[k*n:(k+1)*n])
+			axpy(c1, alpha*a1[k], b[k*n:(k+1)*n])
+		}
+	}
+	if i < rows {
+		ci, ai := c[i*n:(i+1)*n], a[i*n:(i+1)*n]
+		for k := 0; k < n; k++ {
+			axpy(ci, alpha*ai[k], b[k*n:(k+1)*n])
+		}
+	}
+}
+
+// axpy is the unblocked remainder step: row += s * brow.
+func axpy(row []float32, s float32, brow []float32) {
+	for j := range row {
+		row[j] += s * brow[j]
 	}
 }

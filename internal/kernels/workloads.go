@@ -39,7 +39,12 @@ type Workload struct {
 	// merged report. Run may be called several times (e.g. once per
 	// device); each call recomputes from the pristine inputs.
 	Run func(rt *omp.Runtime, dev omp.Device) (*trace.Report, error)
-	// Verify checks the outputs of the most recent Run.
+	// Serial computes the expected output with the serial.go transcription
+	// of the paper's C loops: Verify's reference, and the single-core time
+	// perf.Calibrate measures, so model-mode predictions follow the paper's
+	// program and not however the registered loop bodies are tuned.
+	Serial func() []float32
+	// Verify checks the outputs of the most recent Run against Serial.
 	Verify func() error
 	// Outputs exposes the live output buffers of the most recent Run,
 	// for harnesses that compare two devices (or two transfer policies)
@@ -188,9 +193,8 @@ func prepareGEMM(n int, kind data.Kind, seed int64) *Workload {
 			omp.ToFrom("C", c).Partition(n),
 		).ParallelFor(int64(n), "gemm", int64(n))
 	}
-	w.Verify = func() error {
-		return compare("gemm C", c.V, serialGEMM(n, a.V, b.V, c0.V))
-	}
+	w.Serial = func() []float32 { return serialGEMM(n, a.V, b.V, c0.V) }
+	w.Verify = func() error { return compare("gemm C", c.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{c.V} }
 	return w
 }
@@ -207,9 +211,8 @@ func prepareMatMul(n int, kind data.Kind, seed int64) *Workload {
 			omp.From("C", c).Partition(n),
 		).ParallelFor(int64(n), "mm", int64(n))
 	}
-	w.Verify = func() error {
-		return compare("mat-mul C", c.V, serialMM(n, a.V, b.V))
-	}
+	w.Serial = func() []float32 { return serialMM(n, a.V, b.V) }
+	w.Verify = func() error { return compare("mat-mul C", c.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{c.V} }
 	return w
 }
@@ -226,9 +229,8 @@ func prepareSYRK(n int, kind data.Kind, seed int64) *Workload {
 			omp.ToFrom("C", c).Partition(n),
 		).ParallelFor(int64(n), "syrk", int64(n))
 	}
-	w.Verify = func() error {
-		return compare("syrk C", c.V, serialSYRK(n, a.V, c0.V))
-	}
+	w.Serial = func() []float32 { return serialSYRK(n, a.V, c0.V) }
+	w.Verify = func() error { return compare("syrk C", c.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{c.V} }
 	return w
 }
@@ -247,9 +249,8 @@ func prepareSYR2K(n int, kind data.Kind, seed int64) *Workload {
 			omp.ToFrom("C", c).Partition(n),
 		).ParallelFor(int64(n), "syr2k", int64(n))
 	}
-	w.Verify = func() error {
-		return compare("syr2k C", c.V, serialSYR2K(n, a.V, b.V, c0.V))
-	}
+	w.Serial = func() []float32 { return serialSYR2K(n, a.V, b.V, c0.V) }
+	w.Verify = func() error { return compare("syr2k C", c.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{c.V} }
 	return w
 }
@@ -286,10 +287,11 @@ func prepareCOVAR(n int, kind data.Kind, seed int64) *Workload {
 		}
 		return env.Report(), nil
 	}
-	w.Verify = func() error {
+	w.Serial = func() []float32 {
 		_, wantSym := serialCovar(n, n, d.V)
-		return compare("covar sym", sym.V, wantSym)
+		return wantSym
 	}
+	w.Verify = func() error { return compare("covar sym", sym.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{sym.V} }
 	return w
 }
@@ -335,11 +337,10 @@ func prepareTwoMM(n int, kind data.Kind, seed int64) *Workload {
 		}
 		return env.Report(), nil
 	}
-	w.Verify = func() error {
-		wantTmp := serialMM(n, a.V, b.V)
-		want := serialGEMM(n, wantTmp, c.V, d0.V)
-		return compare("2mm D", dm.V, want)
+	w.Serial = func() []float32 {
+		return serialGEMM(n, serialMM(n, a.V, b.V), c.V, d0.V)
 	}
+	w.Verify = func() error { return compare("2mm D", dm.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{dm.V} }
 	return w
 }
@@ -385,12 +386,10 @@ func prepareThreeMM(n int, kind data.Kind, seed int64) *Workload {
 		}
 		return env.Report(), nil
 	}
-	w.Verify = func() error {
-		wantE := serialMM(n, a.V, b.V)
-		wantF := serialMM(n, c.V, d.V)
-		wantG := serialMM(n, wantE, wantF)
-		return compare("3mm G", g.V, wantG)
+	w.Serial = func() []float32 {
+		return serialMM(n, serialMM(n, a.V, b.V), serialMM(n, c.V, d.V))
 	}
+	w.Verify = func() error { return compare("3mm G", g.V, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{g.V} }
 	return w
 }
@@ -414,10 +413,8 @@ func prepareCollinear(n int, kind data.Kind, seed int64) *Workload {
 			omp.From("count", count).Sum(),
 		).ParallelFor(int64(n), "collinear", int64(n))
 	}
-	w.Verify = func() error {
-		want := serialCollinear(n, pts.V)
-		return compare("collinear count", count, []float32{want})
-	}
+	w.Serial = func() []float32 { return []float32{serialCollinear(n, pts.V)} }
+	w.Verify = func() error { return compare("collinear count", count, w.Serial()) }
 	w.Outputs = func() [][]float32 { return [][]float32{count} }
 	return w
 }

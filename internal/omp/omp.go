@@ -93,8 +93,9 @@ const (
 // with Partition and reduction modifiers.
 type Mapping struct {
 	name    string
-	bytes   []byte
+	bytes   []byte    // what the device sees: the user's own memory whenever it can be
 	floats  []float32 // non-nil when the user mapped a []float32
+	copied  bool      // bytes is a serialized copy of floats, not a view of it
 	perIter int64     // elements per iteration; 0 = unpartitioned
 	reduce  offload.ReduceOp
 	dir     direction
@@ -107,15 +108,23 @@ func newMapping(name string, v any, dir direction) Mapping {
 	case []byte:
 		m.bytes = buf
 	case []float32:
-		m.floats = buf
-		m.bytes = data.Bytes(buf)
+		m.mapFloats(buf)
 	case *data.Matrix:
-		m.floats = buf.V
-		m.bytes = buf.Bytes()
+		m.mapFloats(buf.V)
 	default:
 		m.err = fmt.Errorf("omp: map(%s): unsupported type %T (want []byte, []float32 or *data.Matrix)", name, v)
 	}
 	return m
+}
+
+// mapFloats maps a float32 variable like a []byte one: the device reads and
+// writes the user's memory through data.ByteView, so a map(from:) result is
+// in f the moment the device wrote it. Only where no view exists (a
+// big-endian host) does the mapping hold a copy for syncFloats to bring home.
+func (m *Mapping) mapFloats(f []float32) {
+	m.floats = f
+	b, shared := data.ByteView(f)
+	m.bytes, m.copied = b, !shared
 }
 
 // To declares map(to: name[...]): an input copied to the device.
@@ -267,14 +276,13 @@ func (t *TargetRegion) ParallelFor(n int64, kernel string, scalars ...int64) (*t
 	return rep, nil
 }
 
-// syncFloats copies device results back into the user's []float32 slices —
-// the map(from:) copy-out.
+// syncFloats is the map(from:) copy-out for the []float32 mappings whose
+// device bytes could not be a view of the user's slice.
 func syncFloats(maps []Mapping) {
 	for i := range maps {
 		m := &maps[i]
-		if m.dir == dirTo || m.floats == nil {
-			continue
+		if m.copied && m.dir != dirTo {
+			copy(m.floats, data.Floats(m.bytes))
 		}
-		copy(m.floats, data.Floats(m.bytes))
 	}
 }

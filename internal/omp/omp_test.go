@@ -1,13 +1,16 @@
 package omp
 
 import (
+	"errors"
 	"testing"
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
 	"ompcloud/internal/offload"
+	"ompcloud/internal/resilience"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
+	"ompcloud/internal/trace"
 )
 
 var testReg = fatbin.NewRegistry()
@@ -351,6 +354,76 @@ func TestMinReductionClause(t *testing.T) {
 		}
 		if out[0] != want {
 			t.Fatalf("min = %v, want %v", out[0], want)
+		}
+	}
+}
+
+// scribbler is a device that writes into the region's first output the way a
+// streamed download would, checks what the host program sees at that moment,
+// and then fails or succeeds as told.
+type scribbler struct {
+	seen func() // runs right after the device wrote, before Run returns
+	err  error
+}
+
+func (s *scribbler) Name() string    { return "scribbler" }
+func (s *scribbler) Available() bool { return true }
+func (s *scribbler) Cores() int      { return 1 }
+func (s *scribbler) Run(r *offload.Region) (*trace.Report, error) {
+	out := r.Outs[0].Data
+	for i := 0; i < len(out)/data.FloatSize; i++ {
+		data.PutFloat(out, i, -7)
+	}
+	s.seen()
+	if s.err != nil {
+		return nil, s.err
+	}
+	return trace.NewReport(s.Name(), r.Kernel), nil
+}
+
+// TestFloatMappingsAreViews pins the omp half of the zero-copy data path: a
+// mapped []float32 is the device's buffer, not a serialized copy of it.
+func TestFloatMappingsAreViews(t *testing.T) {
+	rt, err := NewRuntime(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	x := data.Generate(1, n, data.Dense, 5)
+	y := data.Generate(1, n, data.Dense, 6)
+	orig := y.Clone()
+
+	// A device write is in the user's slice before any copy-out ran.
+	sawWrite := false
+	dev := &scribbler{seen: func() { sawWrite = y.V[0] == -7 && y.V[n-1] == -7 }}
+	if _, err := rt.Target(rt.RegisterDevice(dev),
+		To("X", x).Partition(1),
+		From("Y", y.V).Partition(1),
+	).WithRegistry(testReg).ParallelFor(n, "axpyInPlace"); err != nil {
+		t.Fatal(err)
+	}
+	if !sawWrite {
+		t.Fatal("device write was not visible in the mapped []float32 while the region ran")
+	}
+
+	// So a device that scribbles over a tofrom variable and then fails
+	// transiently has scribbled over the host pass's input: Manager.Run's
+	// snapshot of input-aliased outputs must put it back first.
+	copy(y.V, orig.V)
+	dev = &scribbler{seen: func() {}, err: resilience.MarkTransient(errors.New("lost worker"))}
+	rep, err := rt.Target(rt.RegisterDevice(dev),
+		To("X", x).Partition(1),
+		ToFrom("Y", y).Partition(1),
+	).WithRegistry(testReg).ParallelFor(n, "axpyInPlace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.FellBack {
+		t.Fatal("transient device failure did not fall back to the host")
+	}
+	for i := range y.V {
+		if want := orig.V[i] + 2*x.V[i]; y.V[i] != want {
+			t.Fatalf("y[%d] = %v after fallback, want %v: the host pass read the failed device's bytes", i, y.V[i], want)
 		}
 	}
 }
