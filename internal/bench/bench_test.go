@@ -288,22 +288,25 @@ func TestRenderers(t *testing.T) {
 
 func TestCachingBenefit(t *testing.T) {
 	h := testHarness(t)
-	cold, warm, err := h.CachingBenefit(kernels.GEMM, 64, data.Dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm >= cold {
-		t.Fatalf("warm cache (%fs) must beat cold (%fs)", warm, cold)
-	}
-	// The saving should be roughly the host-to-target leg.
-	rep, err := h.Calibration().Predict(h.scenario(kernels.GEMM, 64, data.Dense))
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := cold - warm
-	upload := rep.Phases["host-to-target"].Seconds()
-	if saved < 0.8*upload || saved > 1.2*upload {
-		t.Fatalf("cache saving %fs should be ~the upload leg %fs", saved, upload)
+	for _, kind := range []data.Kind{data.Sparse, data.Dense} {
+		cold, warm, err := h.CachingBenefit(kernels.GEMM, 64, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("gemm, 64 cores, %s: cold %.1fs, warm cache %.1fs (%.2fx)", kind, cold, warm, cold/warm)
+		if warm >= cold {
+			t.Fatalf("%s: warm cache (%fs) must beat cold (%fs)", kind, warm, cold)
+		}
+		// The saving should be roughly the host-to-target leg.
+		rep, err := h.Calibration().Predict(h.scenario(kernels.GEMM, 64, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := cold - warm
+		upload := rep.Phases["host-to-target"].Seconds()
+		if saved < 0.8*upload || saved > 1.2*upload {
+			t.Fatalf("%s: cache saving %fs should be ~the upload leg %fs", kind, saved, upload)
+		}
 	}
 }
 

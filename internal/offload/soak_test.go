@@ -1,0 +1,258 @@
+package offload_test
+
+// The fault soaks: every kernel of the evaluation runs clean and then under a
+// deterministic storage-, worker- or link-fault schedule, and the assertions
+// are on the two runs themselves. They live outside package offload because
+// the workloads (internal/kernels) import it.
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"ompcloud/internal/data"
+	"ompcloud/internal/kernels"
+	"ompcloud/internal/offload"
+	"ompcloud/internal/omp"
+	"ompcloud/internal/resilience"
+	"ompcloud/internal/spark"
+	"ompcloud/internal/storage"
+	"ompcloud/internal/trace"
+)
+
+// Small enough for tier-1 under -race, large enough that every kernel still
+// splits into several tiles and several 4 KiB chunks per buffer.
+const (
+	soakN    = 64
+	soakSeed = 7
+)
+
+// One 8-core worker: faults on the storage and link planes need tiles, not
+// executors. The worker soak spreads the same cores over four workers.
+var soakSpec = spark.ClusterSpec{Workers: 1, CoresPerWorker: 8}
+
+// soakPlugin builds the cloud device of one soak run: chunk-granular
+// transfers, four retry attempts per storage leg without real backoff
+// sleeping, and four real execution slots whatever the machine has, so
+// hedges, deadline guards and a sleeping straggler race real goroutines.
+// barriered selects the stage-barriered workflow over the streaming one.
+func soakPlugin(t *testing.T, spec spark.ClusterSpec, st storage.Store, barriered bool, mut func(*offload.CloudConfig)) *offload.CloudPlugin {
+	t.Helper()
+	cfg := offload.CloudConfig{
+		Spec:            spec,
+		Store:           st,
+		ChunkBytes:      4096,
+		RetryMax:        4,
+		RetrySleep:      func(time.Duration) {},
+		RealParallelism: 4,
+	}
+	if barriered {
+		cfg.Overlap = -1
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	p, err := offload.NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// soakRun is one finished run of a workload: its report, a copy of its
+// outputs, and the serial reference of the same inputs (computed on demand).
+type soakRun struct {
+	rep    *trace.Report
+	outs   [][]float32
+	serial func() []float32
+}
+
+// runOn executes b's workload on the device and checks it against the
+// serial reference (the tolerance absorbs reduction order only).
+func runOn(b *kernels.Benchmark, p *offload.CloudPlugin) (*soakRun, error) {
+	rt, err := omp.NewRuntime(4)
+	if err != nil {
+		return nil, err
+	}
+	w := b.Prepare(soakN, data.Dense, soakSeed)
+	rep, err := w.Run(rt, rt.RegisterDevice(p))
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Verify(); err != nil {
+		return nil, err
+	}
+	run := &soakRun{rep: rep, serial: w.Serial}
+	for _, o := range w.Outputs() {
+		run.outs = append(run.outs, append([]float32(nil), o...))
+	}
+	return run, nil
+}
+
+func mustRun(t *testing.T, what string, b *kernels.Benchmark, p *offload.CloudPlugin) *soakRun {
+	t.Helper()
+	run, err := runOn(b, p)
+	if err != nil {
+		t.Fatalf("%s run: %v", what, err)
+	}
+	return run
+}
+
+// mustMatch fails unless two output sets agree bit for bit.
+func mustMatch(t *testing.T, what string, want, got [][]float32) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: output count differs: %d vs %d", what, len(want), len(got))
+	}
+	for i := range want {
+		if !slices.Equal(want[i], got[i]) {
+			t.Fatalf("%s: output %d differs", what, i)
+		}
+	}
+}
+
+// dataflow names a row's mode in subtest names.
+func dataflow(barriered bool) string {
+	if barriered {
+		return "barrier"
+	}
+	return "stream"
+}
+
+// storageScenario is one deterministic storage-fault schedule.
+type storageScenario struct {
+	name string
+	// fallback marks the schedule that is unrecoverable by design: the run
+	// must finish on the host (§III.A dynamic fallback).
+	fallback bool
+	inject   func(*storage.FaultStore)
+}
+
+var storageScenarios = []storageScenario{
+	{name: "flaky-puts", inject: func(fs *storage.FaultStore) {
+		fs.Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 2)).
+			Inject(storage.FailKeysMatching(storage.OpPut, "/out/", 1))
+	}},
+	{name: "flaky-gets", inject: func(fs *storage.FaultStore) {
+		fs.Inject(storage.FailKeysMatching(storage.OpGet, "/in/", 1)).
+			Inject(storage.TruncateGets(".part", 7, 1)).
+			Inject(storage.FlipBitGets(".part", 3, 1))
+	}},
+	{name: "dead-output-leg", fallback: true, inject: func(fs *storage.FaultStore) {
+		fs.Inject(storage.FailKeysMatching(storage.OpAny, "/out/", 0))
+	}},
+}
+
+// TestStorageFaultSoak runs every kernel under a storage-fault schedule
+// (failed puts and gets, truncated and bit-flipped chunk payloads, a dead
+// output leg) with flaky and crash-after-success task attempts on top. The
+// recoverable schedules must finish on the device bit-identical to the clean
+// run; the dead output leg must finish on the host with a reason.
+func TestStorageFaultSoak(t *testing.T) {
+	retries, fallbacks := 0, 0
+	// The dead-output-leg schedule only goes to single-region kernels: a
+	// multi-region workload runs inside a target-data environment, whose
+	// mid-flight storage failures surface as errors, not as a host re-run.
+	single, multi := 0, 0
+	for _, b := range kernels.All {
+		var scen storageScenario
+		if b.Regions == 1 {
+			scen = storageScenarios[single%len(storageScenarios)]
+			single++
+		} else {
+			scen = storageScenarios[multi%2]
+			multi++
+		}
+		t.Run(b.Name+"/"+scen.name, func(t *testing.T) {
+			clean := mustRun(t, "clean", b, soakPlugin(t, soakSpec, storage.NewMemStore(), false, nil))
+
+			fs := storage.NewFaultStore(storage.NewMemStore())
+			scen.inject(fs)
+			faulted := mustRun(t, "faulted", b, soakPlugin(t, soakSpec, fs, false, func(cfg *offload.CloudConfig) {
+				cfg.Faults = spark.ChainFaults(&spark.FlakyEveryNth{N: 5}, spark.CrashAfterSuccess(1, 1))
+			}))
+			if fs.Fired() == 0 {
+				t.Fatal("the schedule never fired a fault")
+			}
+			retries += faulted.rep.StorageRetries
+			if scen.fallback {
+				if !faulted.rep.FellBack {
+					t.Fatal("the dead leg should have forced a host fallback")
+				}
+				if faulted.rep.FallbackReason == "" {
+					t.Fatal("fallback report is missing its reason")
+				}
+				fallbacks++
+				return
+			}
+			if faulted.rep.FellBack {
+				t.Fatalf("recoverable schedule fell back: %s", faulted.rep.FallbackReason)
+			}
+			mustMatch(t, "clean vs recovered", clean.outs, faulted.outs)
+		})
+	}
+	if retries == 0 {
+		t.Error("no storage leg ever retried; the schedules were too gentle")
+	}
+	if fallbacks == 0 {
+		t.Error("no kernel hit the unrecoverable schedule; fallback untested")
+	}
+}
+
+// TestHostFallbacksTripBreakerAndRecover drives the dead-store scenario
+// through the OpenMP runtime: job objects fail forever, each offload completes
+// on the host and that fallback feeds the breaker, past the threshold the
+// device answers unavailable, and once the cooldown expires and the store has
+// healed, regions run on the device again. (That an open breaker issues no
+// health probes is TestBreakerTripsAndRecovers' assertion, on the plugin
+// alone.)
+func TestHostFallbacksTripBreakerAndRecover(t *testing.T) {
+	fs := storage.NewFaultStore(storage.NewMemStore()).
+		Inject(storage.FailKeysMatching(storage.OpAny, "jobs/", 0))
+
+	var clockMu sync.Mutex
+	clock := time.Unix(0, 0)
+	now := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return clock
+	}
+
+	const threshold = 2
+	cooldown := 10 * time.Second
+	plugin := soakPlugin(t, soakSpec, fs, false, func(cfg *offload.CloudConfig) {
+		cfg.RetryMax = -1 // fail fast: the store is dead, retries cannot help
+		cfg.BreakerFailures = threshold
+		cfg.BreakerCooldown = cooldown
+		cfg.BreakerNow = now
+	})
+
+	failed := 0
+	for plugin.Breaker().State() != resilience.BreakerOpen {
+		if failed >= 2*threshold {
+			t.Fatalf("breaker did not trip after %d failed offloads", failed)
+		}
+		run := mustRun(t, fmt.Sprintf("breaker %d", failed), kernels.GEMM, plugin)
+		if !run.rep.FellBack {
+			t.Fatalf("run %d against the dead store should have fallen back to the host", failed)
+		}
+		failed++
+	}
+	if plugin.Available() {
+		t.Fatal("open breaker still reports the device available")
+	}
+
+	fs.Clear()
+	clockMu.Lock()
+	clock = clock.Add(cooldown + time.Second)
+	clockMu.Unlock()
+	if !plugin.Available() {
+		t.Fatal("healed device still unavailable after cooldown")
+	}
+	if run := mustRun(t, "post-recovery", kernels.GEMM, plugin); run.rep.FellBack {
+		t.Fatalf("post-recovery run fell back: %s", run.rep.FallbackReason)
+	}
+}

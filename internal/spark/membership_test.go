@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -124,59 +125,79 @@ func TestNoAliveWorkersIsTransient(t *testing.T) {
 	}
 }
 
-func TestSpeculationBackupWinsBitIdentical(t *testing.T) {
-	run := func(opts ...Option) ([]int64, *JobMetrics) {
-		// More real slots than machine cores: a sleeping straggler must not
-		// starve its own backup of the execution slot (nproc can be 1 in CI).
-		opts = append(opts, WithRealParallelism(4))
-		ctx := testContext(t, 4, 4, opts...)
-		r, _ := Range(ctx, 64, 16)
-		got, jm, err := r.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, jm
+// stalledOriginal is a deterministic straggler: the original copy of one
+// partition — the copy on the partition's preferred worker; a backup always
+// races on another — parks in BeforeTask until the partition has committed.
+// Only the backup can commit it, so the backup wins by construction and what
+// the run exercises is maybeSpeculate finding the straggler (on a commit or
+// on its re-arm timer), never a sleep racing the host's scheduler.
+type stalledOriginal struct {
+	partition, worker int
+	committed         chan struct{}
+	once              sync.Once
+}
+
+func (s *stalledOriginal) BeforeTask(job, p, attempt, worker int) error {
+	if p == s.partition && worker == s.worker {
+		<-s.committed
 	}
-	clean, _ := run()
-	spec := SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 1.2}
-	delayed, jm := run(
-		WithSpeculation(spec),
-		WithFaults(&DelayTaskOnce{Partition: 3, Delay: 150 * time.Millisecond}),
-	)
+	return nil
+}
+
+func (s *stalledOriginal) release() { s.once.Do(func() { close(s.committed) }) }
+
+// runStalled collects a 4x4 cluster's job over n elements in parts
+// partitions with partition p's original stalled, counting sink deliveries.
+func runStalled(t *testing.T, n int64, parts, p int) ([][]int64, *JobMetrics, map[int]int) {
+	t.Helper()
+	stall := &stalledOriginal{partition: p, committed: make(chan struct{})}
+	// More real slots than machine cores: the parked original must not
+	// starve its own backup of the execution slot (nproc can be 1 in CI).
+	ctx := testContext(t, 4, 4,
+		WithSpeculation(SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 1.2}),
+		WithFaults(stall), WithRealParallelism(4))
+	stall.worker = ctx.PartitionWorker(p, parts)
+	// A run that never speculates must fail its assertions, not hang.
+	defer time.AfterFunc(10*time.Second, stall.release).Stop()
+	r, _ := Range(ctx, n, parts)
+	var mu sync.Mutex
+	seen := make(map[int]int)
+	got, jm, err := r.CollectPartitionsEach(func(q int, items []int64) {
+		mu.Lock()
+		seen[q]++
+		mu.Unlock()
+		if q == p {
+			stall.release()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, jm, seen
+}
+
+func TestSpeculationBackupWinsBitIdentical(t *testing.T) {
+	r, _ := Range(testContext(t, 4, 4), 64, 16)
+	clean, _, err := r.CollectPartitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delayed, jm, _ := runStalled(t, 64, 16, 3)
 	if jm.SpeculativeWins == 0 {
 		t.Fatal("the stalled task's backup copy should have won")
 	}
 	if !jm.Tasks[3].Speculative {
 		t.Fatal("partition 3's committed result should come from the backup copy")
 	}
-	if len(clean) != len(delayed) {
-		t.Fatalf("result lengths differ: %d vs %d", len(clean), len(delayed))
-	}
-	for i := range clean {
-		if clean[i] != delayed[i] {
-			t.Fatalf("speculated run diverged at %d: %d vs %d", i, clean[i], delayed[i])
-		}
+	if !reflect.DeepEqual(clean, delayed) {
+		t.Fatalf("speculated run diverged:\n clean %v\n spec  %v", clean, delayed)
 	}
 }
 
 func TestSpeculationSinkFiresOncePerPartition(t *testing.T) {
-	ctx := testContext(t, 4, 4,
-		WithSpeculation(SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 1.2}),
-		WithFaults(&DelayTaskOnce{Partition: 1, Delay: 150 * time.Millisecond}),
-		WithRealParallelism(4))
-	r, _ := Range(ctx, 32, 8)
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	_, jm, err := r.CollectPartitionsEach(func(p int, items []int64) {
-		mu.Lock()
-		seen[p]++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jm.SpeculativeWins+jm.SpeculativeLosses == 0 {
-		t.Fatal("no speculative copy raced")
+	_, jm, seen := runStalled(t, 32, 8, 1)
+	if jm.SpeculativeWins == 0 {
+		t.Fatal("no speculative copy won")
 	}
 	for p, n := range seen {
 		if n != 1 {

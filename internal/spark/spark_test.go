@@ -392,8 +392,9 @@ func TestPartitionWorkerBlockAssignment(t *testing.T) {
 }
 
 func TestVirtualMakespanScalesWithCores(t *testing.T) {
-	// The same job on more simulated cores must have a smaller-or-equal
-	// compute makespan even though real execution is identical.
+	// The compute makespan is a pure function of the measured per-task
+	// durations and the simulated core count: one run's duration vector,
+	// scheduled on 1 and on 8 cores, so no second run's host noise enters.
 	work := func(v int64) (int64, error) {
 		s := int64(0)
 		for i := int64(0); i < 200_000; i++ {
@@ -401,23 +402,32 @@ func TestVirtualMakespanScalesWithCores(t *testing.T) {
 		}
 		return s, nil
 	}
-	makespan := func(workers int) simtime.Duration {
-		ctx := testContext(t, workers, 1)
-		r, _ := Range(ctx, 32, 32)
-		_, jm, err := Map(r, work).Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jm.ComputeMakespan
+	ctx := testContext(t, 8, 1)
+	r, _ := Range(ctx, 32, 32)
+	_, jm, err := Map(r, work).Collect()
+	if err != nil {
+		t.Fatal(err)
 	}
-	m1, m8 := makespan(1), makespan(8)
+	durs := make([]simtime.Duration, len(jm.Tasks))
+	var sum, longest simtime.Duration
+	for p, tm := range jm.Tasks {
+		durs[p] = tm.Compute
+		sum += tm.Compute
+		longest = max(longest, tm.Compute)
+	}
+	m1, m8 := simtime.Makespan(durs, 1), simtime.Makespan(durs, 8)
+	if jm.ComputeMakespan != m8 {
+		t.Fatalf("ComputeMakespan %v, want the 8-core list schedule %v of the job's own task durations", jm.ComputeMakespan, m8)
+	}
+	if m1 != sum {
+		t.Fatalf("1-core makespan %v, want the sum of task durations %v", m1, sum)
+	}
 	if m8 >= m1 {
-		t.Fatalf("8-worker makespan %v should beat 1-worker %v", m8, m1)
+		t.Fatalf("8-core makespan %v should beat 1-core %v", m8, m1)
 	}
-	// With uniform tasks the ratio should be roughly 8x; allow 2x slack
-	// for measurement noise.
-	if m1 < m8*4 {
-		t.Fatalf("scaling too weak: 1w=%v 8w=%v", m1, m8)
+	// Graham's bound for any greedy list schedule.
+	if m8 > sum/8+longest {
+		t.Fatalf("scaling too weak: 8-core %v > sum/8 %v + longest task %v", m8, sum/8, longest)
 	}
 }
 
