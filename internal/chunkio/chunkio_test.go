@@ -140,9 +140,9 @@ func TestSmallObjectUsesLegacyLayout(t *testing.T) {
 		t.Fatal("sub-chunk payload stored as chunked manifest, want plain frame")
 	}
 	// And it is readable without chunkio at all.
-	back, err := xcompress.Decode(obj)
-	if err != nil {
-		t.Fatalf("legacy Decode: %v", err)
+	back := make([]byte, len(data))
+	if err := xcompress.DecodeInto(obj, back); err != nil {
+		t.Fatalf("legacy DecodeInto: %v", err)
 	}
 	if !bytes.Equal(back, data) {
 		t.Fatal("legacy decode mismatch")

@@ -91,20 +91,16 @@ func newStorer(st storage.Store, key string, src []byte, o Options) *pipeState {
 }
 
 // setPlan builds the per-chunk codec plan from probe, the finalized prefix
-// of src: AlgoAuto probes it once and reuses the verdict for every chunk;
-// AlgoAdaptive re-decides per chunk against each worker's share of the wire.
-// The one chunk of the single layout rides the whole wire, and outside the
-// adaptive policy keeps Encode's own streaming probe (the head is gzipped
-// once, not once to probe and again to encode).
+// of src (xcompress.Codec.Planner: AlgoAuto probes it once and reuses the
+// verdict for every chunk; AlgoAdaptive re-decides per chunk). Each worker of
+// a multi-chunk transfer can count on its share of the wire; the one chunk
+// of the single layout rides the whole of it.
 func (ps *pipeState) setPlan(probe []byte) {
-	switch {
-	case !ps.single:
-		ps.plan = ps.o.Codec.Planner(probe, ps.o.wireShare())
-	case ps.o.Codec.Algo == xcompress.AlgoAdaptive:
-		ps.plan = ps.o.Codec.Planner(probe, ps.o.WireBytesPerS)
-	default:
-		ps.plan = func([]byte) xcompress.Verdict { return xcompress.VerdictAuto }
+	wire := ps.o.wireShare()
+	if ps.single {
+		wire = ps.o.WireBytesPerS
 	}
+	ps.plan = ps.o.Codec.Planner(probe, wire)
 }
 
 // start launches the workers. Chunks reach them through release; the jobs

@@ -12,6 +12,7 @@ import (
 	"ompcloud/internal/spark"
 	"ompcloud/internal/trace"
 	"ompcloud/internal/trace/span"
+	"ompcloud/internal/xcompress"
 )
 
 // This file is the plan engine: the one place the cloud device sequences the
@@ -294,21 +295,18 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 }
 
 // residentRatio estimates the compression ratio Spark gets when it ships a
-// driver-resident buffer over the LAN, by probing the actual bytes (Spark
-// compresses everything it moves; a shipped buffer's ratio was measured by
-// its transfer instead).
+// driver-resident buffer over the LAN, by encoding the actual bytes once
+// (Spark compresses everything it moves; a shipped buffer's ratio was
+// measured by its transfer instead). A ratio over SkipRatio ships raw.
 func (p *CloudPlugin) residentRatio(b []byte) float64 {
-	if len(b) == 0 {
-		return 1
-	}
 	if len(b) > 1<<20 {
 		b = b[:1<<20]
 	}
-	probe, err := p.cfg.Codec.Measure(b)
-	if err != nil {
+	r, err := p.cfg.Codec.Ratio(b)
+	if err != nil || r > xcompress.SkipRatio {
 		return 1
 	}
-	return probe.Effective().Ratio
+	return r
 }
 
 // costInputs assembles the accounting inputs from what the plan's legs

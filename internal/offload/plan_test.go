@@ -3,6 +3,7 @@ package offload
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -481,5 +482,49 @@ func TestResidentCollectWireIsSizeWeighted(t *testing.T) {
 	}
 	if mean := int64(float64(raw) * (rs + rl) / 2); ci.CollectWire < mean*3/2 {
 		t.Fatalf("CollectWire = %d is not told apart from the unweighted mean %d: pick buffers whose ratios differ", ci.CollectWire, mean)
+	}
+}
+
+// The accountant asks for a ratio, not a benchmark: pricing a plan whose
+// three buffers are all driver-resident encodes each buffer's sampled head at
+// most once, into pooled scratch. It used to run xcompress.Codec.Measure —
+// four rounds of encode + allocating decode, ~8 MiB allocated per MiB
+// sampled — serially after every loop of an environment.
+func TestCostInputsResidentProbeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops entries at random, so every probe may rebuild its gzip writer")
+	}
+	p, err := NewCloudPlugin(memCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2 << 20 // residentRatio samples the first MiB of each
+	sparse := data.Generate(1, n/data.FloatSize, data.Sparse, 71).Bytes()
+	dense := data.Generate(1, n/data.FloatSize, data.Dense, 72).Bytes()
+	out := data.Generate(1, n/data.FloatSize, data.Sparse, 73).Bytes()
+	r := &Region{
+		Kernel: "resident", N: 1024,
+		Ins: []Buffer{
+			{Name: "A", Data: sparse, BytesPerIter: n / 1024},
+			{Name: "B", Data: dense},
+		},
+		Outs: []Buffer{{Name: "C", Data: out, BytesPerIter: n / 1024}},
+	}
+	pl := &plan{kernel: r.Kernel, region: r,
+		ins:  []bound{{name: "A", dev: sparse}, {name: "B", dev: dense}},
+		outs: []bound{{name: "C", dev: out}}}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ci := p.costInputs(pl, 8, nil, n)
+	runtime.ReadMemStats(&after)
+
+	if ci.DistributeWire <= 0 || ci.DistributeWire >= n/2 || ci.BroadcastWire != n || ci.CollectWire <= 0 || ci.CollectWire >= n/2 {
+		t.Fatalf("LAN volumes = %d scattered / %d broadcast / %d collected: want sparse A and C well under %d and dense B at it",
+			ci.DistributeWire, ci.BroadcastWire, ci.CollectWire, n)
+	}
+	const sampled = 3 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > sampled*3/2 {
+		t.Fatalf("costInputs allocated %d bytes to price %d sampled bytes, want at most 1.5x", got, sampled)
 	}
 }

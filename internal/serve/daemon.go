@@ -185,13 +185,6 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// TenantStore scopes the daemon's backing store to one tenant's namespace;
-// executors run every job of that tenant against it, which is what makes
-// storage isolation structural rather than conventional.
-func (d *Daemon) TenantStore(tenant string) (storage.Store, error) {
-	return storage.NewPrefix(d.cfg.Store, "tenants/"+tenant+"/")
-}
-
 func (d *Daemon) tenant(name string, now simtime.Duration) *tenantState {
 	t, ok := d.tenants[name]
 	if !ok {
@@ -526,7 +519,7 @@ func (d *Daemon) RegisterWorker(addr string, cores int, now simtime.Duration) er
 	}
 	w.cores = cores
 	w.lease.Renew(now)
-	d.publishPool(now)
+	d.publishPool()
 	return nil
 }
 
@@ -548,7 +541,7 @@ func (d *Daemon) DeregisterWorker(addr string, now simtime.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.workers, addr)
-	d.publishPool(now)
+	d.publishPool()
 }
 
 // RetireWorker is the graceful scale-in path: it removes a worker only if
@@ -577,7 +570,7 @@ func (d *Daemon) RetireWorker(addr string, now simtime.Duration) error {
 			addr, d.granted-rest, rest, d.granted)
 	}
 	delete(d.workers, addr)
-	d.publishPool(now)
+	d.publishPool()
 	return nil
 }
 
@@ -630,13 +623,12 @@ func (d *Daemon) pruneWorkers(now simtime.Duration) {
 		}
 	}
 	if changed {
-		d.publishPool(now)
+		d.publishPool()
 	}
 }
 
 // publishPool refreshes the pool gauges. Callers hold d.mu.
-func (d *Daemon) publishPool(now simtime.Duration) {
-	_ = now
+func (d *Daemon) publishPool() {
 	span.Metrics().Gauge(MetricPoolCores).Set(int64(d.poolCores()))
 	span.Metrics().Gauge(MetricWorkersLive).Set(int64(len(d.workers)))
 }

@@ -1,10 +1,5 @@
 package spark
 
-import (
-	"sync/atomic"
-	"time"
-)
-
 // DefaultSpeculationQuantile is the fraction of a stage's tasks that must
 // have finished before stragglers are considered (Spark's
 // spark.speculation.quantile).
@@ -47,26 +42,4 @@ func (sc SpeculationConfig) normalized() SpeculationConfig {
 		sc.Multiplier = DefaultSpeculationMultiplier
 	}
 	return sc
-}
-
-// DelayTaskOnce is a FaultInjector that stalls the first attempt of one
-// partition for a fixed real duration without failing it — a deterministic
-// straggler. The delay is consumed exactly once, so a speculative backup of
-// the same partition runs at full speed and wins the race. The sleep happens
-// in BeforeTask, before timing starts, so measured Compute durations stay
-// clean.
-type DelayTaskOnce struct {
-	Partition int
-	Delay     time.Duration
-
-	hit atomic.Bool
-}
-
-// BeforeTask implements FaultInjector. Only the first caller sleeps; a
-// concurrent backup copy of the same partition must not block behind it.
-func (d *DelayTaskOnce) BeforeTask(job, p, attempt, worker int) error {
-	if p == d.Partition && d.hit.CompareAndSwap(false, true) {
-		time.Sleep(d.Delay)
-	}
-	return nil
 }

@@ -141,14 +141,6 @@ type NetFault struct {
 	// regardless of machine speed; incompatible with PartitionHang.
 	perOp time.Duration
 
-	// metricDev, when non-empty, moves the link gauges to device-keyed
-	// metric names (span.DevKey). Gauges are last-writer-wins, so two live
-	// links publishing the same global name would clobber each other;
-	// with a device set each link owns its own gauge family. The
-	// partitioned-op counter stays on the global name too (counters
-	// merge), gaining a keyed sibling.
-	metricDev string
-
 	ops     atomic.Int64
 	refused atomic.Int64
 	up      rateMeter
@@ -184,11 +176,6 @@ func (f *NetFault) SetSleep(fn func(time.Duration)) *NetFault { f.sleep = fn; re
 // SetClock replaces the elapsed-time source (virtual clocks); returns f for
 // chaining.
 func (f *NetFault) SetClock(fn func() time.Duration) *NetFault { f.now = fn; return f }
-
-// SetMetricDevice keys this link's `net.link.*` gauges (and adds a keyed
-// sibling of the partitioned-op counter) by device name, so two live links
-// stop clobbering one global gauge; returns f for chaining.
-func (f *NetFault) SetMetricDevice(dev string) *NetFault { f.metricDev = dev; return f }
 
 // UseOpClock drives the schedule off the operation counter: each operation
 // advances elapsed time by perOp, so a schedule like "partition from 50ms"
@@ -247,9 +234,6 @@ func (f *NetFault) elapsed() time.Duration {
 func (f *NetFault) refuse(op, key string) error {
 	f.refused.Add(1)
 	span.Metrics().Counter("net.fault.partitioned_ops").Inc()
-	if f.metricDev != "" {
-		span.Metrics().Counter(span.DevKey("net.fault.partitioned_ops", f.metricDev)).Inc()
-	}
 	span.Event("net.partition", "net",
 		span.Attr{Key: "op", Val: op},
 		span.Attr{Key: "key", Val: key})
@@ -264,13 +248,13 @@ func (f *NetFault) gate(op, key string) (netsim.LinkState, error) {
 	el := f.elapsed()
 	st := f.sched.At(el)
 	m := span.Metrics()
-	upGauge := m.Gauge(span.DevKey("net.link.up", f.metricDev))
+	upGauge := m.Gauge("net.link.up")
 	if st.Up {
 		upGauge.Set(1)
 	} else {
 		upGauge.Set(0)
 	}
-	m.Gauge(span.DevKey("net.link.bw_frac_milli", f.metricDev)).Set(int64(st.BandwidthFrac * 1000))
+	m.Gauge("net.link.bw_frac_milli").Set(int64(st.BandwidthFrac * 1000))
 
 	if !st.Up {
 		if f.mode == PartitionHang {

@@ -3,7 +3,7 @@ package xcompress
 // Adaptive per-chunk codec selection (AlgoAdaptive). The legacy AlgoAuto
 // policy probes a buffer once and applies one verdict to every chunk, which
 // misclassifies mixed buffers and cannot exploit codecs with different
-// speed/ratio trades. ChunkVerdict instead decides per chunk from two cheap
+// speed/ratio trades. chunkVerdict instead decides per chunk from two cheap
 // probes plus a wire-rate cost model:
 //
 //  1. A strided byte-entropy sample. Near-8-bits/byte chunks are
@@ -24,23 +24,15 @@ package xcompress
 // dense data). Skipping the ratio scaling is the classic mistake: sparse
 // data at ratio 0.04 over a 200 Mbps WAN looks "wire-bound" against raw
 // bytes but its effective drain rate is ~700 MB/s — deflate would become
-// the bottleneck and lose to fast by ~50% of pipeline time. These same
-// constants feed the virtual-clock cost model, so simtime accounting
-// matches the policy that produced the wire bytes.
+// the bottleneck and lose to fast by ~50% of pipeline time.
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 const (
 	// DeflateBytesPerS estimates single-core gzip BestSpeed compression
 	// throughput on this class of hardware (raw bytes/s). The adaptive
 	// verdict treats a wire slower than this as wire-bound.
 	DeflateBytesPerS = 80e6
-	// FastBytesPerS estimates single-core fast-codec compression
-	// throughput (raw bytes/s) for virtual-clock cost models.
-	FastBytesPerS = 400e6
 	// entropyRawBits: a strided byte-entropy sample above this is treated
 	// as incompressible (uniform random bytes measure ~7.97; dense float32
 	// payloads with a skewed exponent byte land lower and fall through to
@@ -91,18 +83,12 @@ func sampleEntropy(b []byte) float64 {
 	return h
 }
 
-// probeBufs pools the fast-codec trial scratch so ChunkVerdict stays
-// allocation-free on the hot path.
-var probeBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, probeSeg+256)
-	return &b
-}}
-
 // fastSampleRatio runs the fast codec over three small segments (head,
 // middle, tail) and returns the combined compression ratio. Segments that
-// bail out (incompressible under LZ77) count as ratio 1.
+// bail out (incompressible under LZ77) count as ratio 1. The trial scratch is
+// pooled, so chunkVerdict stays allocation-free on the hot path.
 func fastSampleRatio(chunk []byte) float64 {
-	bp := probeBufs.Get().(*[]byte)
+	bp := scratchBufs.Get().(*[]byte)
 	scratch := *bp
 	total, wire := 0, 0
 	trial := func(seg []byte) {
@@ -126,24 +112,19 @@ func fastSampleRatio(chunk []byte) float64 {
 		trial(chunk[len(chunk)-probeSeg:])
 	}
 	*bp = scratch
-	probeBufs.Put(bp)
+	scratchBufs.Put(bp)
 	if total == 0 {
 		return 1
 	}
 	return float64(wire) / float64(total)
 }
 
-// ChunkVerdict picks a codec for one chunk. wireBPS is the wire bandwidth
+// chunkVerdict is AlgoAdaptive's arm of Planner: it picks a codec for one
+// chunk already past the size threshold. wireBPS is the wire bandwidth
 // available to this chunk's transmission (bytes/s, e.g. the WAN rate divided
 // by the number of parallel transfer workers); 0 means unknown/unbounded, in
 // which case the codec is assumed to be the critical path.
-func (c Codec) ChunkVerdict(chunk []byte, wireBPS float64) Verdict {
-	if !c.Enabled() || len(chunk) < c.minSize() {
-		return VerdictRaw
-	}
-	if v, ok := c.forcedVerdict(); ok {
-		return v
-	}
+func chunkVerdict(chunk []byte, wireBPS float64) Verdict {
 	if sampleEntropy(chunk) > entropyRawBits {
 		// Uniform random bytes: nothing can compress this, don't try.
 		return VerdictRaw
@@ -168,16 +149,4 @@ func (c Codec) ChunkVerdict(chunk []byte, wireBPS float64) Verdict {
 		return VerdictGzip // wire-bound even on compressed bytes: highest ratio wins
 	}
 	return VerdictFast // codec-bound: fastest acceptable codec wins
-}
-
-// Planner returns the per-chunk verdict function for one buffer's transfer:
-// a constant for forced algos, one shared ProbeVerdict for AlgoAuto (the
-// legacy policy), and a live ChunkVerdict closure for AlgoAdaptive. Called
-// once per buffer; the returned function runs once per chunk.
-func (c Codec) Planner(buf []byte, wireBPS float64) func(chunk []byte) Verdict {
-	if c.Algo == AlgoAdaptive {
-		return func(chunk []byte) Verdict { return c.ChunkVerdict(chunk, wireBPS) }
-	}
-	v := c.ProbeVerdict(buf)
-	return func([]byte) Verdict { return v }
 }

@@ -14,6 +14,12 @@ func mixedBuffer(n, denseHead int) []byte {
 	return b
 }
 
+// bufferVerdict is the verdict c's Planner gives buf's first chunk when buf
+// is planned as one buffer.
+func bufferVerdict(c Codec, buf []byte, wireBPS float64) Verdict {
+	return c.Planner(buf, wireBPS)(buf[:min(len(buf), 1<<20)])
+}
+
 // TestProbeVerdictMixedBuffer is the regression for the head-probe
 // misclassification: a buffer with a dense 512 KiB head but a sparse 3.5 MiB
 // tail used to probe as VerdictRaw and ship ~4 MiB of zeros uncompressed.
@@ -21,7 +27,7 @@ func mixedBuffer(n, denseHead int) []byte {
 func TestProbeVerdictMixedBuffer(t *testing.T) {
 	c := Codec{}
 	buf := mixedBuffer(4<<20, 512<<10)
-	if v := c.ProbeVerdict(buf); v != VerdictGzip {
+	if v := bufferVerdict(c, buf, 0); v != VerdictGzip {
 		t.Fatalf("mixed buffer probed as %v; dense head must not veto a sparse bulk", v)
 	}
 	// The reverse shape (sparse head, dense tail) already compressed via
@@ -29,22 +35,22 @@ func TestProbeVerdictMixedBuffer(t *testing.T) {
 	// expansion fallback for the dense fraction.
 	rev := make([]byte, 4<<20)
 	copy(rev[len(rev)-(512<<10):], denseBytes(512<<10, 22))
-	if v := c.ProbeVerdict(rev); v != VerdictGzip {
+	if v := bufferVerdict(c, rev, 0); v != VerdictGzip {
 		t.Fatalf("sparse-head buffer probed as %v, want VerdictGzip", v)
 	}
 	// Fully dense buffers must still ship raw.
-	if v := c.ProbeVerdict(denseBytes(4<<20, 23)); v != VerdictRaw {
+	if v := bufferVerdict(c, denseBytes(4<<20, 23), 0); v != VerdictRaw {
 		t.Fatal("fully dense buffer must still probe as VerdictRaw")
 	}
 	// Fully sparse buffers compress.
-	if v := c.ProbeVerdict(make([]byte, 4<<20)); v != VerdictGzip {
+	if v := bufferVerdict(c, make([]byte, 4<<20), 0); v != VerdictGzip {
 		t.Fatal("sparse buffer must probe as VerdictGzip")
 	}
 }
 
-// TestEncodeMixedBuffer checks the same fix inside Encode's stream probe:
-// the whole-buffer entry point must compress a dense-head/sparse-tail buffer
-// instead of abandoning the stream after the head sample.
+// TestEncodeMixedBuffer checks the same fix through the whole-buffer entry
+// point: Encode must compress a dense-head/sparse-tail buffer instead of
+// shipping it raw on the head sample.
 func TestEncodeMixedBuffer(t *testing.T) {
 	c := Codec{}
 	buf := mixedBuffer(4<<20, 512<<10)
@@ -58,7 +64,7 @@ func TestEncodeMixedBuffer(t *testing.T) {
 	if len(wire) > len(buf)/2 {
 		t.Fatalf("mixed buffer wire is %d of %d raw bytes", len(wire), len(buf))
 	}
-	out, err := Decode(wire)
+	out, err := decodeFrame(wire, len(buf))
 	if err != nil || !bytes.Equal(out, buf) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -93,7 +99,7 @@ func TestChunkVerdictMatrix(t *testing.T) {
 		{"tiny", make([]byte, 1024), slowWire, VerdictRaw},
 	}
 	for _, tc := range cases {
-		if got := c.ChunkVerdict(tc.chunk, tc.wireBPS); got != tc.want {
+		if got := bufferVerdict(c, tc.chunk, tc.wireBPS); got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -114,10 +120,10 @@ func TestChunkVerdictDenseFloat32(t *testing.T) {
 		buf[i+2] = byte(rng.Intn(128))
 		buf[i+3] = 0x3f
 	}
-	if got := c.ChunkVerdict(buf, 500e6); got != VerdictRaw {
+	if got := bufferVerdict(c, buf, 500e6); got != VerdictRaw {
 		t.Errorf("codec-bound dense floats: got %v, want VerdictRaw", got)
 	}
-	if got := c.ChunkVerdict(buf, 25e6); got != VerdictGzip {
+	if got := bufferVerdict(c, buf, 25e6); got != VerdictGzip {
 		t.Errorf("wire-bound dense floats: got %v, want VerdictGzip", got)
 	}
 }
@@ -237,14 +243,16 @@ func TestChunkVerdictZeroAlloc(t *testing.T) {
 	c := Codec{Algo: AlgoAdaptive}
 	sparse := make([]byte, 1<<20)
 	dense := denseBytes(1<<20, 91)
-	c.ChunkVerdict(sparse, 25e6) // warm the probe pool
+	// One Planner call per buffer; its verdict function runs per chunk.
+	slow, fast := c.Planner(sparse, 25e6), c.Planner(sparse, 500e6)
+	slow(sparse) // warm the probe pool
 	allocs := testing.AllocsPerRun(10, func() {
-		c.ChunkVerdict(sparse, 25e6)
-		c.ChunkVerdict(dense, 25e6)
-		c.ChunkVerdict(sparse, 500e6)
-		c.ChunkVerdict(dense, 500e6)
+		slow(sparse)
+		slow(dense)
+		fast(sparse)
+		fast(dense)
 	})
 	if allocs > 0 {
-		t.Errorf("ChunkVerdict: %v allocs/run, want 0", allocs)
+		t.Errorf("adaptive per-chunk verdict: %v allocs/run, want 0", allocs)
 	}
 }

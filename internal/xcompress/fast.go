@@ -6,7 +6,7 @@ package xcompress
 // than deflate at a worse ratio, which is exactly the right trade when the
 // transfer pipeline is compression-bound rather than wire-bound (the sparse
 // half of the paper's Fig. 5 contrast). The adaptive per-chunk verdict
-// (ChunkVerdict) picks between raw, fast, and deflate per chunk.
+// (chunkVerdict) picks between raw, fast, and deflate per chunk.
 //
 // Wire frame: tagFast, then a uvarint of the decoded length, then a
 // sequence stream. Each sequence is
@@ -92,8 +92,7 @@ func appendFastSeq(dst, lit []byte, offset, mlen int) []byte {
 // appendFastBody greedily compresses src, appending the sequence stream to
 // dst. It reports ok=false (and returns dst unmodified in length) when src
 // is too small or the output would not beat the raw frame by a safety
-// margin — the caller then falls back to a raw frame, so the fast codec
-// never expands the wire beyond raw+1.
+// margin — the caller then falls back to a raw frame.
 func appendFastBody(dst, src []byte) ([]byte, bool) {
 	if len(src) < fastMinInput {
 		return dst, false
@@ -224,93 +223,23 @@ func fastDecodeBody(body, dst []byte) error {
 	return nil
 }
 
-// --- Pluggable frame codecs ----------------------------------------------
-
-// Frame is one pluggable wire-frame codec behind a tag byte. The built-ins
-// (raw, deflate, fast) register themselves in init; Decode and DecodeInto
-// dispatch on the frame's first byte through the registry, so adding a codec
-// is one implementation plus a registerFrame call, not a switch edit across
-// the hot paths. Implementations must be safe for concurrent use and must
-// never let the wire frame exceed len(src)+1+maxVarint (falling back to a
-// raw frame when they would expand the payload).
-type Frame interface {
-	// Name is the codec's config/CLI name.
-	Name() string
-	// Tag is the frame's first wire byte.
-	Tag() byte
-	// Append appends src's complete tagged frame to dst. level is the
-	// codec's level knob (deflate only; others ignore it).
-	Append(dst, src []byte, level int) ([]byte, error)
-	// DecodeInto decodes body (the frame with its tag stripped) into dst,
-	// which must be exactly the decoded length.
-	DecodeInto(body, dst []byte) error
-	// Decode decodes body into a fresh buffer.
-	Decode(body []byte) ([]byte, error)
-}
-
-// frames is the tag-indexed registry. Slots stay nil for unknown tags (and
-// for TagChunked, whose body belongs to internal/chunkio).
-var frames [256]Frame
-
-// frameNames maps config names to registered frames.
-var frameNames = map[string]Frame{}
-
-func registerFrame(f Frame) {
-	if frames[f.Tag()] != nil {
-		panic("xcompress: duplicate frame tag " + fmt.Sprint(f.Tag()))
-	}
-	frames[f.Tag()] = f
-	frameNames[f.Name()] = f
-}
-
-func init() {
-	registerFrame(rawFrameCodec{})
-	registerFrame(deflateFrameCodec{})
-	registerFrame(fastFrameCodec{})
-}
-
-// rawFrameCodec ships payloads verbatim behind tagRaw.
-type rawFrameCodec struct{}
-
-func (rawFrameCodec) Name() string { return "raw" }
-func (rawFrameCodec) Tag() byte    { return tagRaw }
-func (rawFrameCodec) Append(dst, src []byte, _ int) ([]byte, error) {
-	dst = append(dst, tagRaw)
-	return append(dst, src...), nil
-}
-func (rawFrameCodec) DecodeInto(body, dst []byte) error {
-	if len(body) != len(dst) {
-		return fmt.Errorf("xcompress: raw payload is %d bytes, want %d", len(body), len(dst))
-	}
-	copy(dst, body)
-	return nil
-}
-func (rawFrameCodec) Decode(body []byte) ([]byte, error) {
-	out := make([]byte, len(body))
-	copy(out, body)
-	return out, nil
-}
-
-// fastFrameCodec is the LZ4-class block codec behind tagFast.
-type fastFrameCodec struct{}
-
-func (fastFrameCodec) Name() string { return "fast" }
-func (fastFrameCodec) Tag() byte    { return tagFast }
-func (fastFrameCodec) Append(dst, src []byte, _ int) ([]byte, error) {
+// appendFast appends src's fast frame to dst, or its raw frame when LZ77
+// finds too little to pay for a decode pass or (a payload of a few dozen
+// bytes) the length header eats the saving — so the wire never exceeds
+// len(src)+1.
+func appendFast(dst, src []byte) []byte {
 	start := len(dst)
 	dst = append(dst, tagFast)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(src)))
-	dst = append(dst, tmp[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	out, ok := appendFastBody(dst, src)
-	if !ok {
-		// Incompressible under LZ77: ship raw so the wire never expands.
-		dst = append(dst[:start], tagRaw)
-		return append(dst, src...), nil
+	if !ok || len(out)-start > len(src)+1 {
+		return appendRaw(dst[:start], src)
 	}
-	return out, nil
+	return out
 }
-func (fastFrameCodec) DecodeInto(body, dst []byte) error {
+
+// decodeFast decodes a fast frame's body (tag stripped) into dst.
+func decodeFast(body, dst []byte) error {
 	rawLen, n := binary.Uvarint(body)
 	if n <= 0 {
 		return fmt.Errorf("xcompress: fast frame truncated header")
@@ -319,20 +248,4 @@ func (fastFrameCodec) DecodeInto(body, dst []byte) error {
 		return fmt.Errorf("xcompress: fast frame holds %d bytes, want %d", rawLen, len(dst))
 	}
 	return fastDecodeBody(body[n:], dst)
-}
-func (f fastFrameCodec) Decode(body []byte) ([]byte, error) {
-	rawLen, n := binary.Uvarint(body)
-	if n <= 0 {
-		return nil, fmt.Errorf("xcompress: fast frame truncated header")
-	}
-	if rawLen > uint64(len(body))*256+fastMinInput {
-		// A length this far beyond any achievable ratio is corruption;
-		// refuse before allocating it.
-		return nil, fmt.Errorf("xcompress: fast frame claims implausible size %d", rawLen)
-	}
-	out := make([]byte, int(rawLen))
-	if err := fastDecodeBody(body[n:], out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -8,39 +8,41 @@ import (
 	"sync"
 )
 
-// The hot encode/decode path of the chunked transfer engine runs once per
-// 1 MiB chunk. gzip.NewWriterLevel allocates its deflate window and hash
-// tables (~1.3 MB) on every call and gzip.NewReader its inflate window, so
-// an unpooled path trades the streaming dataflow's barrier win for GC churn.
-// Writers pool per level (Reset does not change the level); readers share
-// one pool.
+// The frame engine: AppendEncode is the only code that builds a wire frame
+// and DecodeInto the only code that reads one, over three fixed codecs (raw,
+// deflate, fast) told apart by the frame's first byte.
+//
+// The hot path runs once per 1 MiB chunk of the chunked transfer engine.
+// gzip.NewWriterLevel allocates its deflate window and hash tables (~1.3 MB)
+// on every call and gzip.NewReader its inflate window, so an unpooled path
+// trades the streaming dataflow's barrier win for GC churn: writers, readers
+// and probe scratch are pooled.
 
-var gzWriterPools sync.Map // level -> *sync.Pool of *gzip.Writer
+// deflateLevel favours throughput over ratio. Offloading is latency-bound:
+// the buffer cannot leave the host until gzip finishes, and at default
+// compression gzip is slower than a fast WAN — compressing would *lengthen*
+// the upload.
+const deflateLevel = gzip.BestSpeed
 
-func getGzipWriter(level int, w io.Writer) (*gzip.Writer, error) {
-	v, ok := gzWriterPools.Load(level)
-	if !ok {
-		v, _ = gzWriterPools.LoadOrStore(level, &sync.Pool{})
-	}
-	pool := v.(*sync.Pool)
-	if zw, ok := pool.Get().(*gzip.Writer); ok {
-		zw.Reset(w)
-		return zw, nil
-	}
-	zw, err := gzip.NewWriterLevel(w, level)
-	if err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	return zw, nil
+// pooledWriter bundles the gzip writer with the caller-owned slice it appends
+// into, so a pooled encode buffer backs the stream with no per-chunk
+// allocation (the gzip.Writer holds its io.Writer, so a per-call sink would
+// escape to the heap).
+type pooledWriter struct {
+	b  []byte
+	zw *gzip.Writer
 }
 
-func putGzipWriter(level int, zw *gzip.Writer) {
-	v, ok := gzWriterPools.Load(level)
-	if !ok {
-		return
-	}
-	v.(*sync.Pool).Put(zw)
+func (w *pooledWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
+
+var gzWriterPool = sync.Pool{New: func() any {
+	w := new(pooledWriter)
+	w.zw, _ = gzip.NewWriterLevel(w, deflateLevel) // a constant, valid level
+	return w
+}}
 
 // pooledReader bundles the gzip reader with its byte source so one pool
 // entry covers both allocations of a decode. The one-byte scratch for the
@@ -55,81 +57,113 @@ type pooledReader struct {
 
 var gzReaderPool = sync.Pool{New: func() any { return new(pooledReader) }}
 
-func getGzipReader(wire []byte) (*pooledReader, error) {
-	pr := gzReaderPool.Get().(*pooledReader)
-	pr.br.Reset(wire)
-	if err := pr.zr.Reset(&pr.br); err != nil {
-		gzReaderPool.Put(pr)
+// scratchBufs pools the ratio probes' output scratch (frameRatio, and the
+// adaptive verdict's fast-codec trial), so a verdict allocates nothing once
+// warm.
+var scratchBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, probeSeg+256)
+	return &b
+}}
+
+// AppendEncode appends buf's wire frame — a one-byte tag, then the raw bytes,
+// a gzip stream or a fast-codec block — to dst (reusing dst's capacity, so a
+// pooled scratch slice makes the hot path allocation-free once warm) and
+// returns the extended slice. The verdict is the caller's, from Planner;
+// VerdictAuto plans buf on its own. A compressed frame that would exceed
+// len(buf)+1 bytes falls back to raw.
+func (c Codec) AppendEncode(dst, buf []byte, v Verdict) ([]byte, error) {
+	if v == VerdictAuto {
+		v = c.Planner(buf, 0)(buf)
+	}
+	switch v {
+	case VerdictGzip:
+		return appendDeflate(dst, buf)
+	case VerdictFast:
+		return appendFast(dst, buf), nil
+	}
+	return appendRaw(dst, buf), nil
+}
+
+// Encode returns buf's wire frame in a fresh slice, planned on its own.
+func (c Codec) Encode(buf []byte) ([]byte, error) {
+	return c.AppendEncode(nil, buf, VerdictAuto)
+}
+
+func appendRaw(dst, src []byte) []byte {
+	dst = append(dst, tagRaw)
+	return append(dst, src...)
+}
+
+func appendDeflate(dst, src []byte) ([]byte, error) {
+	if cap(dst) == 0 {
+		// Handed nothing to reuse: size for a typical compressible
+		// payload up front, so one big frame does not grow by doubling.
+		dst = make([]byte, 0, len(src)/2+64)
+	}
+	start := len(dst)
+	w := gzWriterPool.Get().(*pooledWriter)
+	w.b = append(dst, tagGzip)
+	w.zw.Reset(w)
+	_, err := w.zw.Write(src)
+	if cerr := w.zw.Close(); err == nil {
+		err = cerr
+	}
+	out := w.b
+	w.b = nil
+	gzWriterPool.Put(w)
+	if err != nil {
 		return nil, fmt.Errorf("xcompress: %w", err)
+	}
+	if len(out)-start > len(src)+1 {
+		// gzip expanded the payload (dense random floats can): ship raw
+		// instead, so the wire size never exceeds len(src)+1.
+		return appendRaw(out[:start], src), nil
+	}
+	return out, nil
+}
+
+// DecodeInto reverses AppendEncode directly into dst, which must be exactly
+// the decoded payload's length — the transfer engine decodes each chunk into
+// its precomputed window of the assembled buffer. It accepts frames produced
+// under any codec configuration: the tag byte is self-describing. On error
+// dst's contents are unspecified (a failed attempt may have partially
+// written its window); callers retrying must treat only a nil return as
+// completion.
+func DecodeInto(wire, dst []byte) error {
+	if len(wire) == 0 {
+		return fmt.Errorf("xcompress: empty payload")
+	}
+	body := wire[1:]
+	switch wire[0] {
+	case tagRaw:
+		if len(body) != len(dst) {
+			return fmt.Errorf("xcompress: raw payload is %d bytes, want %d", len(body), len(dst))
+		}
+		copy(dst, body)
+		return nil
+	case tagGzip:
+		return decodeDeflate(body, dst)
+	case tagFast:
+		return decodeFast(body, dst)
+	case TagChunked:
+		return fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.DownloadInto")
+	}
+	return fmt.Errorf("xcompress: unknown tag %d", wire[0])
+}
+
+func decodeDeflate(body, dst []byte) error {
+	pr := gzReaderPool.Get().(*pooledReader)
+	defer func() {
+		pr.br.Reset(nil)
+		gzReaderPool.Put(pr)
+	}()
+	pr.br.Reset(body)
+	if err := pr.zr.Reset(&pr.br); err != nil {
+		return fmt.Errorf("xcompress: %w", err)
 	}
 	// A wire frame carries exactly one gzip stream; multistream mode would
 	// try to parse a second member at stream end (and allocate doing so).
 	pr.zr.Multistream(false)
-	return pr, nil
-}
-
-func putGzipReader(pr *pooledReader) {
-	pr.br.Reset(nil)
-	gzReaderPool.Put(pr)
-}
-
-// sliceWriter appends into a caller-owned slice, so pooled encode buffers
-// can back a gzip stream without a bytes.Buffer allocation. Writers are
-// pooled too: the gzip.Writer holds its io.Writer, so a per-call &sliceWriter
-// would escape to the heap and cost one allocation per chunk.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-var sliceWriters = sync.Pool{New: func() any { return new(sliceWriter) }}
-
-// deflateFrameCodec is the gzip/deflate codec behind tagGzip.
-type deflateFrameCodec struct{}
-
-func (deflateFrameCodec) Name() string { return "deflate" }
-func (deflateFrameCodec) Tag() byte    { return tagGzip }
-func (deflateFrameCodec) Append(dst, src []byte, level int) ([]byte, error) {
-	if level == 0 {
-		level = gzip.BestSpeed
-	}
-	start := len(dst)
-	sw := sliceWriters.Get().(*sliceWriter)
-	sw.b = append(dst, tagGzip)
-	zw, err := getGzipWriter(level, sw)
-	if err != nil {
-		sw.b = nil
-		sliceWriters.Put(sw)
-		return nil, err
-	}
-	_, werr := zw.Write(src)
-	cerr := zw.Close()
-	putGzipWriter(level, zw)
-	out := sw.b
-	sw.b = nil
-	sliceWriters.Put(sw)
-	if werr != nil {
-		return nil, fmt.Errorf("xcompress: %w", werr)
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("xcompress: %w", cerr)
-	}
-	if len(out)-start > len(src)+1 {
-		// gzip expanded the payload (dense random floats can): ship
-		// raw instead, so the wire size never exceeds len(src)+1.
-		out = append(out[:start], tagRaw)
-		return append(out, src...), nil
-	}
-	return out, nil
-}
-func (deflateFrameCodec) DecodeInto(body, dst []byte) error {
-	pr, err := getGzipReader(body)
-	if err != nil {
-		return err
-	}
-	defer putGzipReader(pr)
 	if _, err := io.ReadFull(&pr.zr, dst); err != nil {
 		return fmt.Errorf("xcompress: %w", err)
 	}
@@ -141,63 +175,4 @@ func (deflateFrameCodec) DecodeInto(body, dst []byte) error {
 		return fmt.Errorf("xcompress: %w", err)
 	}
 	return nil
-}
-func (deflateFrameCodec) Decode(body []byte) ([]byte, error) {
-	pr, err := getGzipReader(body)
-	if err != nil {
-		return nil, err
-	}
-	defer putGzipReader(pr)
-	out, err := io.ReadAll(&pr.zr)
-	if err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	return out, nil
-}
-
-// AppendEncode appends buf's wire frame to dst (reusing dst's capacity, so a
-// pooled scratch slice makes the hot path allocation-free once warm) and
-// returns the extended slice. The codec decision must be supplied by the
-// caller — chunked transfers probe it per buffer with ProbeVerdict or per
-// chunk with ChunkVerdict; VerdictAuto falls back to Encode's own probe and
-// allocates.
-func (c Codec) AppendEncode(dst, buf []byte, v Verdict) ([]byte, error) {
-	switch v {
-	case VerdictRaw:
-		return rawFrameCodec{}.Append(dst, buf, 0)
-	case VerdictGzip:
-		return deflateFrameCodec{}.Append(dst, buf, c.level())
-	case VerdictFast:
-		return fastFrameCodec{}.Append(dst, buf, 0)
-	default:
-		enc, err := c.Encode(buf)
-		if err != nil {
-			return nil, err
-		}
-		if cap(dst) == 0 {
-			return enc, nil // nothing to extend or reuse: Encode's own buffer is the result
-		}
-		return append(dst, enc...), nil
-	}
-}
-
-// DecodeInto reverses Encode directly into dst, which must be exactly the
-// decoded payload's length — the transfer engine decodes each chunk into its
-// precomputed window of the assembled buffer, avoiding Decode's allocation
-// and the follow-up copy. Dispatch goes through the Frame registry, so every
-// registered codec decodes here. On error dst's contents are unspecified (a
-// failed attempt may have partially written its window); callers retrying
-// must treat only a nil return as completion.
-func DecodeInto(wire, dst []byte) error {
-	if len(wire) == 0 {
-		return fmt.Errorf("xcompress: empty payload")
-	}
-	if wire[0] == TagChunked {
-		return fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.DownloadInto")
-	}
-	f := frames[wire[0]]
-	if f == nil {
-		return fmt.Errorf("xcompress: unknown tag %d", wire[0])
-	}
-	return f.DecodeInto(wire[1:], dst)
 }

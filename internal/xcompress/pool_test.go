@@ -28,41 +28,36 @@ func incompressible(n int, seed int64) []byte {
 	return out
 }
 
-// TestAppendEncodeDecodeIntoRoundTrip checks the pooled hot path against the
-// allocating reference implementations for both verdicts.
+// TestAppendEncodeDecodeIntoRoundTrip checks the one encode path against the
+// one decoder: every verdict's frame carries the expected tag, never exceeds
+// len(src)+1 bytes, and decodes back to the payload.
 func TestAppendEncodeDecodeIntoRoundTrip(t *testing.T) {
 	c := Codec{MinSize: 1}
 	for _, tc := range []struct {
 		name string
 		buf  []byte
 		v    Verdict
+		tag  byte
 	}{
-		{"gzip-compressible", compressible(1<<20, 1), VerdictGzip},
-		{"gzip-incompressible-falls-back-raw", incompressible(1<<20, 2), VerdictGzip},
-		{"raw", incompressible(1<<18, 3), VerdictRaw},
-		{"auto", compressible(1<<18, 4), VerdictAuto},
-		{"empty", nil, VerdictRaw},
+		{"gzip-compressible", compressible(1<<20, 1), VerdictGzip, tagGzip},
+		{"gzip-incompressible-falls-back-raw", incompressible(1<<20, 2), VerdictGzip, tagRaw},
+		{"fast-compressible", compressible(1<<20, 5), VerdictFast, tagFast},
+		{"fast-incompressible-falls-back-raw", incompressible(1<<20, 6), VerdictFast, tagRaw},
+		{"raw", incompressible(1<<18, 3), VerdictRaw, tagRaw},
+		{"auto", compressible(1<<18, 4), VerdictAuto, tagGzip},
+		{"auto-incompressible", incompressible(1<<20, 8), VerdictAuto, tagRaw},
+		{"empty", nil, VerdictRaw, tagRaw},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enc, err := c.AppendEncode(nil, tc.buf, tc.v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := c.EncodeWith(tc.buf, tc.v)
-			if err != nil {
-				t.Fatal(err)
+			if enc[0] != tc.tag {
+				t.Fatalf("AppendEncode tag %d, want %d", enc[0], tc.tag)
 			}
-			// Both must decode to the payload; the frames themselves may
-			// differ only in deflate block boundaries, so compare decoded.
-			back, err := Decode(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(back, tc.buf) {
-				t.Fatal("AppendEncode frame does not round-trip via Decode")
-			}
-			if enc[0] != ref[0] {
-				t.Fatalf("AppendEncode tag %d, EncodeWith tag %d", enc[0], ref[0])
+			if len(enc) > len(tc.buf)+1 {
+				t.Fatalf("frame is %d bytes for %d raw, want at most raw+1", len(enc), len(tc.buf))
 			}
 			dst := make([]byte, len(tc.buf))
 			if err := DecodeInto(enc, dst); err != nil {
@@ -71,13 +66,83 @@ func TestAppendEncodeDecodeIntoRoundTrip(t *testing.T) {
 			if !bytes.Equal(dst, tc.buf) {
 				t.Fatal("DecodeInto mismatch")
 			}
-			if err := DecodeInto(ref, dst); err != nil {
+			// Appending after a prefix leaves the prefix alone and yields
+			// the same frame.
+			pre, err := c.AppendEncode([]byte("prefix"), tc.buf, tc.v)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(dst, tc.buf) {
-				t.Fatal("DecodeInto(EncodeWith frame) mismatch")
+			if string(pre[:6]) != "prefix" || !bytes.Equal(pre[6:], enc) {
+				t.Fatal("AppendEncode onto a non-empty dst does not append the same frame")
 			}
 		})
+	}
+}
+
+// TestEncodeIsThePlannedChunkFrame is the stored-bytes change of the
+// one-engine refactor, stated: a buffer encoded whole under AlgoAuto — the
+// single layout of a 256 KiB–1 MiB buffer, or the sequential policy's one
+// big frame — is the very frame a chunk of a multi-chunk buffer gets, with
+// no mid-stream sync-flush marker from an inline probe.
+func TestEncodeIsThePlannedChunkFrame(t *testing.T) {
+	c := Codec{}
+	for _, n := range []int{300 << 10, 2 << 20} {
+		buf := compressible(n, int64(n))
+		got, err := c.Encode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.AppendEncode(nil, buf, VerdictGzip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: Encode frame (%d B) differs from AppendEncode(VerdictGzip) (%d B)", n, len(got), len(want))
+		}
+		back, err := decodeFrame(got, n)
+		if err != nil || !bytes.Equal(back, buf) {
+			t.Fatalf("%d bytes: round trip failed: %v", n, err)
+		}
+	}
+}
+
+// TestRatioIsMeasuresRatio: Ratio is Measure's figure from one encode — or
+// none, when the verdict is raw.
+func TestRatioIsMeasuresRatio(t *testing.T) {
+	sparse, dense := compressible(1<<20, 12), incompressible(1<<20, 13)
+	for _, tc := range []struct {
+		name   string
+		c      Codec
+		sample []byte
+		isOne  bool
+	}{
+		{"auto/sparse", Codec{}, sparse, false},
+		{"auto/dense", Codec{}, dense, true},
+		{"adaptive/sparse", Codec{Algo: AlgoAdaptive}, sparse, false},
+		{"deflate/dense", Codec{Algo: AlgoDeflate}, dense, true},
+		{"forced-raw/sparse", Codec{Algo: AlgoRaw}, sparse, true},
+		// A probe lifts the size threshold, so a disabled codec still
+		// reports what compressing would get.
+		{"disabled/sparse", Codec{MinSize: -1}, sparse, false},
+		{"disabled/dense", Codec{MinSize: -1}, dense, true},
+	} {
+		r, err := tc.c.Ratio(tc.sample)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p, err := tc.c.Measure(tc.sample)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r != p.Ratio {
+			t.Errorf("%s: Ratio = %v, Measure().Ratio = %v", tc.name, r, p.Ratio)
+		}
+		if (r == 1) != tc.isOne || r <= 0 || r > 1 {
+			t.Errorf("%s: Ratio = %v", tc.name, r)
+		}
+	}
+	if _, err := (Codec{}).Ratio(nil); err == nil {
+		t.Error("Ratio of an empty sample should error")
 	}
 }
 

@@ -9,7 +9,6 @@ package xcompress
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"time"
 
@@ -39,7 +38,7 @@ const (
 	AlgoAuto Algo = iota
 	// AlgoAdaptive probes every chunk independently and picks raw, fast,
 	// or deflate per chunk from an entropy probe plus a wire-rate cost
-	// model (see ChunkVerdict).
+	// model (see chunkVerdict).
 	AlgoAdaptive
 	// AlgoRaw forces raw frames.
 	AlgoRaw
@@ -89,8 +88,6 @@ type Codec struct {
 	// MinSize is the smallest payload that gets compressed. Zero means
 	// DefaultMinSize; negative disables compression entirely.
 	MinSize int
-	// Level is the gzip level; zero means gzip.DefaultCompression.
-	Level int
 	// Algo selects the codec family; the zero value (AlgoAuto) keeps the
 	// legacy probe-once-per-buffer behaviour.
 	Algo Algo
@@ -106,17 +103,6 @@ func (c Codec) minSize() int {
 	return c.MinSize
 }
 
-func (c Codec) level() int {
-	if c.Level == 0 {
-		// Offloading is latency-bound: the buffer cannot leave the host
-		// until gzip finishes, so the default favours throughput over
-		// ratio. At default compression, gzip is slower than a fast WAN
-		// and compressing would *lengthen* the upload.
-		return gzip.BestSpeed
-	}
-	return c.Level
-}
-
 // header distinguishes raw from compressed payloads on the wire. One byte is
 // enough and keeps the framing trivial to parse on the worker side.
 const (
@@ -130,13 +116,13 @@ const (
 	tagFast byte = 3
 )
 
-// Verdict is a per-payload compression decision. Under the legacy AlgoAuto
-// policy it is probed once per buffer and applied to every chunk; under
-// AlgoAdaptive each chunk gets its own verdict (see ChunkVerdict).
+// Verdict is a per-payload compression decision, made by Planner and carried
+// out by AppendEncode.
 type Verdict int
 
 const (
-	// VerdictAuto defers the decision to Encode's own probe.
+	// VerdictAuto asks AppendEncode to plan the payload on its own, as a
+	// one-chunk buffer with no wire-rate hint.
 	VerdictAuto Verdict = iota
 	// VerdictRaw ships the payload uncompressed.
 	VerdictRaw
@@ -148,194 +134,63 @@ const (
 	VerdictFast
 )
 
-// forcedVerdict maps a forced Algo to its constant verdict.
-func (c Codec) forcedVerdict() (Verdict, bool) {
-	switch c.Algo {
-	case AlgoRaw:
-		return VerdictRaw, true
-	case AlgoFast:
-		return VerdictFast, true
-	case AlgoDeflate:
-		return VerdictGzip, true
+// Planner is the one place a codec decision is made. Called once per buffer,
+// it returns the verdict function the transfer runs once per chunk (a buffer
+// encoded whole is its own single chunk):
+//
+//   - a disabled codec, or a buffer under the size threshold, ships raw;
+//   - a forced algo (raw, fast, deflate) is a constant;
+//   - AlgoAuto probes the buffer once (probeVerdict) and applies that
+//     verdict to every chunk;
+//   - AlgoAdaptive decides per chunk (chunkVerdict) against wireBPS, the
+//     wire bandwidth one chunk's transmission can count on in bytes/s (0 =
+//     unknown), holding each chunk to the size threshold on its own.
+func (c Codec) Planner(buf []byte, wireBPS float64) func(chunk []byte) Verdict {
+	v, floor := VerdictRaw, c.minSize()
+	switch {
+	case !c.Enabled():
+	case c.Algo == AlgoAdaptive:
+		return func(chunk []byte) Verdict {
+			if len(chunk) < floor {
+				return VerdictRaw
+			}
+			return chunkVerdict(chunk, wireBPS)
+		}
+	case len(buf) < floor:
+	case c.Algo == AlgoAuto:
+		v = probeVerdict(buf)
+	case c.Algo == AlgoFast:
+		v = VerdictFast
+	case c.Algo == AlgoDeflate:
+		v = VerdictGzip
 	}
-	return VerdictAuto, false
+	return func([]byte) Verdict { return v }
 }
 
-// ProbeVerdict decides raw-vs-gzip for a whole buffer by compressing samples
-// of it, for callers (internal/chunkio) that encode the buffer in
-// independent chunks and want the policy applied once per buffer rather than
-// per chunk.
+// probeVerdict is AlgoAuto's arm of Planner: raw-vs-gzip for a whole buffer,
+// from compressing samples of it, so the policy is applied once per buffer
+// rather than per chunk.
 //
 // The probe samples the head, middle, and tail: a buffer whose head is dense
 // but whose bulk is sparse (a header-prefixed matrix, a partly-initialised
 // arena) must not ship entirely raw on the head's verdict alone — gzip's
 // per-chunk expansion fallback already protects the dense fraction, while
 // shipping a mostly-sparse buffer raw can cost a 10-20x larger transfer.
-func (c Codec) ProbeVerdict(buf []byte) Verdict {
-	if !c.Enabled() || len(buf) < c.minSize() {
-		return VerdictRaw
-	}
-	if v, ok := c.forcedVerdict(); ok {
-		return v
-	}
+func probeVerdict(buf []byte) Verdict {
 	if len(buf) <= sampleSize {
-		// Too small to probe meaningfully; gzipFrame's expansion
+		// Too small to probe meaningfully; the deflate frame's expansion
 		// fallback is the decider.
 		return VerdictGzip
 	}
-	if c.sampleRatio(buf[:sampleSize]) <= SkipRatio {
-		return VerdictGzip
-	}
 	mid := (len(buf) - sampleSize) / 2
-	if c.sampleRatio(buf[mid:mid+sampleSize]) <= SkipRatio {
-		return VerdictGzip
-	}
-	if c.sampleRatio(buf[len(buf)-sampleSize:]) <= SkipRatio {
-		return VerdictGzip
-	}
-	return VerdictRaw
-}
-
-// EncodeWith is Encode with the codec decision supplied by the caller
-// (typically a per-buffer ProbeVerdict shared across chunks, or a per-chunk
-// ChunkVerdict).
-func (c Codec) EncodeWith(buf []byte, v Verdict) ([]byte, error) {
-	switch v {
-	case VerdictRaw:
-		return rawFrame(buf), nil
-	case VerdictGzip:
-		return c.gzipFrame(buf)
-	case VerdictFast:
-		return c.fastFrame(buf)
-	default:
-		return c.Encode(buf)
-	}
-}
-
-// Encode returns the wire form of buf: a one-byte tag followed by either the
-// raw bytes or a gzip stream, per the codec policy. Buffers whose head
-// probes as near-incompressible (ratio > SkipRatio) ship raw: on a fast
-// host-target link, gzip on such data costs more time than it saves.
-//
-// The probe is part of the output stream: the head is written into the gzip
-// writer, Flush exposes its compressed size, and only then does encoding
-// either continue with the tail or abandon the stream for a raw frame — so
-// a compressed buffer's first 256 KiB is gzipped exactly once, not once to
-// probe and again to encode.
-func (c Codec) Encode(buf []byte) ([]byte, error) {
-	if !c.Enabled() || len(buf) < c.minSize() {
-		return rawFrame(buf), nil
-	}
-	switch c.Algo {
-	case AlgoRaw:
-		return rawFrame(buf), nil
-	case AlgoFast:
-		return c.fastFrame(buf)
-	case AlgoDeflate:
-		return c.gzipFrame(buf)
-	case AlgoAdaptive:
-		// Whole-buffer entry point: apply the per-chunk policy to the
-		// buffer as one chunk (chunked transfers call ChunkVerdict
-		// per chunk themselves).
-		return c.EncodeWith(buf, c.ChunkVerdict(buf, 0))
-	}
-	if len(buf) <= sampleSize {
-		return c.gzipFrame(buf)
-	}
-	var b bytes.Buffer
-	b.Grow(len(buf)/2 + 64)
-	b.WriteByte(tagGzip)
-	level := c.level()
-	zw, err := getGzipWriter(level, &b)
-	if err != nil {
-		return nil, err
-	}
-	defer putGzipWriter(level, zw)
-	if _, err := zw.Write(buf[:sampleSize]); err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	if err := zw.Flush(); err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	if float64(b.Len()-1)/float64(sampleSize) > SkipRatio {
-		// The head looks incompressible, but a mixed buffer (dense head,
-		// sparse bulk) must not ship entirely raw on the head's verdict:
-		// probe the middle and tail before abandoning the stream. When
-		// either compresses, keep gzipping — the end-of-encode expansion
-		// guard still protects a genuinely dense buffer.
-		mid := (len(buf) - sampleSize) / 2
-		if c.sampleRatio(buf[mid:mid+sampleSize]) > SkipRatio &&
-			c.sampleRatio(buf[len(buf)-sampleSize:]) > SkipRatio {
-			return rawFrame(buf), nil
+	for _, at := range [...]int{0, mid, len(buf) - sampleSize} {
+		// An encode error reads as "compressible": the full encode will
+		// find out the truth.
+		if r, err := frameRatio(buf[at:at+sampleSize], VerdictGzip); err != nil || r <= SkipRatio {
+			return VerdictGzip
 		}
 	}
-	if _, err := zw.Write(buf[sampleSize:]); err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	if b.Len() > len(buf)+1 {
-		return rawFrame(buf), nil
-	}
-	return b.Bytes(), nil
-}
-
-// rawFrame wraps buf in a raw wire frame.
-func rawFrame(buf []byte) []byte {
-	out := make([]byte, 1+len(buf))
-	out[0] = tagRaw
-	copy(out[1:], buf)
-	return out
-}
-
-// gzipFrame compresses buf unconditionally, falling back to raw if gzip
-// expanded the data (dense random floats can) so the wire size never
-// exceeds len(buf)+1.
-func (c Codec) gzipFrame(buf []byte) ([]byte, error) {
-	var b bytes.Buffer
-	b.Grow(len(buf)/2 + 64)
-	b.WriteByte(tagGzip)
-	level := c.level()
-	zw, err := getGzipWriter(level, &b)
-	if err != nil {
-		return nil, err
-	}
-	defer putGzipWriter(level, zw)
-	if _, err := zw.Write(buf); err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("xcompress: %w", err)
-	}
-	if b.Len() > len(buf)+1 {
-		return rawFrame(buf), nil
-	}
-	return b.Bytes(), nil
-}
-
-// fastFrame compresses buf with the LZ4-class fast codec, falling back to a
-// raw frame when fast compression would not pay for itself.
-func (c Codec) fastFrame(buf []byte) ([]byte, error) {
-	out := make([]byte, 0, len(buf)+len(buf)/32+16)
-	return fastFrameCodec{}.Append(out, buf, 0)
-}
-
-// Decode reverses Encode. It accepts payloads produced by any codec
-// configuration: the tag byte is self-describing and dispatches through the
-// Frame registry.
-func Decode(wire []byte) ([]byte, error) {
-	if len(wire) == 0 {
-		return nil, fmt.Errorf("xcompress: empty payload")
-	}
-	if wire[0] == TagChunked {
-		return nil, fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.DownloadInto")
-	}
-	f := frames[wire[0]]
-	if f == nil {
-		return nil, fmt.Errorf("xcompress: unknown tag %d", wire[0])
-	}
-	return f.Decode(wire[1:])
+	return VerdictRaw
 }
 
 // IsCompressed reports whether a wire payload carries a compressed stream
@@ -344,24 +199,42 @@ func IsCompressed(wire []byte) bool {
 	return len(wire) > 0 && (wire[0] == tagGzip || wire[0] == tagFast)
 }
 
-// sampleRatio gzips one probe sample and returns the observed compression
-// ratio. Errors report 0, i.e. "perfectly compressible": the full encode
-// will find out the truth.
-func (c Codec) sampleRatio(sample []byte) float64 {
-	var b bytes.Buffer
-	level := c.level()
-	zw, err := getGzipWriter(level, &b)
+// frameRatio is the one ratio probe: frame-body bytes per raw byte of sample
+// encoded under v into pooled scratch — exactly 1 for a raw frame, chosen
+// (which needs no encode to say so) or fallen back to.
+func frameRatio(sample []byte, v Verdict) (float64, error) {
+	if v == VerdictRaw {
+		return 1, nil
+	}
+	bp := scratchBufs.Get().(*[]byte)
+	defer scratchBufs.Put(bp)
+	enc, err := Codec{}.AppendEncode((*bp)[:0], sample, v)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	defer putGzipWriter(level, zw)
-	if _, err := zw.Write(sample); err != nil {
-		return 0
+	*bp = enc[:0] // keep the grown buffer
+	return float64(len(enc)-1) / float64(len(sample)), nil
+}
+
+// probe plans sample as one buffer with the size threshold lifted (a probe
+// always compresses) and reports that verdict and its ratio.
+func (c Codec) probe(sample []byte) (Verdict, float64, error) {
+	if len(sample) == 0 {
+		return VerdictRaw, 0, fmt.Errorf("xcompress: empty sample")
 	}
-	if err := zw.Close(); err != nil {
-		return 0
-	}
-	return float64(b.Len()) / float64(len(sample))
+	c.MinSize = 1
+	v := c.Planner(sample, 0)(sample)
+	r, err := frameRatio(sample, v)
+	return v, r, err
+}
+
+// Ratio reports the wire bytes per raw byte this codec's policy gets on
+// sample, the size threshold lifted: one verdict, and one encode unless the
+// verdict is raw. It is the figure Measure reports, for callers that want no
+// throughputs.
+func (c Codec) Ratio(sample []byte) (float64, error) {
+	_, r, err := c.probe(sample)
+	return r, err
 }
 
 // Probe is the result of measuring gzip behaviour on a data sample. The
@@ -369,40 +242,35 @@ func (c Codec) sampleRatio(sample []byte) float64 {
 // matrices and feeds the results into the virtual-time cost model, so the
 // Fig. 5 sparse/dense contrast comes from genuine gzip measurements.
 type Probe struct {
-	Ratio            float64          // compressed size / raw size, in (0, 1+eps]
-	CompressBytesPS  float64          // compression throughput, raw bytes/s
-	DecompressBytesP float64          // decompression throughput, raw bytes/s
-	SampleSize       int              // raw sample length measured
-	Elapsed          simtime.Duration // wall time spent probing (informational)
+	Ratio            float64 // compressed size / raw size, in (0, 1]
+	CompressBytesPS  float64 // compression throughput, raw bytes/s
+	DecompressBytesP float64 // decompression throughput, raw bytes/s
+	SampleSize       int     // raw sample length measured
 }
 
-// Measure gzips (and un-gzips) sample at the codec's level and reports the
-// observed ratio and throughputs. The sample should be representative slices
-// of the real payload; a few MiB is plenty. Each direction is measured three
-// times after a warm-up round and the fastest run wins: a single timing on a
-// shared machine is noisy enough to flip downstream sparse/dense trade-offs.
+// Measure reports Ratio's figure plus the encode and decode throughputs of
+// the verdict behind it. The sample should be representative slices of the
+// real payload; a few MiB is plenty. Each direction is timed three times
+// after the ratio probe's warm-up encode and the fastest run wins: a single
+// timing on a shared machine is noisy enough to flip downstream sparse/dense
+// trade-offs.
 func (c Codec) Measure(sample []byte) (Probe, error) {
-	if len(sample) == 0 {
-		return Probe{}, fmt.Errorf("xcompress: empty sample")
+	v, ratio, err := c.probe(sample)
+	if err != nil {
+		return Probe{}, err
 	}
-	forced := c
-	forced.MinSize = 1 // always compress during a probe
-
-	var (
-		wire                 []byte
-		bestComp, bestDecomp time.Duration
-		total                time.Duration
-	)
-	const rounds = 3
-	for i := 0; i < rounds+1; i++ { // +1 warm-up round, discarded
+	enc := make([]byte, 0, len(sample)+1)
+	back := make([]byte, len(sample))
+	var bestComp, bestDecomp time.Duration
+	for i := 0; i < 3; i++ {
 		start := time.Now()
-		enc, err := forced.Encode(sample)
+		enc, err = c.AppendEncode(enc[:0], sample, v)
 		compDur := time.Since(start)
 		if err != nil {
 			return Probe{}, err
 		}
 		start = time.Now()
-		back, err := Decode(enc)
+		err = DecodeInto(enc, back)
 		decompDur := time.Since(start)
 		if err != nil {
 			return Probe{}, err
@@ -410,31 +278,21 @@ func (c Codec) Measure(sample []byte) (Probe, error) {
 		if !bytes.Equal(back, sample) {
 			return Probe{}, fmt.Errorf("xcompress: probe round-trip mismatch")
 		}
-		total += compDur + decompDur
-		if i == 0 {
-			continue
-		}
-		wire = enc
-		if bestComp == 0 || compDur < bestComp {
+		if i == 0 || compDur < bestComp {
 			bestComp = compDur
 		}
-		if bestDecomp == 0 || decompDur < bestDecomp {
+		if i == 0 || decompDur < bestDecomp {
 			bestDecomp = decompDur
 		}
 	}
-	clampRate := func(d time.Duration) float64 {
-		secs := d.Seconds()
-		if secs <= 0 {
-			secs = 1e-9
-		}
-		return float64(len(sample)) / secs
+	rate := func(d time.Duration) float64 {
+		return float64(len(sample)) / max(d.Seconds(), 1e-9)
 	}
 	return Probe{
-		Ratio:            float64(len(wire)-1) / float64(len(sample)),
-		CompressBytesPS:  clampRate(bestComp),
-		DecompressBytesP: clampRate(bestDecomp),
+		Ratio:            ratio,
+		CompressBytesPS:  rate(bestComp),
+		DecompressBytesP: rate(bestDecomp),
 		SampleSize:       len(sample),
-		Elapsed:          simtime.FromReal(total),
 	}, nil
 }
 

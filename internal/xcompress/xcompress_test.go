@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// decodeFrame decodes wire through the one decoder into a buffer of the
+// length the test already knows.
+func decodeFrame(wire []byte, n int) ([]byte, error) {
+	out := make([]byte, n)
+	return out, DecodeInto(wire, out)
+}
+
 func TestRoundTripSmallStaysRaw(t *testing.T) {
 	c := Codec{}
 	in := []byte("hello ompcloud")
@@ -17,7 +24,7 @@ func TestRoundTripSmallStaysRaw(t *testing.T) {
 	if IsCompressed(wire) {
 		t.Fatal("payload under MinSize must stay raw")
 	}
-	out, err := Decode(wire)
+	out, err := decodeFrame(wire, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +46,7 @@ func TestRoundTripLargeCompressible(t *testing.T) {
 	if len(wire) >= len(in)/4 {
 		t.Fatalf("poor compression: %d of %d", len(wire), len(in))
 	}
-	out, err := Decode(wire)
+	out, err := decodeFrame(wire, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +67,7 @@ func TestIncompressibleFallsBackToRaw(t *testing.T) {
 	if len(wire) > len(in)+1 {
 		t.Fatalf("wire form must never exceed raw+1: %d > %d", len(wire), len(in)+1)
 	}
-	out, err := Decode(wire)
+	out, err := decodeFrame(wire, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +92,22 @@ func TestDisabledCodec(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
+	dst := make([]byte, 2)
+	if err := DecodeInto(nil, dst); err == nil {
 		t.Fatal("empty payload should error")
 	}
-	if _, err := Decode([]byte{99, 1, 2}); err == nil {
+	if err := DecodeInto([]byte{99, 1, 2}, dst); err == nil {
 		t.Fatal("unknown tag should error")
 	}
-	if _, err := Decode([]byte{tagGzip, 1, 2, 3}); err == nil {
+	if err := DecodeInto([]byte{tagGzip, 1, 2, 3}, dst); err == nil {
 		t.Fatal("corrupt gzip should error")
+	}
+	if err := DecodeInto([]byte{TagChunked, '{', '}'}, dst); err == nil {
+		t.Fatal("a chunked manifest is not a frame and should error")
 	}
 }
 
-// Property: Decode(Encode(x)) == x for arbitrary payloads and thresholds.
+// Property: DecodeInto(Encode(x)) == x for arbitrary payloads and thresholds.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(data []byte, minSize uint16) bool {
 		c := Codec{MinSize: int(minSize)}
@@ -104,7 +115,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := Decode(wire)
+		out, err := decodeFrame(wire, len(data))
 		if err != nil {
 			return false
 		}
