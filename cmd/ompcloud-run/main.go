@@ -41,7 +41,7 @@ func main() {
 		storeAddr = flag.String("storage", "", "remote storage address (use with ompcloud-storaged)")
 		workers   = flag.String("workers", "", "comma-separated remote worker addresses (use with ompcloud-worker)")
 		resume    = flag.Bool("resume", false, "resumable offload sessions: a re-run after a crash skips uploaded chunks and committed tiles (needs -storage to persist across processes)")
-		codec     = flag.String("codec", "auto", "transfer codec: auto|adaptive|raw|fast|deflate")
+		codec     = flag.String("codec", "auto", "transfer codec: auto|adaptive|raw|zero|deflate")
 		cdc       = flag.Bool("cdc", false, "content-defined chunk boundaries (Gear), so shifted data still dedups")
 		dedup     = flag.Bool("dedup", false, "cross-session chunk dedup via a persistent content-addressed index (pair with -storage to persist across processes)")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")

@@ -377,7 +377,9 @@ func (h *Harness) predictNoPartitioning(b *kernels.Benchmark, cores int, kind da
 	if err != nil {
 		return 0, err
 	}
-	probe := h.cal.Probes[kind]
+	// The same skip policy Predict applies: dense data ships raw, whatever
+	// ratio the deflate-pinned probe measured on it.
+	probe := h.cal.Probes[kind].Effective()
 	profile := perf.PaperProfile()
 	spec := ClusterFor(cores)
 	var delta float64

@@ -8,7 +8,9 @@ import (
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/kernels"
+	"ompcloud/internal/perf"
 	"ompcloud/internal/storage"
+	"ompcloud/internal/xcompress"
 )
 
 var (
@@ -227,6 +229,36 @@ func TestAblationsDirections(t *testing.T) {
 	// Zero-base guard.
 	if (AblationRow{}).Slowdown() != 0 {
 		t.Fatal("zero base should report 0")
+	}
+}
+
+// TestNoPartitioningAblationAppliesSkipPolicy: the no-partitioning row prices
+// the replicated input volume at the wire size Predict ships it at. A
+// deflate-pinned calibration measures 0.91 on dense data, which the skip policy
+// ships raw; the ablation must not price it at 0.91.
+func TestNoPartitioningAblationAppliesSkipPolicy(t *testing.T) {
+	calWith := func(dense xcompress.Probe) *perf.Calibration {
+		return &perf.Calibration{
+			Throughput: map[string]float64{kernels.GEMM.Name: 1e9},
+			Probes: map[data.Kind]xcompress.Probe{
+				data.Sparse: {Ratio: 0.034, CompressBytesPS: 400e6, DecompressBytesP: 1200e6},
+				data.Dense:  dense,
+			},
+			CalN: 256,
+		}
+	}
+	measured := &Harness{cfg: Config{}.withDefaults(), cal: calWith(xcompress.Probe{Ratio: 0.91, CompressBytesPS: 30e6, DecompressBytesP: 150e6})}
+	raw := &Harness{cfg: Config{}.withDefaults(), cal: calWith(xcompress.Probe{Ratio: 1})}
+	got, err := measured.predictNoPartitioning(kernels.GEMM, 256, data.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := raw.predictNoPartitioning(kernels.GEMM, 256, data.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("dense no-partitioning variant is %.6f s under a measured 0.91 probe, %.6f s under the raw probe it is shipped as", got, want)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestCodecDedupBitIdenticalAllKernels(t *testing.T) {
 				xcompress.AlgoAuto, false, false)
 
 			for _, algo := range []xcompress.Algo{
-				xcompress.AlgoRaw, xcompress.AlgoFast,
+				xcompress.AlgoRaw, xcompress.AlgoZero,
 				xcompress.AlgoDeflate, xcompress.AlgoAdaptive,
 			} {
 				got := runKernelCodec(t, b, storage.NewMemStore(), n, seed, algo, false, false)

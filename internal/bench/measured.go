@@ -37,7 +37,7 @@ type MeasuredConfig struct {
 	// upload cache they depend on): an interrupted run's journal in Store
 	// lets a re-invocation skip uploaded chunks and committed tiles.
 	Resume bool
-	// Codec names the transfer codec policy (auto | adaptive | raw | fast |
+	// Codec names the transfer codec policy (auto | adaptive | raw | zero |
 	// deflate); empty means auto, the legacy whole-buffer probe.
 	Codec string
 	// CDC places chunk boundaries by content (Gear rolling hash) instead of

@@ -22,7 +22,7 @@ import (
 type TransferCase struct {
 	Kind      string  `json:"kind"`      // "sparse" | "dense"
 	Mode      string  `json:"mode"`      // "sequential" | "pipelined"
-	Codec     string  `json:"codec"`     // "auto" | "raw" | "fast" | "deflate" | "adaptive"
+	Codec     string  `json:"codec"`     // "auto" | "raw" | "zero" | "deflate" | "adaptive"
 	RawBytes  int64   `json:"raw_bytes"` // payload size before encoding
 	WireBytes int64   `json:"wire_bytes"`
 	Chunks    int     `json:"chunks"`
@@ -74,7 +74,7 @@ type TransferBench struct {
 // (one whole-buffer probe) is the legacy default; "adaptive" re-decides per
 // chunk against the wire speed.
 var benchCodecs = []xcompress.Algo{
-	xcompress.AlgoAuto, xcompress.AlgoRaw, xcompress.AlgoFast,
+	xcompress.AlgoAuto, xcompress.AlgoRaw, xcompress.AlgoZero,
 	xcompress.AlgoDeflate, xcompress.AlgoAdaptive,
 }
 
@@ -180,7 +180,7 @@ func RunTransferBench(mib int, seed int64) (*TransferBench, error) {
 	res.SpeedupD = div(walls["dense/sequential/auto"], walls["dense/pipelined/auto"])
 	for _, kind := range []string{"sparse", "dense"} {
 		best := 0.0
-		for _, algo := range []string{"raw", "fast", "deflate"} {
+		for _, algo := range []string{"raw", "zero", "deflate"} {
 			v := virt[kind+"/pipelined/"+algo]
 			if best == 0 || (v > 0 && v < best) {
 				best = v

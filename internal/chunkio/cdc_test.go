@@ -412,7 +412,7 @@ func TestGetUnitSteadyStateZeroAlloc(t *testing.T) {
 			verdict xcompress.Verdict
 		}{
 			{"raw", xcompress.VerdictRaw},
-			{"fast", xcompress.VerdictFast},
+			{"zero", xcompress.VerdictZero},
 			{"gzip", xcompress.VerdictGzip},
 		} {
 			t.Run(store.name+"/"+frame.name, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ompcloud/internal/data"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/xcompress"
 )
@@ -105,6 +106,92 @@ func TestUploadCompressesSparseData(t *testing.T) {
 	}
 	if up.TotalWire >= int64(len(data))/2 {
 		t.Errorf("compressible data not compressed: wire %d for %d raw", up.TotalWire, len(data))
+	}
+}
+
+// sparseFloats is data.Generate's sparse shape at a density of the caller's
+// choosing: that fraction of n float32 words nonzero at random positions.
+func sparseFloats(n int, density float64, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	v := make([]float32, n)
+	for i := 0; i < int(float64(n)*density); i++ {
+		v[rng.Intn(n)] = rng.Float32()*2 - 1
+	}
+	return data.Bytes(v)
+}
+
+// TestAutoNeverShipsMoreThanDeflate is the invariant under the benchmark's 1%
+// store_bytes_per_op bound: teaching auto the zero-run codec may only take
+// bytes off the wire. Whatever auto compresses, it ships in no more bytes than
+// forced deflate — which is what auto shipped before it knew a second
+// compressor. (A dense buffer is the skip policy's case, not the codec
+// choice's: auto ships it raw by design, as forced raw does, ~9% over what
+// deflate would squeeze out of float32 exponents.)
+//
+// The bound behind it: a zero-run verdict, won on the probed sample, reaches a
+// chunk as a zero-run frame only if that frame is under SkipRatio of the chunk
+// (AppendEncode ships the chunk's deflate frame otherwise), so auto can exceed
+// deflate only on chunks with zero runs that deflate compresses better than it
+// did the sample — by at most SkipRatio of those chunks.
+func TestAutoNeverShipsMoreThanDeflate(t *testing.T) {
+	const words, chunk = 512 << 10, 256 << 10 // 2 MiB in eight chunks: a three-sample probe
+	blockSparse := make([]float32, words)
+	rng := rand.New(rand.NewSource(40))
+	for b := 0; b < words/64; b++ {
+		if rng.Intn(50) == 0 { // 2% of the 64-word blocks are dense
+			for i := b * 64; i < (b+1)*64; i++ {
+				blockSparse[i] = rng.Float32()*2 - 1
+			}
+		}
+	}
+	text := bytes.Repeat([]byte("tile=42 worker=ompcloud-w03 state=running attempt=1\n"), 4*words/52+1)[:4*words]
+	dense := data.Generate(1, words, data.Dense, 41).Bytes()
+	sparse := data.Generate(1, words, data.Sparse, 42).Bytes()
+	cases := []struct {
+		name    string
+		buf     []byte
+		smaller bool // auto must ship strictly fewer bytes than deflate
+		raw     bool // the skip policy's case: the reference is forced raw
+	}{
+		{"sparse-0.5%", sparseFloats(words, 0.005, 43), true, false},
+		{"sparse-2%", sparse, true, false},
+		{"sparse-10%", sparseFloats(words, 0.10, 44), false, false},
+		{"sparse-30%", sparseFloats(words, 0.30, 45), false, false},
+		{"sparse-60%", sparseFloats(words, 0.60, 46), false, false},
+		{"block-sparse", data.Bytes(blockSparse), true, false},
+		{"text", text, false, false},
+		{"dense", dense, false, true},
+		{"sparse+text", append(append([]byte(nil), sparse[:2*words]...), text[:2*words]...), true, false},
+		{"dense+sparse", append(append([]byte(nil), dense[:words]...), sparse[:3*words]...), true, false},
+	}
+	wire := func(t *testing.T, buf []byte, algo xcompress.Algo) int64 {
+		t.Helper()
+		st := storage.NewMemStore()
+		o := Options{Codec: xcompress.Codec{Algo: algo}, ChunkSize: chunk}
+		up, err := Upload(st, "obj", buf, o)
+		if err != nil {
+			t.Fatalf("%v upload: %v", algo, err)
+		}
+		if back, _, err := download(st, "obj", len(buf), o); err != nil || !bytes.Equal(back, buf) {
+			t.Fatalf("%v round trip failed: %v", algo, err)
+		}
+		return up.TotalWire
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			auto := wire(t, tc.buf, xcompress.AlgoAuto)
+			if tc.raw {
+				if raw := wire(t, tc.buf, xcompress.AlgoRaw); auto != raw {
+					t.Fatalf("auto ships %d bytes, forced raw %d", auto, raw)
+				}
+				return
+			}
+			deflate := wire(t, tc.buf, xcompress.AlgoDeflate)
+			if auto > deflate || (tc.smaller && auto == deflate) {
+				t.Fatalf("auto ships %d bytes, forced deflate %d", auto, deflate)
+			}
+			t.Logf("auto %d, deflate %d (%+.1f%%)", auto, deflate, 100*(float64(auto)/float64(deflate)-1))
+		})
 	}
 }
 

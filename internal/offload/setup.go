@@ -127,8 +127,8 @@ func readCloudConfig(r *config.Reader) (cfg CloudConfig, construct func(*CloudCo
 	cfg.Codec.MinSize = r.Int("offload", "compress-min-bytes", 0)
 	// codec: auto (default, one probe per buffer) | adaptive (per-chunk
 	// verdicts weighing entropy against the configured WAN speed) | raw |
-	// fast | deflate (forced). ParseAlgo's error already lists the valid
-	// names.
+	// zero | deflate (forced). ParseAlgo's error already lists the valid
+	// names, and names the replacement of a retired one.
 	algo, err := xcompress.ParseAlgo(r.Str("offload", "codec", "auto"))
 	if err != nil {
 		r.Fail(fmt.Errorf("offload: %w", err))

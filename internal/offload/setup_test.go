@@ -204,15 +204,15 @@ workers = 2
 cores-per-worker = 2
 
 [offload]
-codec = fast
+codec = zero
 chunk-bytes = cdc
 dedup = true
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.cfg.Codec.Algo != xcompress.AlgoFast {
-		t.Fatalf("codec = %v, want fast", p.cfg.Codec.Algo)
+	if p.cfg.Codec.Algo != xcompress.AlgoZero {
+		t.Fatalf("codec = %v, want zero", p.cfg.Codec.Algo)
 	}
 	if !p.cfg.CDC || p.cfg.ChunkBytes != 0 {
 		t.Fatalf("chunk-bytes = cdc should select CDC at the default size, got CDC=%v ChunkBytes=%d",
@@ -247,9 +247,14 @@ dedup = true
 		!strings.Contains(err.Error(), "adaptive") {
 		t.Errorf("unknown-codec error should list valid names, got: %v", err)
 	}
+	// A config written for the retired codec fails by naming its replacement.
+	if _, err := NewCloudPluginFromConfig(parseConf(t, "[offload]\ncodec = fast\n")); err == nil ||
+		!strings.Contains(err.Error(), `"zero"`) {
+		t.Errorf(`codec = fast should fail naming "zero", got: %v`, err)
+	}
 
 	// Every named codec parses.
-	for _, name := range []string{"auto", "adaptive", "raw", "fast", "deflate", "gzip"} {
+	for _, name := range []string{"auto", "adaptive", "raw", "zero", "deflate", "gzip"} {
 		if _, err := NewCloudPluginFromConfig(parseConf(t, "[offload]\ncodec = "+name+"\n")); err != nil {
 			t.Errorf("codec %q should parse: %v", name, err)
 		}

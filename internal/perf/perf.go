@@ -32,7 +32,8 @@ type Calibration struct {
 	// the formula's constant factor cancels between calibration and
 	// prediction).
 	Throughput map[string]float64
-	// Probes holds the measured gzip ratio and throughputs per data kind.
+	// Probes holds the measured gzip ratio and throughputs per data kind,
+	// as measured: consumers apply Probe.Effective for the skip policy.
 	Probes map[data.Kind]xcompress.Probe
 	// CalN is the dimension the kernels were calibrated at.
 	CalN int
@@ -67,7 +68,9 @@ func (o CalibrateOptions) withDefaults() CalibrateOptions {
 // core) and gzip probes (by really compressing generated sparse and dense
 // matrices). The registered loop bodies are deliberately not what is timed:
 // the fixed submit/JNI/WAN constants were fitted against the paper's naive
-// loops, so the predictions must not move when a body is tuned.
+// loops, so the predictions must not move when a body is tuned. The probes are
+// pinned to deflate for the same reason: the paper's plugin gzips, so model
+// mode must not move when the runtime's default policy learns another codec.
 func Calibrate(benches []*kernels.Benchmark, opts CalibrateOptions) (*Calibration, error) {
 	opts = opts.withDefaults()
 	cal := &Calibration{
@@ -89,7 +92,7 @@ func Calibrate(benches []*kernels.Benchmark, opts CalibrateOptions) (*Calibratio
 		cal.Throughput[b.Name] = b.Ops(opts.N) / secs
 	}
 	elems := opts.ProbeBytes / data.FloatSize
-	codec := xcompress.Codec{}
+	codec := xcompress.Codec{Algo: xcompress.AlgoDeflate}
 	for _, kind := range []data.Kind{data.Dense, data.Sparse} {
 		sample := data.Generate(1, elems, kind, opts.Seed).Bytes()
 		probe, err := codec.Measure(sample)

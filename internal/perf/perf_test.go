@@ -6,7 +6,9 @@ import (
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/kernels"
+	"ompcloud/internal/simtime"
 	"ompcloud/internal/trace"
+	"ompcloud/internal/xcompress"
 )
 
 // calOnce calibrates once for the whole test package: real kernel runs at
@@ -286,5 +288,65 @@ func TestRunOnDriverScenario(t *testing.T) {
 	}
 	if driver.ComputeTime() != laptop.ComputeTime() {
 		t.Fatal("run-on-driver must not change computation")
+	}
+}
+
+// TestCalibrationProbesArePinnedToGzip: model mode reproduces the paper's
+// plugin, which gzips. The runtime's default policy ships sparse float32
+// under the zero-run codec, so a calibration that probed with that policy
+// would move Fig. 4, Fig. 5 and the §IV statistics off gzip; the probe's
+// figure must be the forced-deflate frame's, bit for bit.
+func TestCalibrationProbesArePinnedToGzip(t *testing.T) {
+	opts := CalibrateOptions{N: 96, ProbeBytes: 1 << 20}.withDefaults()
+	cal := testCal(t)
+	sample := data.Generate(1, opts.ProbeBytes/data.FloatSize, data.Sparse, opts.Seed).Bytes()
+	frame, err := xcompress.Codec{Algo: xcompress.AlgoDeflate}.Encode(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) < 3 || frame[1] != 0x1f || frame[2] != 0x8b {
+		t.Fatalf("forced-deflate frame does not carry a gzip stream: % x", frame[:min(len(frame), 4)])
+	}
+	if got, want := cal.Probes[data.Sparse].Ratio, float64(len(frame)-1)/float64(len(sample)); got != want {
+		t.Fatalf("sparse probe ratio %v is not the gzip frame's %v", got, want)
+	}
+	auto, err := xcompress.Codec{}.Ratio(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto >= cal.Probes[data.Sparse].Ratio {
+		t.Fatalf("the default policy's ratio %v should undercut gzip's %v on sparse float32, or the pin guards nothing", auto, cal.Probes[data.Sparse].Ratio)
+	}
+}
+
+// TestPredictGolden pins Predict on a fixed Calibration to the values the
+// model produced before the runtime learned the zero-run codec: the model is a
+// function of its calibration alone.
+func TestPredictGolden(t *testing.T) {
+	cal := &Calibration{
+		Throughput: map[string]float64{kernels.GEMM.Name: 1e9},
+		Probes: map[data.Kind]xcompress.Probe{
+			data.Sparse: {Ratio: 0.034, CompressBytesPS: 400e6, DecompressBytesP: 1200e6, SampleSize: 4 << 20},
+			// As a deflate-pinned probe measures dense data; Effective makes it raw.
+			data.Dense: {Ratio: 0.91, CompressBytesPS: 30e6, DecompressBytesP: 150e6, SampleSize: 4 << 20},
+		},
+		CalN: 256,
+	}
+	for kind, want := range map[data.Kind]struct {
+		total, upload, spark, compute, download simtime.Duration
+		up, down                                int64
+	}{
+		data.Sparse: {148743638271, 4026531839, 3074460353, 141195253653, 447392426, 109521666, 36507222},
+		data.Dense:  {168892675155, 12904901888, 10477552318, 141195253653, 4314967296, 3221225472, 1073741824},
+	} {
+		rep, err := cal.Predict(paperScenario(kernels.GEMM, 64, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total() != want.total || rep.Phases[trace.PhaseUpload] != want.upload || rep.Phases[trace.PhaseSpark] != want.spark ||
+			rep.Phases[trace.PhaseCompute] != want.compute || rep.Phases[trace.PhaseDownload] != want.download ||
+			rep.BytesUploaded != want.up || rep.BytesDownloaded != want.down {
+			t.Errorf("%v: total %d phases %v bytes %d/%d, want %+v", kind, rep.Total(), rep.Phases, rep.BytesUploaded, rep.BytesDownloaded, want)
+		}
 	}
 }

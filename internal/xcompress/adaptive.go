@@ -1,18 +1,17 @@
 package xcompress
 
-// Adaptive per-chunk codec selection (AlgoAdaptive). The legacy AlgoAuto
-// policy probes a buffer once and applies one verdict to every chunk, which
-// misclassifies mixed buffers and cannot exploit codecs with different
-// speed/ratio trades. chunkVerdict instead decides per chunk from two cheap
-// probes plus a wire-rate cost model:
+// Adaptive per-chunk codec selection (AlgoAdaptive). The AlgoAuto policy
+// probes a buffer once and applies one verdict to every chunk, which
+// misclassifies mixed buffers and cannot weigh a codec against the wire.
+// chunkVerdict instead decides per chunk from two cheap probes plus a
+// wire-rate cost model:
 //
 //  1. A strided byte-entropy sample. Near-8-bits/byte chunks are
 //     incompressible by any byte-oriented codec — ship raw without touching
 //     a compressor.
-//  2. An LZ77 trial on three small segments (head/mid/tail) through the
-//     fast codec. If even LZ77 cannot find matches, deflate might still win
-//     a few percent via entropy coding — worth it only when the wire is the
-//     bottleneck.
+//  2. A zero-run trial on three small segments (head/mid/tail). If the chunk
+//     has no zero words to drop, deflate might still win a few percent via
+//     entropy coding — worth it only when the wire is the bottleneck.
 //
 // The wire-bound test compares the per-worker wire rate against deflate's
 // single-core throughput scaled by the estimated output ratio: the wire
@@ -20,11 +19,14 @@ package xcompress
 // wireBPS/r in raw-byte terms. Deflate wins only when even that effective
 // rate is below deflate's throughput (compression hides under
 // transmission in the pipelined engine); otherwise the codec is the
-// critical path and the fastest acceptable codec wins (fast, or raw for
+// critical path and the cheapest acceptable codec wins (zero-run, or raw for
 // dense data). Skipping the ratio scaling is the classic mistake: sparse
-// data at ratio 0.04 over a 200 Mbps WAN looks "wire-bound" against raw
-// bytes but its effective drain rate is ~700 MB/s — deflate would become
-// the bottleneck and lose to fast by ~50% of pipeline time.
+// data at ratio 0.03 over a 200 Mbps WAN looks "wire-bound" against raw
+// bytes but its effective drain rate is ~800 MB/s — deflate would become
+// the bottleneck. On zero-sparse float32 data the choice costs no bytes
+// either way: zero-run's frame is the smaller of the two, so a wrong
+// DeflateBytesPerS for this host can no longer pick a codec that loses on
+// both axes.
 
 import "math"
 
@@ -36,12 +38,12 @@ const (
 	// entropyRawBits: a strided byte-entropy sample above this is treated
 	// as incompressible (uniform random bytes measure ~7.97; dense float32
 	// payloads with a skewed exponent byte land lower and fall through to
-	// the LZ77 trial).
+	// the zero-run trial).
 	entropyRawBits = 7.9
-	// probeSeg is the size of each fast-codec trial segment.
+	// probeSeg is the size of each zero-run trial segment.
 	probeSeg = 16 << 10
-	// entropyOnlyRatio estimates deflate's output ratio on chunks where
-	// LZ77 finds no matches and only the entropy coder helps (dense
+	// entropyOnlyRatio estimates deflate's output ratio on chunks with no
+	// zero runs, where mostly the entropy coder helps (dense
 	// random-mantissa float32 measures ~0.91).
 	entropyOnlyRatio = 0.9
 )
@@ -83,23 +85,20 @@ func sampleEntropy(b []byte) float64 {
 	return h
 }
 
-// fastSampleRatio runs the fast codec over three small segments (head,
-// middle, tail) and returns the combined compression ratio. Segments that
-// bail out (incompressible under LZ77) count as ratio 1. The trial scratch is
-// pooled, so chunkVerdict stays allocation-free on the hot path.
-func fastSampleRatio(chunk []byte) float64 {
+// zeroSampleRatio runs the zero-run codec over three small segments (head,
+// middle, tail) and returns the combined compression ratio. Segments it
+// declines (nothing to drop) count as ratio 1. The trial scratch is pooled, so
+// chunkVerdict stays allocation-free on the hot path.
+func zeroSampleRatio(chunk []byte) float64 {
 	bp := scratchBufs.Get().(*[]byte)
-	scratch := *bp
 	total, wire := 0, 0
 	trial := func(seg []byte) {
-		out, ok := appendFastBody(scratch[:0], seg)
+		out, ok := appendZero((*bp)[:0], seg)
+		*bp = out[:0] // keep the grown buffer
 		if ok {
 			wire += len(out)
 		} else {
 			wire += len(seg)
-		}
-		if cap(out) > cap(scratch) {
-			scratch = out[:0]
 		}
 		total += len(seg)
 	}
@@ -111,7 +110,6 @@ func fastSampleRatio(chunk []byte) float64 {
 		trial(chunk[mid : mid+probeSeg])
 		trial(chunk[len(chunk)-probeSeg:])
 	}
-	*bp = scratch
 	scratchBufs.Put(bp)
 	if total == 0 {
 		return 1
@@ -133,9 +131,9 @@ func chunkVerdict(chunk []byte, wireBPS float64) Verdict {
 	// (wireBPS divided by the estimated output ratio) stays below deflate's
 	// throughput: only then does deflate's compression time hide under
 	// transmission instead of becoming the pipeline's critical path.
-	r := fastSampleRatio(chunk)
+	r := zeroSampleRatio(chunk)
 	if r > SkipRatio {
-		// LZ77 finds no matches. Deflate's entropy coder may still shave
+		// No zero runs to drop. Deflate's entropy coder may still shave
 		// a few percent (dense float32 → ~0.91): pay for it only when
 		// transmission, not compression, is the bottleneck.
 		if wireBPS > 0 && wireBPS < entropyOnlyRatio*DeflateBytesPerS {
@@ -143,10 +141,11 @@ func chunkVerdict(chunk []byte, wireBPS float64) Verdict {
 		}
 		return VerdictRaw
 	}
-	// Matched chunks: the fast-trial ratio is an upper bound on deflate's
-	// ratio, so using it here errs toward deflate on the boundary.
+	// Sparse chunks: wire-bound even on compressed bytes means deflate's
+	// time hides under transmission, and it may find repeats among the
+	// literals that zero-run ships verbatim.
 	if wireBPS > 0 && wireBPS < r*DeflateBytesPerS {
-		return VerdictGzip // wire-bound even on compressed bytes: highest ratio wins
+		return VerdictGzip
 	}
-	return VerdictFast // codec-bound: fastest acceptable codec wins
+	return VerdictZero // codec-bound: cheapest acceptable codec wins
 }

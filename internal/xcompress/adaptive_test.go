@@ -20,31 +20,75 @@ func bufferVerdict(c Codec, buf []byte, wireBPS float64) Verdict {
 	return c.Planner(buf, wireBPS)(buf[:min(len(buf), 1<<20)])
 }
 
+// compresses reports whether v is a verdict that compresses.
+func compresses(v Verdict) bool { return v == VerdictGzip || v == VerdictZero }
+
 // TestProbeVerdictMixedBuffer is the regression for the head-probe
 // misclassification: a buffer with a dense 512 KiB head but a sparse 3.5 MiB
 // tail used to probe as VerdictRaw and ship ~4 MiB of zeros uncompressed.
-// The fixed probe samples head, middle, and tail.
+// The fixed probe samples head, middle, and tail. Which compressor a sparse
+// sample gets is the probe's business (TestAutoVerdictIsTheSmallerFrame);
+// that the buffer compresses is the property.
 func TestProbeVerdictMixedBuffer(t *testing.T) {
 	c := Codec{}
 	buf := mixedBuffer(4<<20, 512<<10)
-	if v := bufferVerdict(c, buf, 0); v != VerdictGzip {
+	if v := bufferVerdict(c, buf, 0); !compresses(v) {
 		t.Fatalf("mixed buffer probed as %v; dense head must not veto a sparse bulk", v)
 	}
 	// The reverse shape (sparse head, dense tail) already compressed via
 	// the head sample; it must keep doing so, relying on the per-chunk
-	// expansion fallback for the dense fraction.
+	// fallbacks for the dense fraction.
 	rev := make([]byte, 4<<20)
 	copy(rev[len(rev)-(512<<10):], denseBytes(512<<10, 22))
-	if v := bufferVerdict(c, rev, 0); v != VerdictGzip {
-		t.Fatalf("sparse-head buffer probed as %v, want VerdictGzip", v)
+	if v := bufferVerdict(c, rev, 0); !compresses(v) {
+		t.Fatalf("sparse-head buffer probed as %v, want a compressing verdict", v)
 	}
 	// Fully dense buffers must still ship raw.
 	if v := bufferVerdict(c, denseBytes(4<<20, 23), 0); v != VerdictRaw {
 		t.Fatal("fully dense buffer must still probe as VerdictRaw")
 	}
 	// Fully sparse buffers compress.
-	if v := bufferVerdict(c, make([]byte, 4<<20), 0); v != VerdictGzip {
-		t.Fatal("sparse buffer must probe as VerdictGzip")
+	if v := bufferVerdict(c, make([]byte, 4<<20), 0); !compresses(v) {
+		t.Fatal("sparse buffer must probe as a compressing verdict")
+	}
+}
+
+// TestAutoVerdictIsTheSmallerFrame: auto's choice between its two compressors
+// is the one whose frame of the deciding sample is smaller — zero-run on
+// zero-sparse float32, deflate on data with repeats but no zero runs and on
+// data too dense in nonzeros for dropping zeros to beat entropy coding — and
+// the same bytes always get the same verdict.
+func TestAutoVerdictIsTheSmallerFrame(t *testing.T) {
+	for name, buf := range map[string][]byte{
+		"zeros":      make([]byte, 2<<20),
+		"sparse-2%":  sparseFloats(2<<20, 0.02, 1),
+		"sparse-60%": sparseFloats(2<<20, 0.60, 2),
+		"text":       textBytes(2 << 20),
+		"quarter":    compressible(2<<20, 3),
+	} {
+		v := bufferVerdict(Codec{}, buf, 0)
+		if !compresses(v) {
+			t.Errorf("%s: verdict %v, want a compressing one", name, v)
+			continue
+		}
+		sample := buf[:sampleSize]
+		gz, err := frameBody(sample, VerdictGzip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, ok := appendZero(nil, sample)
+		if want := ok && len(z)-1 <= gz; (v == VerdictZero) != want {
+			t.Errorf("%s: verdict %v with a %d-byte zero-run frame (accepted: %v) against deflate's %d", name, v, len(z), ok, gz)
+		}
+		if again := bufferVerdict(Codec{}, buf, 0); again != v {
+			t.Errorf("%s: verdict %v then %v for the same bytes", name, v, again)
+		}
+	}
+	if v := bufferVerdict(Codec{}, sparseFloats(2<<20, 0.02, 1), 0); v != VerdictZero {
+		t.Errorf("data.Generate-style sparse float32 got %v, want the zero-run verdict", v)
+	}
+	if v := bufferVerdict(Codec{}, textBytes(2<<20), 0); v != VerdictGzip {
+		t.Errorf("text got %v, want the deflate verdict", v)
 	}
 }
 
@@ -85,14 +129,14 @@ func TestChunkVerdictMatrix(t *testing.T) {
 		wireBPS float64
 		want    Verdict
 	}{
-		{"sparse/codec-bound", sparse, fastWire, VerdictFast},
-		{"sparse/unknown-wire", sparse, 0, VerdictFast},
+		{"sparse/codec-bound", sparse, fastWire, VerdictZero},
+		{"sparse/unknown-wire", sparse, 0, VerdictZero},
 		// 200 Mbps looks wire-bound against raw bytes, but sparse data
 		// compresses ~25x: the wire drains compressed bytes far faster
-		// than deflate produces them, so fast (not deflate) minimizes
+		// than deflate produces them, so zero-run (not deflate) minimizes
 		// pipelined time. Only a wire slow on *compressed* bytes
 		// justifies deflate's extra compression wall.
-		{"sparse/wire-bound-raw-bytes", sparse, slowWire, VerdictFast},
+		{"sparse/wire-bound-raw-bytes", sparse, slowWire, VerdictZero},
 		{"sparse/wire-starved", sparse, starvedWire, VerdictGzip},
 		{"dense/codec-bound", dense, fastWire, VerdictRaw},
 		{"dense/wire-bound", dense, slowWire, VerdictRaw}, // entropy ~8 bits: nothing helps
@@ -106,8 +150,8 @@ func TestChunkVerdictMatrix(t *testing.T) {
 }
 
 // TestChunkVerdictDenseFloat32: random-mantissa float32 data has byte
-// entropy below the raw cut (the exponent byte is skewed) but LZ77 finds no
-// matches — it must ship raw when codec-bound and deflate when wire-bound
+// entropy below the raw cut (the exponent byte is skewed) and no zero runs
+// to drop — it must ship raw when codec-bound and deflate when wire-bound
 // (deflate's entropy coder still wins ~9%).
 func TestChunkVerdictDenseFloat32(t *testing.T) {
 	c := Codec{Algo: AlgoAdaptive}
@@ -133,21 +177,24 @@ func TestPlanner(t *testing.T) {
 	mixed := mixedBuffer(4<<20, 2<<20)
 
 	// Forced algos: constant verdict regardless of content.
-	if v := (Codec{Algo: AlgoFast}).Planner(mixed, 0)(denseBytes(1<<20, 51)); v != VerdictFast {
-		t.Fatalf("forced fast planner returned %v", v)
+	for algo, want := range map[Algo]Verdict{AlgoRaw: VerdictRaw, AlgoZero: VerdictZero, AlgoDeflate: VerdictGzip} {
+		if v := (Codec{Algo: algo}).Planner(mixed, 0)(denseBytes(1<<20, 51)); v != want {
+			t.Fatalf("forced %v planner returned %v", algo, v)
+		}
 	}
-	// Auto: one probe for the whole buffer.
+	// Auto: one probe for the whole buffer, so a chunk's own content does
+	// not change the verdict — and a sparse buffer's verdict compresses.
 	plan := (Codec{}).Planner(sparse, 0)
-	if v := plan(sparse[:1<<20]); v != VerdictGzip {
-		t.Fatalf("auto planner on sparse buffer returned %v", v)
+	if v := plan(sparse[:1<<20]); !compresses(v) || plan(denseBytes(1<<20, 52)) != v {
+		t.Fatalf("auto planner on sparse buffer returned %v, then %v for a dense chunk", v, plan(denseBytes(1<<20, 52)))
 	}
-	// Adaptive: the dense half ships raw, the sparse half fast — the
+	// Adaptive: the dense half ships raw, the sparse half compressed — the
 	// per-chunk policy the one-verdict-per-buffer probe cannot express.
 	plan = (Codec{Algo: AlgoAdaptive}).Planner(mixed, 500e6)
 	if v := plan(mixed[:1<<20]); v != VerdictRaw {
 		t.Fatalf("adaptive planner on dense chunk returned %v", v)
 	}
-	if v := plan(mixed[3<<20:]); v != VerdictFast {
+	if v := plan(mixed[3<<20:]); !compresses(v) {
 		t.Fatalf("adaptive planner on sparse chunk returned %v", v)
 	}
 }
@@ -181,9 +228,9 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 		allow float64
 	}{
 		{"raw", dense, VerdictRaw, 0},
-		{"fast", sparse, VerdictFast, 0},
+		{"zero", sparse, VerdictZero, 0},
 		{"gzip", sparse, VerdictGzip, 0},
-		{"fast-fallback", dense, VerdictFast, 0},
+		{"zero-declined", dense, VerdictZero, 0},
 	} {
 		// Warm the pools outside the measured region.
 		if _, err := c.AppendEncode(dst[:0], tc.buf, tc.v); err != nil {
@@ -215,7 +262,7 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 		v    Verdict
 	}{
 		{"raw", dense, VerdictRaw},
-		{"fast", sparse, VerdictFast},
+		{"zero", sparse, VerdictZero},
 		{"gzip", sparse, VerdictGzip},
 	} {
 		wire, err := c.AppendEncode(nil, tc.buf, tc.v)

@@ -2,6 +2,8 @@ package xcompress
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -13,16 +15,22 @@ import (
 // and into no other length.
 func FuzzDecodeInto(f *testing.F) {
 	c := Codec{MinSize: 1}
+	shapes := zeroRunShapes()
 	for _, seed := range []struct {
 		buf []byte
 		v   Verdict
 	}{
 		{textBytes(3000), VerdictRaw},
 		{textBytes(3000), VerdictGzip},
-		{textBytes(3000), VerdictFast},
-		{bytes.Repeat([]byte{9}, 64), VerdictFast}, // overlapping matches
-		{sparseBytes(8<<10, 3), VerdictFast},
+		{textBytes(3000), VerdictZero}, // declined: ships deflate
+		{sparseFloats(8<<10, 0.02, 3), VerdictZero},
+		{sparseBytes(8<<10, 3), VerdictZero},
 		{denseBytes(512, 4), VerdictGzip}, // falls back to raw
+		{make([]byte, 4096), VerdictZero},
+		{append(make([]byte, 4096), 1, 2, 3), VerdictZero}, // unaligned tail
+		{shapes["no-zero"][:2048], VerdictZero},
+		{shapes["alternating"][:2048], VerdictZero},
+		{shapes["neg-zero-nan"], VerdictZero},
 	} {
 		frame, err := c.AppendEncode(nil, seed.buf, seed.v)
 		if err != nil {
@@ -36,14 +44,20 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add([]byte{TagChunked, '{', '}'}, uint16(2))
 	f.Add([]byte{99, 1, 2, 3}, uint16(3))
 	f.Add([]byte{}, uint16(0))
-	f.Add([]byte(" wor00 wor100000000"), uint16(19)) // a fast frame whose header ate its saving
+	// Zero-run frames no encoder builds (and a frame of the retired tag 3):
+	// every one must be refused, for the window it was written for and any other.
+	hostile := hostileZeroFrames()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		f.Add(hostile[name], uint16(16))
+		f.Add(hostile[name], uint16(18))
+	}
 
 	const guard = 32
 	f.Fuzz(func(t *testing.T, in []byte, n uint16) {
 		// A frame of unknown origin.
 		var windows [2][]byte
 		var errs [2]error
-		for i, fill := range []byte{0x00, 0xFF} {
+		for i, fill := range []byte{0xAA, 0x00} {
 			arena := bytes.Repeat([]byte{0xA5}, guard+int(n)+guard)
 			dst := arena[guard : guard+int(n) : guard+int(n)]
 			for j := range dst {
@@ -64,7 +78,7 @@ func FuzzDecodeInto(f *testing.F) {
 		}
 
 		// A frame of ours.
-		for _, v := range []Verdict{VerdictAuto, VerdictRaw, VerdictGzip, VerdictFast} {
+		for _, v := range []Verdict{VerdictAuto, VerdictRaw, VerdictGzip, VerdictZero} {
 			frame, err := c.AppendEncode(nil, in, v)
 			if err != nil {
 				t.Fatalf("verdict %d: %v", v, err)

@@ -10,7 +10,7 @@ import (
 
 // The frame engine: AppendEncode is the only code that builds a wire frame
 // and DecodeInto the only code that reads one, over three fixed codecs (raw,
-// deflate, fast) told apart by the frame's first byte.
+// deflate, zero-run) told apart by the frame's first byte.
 //
 // The hot path runs once per 1 MiB chunk of the chunked transfer engine.
 // gzip.NewWriterLevel allocates its deflate window and hash tables (~1.3 MB)
@@ -57,8 +57,8 @@ type pooledReader struct {
 
 var gzReaderPool = sync.Pool{New: func() any { return new(pooledReader) }}
 
-// scratchBufs pools the ratio probes' output scratch (frameRatio, and the
-// adaptive verdict's fast-codec trial), so a verdict allocates nothing once
+// scratchBufs pools the size probes' output scratch (frameBody, and the
+// adaptive verdict's zero-run trial), so a verdict allocates nothing once
 // warm.
 var scratchBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, probeSeg+256)
@@ -66,7 +66,7 @@ var scratchBufs = sync.Pool{New: func() any {
 }}
 
 // AppendEncode appends buf's wire frame — a one-byte tag, then the raw bytes,
-// a gzip stream or a fast-codec block — to dst (reusing dst's capacity, so a
+// a gzip stream or zero-run sequences — to dst (reusing dst's capacity, so a
 // pooled scratch slice makes the hot path allocation-free once warm) and
 // returns the extended slice. The verdict is the caller's, from Planner;
 // VerdictAuto plans buf on its own. A compressed frame that would exceed
@@ -78,8 +78,11 @@ func (c Codec) AppendEncode(dst, buf []byte, v Verdict) ([]byte, error) {
 	switch v {
 	case VerdictGzip:
 		return appendDeflate(dst, buf)
-	case VerdictFast:
-		return appendFast(dst, buf), nil
+	case VerdictZero:
+		if out, ok := appendZero(dst, buf); ok {
+			return out, nil
+		}
+		return appendDeflate(dst, buf)
 	}
 	return appendRaw(dst, buf), nil
 }
@@ -143,8 +146,8 @@ func DecodeInto(wire, dst []byte) error {
 		return nil
 	case tagGzip:
 		return decodeDeflate(body, dst)
-	case tagFast:
-		return decodeFast(body, dst)
+	case tagZero:
+		return decodeZero(body, dst)
 	case TagChunked:
 		return fmt.Errorf("xcompress: payload is a chunked manifest; fetch it via chunkio.DownloadInto")
 	}

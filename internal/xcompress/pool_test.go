@@ -41,10 +41,12 @@ func TestAppendEncodeDecodeIntoRoundTrip(t *testing.T) {
 	}{
 		{"gzip-compressible", compressible(1<<20, 1), VerdictGzip, tagGzip},
 		{"gzip-incompressible-falls-back-raw", incompressible(1<<20, 2), VerdictGzip, tagRaw},
-		{"fast-compressible", compressible(1<<20, 5), VerdictFast, tagFast},
-		{"fast-incompressible-falls-back-raw", incompressible(1<<20, 6), VerdictFast, tagRaw},
+		{"zero-sparse", sparseFloats(1<<20, 0.02, 5), VerdictZero, tagZero},
+		{"zero-declined-ships-deflate", textBytes(1 << 20), VerdictZero, tagGzip},
+		{"zero-incompressible-falls-back-raw", incompressible(1<<20, 6), VerdictZero, tagRaw},
 		{"raw", incompressible(1<<18, 3), VerdictRaw, tagRaw},
 		{"auto", compressible(1<<18, 4), VerdictAuto, tagGzip},
+		{"auto-sparse", sparseFloats(1<<20, 0.02, 9), VerdictAuto, tagZero},
 		{"auto-incompressible", incompressible(1<<20, 8), VerdictAuto, tagRaw},
 		{"empty", nil, VerdictRaw, tagRaw},
 	} {
@@ -233,5 +235,20 @@ func TestEncodeDecodeAllocs(t *testing.T) {
 	})
 	if raw > 2 {
 		t.Fatalf("raw encode+decode hot path allocates %.1f objects/run, want <= 2", raw)
+	}
+
+	// The zero-run codec has no machinery to pool: nothing at all.
+	sparse := sparseFloats(1<<20, 0.02, 12)
+	zero := testing.AllocsPerRun(20, func() {
+		enc, err := c.AppendEncode(scratch[:0], sparse, VerdictZero)
+		if err != nil || enc[0] != tagZero {
+			t.Fatal("no zero-run frame")
+		}
+		if err := DecodeInto(enc, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if zero > 0 {
+		t.Fatalf("zero-run encode+decode hot path allocates %.1f objects/run, want 0", zero)
 	}
 }

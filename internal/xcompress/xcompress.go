@@ -32,18 +32,19 @@ const sampleSize = 256 << 10
 type Algo int
 
 const (
-	// AlgoAuto is the legacy policy: probe the whole buffer once and pick
-	// raw or deflate for all of it. It is the zero value, so existing
-	// Codec literals keep their exact behaviour.
+	// AlgoAuto is the default policy: probe the whole buffer once and pick
+	// raw, deflate, or zero-run for all of it (see probeVerdict). It is the
+	// zero value.
 	AlgoAuto Algo = iota
-	// AlgoAdaptive probes every chunk independently and picks raw, fast,
-	// or deflate per chunk from an entropy probe plus a wire-rate cost
-	// model (see chunkVerdict).
+	// AlgoAdaptive probes every chunk independently and picks raw,
+	// zero-run, or deflate per chunk from an entropy probe plus a wire-rate
+	// cost model (see chunkVerdict).
 	AlgoAdaptive
 	// AlgoRaw forces raw frames.
 	AlgoRaw
-	// AlgoFast forces the LZ4-class fast codec (raw fallback on expansion).
-	AlgoFast
+	// AlgoZero forces the zero-run codec (deflate, then raw, for a payload
+	// it does not shrink; see zero.go).
+	AlgoZero
 	// AlgoDeflate forces deflate (raw fallback on expansion).
 	AlgoDeflate
 )
@@ -57,8 +58,8 @@ func (a Algo) String() string {
 		return "adaptive"
 	case AlgoRaw:
 		return "raw"
-	case AlgoFast:
-		return "fast"
+	case AlgoZero:
+		return "zero"
 	case AlgoDeflate:
 		return "deflate"
 	}
@@ -75,12 +76,14 @@ func ParseAlgo(name string) (Algo, error) {
 		return AlgoAdaptive, nil
 	case "raw":
 		return AlgoRaw, nil
-	case "fast":
-		return AlgoFast, nil
+	case "zero":
+		return AlgoZero, nil
 	case "deflate", "gzip":
 		return AlgoDeflate, nil
+	case "fast":
+		return 0, fmt.Errorf("xcompress: codec %q is retired; its replacement is %q", name, "zero")
 	}
-	return 0, fmt.Errorf("xcompress: unknown codec %q (want auto, adaptive, raw, fast, or deflate)", name)
+	return 0, fmt.Errorf("xcompress: unknown codec %q (want auto, adaptive, raw, zero, or deflate)", name)
 }
 
 // Codec carries the compression policy for a device plugin instance.
@@ -112,8 +115,10 @@ const (
 	// owned by internal/chunkio; this package only reserves the tag so
 	// the layouts share one self-describing first byte.
 	TagChunked byte = 2
-	// tagFast marks an LZ4-class fast-codec frame (see fast.go).
-	tagFast byte = 3
+	// tagZero marks a zero-run frame (see zero.go). Tag 3 was the retired
+	// LZ77 "fast" codec's: it is never reused, and DecodeInto rejects it
+	// like any unknown tag.
+	tagZero byte = 4
 )
 
 // Verdict is a per-payload compression decision, made by Planner and carried
@@ -129,9 +134,10 @@ const (
 	// VerdictGzip compresses with deflate (still falling back to raw if
 	// gzip expands the payload, so the wire size never exceeds len(buf)+1).
 	VerdictGzip
-	// VerdictFast compresses with the LZ4-class fast codec (raw fallback
-	// on expansion, same wire-size guarantee).
-	VerdictFast
+	// VerdictZero compresses with the zero-run codec, handing a payload it
+	// does not shrink below SkipRatio to VerdictGzip (same wire-size
+	// guarantee).
+	VerdictZero
 )
 
 // Planner is the one place a codec decision is made. Called once per buffer,
@@ -139,7 +145,7 @@ const (
 // encoded whole is its own single chunk):
 //
 //   - a disabled codec, or a buffer under the size threshold, ships raw;
-//   - a forced algo (raw, fast, deflate) is a constant;
+//   - a forced algo (raw, zero, deflate) is a constant;
 //   - AlgoAuto probes the buffer once (probeVerdict) and applies that
 //     verdict to every chunk;
 //   - AlgoAdaptive decides per chunk (chunkVerdict) against wireBPS, the
@@ -159,23 +165,31 @@ func (c Codec) Planner(buf []byte, wireBPS float64) func(chunk []byte) Verdict {
 	case len(buf) < floor:
 	case c.Algo == AlgoAuto:
 		v = probeVerdict(buf)
-	case c.Algo == AlgoFast:
-		v = VerdictFast
+	case c.Algo == AlgoZero:
+		v = VerdictZero
 	case c.Algo == AlgoDeflate:
 		v = VerdictGzip
 	}
 	return func([]byte) Verdict { return v }
 }
 
-// probeVerdict is AlgoAuto's arm of Planner: raw-vs-gzip for a whole buffer,
-// from compressing samples of it, so the policy is applied once per buffer
-// rather than per chunk.
+// probeVerdict is AlgoAuto's arm of Planner: one verdict for a whole buffer,
+// from encoding samples of it, so the policy is applied once per buffer
+// rather than per chunk. It is a pure function of the bytes.
 //
 // The probe samples the head, middle, and tail: a buffer whose head is dense
 // but whose bulk is sparse (a header-prefixed matrix, a partly-initialised
 // arena) must not ship entirely raw on the head's verdict alone — gzip's
 // per-chunk expansion fallback already protects the dense fraction, while
 // shipping a mostly-sparse buffer raw can cost a 10-20x larger transfer.
+//
+// The first sample gzip shrinks below SkipRatio decides between the two
+// compressors: zero-run when its frame of that sample is no larger than
+// gzip's (it is also several times cheaper to build and to read), gzip
+// otherwise. A chunk of such a buffer that zero-run cannot shrink below
+// SkipRatio gets its deflate frame anyway (AppendEncode), so what a
+// zero-run verdict can ship beyond a gzip verdict is bounded by the chunks
+// where both compress and gzip compresses better than it did on the sample.
 func probeVerdict(buf []byte) Verdict {
 	if len(buf) <= sampleSize {
 		// Too small to probe meaningfully; the deflate frame's expansion
@@ -184,27 +198,42 @@ func probeVerdict(buf []byte) Verdict {
 	}
 	mid := (len(buf) - sampleSize) / 2
 	for _, at := range [...]int{0, mid, len(buf) - sampleSize} {
-		// An encode error reads as "compressible": the full encode will
-		// find out the truth.
-		if r, err := frameRatio(buf[at:at+sampleSize], VerdictGzip); err != nil || r <= SkipRatio {
+		sample := buf[at : at+sampleSize]
+		gz, err := frameBody(sample, VerdictGzip)
+		if err != nil {
+			// An encode error reads as "compressible": the full encode
+			// will find out the truth.
 			return VerdictGzip
 		}
+		if float64(gz) > SkipRatio*float64(len(sample)) {
+			continue
+		}
+		// appendZero itself, not a zero-run verdict's frame: a declined
+		// sample must not cost a second deflate to say so.
+		bp := scratchBufs.Get().(*[]byte)
+		z, ok := appendZero((*bp)[:0], sample)
+		*bp = z[:0] // keep the grown buffer
+		scratchBufs.Put(bp)
+		if ok && len(z)-1 <= gz {
+			return VerdictZero
+		}
+		return VerdictGzip
 	}
 	return VerdictRaw
 }
 
 // IsCompressed reports whether a wire payload carries a compressed stream
-// (deflate or fast).
+// (deflate or zero-run).
 func IsCompressed(wire []byte) bool {
-	return len(wire) > 0 && (wire[0] == tagGzip || wire[0] == tagFast)
+	return len(wire) > 0 && (wire[0] == tagGzip || wire[0] == tagZero)
 }
 
-// frameRatio is the one ratio probe: frame-body bytes per raw byte of sample
-// encoded under v into pooled scratch — exactly 1 for a raw frame, chosen
+// frameBody is the one size probe: the frame-body bytes of sample encoded
+// under v into pooled scratch — exactly len(sample) for a raw frame, chosen
 // (which needs no encode to say so) or fallen back to.
-func frameRatio(sample []byte, v Verdict) (float64, error) {
+func frameBody(sample []byte, v Verdict) (int, error) {
 	if v == VerdictRaw {
-		return 1, nil
+		return len(sample), nil
 	}
 	bp := scratchBufs.Get().(*[]byte)
 	defer scratchBufs.Put(bp)
@@ -213,7 +242,7 @@ func frameRatio(sample []byte, v Verdict) (float64, error) {
 		return 0, err
 	}
 	*bp = enc[:0] // keep the grown buffer
-	return float64(len(enc)-1) / float64(len(sample)), nil
+	return len(enc) - 1, nil
 }
 
 // probe plans sample as one buffer with the size threshold lifted (a probe
@@ -224,8 +253,8 @@ func (c Codec) probe(sample []byte) (Verdict, float64, error) {
 	}
 	c.MinSize = 1
 	v := c.Planner(sample, 0)(sample)
-	r, err := frameRatio(sample, v)
-	return v, r, err
+	n, err := frameBody(sample, v)
+	return v, float64(n) / float64(len(sample)), err
 }
 
 // Ratio reports the wire bytes per raw byte this codec's policy gets on

@@ -1,0 +1,138 @@
+package xcompress
+
+// The zero-run codec ships a buffer of 32-bit words as the runs of all-zero
+// words it contains plus everything else verbatim. It is built for the sparse
+// half of the paper's Fig. 5 contrast: a float32 matrix that is ~98% +0.0
+// encodes by scanning its zeros eight bytes at a time and decodes by clearing
+// them, both at memory speed, into fewer bytes than deflate needs to spell the
+// same runs as length-258 matches. It finds nothing else — no repeats, no
+// entropy coding — so appendZero declines any payload it does not shrink below
+// SkipRatio and AppendEncode hands that payload to deflate.
+//
+// Wire frame: tagZero, a uvarint of the decoded length, then sequences
+//
+//	uvarint zero-words | uvarint literal-words | literal bytes
+//
+// until the decoded length's whole words are covered, then its len%4 tail
+// bytes verbatim. Words are compared bitwise (−0.0 and NaNs are literals), a
+// literal run ends only at two or more consecutive zero words (a lone zero
+// word costs less as a literal than as a sequence), and only the first
+// sequence can have no zeros and only the last no literals. The decoder checks
+// every count against what is left of dst and of the body before it writes.
+
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// zeroRun reports how many leading bytes of b (a whole number of words) are
+// all-zero words.
+func zeroRun(b []byte) int {
+	n := len(b)
+	for len(b) >= 32 && binary.LittleEndian.Uint64(b)|binary.LittleEndian.Uint64(b[8:])|
+		binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:]) == 0 {
+		b = b[32:]
+	}
+	for len(b) >= 8 && binary.LittleEndian.Uint64(b) == 0 {
+		b = b[8:]
+	}
+	if len(b) >= 4 && binary.LittleEndian.Uint32(b) == 0 {
+		b = b[4:]
+	}
+	return n - len(b)
+}
+
+// literalRun reports how many leading bytes of b (a whole number of words)
+// come before the first pair of zero words, or len(b) when there is none.
+func literalRun(b []byte) int {
+	n := 0
+	for len(b)-n >= 8 {
+		v := binary.LittleEndian.Uint64(b[n:])
+		switch {
+		case v == 0:
+			return n
+		case v>>32 == 0: // the second word is zero: a pair may start there
+			n += 4
+		default:
+			n += 8
+		}
+	}
+	return len(b)
+}
+
+// appendZero appends src's zero-run frame to dst, or reports false (and
+// returns dst at its old length) as soon as the frame's body is bound to
+// exceed SkipRatio of src.
+func appendZero(dst, src []byte) ([]byte, bool) {
+	start := len(dst)
+	limit := start + 1 + int(SkipRatio*float64(len(src)))
+	dst = append(dst, tagZero)
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	words := src[:len(src)&^3]
+	for p := 0; p < len(words); {
+		z := zeroRun(words[p:])
+		p += z
+		l := literalRun(words[p:])
+		dst = binary.AppendUvarint(dst, uint64(z/4))
+		dst = binary.AppendUvarint(dst, uint64(l/4))
+		if len(dst)+l > limit {
+			return dst[:start], false
+		}
+		dst = append(dst, words[p:p+l]...)
+		p += l
+	}
+	dst = append(dst, src[len(words):]...)
+	if len(dst) > limit {
+		return dst[:start], false
+	}
+	return dst, true
+}
+
+// decodeZero decodes a zero-run frame's body (tag stripped) into dst, writing
+// every byte of it: the zeros too, since a chunk window may hold anything.
+func decodeZero(body, dst []byte) error {
+	malformed := func(what string) error {
+		return fmt.Errorf("xcompress: zero-run frame %s", what)
+	}
+	n, k := binary.Uvarint(body)
+	if k <= 0 {
+		return malformed("has a truncated header")
+	}
+	if n != uint64(len(dst)) {
+		return fmt.Errorf("xcompress: zero-run frame holds %d bytes, want %d", n, len(dst))
+	}
+	body = body[k:]
+	words := dst[:len(dst)&^3]
+	for d := 0; d < len(words); {
+		z, k := binary.Uvarint(body)
+		if k <= 0 {
+			return malformed("has a truncated zero count")
+		}
+		body = body[k:]
+		l, k := binary.Uvarint(body)
+		if k <= 0 {
+			return malformed("has a truncated literal count")
+		}
+		body = body[k:]
+		left := uint64(len(words)-d) / 4
+		switch {
+		case z|l == 0:
+			return malformed("has an empty sequence")
+		case z > left || l > left-z:
+			return malformed("overruns the decoded length")
+		case l > uint64(len(body))/4:
+			return malformed("has literals past its end")
+		}
+		zb, lb := int(z)*4, int(l)*4
+		clear(words[d : d+zb])
+		d += zb
+		copy(words[d:d+lb], body)
+		d += lb
+		body = body[lb:]
+	}
+	if len(body) != len(dst)-len(words) {
+		return malformed(fmt.Sprintf("ends with %d bytes, want a %d-byte tail", len(body), len(dst)-len(words)))
+	}
+	copy(dst[len(words):], body)
+	return nil
+}
