@@ -31,15 +31,18 @@ import (
 //     declared reduction.
 //
 // A partitioned out window is *not* zeroed: on the host device it is the
-// caller's live buffer, holding whatever the previous run left there, so a
-// body must write every element of it. And it may alias an input: a
-// map(tofrom:) variable is one buffer in both lists, so on the host in[k] and
-// out[l] can be the same memory. A body that writes its results in place
-// must therefore read element i of such an input before it writes element i
-// of the output. Windows are 4-byte aligned whenever the mapped buffer is.
+// caller's live buffer, holding whatever the previous run left there, and on
+// the cloud device it is a window of the driver's reconstruction buffer,
+// which may hold the bytes of an earlier attempt of the same tile that failed
+// part-way. So a body must write every element of it. And it may alias an
+// input: a map(tofrom:) variable is one buffer in both lists, so on the host
+// in[k] and out[l] can be the same memory. A body that writes its results in
+// place must therefore read element i of such an input before it writes
+// element i of the output. Windows are 4-byte aligned whenever the mapped
+// buffer is.
 //
-// A body must touch only the windows it is handed: the reconstruction step
-// assumes disjoint writers for partitioned outputs.
+// A body must touch only the windows it is handed: tiles compute into
+// disjoint windows of one buffer, concurrently.
 type LoopBody func(lo, hi int64, scalars []int64, in [][]byte, out [][]byte) error
 
 // Kernel pairs a registered loop body with its metadata.

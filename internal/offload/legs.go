@@ -21,6 +21,18 @@ type tileResult struct {
 	outs [][]byte
 }
 
+// window guards one tile's windows of the partitioned finals. Speculation and
+// retries can run a tile more than once, so an in-process attempt computes in
+// place only if it claims mu with TryLock, holding it until it returns; a copy
+// that loses the claim computes into buffers of its own. done records that a
+// body has written the windows whole, after which no attempt writes there.
+// reconstruct locks mu before it reads or fills the windows and never unlocks
+// it: that seals them for the output stream and the resident copy-back.
+type window struct {
+	mu   sync.Mutex
+	done bool
+}
+
 // eachShipped runs fn concurrently for every shipped buffer (one stream per
 // datum, the paper's §III.A transfer policy) and reports the first error in
 // buffer order.
@@ -274,6 +286,7 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 	if err != nil {
 		return nil, 0, err
 	}
+	wins := make([]window, tiles)
 	job := spark.MapPartitions(rdd, func(part int, _ []int64) ([]tileResult, error) {
 		if sched != nil {
 			// The gate has opened, but possibly because the transfer side
@@ -283,20 +296,7 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 				return nil, err
 			}
 		}
-		if sess != nil {
-			if outs, ok := sess.lookupTile(part, len(r.Outs)); ok {
-				return []tileResult{{tile: part, outs: outs}}, nil
-			}
-		}
 		lo, hi := TileRange(r.N, tiles, part)
-		tileIns := make([][]byte, len(r.Ins))
-		for k := range r.Ins {
-			if r.Ins[k].Partitioned() {
-				tileIns[k] = ins[k].dev[lo*r.Ins[k].BytesPerIter : hi*r.Ins[k].BytesPerIter]
-			} else {
-				tileIns[k] = bc.Value()[k]
-			}
-		}
 		outSizes := make([]int64, len(r.Outs))
 		outInit := make([]byte, len(r.Outs))
 		for l := range r.Outs {
@@ -312,6 +312,19 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 				}
 			}
 		}
+		if sess != nil {
+			if outs, ok := sess.lookupTile(part, outSizes); ok {
+				return []tileResult{{tile: part, outs: outs}}, nil
+			}
+		}
+		tileIns := make([][]byte, len(r.Ins))
+		for k := range r.Ins {
+			if r.Ins[k].Partitioned() {
+				tileIns[k] = ins[k].dev[lo*r.Ins[k].BytesPerIter : hi*r.Ins[k].BytesPerIter]
+			} else {
+				tileIns[k] = bc.Value()[k]
+			}
+		}
 		req := &remoteexec.TileRequest{
 			Kernel: r.Kernel, Lo: r.Base + lo, Hi: r.Base + hi, Scalars: r.Scalars,
 			Ins: tileIns, OutSizes: outSizes, OutInit: outInit,
@@ -323,7 +336,27 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 			// the JNI boundary made literal.
 			outs, err = p.pool.Run(p.sctx.PartitionWorker(part, tiles), req)
 		} else {
-			outs, err = remoteexec.Execute(r.registry(), req)
+			// In process, partitioned outputs compute straight into their
+			// windows of the finals (Eq. 8's offset writes, made by the
+			// body instead of copied by the driver) when this attempt can
+			// claim them.
+			w := &wins[part]
+			var dst [][]byte
+			if w.mu.TryLock() {
+				defer w.mu.Unlock()
+				if !w.done {
+					dst = make([][]byte, len(r.Outs))
+					for l := range r.Outs {
+						if bpi := r.Outs[l].BytesPerIter; bpi > 0 {
+							dst[l] = pl.outs[l].final[lo*bpi : hi*bpi]
+						}
+					}
+				}
+			}
+			outs, err = remoteexec.Execute(r.registry(), req, dst)
+			if err == nil && dst != nil {
+				w.done = true
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -344,7 +377,7 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 	reconDone := make(chan error, 1)
 	go func() {
 		var err error
-		tileRaw, err = reconstruct(r, tiles, resCh, pl.outs)
+		tileRaw, err = reconstruct(r, tiles, resCh, pl.outs, wins)
 		reconDone <- err
 	}()
 	_, jm, err := job.CollectPartitionsEach(func(_ int, items []tileResult) {
@@ -367,9 +400,13 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 // combine identically under either release policy, the bit-identity
 // requirement. An output with a stream learns how far it is final as the
 // frontier advances; a reduction is final only after the last tile, so its
-// whole transfer is the barriered tail of the pipeline. It also reports the
-// raw byte volume combined: the sum of all per-tile output copies.
-func reconstruct(r *Region, tiles int, ch <-chan tileResult, outs []bound) (raw int64, err error) {
+// whole transfer is the barriered tail of the pipeline. A tile whose body
+// computed in place (wins[t].done) is already at its windows; any other
+// partitioned result — from a remote worker, a resumed session, a copy that
+// could not claim the windows — is copied there, after the windows are
+// locked for good. It also reports the raw byte volume combined: the sum of
+// every tile's outputs, wherever they were computed.
+func reconstruct(r *Region, tiles int, ch <-chan tileResult, outs []bound, wins []window) (raw int64, err error) {
 	advance := func(l int, hi int64) {
 		if outs[l].stream != nil {
 			outs[l].stream.Advance(hi)
@@ -386,10 +423,21 @@ func reconstruct(r *Region, tiles int, ch <-chan tileResult, outs []bound) (raw 
 			}
 			delete(pending, next)
 			lo, hi := TileRange(r.N, tiles, next)
+			w := &wins[next]
+			w.mu.Lock() // sealed: never unlocked
 			for l := range r.Outs {
 				raw += int64(len(tile[l]))
 				if bpi := r.Outs[l].BytesPerIter; bpi > 0 {
-					copy(outs[l].final[lo*bpi:hi*bpi], tile[l])
+					win := outs[l].final[lo*bpi : hi*bpi]
+					if len(tile[l]) != len(win) {
+						if err == nil {
+							err = fmt.Errorf("offload: tile %d output %s is %d bytes, want its %d-byte window", next, r.Outs[l].Name, len(tile[l]), len(win))
+						}
+						continue
+					}
+					if !w.done {
+						copy(win, tile[l])
+					}
 					if err == nil {
 						advance(l, hi*bpi)
 					}

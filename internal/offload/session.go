@@ -149,9 +149,10 @@ func (s *session) writeJournal(r *Region, ins []bound) {
 func (s *session) tileKey(t int) string { return fmt.Sprintf("%s/tiles/%05d", s.prefix, t) }
 
 // lookupTile serves a committed tile's outputs from the session, or reports
-// false so the caller recomputes (also on any decode mismatch — a corrupt
-// commit degrades to recomputation, never to wrong output).
-func (s *session) lookupTile(t, wantOuts int) ([][]byte, bool) {
+// false so the caller recomputes — also when the commit does not decode or
+// its outputs are not exactly the tile's sizes: a corrupt commit degrades to
+// recomputation, never to wrong output.
+func (s *session) lookupTile(t int, sizes []int64) ([][]byte, bool) {
 	s.mu.Lock()
 	have := s.committed[t]
 	s.mu.Unlock()
@@ -163,7 +164,15 @@ func (s *session) lookupTile(t, wantOuts int) ([][]byte, bool) {
 		return nil, false
 	}
 	outs, err := decodeTileOuts(blob)
-	if err != nil || len(outs) != wantOuts {
+	if err == nil && len(outs) != len(sizes) {
+		err = fmt.Errorf("%d outputs, want %d", len(outs), len(sizes))
+	}
+	for i := 0; err == nil && i < len(outs); i++ {
+		if int64(len(outs[i])) != sizes[i] {
+			err = fmt.Errorf("output %d is %d bytes, want %d", i, len(outs[i]), sizes[i])
+		}
+	}
+	if err != nil {
 		s.p.logf("offload: session %s: tile %d commit unusable (%v), recomputing", s.prefix, t, err)
 		return nil, false
 	}
@@ -234,7 +243,7 @@ func decodeTileOuts(blob []byte) ([][]byte, error) {
 	off := head
 	for i := range outs {
 		ln := int(binary.LittleEndian.Uint64(blob[8*(1+i):]))
-		if ln < 0 || off+ln > len(blob) {
+		if ln < 0 || ln > len(blob)-off { // off+ln could wrap
 			return nil, fmt.Errorf("tile commit: buffer %d overruns frame", i)
 		}
 		outs[i] = blob[off : off+ln : off+ln]

@@ -2,6 +2,9 @@ package offload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,56 +124,144 @@ func TestResumeSkipsCommittedTiles(t *testing.T) {
 	}
 }
 
+func init() {
+	// scale2sum: out[0][i] = 2 * in[i] partitioned, out[1] += in[i] over the
+	// tile, a float32 sum — one tile commit holds a window and a reduction.
+	testRegistry.Register("scale2sum", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+		var s float32
+		for i := range len(in[0]) / data.FloatSize {
+			v := data.GetFloat(in[0], i)
+			data.PutFloat(out[0], i, 2*v)
+			s += v
+		}
+		data.PutFloat(out[1], 0, s)
+		return nil
+	})
+}
+
+func scale2sumRegion(n int64, in, out, sum []byte) *Region {
+	r := scale2Region(n, in, out)
+	r.Kernel, r.Tiles = "scale2sum", 4
+	r.Outs = append(r.Outs, Buffer{Name: "S", Data: sum, Reduce: ReduceSumF32})
+	return r
+}
+
+// corruptCommits damages a valid tile commit (a window and a one-float sum)
+// in each way a store can hand one back. lookupTile must refuse every one.
+var corruptCommits = []struct {
+	name    string
+	corrupt func(outs [][]byte) []byte
+}{
+	{"garbage", func([][]byte) []byte { return []byte("garbage") }},
+	{"overflowing-length", func(outs [][]byte) []byte {
+		// off+ln wraps past MaxInt: the frame once passed the bounds check
+		// and panicked on the slice, failing every retry of the tile.
+		blob := encodeTileOuts(outs)
+		binary.LittleEndian.PutUint64(blob[8:], math.MaxInt64-7)
+		return blob
+	}},
+	{"short-output", func(outs [][]byte) []byte {
+		return encodeTileOuts([][]byte{outs[0][:len(outs[0])-4], outs[1]})
+	}},
+	{"extra-output", func(outs [][]byte) []byte {
+		return encodeTileOuts([][]byte{outs[0], append(slices.Clone(outs[1]), 0, 0, 0, 0)})
+	}},
+	{"wrong-count", func(outs [][]byte) []byte { return encodeTileOuts(outs[:1]) }},
+}
+
 // TestResumeCorruptCommitRecomputes: a damaged tile commit must degrade to
-// recomputation, never to wrong output.
+// recomputation, never to wrong output or a failed job.
 func TestResumeCorruptCommitRecomputes(t *testing.T) {
 	n := int64(1024)
-	in := data.Generate(1, int(n), data.Dense, 3)
-	st := storage.NewMemStore()
-
-	cfg := resumeConfig(st)
-	cfg.Faults = spark.FailPartitionAttempts(3, 1<<20)
-	p1, err := NewCloudPlugin(cfg)
-	if err != nil {
-		t.Fatal(err)
+	in := data.Generate(1, int(n), data.Dense, 3).Bytes()
+	want, wantSum := make([]byte, 4*n), make([]byte, 4)
+	{
+		p, err := NewCloudPlugin(resumeConfig(storage.NewMemStore()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(scale2sumRegion(n, in, want, wantSum)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out1 := make([]byte, 4*n)
-	r1 := scale2Region(n, in.Bytes(), out1)
-	r1.Tiles = 4
-	if _, err := p1.Run(r1); err == nil {
-		t.Fatal("sabotaged run should have failed")
-	}
-	keys, err := st.List("sessions/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if strings.Contains(k, "/tiles/") {
-			if err := st.Put(k, []byte("garbage")); err != nil {
+	for _, tc := range corruptCommits {
+		t.Run(tc.name, func(t *testing.T) {
+			st := storage.NewMemStore()
+			cfg := resumeConfig(st)
+			cfg.Faults = spark.FailPartitionAttempts(3, 1<<20)
+			p1, err := NewCloudPlugin(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
+			if _, err := p1.Run(scale2sumRegion(n, in, make([]byte, 4*n), make([]byte, 4))); err == nil {
+				t.Fatal("sabotaged run should have failed")
+			}
+			keys, err := st.List("sessions/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := 0
+			for _, k := range keys {
+				if !strings.Contains(k, "/tiles/") {
+					continue
+				}
+				blob, err := st.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs, err := decodeTileOuts(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Put(k, tc.corrupt(outs)); err != nil {
+					t.Fatal(err)
+				}
+				damaged++
+			}
+			if damaged == 0 {
+				t.Fatal("the sabotaged run committed no tiles")
+			}
 
-	p2, err := NewCloudPlugin(resumeConfig(st))
-	if err != nil {
-		t.Fatal(err)
+			p2, err := NewCloudPlugin(resumeConfig(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, sum := make([]byte, 4*n), make([]byte, 4)
+			rep, err := p2.Run(scale2sumRegion(n, in, out, sum))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ResumedTiles != 0 {
+				t.Fatalf("corrupt commits must not be served (ResumedTiles = %d)", rep.ResumedTiles)
+			}
+			if !bytes.Equal(out, want) || !bytes.Equal(sum, wantSum) {
+				t.Fatal("output differs from a clean run after corrupt-commit recovery")
+			}
+		})
 	}
-	out2 := make([]byte, 4*n)
-	r2 := scale2Region(n, in.Bytes(), out2)
-	r2.Tiles = 4
-	rep, err := p2.Run(r2)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// FuzzDecodeTileOuts feeds arbitrary bytes to the session journal's tile
+// commit decoder, the reader of what a store hands back on resume. It must
+// not panic, and a frame it accepts must be exactly what encodeTileOuts
+// writes for the outputs it decoded.
+func FuzzDecodeTileOuts(f *testing.F) {
+	window := data.Generate(1, 16, data.Dense, 5).Bytes()
+	sum := data.Bytes([]float32{3})
+	f.Add(encodeTileOuts([][]byte{window}))
+	f.Add(encodeTileOuts([][]byte{window, sum, {}}))
+	for _, c := range corruptCommits {
+		f.Add(c.corrupt([][]byte{window, sum}))
 	}
-	if rep.ResumedTiles != 0 {
-		t.Fatalf("corrupt commits must not be served (ResumedTiles = %d)", rep.ResumedTiles)
-	}
-	for i := 0; i < int(n); i++ {
-		if data.GetFloat(out2, i) != 2*in.V[i] {
-			t.Fatalf("wrong result at %d after corrupt-commit recovery", i)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		outs, err := decodeTileOuts(blob)
+		if err != nil {
+			return
 		}
-	}
+		if again := encodeTileOuts(outs); !bytes.Equal(again, blob) {
+			t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", blob, again)
+		}
+	})
 }
 
 // TestResumeUnavailableDeviceFallsBack: resume changes nothing about the

@@ -113,7 +113,7 @@ func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 		}
 		total += max(sz, 0)
 	}
-	outs, err := Execute(w.reg, req)
+	outs, err := Execute(w.reg, req, nil)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -123,16 +123,27 @@ func (w *Worker) execute(req *TileRequest) (resp *TileResponse) {
 	return resp
 }
 
-// Execute is the one tile executor: it allocates the request's outputs,
-// fills each with its reduction identity and invokes the kernel out of reg.
-// A worker process runs it for its peers; the cloud plugin calls it directly
-// when tiles run in-process. The kernel's error is returned as it is, so
-// its transient/permanent classification survives.
-func Execute(reg *fatbin.Registry, req *TileRequest) ([][]byte, error) {
+// Execute is the one tile executor: it invokes the kernel out of reg on the
+// request's outputs. Output i is dst[i] when the caller hands one, used as it
+// is — not cleared, not initialised, because the kernel ABI has a body write
+// every element of a partitioned out window — and otherwise a fresh buffer
+// filled with its reduction identity. A worker process runs it for its peers
+// with dst nil; the cloud plugin calls it directly when tiles run in-process,
+// handing each partitioned output's window of its reconstruction buffer. The
+// kernel's error is returned as it is, so its transient/permanent
+// classification survives.
+func Execute(reg *fatbin.Registry, req *TileRequest, dst [][]byte) ([][]byte, error) {
 	outs := make([][]byte, len(req.OutSizes))
 	for i, sz := range req.OutSizes {
 		if sz < 0 {
 			return nil, errors.New("negative output size")
+		}
+		if i < len(dst) && dst[i] != nil {
+			if int64(len(dst[i])) != sz {
+				return nil, fmt.Errorf("output %d: destination is %d bytes, want %d", i, len(dst[i]), sz)
+			}
+			outs[i] = dst[i]
+			continue
 		}
 		outs[i] = make([]byte, sz)
 		if i < len(req.OutInit) {

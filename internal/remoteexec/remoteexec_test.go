@@ -234,7 +234,7 @@ func TestExecuteIsTheWorkersExecutor(t *testing.T) {
 	reg.Register("fails", func(lo, hi int64, scalars []int64, in, out [][]byte) error { return kernelErr })
 
 	req := &TileRequest{Kernel: "maxinit", OutSizes: []int64{8, 8, 4}, OutInit: []byte{InitNegInfF, InitPosInfF}}
-	local, err := Execute(reg, req)
+	local, err := Execute(reg, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,29 @@ func TestExecuteIsTheWorkersExecutor(t *testing.T) {
 		t.Fatalf("identities: %v", local)
 	}
 
-	if _, err := Execute(reg, &TileRequest{Kernel: "fails"}); err != kernelErr || !resilience.IsTransient(err) {
+	if _, err := Execute(reg, &TileRequest{Kernel: "fails"}, nil); err != kernelErr || !resilience.IsTransient(err) {
 		t.Fatalf("kernel error came back as %v, want the kernel's own value", err)
 	}
-	if _, err := Execute(reg, &TileRequest{Kernel: "double", OutSizes: []int64{-1}}); err == nil {
+	if _, err := Execute(reg, &TileRequest{Kernel: "double", OutSizes: []int64{-1}}, nil); err == nil {
 		t.Fatal("negative output size accepted")
+	}
+
+	// A handed destination is the output itself: the body writes into it,
+	// nothing clears or initialises it first, and a buffer it does not hand
+	// is allocated as before.
+	in := data.Bytes([]float32{1, 2})
+	window := data.Bytes([]float32{7, 7, 7})
+	outs, err := Execute(reg, &TileRequest{Kernel: "double", Hi: 2, Ins: [][]byte{in}, OutSizes: []int64{8}}, [][]byte{window[:8]})
+	if err != nil || &outs[0][0] != &window[0] || !reflect.DeepEqual(data.Floats(window), []float32{2, 4, 7}) {
+		t.Fatalf("in-place output: %v, window %v, %v", outs, data.Floats(window), err)
+	}
+	kept := data.Bytes([]float32{5, 5})
+	outs, err = Execute(reg, &TileRequest{Kernel: "maxinit", OutSizes: []int64{8, 8}, OutInit: []byte{InitNegInfF, InitNegInfF}}, [][]byte{nil, kept})
+	if err != nil || data.Floats(outs[0])[0] != -1e38 || &outs[1][0] != &kept[0] || data.Floats(kept)[0] != 5 {
+		t.Fatalf("mixed destinations: %v, %v", outs, err)
+	}
+	if _, err := Execute(reg, &TileRequest{Kernel: "double", Hi: 2, Ins: [][]byte{in}, OutSizes: []int64{8}}, [][]byte{window}); err == nil {
+		t.Fatal("a destination of the wrong size was accepted")
 	}
 	// Execute does not recover: that is the worker's job, for its peers.
 	if _, err := c.RunTile(&TileRequest{Kernel: "panics"}); err == nil || !strings.Contains(err.Error(), "kernel panic") {
