@@ -382,18 +382,37 @@ func TestPutUnitSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("alloc gates are meaningless under -race instrumentation")
 	}
 	data := compressible(64<<10, 71)
+	codec := xcompress.Codec{MinSize: 1}
 	for _, store := range allocGateStores(t, discardStore{}) {
 		t.Run(store.name, func(t *testing.T) {
-			o := Options{Codec: xcompress.Codec{MinSize: 1}}
-			var retries atomic.Int64
-			pu := newPutUnit(store.st, &o, &retries)
-			allocs := testing.AllocsPerRun(100, func() {
-				if err := pu.put("cache/c/feed", data); err != nil {
+			// A compressed chunk is one part, its frame; a raw one is two,
+			// the tag and the chunk itself, which a loopback client writes
+			// straight to the socket and any other store gets joined in
+			// pooled scratch.
+			for _, frame := range []struct {
+				name    string
+				verdict xcompress.Verdict
+			}{
+				{"gzip", xcompress.VerdictGzip},
+				{"raw", xcompress.VerdictRaw},
+			} {
+				head, body, err := codec.Frame(nil, data, frame.verdict)
+				if err != nil {
 					t.Fatal(err)
 				}
-			})
-			if allocs > 0 {
-				t.Errorf("putUnit.put: %v allocs/run, want 0", allocs)
+				t.Run(frame.name, func(t *testing.T) {
+					o := Options{Codec: codec}
+					var retries atomic.Int64
+					pu := newPutUnit(store.st, &o, &retries)
+					allocs := testing.AllocsPerRun(100, func() {
+						if err := pu.put("cache/c/feed", head, body); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs > 0 {
+						t.Errorf("putUnit.put(%s): %v allocs/run, want 0", frame.name, allocs)
+					}
+				})
 			}
 		})
 	}
@@ -440,6 +459,11 @@ func TestGetUnitSteadyStateZeroAlloc(t *testing.T) {
 				})
 				if allocs > 0 {
 					t.Errorf("getUnit.fetch(%s): %v allocs/run, want 0", frame.name, allocs)
+				}
+				// The loopback client streams: a raw frame lands in dst off
+				// the socket, the others are decoded from pooled scratch.
+				if streamed := store.name == "loopback"; gu.stream != streamed {
+					t.Errorf("getUnit streaming = %v, want %v", gu.stream, streamed)
 				}
 			})
 		}

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strconv"
@@ -225,22 +226,24 @@ func partKey(key string, i int) string { return fmt.Sprintf("%s.%05d.part", key,
 // encBufs pools per-chunk encode scratch. Stores copy on Put — MemStore into
 // the stored object, RemoteStore onto the socket; only storage.Server hands a
 // buffer it read itself to the store uncopied — so a buffer is reusable the
-// moment its PUT returns; without the pool every chunk of every transfer
-// allocates ~1 MiB of garbage (xcompress pools the deflate state, this pools
-// the output it writes into).
+// moment its PUT returns; without the pool every compressed chunk of every
+// transfer allocates ~1 MiB of garbage (xcompress pools the deflate state,
+// this pools the output it writes into). A raw chunk borrows none: its frame
+// is its tag and its window of the source (pipeState.encode).
 var encBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)
 	return &b
 }}
 
 // wireBufs pools download-side wire scratch: the encoded bytes fetched from
-// the store before decoding. The upload mirror is encBufs; without this pool
-// every chunk GET materializes ~1 MiB of garbage through storage.Get even
-// though the bytes are dead the moment DecodeInto returns. The pool only pays
-// off on a store that reads into the buffer it is handed
-// (storage.AppendGetter): MemStore, DiskStore, RemoteStore, and Metered or
-// PrefixStore over one of them. Behind FaultStore, Throttled or NetFault,
-// which must see every Get, each chunk still costs the Get's copy.
+// the store before decoding, on every read that does not stream (getUnit).
+// The upload mirror is encBufs; without this pool every such chunk GET
+// materializes ~1 MiB of garbage through storage.Get even though the bytes
+// are dead the moment DecodeInto returns. The pool only pays off on a store
+// that reads into the buffer it is handed (storage.AppendGetter): MemStore,
+// DiskStore, RemoteStore, and Metered or PrefixStore over one of them.
+// Behind FaultStore, Throttled or NetFault, which must see every Get, each
+// chunk still costs the Get's copy.
 var wireBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)
 	return &b
@@ -280,28 +283,30 @@ type putUnit struct {
 	hist    histPair
 	op      func() error
 
-	key  string
-	data []byte
+	key        string
+	head, body []byte
 }
 
 func newPutUnit(st storage.Store, o *Options, retries *atomic.Int64) *putUnit {
 	u := &putUnit{st: st, o: o, retries: retries, hist: newHistPair("chunkio.put.seconds", o.MetricDevice)}
-	u.op = func() error { return guardedPut(u.st, u.key, u.data, u.o.PutTimeout, u.o.Stats) }
+	u.op = func() error { return guardedPut(u.st, u.key, u.head, u.body, u.o.PutTimeout, u.o.Stats) }
 	return u
 }
 
-// put writes one object with the configured retry policy; a re-sent PUT
-// overwrites the whole object, so retrying is idempotent. Every attempt set
-// is one "chunk.put" span and one latency observation.
-func (u *putUnit) put(key string, data []byte) error {
+// put writes one object, head followed by body (xcompress.Codec.Frame's
+// parts), with the configured retry policy; a re-sent PUT overwrites the
+// whole object, so retrying is idempotent. Every attempt set is one
+// "chunk.put" span and one latency observation.
+func (u *putUnit) put(key string, head, body []byte) error {
 	if u.o.PutTimeout > 0 {
-		// A deadline-abandoned attempt keeps reading data after put
-		// returns, and most callers recycle it through encBufs the moment
-		// we do — so the guard pays one private copy per object. The
-		// deadline-off path (the default) stays zero-copy.
-		data = append([]byte(nil), data...)
+		// A deadline-abandoned attempt keeps reading its parts after put
+		// returns, and the caller reuses them the moment we do — head is
+		// encBufs scratch, body a window of a live buffer — so the guard
+		// pays one private copy of the frame per object. The deadline-off
+		// path (the default) copies neither.
+		head, body = append(append(make([]byte, 0, len(head)+len(body)), head...), body...), nil
 	}
-	u.key, u.data = key, data
+	u.key, u.head, u.body = key, head, body
 	sc := span.Start("chunk.put", "chunk", 0)
 	sc.SetAttr("key", key)
 	start := time.Now()
@@ -312,23 +317,32 @@ func (u *putUnit) put(key string, data []byte) error {
 		sc.SetAttr("retries", strconv.Itoa(out.Attempts-1))
 	}
 	sc.End()
-	u.key, u.data = "", nil
+	u.key, u.head, u.body = "", nil, nil
 	return err
 }
 
 // getUnit is one download worker's retry machinery, allocated once per
-// worker for the same reason as putUnit. Each fetch is one retry unit: pull
-// the encoded bytes into pooled scratch, decode into the chunk's disjoint
-// destination window, then verify the decoded content hash when
-// Options.ChunkSum can resolve the key. A hash mismatch is classified
-// transient — the store's authoritative copy may be intact — so the policy
-// re-fetches and fully overwrites the window.
+// worker for the same reason as putUnit. Each fetch is one retry unit: move
+// the frame into the chunk's disjoint destination window, then verify the
+// decoded content hash when Options.ChunkSum can resolve the key. A hash
+// mismatch is classified transient — the store's authoritative copy may be
+// intact — so the policy re-fetches and fully overwrites the window.
+//
+// A store that streams (storage.StreamGetter) hands the frame to an
+// xcompress.FrameReader as it arrives: a raw frame's body lands in the
+// window with no copy, any other frame is decoded once the connection is
+// back in its pool. Any other store, and any guarded attempt — which must
+// never write where the caller can see (netguard.go) — pulls the frame into
+// pooled scratch and decodes it from there.
 type getUnit struct {
 	st      storage.Store
 	o       *Options
 	retries *atomic.Int64
 	hist    histPair
 	op      func() error
+	fr      xcompress.FrameReader
+	recv    func(size int64, r io.Reader) error // fr.Receive, bound once
+	stream  bool                                // try storage.GetStream first
 
 	key  string
 	dst  []byte
@@ -339,21 +353,15 @@ type getUnit struct {
 func newGetUnit(st storage.Store, o *Options, retries *atomic.Int64) *getUnit {
 	u := &getUnit{st: st, o: o, retries: retries, hist: newHistPair("chunkio.get.seconds", o.MetricDevice)}
 	u.op = u.fetchOnce
+	u.recv = u.fr.Receive
+	u.stream = o.GetTimeout <= 0 && o.HedgeDelay <= 0
 	return u
 }
 
 func (u *getUnit) fetchOnce() error {
-	enc, bp, err := guardedGet(u.st, u.key, u.o.GetTimeout, u.o.HedgeDelay, u.o.Stats)
+	wire, err := u.receive()
 	if err != nil {
-		return classifyGetErr(fmt.Errorf("chunkio: fetching %s: %w", u.key, err))
-	}
-	start := time.Now()
-	derr := xcompress.DecodeInto(enc, u.dst)
-	u.dur = time.Since(start)
-	wire := int64(len(enc))
-	wireBufs.Put(bp) // enc aliases the pooled buffer; dead once decoded
-	if derr != nil {
-		return corruptErr(fmt.Errorf("chunkio: decoding %s: %w", u.key, derr))
+		return err
 	}
 	if u.o.ChunkSum != nil {
 		if want, ok := u.o.ChunkSum(u.key); ok && sha256.Sum256(u.dst) != want {
@@ -362,6 +370,47 @@ func (u *getUnit) fetchOnce() error {
 	}
 	u.wire = wire
 	return nil
+}
+
+// receive moves one attempt's frame into u.dst and reports its wire size.
+// Only codec work is timed (u.dur): a raw frame has none, whichever way it
+// arrived.
+func (u *getUnit) receive() (int64, error) {
+	u.dur = 0
+	if u.stream {
+		u.fr.Reset(u.dst)
+		wire, err := storage.GetStream(u.st, u.key, u.recv)
+		if !errors.Is(err, errors.ErrUnsupported) {
+			if err != nil {
+				return 0, classifyGetErr(fmt.Errorf("chunkio: fetching %s: %w", u.key, err))
+			}
+			if u.fr.Pending() {
+				start := time.Now()
+				err = u.fr.Decode()
+				u.dur = time.Since(start)
+			}
+			if err != nil {
+				return 0, corruptErr(fmt.Errorf("chunkio: decoding %s: %w", u.key, err))
+			}
+			return wire, nil
+		}
+		u.stream = false // this store cannot stream: copy from here on
+	}
+	enc, bp, err := guardedGet(u.st, u.key, u.o.GetTimeout, u.o.HedgeDelay, u.o.Stats)
+	if err != nil {
+		return 0, classifyGetErr(fmt.Errorf("chunkio: fetching %s: %w", u.key, err))
+	}
+	start := time.Now()
+	err = xcompress.DecodeInto(enc, u.dst)
+	if xcompress.IsCompressed(enc) {
+		u.dur = time.Since(start)
+	}
+	wire := int64(len(enc))
+	wireBufs.Put(bp) // enc aliases the pooled buffer; dead once decoded
+	if err != nil {
+		return 0, corruptErr(fmt.Errorf("chunkio: decoding %s: %w", u.key, err))
+	}
+	return wire, nil
 }
 
 // fetch retrieves key and decodes it into dst, with retries, spans and
@@ -496,7 +545,10 @@ func DownloadInto(st storage.Store, key string, dst []byte, o Options) (*Downloa
 			chunked = false
 			start := time.Now()
 			err := xcompress.DecodeInto(obj, dst)
-			rootDur = time.Since(start)
+			rootDur = 0
+			if xcompress.IsCompressed(obj) {
+				rootDur = time.Since(start) // codec work only, as in getUnit
+			}
 			if err != nil {
 				return corruptErr(fmt.Errorf("chunkio: decoding %s: %w", key, err))
 			}

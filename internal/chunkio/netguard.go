@@ -11,8 +11,9 @@ package chunkio
 // Ownership discipline, because abandoned attempts keep running:
 //
 //   - guardedPut abandons the attempt goroutine on deadline; it keeps
-//     reading its data argument until the store returns. Callers whose data
-//     lives in a recycled pool therefore copy it first (see putUnit.put).
+//     reading its head and body until the store returns. Callers whose
+//     parts live in a recycled pool or a live buffer therefore copy them
+//     first (see putUnit.put).
 //   - guardedGet gives every attempt its own pooled wire buffer and moves
 //     results through a buffered channel — an ownership transfer. The
 //     winner's buffer goes to the caller; losers and post-abandon stragglers
@@ -82,17 +83,18 @@ func deadlineErr(op, key string, timeout time.Duration, stats *TransferStats) er
 	return resilience.MarkTransient(&DeadlineError{Op: op, Key: key, Timeout: timeout})
 }
 
-// guardedPut is st.Put bounded by timeout (0 disables the guard and costs
-// nothing: no goroutine, no timer). On deadline the attempt goroutine is
-// abandoned — it finishes into a buffered channel — and the caller gets a
-// transient DeadlineError; the retry policy's next attempt races the
-// abandoned one, which is safe because PUTs overwrite whole objects.
-func guardedPut(st storage.Store, key string, data []byte, timeout time.Duration, stats *TransferStats) error {
+// guardedPut is storage.PutParts bounded by timeout (0 disables the guard
+// and costs nothing: no goroutine, no timer). On deadline the attempt
+// goroutine is abandoned — it finishes into a buffered channel — and the
+// caller gets a transient DeadlineError; the retry policy's next attempt
+// races the abandoned one, which is safe because PUTs overwrite whole
+// objects.
+func guardedPut(st storage.Store, key string, head, body []byte, timeout time.Duration, stats *TransferStats) error {
 	if timeout <= 0 {
-		return st.Put(key, data)
+		return storage.PutParts(st, key, head, body)
 	}
 	done := make(chan error, 1)
-	go func() { done <- st.Put(key, data) }()
+	go func() { done <- storage.PutParts(st, key, head, body) }()
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {

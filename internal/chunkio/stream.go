@@ -211,11 +211,6 @@ func (ps *pipeState) runChunk(i int, pu *putUnit, gu *getUnit) {
 // written.
 func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
 	ckey := ps.key
-	// Parts encode into scratch borrowed from encBufs. The single layout's
-	// one chunk does not: it can be the whole buffer (chunk-bytes = -1), and
-	// a buffer that large must not be parked in the pool.
-	var bp *[]byte
-	var scratch []byte
 	if !ps.single {
 		ckey = partKey(ps.key, i)
 		if ps.o.ChunkKey != nil {
@@ -229,38 +224,61 @@ func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
 				}
 			}
 		}
-		bp = encBufs.Get().(*[]byte)
-		scratch = (*bp)[:0]
 	}
-	sc := span.Start("chunk.compress", "chunk", 0)
-	sc.SetAttr("key", ckey)
-	start := time.Now()
-	enc, err := ps.o.Codec.AppendEncode(scratch, chunk, ps.plan(chunk))
-	ps.encDurs[i] = time.Since(start)
-	sc.End()
-	ps.compHist.Observe(ps.encDurs[i].Seconds())
-	if err != nil {
-		// Encoding is local CPU work: retrying cannot help.
-		err = resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", ckey, err))
-	} else if err = pu.put(ckey, enc); err != nil {
-		err = fmt.Errorf("chunkio: storing %s: %w", ckey, err)
+	head, body, bp, err := ps.encode(i, ckey, chunk)
+	if err == nil {
+		if err = pu.put(ckey, head, body); err != nil {
+			err = fmt.Errorf("chunkio: storing %s: %w", ckey, err)
+		}
 	}
 	if bp != nil {
-		if enc != nil {
-			*bp = enc // keep any growth for the next borrower
+		if head != nil {
+			*bp = head // keep any growth for the next borrower
 		}
 		encBufs.Put(bp) // stores copy on Put; safe once put returns
 	}
 	if err != nil {
 		return err
 	}
-	wire := int64(len(enc))
+	wire := int64(len(head) + len(body))
 	ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
 	ps.sent.Add(wire)
 	if ps.o.OnStored != nil && !ps.single {
 		ps.o.OnStored(ckey, wire)
 	}
 	return nil
+}
+
+// encode gives chunk i's frame under the plan as the two parts of
+// xcompress.Codec.Frame. A raw frame is the tag and the chunk itself: it
+// borrows no scratch and records no codec time. Any other frame is encoded,
+// and timed, into scratch borrowed from encBufs, returned as bp for the
+// caller to give back once its PUT is done. The single layout's one chunk
+// borrows nothing: it can be the whole buffer (chunk-bytes = -1), and a
+// buffer that large must not be parked in the pool.
+func (ps *pipeState) encode(i int, ckey string, chunk []byte) (head, body []byte, bp *[]byte, err error) {
+	v := ps.plan(chunk)
+	if v == xcompress.VerdictRaw {
+		head, body, err = ps.o.Codec.Frame(nil, chunk, v)
+		return head, body, nil, err
+	}
+	var scratch []byte
+	if !ps.single {
+		bp = encBufs.Get().(*[]byte)
+		scratch = (*bp)[:0]
+	}
+	sc := span.Start("chunk.compress", "chunk", 0)
+	sc.SetAttr("key", ckey)
+	start := time.Now()
+	head, body, err = ps.o.Codec.Frame(scratch, chunk, v)
+	ps.encDurs[i] = time.Since(start)
+	sc.End()
+	ps.compHist.Observe(ps.encDurs[i].Seconds())
+	if err != nil {
+		// Encoding is local CPU work: retrying cannot help.
+		err = resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", ckey, err))
+	}
+	return head, body, bp, err
 }
 
 func (ps *pipeState) firstErr() error {
@@ -300,7 +318,7 @@ func (ps *pipeState) commitManifest() (int, error) {
 	frame := make([]byte, 1+len(body))
 	frame[0] = xcompress.TagChunked
 	copy(frame[1:], body)
-	if err := newPutUnit(ps.st, &ps.o, &ps.putRetries).put(ps.key, frame); err != nil {
+	if err := newPutUnit(ps.st, &ps.o, &ps.putRetries).put(ps.key, frame, nil); err != nil {
 		return 0, fmt.Errorf("chunkio: storing manifest %s: %w", ps.key, err)
 	}
 	if ps.o.OnManifest != nil {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -59,6 +60,24 @@ func (p *PrefixStore) GetAppend(key string, dst []byte) ([]byte, error) {
 	return GetAppend(p.inner, p.prefix+key, dst)
 }
 
+// PutParts implements PartsPutter, preserving the inner store's copy-free
+// two-part write when it has one.
+func (p *PrefixStore) PutParts(key string, head, body []byte) error {
+	if err := validKey(key); err != nil {
+		return err
+	}
+	return PutParts(p.inner, p.prefix+key, head, body)
+}
+
+// GetStream implements StreamGetter, preserving the inner store's stream
+// when it has one.
+func (p *PrefixStore) GetStream(key string, fn func(size int64, r io.Reader) error) (int64, error) {
+	if err := validKey(key); err != nil {
+		return 0, err
+	}
+	return GetStream(p.inner, p.prefix+key, fn)
+}
+
 // Delete implements Store.
 func (p *PrefixStore) Delete(key string) error {
 	if err := validKey(key); err != nil {
@@ -92,4 +111,6 @@ func (p *PrefixStore) Stat(key string) (int64, error) {
 var (
 	_ Store        = (*PrefixStore)(nil)
 	_ AppendGetter = (*PrefixStore)(nil)
+	_ PartsPutter  = (*PrefixStore)(nil)
+	_ StreamGetter = (*PrefixStore)(nil)
 )

@@ -67,6 +67,77 @@ func GetAppend(st Store, key string, dst []byte) ([]byte, error) {
 	return append(dst, b...), nil
 }
 
+// PartsPutter is an optional Store extension for copy-free writes: the
+// object is head followed by body, and the store writes the two parts
+// itself instead of being handed one buffer holding both. The chunked PUT
+// hot path stores a raw chunk as its one-byte frame tag and its window of
+// the caller's buffer this way. RemoteStore writes both straight to the
+// socket; Metered and PrefixStore forward to what they wrap.
+type PartsPutter interface {
+	// PutParts stores head followed by body under key, overwriting any
+	// previous object.
+	PutParts(key string, head, body []byte) error
+}
+
+// joinMax is the largest object PutParts's fallback joins in pooled
+// scratch; a larger one (a whole buffer stored unchunked) gets a buffer of
+// its own rather than being parked in the pool.
+const joinMax = 4 << 20
+
+// joinBufs pools the fallback's joined objects. Put copies, so a buffer is
+// free again the moment Put returns.
+var joinBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// PutParts stores head followed by body under key, through the store's
+// native PartsPutter when it has one. Any other store is handed one buffer
+// holding both — in pooled scratch, unless one part is empty and is the
+// object — through its Put, so wrappers that must see every write
+// (FaultStore, Throttled, NetFault) still see this one.
+func PutParts(st Store, key string, head, body []byte) error {
+	if pp, ok := st.(PartsPutter); ok {
+		return pp.PutParts(key, head, body)
+	}
+	switch n := len(head) + len(body); {
+	case len(body) == 0:
+		return st.Put(key, head)
+	case len(head) == 0:
+		return st.Put(key, body)
+	case n > joinMax:
+		return st.Put(key, append(append(make([]byte, 0, n), head...), body...))
+	}
+	bp := joinBufs.Get().(*[]byte)
+	obj := append(append((*bp)[:0], head...), body...)
+	err := st.Put(key, obj)
+	*bp = obj[:0] // keep the grown buffer
+	joinBufs.Put(bp)
+	return err
+}
+
+// StreamGetter is an optional Store extension for copy-free reads: the
+// object's bytes are handed to the caller as a reader, so they can land
+// wherever the caller decides as they arrive. The chunked GET hot path reads
+// a raw chunk's body straight into its destination window this way.
+// RemoteStore streams off the socket; Metered and PrefixStore forward to
+// what they wrap.
+type StreamGetter interface {
+	// GetStream calls fn with the size of the object stored under key and a
+	// reader of exactly that many bytes, valid until fn returns, and returns
+	// the size and fn's error. A wrapper whose inner store cannot stream
+	// returns errors.ErrUnsupported without calling fn.
+	GetStream(key string, fn func(size int64, r io.Reader) error) (int64, error)
+}
+
+// GetStream streams key's object through fn when st can (StreamGetter).
+// Otherwise it returns errors.ErrUnsupported having done nothing, and the
+// caller reads the object another way (GetAppend): a stream over a copy the
+// store has already made would only copy it again.
+func GetStream(st Store, key string, fn func(size int64, r io.Reader) error) (int64, error) {
+	if sg, ok := st.(StreamGetter); ok {
+		return sg.GetStream(key, fn)
+	}
+	return 0, errors.ErrUnsupported
+}
+
 // ownedStore is the copy-free path between a Server and the store it fronts,
 // for stores whose objects are immutable once stored. It stays unexported:
 // the public Put keeps its "copies on Put" contract (chunkio recycles its
@@ -422,6 +493,12 @@ func (m *Metered) Put(key string, data []byte) error {
 	return m.notePut(int64(len(data)), m.inner.Put(key, data))
 }
 
+// PutParts implements PartsPutter, forwarding to the inner store's two-part
+// write (or PutParts's fallback) and counting one Put of the whole object.
+func (m *Metered) PutParts(key string, head, body []byte) error {
+	return m.notePut(int64(len(head)+len(body)), PutParts(m.inner, key, head, body))
+}
+
 // putOwned implements ownedStore: the same counters, the inner store's
 // copy-free write when it has one.
 func (m *Metered) putOwned(key string, data []byte) error {
@@ -446,6 +523,17 @@ func (m *Metered) getShared(key string) ([]byte, error) {
 func (m *Metered) GetAppend(key string, dst []byte) ([]byte, error) {
 	out, err := GetAppend(m.inner, key, dst)
 	return out, m.noteGet(len(out)-len(dst), err)
+}
+
+// GetStream implements StreamGetter, forwarding to the inner store's
+// stream and counting the object's bytes. A read the inner store cannot
+// stream is not an operation and counts nothing.
+func (m *Metered) GetStream(key string, fn func(size int64, r io.Reader) error) (int64, error) {
+	n, err := GetStream(m.inner, key, fn)
+	if errors.Is(err, errors.ErrUnsupported) {
+		return n, err
+	}
+	return n, m.noteGet(int(n), err)
 }
 
 // Delete implements Store.
@@ -493,6 +581,8 @@ var (
 	_ AppendGetter = (*DiskStore)(nil)
 	_ AppendGetter = (*Metered)(nil)
 	_ AppendGetter = (*RemoteStore)(nil)
+	_ PartsPutter  = (*Metered)(nil)
+	_ StreamGetter = (*Metered)(nil)
 	_ ownedStore   = (*MemStore)(nil)
 	_ ownedStore   = (*Metered)(nil)
 )

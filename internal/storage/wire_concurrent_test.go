@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -204,6 +206,233 @@ func TestServerDrainDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("drain took %v, deadline was 50ms", elapsed)
+	}
+}
+
+// gateStore holds every Put until the gate opens, announcing each one as it
+// enters, so a test can keep a known number of requests — and with them
+// pooled connections — in flight at once.
+type gateStore struct {
+	Store
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func newGateStore() *gateStore {
+	return &gateStore{Store: NewMemStore(), entered: make(chan struct{}, 64), gate: make(chan struct{})}
+}
+
+func (s *gateStore) Put(key string, data []byte) error {
+	s.entered <- struct{}{}
+	<-s.gate
+	return s.Store.Put(key, data)
+}
+
+// countingDialer dials addr and keeps count of the connections it made and
+// of those still open.
+type countingDialer struct {
+	addr              string
+	dials, live, peak atomic.Int64
+}
+
+func (d *countingDialer) dial() (net.Conn, error) {
+	c, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		return nil, err
+	}
+	d.dials.Add(1)
+	n := d.live.Add(1)
+	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
+	}
+	return &countedConn{Conn: c, d: d}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	d    *countingDialer
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.d.live.Add(-1) })
+	return c.Conn.Close()
+}
+
+// fillPool leaves n connections idle in cli's pool: n PUTs held in the server
+// at once each need a connection of their own.
+func fillPool(t *testing.T, cli *RemoteStore, gs *gateStore, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := cli.Put(fmt.Sprintf("fill/%d", i), []byte("v")); err != nil {
+				t.Errorf("fill put: %v", err)
+			}
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		<-gs.entered
+	}
+	close(gs.gate)
+	wg.Wait()
+	cli.mu.Lock()
+	idle := len(cli.idle)
+	cli.mu.Unlock()
+	if idle != n {
+		t.Fatalf("%d connections idle after %d concurrent PUTs", idle, n)
+	}
+}
+
+// TestRemoteStoreRedialsAfterServerRestart: a storage daemon that closes or
+// drains and comes back on the same address costs a client at most one
+// failed call. The connection that failed is dropped, and the idle ones with
+// it — they reach the same peer — so the next call dials the new server
+// rather than finding another dead connection.
+func TestRemoteStoreRedialsAfterServerRestart(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		stop func(*Server) error
+	}{
+		{"Close", (*Server).Close},
+		{"Drain", func(s *Server) error { return s.Drain(time.Second) }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			gs := newGateStore()
+			srv, err := Serve("127.0.0.1:0", gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := srv.Addr()
+			cli, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			fillPool(t, cli, gs, 4)
+			if err := stop.stop(srv); err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemStore()
+			srv, err = Serve(addr, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			failed := 0
+			for i := 0; i < 6; i++ {
+				if err := cli.Put("k", []byte("after restart")); err != nil {
+					if failed++; failed > 1 {
+						t.Fatalf("call %d failed too: %v", i, err)
+					}
+				}
+			}
+			if got, err := mem.Get("k"); err != nil || string(got) != "after restart" {
+				t.Fatalf("the restarted server holds %q, %v", got, err)
+			}
+		})
+	}
+}
+
+// TestRemoteStoreConcurrentCallers shares one client among 16 goroutines,
+// each running every kind of round trip on keys of its own and checking every
+// byte, while the pool stays within maxConns connections.
+func TestRemoteStoreConcurrentCallers(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := &countingDialer{addr: srv.Addr()}
+	cli := newRemoteStore(d.dial)
+	defer cli.Close()
+
+	const callers, rounds = 16, 20
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := make([]byte, 0, 64<<10)
+			for i := 0; i < rounds; i++ {
+				body := bytes.Repeat([]byte{byte(g), byte(i)}, 1000*(1+i%8))
+				whole := append([]byte{byte(g)}, body...)
+				one, two := fmt.Sprintf("c/%d/one/%d", g, i), fmt.Sprintf("c/%d/two/%d", g, i)
+				if err := cli.Put(one, whole); err != nil {
+					t.Errorf("put %s: %v", one, err)
+					return
+				}
+				if err := cli.PutParts(two, whole[:1], body); err != nil {
+					t.Errorf("put parts %s: %v", two, err)
+					return
+				}
+				if got, err := cli.GetAppend(two, dst); err != nil || !bytes.Equal(got, whole) {
+					t.Errorf("get append %s: %d bytes, %v", two, len(got), err)
+					return
+				}
+				into := make([]byte, len(whole))
+				n, err := cli.GetStream(one, func(n int64, r io.Reader) error {
+					_, err := io.ReadFull(r, into)
+					return err
+				})
+				if err != nil || n != int64(len(whole)) || !bytes.Equal(into, whole) {
+					t.Errorf("get stream %s: %d bytes, %v", one, n, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if p := d.peak.Load(); p > maxConns {
+		t.Fatalf("%d connections open at once, the cap is %d", p, maxConns)
+	}
+}
+
+// TestRemoteStoreCloseDuringCalls: Close fails the calls in flight instead of
+// leaving them hanging on the server, and no call dials after it.
+func TestRemoteStoreCloseDuringCalls(t *testing.T) {
+	gs := newGateStore()
+	srv, err := Serve("127.0.0.1:0", gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(gs.gate)
+	d := &countingDialer{addr: srv.Addr()}
+	cli := newRemoteStore(d.dial)
+
+	const inflight = 4
+	errs := make(chan error, inflight)
+	for i := 0; i < inflight; i++ {
+		go func(i int) { errs <- cli.Put(fmt.Sprintf("held/%d", i), []byte("v")) }(i)
+	}
+	for i := 0; i < inflight; i++ {
+		<-gs.entered
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < inflight; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a call in flight at Close succeeded")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call in flight at Close hangs")
+		}
+	}
+	dials := d.dials.Load()
+	if err := cli.Put("after", []byte("v")); err == nil {
+		t.Fatal("a call after Close succeeded")
+	}
+	if _, err := cli.GetStream("after", func(int64, io.Reader) error { return nil }); err == nil {
+		t.Fatal("a streamed get after Close succeeded")
+	}
+	if d.dials.Load() != dials || d.live.Load() != 0 {
+		t.Fatalf("after Close: %d dials (was %d), %d connections open", d.dials.Load(), dials, d.live.Load())
 	}
 }
 

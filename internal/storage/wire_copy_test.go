@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,7 +41,9 @@ func totalAlloc(f func()) uint64 {
 // TestWireCopyBudget pins the copies a byte pays crossing the store, client
 // and server counted together (they share this process): a PUT allocates its
 // body once — the buffer the server read it into becomes the stored object —
-// and a GET into a buffer with room allocates nothing on either side.
+// and so does a two-part PUT, whose parts the client writes from where they
+// lie; a GET into a buffer with room, or streamed into the caller's own
+// buffer, allocates nothing on either side.
 func TestWireCopyBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gates are meaningless under -race instrumentation")
@@ -58,10 +61,23 @@ func TestWireCopyBudget(t *testing.T) {
 			cli := loopback(t, tc.backing())
 			body := bytes.Repeat([]byte{0xa5}, size)
 			dst := make([]byte, 0, size)
-			round := func() (put, get uint64) {
+			into := make([]byte, size)
+			readInto := func(_ int64, r io.Reader) error {
+				_, err := io.ReadFull(r, into)
+				return err
+			}
+			var put, parts, get, stream uint64
+			round := func() {
 				put = totalAlloc(func() {
 					for i := 0; i < n; i++ {
 						if err := cli.Put("obj", body); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+				parts = totalAlloc(func() {
+					for i := 0; i < n; i++ {
+						if err := cli.PutParts("parts", body[:1], body[1:]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -74,16 +90,35 @@ func TestWireCopyBudget(t *testing.T) {
 						}
 					}
 				})
-				return put, get
+				stream = totalAlloc(func() {
+					for i := 0; i < n; i++ {
+						if got, err := cli.GetStream("parts", readInto); err != nil || got != size {
+							t.Fatalf("GetStream: %d bytes, %v", got, err)
+						}
+					}
+				})
 			}
 			round() // warm-up: connection buffers, goroutine stacks
-			put, get := round()
-			if put < n*size || put > n*size+slack {
-				t.Errorf("%d PUTs of %d bytes allocated %d bytes process-wide, want one body each (%d..%d)",
-					n, size, put, n*size, n*size+slack)
+			round()
+			for _, c := range []struct {
+				what  string
+				bytes uint64
+			}{{"PUTs", put}, {"two-part PUTs", parts}} {
+				if c.bytes < n*size || c.bytes > n*size+slack {
+					t.Errorf("%d %s of %d bytes allocated %d bytes process-wide, want one body each (%d..%d)",
+						n, c.what, size, c.bytes, n*size, n*size+slack)
+				}
 			}
-			if get > slack {
-				t.Errorf("%d GETs of %d bytes allocated %d bytes process-wide, want none (<= %d)", n, size, get, slack)
+			for _, c := range []struct {
+				what  string
+				bytes uint64
+			}{{"GETs", get}, {"streamed GETs", stream}} {
+				if c.bytes > slack {
+					t.Errorf("%d %s of %d bytes allocated %d bytes process-wide, want none (<= %d)", n, c.what, size, c.bytes, slack)
+				}
+			}
+			if !bytes.Equal(into, body) {
+				t.Error("the streamed GET's bytes differ from the two-part PUT's")
 			}
 		})
 	}

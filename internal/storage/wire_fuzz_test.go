@@ -102,38 +102,116 @@ func FuzzServeOne(f *testing.F) {
 	})
 }
 
-// FuzzRemoteStoreResponse feeds arbitrary bytes to the client as the
-// server's side of the connection and issues a GET. It must return exactly
-// the payload of an OK frame appended to dst, or an error and dst
-// unmodified. After a whole frame of any status the connection is still in
-// frame, so a second GET is held to the same rule on what follows.
-func FuzzRemoteStoreResponse(f *testing.F) {
-	f.Add(frame(statusOK, []byte("payload")), uint16(0))
-	f.Add(frame(statusOK, []byte("payload")), uint16(64))
-	f.Add(append(frame(statusNotFound, nil), frame(statusOK, []byte("second"))...), uint16(3))
-	f.Add(append(frame(statusError, []byte("boom")), frame(statusOK, nil)...), uint16(0))
-	f.Add(append(frame(statusOK, nil), frame(7, []byte("odd status"))...), uint16(8))
-	f.Add(frame(statusOK, []byte("truncated"))[:12], uint16(4))
-	f.Add(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize+1), uint16(0))
-	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize), "abc"...), uint16(0))
-	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusError}, eagerAllocMax+1), "abc"...), uint16(0))
-	f.Add([]byte{statusOK, 0, 0}, uint16(0))
+// scriptConn is a client connection whose peer is a fixed byte string:
+// reads replay it, writes vanish, and Close ends both.
+type scriptConn struct {
+	net.Conn // the rest of the interface; never called
+	in       *bytes.Reader
+	closed   bool
+}
 
-	f.Fuzz(func(t *testing.T, resp []byte, spare uint16) {
-		c := &RemoteStore{r: bufio.NewReader(bytes.NewReader(resp)), w: bufio.NewWriter(io.Discard)}
+func (c *scriptConn) Read(p []byte) (int, error) {
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	return c.in.Read(p)
+}
+
+func (c *scriptConn) Write(p []byte) (int, error) {
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	return len(p), nil
+}
+
+func (c *scriptConn) Close() error {
+	c.closed = true
+	return nil
+}
+
+// errStop is what the fuzzed streamed get's callback returns on odd spares.
+var errStop = errors.New("callback stops early")
+
+// FuzzRemoteStoreResponse feeds arbitrary bytes to a pooled client as the
+// server's side of its one connection and issues a GET: a GetAppend, or on
+// the streamed arm a GetStream whose callback reads at most spare bytes of
+// the payload (and on odd spares returns an error of its own). GetAppend must
+// return exactly the payload of an OK frame appended to dst, or an error and
+// dst unmodified; GetStream must hand the callback exactly such a payload, or
+// fail without calling it. After a whole frame of any status the connection
+// is back in the pool exactly at the next frame, so a second GET is held to
+// the same rule on what follows; after anything else it is gone, never
+// pooled out of frame.
+func FuzzRemoteStoreResponse(f *testing.F) {
+	f.Add(frame(statusOK, []byte("payload")), uint16(0), false)
+	f.Add(frame(statusOK, []byte("payload")), uint16(64), false)
+	f.Add(append(frame(statusNotFound, nil), frame(statusOK, []byte("second"))...), uint16(3), false)
+	f.Add(append(frame(statusError, []byte("boom")), frame(statusOK, nil)...), uint16(0), false)
+	f.Add(append(frame(statusOK, nil), frame(7, []byte("odd status"))...), uint16(8), false)
+	f.Add(frame(statusOK, []byte("truncated"))[:12], uint16(4), false)
+	f.Add(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize+1), uint16(0), false)
+	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize), "abc"...), uint16(0), false)
+	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusError}, eagerAllocMax+1), "abc"...), uint16(0), false)
+	f.Add([]byte{statusOK, 0, 0}, uint16(0), false)
+	f.Add(append(frame(statusOK, []byte("payload")), frame(statusOK, []byte("second"))...), uint16(2), true)
+	f.Add(append(frame(statusOK, []byte("payload")), frame(statusOK, []byte("second"))...), uint16(3), true)
+	f.Add(append(frame(statusNotFound, nil), frame(statusOK, []byte("second"))...), uint16(64), true)
+	f.Add(frame(statusOK, []byte("truncated"))[:12], uint16(64), true)
+	f.Add(append(binary.BigEndian.AppendUint64([]byte{statusOK}, maxObjectSize), "abc"...), uint16(8), true)
+
+	f.Fuzz(func(t *testing.T, resp []byte, spare uint16, streamed bool) {
+		conn := &scriptConn{in: bytes.NewReader(resp)}
+		dials := 0
+		c := newRemoteStore(func() (net.Conn, error) {
+			if dials++; dials > 1 {
+				return nil, errors.New("the script has one connection")
+			}
+			return conn, nil
+		})
 		rest := resp
 		for call := 0; call < 2; call++ {
 			dst := append(make([]byte, 0, 3+int(spare)), "pre"...)
-			var allocated uint64
 			var out []byte
+			var size int64
+			var called bool
 			var err error
-			allocated = totalAlloc(func() { out, err = c.GetAppend("k", dst) })
+			allocated := totalAlloc(func() {
+				if !streamed {
+					out, err = c.GetAppend("k", dst)
+					return
+				}
+				size, err = c.GetStream("k", func(n int64, r io.Reader) error {
+					called = true
+					got, rerr := io.ReadFull(r, dst[3:3+min(int(spare), int(n))])
+					out = dst[:3+got]
+					if rerr == nil && spare%2 == 1 {
+						rerr = errStop
+					}
+					return rerr
+				})
+			})
 			if limit := uint64(eagerAllocMax + 8*len(resp) + 1<<20); !raceEnabled && allocated > limit {
 				t.Fatalf("%d response bytes made the client allocate %d (limit %d)", len(resp), allocated, limit)
 			}
 			status, payload, after, ok := nextFrame(rest)
-			rest = after
 			switch {
+			case streamed && ok && status == statusOK:
+				want := append([]byte("pre"), payload[:min(int(spare), len(payload))]...)
+				if !called || size != int64(len(payload)) || !bytes.Equal(out, want) {
+					t.Fatalf("call %d: streamed %q of a %d-byte object (called %v); want %q of %d", call, out, size, called, want, len(payload))
+				}
+				if wantErr := spare%2 == 1; (err != nil) != wantErr || wantErr && !errors.Is(err, errStop) {
+					t.Fatalf("call %d: GetStream returned %v; the callback returned errStop: %v", call, err, wantErr)
+				}
+			case streamed:
+				if err == nil {
+					t.Fatalf("call %d: GetStream of a frame that is not a whole OK frame returned no error", call)
+				}
+				// An OK header whose payload is cut short is found out only
+				// as the callback reads: what it got is what arrived.
+				if called && (len(rest) < 9 || rest[0] != statusOK || !bytes.HasPrefix(rest[9:], out[3:])) {
+					t.Fatalf("call %d: the callback of a broken frame read %q", call, out[3:])
+				}
 			case ok && status == statusOK:
 				if err != nil || !bytes.Equal(out, append([]byte("pre"), payload...)) {
 					t.Fatalf("call %d: got %q, %v; want the frame's %d-byte payload after dst", call, out, err, len(payload))
@@ -143,8 +221,21 @@ func FuzzRemoteStoreResponse(f *testing.F) {
 			case len(out) != len(dst) || &out[0] != &dst[0] || string(out) != "pre":
 				t.Fatalf("call %d: dst came back as %q (moved: %v) alongside error %v", call, out, &out[0] != &dst[0], err)
 			}
+			c.mu.Lock()
+			idle := append([]*wireConn(nil), c.idle...)
+			c.mu.Unlock()
 			if !ok {
+				if len(idle) != 0 || !conn.closed {
+					t.Fatalf("call %d: a connection out of frame stayed open (%d idle)", call, len(idle))
+				}
 				return // the stream has lost its framing; nothing after it means anything
+			}
+			rest = after
+			if len(idle) != 1 {
+				t.Fatalf("call %d: after a whole frame the pool holds %d idle connections, want its one", call, len(idle))
+			}
+			if at := len(resp) - conn.in.Len() - idle[0].r.Buffered(); at != len(resp)-len(rest) {
+				t.Fatalf("call %d: the pooled connection is at byte %d, the next frame at %d", call, at, len(resp)-len(rest))
 			}
 		}
 	})

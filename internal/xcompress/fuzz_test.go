@@ -2,18 +2,17 @@ package xcompress
 
 import (
 	"bytes"
+	"io"
 	"maps"
 	"slices"
 	"testing"
+	"testing/iotest"
 )
 
-// FuzzDecodeInto fuzzes the one decoder from both sides. in is read once as
-// a wire frame of unknown origin decoded into n bytes — it must not panic,
-// must not write outside dst, and a nil return must mean every byte of dst
-// was written (two decodes over differently pre-filled windows agree) — and
-// once as a payload: its frame under each verdict must decode to exactly it,
-// and into no other length.
-func FuzzDecodeInto(f *testing.F) {
+// addFrameSeeds seeds a fuzz target taking (frame, len(dst)) with frames of
+// every codec for their own, shorter and longer payloads, cut-short frames,
+// and frames no encoder builds.
+func addFrameSeeds(f *testing.F) {
 	c := Codec{MinSize: 1}
 	shapes := zeroRunShapes()
 	for _, seed := range []struct {
@@ -51,21 +50,40 @@ func FuzzDecodeInto(f *testing.F) {
 		f.Add(hostile[name], uint16(16))
 		f.Add(hostile[name], uint16(18))
 	}
+}
 
-	const guard = 32
+// guard is the width of the fenced bytes around a fuzzed dst.
+const guard = 32
+
+// fenced returns an n-byte dst, filled with fill and fenced on both sides,
+// and a check that the fences are intact.
+func fenced(n int, fill byte) (dst []byte, intact func() bool) {
+	arena := bytes.Repeat([]byte{0xA5}, guard+n+guard)
+	dst = arena[guard : guard+n : guard+n]
+	for j := range dst {
+		dst[j] = fill
+	}
+	fence := bytes.Repeat([]byte{0xA5}, guard)
+	return dst, func() bool { return bytes.Equal(arena[:guard], fence) && bytes.Equal(arena[guard+n:], fence) }
+}
+
+// FuzzDecodeInto fuzzes the one decoder from both sides. in is read once as
+// a wire frame of unknown origin decoded into n bytes — it must not panic,
+// must not write outside dst, and a nil return must mean every byte of dst
+// was written (two decodes over differently pre-filled windows agree) — and
+// once as a payload: its frame under each verdict must decode to exactly it,
+// and into no other length.
+func FuzzDecodeInto(f *testing.F) {
+	addFrameSeeds(f)
+	c := Codec{MinSize: 1}
 	f.Fuzz(func(t *testing.T, in []byte, n uint16) {
 		// A frame of unknown origin.
 		var windows [2][]byte
 		var errs [2]error
 		for i, fill := range []byte{0xAA, 0x00} {
-			arena := bytes.Repeat([]byte{0xA5}, guard+int(n)+guard)
-			dst := arena[guard : guard+int(n) : guard+int(n)]
-			for j := range dst {
-				dst[j] = fill
-			}
+			dst, intact := fenced(int(n), fill)
 			errs[i] = DecodeInto(in, dst)
-			if !bytes.Equal(arena[:guard], bytes.Repeat([]byte{0xA5}, guard)) ||
-				!bytes.Equal(arena[guard+int(n):], bytes.Repeat([]byte{0xA5}, guard)) {
+			if !intact() {
 				t.Fatalf("DecodeInto wrote outside its %d-byte dst", n)
 			}
 			windows[i] = dst
@@ -97,6 +115,53 @@ func FuzzDecodeInto(f *testing.F) {
 				if _, err := decodeFrame(frame, len(in)-1); err == nil {
 					t.Fatalf("verdict %d: decoded into a dst one byte too short", v)
 				}
+			}
+		}
+	})
+}
+
+// FuzzReadFrame holds the streamed reader to the decoder it stands in for:
+// in, read as an n-byte dst's frame off a stream of exactly its bytes — in
+// one piece, or a byte at a time — must end as DecodeInto(in, dst) does,
+// with the same bytes on success and an error where it fails, and must
+// never write outside dst. A stream that ends before the frame does is an
+// error.
+func FuzzReadFrame(f *testing.F) {
+	addFrameSeeds(f)
+	f.Fuzz(func(t *testing.T, in []byte, n uint16) {
+		want, _ := fenced(int(n), 0)
+		wantErr := DecodeInto(in, want)
+		var fr FrameReader
+		for _, stream := range []struct {
+			name string
+			r    func() io.Reader
+		}{
+			{"whole", func() io.Reader { return bytes.NewReader(in) }},
+			{"byte-wise", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(in)) }},
+		} {
+			dst, intact := fenced(int(n), 0xAA)
+			fr.Reset(dst)
+			err := fr.Receive(int64(len(in)), stream.r())
+			if err == nil && fr.Pending() {
+				err = fr.Decode()
+			}
+			if !intact() {
+				t.Fatalf("%s: the reader wrote outside its %d-byte dst", stream.name, n)
+			}
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s: the reader returned %v where DecodeInto returned %v", stream.name, err, wantErr)
+			}
+			if err == nil && !bytes.Equal(dst, want) {
+				t.Fatalf("%s: the reader's bytes differ from DecodeInto's", stream.name)
+			}
+
+			dst, intact = fenced(int(n), 0xAA)
+			fr.Reset(dst)
+			if err := fr.Receive(int64(len(in))+1, stream.r()); err == nil || fr.Pending() {
+				t.Fatalf("%s: a stream one byte short of its frame returned %v (pending %v)", stream.name, err, fr.Pending())
+			}
+			if !intact() {
+				t.Fatalf("%s: a short stream wrote outside its %d-byte dst", stream.name, n)
 			}
 		}
 	})

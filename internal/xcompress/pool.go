@@ -5,12 +5,15 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
-// The frame engine: AppendEncode is the only code that builds a wire frame
-// and DecodeInto the only code that reads one, over three fixed codecs (raw,
-// deflate, zero-run) told apart by the frame's first byte.
+// The frame engine: AppendEncode is the only code that builds a compressed
+// wire frame and DecodeInto the only code that decodes one, over three fixed
+// codecs (raw, deflate, zero-run) told apart by the frame's first byte.
+// Frame and FrameReader are their stream faces: a raw frame is the tag and
+// the payload as is, so it goes to and from a stream with no copy.
 //
 // The hot path runs once per 1 MiB chunk of the chunked transfer engine.
 // gzip.NewWriterLevel allocates its deflate window and hash tables (~1.3 MB)
@@ -85,6 +88,22 @@ func (c Codec) AppendEncode(dst, buf []byte, v Verdict) ([]byte, error) {
 		return appendDeflate(dst, buf)
 	}
 	return appendRaw(dst, buf), nil
+}
+
+// rawHead is every raw frame's head: the tag, with the payload after it.
+var rawHead = []byte{tagRaw}
+
+// Frame gives buf's wire frame under v as two parts that go on the wire
+// back to back, head then body. A raw verdict's frame is the tag and buf
+// itself: head is a shared one-byte slice the caller must not modify and
+// body is buf, so no payload byte is copied. Any other verdict's frame is
+// AppendEncode's, appended to dst, and body is empty.
+func (c Codec) Frame(dst, buf []byte, v Verdict) (head, body []byte, err error) {
+	if v == VerdictRaw {
+		return rawHead[:1:1], buf, nil
+	}
+	head, err = c.AppendEncode(dst, buf, v)
+	return head, nil, err
 }
 
 // Encode returns buf's wire frame in a fresh slice, planned on its own.
@@ -178,4 +197,97 @@ func decodeDeflate(body, dst []byte) error {
 		return fmt.Errorf("xcompress: %w", err)
 	}
 	return nil
+}
+
+// FrameReader reads wire frames off a stream into their payloads'
+// destinations, ending exactly as DecodeInto would on the same bytes. A raw
+// frame whose body is its destination's length is read straight into the
+// destination. Any other frame is read whole into pooled scratch and decoded
+// in a second step, Decode, which the caller takes once it has let the
+// stream go. The zero value is ready for Reset.
+type FrameReader struct {
+	dst   []byte
+	tag   [1]byte
+	frame *[]byte // what Receive set aside for Decode, in pooled scratch
+}
+
+// frameBufs pools the frames a FrameReader sets aside.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// eagerFrame is the largest frame length Receive sizes its scratch for
+// before the bytes arrive; past it the scratch grows no faster than they do,
+// so a length no stream backs claims no memory. A chunk frame is at most
+// ~1.13 MiB.
+const eagerFrame = 4 << 20
+
+// Reset aims the reader at dst — the next payload, which must be exactly
+// its decoded length — and drops whatever a failed attempt set aside.
+func (f *FrameReader) Reset(dst []byte) {
+	f.release()
+	f.dst = dst
+}
+
+// Receive reads one n-byte frame from r. On error dst's contents are
+// unspecified, as after a failed DecodeInto, and nothing is set aside.
+func (f *FrameReader) Receive(n int64, r io.Reader) error {
+	f.release()
+	var head []byte
+	if n == int64(len(f.dst))+1 {
+		if _, err := io.ReadFull(r, f.tag[:]); err != nil {
+			return err
+		}
+		if f.tag[0] == tagRaw {
+			_, err := io.ReadFull(r, f.dst)
+			return err
+		}
+		head, n = f.tag[:], n-1
+	}
+	bp := frameBufs.Get().(*[]byte)
+	frame, err := appendFull(append((*bp)[:0], head...), r, n)
+	*bp = frame // keep the grown buffer
+	f.frame = bp
+	if err != nil {
+		f.release()
+	}
+	return err
+}
+
+// Pending reports whether Receive set a frame aside for Decode.
+func (f *FrameReader) Pending() bool { return f.frame != nil }
+
+// Decode decodes the frame Receive set aside into dst (DecodeInto) and
+// returns its scratch to the pool.
+func (f *FrameReader) Decode() error {
+	if f.frame == nil {
+		return nil
+	}
+	err := DecodeInto(*f.frame, f.dst)
+	f.release()
+	return err
+}
+
+func (f *FrameReader) release() {
+	if f.frame != nil {
+		*f.frame = (*f.frame)[:0]
+		frameBufs.Put(f.frame)
+		f.frame = nil
+	}
+}
+
+// appendFull appends the next n bytes of r to b, sizing b up front only as
+// far as eagerFrame and beyond it doubling what has arrived.
+func appendFull(b []byte, r io.Reader, n int64) ([]byte, error) {
+	for n > 0 {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, int(min(n, max(eagerFrame, int64(len(b))))))
+		}
+		m := int(min(n, int64(cap(b)-len(b))))
+		k, err := io.ReadFull(r, b[len(b):len(b)+m])
+		b = b[:len(b)+k]
+		if err != nil {
+			return b, err
+		}
+		n -= int64(m)
+	}
+	return b, nil
 }
