@@ -24,6 +24,7 @@ import (
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
+	"ompcloud/internal/perf"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace"
 	"ompcloud/internal/trace/span"
@@ -59,9 +60,12 @@ func main() {
 
 	if *list {
 		for _, b := range kernels.All {
-			in, out := b.HostBytes(b.PaperN)
+			prog, err := perf.Lower(b, b.PaperN)
+			if err != nil {
+				fatal(err)
+			}
 			fmt.Printf("%-15s %-10s regions=%d paper-n=%d paper-traffic=%.1f GB in / %.1f GB out\n",
-				b.Name, b.Suite, b.Regions, b.PaperN, float64(in)/1e9, float64(out)/1e9)
+				b.Name, b.Suite, len(prog.Loops), b.PaperN, float64(prog.In)/1e9, float64(prog.Out)/1e9)
 		}
 		return
 	}

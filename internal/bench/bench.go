@@ -382,9 +382,14 @@ func (h *Harness) predictNoPartitioning(b *kernels.Benchmark, cores int, kind da
 	probe := h.cal.Probes[kind].Effective()
 	profile := perf.PaperProfile()
 	spec := ClusterFor(cores)
+	prog, err := perf.Lower(b, b.PaperN)
+	if err != nil {
+		return 0, err
+	}
 	var delta float64
-	for _, shape := range b.Shape(b.PaperN) {
-		moved := probe.CompressedSize(shape.PartInBytes)
+	for _, loop := range prog.Loops {
+		partIn, _ := perf.SplitBytes(loop.Ins)
+		moved := probe.CompressedSize(partIn)
 		if moved == 0 {
 			continue
 		}

@@ -244,7 +244,8 @@ func TestNoPartitioningAblationAppliesSkipPolicy(t *testing.T) {
 				data.Sparse: {Ratio: 0.034, CompressBytesPS: 400e6, DecompressBytesP: 1200e6},
 				data.Dense:  dense,
 			},
-			CalN: 256,
+			CalN:         256,
+			HostParallel: 2,
 		}
 	}
 	measured := &Harness{cfg: Config{}.withDefaults(), cal: calWith(xcompress.Probe{Ratio: 0.91, CompressBytesPS: 30e6, DecompressBytesP: 150e6})}

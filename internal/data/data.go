@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"unsafe"
 )
 
@@ -81,12 +82,15 @@ func GetFloat(b []byte, idx int) float32 {
 
 // Kind selects the evaluation's two input flavours. Sparse matrices compress
 // "faster with better compression rate" (paper §IV) and are the lever behind
-// the Fig. 5 sparse/dense contrast.
+// the Fig. 5 sparse/dense contrast. SizeOnly matrices have a shape and no
+// elements: model mode prepares benchmarks with them to lower paper-scale
+// programs without holding ~1 GB matrices.
 type Kind int
 
 const (
 	Dense Kind = iota
 	Sparse
+	SizeOnly
 )
 
 // String implements fmt.Stringer.
@@ -96,6 +100,8 @@ func (k Kind) String() string {
 		return "dense"
 	case Sparse:
 		return "sparse"
+	case SizeOnly:
+		return "size-only"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -119,7 +125,8 @@ func ParseKind(s string) (Kind, error) {
 const SparseDensity = 0.02
 
 // Matrix is a dense row-major float32 matrix in its linearized form, exactly
-// as the annotated benchmarks index it (A[i*N+k]).
+// as the annotated benchmarks index it (A[i*N+k]). A size-only matrix has
+// Rows and Cols and a nil V.
 type Matrix struct {
 	Rows, Cols int
 	V          []float32
@@ -133,10 +140,26 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, V: make([]float32, rows*cols)}
 }
 
+// Zeros allocates a workload's outputs and intermediates: NewMatrix, or a
+// size-only matrix when kind is SizeOnly.
+func Zeros(rows, cols int, kind Kind) *Matrix {
+	if kind == SizeOnly {
+		return &Matrix{Rows: rows, Cols: cols}
+	}
+	return NewMatrix(rows, cols)
+}
+
+// SizeOnly reports whether m has a shape and no elements.
+func (m *Matrix) SizeOnly() bool { return m.V == nil && m.Rows*m.Cols > 0 }
+
 // Generate fills a matrix with seeded pseudo-random content of the given
 // kind. Dense: uniform values in [-1, 1). Sparse: mostly zeros with
-// SparseDensity nonzeros. Deterministic for a (seed, kind, shape) triple.
+// SparseDensity nonzeros. SizeOnly: no elements at all. Deterministic for a
+// (seed, kind, shape) triple.
 func Generate(rows, cols int, kind Kind, seed int64) *Matrix {
+	if kind == SizeOnly {
+		return Zeros(rows, cols, kind)
+	}
 	m := NewMatrix(rows, cols)
 	rng := rand.New(rand.NewSource(seed))
 	switch kind {
@@ -168,11 +191,9 @@ func (m *Matrix) Bytes() []byte { return Bytes(m.V) }
 // SizeBytes reports the serialized payload size.
 func (m *Matrix) SizeBytes() int64 { return int64(len(m.V)) * FloatSize }
 
-// Clone deep-copies the matrix.
+// Clone deep-copies the matrix; a size-only matrix clones to another.
 func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.V, m.V)
-	return c
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, V: slices.Clone(m.V)}
 }
 
 // MatrixFromBytes rebuilds a matrix of known shape from its payload.

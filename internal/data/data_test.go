@@ -160,6 +160,27 @@ func TestGenerateUnknownKindPanics(t *testing.T) {
 	Generate(2, 2, Kind(42), 1)
 }
 
+func TestSizeOnlyMatricesHoldNoElements(t *testing.T) {
+	for _, m := range []*Matrix{
+		Generate(1<<14, 1<<14, SizeOnly, 1),
+		Zeros(3, 5, SizeOnly),
+		Zeros(3, 5, SizeOnly).Clone(),
+	} {
+		if !m.SizeOnly() || m.V != nil || m.Rows*m.Cols == 0 {
+			t.Fatalf("size-only matrix %dx%d holds %d elements", m.Rows, m.Cols, len(m.V))
+		}
+	}
+	if z := Zeros(3, 5, Dense); z.SizeOnly() || len(z.V) != 15 {
+		t.Fatal("a dense Zeros should allocate its elements")
+	}
+	if NewMatrix(0, 0).SizeOnly() || NewMatrix(2, 2).Clone().SizeOnly() {
+		t.Fatal("a held matrix is not size-only")
+	}
+	if _, err := ParseKind(SizeOnly.String()); err == nil {
+		t.Fatal("size-only is not an input kind a user picks")
+	}
+}
+
 func TestMaxAbsDiffAndAlmostEqual(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{1, 2.5, 3}

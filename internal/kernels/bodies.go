@@ -3,11 +3,12 @@
 // plus Mat-mul and Collinear-list from MgBench — as OpenMP-accelerator-model
 // workloads over 32-bit floats, "previously adapted for the OpenMP
 // accelerator model" exactly as §IV describes. Every benchmark carries its
-// serial reference for verification and its operation-count formula for the
-// performance model.
+// serial reference for verification and its operation-count formula, and
+// every loop body its count per iteration, for the performance model.
 package kernels
 
 import (
+	"fmt"
 	"math"
 
 	"ompcloud/internal/data"
@@ -37,7 +38,7 @@ func init() {
 	// mm: plain matrix multiplication C = A x B over n x n linearized
 	// matrices. ins: [A rows lo..hi, B whole]; outs: [C rows lo..hi].
 	// Shared by MgBench Mat-mul and as the building block of 2MM/3MM.
-	fatbin.Register("mm", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	register("mm", perRow(2, 0), func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		a, _ := data.FloatView(in[0])
 		b, _ := data.FloatView(in[1])
@@ -51,7 +52,7 @@ func init() {
 	// mm.bcast: the same multiplication with A broadcast whole instead of
 	// row-partitioned; the body indexes A with the global iteration index.
 	// Used by the no-partitioning ablation (Listing 1 without Listing 2).
-	fatbin.Register("mm.bcast", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	register("mm.bcast", perRow(2, 0), func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		a, _ := data.FloatView(in[0]) // whole A
 		b, _ := data.FloatView(in[1])
@@ -64,7 +65,7 @@ func init() {
 
 	// gemm: C = Alpha*A*B + Beta*C. ins: [A rows, B whole, C rows];
 	// outs: [C rows].
-	fatbin.Register("gemm", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	register("gemm", perRow(2, 2), func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		a, _ := data.FloatView(in[0])
 		b, _ := data.FloatView(in[1])
@@ -81,7 +82,7 @@ func init() {
 	// syrk: C = Alpha*A*A^T + Beta*C. Row i of C needs every row of A, so
 	// A is broadcast whole. ins: [A whole, C rows]; outs: [C rows];
 	// scalars: [n].
-	fatbin.Register("syrk", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	register("syrk", perRow(2, 2), func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		a, _ := data.FloatView(in[0])
 		cin, _ := data.FloatView(in[1])
@@ -105,7 +106,7 @@ func init() {
 
 	// syr2k: C = Alpha*A*B^T + Alpha*B*A^T + Beta*C. ins: [A whole,
 	// B whole, C rows]; outs: [C rows]; scalars: [n].
-	fatbin.Register("syr2k", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	register("syr2k", perRow(4, 2), func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		a, _ := data.FloatView(in[0])
 		b, _ := data.FloatView(in[1])
@@ -132,8 +133,9 @@ func init() {
 
 	// covar.mean: column means of the m x n data matrix, parallel over
 	// columns j. ins: [data whole]; outs: [mean entries lo..hi];
-	// scalars: [n, m].
-	fatbin.Register("covar.mean", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	// scalars: [n, m]. A column costs 2m operations.
+	meanOps := func(s []int64) float64 { return 2 * float64(s[1]) }
+	register("covar.mean", meanOps, func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		m := int(scalars[1])
 		d, _ := data.FloatView(in[0])
@@ -154,7 +156,9 @@ func init() {
 	// covar.sym: sym[j1][j2] = sum_i (d[i][j1]-mean[j1])*(d[i][j2]-
 	// mean[j2]), parallel over rows j1 of the symmetric output. ins:
 	// [data whole, mean whole]; outs: [sym rows lo..hi]; scalars: [n, m].
-	fatbin.Register("covar.sym", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	// A row costs 3nm operations.
+	symOps := func(s []int64) float64 { return 3 * float64(s[0]) * float64(s[1]) }
+	register("covar.sym", symOps, func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		m := int(scalars[1])
 		d, _ := data.FloatView(in[0])
@@ -184,7 +188,7 @@ func init() {
 	// tiles balance — matching the near-ideal scaling the paper reports
 	// for this benchmark. ins: [pts whole, interleaved x/y]; outs:
 	// [count, one float32, reduction(+)]; scalars: [npoints].
-	fatbin.Register("collinear", func(lo, hi int64, scalars []int64, in, out [][]byte) error {
+	register("collinear", perRow(2, 0), func(lo, hi int64, scalars []int64, in, out [][]byte) error {
 		n := int(scalars[0])
 		pts, _ := data.FloatView(in[0])
 		var count float32
@@ -209,6 +213,34 @@ func init() {
 		data.PutFloat(out[0], 0, count)
 		return nil
 	})
+}
+
+// iterOps holds each loop body's operation count for one iteration, given
+// the region's scalars: the compute the performance model charges a loop.
+var iterOps = map[string]func(scalars []int64) float64{}
+
+// register links a loop body into the fat binary and declares, next to it,
+// its operation count per iteration.
+func register(name string, ops func(scalars []int64) float64, body fatbin.LoopBody) {
+	fatbin.Register(name, body)
+	iterOps[name] = ops
+}
+
+// perRow is the per-iteration count of a body that sweeps one row of an
+// n x n problem: a*n^2 + b*n operations, n being scalars[0].
+func perRow(a, b float64) func(scalars []int64) float64 {
+	return func(s []int64) float64 { n := float64(s[0]); return a*n*n + b*n }
+}
+
+// IterOps reports the operation count of one iteration of the named loop
+// body under the given scalars, in the units of Benchmark.Ops: a benchmark's
+// lowered loops sum to its Ops.
+func IterOps(kernel string, scalars []int64) (float64, error) {
+	ops, ok := iterOps[kernel]
+	if !ok {
+		return 0, fmt.Errorf("kernels: no operation count for loop body %q", kernel)
+	}
+	return ops(scalars), nil
 }
 
 // store completes a body's writes to the out window w: nothing is left to do

@@ -17,14 +17,11 @@ type Benchmark struct {
 	// PaperN is the dataset dimension at paper scale (~1 GB matrices for
 	// the dense-matrix benchmarks; point count for collinear-list).
 	PaperN int
-	// Regions is the number of parallel loops one run executes.
-	Regions int
 	// Ops reports the floating-point operation count at dimension n.
 	Ops func(n int) float64
-	// HostBytes reports the raw bytes mapped across the host-target link
-	// (in, out) at dimension n.
-	HostBytes func(n int) (in, out int64)
-	// Prepare generates a workload instance with seeded inputs.
+	// Prepare generates a workload instance with seeded inputs. Under
+	// data.SizeOnly its matrices have shapes and no elements: Run lowers onto
+	// a device that prices without executing, and nothing else applies.
 	Prepare func(n int, kind data.Kind, seed int64) *Workload
 }
 
@@ -70,25 +67,17 @@ func ByName(name string) (*Benchmark, error) {
 // benchmarks have been scaled to about 1GB".
 const paperDim = 16384
 
-func matBytes(n int) int64 { return int64(n) * int64(n) * data.FloatSize }
-
 // GEMM is Polybench gemm: C = Alpha*A*B + Beta*C, parallel over rows of C.
 // A and C are row-partitioned (the Listing 2 extension), B is broadcast.
 var GEMM = &Benchmark{
-	Name: "gemm", Suite: "polybench", PaperN: paperDim, Regions: 1,
+	Name: "gemm", Suite: "polybench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 2*f*f*f + 2*f*f },
-	HostBytes: func(n int) (int64, int64) {
-		return 3 * matBytes(n), matBytes(n) // A, B, C in; C out
-	},
 }
 
 // MatMul is MgBench mat-mul: plain C = A x B.
 var MatMul = &Benchmark{
-	Name: "mat-mul", Suite: "mgbench", PaperN: paperDim, Regions: 1,
+	Name: "mat-mul", Suite: "mgbench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 2 * f * f * f },
-	HostBytes: func(n int) (int64, int64) {
-		return 2 * matBytes(n), matBytes(n)
-	},
 }
 
 // SYRK is Polybench syrk: C = Alpha*A*A^T + Beta*C. Every row of C needs
@@ -96,62 +85,44 @@ var MatMul = &Benchmark{
 // intra-cluster traffic, which is exactly why the paper measures its Spark
 // overhead growing from 17% to 69% across the core sweep.
 var SYRK = &Benchmark{
-	Name: "syrk", Suite: "polybench", PaperN: paperDim, Regions: 1,
+	Name: "syrk", Suite: "polybench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 2*f*f*f + 2*f*f },
-	HostBytes: func(n int) (int64, int64) {
-		return 2 * matBytes(n), matBytes(n)
-	},
 }
 
 // SYR2K is Polybench syr2k: C = Alpha*A*B^T + Alpha*B*A^T + Beta*C.
 var SYR2K = &Benchmark{
-	Name: "syr2k", Suite: "polybench", PaperN: paperDim, Regions: 1,
+	Name: "syr2k", Suite: "polybench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 4*f*f*f + 2*f*f },
-	HostBytes: func(n int) (int64, int64) {
-		return 3 * matBytes(n), matBytes(n)
-	},
 }
 
 // COVAR is Polybench covariance: column means, then the covariance matrix.
 // Two parallel loops share a target data environment, so the mean vector
 // stays on the device between them.
 var COVAR = &Benchmark{
-	Name: "covar", Suite: "polybench", PaperN: paperDim, Regions: 2,
+	Name: "covar", Suite: "polybench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 3*f*f*f + 2*f*f },
-	HostBytes: func(n int) (int64, int64) {
-		return matBytes(n), matBytes(n)
-	},
 }
 
 // TwoMM is Polybench 2mm: D = Alpha*A*B*C + Beta*D, two chained
 // multiplications with the intermediate tmp pinned on the device.
 var TwoMM = &Benchmark{
-	Name: "2mm", Suite: "polybench", PaperN: paperDim, Regions: 2,
+	Name: "2mm", Suite: "polybench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 4*f*f*f + 2*f*f },
-	HostBytes: func(n int) (int64, int64) {
-		return 4 * matBytes(n), matBytes(n) // A, B, C, D in; D out
-	},
 }
 
 // ThreeMM is Polybench 3mm: G = (A x B) x (C x D), three multiplications
 // with both intermediates device-resident.
 var ThreeMM = &Benchmark{
-	Name: "3mm", Suite: "polybench", PaperN: paperDim, Regions: 3,
+	Name: "3mm", Suite: "polybench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 6 * f * f * f },
-	HostBytes: func(n int) (int64, int64) {
-		return 4 * matBytes(n), matBytes(n)
-	},
 }
 
 // Collinear is MgBench collinear-list: count collinear triples among n 2D
 // points. Tiny data, cubic compute — the paper's high
 // computation-to-communication benchmark.
 var Collinear = &Benchmark{
-	Name: "collinear-list", Suite: "mgbench", PaperN: paperDim, Regions: 1,
+	Name: "collinear-list", Suite: "mgbench", PaperN: paperDim,
 	Ops: func(n int) float64 { f := float64(n); return 2 * f * f * f },
-	HostBytes: func(n int) (int64, int64) {
-		return int64(2 * n * data.FloatSize), data.FloatSize
-	},
 }
 
 func init() {
@@ -202,7 +173,7 @@ func prepareGEMM(n int, kind data.Kind, seed int64) *Workload {
 func prepareMatMul(n int, kind data.Kind, seed int64) *Workload {
 	a := data.Generate(n, n, kind, seed)
 	b := data.Generate(n, n, kind, seed+1)
-	c := data.NewMatrix(n, n)
+	c := data.Zeros(n, n, kind)
 	w := &Workload{Bench: MatMul, N: n, Kind: kind}
 	w.Run = func(rt *omp.Runtime, dev omp.Device) (*trace.Report, error) {
 		return rt.Target(dev,
@@ -257,8 +228,8 @@ func prepareSYR2K(n int, kind data.Kind, seed int64) *Workload {
 
 func prepareCOVAR(n int, kind data.Kind, seed int64) *Workload {
 	d := data.Generate(n, n, kind, seed)
-	mean := make([]float32, n)
-	sym := data.NewMatrix(n, n)
+	mean := data.Zeros(1, n, kind)
+	sym := data.Zeros(n, n, kind)
 	w := &Workload{Bench: COVAR, N: n, Kind: kind}
 	w.Run = func(rt *omp.Runtime, dev omp.Device) (*trace.Report, error) {
 		env, err := rt.TargetData(dev,
@@ -302,7 +273,7 @@ func prepareTwoMM(n int, kind data.Kind, seed int64) *Workload {
 	c := data.Generate(n, n, kind, seed+2)
 	d0 := data.Generate(n, n, kind, seed+3)
 	dm := d0.Clone()
-	tmp := data.NewMatrix(n, n)
+	tmp := data.Zeros(n, n, kind)
 	w := &Workload{Bench: TwoMM, N: n, Kind: kind}
 	w.Run = func(rt *omp.Runtime, dev omp.Device) (*trace.Report, error) {
 		copy(dm.V, d0.V)
@@ -350,9 +321,9 @@ func prepareThreeMM(n int, kind data.Kind, seed int64) *Workload {
 	b := data.Generate(n, n, kind, seed+1)
 	c := data.Generate(n, n, kind, seed+2)
 	d := data.Generate(n, n, kind, seed+3)
-	e := data.NewMatrix(n, n)
-	f := data.NewMatrix(n, n)
-	g := data.NewMatrix(n, n)
+	e := data.Zeros(n, n, kind)
+	f := data.Zeros(n, n, kind)
+	g := data.Zeros(n, n, kind)
 	w := &Workload{Bench: ThreeMM, N: n, Kind: kind}
 	w.Run = func(rt *omp.Runtime, dev omp.Device) (*trace.Report, error) {
 		env, err := rt.TargetData(dev,
@@ -404,17 +375,17 @@ func prepareCollinear(n int, kind data.Kind, seed int64) *Workload {
 			pts.V[i] = float32(int(v*8)) / 8
 		}
 	}
-	count := []float32{0}
+	count := data.Zeros(1, 1, kind)
 	w := &Workload{Bench: Collinear, N: n, Kind: kind}
 	w.Run = func(rt *omp.Runtime, dev omp.Device) (*trace.Report, error) {
-		count[0] = 0
+		clear(count.V)
 		return rt.Target(dev,
 			omp.To("pts", pts),
 			omp.From("count", count).Sum(),
 		).ParallelFor(int64(n), "collinear", int64(n))
 	}
 	w.Serial = func() []float32 { return []float32{serialCollinear(n, pts.V)} }
-	w.Verify = func() error { return compare("collinear count", count, w.Serial()) }
-	w.Outputs = func() [][]float32 { return [][]float32{count} }
+	w.Verify = func() error { return compare("collinear count", count.V, w.Serial()) }
+	w.Outputs = func() [][]float32 { return [][]float32{count.V} }
 	return w
 }

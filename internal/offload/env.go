@@ -17,9 +17,13 @@ import (
 type EnvBuffer struct {
 	Name     string
 	Data     []byte // host buffer
+	Size     int64  // > 0: size-only, as Buffer.Size
 	Upload   bool   // map(to:) / map(tofrom:)
 	Download bool   // map(from:) / map(tofrom:)
 }
+
+// Len reports the buffer's length in bytes, size-only or not.
+func (b *EnvBuffer) Len() int64 { return int64(len(b.Data)) + b.Size }
 
 // Env is an open device data environment.
 type Env interface {
@@ -42,12 +46,16 @@ type EnvPlugin interface {
 	OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error)
 }
 
-// checkEnvBuffers rejects unnamed and duplicate environment buffers.
+// checkEnvBuffers rejects unnamed, duplicate and size-only environment
+// buffers.
 func checkEnvBuffers(bufs []EnvBuffer) error {
 	seen := make(map[string]bool, len(bufs))
 	for _, b := range bufs {
 		if b.Name == "" {
 			return fmt.Errorf("offload: unnamed env buffer")
+		}
+		if b.Size != 0 {
+			return fmt.Errorf("offload: env buffer %s is size-only: it has no bytes to run on", b.Name)
 		}
 		if seen[b.Name] {
 			return fmt.Errorf("offload: duplicate env buffer %q", b.Name)

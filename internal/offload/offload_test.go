@@ -124,6 +124,27 @@ func TestRegionValidate(t *testing.T) {
 	}
 }
 
+// TestSizeOnlyBuffersAreRefused: a size-only buffer has a length for a
+// device that prices it, and no bytes for one that executes; every such
+// device refuses it, in a region and in an environment.
+func TestSizeOnlyBuffersAreRefused(t *testing.T) {
+	r := scale2Region(10, nil, nil)
+	r.Ins[0].Size, r.Outs[0].Size = 40, 40
+	if got := r.InBytesRaw() + r.OutBytesRaw(); got != 80 {
+		t.Fatalf("size-only region is %d bytes long, want 80", got)
+	}
+	if err := r.Validate(); err == nil {
+		t.Fatal("Validate accepts a size-only region")
+	}
+	host, err := NewHostPlugin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := host.OpenEnv([]EnvBuffer{{Name: "A", Size: 40, Upload: true}}); err == nil {
+		t.Fatal("the host opens a size-only environment")
+	}
+}
+
 func TestTileCount(t *testing.T) {
 	r := scale2Region(100, make([]byte, 400), make([]byte, 400))
 	if got := r.TileCount(16); got != 16 {

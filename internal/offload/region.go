@@ -61,6 +61,10 @@ type Buffer struct {
 	Name string
 	// Data is the host buffer: read for inputs, overwritten for outputs.
 	Data []byte
+	// Size > 0 makes the buffer size-only: Size bytes long, Data nil. Only
+	// a device that prices a program without running it (perf's model)
+	// takes one; every device that executes refuses it.
+	Size int64
 	// BytesPerIter > 0 declares the partitioning extension of §III.B:
 	// loop iteration i owns the byte window [i*BytesPerIter,
 	// (i+1)*BytesPerIter). Zero means unpartitioned: inputs are broadcast
@@ -72,6 +76,9 @@ type Buffer struct {
 
 // Partitioned reports whether the buffer uses the partitioning extension.
 func (b *Buffer) Partitioned() bool { return b.BytesPerIter > 0 }
+
+// Len reports the buffer's length in bytes, size-only or not.
+func (b *Buffer) Len() int64 { return int64(len(b.Data)) + b.Size }
 
 // Region is the lowered form of one `omp target` construct containing a
 // single DOALL `parallel for` of N iterations. More complex constructs
@@ -130,6 +137,9 @@ func (r *Region) Validate() error {
 	check := func(b *Buffer, out bool) error {
 		if b.Name == "" {
 			return fmt.Errorf("offload: unnamed buffer in region %s", r.Kernel)
+		}
+		if b.Size != 0 {
+			return fmt.Errorf("offload: buffer %s is size-only: it has no bytes to run on", b.Name)
 		}
 		if b.BytesPerIter < 0 {
 			return fmt.Errorf("offload: buffer %s: negative BytesPerIter", b.Name)
@@ -213,7 +223,7 @@ func TileRange(n int64, tiles, p int) (lo, hi int64) {
 func (r *Region) InBytesRaw() int64 {
 	var n int64
 	for i := range r.Ins {
-		n += int64(len(r.Ins[i].Data))
+		n += r.Ins[i].Len()
 	}
 	return n
 }
@@ -222,7 +232,7 @@ func (r *Region) InBytesRaw() int64 {
 func (r *Region) OutBytesRaw() int64 {
 	var n int64
 	for i := range r.Outs {
-		n += int64(len(r.Outs[i].Data))
+		n += r.Outs[i].Len()
 	}
 	return n
 }

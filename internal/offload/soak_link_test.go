@@ -176,7 +176,7 @@ func TestLinkFaultSoak(t *testing.T) {
 	for _, b := range kernels.All {
 		for _, barriered := range []bool{false, true} {
 			var scen linkScenario
-			if b.Regions == 1 {
+			if singleRegion(t, b) {
 				scen = linkScenarios[single%len(linkScenarios)]
 				single++
 			} else {

@@ -16,6 +16,7 @@ import (
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
+	"ompcloud/internal/perf"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
@@ -92,6 +93,17 @@ func runOn(b *kernels.Benchmark, p *offload.CloudPlugin) (*soakRun, error) {
 	return run, nil
 }
 
+// singleRegion reports whether b's program is one standalone target region;
+// the others run their loops inside a target data environment.
+func singleRegion(t *testing.T, b *kernels.Benchmark) bool {
+	t.Helper()
+	prog, err := perf.Lower(b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(prog.Loops) == 1
+}
+
 func mustRun(t *testing.T, what string, b *kernels.Benchmark, p *offload.CloudPlugin) *soakRun {
 	t.Helper()
 	run, err := runOn(b, p)
@@ -159,7 +171,7 @@ func TestStorageFaultSoak(t *testing.T) {
 	single, multi := 0, 0
 	for _, b := range kernels.All {
 		var scen storageScenario
-		if b.Regions == 1 {
+		if singleRegion(t, b) {
 			scen = storageScenarios[single%len(storageScenarios)]
 			single++
 		} else {

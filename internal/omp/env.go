@@ -52,6 +52,7 @@ func (rt *Runtime) TargetData(dev Device, maps ...Mapping) (*DataEnv, error) {
 		bufs = append(bufs, offload.EnvBuffer{
 			Name:     m.name,
 			Data:     m.bytes,
+			Size:     m.size,
 			Upload:   m.dir == dirTo || m.dir == dirToFrom,
 			Download: m.dir == dirFrom || m.dir == dirToFrom,
 		})

@@ -96,6 +96,7 @@ type Mapping struct {
 	bytes   []byte    // what the device sees: the user's own memory whenever it can be
 	floats  []float32 // non-nil when the user mapped a []float32
 	copied  bool      // bytes is a serialized copy of floats, not a view of it
+	size    int64     // a size-only matrix's byte length; bytes is then nil
 	perIter int64     // elements per iteration; 0 = unpartitioned
 	reduce  offload.ReduceOp
 	dir     direction
@@ -110,7 +111,11 @@ func newMapping(name string, v any, dir direction) Mapping {
 	case []float32:
 		m.mapFloats(buf)
 	case *data.Matrix:
-		m.mapFloats(buf.V)
+		if buf.SizeOnly() {
+			m.size = int64(buf.Rows) * int64(buf.Cols) * data.FloatSize
+		} else {
+			m.mapFloats(buf.V)
+		}
 	default:
 		m.err = fmt.Errorf("omp: map(%s): unsupported type %T (want []byte, []float32 or *data.Matrix)", name, v)
 	}
@@ -153,7 +158,7 @@ func (m Mapping) Partition(elemsPerIter int) Mapping {
 		return m
 	}
 	unit := int64(1)
-	if m.floats != nil {
+	if m.floats != nil || m.size > 0 {
 		unit = data.FloatSize
 	}
 	m.perIter = int64(elemsPerIter) * unit
@@ -227,7 +232,7 @@ func lower(maps []Mapping, kernel string, n int64, scalars []int64, tiles int, r
 		if m.err != nil {
 			return nil, m.err
 		}
-		buf := offload.Buffer{Name: m.name, Data: m.bytes, BytesPerIter: m.perIter}
+		buf := offload.Buffer{Name: m.name, Data: m.bytes, Size: m.size, BytesPerIter: m.perIter}
 		switch m.dir {
 		case dirTo:
 			if m.reduce != offload.ReduceNone {

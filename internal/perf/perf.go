@@ -1,12 +1,13 @@
 // Package perf calibrates the reproduction to the host machine and predicts
 // paper-scale executions. The paper's evaluation runs ~1 GB matrices on up
 // to 256 EC2 cores — unreproducible directly on one machine — so the
-// benchmark harness measures two machine constants for real (per-kernel
-// compute throughput and gzip behaviour on really generated sparse/dense
-// data) and feeds them through the same virtual-time accountant
-// (offload.Account) that the measured execution path uses. Shapes — who
-// wins, by what factor, where overheads grow — come out of the shared cost
-// arithmetic; only the two calibrated constants are machine-specific.
+// benchmark harness measures three machine constants for real (per-kernel
+// compute throughput, gzip behaviour on really generated sparse/dense data,
+// the host's codec width) and runs each benchmark's own program, lowered onto
+// size-only buffers, on a model device that prices it through the
+// virtual-time accountant (offload.Account) the measured execution path uses.
+// Shapes — who wins, by what factor, where overheads grow — come out of the
+// shared cost arithmetic; only the calibrated constants are machine-specific.
 package perf
 
 import (
@@ -37,6 +38,9 @@ type Calibration struct {
 	Probes map[data.Kind]xcompress.Probe
 	// CalN is the dimension the kernels were calibrated at.
 	CalN int
+	// HostParallel is the host's codec width: the cores the chunked
+	// pipeline spreads compression over (GOMAXPROCS when calibrated).
+	HostParallel int
 }
 
 // CalibrateOptions tunes the calibration pass.
@@ -74,9 +78,10 @@ func (o CalibrateOptions) withDefaults() CalibrateOptions {
 func Calibrate(benches []*kernels.Benchmark, opts CalibrateOptions) (*Calibration, error) {
 	opts = opts.withDefaults()
 	cal := &Calibration{
-		Throughput: make(map[string]float64, len(benches)),
-		Probes:     make(map[data.Kind]xcompress.Probe, 2),
-		CalN:       opts.N,
+		Throughput:   make(map[string]float64, len(benches)),
+		Probes:       make(map[data.Kind]xcompress.Probe, 2),
+		CalN:         opts.N,
+		HostParallel: runtime.GOMAXPROCS(0),
 	}
 	for _, b := range benches {
 		w := b.Prepare(opts.N, data.Dense, opts.Seed)
@@ -139,7 +144,7 @@ type Scenario struct {
 	// wire, so each host leg costs max(codec, wire) instead of their sum.
 	SequentialTransfer bool
 	// HostParallel is the host core count feeding the chunked pipeline's
-	// parallel compression; 0 means all machine cores.
+	// parallel compression; 0 means the calibrated Calibration.HostParallel.
 	HostParallel int
 }
 
@@ -196,7 +201,8 @@ func (c *Calibration) HostSeconds(b *kernels.Benchmark, n, threads int) (float64
 }
 
 // Predict produces the full phase report of one cloud-offloaded paper-scale
-// execution, using the identical accounting path as measured runs.
+// execution: the benchmark's own program runs on the model device, which
+// prices each region and environment with the accountant measured runs use.
 func (c *Calibration) Predict(s Scenario) (*trace.Report, error) {
 	s = s.withDefaults()
 	thr, ok := c.Throughput[s.Bench.Name]
@@ -216,134 +222,28 @@ func (c *Calibration) Predict(s Scenario) (*trace.Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cores := spec.TotalCores()
-	shapes := s.Bench.Shape(s.N)
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("perf: benchmark %s has no shape", s.Bench.Name)
-	}
-	totalOps := s.Bench.Ops(s.N)
-	inBufs, outBufs := s.Bench.HostBufSizes(s.N)
-	pipelined := !s.SequentialTransfer
 	hostPar := s.HostParallel
 	if hostPar <= 0 {
-		hostPar = runtime.GOMAXPROCS(0)
+		hostPar = c.HostParallel
 	}
-	// Host-side codec work: sequentially, one gzip thread per buffer
-	// (§III.A) — the virtual cost follows the slowest buffer. Pipelined,
-	// the chunked engine spreads every buffer's chunks across all host
-	// cores, so the cost is the total codec CPU divided by the core
-	// count. Driver-side decode stays per-buffer max either way — a
-	// deliberate conservative simplification (the driver's core budget
-	// belongs to the Spark job, not the transfer engine).
-	inWire := make([]int64, len(inBufs))
-	var hostCompress, driverDecompress simtime.Duration
-	var totalInRaw int64
-	for i, sz := range inBufs {
-		inWire[i] = probe.CompressedSize(sz)
-		totalInRaw += sz
-		if d := probe.CompressTime(sz); d > hostCompress {
-			hostCompress = d
-		}
-		if d := probe.DecompressTime(sz); d > driverDecompress {
-			driverDecompress = d
-		}
+	if hostPar <= 0 && !s.SequentialTransfer {
+		return nil, fmt.Errorf("perf: calibration records no host codec width")
 	}
-	outWire := make([]int64, len(outBufs))
-	var hostDecompress simtime.Duration
-	var totalOutRaw int64
-	for i, sz := range outBufs {
-		outWire[i] = probe.CompressedSize(sz)
-		totalOutRaw += sz
-		if d := probe.DecompressTime(sz); d > hostDecompress {
-			hostDecompress = d
-		}
-	}
-	if pipelined {
-		hostCompress = simtime.FromSeconds(probe.CompressTime(totalInRaw).Seconds() / float64(hostPar))
-		hostDecompress = simtime.FromSeconds(probe.DecompressTime(totalOutRaw).Seconds() / float64(hostPar))
-	}
-
-	rep := trace.NewReport(fmt.Sprintf("model-%dx%d", s.Workers, s.CoresPerWorker), s.Bench.Name)
 	profile := s.Profile
 	if s.RunOnDriver {
 		profile.WAN = profile.LAN
 		profile.WAN.Name = "lan-as-wan"
 	}
-	if s.StarBroadcast {
-		// Model the star topology by charging broadcasts as W unicast
-		// streams through a degraded link: divide effective broadcast
-		// bandwidth by W/ceil(log2(W+1)).
-		profile.LAN.Name = "lan-star"
+	d := &device{
+		name:  fmt.Sprintf("model-%dx%d", s.Workers, s.CoresPerWorker),
+		cores: spec.TotalCores(),
+		s:     s, thr: thr, probe: probe, hostPar: hostPar, profile: profile,
 	}
-
-	for idx, shape := range shapes {
-		tiles := cores
-		if s.DisableTiling {
-			tiles = int(shape.Trip)
-		}
-		if int64(tiles) > shape.Trip {
-			tiles = int(shape.Trip)
-		}
-		regionOps := shape.OpsShare * totalOps
-		perTaskSecs := regionOps / float64(tiles) / thr
-		taskBytes := shape.BcastInBytes + shape.FullOutBytes
-		if tiles > 0 {
-			taskBytes += (shape.PartInBytes + shape.PartOutBytes) / int64(tiles)
-		}
-		jni := s.JNI.PerCall(taskBytes)
-		durs := make([]simtime.Duration, tiles)
-		for i := range durs {
-			durs[i] = simtime.FromSeconds(perTaskSecs) + jni
-		}
-
-		ci := offload.CostInputs{
-			Workers:            s.Workers,
-			Cores:              cores,
-			TaskCompute:        durs,
-			TaskEffective:      durs,
-			Costs:              s.Costs,
-			PipelinedTransfers: pipelined,
-
-			DistributeWire: probe.CompressedSize(shape.PartInBytes),
-			BroadcastWire:  probe.CompressedSize(shape.BcastInBytes),
-			CollectWire: probe.CompressedSize(shape.PartOutBytes) +
-				int64(tiles)*probe.CompressedSize(shape.FullOutBytes),
-			ReconstructRaw: shape.PartOutBytes + int64(tiles)*shape.FullOutBytes,
-		}
-		if s.StarBroadcast && ci.BroadcastWire > 0 {
-			// Star: W serial copies instead of log2(W+1) rounds.
-			star := profile.LAN.BroadcastStar(ci.BroadcastWire, s.Workers)
-			bt := profile.LAN.Broadcast(ci.BroadcastWire, s.Workers)
-			// Charge the difference as extra broadcast volume.
-			extra := star - bt
-			if extra > 0 {
-				ci.BroadcastWire += int64(float64(ci.BroadcastWire) * (float64(extra) / float64(bt+1)))
-			}
-		}
-		// Host legs: inputs ride on the first region, outputs on the
-		// last (the data-environment semantics of multi-loop runs).
-		if idx == 0 {
-			ci.InWireSizes = inWire
-			ci.FetchWireSizes = inWire
-			ci.HostCompress = hostCompress
-			ci.DriverDecompress = driverDecompress
-			if s.WarmCache {
-				// Inputs already live in cloud storage: no WAN
-				// transfer, no host compression; the driver still
-				// fetches and decodes them.
-				ci.InWireSizes = nil
-				ci.HostCompress = 0
-			}
-		}
-		if idx == len(shapes)-1 {
-			ci.OutWireSizes = outWire
-			ci.HostDecompress = hostDecompress
-		}
-		if err := offload.Account(profile, ci, rep); err != nil {
-			return nil, err
-		}
+	rep, err := d.run(s.Bench, s.N)
+	if err != nil {
+		return nil, err
 	}
-	rep.Cores = cores
+	rep.Kernel = s.Bench.Name
 	return rep, nil
 }
 

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -45,6 +46,9 @@ func TestCalibrateMeasuresEverything(t *testing.T) {
 	}
 	if dense.Ratio < 0.8 {
 		t.Fatalf("random float32 should be near-incompressible, ratio %f", dense.Ratio)
+	}
+	if cal.HostParallel != runtime.GOMAXPROCS(0) {
+		t.Fatalf("host codec width %d, GOMAXPROCS is %d", cal.HostParallel, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -268,6 +272,11 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := cal.Predict(Scenario{Bench: unknown, Workers: 1, CoresPerWorker: 1}); err == nil {
 		t.Fatal("uncalibrated benchmark should error")
 	}
+	noWidth := *cal
+	noWidth.HostParallel = 0
+	if _, err := noWidth.Predict(paperScenario(kernels.GEMM, 8, data.Dense)); err == nil {
+		t.Fatal("a calibration without a host codec width should not price the chunked pipeline")
+	}
 }
 
 func TestRunOnDriverScenario(t *testing.T) {
@@ -321,7 +330,7 @@ func TestCalibrationProbesArePinnedToGzip(t *testing.T) {
 
 // TestPredictGolden pins Predict on a fixed Calibration to the values the
 // model produced before the runtime learned the zero-run codec: the model is a
-// function of its calibration alone.
+// function of its calibration alone, whatever GOMAXPROCS the test runs at.
 func TestPredictGolden(t *testing.T) {
 	cal := &Calibration{
 		Throughput: map[string]float64{kernels.GEMM.Name: 1e9},
@@ -330,7 +339,8 @@ func TestPredictGolden(t *testing.T) {
 			// As a deflate-pinned probe measures dense data; Effective makes it raw.
 			data.Dense: {Ratio: 0.91, CompressBytesPS: 30e6, DecompressBytesP: 150e6, SampleSize: 4 << 20},
 		},
-		CalN: 256,
+		CalN:         256,
+		HostParallel: 2,
 	}
 	for kind, want := range map[data.Kind]struct {
 		total, upload, spark, compute, download simtime.Duration
@@ -347,6 +357,23 @@ func TestPredictGolden(t *testing.T) {
 			rep.Phases[trace.PhaseCompute] != want.compute || rep.Phases[trace.PhaseDownload] != want.download ||
 			rep.BytesUploaded != want.up || rep.BytesDownloaded != want.down {
 			t.Errorf("%v: total %d phases %v bytes %d/%d, want %+v", kind, rep.Total(), rep.Phases, rep.BytesUploaded, rep.BytesDownloaded, want)
+		}
+	}
+}
+
+// TestPaperScaleLoweringHoldsNoMatrices: model mode lowers each benchmark at
+// paper scale (~1 GB matrices) onto size-only buffers, so pricing a figure
+// allocates next to nothing.
+func TestPaperScaleLoweringHoldsNoMatrices(t *testing.T) {
+	for _, b := range kernels.All {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Lower(b, b.PaperN); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%s: lowering at n=%d allocated %d bytes", b.Name, b.PaperN, got)
 		}
 	}
 }
