@@ -36,9 +36,9 @@ func newUploadCache() *uploadCache {
 	return &uploadCache{wire: make(map[string]int64), chunks: make(map[string]int64)}
 }
 
-// contentKey derives the content-addressed storage key for a buffer.
-func contentKey(data []byte) string {
-	sum := sha256.Sum256(data)
+// contentKey derives the content-addressed storage key of a buffer from its
+// sha256.
+func contentKey(sum [sha256.Size]byte) string {
 	return "cache/" + hex.EncodeToString(sum[:])
 }
 

@@ -104,7 +104,7 @@ func (p *CloudPlugin) transferIn(pl *plan, rs *runStats, sched *tileSched, sess 
 		b := &pl.ins[k]
 		b.key = pl.prefix + "/in/" + b.name
 		if p.cache != nil {
-			b.key = contentKey(b.host)
+			b.key = contentKey(b.contentSum())
 			if wire, ok := p.cache.lookup(b.key); ok {
 				// Verify the object still exists before trusting the
 				// cache: stores can be wiped between jobs.

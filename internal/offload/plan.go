@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strconv"
@@ -46,6 +47,11 @@ type bound struct {
 	cached bool  // whole-buffer content-cache hit
 	// Modelled codec wall on the sending and the receiving side.
 	encode, decode time.Duration
+	// sum is the sha256 of content() once summed is set: the session
+	// identity and the content-addressed key share one hash. Only the
+	// goroutine working on the bound reads or fills it.
+	sum    [sha256.Size]byte
+	summed bool
 }
 
 // content is the buffer's current bytes as the plan starts.
@@ -54,6 +60,14 @@ func (b *bound) content() []byte {
 		return b.host
 	}
 	return b.dev
+}
+
+// contentSum is the sha256 of content(), hashed on first use.
+func (b *bound) contentSum() [sha256.Size]byte {
+	if !b.summed {
+		b.sum, b.summed = sha256.Sum256(b.content()), true
+	}
+	return b.sum
 }
 
 func shipBounds(bufs []Buffer) []bound {

@@ -68,7 +68,7 @@ func sessionID(r *Region, tiles int, ins []bound) string {
 	}
 	for k := range r.Ins {
 		fmt.Fprintf(h, "|in:%s:", r.Ins[k].Name)
-		sum := sha256.Sum256(ins[k].content())
+		sum := ins[k].contentSum()
 		h.Write(sum[:])
 	}
 	for l := range r.Outs {

@@ -264,6 +264,68 @@ func FuzzDecodeTileOuts(f *testing.F) {
 	})
 }
 
+// TestIdentitiesDoNotMove pins the session identity and the content-addressed
+// input key — the names a resumed run and a cache hit find their objects
+// by — for a fixed region and inputs. Both are computed from one hash per
+// input; a change here strands every session and cached object already
+// stored.
+func TestIdentitiesDoNotMove(t *testing.T) {
+	a, b := make([]byte, 144), make([]byte, 64)
+	for i := range a {
+		a[i] = byte(i*7 + 1)
+	}
+	for i := range b {
+		b[i] = byte(i) ^ 0x5a
+	}
+	r := &Region{
+		Kernel: "gemm", N: 6, Scalars: []int64{6, -7},
+		Ins:  []Buffer{{Name: "A", Data: a, BytesPerIter: 24}, {Name: "B", Data: b}},
+		Outs: []Buffer{{Name: "C", Data: make([]byte, 144), BytesPerIter: 24}, {Name: "S", Data: make([]byte, 4), Reduce: ReduceMaxF32}},
+	}
+	shipped := shipBounds(r.Ins)
+	for _, tc := range []struct{ what, got, want string }{
+		{"shipped session", sessionID(r, 3, shipped), "2127597ed7b980326412c069904c809c15019ddd63bced771554ba22cb2e045b"},
+		{"resident session", sessionID(r, 2, []bound{{name: "A", dev: a}, {name: "B", dev: b}}), "0638236c2188eaa762945164f8b66e29dbcad4317f8d90a9367124cff0eec3c1"},
+		// The session hashed the inputs; the keys reuse those sums.
+		{"key A", contentKey(shipped[0].contentSum()), "cache/252678db30f547a20abb656587f50e8e9c423f2619ba412b6129897cf00405c7"},
+		{"key B", contentKey(shipped[1].contentSum()), "cache/70da449788bfa33451b353936fdf55b4a222de578c6493567c42e43b59564155"},
+		{"key of nothing", contentKey((&bound{ship: true}).contentSum()), "cache/e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.what, tc.got, tc.want)
+		}
+	}
+
+	// The same names on the store, through a run that dies and leaves its
+	// session behind.
+	n := int64(256)
+	in := make([]byte, 4*n)
+	for i := range in {
+		in[i] = byte(i*13 + 5)
+	}
+	st := storage.NewMemStore()
+	cfg := resumeConfig(st)
+	cfg.Faults = spark.FailPartitionAttempts(3, 1<<20)
+	p, err := NewCloudPlugin(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := scale2sumRegion(n, in, make([]byte, 4*n), make([]byte, 4))
+	rr.Scalars = []int64{6, -7}
+	if _, err := p.Run(rr); err == nil {
+		t.Fatal("sabotaged run should have failed")
+	}
+	for _, key := range []string{
+		"cache/9009d83ef59bc6ee9cd21887aeeb25a56c84490e0bc8256c4e52abda6515a857",
+		"sessions/2832b1d4fae0a0eeb6600a3372d33c1dad9e6e4c32f1e6f0e96ef7e9b05d84e2/journal",
+	} {
+		if _, err := st.Stat(key); err != nil {
+			keys, _ := st.List("")
+			t.Errorf("%s: %v (store holds %q)", key, err, keys)
+		}
+	}
+}
+
 // TestResumeUnavailableDeviceFallsBack: resume changes nothing about the
 // manager's dynamic fallback — a dead store still reroutes to the host.
 func TestResumeUnavailableDeviceFallsBack(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"ompcloud/internal/data"
 	"ompcloud/internal/endpoint"
 	"ompcloud/internal/simtime"
 )
@@ -25,6 +26,10 @@ type Request struct {
 	// WorkerAddr/WorkerCores carry the worker-registry ops.
 	WorkerAddr  string
 	WorkerCores int
+	// RawOutputs asks a submit's reply for Response.RawOutputs in place of
+	// Outputs. A daemon that predates the field ignores it and sends
+	// Outputs; a client that predates it never sets it.
+	RawOutputs bool
 }
 
 // Response answers a Request.
@@ -46,6 +51,11 @@ type Response struct {
 	ResumedTiles int
 	Recovered    bool
 	Stats        *Stats
+	// RawOutputs carries the outputs as little-endian float32 bytes when
+	// the request asked for them: gob moves a []byte in one copy and a
+	// []float32 element by element. Client.Submit turns them back into
+	// Outputs.
+	RawOutputs [][]byte
 }
 
 // Front serves the daemon over TCP, mapping wall time since construction
@@ -64,12 +74,12 @@ type Front struct {
 }
 
 // maxControlBytes bounds a Request frame, and a Response frame but for the
-// Outputs a submit returns: a few short strings, a JobSpec, a Stats
+// outputs a submit returns: a few short strings, a JobSpec, a Stats
 // snapshot.
 const maxControlBytes = 1 << 20
 
-// maxOutputsBytes bounds a job's Outputs on the wire: a storage object's
-// limit.
+// maxOutputsBytes bounds a job's Outputs or RawOutputs on the wire: a
+// storage object's limit.
 const maxOutputsBytes = 4 << 30
 
 // flushGrace is what a drain gives connections to write their last response
@@ -166,7 +176,15 @@ func (f *Front) handleReq(conn net.Conn, req *Request) *Response {
 			return r
 		}
 		f.Pump()
-		return <-ch
+		resp := <-ch
+		if req.RawOutputs && resp.Outputs != nil {
+			resp.RawOutputs = make([][]byte, len(resp.Outputs))
+			for i, out := range resp.Outputs {
+				resp.RawOutputs[i], _ = data.ByteView(out)
+			}
+			resp.Outputs = nil
+		}
+		return resp
 	case "register":
 		if err := f.d.RegisterWorker(req.WorkerAddr, req.WorkerCores, now); err != nil {
 			return &Response{Status: "error", Err: err.Error()}
@@ -251,9 +269,25 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 }
 
 // Submit sends one job and blocks until it completes, is rejected, or is
-// journaled by a drain.
+// journaled by a drain. It asks for raw outputs and hands them back as
+// Outputs, views of the received bytes where the host's layout allows; a
+// daemon that sends Outputs itself is taken as it is. An output that is not
+// a whole number of float32s is a transport error.
 func (c *Client) Submit(tenant, client string, spec JobSpec) (*Response, error) {
-	return c.roundTrip(&Request{Op: "submit", Tenant: tenant, Client: client, Spec: spec})
+	resp, err := c.roundTrip(&Request{Op: "submit", Tenant: tenant, Client: client, Spec: spec, RawOutputs: true})
+	if err != nil || resp.RawOutputs == nil {
+		return resp, err
+	}
+	outs := make([][]float32, len(resp.RawOutputs))
+	for i, b := range resp.RawOutputs {
+		if len(b)%data.FloatSize != 0 {
+			return nil, fmt.Errorf("serve: %w", &endpoint.TransportError{
+				Err: fmt.Errorf("raw output %d is %d bytes, not a whole number of float32s", i, len(b))})
+		}
+		outs[i], _ = data.FloatView(b)
+	}
+	resp.Outputs, resp.RawOutputs = outs, nil
+	return resp, nil
 }
 
 // Register advertises a worker process to the daemon's pool.

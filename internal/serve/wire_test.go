@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/data"
+	"ompcloud/internal/endpoint"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/storage"
 )
@@ -299,26 +302,253 @@ func TestFrontEverySubmitReturns(t *testing.T) {
 	}
 }
 
-// TestFrontSpeaksBareGob drives a front with what the parent commit's
-// client was — encoding/gob on a socket and nothing else — so mixed-version
-// clients, workers and daemons interoperate.
+// legacyRequest and legacyResponse are the front's messages as they were
+// before raw outputs: no RawOutputs on either side.
+type legacyRequest struct {
+	Op          string
+	Tenant      string
+	Client      string
+	Spec        JobSpec
+	WorkerAddr  string
+	WorkerCores int
+}
+
+type legacyResponse struct {
+	OK           bool
+	Status       string
+	Err          string
+	RetryAfterMS int64
+	JobID        string
+	VirtualMS    float64
+	Outputs      [][]float32
+	ResumedTiles int
+	Recovered    bool
+	Stats        *Stats
+}
+
+// oddFloats are outputs whose bits a lossy conversion would change: signed
+// zeros, infinities, a subnormal, the extremes and a NaN with a payload.
+func oddFloats(seed int64) [][]float32 {
+	return [][]float32{
+		{float32(seed), float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+			math.Float32frombits(1), math.MaxFloat32, math.SmallestNonzeroFloat32, math.Float32frombits(0x7fc0_0001)},
+		{},
+		{-1.5},
+	}
+}
+
+// floatExec answers every job with oddFloats of its seed.
+type floatExec struct{}
+
+func (floatExec) Run(job *Job, _ int) Result {
+	return Result{Outputs: oddFloats(job.Spec.Seed), Virtual: simtime.Second}
+}
+
+// sameBits reports whether two output sets hold the same bits.
+func sameBits(a, b [][]float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		ab, _ := data.ByteView(a[i])
+		bb, _ := data.ByteView(b[i])
+		if !bytes.Equal(ab, bb) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFrontSpeaksBareGob drives a front with what an older client was —
+// encoding/gob on a socket and nothing else, in the messages as they were
+// before raw outputs — and a current Client with an older daemon, so
+// mixed-version clients, workers and daemons interoperate. Outputs arrive
+// bit for bit on every pairing.
 func TestFrontSpeaksBareGob(t *testing.T) {
-	f, _ := startFront(t, &fakeExec{}, func(c *Config) { c.Limits = Limits{Rate: -1} })
-	conn, err := net.Dial("tcp", f.Addr())
+	f, _ := startFront(t, floatExec{}, func(c *Config) { c.Limits = Limits{Rate: -1} })
+	t.Run("old-client-new-daemon", func(t *testing.T) {
+		conn, err := net.Dial("tcp", f.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+		for seed := int64(1); seed <= 2; seed++ {
+			if err := enc.Encode(&legacyRequest{Op: "submit", Tenant: "alice", Client: "c", Spec: JobSpec{Bench: "gemm", N: 8, Seed: seed}}); err != nil {
+				t.Fatal(err)
+			}
+			var resp legacyResponse
+			if err := dec.Decode(&resp); err != nil || !resp.OK || !sameBits(resp.Outputs, oddFloats(seed)) {
+				t.Fatalf("submit %d: %+v, %v", seed, resp, err)
+			}
+		}
+	})
+	t.Run("new-client-new-daemon", func(t *testing.T) {
+		c, err := DialFront(f.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		resp, err := c.Submit("alice", "c", JobSpec{Bench: "gemm", N: 8, Seed: 3})
+		if err != nil || !resp.OK || !sameBits(resp.Outputs, oddFloats(3)) || resp.RawOutputs != nil {
+			t.Fatalf("submit: %+v, %v", resp, err)
+		}
+	})
+	t.Run("new-client-old-daemon", func(t *testing.T) {
+		old, err := endpoint.Listen("127.0.0.1:0", func(c *endpoint.Conn) {
+			endpoint.ServeGob(c, maxControlBytes, func(req *legacyRequest) *legacyResponse {
+				return &legacyResponse{OK: true, Status: "done", JobID: "j1", Outputs: oddFloats(req.Spec.Seed)}
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer old.Close()
+		c, err := DialFront(old.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for seed := int64(4); seed <= 5; seed++ {
+			resp, err := c.Submit("alice", "c", JobSpec{Bench: "gemm", N: 8, Seed: seed})
+			if err != nil || !resp.OK || resp.JobID != "j1" || !sameBits(resp.Outputs, oddFloats(seed)) {
+				t.Fatalf("submit %d: %+v, %v", seed, resp, err)
+			}
+		}
+	})
+}
+
+// replyWith serves one connection on ln: it reads one Request and answers
+// with reply's bytes, whatever they are, then hangs up.
+func replyWith(ln net.Listener, reply []byte) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		var req Request
+		if gob.NewDecoder(conn).Decode(&req) != nil {
+			return
+		}
+		conn.Write(reply)
+	}()
+	return done
+}
+
+// gobStream is the gob encoding of msgs, one after another, on one stream.
+func gobStream(tb testing.TB, msgs ...any) []byte {
+	var b bytes.Buffer
+	enc := gob.NewEncoder(&b)
+	for _, m := range msgs {
+		if err := enc.Encode(m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// rawOf is outs as a daemon that was asked for raw outputs sends them.
+func rawOf(outs [][]float32) [][]byte {
+	raw := make([][]byte, len(outs))
+	for i := range outs {
+		raw[i] = data.Bytes(outs[i])
+	}
+	return raw
+}
+
+func TestClientRejectsRaggedRawOutputs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	for seed := int64(1); seed <= 2; seed++ {
-		if err := enc.Encode(&Request{Op: "submit", Tenant: "alice", Client: "c", Spec: JobSpec{Bench: "gemm", N: 8, Seed: seed}}); err != nil {
+	defer ln.Close()
+	served := replyWith(ln, gobStream(t, &Response{OK: true, Status: "done", RawOutputs: [][]byte{{0, 0, 0, 0}, {1, 2, 3, 4, 5}}}))
+	c, err := DialFront(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Submit("alice", "c", JobSpec{Bench: "gemm", N: 8})
+	var te *endpoint.TransportError
+	if !errors.As(err, &te) || resp != nil {
+		t.Fatalf("a 5-byte raw output: %+v, %v; want a transport error", resp, err)
+	}
+	<-served
+}
+
+// FuzzFrontResponse feeds arbitrary bytes to a Client as a daemon's reply
+// to a submit. Whatever arrives, Submit must not panic, must not allocate
+// more than FuzzFrontConn lets the front allocate, must report every error
+// as a transport error, and must refuse a raw output that is not whole
+// float32s. A reply it accepts holds the outputs gob decodes from the same
+// bytes, bit for bit; a well-formed reply with whole outputs is accepted.
+func FuzzFrontResponse(f *testing.F) {
+	outs := oddFloats(7)
+	raw := gobStream(f, &Response{OK: true, Status: "done", JobID: "j1", VirtualMS: 12.5, RawOutputs: rawOf(outs)})
+	f.Add(raw)
+	f.Add(gobStream(f, &Response{OK: true, Status: "done", JobID: "j1", Outputs: outs}))
+	f.Add(gobStream(f, &legacyResponse{OK: true, Status: "done", JobID: "j1", Outputs: outs}))
+	f.Add(gobStream(f, &Response{Status: "quota", RetryAfterMS: 40, Err: "slow down"}))
+	f.Add(gobStream(f, &Response{OK: true, Status: "done", RawOutputs: [][]byte{{1, 2, 3}}}))
+	f.Add(gobStream(f, &Response{OK: true, Status: "done", RawOutputs: [][]byte{{}, {1, 2, 3, 4}}, Outputs: [][]float32{{9}}}))
+	f.Add(raw[:len(raw)/2])                                             // cut inside a frame
+	f.Add([]byte{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a length prefix past every limit
+	f.Add([]byte{})
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer ln.Close()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		served := replyWith(ln, in)
+		c, err := DialFront(ln.Addr().String())
+		if err != nil {
 			t.Fatal(err)
 		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil || !resp.OK || resp.Outputs[0][0] != float32(seed) {
-			t.Fatalf("submit %d: %+v, %v", seed, resp, err)
+		resp, err := c.Submit("alice", "c", JobSpec{Bench: "gemm", N: 8})
+		c.Close()
+		<-served
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(10<<20+64*len(in)+1<<20); got > limit {
+			t.Fatalf("%d bytes made the client allocate %d (limit %d)", len(in), got, limit)
 		}
-	}
+		var te *endpoint.TransportError
+		if err != nil && !errors.As(err, &te) {
+			t.Fatalf("error is not a transport error: %v", err)
+		}
+
+		var want Response
+		decoded := gob.NewDecoder(bytes.NewReader(in)).Decode(&want) == nil
+		whole := true
+		for _, b := range want.RawOutputs {
+			whole = whole && len(b)%data.FloatSize == 0
+		}
+		if err != nil {
+			if decoded && whole {
+				t.Fatalf("a well-formed reply was refused: %v", err)
+			}
+			return
+		}
+		if !decoded || !whole {
+			t.Fatalf("accepted a reply gob refuses or a ragged raw output: %+v", resp)
+		}
+		if want.RawOutputs != nil {
+			want.Outputs = make([][]float32, len(want.RawOutputs))
+			for i, b := range want.RawOutputs {
+				want.Outputs[i] = data.Floats(b)
+			}
+		}
+		if resp.RawOutputs != nil || !sameBits(resp.Outputs, want.Outputs) {
+			t.Fatalf("outputs %v, want %v", resp.Outputs, want.Outputs)
+		}
+	})
 }
 
 // FuzzFrontConn feeds arbitrary bytes to a front as one peer's stream.

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // ErrNotFound is returned when a key does not exist.
@@ -176,22 +177,81 @@ func validKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("storage: empty key")
 	}
-	if strings.ContainsAny(key, "\x00\n") || strings.Contains(key, "..") || strings.HasPrefix(key, "/") {
+	if noKeyUnder(key) {
 		return fmt.Errorf("storage: invalid key %q", key)
 	}
 	return nil
 }
 
+// noKeyUnder reports whether validKey rejects every key that starts with
+// prefix, so List may answer empty without reading the store. A List prefix
+// arrives unchecked from the wire, and one holding ".." or a leading slash
+// would otherwise point DiskStore's walk outside its root.
+func noKeyUnder(prefix string) bool {
+	return strings.ContainsAny(prefix, "\x00\n") || strings.Contains(prefix, "..") || strings.HasPrefix(prefix, "/")
+}
+
+// keyDir is the directory part of a key: everything up to and including its
+// last slash, "" for a key without one.
+func keyDir(key string) string { return key[:strings.LastIndexByte(key, '/')+1] }
+
 // MemStore is an in-process Store, the default substrate for tests and
 // in-process cluster simulations.
 type MemStore struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// dirs holds the objects by directory, so List reads only the part of
+	// the key space under its prefix. Every ancestor of a directory that
+	// holds an object is present (the root "" included), and a directory is
+	// dropped once it holds neither objects nor subdirectories.
+	dirs map[string]*memDir
+}
+
+// memDir is one directory of a MemStore: the objects directly in it, by
+// full key, and the full names of its immediate subdirectories.
+type memDir struct {
 	objects map[string][]byte
+	subdirs map[string]struct{}
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{objects: make(map[string][]byte)}
+	return &MemStore{dirs: make(map[string]*memDir)}
+}
+
+// dir returns directory d, creating it and any missing ancestor. Callers
+// hold mu.
+func (s *MemStore) dir(d string) *memDir {
+	e := s.dirs[d]
+	if e == nil {
+		e = &memDir{objects: make(map[string][]byte), subdirs: make(map[string]struct{})}
+		s.dirs[d] = e
+		if d != "" {
+			s.dir(keyDir(d[:len(d)-1])).subdirs[d] = struct{}{}
+		}
+	}
+	return e
+}
+
+// object returns the object stored under key. Callers hold mu.
+func (s *MemStore) object(key string) ([]byte, bool) {
+	e := s.dirs[keyDir(key)]
+	if e == nil {
+		return nil, false
+	}
+	obj, ok := e.objects[key]
+	return obj, ok
+}
+
+// collect appends every key in directory d and below it. Callers hold mu.
+func (s *MemStore) collect(keys []string, d string) []string {
+	e := s.dirs[d]
+	for k := range e.objects {
+		keys = append(keys, k)
+	}
+	for sub := range e.subdirs {
+		keys = s.collect(keys, sub)
+	}
+	return keys
 }
 
 // Put implements Store: the object is a private copy of data.
@@ -207,7 +267,7 @@ func (s *MemStore) putOwned(key string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	s.objects[key] = data
+	s.dir(keyDir(key)).objects[key] = data
 	s.mu.Unlock()
 	return nil
 }
@@ -231,7 +291,7 @@ func (s *MemStore) getShared(key string) ([]byte, error) {
 		return nil, err
 	}
 	s.mu.RLock()
-	obj, ok := s.objects[key]
+	obj, ok := s.object(key)
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
@@ -249,24 +309,52 @@ func (s *MemStore) GetAppend(key string, dst []byte) ([]byte, error) {
 	return append(dst, obj...), nil
 }
 
-// Delete implements Store.
+// Delete implements Store. It drops every directory the deletion leaves
+// empty.
 func (s *MemStore) Delete(key string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	delete(s.objects, key)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	d := keyDir(key)
+	e := s.dirs[d]
+	if e == nil {
+		return nil
+	}
+	delete(e.objects, key)
+	for d != "" && len(e.objects) == 0 && len(e.subdirs) == 0 {
+		delete(s.dirs, d)
+		child := d
+		d = keyDir(child[:len(child)-1])
+		e = s.dirs[d]
+		delete(e.subdirs, child)
+	}
 	return nil
 }
 
-// List implements Store.
+// List implements Store. It reads only prefix's directory — its keys and
+// the names of its immediate subdirectories — and the subtrees of those
+// subdirectories that lie under prefix, never the rest of the store.
 func (s *MemStore) List(prefix string) ([]string, error) {
-	s.mu.RLock()
 	var keys []string
-	for k := range s.objects {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
+	if noKeyUnder(prefix) {
+		return keys, nil
+	}
+	s.mu.RLock()
+	// Every key under prefix lies in its directory or below: what follows
+	// that directory in prefix holds no slash, so a subdirectory either
+	// lies wholly under prefix or holds no key that does.
+	if e := s.dirs[keyDir(prefix)]; e != nil {
+		for k := range e.objects {
+			if strings.HasPrefix(k, prefix) {
+				keys = append(keys, k)
+			}
+		}
+		for sub := range e.subdirs {
+			if strings.HasPrefix(sub, prefix) {
+				keys = s.collect(keys, sub)
+			}
 		}
 	}
 	s.mu.RUnlock()
@@ -280,7 +368,7 @@ func (s *MemStore) Stat(key string) (int64, error) {
 		return 0, err
 	}
 	s.mu.RLock()
-	obj, ok := s.objects[key]
+	obj, ok := s.object(key)
 	s.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
@@ -386,13 +474,24 @@ func (s *DiskStore) Delete(key string) error {
 	return nil
 }
 
-// List implements Store.
+// List implements Store. The walk starts at prefix's directory, as
+// MemStore.List does, and skips the subdirectories that hold no key under
+// prefix; a directory that does not exist, or whose path runs through an
+// object, holds no keys. A prefix no valid key can start with lists nothing,
+// so the walk never leaves the root.
 func (s *DiskStore) List(prefix string) ([]string, error) {
+	var keys []string
+	if noKeyUnder(prefix) {
+		return keys, nil
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var keys []string
-	err := filepath.WalkDir(s.root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+	start := s.path(keyDir(prefix))
+	err := filepath.WalkDir(start, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			if path == start && (errors.Is(err, os.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)) {
+				return filepath.SkipAll
+			}
 			return err
 		}
 		rel, err := filepath.Rel(s.root, path)
@@ -400,6 +499,12 @@ func (s *DiskStore) List(prefix string) ([]string, error) {
 			return err
 		}
 		key := filepath.ToSlash(rel)
+		if d.IsDir() {
+			if path != start && !strings.HasPrefix(key, prefix) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
 		if strings.HasSuffix(key, ".tmp") {
 			return nil
 		}

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -48,13 +50,21 @@ func nextFrame(b []byte) (status byte, payload, rest []byte, ok bool) {
 // connection's input. Whatever arrives, the server must not panic, must not
 // allocate or retain more than a small multiple of what it was sent (plus
 // one eagerly allocated block), and must leave behind only whole response
-// frames: a connection either answers in frame or closes.
+// frames: a connection either answers in frame or closes. An input that
+// opens with a whole List request is also served by a disk store whose root
+// has a file beside it: whatever the prefix, the reply names only keys in
+// the store.
 func FuzzServeOne(f *testing.F) {
 	f.Add(request(opPut, "k", []byte("body")))
 	f.Add(append(request(opPut, "a/b", []byte("v1")), request(opGet, "a/b", nil)...))
 	f.Add(append(request(opGet, "missing", nil), request(opStat, "missing", nil)...))
 	f.Add(append(request(opList, "", nil), request(opDelete, "k", nil)...))
 	f.Add(request(opGet, "../escape", nil))
+	f.Add(request(opList, "k/", nil))
+	f.Add(request(opList, "../", nil))
+	f.Add(request(opList, "../../../../", nil))
+	f.Add(request(opList, "k/../../", nil))
+	f.Add(request(opList, "/", nil))
 	f.Add(request(9, "k", nil))                                               // unknown op
 	f.Add(request(opPut, "k", nil)[:7])                                       // cut inside the header
 	f.Add(binary.BigEndian.AppendUint32([]byte{opGet}, maxKeySize+1))         // oversized key
@@ -66,7 +76,32 @@ func FuzzServeOne(f *testing.F) {
 	binary.BigEndian.PutUint64(large[len(large)-8:], eagerAllocMax+1) // past the eager threshold, cut short
 	f.Add(append(large, make([]byte, 100)...))
 
+	base := f.TempDir()
+	if err := os.WriteFile(filepath.Join(base, "outside"), []byte{1}, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	disk, err := NewDiskStore(filepath.Join(base, "store"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := disk.Put("k/v", []byte{1}); err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) >= 5 && in[0] == opList && uint64(len(in)-5) >= uint64(binary.BigEndian.Uint32(in[1:5])) {
+			prefix := string(in[5 : 5+binary.BigEndian.Uint32(in[1:5])])
+			var out bytes.Buffer
+			w := bufio.NewWriter(&out)
+			if err := (&Server{store: disk}).serveOne(opList, bufio.NewReader(bytes.NewReader(in[1:])), w); err == nil {
+				w.Flush()
+			}
+			if status, payload, _, ok := nextFrame(out.Bytes()); ok && status == statusOK && len(payload) > 0 {
+				if keys := strings.Split(string(payload), "\n"); len(keys) != 1 || keys[0] != "k/v" || !strings.HasPrefix(keys[0], prefix) {
+					t.Fatalf("List(%q) on disk = %q, want only the store's own keys under the prefix", prefix, keys)
+				}
+			}
+		}
 		mem := NewMemStore()
 		s := &Server{store: mem}
 		r := bufio.NewReader(bytes.NewReader(in))
@@ -86,8 +121,10 @@ func FuzzServeOne(f *testing.F) {
 			}
 		}
 		stored := 0
-		for _, obj := range mem.objects {
-			stored += len(obj)
+		for _, d := range mem.dirs {
+			for _, obj := range d.objects {
+				stored += len(obj)
+			}
 		}
 		if stored > len(in) {
 			t.Fatalf("%d request bytes left %d bytes stored", len(in), stored)
