@@ -12,6 +12,7 @@ import (
 	"log"
 	"math"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/spark"
 )
 
@@ -24,9 +25,10 @@ type reading struct {
 func main() {
 	// A 4-worker x 4-core simulated cluster with a flaky executor: every
 	// 40th task attempt fails and is retried through lineage.
+	flaky := faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 40}
 	ctx, err := spark.NewContext(
 		spark.ClusterSpec{Workers: 4, CoresPerWorker: 4},
-		spark.WithFaults(&spark.FlakyEveryNth{N: 40}),
+		spark.WithFaults(faults.New(1).Add(flaky)),
 		spark.WithLogger(func(format string, args ...any) {
 			// Forward engine events, as the paper's runtime can.
 			log.Printf(format, args...)

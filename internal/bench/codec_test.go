@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
@@ -98,15 +99,15 @@ func TestCodecDedupBitIdenticalAllKernels(t *testing.T) {
 			// Same dedup'd store, but this session's chunk reads fail and
 			// corrupt: a flipped payload bit in a content chunk must be
 			// caught by the key's own hash and re-fetched.
-			fs := storage.NewFaultStore(shared)
-			fs.Inject(storage.FailKeysMatching(storage.OpGet, "cache/c/", 1)).
-				Inject(storage.FlipBitGets("cache/c/", 100*8+3, 1)).
-				Inject(storage.FailKeysMatching(storage.OpPut, "/out/", 1))
-			chaotic := runKernelCodec(t, b, fs, n, seed, xcompress.AlgoAdaptive, true, true)
+			sched := faults.New(1).Add(
+				faults.Entry{Op: "get", Key: "cache/c/", Count: 1},
+				faults.Entry{Op: "get", Key: "cache/c/", Count: 1, Do: faults.Flip, Bit: 100*8 + 3},
+				faults.Entry{Op: "put", Key: "/out/", Count: 1})
+			chaotic := runKernelCodec(t, b, storage.WithFaults(shared, sched), n, seed, xcompress.AlgoAdaptive, true, true)
 			if err := compareOutputs(baseline, chaotic); err != nil {
 				t.Fatalf("%s: dedup under chaos: %v", b.Name, err)
 			}
-			if fs.Fired() == 0 {
+			if sched.Fired(faults.Store) == 0 {
 				t.Fatalf("%s: chaos schedule never fired", b.Name)
 			}
 		})

@@ -7,6 +7,7 @@ import (
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace/span"
@@ -181,6 +182,18 @@ func overlapReference(reg *fatbin.Registry, x []byte, tiles int) (y, sum []byte,
 	return y, sum, nil
 }
 
+// chaosFaults is the storage-fault schedule of the chaos cross-checks: two
+// failed input PUTs, a failed input GET, a failed output PUT, and one
+// truncated and one bit-flipped chunk payload.
+func chaosFaults() *faults.Schedule {
+	return faults.New(1).Add(
+		faults.Entry{Op: "put", Key: "/in/", Count: 2},
+		faults.Entry{Op: "get", Key: "/in/", Count: 1},
+		faults.Entry{Op: "put", Key: "/out/", Count: 1},
+		faults.Entry{Op: "get", Key: ".part", Count: 1, Do: faults.Truncate, Keep: 7},
+		faults.Entry{Op: "get", Key: ".part", Count: 1, Do: faults.Flip, Bit: 3})
+}
+
 // RunOverlapBench measures barriered vs streaming wall time on a throttled
 // store across sizes and data kinds, verifying bit-identity throughout,
 // and finishes with a streaming run under the chaos fault schedule.
@@ -265,19 +278,14 @@ func RunOverlapBench(cfg OverlapConfig) (*OverlapBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	fs.Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 2)).
-		Inject(storage.FailKeysMatching(storage.OpGet, "/in/", 1)).
-		Inject(storage.FailKeysMatching(storage.OpPut, "/out/", 1)).
-		Inject(storage.TruncateGets(".part", 7, 1)).
-		Inject(storage.FlipBitGets(".part", 3, 1))
+	sched := chaosFaults()
 	logf("overlap: chaos streaming run (%d MiB sparse)", mib)
-	_, _, cY, cSum, retries, err := runOverlapOnce(fs, x, cfg.Tiles, 0)
+	_, _, cY, cSum, retries, err := runOverlapOnce(storage.WithFaults(storage.NewMemStore(), sched), x, cfg.Tiles, 0)
 	if err != nil {
 		return nil, fmt.Errorf("bench: overlap chaos: %w", err)
 	}
 	out.Chaos = &OverlapChaos{
-		FaultsFired:    fs.Fired(),
+		FaultsFired:    sched.Fired(faults.Store),
 		StorageRetries: retries,
 		Identical:      bytes.Equal(cY, refY) && bytes.Equal(cSum, refSum),
 	}

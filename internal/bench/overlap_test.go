@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
@@ -63,17 +64,12 @@ func TestStreamingBitIdenticalAllKernels(t *testing.T) {
 				t.Fatalf("%s: streaming vs barriered: %v", b.Name, err)
 			}
 
-			fs := storage.NewFaultStore(storage.NewMemStore())
-			fs.Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 2)).
-				Inject(storage.FailKeysMatching(storage.OpGet, "/in/", 1)).
-				Inject(storage.FailKeysMatching(storage.OpPut, "/out/", 1)).
-				Inject(storage.TruncateGets(".part", 7, 1)).
-				Inject(storage.FlipBitGets(".part", 3, 1))
-			chaotic := runKernelOverlap(t, b, fs, n, seed, 0)
+			sched := chaosFaults()
+			chaotic := runKernelOverlap(t, b, storage.WithFaults(storage.NewMemStore(), sched), n, seed, 0)
 			if err := compareOutputs(barriered, chaotic); err != nil {
 				t.Fatalf("%s: streaming under chaos vs barriered: %v", b.Name, err)
 			}
-			if fs.Fired() == 0 {
+			if sched.Fired(faults.Store) == 0 {
 				t.Fatalf("%s: chaos schedule never fired", b.Name)
 			}
 		})

@@ -15,10 +15,13 @@ package chunkio
 // neither shatter a buffer into confetti nor defeat pipelining with one
 // giant chunk.
 
-// gearShift generates the 256-entry random table deterministically
-// (splitmix64): boundaries must be stable across processes and sessions, or
-// cross-session dedup would never match.
-func splitmix64(x uint64) uint64 {
+// gearMix generates the 256-entry random table deterministically:
+// boundaries must be stable across processes and sessions, or cross-session
+// dedup would never match. It is not resilience.SplitMix64 — its second
+// multiplier differs — and it cannot become it: every cut point, and so
+// every dedup key already in a store, follows from this table
+// (TestGearTableDoesNotMove pins it).
+func gearMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d4a26d9e3779b9
@@ -27,7 +30,7 @@ func splitmix64(x uint64) uint64 {
 
 var gear = func() (t [256]uint64) {
 	for i := range t {
-		t[i] = splitmix64(uint64(i) + 1)
+		t[i] = gearMix(uint64(i) + 1)
 	}
 	return
 }()

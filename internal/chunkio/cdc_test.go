@@ -3,6 +3,7 @@ package chunkio
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,10 +13,24 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/xcompress"
 )
+
+// TestGearTableDoesNotMove pins the Gear table by a hash of its 256 entries:
+// a changed table moves every CDC cut point and strands every dedup key
+// already stored.
+func TestGearTableDoesNotMove(t *testing.T) {
+	h := sha256.New()
+	for _, v := range gear {
+		h.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "db94053bf0644147268f2b9cad13b4ae131b58792c6a4a6d250c7a463d1ae136"; got != want {
+		t.Fatalf("Gear table hash %s, want %s", got, want)
+	}
+}
 
 func TestCutPointsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -282,7 +297,7 @@ func TestCDCDedupSecondPassResendsNothing(t *testing.T) {
 	}
 }
 
-// TestChunkSumChaosDetectsCorruptCachedChunk is the dedup x FaultStore chaos
+// TestChunkSumChaosDetectsCorruptCachedChunk is the dedup x fault-schedule chaos
 // case: raw frames carry no checksum, so a bit-rotted content-addressed
 // chunk would decode "successfully" into wrong bytes and be served. The
 // ChunkSum hook must catch it, classify it transient, and heal via re-fetch.
@@ -316,7 +331,8 @@ func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 	const flipBit = 100*8 + 3
 
 	// Control: without ChunkSum the flipped bit sails straight through.
-	fs := storage.NewFaultStore(inner).Inject(storage.FlipBitGets("cache/c/", flipBit, 1))
+	flip := faults.Entry{Op: "get", Key: "cache/c/", Count: 1, Do: faults.Flip, Bit: flipBit}
+	fs := storage.WithFaults(inner, faults.New(1).Add(flip))
 	o.Parallel = 1 // deterministic fault placement
 	got, _, err := download(fs, "obj", len(data), o)
 	if err != nil {
@@ -328,7 +344,8 @@ func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 
 	// With ChunkSum and a retry budget the corruption is detected and the
 	// chunk re-fetched rather than served.
-	fs = storage.NewFaultStore(inner).Inject(storage.FlipBitGets("cache/c/", flipBit, 1))
+	sched := faults.New(1).Add(flip)
+	fs = storage.WithFaults(inner, sched)
 	o.ChunkSum = chunkSum
 	o.Retry = resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}
 	got, res, err := download(fs, "obj", len(data), o)
@@ -341,13 +358,14 @@ func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 	if res.Retries < 1 {
 		t.Fatalf("Retries = %d, want >= 1 (the detected corruption)", res.Retries)
 	}
-	if fs.Fired() != 1 {
-		t.Fatalf("schedule fired %d faults, want 1", fs.Fired())
+	if n := sched.Fired(faults.Store); n != 1 {
+		t.Fatalf("schedule fired %d faults, want 1", n)
 	}
 
 	// Exhausted budget: the corrupt chunk must surface as an error, never
 	// as silently-wrong bytes.
-	fs = storage.NewFaultStore(inner).Inject(storage.FlipBitGets("cache/c/", flipBit, 0))
+	flip.Count = 0
+	fs = storage.WithFaults(inner, faults.New(1).Add(flip))
 	o.Retry = resilience.Policy{}
 	if _, _, err := download(fs, "obj", len(data), o); err == nil {
 		t.Fatal("persistent corruption with no retry budget must fail, not serve wrong bytes")

@@ -242,7 +242,7 @@ var encBufs = sync.Pool{New: func() any {
 // are dead the moment DecodeInto returns. The pool only pays off on a store
 // that reads into the buffer it is handed (storage.AppendGetter): MemStore,
 // DiskStore, RemoteStore, and Metered or PrefixStore over one of them.
-// Behind FaultStore, Throttled or NetFault, which must see every Get, each
+// Behind WithFaults or Throttled, which must see every Get, each
 // chunk still costs the Get's copy.
 var wireBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/xcompress"
@@ -111,10 +112,10 @@ func TestDownloadRetriesHealCorruption(t *testing.T) {
 	// One truncated part read and one failed part request, both one-shot
 	// and armed for different Gets: the retry loop must heal each and
 	// return byte-identical data.
-	fs := storage.NewFaultStore(inner).
-		Inject(storage.TruncateGets(".part", 3, 1)).
-		Inject(storage.Fault{Op: storage.OpGet, Match: storage.MatchSubstr(".part"),
-			Skip: 1, Count: 1, Err: errors.New("injected get flake")})
+	sched := faults.New(1).Add(
+		faults.Entry{Op: "get", Key: ".part", Count: 1, Do: faults.Truncate, Keep: 3},
+		faults.Entry{Op: "get", Key: ".part", Skip: 1, Count: 1, Err: errors.New("injected get flake")})
+	fs := storage.WithFaults(inner, sched)
 	o.Retry = resilience.Policy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
@@ -130,16 +131,15 @@ func TestDownloadRetriesHealCorruption(t *testing.T) {
 	if res.Retries < 2 {
 		t.Fatalf("Retries = %d, want >= 2 (one per injected fault)", res.Retries)
 	}
-	if fs.Fired() != 2 {
-		t.Fatalf("schedule fired %d faults, want 2", fs.Fired())
+	if n := sched.Fired(faults.Store); n != 2 {
+		t.Fatalf("schedule fired %d faults, want 2", n)
 	}
 }
 
 func TestUploadRetriesHealPutFaults(t *testing.T) {
 	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: 4 << 10, Parallel: 2}
 	data := compressible(4*o.ChunkSize+99, 12)
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailFirstN(storage.OpPut, 2))
+	fs := storage.WithFaults(storage.NewMemStore(), faults.New(1).Add(faults.Entry{Op: "put", Count: 2}))
 	o.Retry = resilience.Policy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
@@ -161,8 +161,7 @@ func TestUploadRetriesHealPutFaults(t *testing.T) {
 func TestDownloadNoRetryFailsFastOnExhaustedBudget(t *testing.T) {
 	o := Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: 4 << 10, Parallel: 2}
 	inner, data := chunkedFixture(t, o)
-	fs := storage.NewFaultStore(inner).
-		Inject(storage.FailKeysMatching(storage.OpGet, ".part", 0)) // dead forever
+	fs := storage.WithFaults(inner, faults.New(1).Add(faults.Entry{Op: "get", Key: ".part"})) // dead forever
 	o.Retry = resilience.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {}}
 	_, _, err := download(fs, "obj", len(data), o)
 	if err == nil {

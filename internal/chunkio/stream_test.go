@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/xcompress"
 )
@@ -104,8 +105,7 @@ func TestPipeSizeMismatch(t *testing.T) {
 // TestPipePropagatesPutError checks a dead store surfaces as an error, not
 // a hang, and leaves no committed manifest behind.
 func TestPipePropagatesPutError(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	fs.Inject(storage.Fault{Op: storage.OpPut, Err: fmt.Errorf("boom")})
+	fs := storage.WithFaults(storage.NewMemStore(), faults.New(1).Add(faults.Entry{Op: "put", Err: fmt.Errorf("boom")}))
 	src := make([]byte, 8<<10)
 	_, err := Pipe(fs, "k", src, make([]byte, len(src)), streamTestOptions(1<<10), nil)
 	if err == nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
 	"ompcloud/internal/spark"
@@ -156,7 +157,7 @@ func TestTwoMMFaultToleranceEndToEnd(t *testing.T) {
 	plugin, err := offload.NewCloudPlugin(offload.CloudConfig{
 		Spec:   spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
 		Store:  storage.NewMemStore(),
-		Faults: &spark.FlakyEveryNth{N: 5},
+		Faults: faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 5}),
 	})
 	if err != nil {
 		t.Fatal(err)

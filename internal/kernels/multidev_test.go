@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
@@ -31,9 +32,7 @@ func multiSet(t *testing.T, overlap int, chaos bool) *offload.MultiDevice {
 		var store storage.Store = storage.NewMemStore()
 		retryMax := 0
 		if chaos && i == 1 {
-			fs := storage.NewFaultStore(store)
-			fs.Inject(storage.FailKeysMatching(storage.OpPut, "jobs/", 1<<30))
-			store = fs
+			store = storage.WithFaults(store, faults.New(1).Add(faults.Entry{Op: "put", Key: "jobs/"}))
 			retryMax = -1
 		}
 		p, err := offload.NewCloudPlugin(offload.CloudConfig{

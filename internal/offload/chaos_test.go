@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
 )
@@ -15,11 +16,12 @@ import (
 // upload cache in play, and several concurrent offloads — every region must
 // still produce serial-exact results.
 func TestChaosSoak(t *testing.T) {
-	flaky := &spark.FlakyEveryNth{N: 7}
+	// Every seventh task attempt fails.
+	flaky := faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 7}
 	p, err := NewCloudPlugin(CloudConfig{
 		Spec:        spark.ClusterSpec{Workers: 4, CoresPerWorker: 2},
 		Store:       storage.NewMemStore(),
-		Faults:      flaky,
+		Faults:      faults.New(1).Add(flaky),
 		EnableCache: true,
 	})
 	if err != nil {
@@ -77,6 +79,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	em := p.SparkContext().Metrics()
+	t.Logf("%d failed attempts, %d cache hits", em.AttemptsFailed, p.CacheStats().Hits)
 	if em.AttemptsFailed == 0 {
 		t.Fatal("chaos produced no failures; the soak proved nothing")
 	}

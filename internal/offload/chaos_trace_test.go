@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace/span"
@@ -30,10 +31,9 @@ func TestChaosRunTraceCarriesResilienceEvents(t *testing.T) {
 	defer span.Disable()
 
 	// Phase 1: transient faults on the job objects; retries recover.
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpPut, "jobs/", 2)).
-		Inject(storage.FailKeysMatching(storage.OpGet, "jobs/", 1))
-	cfg := resilientConfig(fs)
+	cfg, sched := faultyConfig(
+		faults.Entry{Op: "put", Key: "jobs/", Count: 2},
+		faults.Entry{Op: "get", Key: "jobs/", Count: 1})
 	cfg.BreakerFailures = 2
 	cfg.Overlap = -1 // barriered workflow: the four Fig. 1 legs appear as spans
 	p, err := NewCloudPlugin(cfg)
@@ -49,8 +49,8 @@ func TestChaosRunTraceCarriesResilienceEvents(t *testing.T) {
 	}
 
 	// Phase 2: the store dies permanently; two failed runs trip the breaker.
-	fs.Clear()
-	fs.Inject(storage.FailKeysMatching(storage.OpAny, "jobs/", 0))
+	sched.Clear()
+	sched.Add(deadJobs)
 	for i := 0; i < 2; i++ {
 		if _, err := p.Run(scale2Region(n, in.Bytes(), out)); err == nil {
 			t.Fatal("dead store must fail the run")

@@ -11,6 +11,7 @@ import (
 
 	"ompcloud/internal/chunkio"
 	"ompcloud/internal/cloud"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/netsim"
 	"ompcloud/internal/remoteexec"
 	"ompcloud/internal/resilience"
@@ -196,11 +197,12 @@ type CloudConfig struct {
 	// standard output of the host computer".
 	Log spark.Logf
 
-	// Faults optionally injects task failures (tests, chaos benches).
-	Faults spark.FaultInjector
-	// WorkerFaults optionally injects executor-level failures (worker
-	// deaths, heartbeat loss, flapping) into the membership layer.
-	WorkerFaults *spark.WorkerFaults
+	// Faults, when non-nil, is the fault schedule the device runs under
+	// (tests, chaos benches): its task and heartbeat entries reach the Spark
+	// engine, and if it holds storage entries when the plugin is built,
+	// Store is wrapped with it (storage.WithFaults). Storage entries added
+	// later fire only on a store the caller wrapped itself.
+	Faults *faults.Schedule
 	// RealParallelism bounds the machine cores used for real execution;
 	// 0 means all.
 	RealParallelism int
@@ -349,10 +351,13 @@ func NewCloudPlugin(cfg CloudConfig) (*CloudPlugin, error) {
 		opts = append(opts, spark.WithLogger(cfg.Log))
 	}
 	if cfg.Faults != nil {
+		// Only storage entries put the device behind the fault wrapper, which
+		// hides the store's zero-copy paths; task and heartbeat faults leave
+		// the data path as it is.
+		if cfg.Faults.Has(faults.Store) {
+			cfg.Store = storage.WithFaults(cfg.Store, cfg.Faults)
+		}
 		opts = append(opts, spark.WithFaults(cfg.Faults))
-	}
-	if cfg.WorkerFaults != nil {
-		opts = append(opts, spark.WithWorkerFaults(cfg.WorkerFaults))
 	}
 	if cfg.RealParallelism > 0 {
 		opts = append(opts, spark.WithRealParallelism(cfg.RealParallelism))

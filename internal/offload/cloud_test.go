@@ -129,10 +129,15 @@ func TestCloudPluginSumReduction(t *testing.T) {
 
 func TestCloudPluginFaultTolerance(t *testing.T) {
 	cfg := memCloudConfig()
-	cfg.Faults = spark.FailPartitionAttempts(1, 2)
+	cfg.Faults = failAttempts(1, 2)
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A schedule without storage entries leaves the store unwrapped, on its
+	// own zero-copy read path.
+	if _, ok := p.cfg.Store.(storage.AppendGetter); !ok {
+		t.Fatalf("a task-only schedule wrapped the store: %T", p.cfg.Store)
 	}
 	n := int64(400)
 	in := data.Generate(1, int(n), data.Dense, 14)

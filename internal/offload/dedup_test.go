@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
 )
@@ -157,23 +158,23 @@ func TestDedupSurvivesStoreWipe(t *testing.T) {
 // caught by the end-to-end content hash (chunkSumOf) and healed by a retry —
 // the dedup'd cold path must not become a silent-corruption path.
 func TestDedupChaosCorruptChunkHeals(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore())
+	sched := faults.New(1)
 	n := int64(8 << 10)
 	in := data.Generate(1, int(n), data.Dense, 79)
-	p, err := NewCloudPlugin(dedupConfig(fs))
+	p, err := NewCloudPlugin(dedupConfig(storage.WithFaults(storage.NewMemStore(), sched)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a payload bit (byte 100 — clear of the frame tag, which would
 	// fail decode rather than exercise the hash) on one chunk GET.
 	const flipBit = 100*8 + 3
-	fs.Inject(storage.FlipBitGets(chunkPrefix, flipBit, 1))
+	sched.Add(faults.Entry{Op: "get", Key: chunkPrefix, Count: 1, Do: faults.Flip, Bit: flipBit})
 
 	out := make([]byte, 4*n)
 	if _, err := p.Run(scale2Region(n, in.Bytes(), out)); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Fired() == 0 {
+	if sched.Fired(faults.Store) == 0 {
 		t.Fatal("fault schedule never fired")
 	}
 	for i := range in.V {

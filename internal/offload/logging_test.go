@@ -35,7 +35,7 @@ func TestVerboseLoggingSurfacesWorkflowAndSpark(t *testing.T) {
 		Spec:   spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
 		Store:  storage.NewMemStore(),
 		Log:    sink.logf,
-		Faults: spark.FailPartitionAttempts(0, 1),
+		Faults: failAttempts(0, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

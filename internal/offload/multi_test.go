@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
@@ -215,11 +216,10 @@ func TestMultiDeviceChaosAbsorb(t *testing.T) {
 	// Every job-object PUT fails and retries are disabled, so the faulty
 	// member trips on its first upload; health probes (health/) survive,
 	// so the member still looks available at split time.
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	fs.Inject(storage.FailKeysMatching(storage.OpPut, "jobs/", 1<<30))
 	faulty, err := NewCloudPlugin(CloudConfig{
 		Spec:       spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
-		Store:      fs,
+		Store:      storage.NewMemStore(),
+		Faults:     faults.New(1).Add(faults.Entry{Op: "put", Key: "jobs/"}),
 		DeviceName: "trip",
 		RetryMax:   -1,
 		RetryBase:  -1,

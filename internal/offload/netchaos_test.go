@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
-	"ompcloud/internal/netsim"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/storage"
 )
 
@@ -15,12 +15,10 @@ import (
 // the manager must complete the region on the host, and the abandoned cloud
 // attempt must not leak goroutines.
 func TestPartitionMidFlightFallsBackCleanly(t *testing.T) {
-	// Op-clock schedule: the partition opens at the 30th storage operation
-	// and never heals — deterministically mid-run, after the probe's ops
-	// and the first chunk PUTs, regardless of machine speed.
-	sched := netsim.NewSchedule().PartitionFrom(30 * time.Millisecond)
-	nf := storage.NewNetFault(storage.NewMemStore(), sched).UseOpClock(time.Millisecond)
-	cfg := resilientConfig(nf)
+	// The partition opens at the 31st storage operation and never heals —
+	// deterministically mid-run, after the probe's ops and the first chunk
+	// PUTs, regardless of machine speed.
+	cfg, sched := faultyConfig(faults.Entry{From: 30, Do: faults.Drop, Dur: time.Millisecond})
 	cfg.RetryMax = -1 // partitions don't heal here: fail fast to the manager
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
@@ -44,10 +42,10 @@ func TestPartitionMidFlightFallsBackCleanly(t *testing.T) {
 	if !rep.FellBack {
 		t.Fatal("report must be flagged FellBack after a hard partition")
 	}
-	if nf.Refused() == 0 {
+	if sched.Fired(faults.Store) == 0 {
 		t.Fatal("partition never refused an operation; test exercised nothing")
 	}
-	if nf.PartitionSeconds() <= 0 {
+	if sched.Down() <= 0 {
 		t.Fatal("partition accounting must accrue downtime")
 	}
 	for i, v := range in.V {

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"math"
 	"runtime"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
@@ -114,21 +113,6 @@ func pathDevice(t *testing.T, row pathRow, st storage.Store, mutate func(*CloudC
 	return p
 }
 
-// stallFirstOutPut stalls the first PUT of an output object until release
-// closes, so exactly one attempt outlives its deadline.
-type stallFirstOutPut struct {
-	storage.Store
-	release chan struct{}
-	stalled atomic.Bool
-}
-
-func (s *stallFirstOutPut) Put(key string, b []byte) error {
-	if strings.Contains(key, "/out/") && s.stalled.CompareAndSwap(false, true) {
-		<-s.release
-	}
-	return s.Store.Put(key, b)
-}
-
 // TestGuardHoldsOnEveryPath is the cross-cutting contract of the plan
 // engine: whatever the guard applies — cost, breaker feedback, drain
 // landing, degraded re-pricing, transfer counters — holds on every path into
@@ -189,9 +173,9 @@ func TestGuardHoldsOnEveryPath(t *testing.T) {
 			})
 
 			t.Run("dead input leg counts one breaker failure", func(t *testing.T) {
-				fs := storage.NewFaultStore(storage.NewMemStore()).
-					Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 0))
-				p := pathDevice(t, row, fs, nil)
+				p := pathDevice(t, row, storage.NewMemStore(), func(c *CloudConfig) {
+					c.Faults = faults.New(1).Add(faults.Entry{Op: "put", Key: "/in/"})
+				})
 				out := make([]byte, 4*n)
 				rep, err := row.run(p, n, in.Bytes(), out, func() {})
 				switch {
@@ -242,11 +226,9 @@ func TestGuardHoldsOnEveryPath(t *testing.T) {
 			t.Run("transfer counters surface", func(t *testing.T) {
 				// Two failed input PUTs retry through; the first output PUT
 				// stalls past its deadline and is abandoned and retried.
-				stall := &stallFirstOutPut{Store: storage.NewMemStore(), release: make(chan struct{})}
-				defer close(stall.release)
-				fs := storage.NewFaultStore(stall).
-					Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 2))
-				p := pathDevice(t, row, fs, func(c *CloudConfig) {
+				p := pathDevice(t, row, storage.NewMemStore(), func(c *CloudConfig) {
+					c.Faults = faults.New(1).Add(faults.Entry{Op: "put", Key: "/in/", Count: 2},
+						faults.Entry{Op: "put", Key: "/out/", Count: 1, Do: faults.Hang, Dur: time.Second})
 					c.DeadlineMult = 1
 					c.DeadlineFloor = 50 * time.Millisecond
 					c.DeadlineCap = 50 * time.Millisecond
@@ -352,9 +334,9 @@ func TestEnvZeroTripLoopWritesReduceIdentity(t *testing.T) {
 // A failed open deletes what it stored: the upload landed, the driver fetch
 // did not, and no envs/ object may outlive the error.
 func TestFailedOpenEnvCleansUp(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpGet, "envs/", 0))
-	cfg := resilientConfig(fs)
+	mem := storage.NewMemStore()
+	cfg := resilientConfig(mem)
+	cfg.Faults = faults.New(1).Add(faults.Entry{Op: "get", Key: "envs/"})
 	cfg.BreakerFailures = -1
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
@@ -364,7 +346,7 @@ func TestFailedOpenEnvCleansUp(t *testing.T) {
 	if _, _, err := p.OpenEnv([]EnvBuffer{{Name: "A", Data: in.Bytes(), Upload: true}}); err == nil {
 		t.Fatal("open with a dead fetch leg should fail")
 	}
-	keys, err := fs.List("envs/")
+	keys, err := mem.List("envs/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +358,8 @@ func TestFailedOpenEnvCleansUp(t *testing.T) {
 // OpenEnv on an unavailable device is retryable, and says so the way Run
 // does.
 func TestOpenEnvUnavailableIsTransient(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpAny, "health/", 0))
 	cfg := memCloudConfig()
-	cfg.Store = fs
+	cfg.Faults = faults.New(1).Add(faults.Entry{Key: "health/"})
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
@@ -28,15 +29,32 @@ func resilientConfig(fs storage.Store) CloudConfig {
 	}
 }
 
+// faultyConfig is resilientConfig over a fresh memory store, run under a
+// fault schedule of es.
+func faultyConfig(es ...faults.Entry) (CloudConfig, *faults.Schedule) {
+	cfg := resilientConfig(storage.NewMemStore())
+	cfg.Faults = faults.New(1).Add(es...)
+	return cfg, cfg.Faults
+}
+
+// failAttempts is a schedule failing the first n attempts of partition in
+// every job; n <= 0 fails every attempt.
+func failAttempts(partition, n int) *faults.Schedule {
+	return faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: partition, Worker: faults.Any, To: n})
+}
+
+// deadJobs fails every operation on a job's objects; health probes pass.
+var deadJobs = faults.Entry{Key: "jobs/"}
+
 func TestRunRecoversFromStorageFaults(t *testing.T) {
 	// Two failed puts, one failed get and one truncated part read, all on
 	// the job's objects: every leg must retry through and the result must
 	// be byte-exact.
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpPut, "jobs/", 2)).
-		Inject(storage.FailKeysMatching(storage.OpGet, "jobs/", 1)).
-		Inject(storage.TruncateGets(".part", 7, 1))
-	p, err := NewCloudPlugin(resilientConfig(fs))
+	cfg, sched := faultyConfig(
+		faults.Entry{Op: "put", Key: "jobs/", Count: 2},
+		faults.Entry{Op: "get", Key: "jobs/", Count: 1},
+		faults.Entry{Op: "get", Key: ".part", Count: 1, Do: faults.Truncate, Keep: 7})
+	p, err := NewCloudPlugin(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +68,7 @@ func TestRunRecoversFromStorageFaults(t *testing.T) {
 	if rep.StorageRetries == 0 {
 		t.Fatal("recovered run must report its storage retries")
 	}
-	if fs.Fired() == 0 {
+	if sched.Fired(faults.Store) == 0 {
 		t.Fatal("fault schedule never fired; test exercised nothing")
 	}
 	for i, v := range in.V {
@@ -67,9 +85,7 @@ func TestManagerMidFlightFallback(t *testing.T) {
 	// The store dies for job objects only: health probes pass, so the
 	// device looks available at entry and the failure happens mid-flight,
 	// after the upload leg exhausts its retries.
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpAny, "jobs/", 0))
-	cfg := resilientConfig(fs)
+	cfg, _ := faultyConfig(deadJobs)
 	cfg.RetryMax = -1 // one attempt per op: fail fast
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
@@ -184,9 +200,7 @@ func TestFallbackSnapshotsOnlyInputAliasedOutputs(t *testing.T) {
 }
 
 func TestManagerFallbackFailPolicy(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpAny, "jobs/", 0))
-	cfg := resilientConfig(fs)
+	cfg, _ := faultyConfig(deadJobs)
 	cfg.RetryMax = -1
 	cfg.Fallback = FallbackFail
 	p, err := NewCloudPlugin(cfg)
@@ -249,9 +263,8 @@ func (h *healthCountStore) Pings() int {
 }
 
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpAny, "jobs/", 0))
-	hc := &healthCountStore{Store: fs}
+	sched := faults.New(1).Add(deadJobs)
+	hc := &healthCountStore{Store: storage.WithFaults(storage.NewMemStore(), sched)}
 	clock := time.Unix(0, 0)
 	var clockMu sync.Mutex
 	now := func() time.Time {
@@ -301,7 +314,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	clockMu.Lock()
 	clock = clock.Add(11 * time.Second)
 	clockMu.Unlock()
-	fs.Clear() // the store heals
+	sched.Clear() // the store heals
 	if !p.Available() {
 		t.Fatal("half-open probe against a healthy store should close the breaker")
 	}

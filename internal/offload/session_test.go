@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
 )
@@ -64,7 +65,7 @@ func TestResumeSkipsCommittedTiles(t *testing.T) {
 			// dies after the earlier tiles committed their results.
 			cfg := resumeConfig(st)
 			cfg.Overlap = mode.overlap
-			cfg.Faults = spark.FailPartitionAttempts(7, 1<<20)
+			cfg.Faults = failAttempts(7, 0)
 			p1, err := NewCloudPlugin(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -188,7 +189,7 @@ func TestResumeCorruptCommitRecomputes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := storage.NewMemStore()
 			cfg := resumeConfig(st)
-			cfg.Faults = spark.FailPartitionAttempts(3, 1<<20)
+			cfg.Faults = failAttempts(3, 0)
 			p1, err := NewCloudPlugin(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -305,7 +306,7 @@ func TestIdentitiesDoNotMove(t *testing.T) {
 	}
 	st := storage.NewMemStore()
 	cfg := resumeConfig(st)
-	cfg.Faults = spark.FailPartitionAttempts(3, 1<<20)
+	cfg.Faults = failAttempts(3, 0)
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -329,10 +330,8 @@ func TestIdentitiesDoNotMove(t *testing.T) {
 // TestResumeUnavailableDeviceFallsBack: resume changes nothing about the
 // manager's dynamic fallback — a dead store still reroutes to the host.
 func TestResumeUnavailableDeviceFallsBack(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpPut, "", 1<<20)).
-		Inject(storage.FailKeysMatching(storage.OpGet, "", 1<<20))
-	cfg := resumeConfig(fs)
+	cfg := resumeConfig(storage.NewMemStore())
+	cfg.Faults = faults.New(1).Add(faults.Entry{Op: "put"}, faults.Entry{Op: "get"})
 	cfg.Fallback = FallbackHost
 	cfg.HealthTTL = -1
 	p, err := NewCloudPlugin(cfg)

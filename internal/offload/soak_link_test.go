@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/netsim"
 	"ompcloud/internal/offload"
@@ -13,7 +14,7 @@ import (
 
 // linkTotals sums the resilience events no single row is obliged to show:
 // which attempt a flap stalls and which GET draws jitter depends on how the
-// run's operations fall on the wall clock.
+// run's concurrent operations interleave on the store counter.
 type linkTotals struct {
 	deadlineAborts, hedgedGets, hedgeWins int
 }
@@ -27,28 +28,30 @@ type linkScenario struct {
 	run  func(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soakRun, tot *linkTotals) *soakRun
 }
 
-// linkPartition: the WAN partitions hard mid-run and never heals. The op
-// clock places the partition at the 6th storage operation — after the 3-op
-// health probe and the first uploads, before even the smallest kernel (10 ops
-// end to end) finishes — so the failure is always mid-flight and the only
-// exit is host fallback. Only single-region kernels get it (see
-// TestStorageFaultSoak).
+// linkPartition: the WAN partitions hard mid-run and never heals, from the
+// 7th storage operation — after the 3-op health probe and the first uploads,
+// before even the smallest kernel (10 ops end to end) finishes — so the
+// failure is always mid-flight and the only exit is host fallback. Each
+// refused operation stands for 1 ms of downtime. Only single-region kernels
+// get it (see TestStorageFaultSoak).
 func linkPartition(t *testing.T, b *kernels.Benchmark, barriered bool, _ *soakRun, _ *linkTotals) *soakRun {
-	sched := netsim.NewSchedule().PartitionFrom(6 * time.Millisecond)
-	nf := storage.NewNetFault(storage.NewMemStore(), sched).UseOpClock(time.Millisecond)
-	run := mustRun(t, "partitioned", b, soakPlugin(t, soakSpec, nf, barriered, nil))
+	sched := faults.New(soakSeed).Add(faults.Entry{From: 6, Do: faults.Drop, Dur: time.Millisecond})
+	run := mustRun(t, "partitioned", b, soakPlugin(t, soakSpec, storage.NewMemStore(), barriered, func(cfg *offload.CloudConfig) {
+		cfg.Faults = sched
+	}))
 	if !run.rep.FellBack {
 		t.Fatal("hard partition should have forced a host fallback")
 	}
 	if run.rep.FallbackReason == "" {
 		t.Fatal("fallback report is missing its reason")
 	}
-	if nf.Refused() == 0 {
+	if sched.Fired(faults.Store) == 0 {
 		t.Fatal("partition never refused an operation")
 	}
-	if nf.PartitionSeconds() <= 0 {
+	if sched.Down() <= 0 {
 		t.Fatal("partition accrued no downtime")
 	}
+	t.Logf("%d operations refused, fell back", sched.Fired(faults.Store))
 	// The host ran the paper's loops in their serial accumulation order:
 	// the clean cloud run's bits are the wrong yardstick for this row, the
 	// serial reference is the right one.
@@ -73,11 +76,9 @@ const (
 func linkCollapse(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soakRun, _ *linkTotals) *soakRun {
 	prof := netsim.DefaultProfile()
 	prof.WAN.BitsPerSs = 8e9
-	sched := netsim.NewSchedule().Collapse(0, 0, collapseFrac)
 	mk := func(adapt bool) *offload.CloudPlugin {
-		nf := storage.NewNetFault(storage.NewMemStore(), sched).
-			SetRate(collapseHealthyBPS).SetSeed(soakSeed)
-		return soakPlugin(t, soakSpec, nf, barriered, func(cfg *offload.CloudConfig) {
+		return soakPlugin(t, soakSpec, storage.NewMemStore(), barriered, func(cfg *offload.CloudConfig) {
+			cfg.Faults = faults.New(soakSeed).Add(faults.Entry{Do: faults.Slow, Frac: collapseFrac, Rate: collapseHealthyBPS})
 			cfg.Profile = prof
 			cfg.Codec = xcompress.Codec{MinSize: 512, Algo: xcompress.AlgoAdaptive}
 			cfg.ChunkParallel = 4
@@ -96,6 +97,7 @@ func linkCollapse(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soa
 	if warm.rep.DegradedSwitches+adapted.rep.DegradedSwitches < 1 {
 		t.Fatal("collapsed link never entered degraded mode")
 	}
+	t.Logf("%d degraded switches", warm.rep.DegradedSwitches+adapted.rep.DegradedSwitches)
 	baseWire := base.rep.BytesUploaded + base.rep.BytesDownloaded
 	adWire := adapted.rep.BytesUploaded + adapted.rep.BytesDownloaded
 	// One rate prices both, so fewer wire bytes is the shorter true-rate
@@ -108,18 +110,16 @@ func linkCollapse(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soa
 	return nil
 }
 
-// linkFlap: the link flaps — 30 ms down, 3 ms up — in TCP-stall mode, so
-// partitioned operations hang instead of failing, over a baseline 1 ms
-// latency spike that keeps the run from threading through a single up
-// window. Adaptive deadlines (clamped to [15 ms, 25 ms], under the down
-// window) abort stalled attempts and re-route them into up windows; the run
-// must complete on the device.
+// linkFlap: the link flaps — every fourth storage operation stalls 30 ms in
+// TCP-stall mode and then proceeds — over a baseline 1 ms latency spike on
+// every operation. Adaptive deadlines (clamped to [15 ms, 25 ms], under the
+// stall) abort stalled attempts and re-route them onto later operations;
+// the run must complete on the device.
 func linkFlap(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soakRun, tot *linkTotals) *soakRun {
-	sched := netsim.NewSchedule().
-		Spike(0, time.Hour, time.Millisecond).
-		Flap(0, 3*time.Second, 30*time.Millisecond, 3*time.Millisecond)
-	nf := storage.NewNetFault(storage.NewMemStore(), sched).SetMode(storage.PartitionHang)
-	run := mustRun(t, "flapping", b, soakPlugin(t, soakSpec, nf, barriered, func(cfg *offload.CloudConfig) {
+	run := mustRun(t, "flapping", b, soakPlugin(t, soakSpec, storage.NewMemStore(), barriered, func(cfg *offload.CloudConfig) {
+		cfg.Faults = faults.New(soakSeed).Add(
+			faults.Entry{Do: faults.Delay, Dur: time.Millisecond},
+			faults.Entry{Every: 4, Do: faults.Hang, Dur: 30 * time.Millisecond})
 		cfg.DeadlineMult = 3
 		cfg.DeadlineFloor = 15 * time.Millisecond
 		cfg.DeadlineCap = 25 * time.Millisecond
@@ -131,6 +131,7 @@ func linkFlap(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soakRun
 	if run.rep.PartitionSeconds <= 0 {
 		t.Fatal("flap schedule accrued no partition downtime")
 	}
+	t.Logf("%d deadline aborts, %.3fs partitioned", run.rep.DeadlineAborts, run.rep.PartitionSeconds)
 	tot.deadlineAborts += run.rep.DeadlineAborts
 	mustMatch(t, "clean vs flapped", clean.outs, run.outs)
 	return run
@@ -141,15 +142,15 @@ func linkFlap(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soakRun
 // observed latency quantile and usually redraws a clean operation, winning
 // while the primary sleeps.
 func linkJitter(t *testing.T, b *kernels.Benchmark, barriered bool, clean *soakRun, tot *linkTotals) *soakRun {
-	sched := netsim.NewSchedule().Jitter(0, time.Hour, 0.15, 40*time.Millisecond)
-	nf := storage.NewNetFault(storage.NewMemStore(), sched).SetSeed(soakSeed*2 + 1)
-	run := mustRun(t, "jittery", b, soakPlugin(t, soakSpec, nf, barriered, func(cfg *offload.CloudConfig) {
+	run := mustRun(t, "jittery", b, soakPlugin(t, soakSpec, storage.NewMemStore(), barriered, func(cfg *offload.CloudConfig) {
+		cfg.Faults = faults.New(soakSeed*2 + 1).Add(faults.Entry{Do: faults.Delay, Dur: 40 * time.Millisecond, Prob: 0.15})
 		cfg.Hedge = true
 		cfg.HedgeQuantile = 0.9
 	}))
 	if run.rep.FellBack {
 		t.Fatalf("jittery link should be survivable, fell back: %s", run.rep.FallbackReason)
 	}
+	t.Logf("%d hedged gets, %d won", run.rep.HedgedGets, run.rep.HedgeWins)
 	tot.hedgedGets += run.rep.HedgedGets
 	tot.hedgeWins += run.rep.HedgeWins
 	mustMatch(t, "clean vs hedged", clean.outs, run.outs)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/omp"
@@ -140,22 +141,27 @@ type storageScenario struct {
 	// fallback marks the schedule that is unrecoverable by design: the run
 	// must finish on the host (§III.A dynamic fallback).
 	fallback bool
-	inject   func(*storage.FaultStore)
+	faults   []faults.Entry
 }
 
 var storageScenarios = []storageScenario{
-	{name: "flaky-puts", inject: func(fs *storage.FaultStore) {
-		fs.Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 2)).
-			Inject(storage.FailKeysMatching(storage.OpPut, "/out/", 1))
+	{name: "flaky-puts", faults: []faults.Entry{
+		{Op: "put", Key: "/in/", Count: 2},
+		{Op: "put", Key: "/out/", Count: 1},
 	}},
-	{name: "flaky-gets", inject: func(fs *storage.FaultStore) {
-		fs.Inject(storage.FailKeysMatching(storage.OpGet, "/in/", 1)).
-			Inject(storage.TruncateGets(".part", 7, 1)).
-			Inject(storage.FlipBitGets(".part", 3, 1))
+	{name: "flaky-gets", faults: []faults.Entry{
+		{Op: "get", Key: "/in/", Count: 1},
+		{Op: "get", Key: ".part", Count: 1, Do: faults.Truncate, Keep: 7},
+		{Op: "get", Key: ".part", Count: 1, Do: faults.Flip, Bit: 3},
 	}},
-	{name: "dead-output-leg", fallback: true, inject: func(fs *storage.FaultStore) {
-		fs.Inject(storage.FailKeysMatching(storage.OpAny, "/out/", 0))
-	}},
+	{name: "dead-output-leg", fallback: true, faults: []faults.Entry{{Key: "/out/"}}},
+}
+
+// flakyTasks fails every fifth task attempt and loses tile 1's first
+// computed result: the task-plane faults every storage row also runs under.
+var flakyTasks = []faults.Entry{
+	{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 5},
+	{Layer: faults.After, Partition: 1, Worker: faults.Any, To: 1},
 }
 
 // TestStorageFaultSoak runs every kernel under a storage-fault schedule
@@ -181,14 +187,15 @@ func TestStorageFaultSoak(t *testing.T) {
 		t.Run(b.Name+"/"+scen.name, func(t *testing.T) {
 			clean := mustRun(t, "clean", b, soakPlugin(t, soakSpec, storage.NewMemStore(), false, nil))
 
-			fs := storage.NewFaultStore(storage.NewMemStore())
-			scen.inject(fs)
-			faulted := mustRun(t, "faulted", b, soakPlugin(t, soakSpec, fs, false, func(cfg *offload.CloudConfig) {
-				cfg.Faults = spark.ChainFaults(&spark.FlakyEveryNth{N: 5}, spark.CrashAfterSuccess(1, 1))
+			sched := faults.New(soakSeed).Add(scen.faults...).Add(flakyTasks...)
+			faulted := mustRun(t, "faulted", b, soakPlugin(t, soakSpec, storage.NewMemStore(), false, func(cfg *offload.CloudConfig) {
+				cfg.Faults = sched
 			}))
-			if fs.Fired() == 0 {
-				t.Fatal("the schedule never fired a fault")
+			if sched.Fired(faults.Store) == 0 {
+				t.Fatal("the schedule never fired a storage fault")
 			}
+			t.Logf("%d storage faults, %d retries, %d task failures, fell back %v",
+				sched.Fired(faults.Store), faulted.rep.StorageRetries, faulted.rep.TaskFailures, faulted.rep.FellBack)
 			retries += faulted.rep.StorageRetries
 			if scen.fallback {
 				if !faulted.rep.FellBack {
@@ -222,8 +229,7 @@ func TestStorageFaultSoak(t *testing.T) {
 // health probes is TestBreakerTripsAndRecovers' assertion, on the plugin
 // alone.)
 func TestHostFallbacksTripBreakerAndRecover(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore()).
-		Inject(storage.FailKeysMatching(storage.OpAny, "jobs/", 0))
+	sched := faults.New(soakSeed).Add(faults.Entry{Key: "jobs/"})
 
 	var clockMu sync.Mutex
 	clock := time.Unix(0, 0)
@@ -235,7 +241,8 @@ func TestHostFallbacksTripBreakerAndRecover(t *testing.T) {
 
 	const threshold = 2
 	cooldown := 10 * time.Second
-	plugin := soakPlugin(t, soakSpec, fs, false, func(cfg *offload.CloudConfig) {
+	plugin := soakPlugin(t, soakSpec, storage.NewMemStore(), false, func(cfg *offload.CloudConfig) {
+		cfg.Faults = sched
 		cfg.RetryMax = -1 // fail fast: the store is dead, retries cannot help
 		cfg.BreakerFailures = threshold
 		cfg.BreakerCooldown = cooldown
@@ -257,7 +264,7 @@ func TestHostFallbacksTripBreakerAndRecover(t *testing.T) {
 		t.Fatal("open breaker still reports the device available")
 	}
 
-	fs.Clear()
+	sched.Clear()
 	clockMu.Lock()
 	clock = clock.Add(cooldown + time.Second)
 	clockMu.Unlock()

@@ -1,11 +1,10 @@
 package offload_test
 
 import (
-	"errors"
-	"sync"
 	"testing"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/spark"
@@ -32,62 +31,28 @@ type workerScenario struct {
 	engaged func(rep *trace.Report) string
 }
 
-// deadStraggler is a deterministic straggler: one partition's original copy
-// — the one on the partition's preferred worker; a backup always races on the
-// next — hangs in BeforeTask until a backup copy has computed the partition,
-// then dies, retries included. Only the backup can commit the partition, so
-// it wins by construction: what a run exercises is the speculation monitor
-// finding the straggler, never a sleep racing the host's scheduler.
-type deadStraggler struct {
-	partition, worker int
-
-	mu   sync.Mutex
-	jobs map[int]*rescue
-}
-
-// rescue is closed once a backup copy has computed the job's partition.
-type rescue struct {
-	done chan struct{}
-	once sync.Once
-}
-
-func (d *deadStraggler) rescue(job int) *rescue {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.jobs == nil {
-		d.jobs = map[int]*rescue{}
-	}
-	if d.jobs[job] == nil {
-		d.jobs[job] = &rescue{done: make(chan struct{})}
-	}
-	return d.jobs[job]
-}
-
-func (d *deadStraggler) BeforeTask(job, p, attempt, worker int) error {
-	if p != d.partition || (attempt == 0 && worker != d.worker) {
-		return nil // another tile, or the backup
-	}
-	select {
-	case <-d.rescue(job).done:
-	case <-time.After(10 * time.Second): // never speculated: fail the run, do not hang it
-	}
-	return errors.New("straggling executor died")
-}
-
-func (d *deadStraggler) AfterTask(job, p, attempt, worker int) error {
-	if p == d.partition {
-		r := d.rescue(job)
-		r.once.Do(func() { close(r.done) })
-	}
-	return nil
-}
-
-// leased arms the membership clock: a 1 ms virtual lease with a budget of
-// one miss, so a silenced worker dies on the first expiry check.
-func leased(cfg *offload.CloudConfig, wf *spark.WorkerFaults) {
+// leased arms the membership clock — a 1 ms virtual lease with a budget of
+// one miss, so a silenced worker dies on the first expiry check — under the
+// given fault schedule.
+func leased(cfg *offload.CloudConfig, es ...faults.Entry) {
 	cfg.Heartbeat = time.Millisecond
 	cfg.LeaseMisses = 1
-	cfg.WorkerFaults = wf
+	cfg.Faults = faults.New(soakSeed).Add(es...)
+}
+
+// straggler is a deterministic straggler on tile p: its original copy — the
+// one on the tile's preferred worker, Eq. 3's floor(p*W/P); a backup always
+// races on the next — hangs until a backup copy has computed the tile, then
+// dies, retries included. Only the backup can commit the tile, so it wins by
+// construction: what a run exercises is the speculation monitor finding the
+// straggler, never a sleep racing the host's scheduler. The 10 s cap fails a
+// run that never speculates instead of hanging it.
+func straggler(p int) []faults.Entry {
+	hang := faults.Entry{Layer: faults.Before, Partition: p, Do: faults.Hang, Dur: 10 * time.Second, Rescue: true}
+	original, retries := hang, hang
+	original.Worker, original.To = p*workerSoakSpec.Workers/workerSoakSpec.TotalCores(), 1
+	retries.Worker, retries.From = faults.Any, 1
+	return []faults.Entry{original, retries}
 }
 
 var workerScenarios = []workerScenario{
@@ -97,7 +62,7 @@ var workerScenarios = []workerScenario{
 		// re-executes on a survivor.
 		name: "die-at-task",
 		arm: func(cfg *offload.CloudConfig) {
-			leased(cfg, &spark.WorkerFaults{DieAtTask: map[int]int{1: 2}})
+			leased(cfg, faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: 1, Skip: 1, Do: faults.Die})
 		},
 		engaged: func(rep *trace.Report) string {
 			if rep.DeadWorkers == 0 {
@@ -115,7 +80,7 @@ var workerScenarios = []workerScenario{
 		// receives new work.
 		name: "flapping-rejoin",
 		arm: func(cfg *offload.CloudConfig) {
-			leased(cfg, &spark.WorkerFaults{DropBeats: map[int]int{2: 4}, RejoinTicks: 2})
+			leased(cfg, faults.Entry{Layer: faults.Beat, Worker: 2, To: 4, Do: faults.Drop, Rejoin: 2})
 		},
 		engaged: func(rep *trace.Report) string {
 			if rep.DeadWorkers == 0 {
@@ -131,10 +96,8 @@ var workerScenarios = []workerScenario{
 		arm: func(cfg *offload.CloudConfig) {
 			cfg.Speculate = true
 			cfg.SpeculateQuantile = 0.5
-			// Algorithm 1 cuts a region into one tile per core, and Eq. 3's
-			// block distribution hands tile p of P to worker floor(p*W/P).
-			cfg.Faults = &deadStraggler{partition: 5,
-				worker: 5 * workerSoakSpec.Workers / workerSoakSpec.TotalCores()}
+			// Algorithm 1 cuts a region into one tile per core.
+			cfg.Faults = faults.New(soakSeed).Add(straggler(5)...)
 		},
 		engaged: func(rep *trace.Report) string {
 			if rep.SpeculativeWins == 0 {
@@ -183,7 +146,8 @@ func TestWorkerFaultSoak(t *testing.T) {
 					// after the other tiles committed, like a killed process.
 					killed := soakPlugin(t, workerSoakSpec, st, barriered, func(cfg *offload.CloudConfig) {
 						scen.arm(cfg)
-						cfg.Faults = spark.FailPartitionAttempts(workerSoakSpec.TotalCores()-1, 1<<20)
+						cfg.Faults = faults.New(soakSeed).Add(faults.Entry{Layer: faults.Before,
+							Partition: workerSoakSpec.TotalCores() - 1, Worker: faults.Any})
 					})
 					if _, err := runOn(b, killed); err == nil {
 						t.Fatal("sabotaged run should have died mid-job")
@@ -194,6 +158,8 @@ func TestWorkerFaultSoak(t *testing.T) {
 					t.Fatalf("faulted run fell back to the host: %s", faulted.rep.FallbackReason)
 				}
 				mustMatch(t, "clean vs recovered", clean.outs, faulted.outs)
+				t.Logf("%d dead workers, %d re-executed tasks, %d speculative wins, %d resumed tiles",
+					faulted.rep.DeadWorkers, faulted.rep.ReexecutedTasks, faulted.rep.SpeculativeWins, faulted.rep.ResumedTiles)
 				if miss := scen.engaged(faulted.rep); miss != "" {
 					t.Fatal(miss)
 				}

@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"ompcloud/internal/data"
-	"ompcloud/internal/spark"
-	"ompcloud/internal/storage"
+	"ompcloud/internal/faults"
 )
 
 func init() {
@@ -227,10 +226,8 @@ func TestStreamingReportsCriticalPath(t *testing.T) {
 // checks the streaming workflow reports the transfer error without hanging
 // the gated job.
 func TestStreamingInputFailurePropagates(t *testing.T) {
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	fs.Inject(storage.FailKeysMatching(storage.OpPut, "/in/", 0))
 	cfg := memCloudConfig()
-	cfg.Store = fs
+	cfg.Faults = faults.New(1).Add(faults.Entry{Op: "put", Key: "/in/"})
 	cfg.ChunkBytes = 1024
 	cfg.RetryMax = 2
 	cfg.RetrySleep = func(time.Duration) {}
@@ -323,9 +320,7 @@ func TestStreamingWorkerDeathFallsBackWithReason(t *testing.T) {
 	cfg.ChunkBytes = 1024
 	cfg.Heartbeat = time.Millisecond
 	cfg.LeaseMisses = 1
-	cfg.WorkerFaults = &spark.WorkerFaults{
-		DropBeats: map[int]int{0: 1 << 20, 1: 1 << 20, 2: 1 << 20, 3: 1 << 20},
-	}
+	cfg.Faults = faults.New(1).Add(faults.Entry{Layer: faults.Beat, Worker: faults.Any, Do: faults.Drop})
 	p, err := NewCloudPlugin(cfg)
 	if err != nil {
 		t.Fatal(err)

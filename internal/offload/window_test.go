@@ -12,6 +12,7 @@ import (
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
@@ -91,10 +92,12 @@ func fillNaN(b []byte) {
 // windowProbe runs accumulate3 and records, for every invocation of one
 // victim tile, whether the body was handed a window of the reconstruction
 // buffer (a window of a larger buffer has spare capacity; a private output
-// has none). hook, when set, runs first on the victim and may fail it.
+// has none). hook, when set, runs first on the victim and may fail it;
+// computed, when set, runs once the victim's body has computed its tile.
 type windowProbe struct {
 	victimLo int64
 	hook     func(call int, inPlace bool, out []byte) error
+	computed func(inPlace bool)
 
 	mu      sync.Mutex
 	inPlace []bool
@@ -114,17 +117,9 @@ func (w *windowProbe) body(lo, _ int64, _ []int64, in, out [][]byte) error {
 		}
 	}
 	accumulate3(in[0], out[0])
-	return nil
-}
-
-// afterTask adapts a function to spark's post-compute fault hook; it never
-// fails an attempt.
-type afterTask func(partition int)
-
-func (afterTask) BeforeTask(_, _, _, _ int) error { return nil }
-
-func (f afterTask) AfterTask(_, p, _, _ int) error {
-	f(p)
+	if lo == w.victimLo && w.computed != nil {
+		w.computed(cap(out[0]) > len(out[0]))
+	}
 	return nil
 }
 
@@ -158,11 +153,11 @@ func TestWindowOwnership(t *testing.T) {
 				back := make(chan struct{})
 				var once sync.Once
 				cfg.Speculate, cfg.SpeculateQuantile = true, 0.5
-				cfg.Faults = afterTask(func(p int) {
-					if p == victim {
+				w.computed = func(inPlace bool) {
+					if !inPlace {
 						once.Do(func() { close(back) })
 					}
-				})
+				}
 				parked := false // read and written only by the window's holder
 				w.hook = func(_ int, inPlace bool, out []byte) error {
 					if !inPlace || parked {
@@ -198,12 +193,14 @@ func TestWindowOwnership(t *testing.T) {
 		},
 		{
 			name:  "fail-partition-attempts",
-			arm:   func(cfg *CloudConfig, _ *windowProbe) { cfg.Faults = spark.FailPartitionAttempts(victim, 2) },
+			arm:   func(cfg *CloudConfig, _ *windowProbe) { cfg.Faults = failAttempts(victim, 2) },
 			calls: []bool{true},
 		},
 		{
-			name:  "crash-after-success",
-			arm:   func(cfg *CloudConfig, _ *windowProbe) { cfg.Faults = spark.CrashAfterSuccess(victim, 1) },
+			name: "crash-after-success",
+			arm: func(cfg *CloudConfig, _ *windowProbe) {
+				cfg.Faults = faults.New(1).Add(faults.Entry{Layer: faults.After, Partition: victim, Worker: faults.Any, To: 1})
+			},
 			calls: []bool{true, false}, // the window is whole already: the retry computes privately
 		},
 	}

@@ -139,14 +139,19 @@ type Outcome struct {
 	Backoff time.Duration
 }
 
-// splitmix64 is the SplitMix64 mixing function: a tiny, seedable,
-// allocation-free PRNG step used for deterministic jitter.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 mixing function: a tiny, seedable,
+// allocation-free PRNG step. It drives the backoff jitter here and every
+// seeded draw of a fault schedule.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
+
+// Uniform maps x through SplitMix64 onto [0, 1): a deterministic draw whose
+// sequence is fixed by the inputs alone.
+func Uniform(x uint64) float64 { return float64(SplitMix64(x)>>11) / float64(1<<53) }
 
 // backoff computes the jittered backoff before retry number retry (1-based):
 // BaseDelay * 2^(retry-1), capped at CapDelay, scaled by a deterministic
@@ -168,8 +173,7 @@ func (p Policy) backoff(retry int) time.Duration {
 	}
 	// Jitter: [0.5, 1.0) of the exponential delay, from the seed and the
 	// retry index only — deterministic and clock-free.
-	frac := float64(splitmix64(p.Seed^uint64(retry))>>11) / float64(1<<53)
-	return time.Duration(float64(d) * (0.5 + frac/2))
+	return time.Duration(float64(d) * (0.5 + Uniform(p.Seed^uint64(retry))/2))
 }
 
 // attempts reports the effective attempt budget.

@@ -449,19 +449,18 @@ func (d *Daemon) QueuedCount() int {
 // quota and watermark — it was already paid for), marked Recovered, and
 // will re-run over the same tenant namespace, where the resumable-session
 // machinery serves any tiles the dead run already committed. Returns the
-// recovered jobs in admission order.
+// recovered jobs in admission order. A record replay skips stays journaled,
+// and the sequence advances past its key, so no new admission overwrites it.
 func (d *Daemon) Recover(now simtime.Duration) ([]*Job, error) {
-	entries, err := d.wal.replay()
+	entries, maxSeq, err := d.wal.replay()
 	if err != nil {
 		return nil, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.seq = max(d.seq, maxSeq)
 	jobs := make([]*Job, 0, len(entries))
 	for _, e := range entries {
-		if !ValidTenant(e.Tenant) {
-			return nil, fmt.Errorf("serve: journal entry %s has bad tenant %q", e.ID, e.Tenant)
-		}
 		t := d.tenant(e.Tenant, now)
 		j := &Job{
 			ID:        e.ID,
@@ -476,9 +475,6 @@ func (d *Daemon) Recover(now simtime.Duration) ([]*Job, error) {
 		t.admitted++
 		d.queued++
 		jobs = append(jobs, j)
-		if seq := parseSeq(e.ID); seq > d.seq {
-			d.seq = seq
-		}
 		span.Metrics().Counter(metricRecovered).Inc()
 	}
 	span.Metrics().Gauge(MetricQueueDepth).Set(int64(d.queued))

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/offload"
-	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
 )
 
@@ -98,7 +98,7 @@ func TestPoolExecutorResumesKilledJob(t *testing.T) {
 		Mutate: func(job *Job, cfg *offload.CloudConfig) {
 			// The last tile fails every attempt: the job dies only after
 			// the other tiles committed, like a process killed mid-job.
-			cfg.Faults = spark.FailPartitionAttempts(1, 1<<20)
+			cfg.Faults = faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: 1, Worker: faults.Any})
 		},
 	}
 	job := &Job{ID: "00000001-t", Tenant: "t", Spec: spec}

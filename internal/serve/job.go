@@ -163,6 +163,19 @@ func decodeEntry(b []byte) (*journalEntry, error) {
 	return &e, nil
 }
 
+// check refuses a decoded record the daemon must not re-admit: one stored
+// under another job's key, or whose tenant or spec admission would have
+// rejected.
+func (e *journalEntry) check(id string) error {
+	if e.ID != id {
+		return fmt.Errorf("serve: journal key %s holds entry %s", id, e.ID)
+	}
+	if !ValidTenant(e.Tenant) {
+		return fmt.Errorf("serve: journal entry %s has bad tenant %q", e.ID, e.Tenant)
+	}
+	return e.Spec.Validate()
+}
+
 // tenantNameRE keeps tenant names safe as storage-key fragments and metric
 // labels.
 var tenantNameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)

@@ -5,7 +5,11 @@ import (
 	"strings"
 
 	"ompcloud/internal/storage"
+	"ompcloud/internal/trace/span"
 )
+
+// metricJournalSkipped counts journal records replay could not re-admit.
+const metricJournalSkipped = "serve.journal.skipped"
 
 // JournalPrefix roots the write-ahead job journal in the daemon's store.
 // It lives outside the tenants/ namespaces on purpose: the journal is
@@ -43,26 +47,35 @@ func (w *journal) release(id string) error {
 }
 
 // replay lists and decodes every surviving entry, in admission order
-// (List returns keys sorted, and IDs are zero-padded sequence numbers).
-func (w *journal) replay() ([]*journalEntry, error) {
+// (List returns keys sorted, and IDs are zero-padded sequence numbers), and
+// reports the highest sequence number any key carries. A record that does
+// not decode, names another job or a bad tenant, or holds a spec Validate
+// refuses is skipped: counted, traced with its key, and left in place. One
+// torn record costs its own job, never the recovery of the rest.
+func (w *journal) replay() (entries []*journalEntry, maxSeq int, err error) {
 	keys, err := w.store.List(JournalPrefix)
 	if err != nil {
-		return nil, fmt.Errorf("serve: journal list: %w", err)
+		return nil, 0, fmt.Errorf("serve: journal list: %w", err)
 	}
-	entries := make([]*journalEntry, 0, len(keys))
+	entries = make([]*journalEntry, 0, len(keys))
 	for _, k := range keys {
+		id := strings.TrimPrefix(k, JournalPrefix)
+		maxSeq = max(maxSeq, parseSeq(id))
 		b, err := w.store.Get(k)
 		if err != nil {
-			return nil, fmt.Errorf("serve: journal read %s: %w", k, err)
+			return nil, 0, fmt.Errorf("serve: journal read %s: %w", k, err)
 		}
 		e, err := decodeEntry(b)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", k, err)
+		if err == nil {
+			err = e.check(id)
 		}
-		if got := strings.TrimPrefix(k, JournalPrefix); got != e.ID {
-			return nil, fmt.Errorf("serve: journal key %s holds entry %s", k, e.ID)
+		if err != nil {
+			span.Metrics().Counter(metricJournalSkipped).Inc()
+			span.Event("serve.journal.skip", "serve",
+				span.Attr{Key: "key", Val: k}, span.Attr{Key: "error", Val: err.Error()})
+			continue
 		}
 		entries = append(entries, e)
 	}
-	return entries, nil
+	return entries, maxSeq, nil
 }

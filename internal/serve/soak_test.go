@@ -16,11 +16,12 @@ import (
 	"slices"
 	"testing"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/offload"
 	"ompcloud/internal/serve"
 	"ompcloud/internal/simtime"
-	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
+	"ompcloud/internal/trace/span"
 )
 
 // event is one point of a virtual-time schedule.
@@ -348,9 +349,11 @@ func TestServiceSoak(t *testing.T) {
 // mid-run (every started job loses its last tile on every attempt — the
 // storage state a SIGKILL mid-job leaves behind, healthy tiles committed
 // through the session journal), abandons the daemon without completing
-// anything, and brings up a second daemon over the same store. The second
-// life must recover exactly the journaled jobs, resume the committed tiles,
-// and produce outputs bit-identical to clean reference runs.
+// anything, and brings up a second daemon over the same store, whose read of
+// the third journal record comes back torn. The second life must skip that
+// record and leave it journaled, recover every other job, resume the
+// committed tiles, and produce outputs bit-identical to clean reference
+// runs.
 func testKillRecover(t *testing.T) {
 	const killJobs = 6
 	st := storage.NewMemStore()
@@ -377,7 +380,8 @@ func testKillRecover(t *testing.T) {
 
 	sabotage := &serve.PoolExecutor{Base: st, ChunkBytes: 4096,
 		Mutate: func(_ *serve.Job, cfg *offload.CloudConfig) {
-			cfg.Faults = spark.FailPartitionAttempts(cfg.Spec.TotalCores()-1, 1<<20)
+			cfg.Faults = faults.New(svcSeed).Add(faults.Entry{Layer: faults.Before,
+				Partition: cfg.Spec.TotalCores() - 1, Worker: faults.Any})
 			cfg.Fallback = offload.FallbackFail
 		}}
 	wave := d1.Dispatch(0)
@@ -396,16 +400,24 @@ func testKillRecover(t *testing.T) {
 		t.Fatalf("%d of %d jobs journaled at kill time (%v)", len(keys), killJobs, err)
 	}
 
+	torn := faults.New(svcSeed).Add(faults.Entry{Op: "get", Key: serve.JournalPrefix, Skip: 2, Count: 1,
+		Do: faults.Truncate, Keep: 7})
+	cfg.Store = storage.WithFaults(st, torn)
 	d2, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	skipped := span.Metrics().Counter("serve.journal.skipped")
+	skipped0 := skipped.Value()
 	recovered, err := d2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != killJobs {
-		t.Fatalf("recovered %d of %d journaled jobs", len(recovered), killJobs)
+	if n := skipped.Value() - skipped0; n != 1 || torn.Fired(faults.Store) != 1 {
+		t.Fatalf("%d journal records skipped, %d torn; want 1 of each", n, torn.Fired(faults.Store))
+	}
+	if len(recovered) != killJobs-1 {
+		t.Fatalf("recovered %d of the %d journaled jobs whose records read whole", len(recovered), killJobs-1)
 	}
 	resumed := 0
 	outputs := map[string][][]float32{}
@@ -419,12 +431,16 @@ func testKillRecover(t *testing.T) {
 	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(outputs) != killJobs {
-		t.Fatalf("recovery completed %d of %d jobs", len(outputs), killJobs)
+	if len(outputs) != killJobs-1 {
+		t.Fatalf("recovery completed %d of %d jobs", len(outputs), killJobs-1)
+	}
+	if keys, err := st.List(serve.JournalPrefix); err != nil || len(keys) != 1 {
+		t.Fatalf("the torn record's job should stay journaled alone, journal holds %v (%v)", keys, err)
 	}
 	if resumed == 0 {
 		t.Fatal("recovery recomputed everything — no tiles resumed")
 	}
+	t.Logf("%d of %d journaled jobs recovered, 1 torn record skipped, %d tiles resumed", len(recovered), killJobs, resumed)
 	// Every recovered job against a clean run of the spec it was submitted
 	// with, at the same grant width, on pristine storage.
 	for _, j := range recovered {

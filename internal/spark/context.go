@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"sync"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/simtime"
 )
@@ -84,14 +85,13 @@ type Context struct {
 	costs Costs
 
 	slots      chan struct{} // bounds real parallelism to machine cores
-	faults     FaultInjector
+	faults     *faults.Schedule
 	maxRetries int
 	log        Logf
 	metricDev  string // keys per-task metrics by device (span.DevKey)
 
 	lease       LeaseConfig
 	speculation SpeculationConfig
-	wfaults     *WorkerFaults
 
 	mu          sync.Mutex
 	deadWorkers map[int]bool
@@ -110,8 +110,10 @@ type Option func(*Context)
 // WithCosts overrides the scheduling cost constants.
 func WithCosts(c Costs) Option { return func(ctx *Context) { ctx.costs = c } }
 
-// WithFaults installs a fault injector.
-func WithFaults(f FaultInjector) Option { return func(ctx *Context) { ctx.faults = f } }
+// WithFaults runs the context under a fault schedule: its Before and After
+// entries fail, hang or kill task attempts, and its Beat entries silence
+// heartbeats of the membership layer.
+func WithFaults(s *faults.Schedule) Option { return func(ctx *Context) { ctx.faults = s } }
 
 // WithMaxRetries overrides the per-task retry budget (default 3, Spark's
 // spark.task.maxFailures-1).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/spark"
 )
 
@@ -79,11 +80,10 @@ func ExampleReduceByKey() {
 
 // Lineage-based fault tolerance: injected task failures are retried by
 // recomputing the partition, and results stay correct.
-func ExampleFaultInjector() {
-	ctx, _ := spark.NewContext(
-		spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
-		spark.WithFaults(spark.FailPartitionAttempts(1, 2)), // partition 1 fails twice
-	)
+func ExampleWithFaults() {
+	// Partition 1's first two attempts fail, on any worker.
+	sched := faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: 1, Worker: faults.Any, To: 2})
+	ctx, _ := spark.NewContext(spark.ClusterSpec{Workers: 2, CoresPerWorker: 2}, spark.WithFaults(sched))
 	nums, _ := spark.Range(ctx, 100, 4)
 	sum, jm, err := nums.Reduce(func(a, b int64) int64 { return a + b })
 	if err != nil {

@@ -3,11 +3,25 @@ package spark
 import (
 	"testing"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 )
 
+// failAttempts fails the first n attempts of partition in every job.
+func failAttempts(partition, n int) faults.Entry {
+	return faults.Entry{Layer: faults.Before, Partition: partition, Worker: faults.Any, To: n}
+}
+
+// crashAfter loses the computed result of partition's first n attempts.
+func crashAfter(partition, n int) faults.Entry {
+	return faults.Entry{Layer: faults.After, Partition: partition, Worker: faults.Any, To: n}
+}
+
+// withFaults runs a test context under a fresh schedule of es.
+func withFaults(es ...faults.Entry) Option { return WithFaults(faults.New(1).Add(es...)) }
+
 func TestCrashAfterSuccessRecovers(t *testing.T) {
-	ctx := testContext(t, 4, 1, WithFaults(CrashAfterSuccess(1, 2)))
+	ctx := testContext(t, 4, 1, withFaults(crashAfter(1, 2)))
 	r, _ := Range(ctx, 16, 4)
 	got, jm, err := r.Collect()
 	if err != nil {
@@ -27,7 +41,7 @@ func TestCrashAfterSuccessRecovers(t *testing.T) {
 }
 
 func TestCrashAfterSuccessExhaustedIsTransient(t *testing.T) {
-	ctx := testContext(t, 2, 1, WithMaxRetries(1), WithFaults(CrashAfterSuccess(0, 10)))
+	ctx := testContext(t, 2, 1, WithMaxRetries(1), withFaults(crashAfter(0, 10)))
 	r, _ := Range(ctx, 4, 2)
 	_, _, err := r.Collect()
 	if err == nil {
@@ -40,10 +54,10 @@ func TestCrashAfterSuccessExhaustedIsTransient(t *testing.T) {
 
 func TestSeededRandomFaultsDeterministic(t *testing.T) {
 	schedule := func(seed uint64) []bool {
-		inj := &SeededRandomFaults{Seed: seed, P: 0.5}
+		s := faults.New(seed).Add(faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Prob: 0.5})
 		outcomes := make([]bool, 64)
 		for i := range outcomes {
-			outcomes[i] = inj.BeforeTask(0, i, 0, 0) != nil
+			outcomes[i] = s.Before(0, i, 0, 0) != nil
 		}
 		return outcomes
 	}
@@ -73,41 +87,40 @@ func TestSeededRandomFaultsDeterministic(t *testing.T) {
 }
 
 func TestSeededRandomFaultsMaxFails(t *testing.T) {
-	inj := &SeededRandomFaults{Seed: 1, P: 1, MaxFails: 3}
+	// Count bounds a seeded entry's total, so a schedule can never exhaust
+	// a scheduler's retry budget by bad luck.
+	s := faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Prob: 0.99, Count: 3})
 	fails := 0
 	for i := 0; i < 10; i++ {
-		if inj.BeforeTask(0, 0, i, 0) != nil {
+		if s.Before(0, 0, i, 0) != nil {
 			fails++
 		}
 	}
 	if fails != 3 {
-		t.Fatalf("MaxFails=3 injected %d faults", fails)
+		t.Fatalf("Count=3 injected %d faults", fails)
 	}
 }
 
 func TestChainFaultsComposesBothSides(t *testing.T) {
-	chain := ChainFaults(&FlakyEveryNth{N: 2}, CrashAfterSuccess(0, 1))
-	if err := chain.BeforeTask(0, 5, 0, 0); err != nil {
+	s := faults.New(1).Add(
+		faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 2},
+		crashAfter(0, 1))
+	if err := s.Before(0, 5, 0, 0); err != nil {
 		t.Fatalf("first pre-compute draw should pass: %v", err)
 	}
-	if err := chain.BeforeTask(0, 5, 1, 0); err == nil {
+	if err := s.Before(0, 5, 1, 0); err == nil {
 		t.Fatal("second pre-compute draw should fail (every 2nd)")
 	}
-	rf, ok := chain.(ResultFaultInjector)
-	if !ok {
-		t.Fatal("chain must expose the post-compute side")
+	if err := s.After(0, 0, 0, 0); err == nil {
+		t.Fatal("crash-after-success entry should fire post-compute")
 	}
-	if err := rf.AfterTask(0, 0, 0, 0); err == nil {
-		t.Fatal("crash-after-success component should fire post-compute")
-	}
-	if err := rf.AfterTask(0, 1, 0, 0); err != nil {
+	if err := s.After(0, 1, 0, 0); err != nil {
 		t.Fatalf("non-matching partition failed post-compute: %v", err)
 	}
 }
 
 func TestChainFaultsEndToEnd(t *testing.T) {
-	chain := ChainFaults(FailPartitionAttempts(2, 1), CrashAfterSuccess(3, 1))
-	ctx := testContext(t, 4, 1, WithFaults(chain))
+	ctx := testContext(t, 4, 1, withFaults(failAttempts(2, 1), crashAfter(3, 1)))
 	r, _ := Range(ctx, 16, 4)
 	got, jm, err := r.Collect()
 	if err != nil {
@@ -117,6 +130,6 @@ func TestChainFaultsEndToEnd(t *testing.T) {
 		t.Fatalf("collect len = %d", len(got))
 	}
 	if jm.Failures != 2 {
-		t.Fatalf("Failures = %d, want 2 (one per injector)", jm.Failures)
+		t.Fatalf("Failures = %d, want 2 (one per entry)", jm.Failures)
 	}
 }

@@ -2,7 +2,6 @@ package spark
 
 import (
 	"strconv"
-	"sync"
 
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/trace/span"
@@ -32,78 +31,6 @@ type LeaseConfig struct {
 // WithLease enables lease-based worker membership.
 func WithLease(lc LeaseConfig) Option { return func(ctx *Context) { ctx.lease = lc } }
 
-// WithWorkerFaults installs a worker-level fault injector driving the
-// membership layer.
-func WithWorkerFaults(wf *WorkerFaults) Option { return func(ctx *Context) { ctx.wfaults = wf } }
-
-// WorkerFaults injects executor-level failures through the membership layer
-// (it suppresses heartbeats; the lease machinery does the killing). All
-// three scenarios of executor churn are covered: die-at-task-N,
-// die-mid-heartbeat, and flapping rejoin. The zero value injects nothing.
-type WorkerFaults struct {
-	// DieAtTask silences worker w's heartbeats permanently once it has
-	// started its Nth task attempt (1-based). The attempt in flight when
-	// the lease expires is lost and re-executed on a survivor.
-	DieAtTask map[int]int
-	// DropBeats silences worker w's next N heartbeats counted from the
-	// start of the run: a recoverable network blip below the lease budget,
-	// death-mid-heartbeat at or above it.
-	DropBeats map[int]int
-	// RejoinTicks revives a lease-expired worker this many heartbeat
-	// intervals after its death (flapping rejoin); 0 keeps dead workers
-	// dead. Rejoining workers receive new task attempts but old attempts
-	// stay lost.
-	RejoinTicks int
-
-	mu      sync.Mutex
-	started map[int]int  // task attempts started, per worker
-	tripped map[int]bool // DieAtTask thresholds already crossed
-	dropped map[int]int  // heartbeats dropped so far, per worker
-}
-
-// taskStarted records that worker w began a task attempt, arming DieAtTask.
-func (wf *WorkerFaults) taskStarted(w int) {
-	if wf == nil {
-		return
-	}
-	wf.mu.Lock()
-	defer wf.mu.Unlock()
-	if wf.started == nil {
-		wf.started = make(map[int]int)
-	}
-	wf.started[w]++
-	if n, ok := wf.DieAtTask[w]; ok && wf.started[w] >= n {
-		if wf.tripped == nil {
-			wf.tripped = make(map[int]bool)
-		}
-		wf.tripped[w] = true
-	}
-}
-
-// silenced reports whether worker w's heartbeat is suppressed on this tick,
-// consuming one DropBeats credit when present. It is called exactly once per
-// worker per tick.
-func (wf *WorkerFaults) silenced(w int) bool {
-	if wf == nil {
-		return false
-	}
-	wf.mu.Lock()
-	defer wf.mu.Unlock()
-	if wf.tripped[w] {
-		return true
-	}
-	if budget, ok := wf.DropBeats[w]; ok {
-		if wf.dropped == nil {
-			wf.dropped = make(map[int]int)
-		}
-		if wf.dropped[w] < budget {
-			wf.dropped[w]++
-			return true
-		}
-	}
-	return false
-}
-
 // tick advances the virtual membership clock by one heartbeat interval:
 // every alive worker whose heartbeat is not suppressed renews its lease,
 // leases past their budget expire (the worker is declared dead), and dead
@@ -115,13 +42,14 @@ func (c *Context) tick() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	tick := int(c.vnow / c.lease.Heartbeat)
 	c.vnow += c.lease.Heartbeat
 	for w := 0; w < c.spec.Workers; w++ {
-		silenced := c.wfaults.silenced(w)
+		silenced := c.faults.Silenced(w, tick)
 		if c.deadWorkers[w] {
 			died, byLease := c.diedAt[w]
-			if byLease && !silenced && c.wfaults != nil && c.wfaults.RejoinTicks > 0 &&
-				c.vnow >= died+simtime.Duration(c.wfaults.RejoinTicks)*c.lease.Heartbeat {
+			rejoin := simtime.Duration(c.faults.Rejoin(w))
+			if byLease && !silenced && rejoin > 0 && c.vnow >= died+rejoin*c.lease.Heartbeat {
 				delete(c.deadWorkers, w)
 				delete(c.diedAt, w)
 				c.leases[w].Renew(c.vnow)

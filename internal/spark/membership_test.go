@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/simtime"
 )
@@ -16,8 +17,8 @@ func leaseOpts(misses int) Option {
 }
 
 func TestLeaseExpiryKillsSilentWorker(t *testing.T) {
-	wf := &WorkerFaults{DropBeats: map[int]int{1: 1000}} // worker 1 never beats again
-	ctx := testContext(t, 4, 2, leaseOpts(2), WithWorkerFaults(wf))
+	// Worker 1 never beats again.
+	ctx := testContext(t, 4, 2, leaseOpts(2), withFaults(faults.Entry{Layer: faults.Beat, Worker: 1, Do: faults.Drop}))
 	r, _ := Range(ctx, 64, 16)
 	got, _, err := r.Collect()
 	if err != nil {
@@ -39,8 +40,9 @@ func TestDieAtTaskLosesInFlightAttempt(t *testing.T) {
 	// Misses=1 guarantees the lease expires between a doomed attempt's
 	// launch tick and its completion tick, so the attempt's result is lost
 	// and the work re-executes on a survivor.
-	wf := &WorkerFaults{DieAtTask: map[int]int{2: 2}}
-	ctx := testContext(t, 4, 1, leaseOpts(1), WithWorkerFaults(wf))
+	// Worker 2 dies when it starts its second task.
+	die := faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: 2, Skip: 1, Do: faults.Die}
+	ctx := testContext(t, 4, 1, leaseOpts(1), withFaults(die))
 	r, _ := Range(ctx, 64, 16)
 	got, jm, err := r.Collect()
 	if err != nil {
@@ -64,9 +66,8 @@ func TestDieAtTaskLosesInFlightAttempt(t *testing.T) {
 
 func TestFlappingRejoin(t *testing.T) {
 	// Worker 0 goes silent for 3 beats (budget 2 -> dies), then resumes
-	// beating; RejoinTicks lets it back in.
-	wf := &WorkerFaults{DropBeats: map[int]int{0: 3}, RejoinTicks: 2}
-	ctx := testContext(t, 2, 1, leaseOpts(2), WithWorkerFaults(wf))
+	// beating; Rejoin lets it back in two ticks after its death.
+	ctx := testContext(t, 2, 1, leaseOpts(2), withFaults(faults.Entry{Layer: faults.Beat, Worker: 0, To: 3, Do: faults.Drop, Rejoin: 2}))
 	r, _ := Range(ctx, 128, 32)
 	if _, _, err := r.Collect(); err != nil {
 		t.Fatal(err)
@@ -125,40 +126,28 @@ func TestNoAliveWorkersIsTransient(t *testing.T) {
 	}
 }
 
-// stalledOriginal is a deterministic straggler: the original copy of one
-// partition — the copy on the partition's preferred worker; a backup always
-// races on another — parks in BeforeTask until the partition has committed.
+// runStalled collects a 4x4 cluster's job over n elements in parts
+// partitions with partition p's original stalled: the copy on the
+// partition's preferred worker (a backup always races on another) hangs
+// until a backup has computed the partition, then dies, retries included.
 // Only the backup can commit it, so the backup wins by construction and what
 // the run exercises is maybeSpeculate finding the straggler (on a commit or
-// on its re-arm timer), never a sleep racing the host's scheduler.
-type stalledOriginal struct {
-	partition, worker int
-	committed         chan struct{}
-	once              sync.Once
-}
-
-func (s *stalledOriginal) BeforeTask(job, p, attempt, worker int) error {
-	if p == s.partition && worker == s.worker {
-		<-s.committed
-	}
-	return nil
-}
-
-func (s *stalledOriginal) release() { s.once.Do(func() { close(s.committed) }) }
-
-// runStalled collects a 4x4 cluster's job over n elements in parts
-// partitions with partition p's original stalled, counting sink deliveries.
+// on its re-arm timer), never a sleep racing the host's scheduler. Sink
+// deliveries are counted per partition.
 func runStalled(t *testing.T, n int64, parts, p int) ([][]int64, *JobMetrics, map[int]int) {
 	t.Helper()
-	stall := &stalledOriginal{partition: p, committed: make(chan struct{})}
+	// A run that never speculates must fail its assertions, not hang.
+	stall := faults.Entry{Layer: faults.Before, Partition: p, Do: faults.Hang, Dur: 10 * time.Second, Rescue: true}
+	sched := faults.New(1)
 	// More real slots than machine cores: the parked original must not
 	// starve its own backup of the execution slot (nproc can be 1 in CI).
 	ctx := testContext(t, 4, 4,
 		WithSpeculation(SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 1.2}),
-		WithFaults(stall), WithRealParallelism(4))
-	stall.worker = ctx.PartitionWorker(p, parts)
-	// A run that never speculates must fail its assertions, not hang.
-	defer time.AfterFunc(10*time.Second, stall.release).Stop()
+		WithFaults(sched), WithRealParallelism(4))
+	original, retries := stall, stall
+	original.Worker, original.To = ctx.PartitionWorker(p, parts), 1
+	retries.Worker, retries.From = faults.Any, 1
+	sched.Add(original, retries)
 	r, _ := Range(ctx, n, parts)
 	var mu sync.Mutex
 	seen := make(map[int]int)
@@ -166,9 +155,6 @@ func runStalled(t *testing.T, n int64, parts, p int) ([][]int64, *JobMetrics, ma
 		mu.Lock()
 		seen[q]++
 		mu.Unlock()
-		if q == p {
-			stall.release()
-		}
 	})
 	if err != nil {
 		t.Fatal(err)

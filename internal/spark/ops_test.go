@@ -67,8 +67,7 @@ func TestPersistIsolation(t *testing.T) {
 func TestPersistWithFaultRetry(t *testing.T) {
 	// A fault downstream of a persist re-runs only the downstream part.
 	var computations atomic.Int64
-	fault := FailPartitionAttempts(1, 1)
-	ctx := testContext(t, 2, 1, WithFaults(fault))
+	ctx := testContext(t, 2, 1, withFaults(failAttempts(1, 1)))
 	r, _ := Range(ctx, 8, 2)
 	base := Persist(Map(r, func(v int64) (int64, error) {
 		computations.Add(1)

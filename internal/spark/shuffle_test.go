@@ -123,7 +123,7 @@ func TestShuffleValidation(t *testing.T) {
 
 func TestShuffleWithFaults(t *testing.T) {
 	// The shuffle's upstream job tolerates injected failures.
-	ctx := testContext(t, 2, 1, WithFaults(FailPartitionAttempts(0, 1)))
+	ctx := testContext(t, 2, 1, withFaults(failAttempts(0, 1)))
 	r, _ := Range(ctx, 40, 4)
 	pairs := Map(r, func(v int64) (KV[int64, int64], error) {
 		return KV[int64, int64]{Key: v % 2, Value: 1}, nil

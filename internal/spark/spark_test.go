@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/simtime"
 )
 
@@ -270,7 +271,7 @@ func TestMapCollectProperty(t *testing.T) {
 }
 
 func TestRetryOnInjectedFault(t *testing.T) {
-	ctx := testContext(t, 4, 1, WithFaults(FailPartitionAttempts(2, 2)))
+	ctx := testContext(t, 4, 1, withFaults(failAttempts(2, 2)))
 	r, _ := Range(ctx, 16, 4)
 	got, jm, err := r.Collect()
 	if err != nil {
@@ -296,7 +297,7 @@ func TestRetryOnInjectedFault(t *testing.T) {
 }
 
 func TestRetriesExhausted(t *testing.T) {
-	ctx := testContext(t, 2, 1, WithMaxRetries(2), WithFaults(FailPartitionAttempts(0, 10)))
+	ctx := testContext(t, 2, 1, WithMaxRetries(2), withFaults(failAttempts(0, 10)))
 	r, _ := Range(ctx, 4, 2)
 	_, _, err := r.Collect()
 	if err == nil || !strings.Contains(err.Error(), "exhausted") {
@@ -355,8 +356,7 @@ func TestTaskPanicIsIsolated(t *testing.T) {
 func TestLineageRecomputationDeterminism(t *testing.T) {
 	// The same RDD collected twice (second time with a transient fault
 	// forcing recomputation) must produce identical results.
-	fault := &FlakyEveryNth{N: 3}
-	ctx := testContext(t, 4, 2, WithFaults(fault))
+	ctx := testContext(t, 4, 2, withFaults(faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 3}))
 	r, _ := Range(ctx, 64, 8)
 	mapped := Map(r, func(v int64) (int64, error) { return v*v + 1, nil })
 	a, _, err := mapped.Collect()
@@ -479,26 +479,26 @@ func TestBroadcast(t *testing.T) {
 }
 
 func TestFaultHelpers(t *testing.T) {
-	fi := FailWorkerAlways(3)
-	if err := fi.BeforeTask(1, 0, 0, 3); err == nil {
+	s := faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: 3})
+	if err := s.Before(1, 0, 0, 3); err == nil {
 		t.Fatal("should fail on worker 3")
 	}
-	if err := fi.BeforeTask(1, 0, 0, 2); err != nil {
+	if err := s.Before(1, 0, 0, 2); err != nil {
 		t.Fatal("should pass on worker 2")
 	}
-	flaky := &FlakyEveryNth{N: 2}
+	flaky := faults.New(1).Add(faults.Entry{Layer: faults.Before, Partition: faults.Any, Worker: faults.Any, Every: 2})
 	errs := 0
 	for i := 0; i < 10; i++ {
-		if flaky.BeforeTask(0, 0, 0, 0) != nil {
+		if flaky.Before(0, 0, 0, 0) != nil {
 			errs++
 		}
 	}
 	if errs != 5 {
-		t.Fatalf("FlakyEveryNth(2) failed %d of 10", errs)
+		t.Fatalf("every 2nd attempt failed %d of 10", errs)
 	}
-	disabled := &FlakyEveryNth{N: 0}
-	if disabled.BeforeTask(0, 0, 0, 0) != nil {
-		t.Fatal("N=0 must never fail")
+	var none *faults.Schedule
+	if none.Before(0, 0, 0, 0) != nil || none.After(0, 0, 0, 0) != nil {
+		t.Fatal("a nil schedule must never fail")
 	}
 }
 

@@ -478,13 +478,12 @@ func executeAttempt[T any](ctx *Context, r *RDD[T], jobID, p, attempt, worker in
 	ctx.slots <- struct{}{}
 	defer func() { <-ctx.slots }()
 
-	ctx.wfaults.taskStarted(worker)
+	// A die entry trips on this start, which the launch tick must see; the
+	// schedule's verdict on the attempt lands after the tick.
+	ferr := ctx.faults.Before(jobID, p, attempt, worker)
 	ctx.tick()
-
-	if ctx.faults != nil {
-		if ferr := ctx.faults.BeforeTask(jobID, p, attempt, worker); ferr != nil {
-			return nil, 0, resilience.MarkTransient(ferr)
-		}
+	if ferr != nil {
+		return nil, 0, resilience.MarkTransient(ferr)
 	}
 	if ctx.workerDead(worker) {
 		return nil, 0, resilience.MarkTransient(fmt.Errorf("executor %d: %w", worker, ErrWorkerLost))
@@ -507,13 +506,11 @@ func executeAttempt[T any](ctx *Context, r *RDD[T], jobID, p, attempt, worker in
 	if ctx.workerDead(worker) { // worker died mid-flight: result is lost
 		return nil, dur, resilience.MarkTransient(fmt.Errorf("executor %d died during task, result lost: %w", worker, ErrWorkerLost))
 	}
-	if rf, ok := ctx.faults.(ResultFaultInjector); ok {
+	if ferr := ctx.faults.After(jobID, p, attempt, worker); ferr != nil {
 		// Crash-after-success: the computation finished but the result
 		// never left the executor, so it is discarded and the attempt
 		// fails like any lost worker.
-		if ferr := rf.AfterTask(jobID, p, attempt, worker); ferr != nil {
-			return nil, dur, resilience.MarkTransient(ferr)
-		}
+		return nil, dur, resilience.MarkTransient(ferr)
 	}
 	return out, dur, nil
 }

@@ -1,335 +1,130 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
-	"strings"
-	"sync"
 	"time"
 
+	"ompcloud/internal/faults"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/trace/span"
 )
 
-// FaultOp names a Store operation for fault matching.
-type FaultOp string
+// ErrPartitioned is the root cause of operations a Drop entry refused. The
+// fault wrapper returns it wrapped and classified transient: partitions
+// heal, and the retry/fallback ladder above decides how long to care.
+var ErrPartitioned = errors.New("storage: network partitioned")
 
-// The matchable operations. OpAny matches every operation.
-const (
-	OpAny    FaultOp = ""
-	OpPut    FaultOp = "put"
-	OpGet    FaultOp = "get"
-	OpDelete FaultOp = "delete"
-	OpList   FaultOp = "list"
-	OpStat   FaultOp = "stat"
-)
-
-// Fault is one deterministic fault rule of a FaultStore. A rule matches an
-// operation (by op kind and key predicate), skips its first Skip matches,
-// then fires on the next Count matches (Count <= 0 fires forever). Firing
-// applies, in order: the latency Delay, the payload Corrupt (Get only, after
-// the inner call), and the error Err — so one rule can model a slow-then-
-// failing endpoint or a spike that still succeeds.
-type Fault struct {
-	// Op restricts the rule to one operation kind; OpAny matches all.
-	Op FaultOp
-	// Match restricts the rule to keys it accepts; nil matches every key.
-	// (List and Stat match on the prefix/key argument.)
-	Match func(key string) bool
-	// Skip lets this many matching calls through before the rule arms —
-	// "fail the third PUT" is Skip: 2, Count: 1.
-	Skip int
-	// Count bounds how many times the rule fires; <= 0 means unlimited
-	// (a permanently-dead store is Fault{Err: ...} with Count 0).
-	Count int
-	// Prob, when in (0, 1), fires the rule only on that fraction of
-	// armed matches, decided by a deterministic seeded sequence — the
-	// soak-test random injector. Zero or >= 1 fires on every match.
-	Prob float64
-	// Seed drives the Prob sequence; two stores with equal rules and
-	// seeds inject identical fault schedules.
-	Seed uint64
-
-	// Delay injects latency before the operation proceeds (or fails).
-	Delay time.Duration
-	// Corrupt mutates a Get's returned payload (truncation, bit flips).
-	// It receives a private copy and its return value is handed to the
-	// caller.
-	Corrupt func(data []byte) []byte
-	// Err fails the operation. A nil Err with a nil Corrupt and zero
-	// Delay is a no-op rule. Unclassified errors are marked transient:
-	// injected faults model the recoverable chaos of real object stores.
-	Err error
+// WithFaults wraps inner behind the storage layer of a fault schedule: each
+// operation asks sched and does what it decides — fails, is refused as
+// partitioned, stalls, pays a collapsed link's transfer time, or (a Get)
+// hands back a truncated or bit-flipped copy of the payload. The wrapper
+// also measures what it lets through: a windowed per-direction rate meter
+// behind BandwidthObserver, the degraded-mode policy's source of truth for
+// the rate the link actually sustains, and the schedule's downtime behind
+// PartitionAccountant. Like Throttled it implements no AppendGetter,
+// PartsPutter or StreamGetter, so every read and write is observed.
+func WithFaults(inner Store, sched *faults.Schedule) Store {
+	return &faultStore{inner: inner, sched: sched, sleep: time.Sleep}
 }
 
-// faultRule is a Fault plus its firing state.
-type faultRule struct {
-	Fault
-	seen  int    // armed matches observed (post-Skip)
-	fired int    // times the rule actually fired
-	draws uint64 // Prob sequence position
+type faultStore struct {
+	inner    Store
+	sched    *faults.Schedule
+	sleep    func(time.Duration) // tests record instead of sleeping
+	up, down rateMeter
 }
 
-// effect names what a firing of this rule does, for the trace event.
-func (r *faultRule) effect() string {
-	var parts []string
-	if r.Delay > 0 {
-		parts = append(parts, "delay")
+// ObservedBPS implements BandwidthObserver from the wrapper's own windowed
+// measurements: the inner store's cost plus a Slow entry's collapse
+// surcharge. Hang and Delay stalls are waited before the timer starts, so
+// they are not counted.
+func (f *faultStore) ObservedBPS() (upBPS, downBPS float64) { return f.up.rate(), f.down.rate() }
+
+// PartitionSeconds implements PartitionAccountant.
+func (f *faultStore) PartitionSeconds() float64 { return f.sched.Down().Seconds() }
+
+// gate asks the schedule about one operation, publishes the link gauges,
+// and applies its refusal, stall and failure.
+func (f *faultStore) gate(op, key string) (faults.Effect, error) {
+	eff := f.sched.Store(op, key)
+	m := span.Metrics()
+	up := int64(1)
+	if eff.Drop || eff.Hung {
+		up = 0
 	}
-	if r.Corrupt != nil {
-		parts = append(parts, "corrupt")
+	m.Gauge("net.link.up").Set(up)
+	m.Gauge("net.link.bw_frac_milli").Set(int64(eff.Frac * 1000))
+	if eff.Drop {
+		return eff, resilience.MarkTransient(fmt.Errorf("storage: %s %s: %w", op, key, ErrPartitioned))
 	}
-	if r.Err != nil {
-		parts = append(parts, "error")
+	if eff.Stall > 0 {
+		f.sleep(eff.Stall)
 	}
-	if len(parts) == 0 {
-		return "none"
+	if eff.Err != nil {
+		return eff, fmt.Errorf("storage: injected %s fault on %q: %w", op, key, eff.Err)
 	}
-	return strings.Join(parts, "+")
+	return eff, nil
 }
 
-// matches reports whether the rule covers (op, key).
-func (r *faultRule) matches(op FaultOp, key string) bool {
-	if r.Op != OpAny && r.Op != op {
-		return false
+// charge sleeps a Slow decision's surcharge for n wire bytes.
+func (f *faultStore) charge(eff faults.Effect, n int) {
+	if n > 0 && eff.Rate > 0 && eff.Frac < 1 {
+		f.sleep(time.Duration(float64(n) / eff.Rate * (1/eff.Frac - 1) * float64(time.Second)))
 	}
-	return r.Match == nil || r.Match(key)
-}
-
-// FaultStore wraps a Store with a deterministic fault-injection schedule —
-// the storage-plane sibling of spark.FaultInjector. It lets chaos tests
-// cover the four Fig. 1 transfer legs with the failure modes real object
-// stores exhibit: transient request failures, latency spikes, and truncated
-// or bit-flipped payloads.
-//
-// Rules are evaluated in injection order on every operation; all matching
-// rules advance their schedules, delays and corruptions accumulate, and the
-// first matching error wins. All methods are safe for concurrent use; the
-// schedule counters are shared, so concurrent callers see one global
-// ordering (which ordering is scheduling-dependent, but the *number* of
-// injected faults is exact).
-type FaultStore struct {
-	inner Store
-	sleep func(time.Duration)
-
-	mu    sync.Mutex
-	rules []*faultRule
-	fired int
-}
-
-// NewFaultStore wraps inner with an empty schedule.
-func NewFaultStore(inner Store) *FaultStore {
-	return &FaultStore{inner: inner, sleep: time.Sleep}
-}
-
-// Inject appends a rule to the schedule and returns the store for chaining.
-func (s *FaultStore) Inject(f Fault) *FaultStore {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rules = append(s.rules, &faultRule{Fault: f})
-	return s
-}
-
-// SetSleep replaces the latency clock (tests inject a recorder instead of
-// sleeping for real).
-func (s *FaultStore) SetSleep(fn func(time.Duration)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fn == nil {
-		fn = time.Sleep
-	}
-	s.sleep = fn
-}
-
-// Fired reports how many faults the schedule has injected so far.
-func (s *FaultStore) Fired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
-}
-
-// Clear drops every rule (the store heals).
-func (s *FaultStore) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rules = nil
-}
-
-// apply advances the schedule for (op, key) and returns the injected delay,
-// payload corruptor and error, if any.
-func (s *FaultStore) apply(op FaultOp, key string) (delay time.Duration, corrupt func([]byte) []byte, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.rules {
-		if !r.matches(op, key) {
-			continue
-		}
-		r.seen++
-		if r.seen <= r.Skip {
-			continue
-		}
-		if r.Count > 0 && r.fired >= r.Count {
-			continue
-		}
-		if r.Prob > 0 && r.Prob < 1 {
-			r.draws++
-			frac := float64(splitmix(r.Seed^r.draws)>>11) / float64(1<<53)
-			if frac >= r.Prob {
-				continue
-			}
-		}
-		r.fired++
-		s.fired++
-		span.Event("storage.fault", "storage",
-			span.Attr{Key: "op", Val: string(op)},
-			span.Attr{Key: "key", Val: key},
-			span.Attr{Key: "effect", Val: r.effect()})
-		span.Metrics().Counter("storage.faults.injected").Inc()
-		delay += r.Delay
-		if r.Corrupt != nil {
-			if prev := corrupt; prev != nil {
-				next := r.Corrupt
-				corrupt = func(b []byte) []byte { return next(prev(b)) }
-			} else {
-				corrupt = r.Corrupt
-			}
-		}
-		if r.Err != nil && err == nil {
-			err = r.Err
-			if resilience.ClassOf(err) == resilience.Unknown {
-				err = resilience.MarkTransient(err)
-			}
-		}
-	}
-	return delay, corrupt, err
-}
-
-// splitmix is the SplitMix64 mix used for the Prob sequence (kept local so
-// the storage package stays dependency-light).
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// run executes the injected effects around inner, shared by all ops.
-func (s *FaultStore) run(op FaultOp, key string, inner func() error) error {
-	delay, _, ferr := s.apply(op, key)
-	if delay > 0 {
-		s.sleep(delay)
-	}
-	if ferr != nil {
-		return fmt.Errorf("storage: injected %s fault on %q: %w", op, key, ferr)
-	}
-	return inner()
 }
 
 // Put implements Store.
-func (s *FaultStore) Put(key string, data []byte) error {
-	return s.run(OpPut, key, func() error { return s.inner.Put(key, data) })
+func (f *faultStore) Put(key string, data []byte) error {
+	eff, err := f.gate("put", key)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	f.charge(eff, len(data))
+	if err := f.inner.Put(key, data); err != nil {
+		return err
+	}
+	f.up.add(int64(len(data)), time.Since(start))
+	return nil
 }
 
-// Get implements Store. Corrupt rules mutate the returned payload.
-func (s *FaultStore) Get(key string) ([]byte, error) {
-	delay, corrupt, ferr := s.apply(OpGet, key)
-	if delay > 0 {
-		s.sleep(delay)
-	}
-	if ferr != nil {
-		return nil, fmt.Errorf("storage: injected get fault on %q: %w", key, ferr)
-	}
-	b, err := s.inner.Get(key)
+// Get implements Store.
+func (f *faultStore) Get(key string) ([]byte, error) {
+	eff, err := f.gate("get", key)
 	if err != nil {
 		return nil, err
 	}
-	if corrupt != nil {
-		b = corrupt(b)
+	start := time.Now()
+	b, err := f.inner.Get(key)
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	f.charge(eff, len(b))
+	f.down.add(int64(len(b)), time.Since(start))
+	return eff.Corrupt(b), nil
 }
 
 // Delete implements Store.
-func (s *FaultStore) Delete(key string) error {
-	return s.run(OpDelete, key, func() error { return s.inner.Delete(key) })
+func (f *faultStore) Delete(key string) error {
+	if _, err := f.gate("delete", key); err != nil {
+		return err
+	}
+	return f.inner.Delete(key)
 }
 
 // List implements Store.
-func (s *FaultStore) List(prefix string) ([]string, error) {
-	var keys []string
-	err := s.run(OpList, prefix, func() (e error) {
-		keys, e = s.inner.List(prefix)
-		return e
-	})
-	return keys, err
+func (f *faultStore) List(prefix string) ([]string, error) {
+	if _, err := f.gate("list", prefix); err != nil {
+		return nil, err
+	}
+	return f.inner.List(prefix)
 }
 
 // Stat implements Store.
-func (s *FaultStore) Stat(key string) (int64, error) {
-	var n int64
-	err := s.run(OpStat, key, func() (e error) {
-		n, e = s.inner.Stat(key)
-		return e
-	})
-	return n, err
-}
-
-var _ Store = (*FaultStore)(nil)
-
-// --- Schedule constructors ---------------------------------------------
-
-// MatchSubstr builds a key predicate matching keys containing substr.
-func MatchSubstr(substr string) func(string) bool {
-	return func(key string) bool { return strings.Contains(key, substr) }
-}
-
-// FailFirstN fails the first n operations of the given kind (transient).
-func FailFirstN(op FaultOp, n int) Fault {
-	return Fault{Op: op, Count: n, Err: fmt.Errorf("fail-first-%d", n)}
-}
-
-// FailKeysMatching fails up to count operations of the given kind whose key
-// contains substr; count <= 0 fails them forever.
-func FailKeysMatching(op FaultOp, substr string, count int) Fault {
-	return Fault{Op: op, Match: MatchSubstr(substr), Count: count,
-		Err: fmt.Errorf("fail-keys %q", substr)}
-}
-
-// SpikeLatency delays up to count operations of the given kind by d without
-// failing them; count <= 0 spikes forever.
-func SpikeLatency(op FaultOp, d time.Duration, count int) Fault {
-	return Fault{Op: op, Delay: d, Count: count}
-}
-
-// TruncateGets truncates the payload of up to count Gets of keys containing
-// substr to keep bytes — the short-read corruption mode.
-func TruncateGets(substr string, keep, count int) Fault {
-	return Fault{Op: OpGet, Match: MatchSubstr(substr), Count: count,
-		Corrupt: func(b []byte) []byte {
-			if keep < 0 || keep > len(b) {
-				return b
-			}
-			return b[:keep]
-		}}
-}
-
-// FlipBitGets XOR-flips one bit of the payload of up to count Gets of keys
-// containing substr — the bit-rot corruption mode.
-func FlipBitGets(substr string, bit int, count int) Fault {
-	return Fault{Op: OpGet, Match: MatchSubstr(substr), Count: count,
-		Corrupt: func(b []byte) []byte {
-			if len(b) == 0 {
-				return b
-			}
-			i := (bit / 8) % len(b)
-			b[i] ^= 1 << (bit % 8)
-			return b
-		}}
-}
-
-// RandomFaults fails each matching operation with probability prob, decided
-// by a deterministic seeded sequence — the storage half of a seeded soak
-// test. count <= 0 leaves the rule armed forever.
-func RandomFaults(op FaultOp, prob float64, seed uint64, count int) Fault {
-	return Fault{Op: op, Prob: prob, Seed: seed, Count: count,
-		Err: fmt.Errorf("seeded random fault (p=%g)", prob)}
+func (f *faultStore) Stat(key string) (int64, error) {
+	if _, err := f.gate("stat", key); err != nil {
+		return 0, err
+	}
+	return f.inner.Stat(key)
 }

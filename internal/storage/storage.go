@@ -54,9 +54,9 @@ type AppendGetter interface {
 
 // GetAppend reads key from st into dst's spare capacity, using the store's
 // native AppendGetter when it has one and falling back to Get plus a copy
-// otherwise. Wrappers that must observe every read (FaultStore's corruption
-// rules, Throttled's pacing, NetFault's link) deliberately don't implement
-// AppendGetter, and the fallback keeps their semantics intact.
+// otherwise. Wrappers that must observe every read (WithFaults' schedule,
+// Throttled's pacing) deliberately don't implement AppendGetter, and the
+// fallback keeps their semantics intact.
 func GetAppend(st Store, key string, dst []byte) ([]byte, error) {
 	if ag, ok := st.(AppendGetter); ok {
 		return ag.GetAppend(key, dst)
@@ -93,7 +93,7 @@ var joinBufs = sync.Pool{New: func() any { return new([]byte) }}
 // native PartsPutter when it has one. Any other store is handed one buffer
 // holding both — in pooled scratch, unless one part is empty and is the
 // object — through its Put, so wrappers that must see every write
-// (FaultStore, Throttled, NetFault) still see this one.
+// (WithFaults, Throttled) still see this one.
 func PutParts(st Store, key string, head, body []byte) error {
 	if pp, ok := st.(PartsPutter); ok {
 		return pp.PutParts(key, head, body)
@@ -156,7 +156,7 @@ type ownedStore interface {
 
 // putOwned hands data over to st when st can take ownership and falls back
 // to the copying Put otherwise, so wrappers that must see every write
-// (FaultStore, Throttled, NetFault) are never bypassed.
+// (WithFaults, Throttled) are never bypassed.
 func putOwned(st Store, key string, data []byte) error {
 	if o, ok := st.(ownedStore); ok {
 		return o.putOwned(key, data)

@@ -5,6 +5,75 @@ import (
 	"time"
 )
 
+// BandwidthObserver is implemented by stores that can report the effective
+// wire rate they are currently sustaining, in bytes per second per
+// direction. Zero means "no signal yet" (too few transfers observed). The
+// cloud plugin's degraded-mode policy feeds this into the adaptive codec
+// verdict in place of the provisioned rate.
+type BandwidthObserver interface {
+	ObservedBPS() (upBPS, downBPS float64)
+}
+
+// PartitionAccountant is implemented by stores that can report how long the
+// link has been partitioned so far, for trace reports.
+type PartitionAccountant interface {
+	PartitionSeconds() float64
+}
+
+// meterWindow is how many recent transfers the observed-rate meter averages
+// over; small enough to track a mid-run collapse, large enough to smooth
+// per-op noise.
+const meterWindow = 32
+
+// meterMinSamples is how many transfers the meter needs before it reports a
+// rate at all: a couple of ops prove nothing about the link.
+const meterMinSamples = 4
+
+// rateMeter estimates an effective transfer rate from the last meterWindow
+// completed operations (bytes moved over wall time spent, queueing
+// included).
+type rateMeter struct {
+	mu    sync.Mutex
+	bytes [meterWindow]int64
+	secs  [meterWindow]float64
+	n     int
+	idx   int
+}
+
+func (m *rateMeter) add(n int64, d time.Duration) {
+	if n <= 0 {
+		return
+	}
+	m.mu.Lock()
+	m.bytes[m.idx] = n
+	m.secs[m.idx] = d.Seconds()
+	m.idx = (m.idx + 1) % meterWindow
+	if m.n < meterWindow {
+		m.n++
+	}
+	m.mu.Unlock()
+}
+
+// rate returns the windowed bytes/s, or 0 with fewer than meterMinSamples
+// observations (or zero measured time).
+func (m *rateMeter) rate() float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.n < meterMinSamples {
+		return 0
+	}
+	var b int64
+	var s float64
+	for i := 0; i < m.n; i++ {
+		b += m.bytes[i]
+		s += m.secs[i]
+	}
+	if s <= 0 {
+		return 0
+	}
+	return float64(b) / s
+}
+
 // Throttled wraps a Store behind a simulated full-duplex WAN link: uploads
 // (Put) and downloads (Get) each get their own serialized direction with a
 // shared bandwidth per direction, plus a fixed per-operation latency. It

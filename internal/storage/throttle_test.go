@@ -63,3 +63,30 @@ func TestThrottledPacesBandwidth(t *testing.T) {
 		t.Fatalf("concurrent up+down took %v, want ~200ms (full duplex), not ~400ms (serialized)", both)
 	}
 }
+
+func TestThrottledObservedBPS(t *testing.T) {
+	// 8 Mbps = 1 MB/s; 64 KiB per op takes ~65ms, so the observed rate
+	// should land near the configured cap.
+	th := NewThrottled(NewMemStore(), 8, 0)
+	data := make([]byte, 64<<10)
+	for i := 0; i < meterMinSamples; i++ {
+		if err := th.Put("k", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	up, down := th.ObservedBPS()
+	if down != 0 {
+		t.Fatalf("no downloads yet, want down=0, got %v", down)
+	}
+	if up < 0.5e6 || up > 1.5e6 {
+		t.Fatalf("observed upload rate %v, want ~1e6", up)
+	}
+	for i := 0; i < meterMinSamples; i++ {
+		if _, err := th.Get("k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, down = th.ObservedBPS(); down < 0.5e6 || down > 1.5e6 {
+		t.Fatalf("observed download rate %v, want ~1e6", down)
+	}
+}

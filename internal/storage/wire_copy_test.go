@@ -8,9 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"ompcloud/internal/netsim"
+	"ompcloud/internal/faults"
 )
 
 // loopback serves backing on 127.0.0.1 and dials one client to it.
@@ -280,10 +279,8 @@ func TestServerDoesNotBypassWrappers(t *testing.T) {
 	}
 
 	t.Run("FaultStore", func(t *testing.T) {
-		fs := NewFaultStore(NewMemStore()).
-			Inject(FailFirstN(OpPut, 1)).
-			Inject(FailFirstN(OpGet, 1))
-		cli := loopback(t, fs)
+		sched := faults.New(1).Add(faults.Entry{Op: "put", Count: 1}, faults.Entry{Op: "get", Count: 1})
+		cli := loopback(t, WithFaults(NewMemStore(), sched))
 		if err := cli.Put("k", body); err == nil {
 			t.Fatal("the injected PUT fault never reached the client")
 		}
@@ -292,14 +289,14 @@ func TestServerDoesNotBypassWrappers(t *testing.T) {
 			t.Fatal("the injected GET fault never reached the client")
 		}
 		exercise(t, cli, 0, 1)
-		if fs.Fired() != 2 {
-			t.Fatalf("fault schedule fired %d times, want 2", fs.Fired())
+		if n := sched.Fired(faults.Store); n != 2 {
+			t.Fatalf("fault schedule fired %d times, want 2", n)
 		}
 	})
 
 	t.Run("FaultStore corruption stays out of the store", func(t *testing.T) {
 		mem := NewMemStore()
-		cli := loopback(t, NewFaultStore(mem).Inject(FlipBitGets("k", 0, 1)))
+		cli := loopback(t, WithFaults(mem, faults.New(1).Add(faults.Entry{Op: "get", Key: "k", Count: 1, Do: faults.Flip})))
 		exercise(t, cli, 1, 0)
 		if got, err := cli.Get("k"); err != nil || bytes.Equal(got, body) {
 			t.Fatalf("corrupting GET returned %q, %v", got, err)
@@ -316,18 +313,16 @@ func TestServerDoesNotBypassWrappers(t *testing.T) {
 	})
 
 	t.Run("NetFault", func(t *testing.T) {
-		nf := NewNetFault(NewMemStore(), netsim.NewSchedule().PartitionFrom(8*time.Millisecond)).
-			UseOpClock(time.Millisecond)
-		cli := loopback(t, nf)
+		// The link drops from its 9th operation: exactly the 8 the exercise
+		// makes cross it, and the next two are refused.
+		sched := faults.New(1).Add(faults.Entry{From: 8, Do: faults.Drop})
+		cli := loopback(t, WithFaults(NewMemStore(), sched))
 		exercise(t, cli, 3, 5)
-		if nf.Ops() != 8 {
-			t.Fatalf("link saw %d ops, want 8", nf.Ops())
-		}
 		if err := cli.Put("k", body); err == nil {
 			t.Fatal("a PUT crossed a partitioned link")
 		}
-		if _, err := cli.Get("k"); err == nil || nf.Refused() != 2 {
-			t.Fatalf("a GET crossed a partitioned link (err %v, %d refused)", err, nf.Refused())
+		if _, err := cli.Get("k"); err == nil || sched.Fired(faults.Store) != 2 {
+			t.Fatalf("a GET crossed a partitioned link (err %v, %d refused)", err, sched.Fired(faults.Store))
 		}
 	})
 }
