@@ -11,7 +11,7 @@
 package bench
 
 import (
-	"sort"
+	"cmp"
 
 	"ompcloud/internal/data"
 	"ompcloud/internal/kernels"
@@ -54,9 +54,7 @@ func (c Config) withDefaults() Config {
 	if len(c.CoreSweep) == 0 {
 		c.CoreSweep = append([]int(nil), PaperCoreSweep...)
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Seed = cmp.Or(c.Seed, 1)
 	return c
 }
 
@@ -218,10 +216,13 @@ func (h *Harness) ComputeStats() (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		r16, err := h.cal.Predict(h.scenario(b, 16, data.Dense))
-		if err != nil {
-			return nil, err
+		var reps [3]*trace.Report // dense, on 8, 16 and 256 cores
+		for i, cores := range []int{8, 16, 256} {
+			if reps[i], err = h.cal.Predict(h.scenario(b, cores, data.Dense)); err != nil {
+				return nil, err
+			}
 		}
+		r8, r16, r256 := reps[0], reps[1], reps[2]
 		comp16 = append(comp16, pct(r16.ComputeTime().Seconds(), host16))
 		spark16 = append(spark16, pct(r16.SparkTime().Seconds(), host16))
 		full16 = append(full16, pct(r16.Total().Seconds(), host16))
@@ -232,27 +233,10 @@ func (h *Harness) ComputeStats() (*Stats, error) {
 		}
 		st.Peak[b.Name] = [3]float64{full, spk, comp}
 
-		share := func(cores int) (float64, error) {
-			rep, err := h.cal.Predict(h.scenario(b, cores, data.Dense))
-			if err != nil {
-				return 0, err
-			}
-			return 100 * rep.Phases[trace.PhaseSpark].Seconds() / rep.SparkTime().Seconds(), nil
+		share := func(rep *trace.Report) float64 {
+			return 100 * rep.Phases[trace.PhaseSpark].Seconds() / rep.SparkTime().Seconds()
 		}
-		s8, err := share(8)
-		if err != nil {
-			return nil, err
-		}
-		s256, err := share(256)
-		if err != nil {
-			return nil, err
-		}
-		st.SparkOverheadShare[b.Name] = [2]float64{s8, s256}
-
-		r8, err := h.cal.Predict(h.scenario(b, 8, data.Dense))
-		if err != nil {
-			return nil, err
-		}
+		st.SparkOverheadShare[b.Name] = [2]float64{share(r8), share(r256)}
 		st.Runtime8Minutes[b.Name] = r8.Total().Seconds() / 60
 	}
 	st.Overhead16Computation = mean(comp16)
@@ -302,51 +286,25 @@ func (r AblationRow) Slowdown() float64 {
 // and the BitTorrent broadcast.
 func (h *Harness) Ablations() ([]AblationRow, error) {
 	var rows []AblationRow
-	add := func(name string, b *kernels.Benchmark, kind data.Kind, mutate func(*perf.Scenario)) error {
-		base := h.scenario(b, 256, kind)
-		baseRep, err := h.cal.Predict(base)
+	for _, a := range []struct {
+		name string
+		b    *kernels.Benchmark
+		kind data.Kind
+		flip func(*perf.Scenario)
+	}{
+		{"no-compression", kernels.GEMM, data.Sparse, func(s *perf.Scenario) { s.DisableCompression = true }},
+		{"no-partitioning", kernels.GEMM, data.Dense, func(s *perf.Scenario) { s.DisablePartitioning = true }},
+		{"no-tiling", kernels.GEMM, data.Dense, func(s *perf.Scenario) { s.DisableTiling = true }},
+		{"star-broadcast", kernels.SYRK, data.Dense, func(s *perf.Scenario) { s.StarBroadcast = true }},
+	} {
+		variant := h.scenario(a.b, 256, a.kind)
+		a.flip(&variant)
+		baseS, varS, err := h.totals(h.scenario(a.b, 256, a.kind), variant)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		variant := base
-		mutate(&variant)
-		varRep, err := h.cal.Predict(variant)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, AblationRow{
-			Name: name, Bench: b.Name,
-			BaseS: baseRep.Total().Seconds(), VariantS: varRep.Total().Seconds(),
-		})
-		return nil
+		rows = append(rows, AblationRow{Name: a.name, Bench: a.b.Name, BaseS: baseS, VariantS: varS})
 	}
-	if err := add("no-tiling", kernels.GEMM, data.Dense,
-		func(s *perf.Scenario) { s.DisableTiling = true }); err != nil {
-		return nil, err
-	}
-	if err := add("no-compression", kernels.GEMM, data.Sparse,
-		func(s *perf.Scenario) { s.DisableCompression = true }); err != nil {
-		return nil, err
-	}
-	if err := add("star-broadcast", kernels.SYRK, data.Dense,
-		func(s *perf.Scenario) { s.StarBroadcast = true }); err != nil {
-		return nil, err
-	}
-	// No-partitioning: ship every partitioned input as a broadcast
-	// (Listing 1 without Listing 2's extension).
-	baseRep, err := h.cal.Predict(h.scenario(kernels.GEMM, 256, data.Dense))
-	if err != nil {
-		return nil, err
-	}
-	noPart, err := h.predictNoPartitioning(kernels.GEMM, 256, data.Dense)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "no-partitioning", Bench: kernels.GEMM.Name,
-		BaseS: baseRep.Total().Seconds(), VariantS: noPart,
-	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows, nil
 }
 
@@ -355,47 +313,20 @@ func (h *Harness) Ablations() ([]AblationRow, error) {
 // offload vs a repeat offload of the same inputs with the upload cache hot,
 // at the given core count.
 func (h *Harness) CachingBenefit(b *kernels.Benchmark, cores int, kind data.Kind) (coldS, warmS float64, err error) {
-	cold, err := h.cal.Predict(h.scenario(b, cores, kind))
-	if err != nil {
-		return 0, 0, err
-	}
 	warm := h.scenario(b, cores, kind)
 	warm.WarmCache = true
-	warmRep, err := h.cal.Predict(warm)
+	return h.totals(h.scenario(b, cores, kind), warm)
+}
+
+// totals predicts the end-to-end seconds of two scenarios.
+func (h *Harness) totals(a, b perf.Scenario) (aS, bS float64, err error) {
+	ra, err := h.cal.Predict(a)
 	if err != nil {
 		return 0, 0, err
 	}
-	return cold.Total().Seconds(), warmRep.Total().Seconds(), nil
-}
-
-// predictNoPartitioning reruns a scenario with every partitioned input
-// broadcast whole, isolating the value of the §III.B extension: the
-// baseline prediction plus the extra cost of replicating (instead of
-// scattering) the partitioned input volume.
-func (h *Harness) predictNoPartitioning(b *kernels.Benchmark, cores int, kind data.Kind) (float64, error) {
-	rep, err := h.cal.Predict(h.scenario(b, cores, kind))
+	rb, err := h.cal.Predict(b)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	// The same skip policy Predict applies: dense data ships raw, whatever
-	// ratio the deflate-pinned probe measured on it.
-	probe := h.cal.Probes[kind].Effective()
-	profile := perf.PaperProfile()
-	spec := ClusterFor(cores)
-	prog, err := perf.Lower(b, b.PaperN)
-	if err != nil {
-		return 0, err
-	}
-	var delta float64
-	for _, loop := range prog.Loops {
-		partIn, _ := perf.SplitBytes(loop.Ins)
-		moved := probe.CompressedSize(partIn)
-		if moved == 0 {
-			continue
-		}
-		// Was scattered once; now broadcast to every worker.
-		delta += profile.LAN.Broadcast(moved, spec.Workers).Seconds() -
-			profile.LAN.Scatter([]int64{moved}).Seconds()
-	}
-	return rep.Total().Seconds() + delta, nil
+	return ra.Total().Seconds(), rb.Total().Seconds(), nil
 }

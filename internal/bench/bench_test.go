@@ -248,16 +248,18 @@ func TestNoPartitioningAblationAppliesSkipPolicy(t *testing.T) {
 			HostParallel: 2,
 		}
 	}
-	measured := &Harness{cfg: Config{}.withDefaults(), cal: calWith(xcompress.Probe{Ratio: 0.91, CompressBytesPS: 30e6, DecompressBytesP: 150e6})}
-	raw := &Harness{cfg: Config{}.withDefaults(), cal: calWith(xcompress.Probe{Ratio: 1})}
-	got, err := measured.predictNoPartitioning(kernels.GEMM, 256, data.Dense)
-	if err != nil {
-		t.Fatal(err)
+	noPart := func(cal *perf.Calibration) float64 {
+		h := &Harness{cfg: Config{}.withDefaults(), cal: cal}
+		s := h.scenario(kernels.GEMM, 256, data.Dense)
+		s.DisablePartitioning = true
+		rep, err := cal.Predict(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Total().Seconds()
 	}
-	want, err := raw.predictNoPartitioning(kernels.GEMM, 256, data.Dense)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := noPart(calWith(xcompress.Probe{Ratio: 0.91, CompressBytesPS: 30e6, DecompressBytesP: 150e6}))
+	want := noPart(calWith(xcompress.Probe{Ratio: 1}))
 	if got != want {
 		t.Fatalf("dense no-partitioning variant is %.6f s under a measured 0.91 probe, %.6f s under the raw probe it is shipped as", got, want)
 	}

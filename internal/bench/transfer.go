@@ -79,18 +79,14 @@ var benchCodecs = []xcompress.Algo{
 }
 
 // uploadVirtual models the upload leg in virtual time, the same arithmetic
-// as offload.Account's transfer legs: compress then WAN sequentially, or
+// as the accountant's transfer legs: compress then WAN sequentially, or
 // their max when the pipeline overlaps the two.
 func uploadVirtual(wan netsim.Link, sent int64, compress time.Duration, pipelined bool) simtime.Duration {
-	wire := wan.Transfer(sent)
-	comp := simtime.FromReal(compress)
-	if !pipelined {
-		return comp + wire
+	wire, comp := wan.Transfer(sent), simtime.FromReal(compress)
+	if pipelined {
+		return max(comp, wire)
 	}
-	if wire > comp {
-		return wire
-	}
-	return comp
+	return comp + wire
 }
 
 // RunTransferBench measures the transfer path of one mib-sized buffer per

@@ -1,6 +1,8 @@
 package kernels_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ompcloud/internal/data"
@@ -11,6 +13,7 @@ import (
 	"ompcloud/internal/perf"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/storage"
+	"ompcloud/internal/trace"
 	"ompcloud/internal/xcompress"
 )
 
@@ -70,60 +73,106 @@ func TestShapeMetadataConsistency(t *testing.T) {
 	}
 }
 
-// TestShapeMatchesMeasuredTraffic cross-checks model mode against reality on
-// every benchmark: one program, run on a cloud device with compression off
-// and priced by the model with DisableCompression, moves the same bytes over
-// every link — scattered and broadcast inside the cluster, uploaded and
-// downloaded across the host-target link — up to the one tag byte each
-// stored buffer's wire form carries.
+// planLog records the report of every plan a device runs: each standalone
+// region, and the open, every loop and the close of each environment.
+type planLog struct {
+	offload.EnvPlugin
+	reps []*trace.Report
+}
+
+func (l *planLog) keep(rep *trace.Report, err error) (*trace.Report, error) {
+	if err == nil {
+		l.reps = append(l.reps, rep)
+	}
+	return rep, err
+}
+
+func (l *planLog) Run(r *offload.Region) (*trace.Report, error) { return l.keep(l.EnvPlugin.Run(r)) }
+
+func (l *planLog) OpenEnv(bufs []offload.EnvBuffer) (offload.Env, *trace.Report, error) {
+	env, rep, err := l.EnvPlugin.OpenEnv(bufs)
+	if err != nil {
+		return nil, nil, err
+	}
+	l.keep(rep, nil)
+	return &envLog{Env: env, l: l}, rep, nil
+}
+
+type envLog struct {
+	offload.Env
+	l *planLog
+}
+
+func (e *envLog) Run(r *offload.Region) (*trace.Report, error) { return e.l.keep(e.Env.Run(r)) }
+func (e *envLog) Close() (*trace.Report, error)                { return e.l.keep(e.Env.Close()) }
+
+// TestShapeMatchesMeasuredTraffic checks model mode against the runtime at the
+// seam they share, the one cost builder: one program runs on a cloud device
+// with compression off and on the pricing device of the same configuration,
+// and plan by plan — every standalone region; the open, each loop and the
+// close of an environment — both hand the builder the same tile count, the
+// same JNI bytes per tile and the same reconstruct volume, and the same
+// scatter, broadcast, collect, upload and download volumes up to the one tag
+// byte each stored buffer's wire form carries. Only measured seconds differ.
 func TestShapeMatchesMeasuredTraffic(t *testing.T) {
-	cal := &perf.Calibration{
-		Throughput:   map[string]float64{},
-		Probes:       map[data.Kind]xcompress.Probe{data.Dense: {Ratio: 1}},
-		HostParallel: 1,
-	}
-	for _, b := range kernels.All {
-		cal.Throughput[b.Name] = 1e9
-	}
 	for _, b := range kernels.All {
 		t.Run(b.Name, func(t *testing.T) {
-			n := 48
-			rt, err := omp.NewRuntime(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plugin, err := offload.NewCloudPlugin(offload.CloudConfig{
+			const n = 48
+			cfg := offload.CloudConfig{
 				Spec:  spark.ClusterSpec{Workers: 2, CoresPerWorker: 2},
 				Store: storage.NewMemStore(),
 				Codec: xcompress.Codec{MinSize: -1}, // raw wire: sizes comparable
+			}
+			plugin, err := offload.NewCloudPlugin(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pricing, err := offload.NewPricingDevice(cfg, offload.Pricing{
+				IterOps: kernels.IterOps, Throughput: 1e9, Probe: xcompress.Probe{Ratio: 1}, HostParallel: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			measured, err := b.Prepare(n, data.Dense, 5).Run(rt, rt.RegisterDevice(plugin))
-			if err != nil {
-				t.Fatal(err)
-			}
-			model, err := cal.Predict(perf.Scenario{
-				Bench: b, N: n, Kind: data.Dense, Workers: 2, CoresPerWorker: 2,
-				DisableCompression: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const slack = 8
-			for _, c := range []struct {
-				link            string
-				measured, model int64
-			}{
-				{"scattered", measured.BytesScattered, model.BytesScattered},
-				{"broadcast", measured.BytesBroadcast, model.BytesBroadcast},
-				{"uploaded", measured.BytesUploaded, model.BytesUploaded},
-				{"downloaded", measured.BytesDownloaded, model.BytesDownloaded},
-			} {
-				if diff := c.measured - c.model; diff < 0 || diff > slack {
-					t.Errorf("%s: the cloud device moved %d bytes, the model %d", c.link, c.measured, c.model)
+			measured, model := &planLog{EnvPlugin: plugin}, &planLog{EnvPlugin: pricing}
+			for _, dev := range []*planLog{measured, model} {
+				rt, err := omp.NewRuntime(2)
+				if err != nil {
+					t.Fatal(err)
 				}
+				kind := data.Dense
+				if dev == model {
+					kind = data.SizeOnly
+				}
+				if _, err := b.Prepare(n, kind, 5).Run(rt, rt.RegisterDevice(dev)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(measured.reps) != len(model.reps) {
+				t.Fatalf("the cloud device ran %d plans, the pricing device %d", len(measured.reps), len(model.reps))
+			}
+			for i, m := range measured.reps {
+				p := model.reps[i]
+				t.Run(fmt.Sprintf("%d-%s", i, m.Kernel), func(t *testing.T) {
+					if p.Kernel != m.Kernel || p.Tiles != m.Tiles || len(m.TileBytes) != m.Tiles || !slices.Equal(p.TileBytes, m.TileBytes) || p.BytesReconstructed != m.BytesReconstructed {
+						t.Errorf("the cloud device priced %s over %d tiles, JNI bytes %v, %d B reconstructed; the pricing device %s over %d, %v, %d B",
+							m.Kernel, m.Tiles, m.TileBytes, m.BytesReconstructed, p.Kernel, p.Tiles, p.TileBytes, p.BytesReconstructed)
+					}
+					const slack = 8
+					for _, c := range []struct {
+						link            string
+						measured, model int64
+					}{
+						{"scattered", m.BytesScattered, p.BytesScattered},
+						{"broadcast", m.BytesBroadcast, p.BytesBroadcast},
+						{"collected", m.BytesCollected, p.BytesCollected},
+						{"uploaded", m.BytesUploaded, p.BytesUploaded},
+						{"downloaded", m.BytesDownloaded, p.BytesDownloaded},
+					} {
+						if diff := c.measured - c.model; diff < 0 || diff > slack {
+							t.Errorf("%s: the cloud device moved %d bytes, the pricing device %d", c.link, c.measured, c.model)
+						}
+					}
+				})
 			}
 		})
 	}

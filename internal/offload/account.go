@@ -11,13 +11,12 @@ import (
 	"ompcloud/internal/trace/span"
 )
 
-// CostInputs describes everything the virtual-time accountant needs about
-// one cloud-offloaded region execution. The cloud plugin fills it from real
-// measured execution; the paper-scale performance model (internal/perf)
-// fills it analytically. Both then share Account, so measured runs and
-// modelled sweeps decompose time identically — a single source of truth for
-// the Figure 4/5 arithmetic.
-type CostInputs struct {
+// costInputs describes everything the virtual-time accountant needs about
+// one plan. Only plan.cost builds one — from what the cloud device's legs
+// measured or what the pricing device derived from calibrated rates — so
+// measured runs and modelled sweeps decompose time identically: a single
+// source of truth for the Figure 4/5 arithmetic.
+type costInputs struct {
 	// Topology.
 	Workers int
 	Cores   int // total worker cores (Workers x CoresPerWorker)
@@ -27,18 +26,22 @@ type CostInputs struct {
 	// includes failed attempts and retry latency.
 	TaskCompute   []simtime.Duration
 	TaskEffective []simtime.Duration
+	// JNIBytes is what each tile marshals across the JNI boundary, the
+	// figure its TaskCompute already charges.
+	JNIBytes []int64
 
 	// Host <-> storage wire sizes (compressed). InWireSizes lists what
 	// actually crossed the WAN this run (upload-cache hits are absent);
 	// FetchWireSizes lists what the driver reads from storage (every
-	// buffer, cached or not); nil means same as InWireSizes.
+	// buffer, cached or not).
 	InWireSizes    []int64
 	FetchWireSizes []int64
 	OutWireSizes   []int64
 	// Host-side codec work.
 	HostCompress   simtime.Duration
 	HostDecompress simtime.Duration
-	// Driver-side decode of the fetched inputs.
+	// Driver-side codec work: decoding the fetched inputs, encoding the
+	// shipped outputs.
 	DriverDecompress simtime.Duration
 
 	// Intra-cluster traffic (compressed bytes; Spark compresses
@@ -90,16 +93,13 @@ type CostInputs struct {
 // under one chunk's codec time and is deliberately ignored).
 func transferLeg(pipelined bool, codec, wire simtime.Duration) simtime.Duration {
 	if pipelined {
-		if codec > wire {
-			return codec
-		}
-		return wire
+		return max(codec, wire)
 	}
 	return codec + wire
 }
 
 // Validate sanity-checks the inputs.
-func (ci *CostInputs) Validate() error {
+func (ci *costInputs) Validate() error {
 	if ci.Workers < 1 || ci.Cores < 1 {
 		return fmt.Errorf("offload: accounting needs a positive topology, got %d workers / %d cores", ci.Workers, ci.Cores)
 	}
@@ -119,7 +119,7 @@ func (ci *CostInputs) Validate() error {
 	return nil
 }
 
-// Account charges the full Fig. 1 workflow onto the report:
+// account charges the full Fig. 1 workflow onto the report:
 //
 //	upload   = host compression + WAN transfer of every input (parallel
 //	           streams); with PipelinedTransfers the two overlap and the
@@ -130,7 +130,7 @@ func (ci *CostInputs) Validate() error {
 //	compute  = makespan of the pure task computations on the simulated cores
 //	download = WAN transfer of the outputs + host decompression (overlapped
 //	           like upload when pipelined)
-func Account(p netsim.Profile, ci CostInputs, rep *trace.Report) error {
+func account(p netsim.Profile, ci costInputs, rep *trace.Report) error {
 	if err := ci.Validate(); err != nil {
 		return err
 	}
@@ -149,11 +149,7 @@ func Account(p netsim.Profile, ci CostInputs, rep *trace.Report) error {
 	rep.Add(trace.PhaseCompute, computeMakespan)
 
 	// Spark overhead: steps 3, 4, 6, 7 plus scheduling.
-	fetch := ci.FetchWireSizes
-	if fetch == nil {
-		fetch = ci.InWireSizes
-	}
-	spk := p.LAN.TransferParallel(fetch) // driver reads inputs from storage
+	spk := p.LAN.TransferParallel(ci.FetchWireSizes) // driver reads inputs from storage
 	spk += ci.DriverDecompress
 	if len(ci.TaskCompute) > 0 {
 		// A transfer-only plan (target data open/close) submits no job.
@@ -166,9 +162,7 @@ func Account(p netsim.Profile, ci CostInputs, rep *trace.Report) error {
 		spk += p.LAN.Broadcast(ci.BroadcastWire, ci.Workers)
 	}
 	totalMakespan := simtime.MakespanStaggered(ci.TaskEffective, ci.Cores, ci.Costs.TaskDispatch)
-	if totalMakespan > computeMakespan {
-		spk += totalMakespan - computeMakespan // dispatch stagger, retries
-	}
+	spk += max(0, totalMakespan-computeMakespan) // dispatch stagger, retries
 	if ci.CollectWire > 0 {
 		spk += p.LAN.Scatter([]int64{ci.CollectWire})
 	}
@@ -189,6 +183,8 @@ func Account(p netsim.Profile, ci CostInputs, rep *trace.Report) error {
 	rep.BytesScattered += ci.DistributeWire
 	rep.BytesBroadcast += ci.BroadcastWire
 	rep.BytesCollected += ci.CollectWire
+	rep.BytesReconstructed += ci.ReconstructRaw
+	rep.TileBytes = ci.JNIBytes
 
 	// Lay the accounted phases out as a span tree on the virtual timeline
 	// and read the critical path off its horizon. The layout — not a
@@ -220,7 +216,7 @@ const (
 // tile), which trails the pipeline sequentially. Per-tile task spans are
 // placed inside the compute window on the simulated cores, annotated from
 // ci.Tasks when present.
-func layoutReport(ci CostInputs, rep *trace.Report) {
+func layoutReport(ci costInputs, rep *trace.Report) {
 	rec := span.Default()
 	up := rep.Phases[trace.PhaseUpload]
 	spk := rep.Phases[trace.PhaseSpark]
@@ -235,14 +231,8 @@ func layoutReport(ci CostInputs, rep *trace.Report) {
 		}
 		var downBarrier simtime.Duration
 		if totalOut > 0 && ci.BarrierOutWire > 0 {
-			bw := ci.BarrierOutWire
-			if bw > totalOut {
-				bw = totalOut
-			}
-			downBarrier = simtime.Duration(float64(down) * float64(bw) / float64(totalOut))
-			if downBarrier > down {
-				downBarrier = down
-			}
+			bw := min(ci.BarrierOutWire, totalOut)
+			downBarrier = min(down, simtime.Duration(float64(down)*float64(bw)/float64(totalOut)))
 		}
 		l.Streamed([]span.Stage{
 			{Name: spanUpload, Dur: up},

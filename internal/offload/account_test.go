@@ -18,15 +18,16 @@ func TestAccountGoldenNumbers(t *testing.T) {
 		LAN:          netsim.Link{Name: "lan", Latency: 0, BitsPerSs: netsim.Gbps(8)},   // 1 GB/s
 		MemBytesPerS: 1e9,                                                               // 1 GB/s
 	}
-	ci := CostInputs{
+	ci := costInputs{
 		Workers: 3, // broadcast rounds: ceil(log2(4)) = 2
 		Cores:   4,
 		// 4 uniform 1 s tasks on 4 cores: compute makespan = 1 s.
 		TaskCompute:   []simtime.Duration{simtime.Second, simtime.Second, simtime.Second, simtime.Second},
 		TaskEffective: []simtime.Duration{simtime.Second, simtime.Second, simtime.Second, simtime.Second},
 		// 200 MB up -> 2 s WAN; 100 MB out -> 1 s WAN down.
-		InWireSizes:  []int64{200_000_000},
-		OutWireSizes: []int64{100_000_000},
+		InWireSizes:    []int64{200_000_000},
+		FetchWireSizes: []int64{200_000_000}, // the driver fetches what was sent
+		OutWireSizes:   []int64{100_000_000},
 		// Host codec: 0.5 s compress, 0.25 s decompress.
 		HostCompress:   500 * simtime.Millisecond,
 		HostDecompress: 250 * simtime.Millisecond,
@@ -44,7 +45,7 @@ func TestAccountGoldenNumbers(t *testing.T) {
 		},
 	}
 	rep := trace.NewReport("golden", "k")
-	if err := Account(profile, ci, rep); err != nil {
+	if err := account(profile, ci, rep); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,22 +88,23 @@ func TestAccountGoldenNumbersPipelined(t *testing.T) {
 		LAN:          netsim.Link{Name: "lan", Latency: 0, BitsPerSs: netsim.Gbps(8)},   // 1 GB/s
 		MemBytesPerS: 1e9,
 	}
-	ci := CostInputs{
+	ci := costInputs{
 		Workers:            1,
 		Cores:              4,
 		PipelinedTransfers: true,
 		TaskCompute:        []simtime.Duration{simtime.Second},
 		TaskEffective:      []simtime.Duration{simtime.Second},
 		// 200 MB up -> 2 s WAN; 100 MB out -> 1 s WAN down.
-		InWireSizes:  []int64{200_000_000},
-		OutWireSizes: []int64{100_000_000},
+		InWireSizes:    []int64{200_000_000},
+		FetchWireSizes: []int64{200_000_000}, // the driver fetches what was sent
+		OutWireSizes:   []int64{100_000_000},
 		// Compression (0.5 s) hides entirely inside the 2 s upload;
 		// decompression (0.25 s) hides inside the 1 s download.
 		HostCompress:   500 * simtime.Millisecond,
 		HostDecompress: 250 * simtime.Millisecond,
 	}
 	rep := trace.NewReport("golden", "k")
-	if err := Account(profile, ci, rep); err != nil {
+	if err := account(profile, ci, rep); err != nil {
 		t.Fatal(err)
 	}
 	// upload = max(0.5 compress, 2.0 WAN) = 2.0 s
@@ -119,7 +121,7 @@ func TestAccountGoldenNumbersPipelined(t *testing.T) {
 	fast := profile
 	fast.WAN.BitsPerSs = netsim.Mbps(8000) // 1 GB/s: 0.2 s up, 0.1 s down
 	rep2 := trace.NewReport("golden", "k")
-	if err := Account(fast, ci, rep2); err != nil {
+	if err := account(fast, ci, rep2); err != nil {
 		t.Fatal(err)
 	}
 	if got := rep2.Phases[trace.PhaseUpload]; got != 500*simtime.Millisecond {
@@ -133,7 +135,7 @@ func TestAccountGoldenNumbersPipelined(t *testing.T) {
 	seq := ci
 	seq.PipelinedTransfers = false
 	rep3 := trace.NewReport("golden", "k")
-	if err := Account(profile, seq, rep3); err != nil {
+	if err := account(profile, seq, rep3); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Phases[trace.PhaseUpload] > rep3.Phases[trace.PhaseUpload] ||
@@ -151,7 +153,7 @@ func TestAccountCachedRunSkipsWAN(t *testing.T) {
 		LAN:          netsim.Link{Name: "lan", Latency: 0, BitsPerSs: netsim.Gbps(8)},
 		MemBytesPerS: 1e9,
 	}
-	ci := CostInputs{
+	ci := costInputs{
 		Workers: 1, Cores: 1,
 		TaskCompute:    []simtime.Duration{simtime.Second},
 		TaskEffective:  []simtime.Duration{simtime.Second},
@@ -159,7 +161,7 @@ func TestAccountCachedRunSkipsWAN(t *testing.T) {
 		FetchWireSizes: []int64{1_000_000_000}, // driver reads 1 GB
 	}
 	rep := trace.NewReport("golden", "k")
-	if err := Account(profile, ci, rep); err != nil {
+	if err := account(profile, ci, rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Phases[trace.PhaseUpload] != 0 {
@@ -183,10 +185,11 @@ func TestAccountIdentitiesProperty(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = simtime.Duration(taskMs) * simtime.Millisecond
 		}
-		ci := CostInputs{
+		ci := costInputs{
 			Workers: 4, Cores: 8,
 			TaskCompute: tasks, TaskEffective: tasks,
 			InWireSizes:    []int64{int64(inMB) * 1e6},
+			FetchWireSizes: []int64{int64(inMB) * 1e6},
 			OutWireSizes:   []int64{int64(outMB) * 1e6},
 			DistributeWire: int64(distMB) * 1e6,
 			BroadcastWire:  int64(bcastMB) * 1e6,
@@ -194,7 +197,7 @@ func TestAccountIdentitiesProperty(t *testing.T) {
 			Costs:          spark.DefaultCosts(),
 		}
 		rep := trace.NewReport("p", "k")
-		if err := Account(profile, ci, rep); err != nil {
+		if err := account(profile, ci, rep); err != nil {
 			return false
 		}
 		if rep.Total() != rep.HostTargetComm()+rep.SparkTime() {

@@ -246,8 +246,16 @@ func (c CloudConfig) withDefaults() CloudConfig {
 	if c.InstanceType == "" {
 		c.InstanceType = "c3.8xlarge"
 	}
+	if c.RunOnDriver {
+		c.Profile.WAN = c.Profile.LAN
+		c.Profile.WAN.Name = "lan-as-wan"
+	}
 	return c
 }
+
+// pipelined reports whether the chunked streaming engine is active (the
+// default). ChunkBytes < 0 selects the paper's original sequential policy.
+func (c *CloudConfig) pipelined() bool { return c.ChunkBytes >= 0 }
 
 // validate checks everything about a (defaulted) configuration that can be
 // checked without touching its store, its provider or its workers.
@@ -341,10 +349,6 @@ func NewCloudPlugin(cfg CloudConfig) (*CloudPlugin, error) {
 	}
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("offload: cloud plugin needs a storage backend")
-	}
-	if cfg.RunOnDriver {
-		cfg.Profile.WAN = cfg.Profile.LAN
-		cfg.Profile.WAN.Name = "lan-as-wan"
 	}
 	opts := []spark.Option{spark.WithCosts(cfg.Costs)}
 	if cfg.Log != nil {
@@ -640,24 +644,13 @@ func (p *CloudPlugin) logf(format string, args ...any) {
 // buffer ships — inputs up before the loop, outputs home after it — released
 // per tile whenever the streaming dataflow is on.
 func (p *CloudPlugin) Run(r *Region) (*trace.Report, error) {
-	return p.guard(&plan{
-		kernel:  r.Kernel,
-		region:  r,
-		ins:     shipBounds(r.Ins),
-		outs:    shipBounds(r.Outs),
-		prefix:  fmt.Sprintf("jobs/%s%06d", p.keyScope(), p.jobSeq.Add(1)),
-		perTile: p.streaming(),
-	})
+	return p.guard(regionPlan(r, fmt.Sprintf("jobs/%s%06d", p.keyScope(), p.jobSeq.Add(1)), p.streaming()))
 }
-
-// pipelined reports whether the chunked streaming engine is active (the
-// default). ChunkBytes < 0 selects the paper's original sequential policy.
-func (p *CloudPlugin) pipelined() bool { return p.cfg.ChunkBytes >= 0 }
 
 // streaming reports whether the tile-granular streaming dataflow is active:
 // the chunked data path must be on (sub-buffer readiness needs chunks) and
 // the overlap knob not forced off.
-func (p *CloudPlugin) streaming() bool { return p.pipelined() && p.cfg.Overlap >= 0 }
+func (p *CloudPlugin) streaming() bool { return p.cfg.pipelined() && p.cfg.Overlap >= 0 }
 
 // chunkOpts assembles the transfer-engine options, including the per-leg
 // retry policy (rs accumulates the run's resilience accounting). withCache

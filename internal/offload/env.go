@@ -22,9 +22,6 @@ type EnvBuffer struct {
 	Download bool   // map(from:) / map(tofrom:)
 }
 
-// Len reports the buffer's length in bytes, size-only or not.
-func (b *EnvBuffer) Len() int64 { return int64(len(b.Data)) + b.Size }
-
 // Env is an open device data environment.
 type Env interface {
 	// Run executes one lowered parallel loop against the environment.
@@ -65,10 +62,10 @@ func checkEnvBuffers(bufs []EnvBuffer) error {
 	return nil
 }
 
-func envBuffer(bufs map[string][]byte, name string) ([]byte, error) {
+func envBuffer[T any](bufs map[string]T, name string) (T, error) {
 	b, ok := bufs[name]
 	if !ok {
-		return nil, fmt.Errorf("offload: no env buffer %q", name)
+		return b, fmt.Errorf("offload: no env buffer %q", name)
 	}
 	return b, nil
 }
@@ -139,64 +136,72 @@ func (e *sharedEnv) Close() (*trace.Report, error) {
 	return trace.NewReport(e.dev.Name(), "target-data-close"), nil
 }
 
-// --- Cloud environment ------------------------------------------------
+// --- Plan environment -------------------------------------------------
 
-// cloudEnv keeps the environment's buffers driver-resident between loops.
-// It only decides bindings; each of its three entry points is a plan run by
-// the device's engine under the device's guard.
-type cloudEnv struct {
-	p      *CloudPlugin
+// planEnv keeps the environment's buffers driver-resident between loops for
+// the cloud device and the pricing device alike. It only decides bindings;
+// each of its three entry points is a plan its device runs — the cloud device
+// under its guard, the pricing device priced — so both ship and keep
+// resident exactly the same buffers.
+type planEnv struct {
+	run    func(*plan) (*trace.Report, error)
 	prefix string
 
 	mu     sync.Mutex
 	open   bool
 	decl   []EnvBuffer
-	device map[string][]byte // driver-resident copies
+	device map[string]bound // driver-resident copies
 }
 
-// OpenEnv implements EnvPlugin: a transfer-only plan ships the map(to:)
-// buffers through cloud storage (Fig. 1 steps 1-3) once for the whole
-// environment; map(from:)/alloc buffers start zeroed on the device.
-func (p *CloudPlugin) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
-	if err := checkEnvBuffers(bufs); err != nil {
-		return nil, nil, err
-	}
-	e := &cloudEnv{
-		p:      p,
-		prefix: fmt.Sprintf("envs/%s%06d", p.keyScope(), p.jobSeq.Add(1)),
+// openPlanEnv opens an environment with a transfer-only plan that ships the
+// map(to:) buffers through cloud storage (Fig. 1 steps 1-3) once for the
+// whole environment; map(from:)/alloc buffers start zeroed on the device.
+func openPlanEnv(bufs []EnvBuffer, prefix string, run func(*plan) (*trace.Report, error)) (Env, *trace.Report, error) {
+	e := &planEnv{
+		run:    run,
+		prefix: prefix,
 		open:   true,
 		decl:   append([]EnvBuffer(nil), bufs...),
-		device: make(map[string][]byte, len(bufs)),
+		device: make(map[string]bound, len(bufs)),
 	}
 	pl := &plan{kernel: "target-data-open", prefix: e.prefix, keep: true}
 	for _, b := range bufs {
 		if b.Upload {
-			pl.ins = append(pl.ins, bound{name: b.Name, ship: true, host: b.Data})
+			pl.ins = append(pl.ins, bound{name: b.Name, ship: true, host: b.Data, size: b.Size})
 		} else {
-			e.device[b.Name] = make([]byte, len(b.Data))
+			e.device[b.Name] = bound{name: b.Name, dev: make([]byte, len(b.Data)), size: b.Size}
 		}
 	}
-	rep, err := p.guard(pl)
+	rep, err := run(pl)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, in := range pl.ins {
-		e.device[in.name] = in.dev
+		e.device[in.name] = bound{name: in.name, dev: in.dev, size: in.size}
 	}
 	return e, rep, nil
 }
 
-func (e *cloudEnv) Buffer(name string) ([]byte, error) {
+// OpenEnv implements EnvPlugin.
+func (p *CloudPlugin) OpenEnv(bufs []EnvBuffer) (Env, *trace.Report, error) {
+	if err := checkEnvBuffers(bufs); err != nil {
+		return nil, nil, err
+	}
+	return openPlanEnv(bufs, fmt.Sprintf("envs/%s%06d", p.keyScope(), p.jobSeq.Add(1)), p.guard)
+}
+
+func (e *planEnv) Buffer(name string) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return envBuffer(e.device, name)
+	b, err := envBuffer(e.device, name)
+	return b.dev, err
 }
 
 // Run executes one parallel loop entirely inside the cluster — the
 // all-resident plan: partitioned slices of the device buffers scatter to the
 // workers, results reconstruct into the device buffers, and nothing touches
-// storage or the WAN. The region's own Data fields supply sizes only.
-func (e *cloudEnv) Run(r *Region) (*trace.Report, error) {
+// storage or the WAN. The region's own buffers supply sizes only.
+func (e *planEnv) Run(r *Region) (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.open {
@@ -205,14 +210,14 @@ func (e *cloudEnv) Run(r *Region) (*trace.Report, error) {
 	pl := &plan{kernel: r.Kernel, region: r}
 	bind := func(what string, bufs []Buffer) (bs []bound, err error) {
 		for i := range bufs {
-			dev, ok := e.device[bufs[i].Name]
+			b, ok := e.device[bufs[i].Name]
 			if !ok {
 				return nil, fmt.Errorf("offload: loop %s %q is not in the data environment", what, bufs[i].Name)
 			}
-			if len(dev) != len(bufs[i].Data) {
-				return nil, fmt.Errorf("offload: env buffer %q is %d bytes, loop expects %d", bufs[i].Name, len(dev), len(bufs[i].Data))
+			if b.len() != bufs[i].Len() {
+				return nil, fmt.Errorf("offload: env buffer %q is %d bytes, loop expects %d", bufs[i].Name, b.len(), bufs[i].Len())
 			}
-			bs = append(bs, bound{name: bufs[i].Name, dev: dev})
+			bs = append(bs, b)
 		}
 		return bs, nil
 	}
@@ -223,7 +228,7 @@ func (e *cloudEnv) Run(r *Region) (*trace.Report, error) {
 	if pl.outs, err = bind("output", r.Outs); err != nil {
 		return nil, err
 	}
-	return e.p.guard(pl)
+	return e.run(pl)
 }
 
 // Close brings the Download buffers home (Fig. 1 steps 7-8) with a
@@ -231,7 +236,7 @@ func (e *cloudEnv) Run(r *Region) (*trace.Report, error) {
 // deletes the environment's stored objects. A plan the guard did not admit
 // (open breaker, failed health probe) never ran: the environment stays open
 // with its results and objects intact, so the transient error can be retried.
-func (e *cloudEnv) Close() (*trace.Report, error) {
+func (e *planEnv) Close() (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.open {
@@ -240,10 +245,10 @@ func (e *cloudEnv) Close() (*trace.Report, error) {
 	pl := &plan{kernel: "target-data-close", prefix: e.prefix}
 	for _, b := range e.decl {
 		if b.Download {
-			pl.outs = append(pl.outs, bound{name: b.Name, ship: true, host: b.Data, dev: e.device[b.Name]})
+			pl.outs = append(pl.outs, bound{name: b.Name, ship: true, host: b.Data, dev: e.device[b.Name].dev, size: b.Size})
 		}
 	}
-	rep, err := e.p.guard(pl)
+	rep, err := e.run(pl)
 	e.open = err == errUnavailable
 	return rep, err
 }
@@ -252,4 +257,5 @@ var (
 	_ EnvPlugin = (*HostPlugin)(nil)
 	_ EnvPlugin = (*MultiDevice)(nil)
 	_ EnvPlugin = (*CloudPlugin)(nil)
+	_ EnvPlugin = (*PricingDevice)(nil)
 )

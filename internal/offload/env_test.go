@@ -59,8 +59,8 @@ func TestHostEnvValidation(t *testing.T) {
 
 func TestRegionByteTotals(t *testing.T) {
 	r := scale2Region(8, make([]byte, 32), make([]byte, 32))
-	if r.InBytesRaw() != 32 || r.OutBytesRaw() != 32 {
-		t.Fatalf("byte totals: %d / %d", r.InBytesRaw(), r.OutBytesRaw())
+	if r.Ins[0].Len() != 32 || r.OutBytesRaw() != 32 {
+		t.Fatalf("byte totals: %d / %d", r.Ins[0].Len(), r.OutBytesRaw())
 	}
 }
 

@@ -237,21 +237,11 @@ func (p *CloudPlugin) transferOut(pl *plan, rs *runStats, perTile bool) error {
 }
 
 // tileBytes reports the raw bytes task p marshals across the JNI boundary.
-func tileBytes(r *Region, tiles, p int) int64 {
+func tileBytes(r *Region, tiles, p int) (n int64) {
 	lo, hi := TileRange(r.N, tiles, p)
-	var n int64
-	for k := range r.Ins {
-		if r.Ins[k].Partitioned() {
-			n += (hi - lo) * r.Ins[k].BytesPerIter
-		} else {
-			n += int64(len(r.Ins[k].Data))
-		}
-	}
-	for l := range r.Outs {
-		if r.Outs[l].Partitioned() {
-			n += (hi - lo) * r.Outs[l].BytesPerIter
-		} else {
-			n += int64(len(r.Outs[l].Data))
+	for _, bufs := range [][]Buffer{r.Ins, r.Outs} {
+		for k := range bufs {
+			n += bufs[k].window(lo, hi)
 		}
 	}
 	return n
@@ -300,16 +290,12 @@ func (p *CloudPlugin) runSparkJob(pl *plan, tiles int, sched *tileSched, sess *s
 		outSizes := make([]int64, len(r.Outs))
 		outInit := make([]byte, len(r.Outs))
 		for l := range r.Outs {
-			if r.Outs[l].Partitioned() {
-				outSizes[l] = (hi - lo) * r.Outs[l].BytesPerIter
-			} else {
-				outSizes[l] = int64(len(r.Outs[l].Data))
-				switch r.Outs[l].Reduce {
-				case ReduceMaxF32:
-					outInit[l] = remoteexec.InitNegInfF
-				case ReduceMinF32:
-					outInit[l] = remoteexec.InitPosInfF
-				}
+			outSizes[l] = r.Outs[l].window(lo, hi)
+			switch r.Outs[l].Reduce {
+			case ReduceMaxF32:
+				outInit[l] = remoteexec.InitNegInfF
+			case ReduceMinF32:
+				outInit[l] = remoteexec.InitPosInfF
 			}
 		}
 		if sess != nil {

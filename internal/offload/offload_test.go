@@ -130,7 +130,7 @@ func TestRegionValidate(t *testing.T) {
 func TestSizeOnlyBuffersAreRefused(t *testing.T) {
 	r := scale2Region(10, nil, nil)
 	r.Ins[0].Size, r.Outs[0].Size = 40, 40
-	if got := r.InBytesRaw() + r.OutBytesRaw(); got != 80 {
+	if got := r.Ins[0].Len() + r.OutBytesRaw(); got != 80 {
 		t.Fatalf("size-only region is %d bytes long, want 80", got)
 	}
 	if err := r.Validate(); err == nil {
@@ -472,22 +472,22 @@ func (s *stubPlugin) Run(r *Region) (*trace.Report, error) {
 }
 
 func TestAccountValidation(t *testing.T) {
-	bad := CostInputs{Workers: 0, Cores: 1}
+	bad := costInputs{Workers: 0, Cores: 1}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero workers should fail")
 	}
-	mismatch := CostInputs{Workers: 1, Cores: 1,
+	mismatch := costInputs{Workers: 1, Cores: 1,
 		TaskCompute: make([]simtime.Duration, 2), TaskEffective: make([]simtime.Duration, 3)}
 	if err := mismatch.Validate(); err == nil {
 		t.Fatal("vector length mismatch should fail")
 	}
-	inverted := CostInputs{Workers: 1, Cores: 1,
+	inverted := costInputs{Workers: 1, Cores: 1,
 		TaskCompute:   []simtime.Duration{5},
 		TaskEffective: []simtime.Duration{3}}
 	if err := inverted.Validate(); err == nil {
 		t.Fatal("effective < compute should fail")
 	}
-	negative := CostInputs{Workers: 1, Cores: 1, CollectWire: -1}
+	negative := costInputs{Workers: 1, Cores: 1, CollectWire: -1}
 	if err := negative.Validate(); err == nil {
 		t.Fatal("negative bytes should fail")
 	}

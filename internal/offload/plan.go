@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ompcloud/internal/chunkio"
+	"ompcloud/internal/netsim"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/spark"
@@ -22,18 +23,24 @@ import (
 // described as a plan (which buffers cross the host-target link and which
 // are already driver-resident, whether there is a loop to run, and how the
 // legs release work to each other) and handed to guard, which wraps the
-// cross-cutting behaviour around execute once.
+// cross-cutting behaviour around execute once. The pricing device
+// (price.go) builds the same plans and charges them through the same cost.
 
 // bound binds one buffer of a plan to where it lives. A shipped buffer
 // crosses the host-target link through cloud storage: an input travels host
 // -> dev (the engine allocates dev), an output dev -> host. A resident buffer
 // stays on the driver: tasks read an input's dev, reconstruction overwrites
-// an output's dev, and nothing touches storage.
+// an output's dev, and nothing touches storage. A size-only bound (the
+// pricing device's) has neither host nor dev bytes, only size.
 type bound struct {
 	name string
 	ship bool
 	host []byte
 	dev  []byte
+	size int64
+	// ratio is a resident buffer's wire bytes per raw byte when Spark moves
+	// it over the LAN; a shipped buffer's LAN volume is its stored wire.
+	ratio float64
 
 	// What executing the plan fills in. An output's final is the buffer
 	// reconstruction builds and the output leg ships; stream mirrors it home
@@ -62,6 +69,9 @@ func (b *bound) content() []byte {
 	return b.dev
 }
 
+// len reports the buffer's length in bytes, size-only or not.
+func (b *bound) len() int64 { return int64(len(b.content())) + b.size }
+
 // contentSum is the sha256 of content(), hashed on first use.
 func (b *bound) contentSum() [sha256.Size]byte {
 	if !b.summed {
@@ -73,9 +83,15 @@ func (b *bound) contentSum() [sha256.Size]byte {
 func shipBounds(bufs []Buffer) []bound {
 	out := make([]bound, len(bufs))
 	for i := range bufs {
-		out[i] = bound{name: bufs[i].Name, ship: true, host: bufs[i].Data}
+		out[i] = bound{name: bufs[i].Name, ship: true, host: bufs[i].Data, size: bufs[i].Size}
 	}
 	return out
+}
+
+// regionPlan is a standalone target region: every buffer ships, inputs up
+// before the loop and outputs home after it.
+func regionPlan(r *Region, prefix string, perTile bool) *plan {
+	return &plan{kernel: r.Kernel, region: r, ins: shipBounds(r.Ins), outs: shipBounds(r.Outs), prefix: prefix, perTile: perTile}
 }
 
 func anyShipped(bs []bound) bool {
@@ -113,6 +129,12 @@ type plan struct {
 	// while later tiles still compute. A one-tile loop has nothing to
 	// overlap and runs barriered either way.
 	perTile bool
+
+	// What running the loop fills in: its tile count, each task's metrics
+	// (nil when no loop ran) and the raw bytes reconstruction combined.
+	tiles   int
+	tasks   []spark.TaskMetrics
+	tileRaw int64
 }
 
 // shipped reports whether the plan has storage legs at all.
@@ -151,8 +173,7 @@ func (p *CloudPlugin) guard(pl *plan) (*trace.Report, error) {
 
 // execute runs the legs the plan has, in Fig. 1 order — input transfer
 // (steps 1-3), Spark job (4-6), reconstruction (7), output transfer (7-8) —
-// then fills one CostInputs from what was measured and charges it with one
-// Account call.
+// then charges what was measured through the plan's one cost builder.
 func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 	r := pl.region
 	rep = trace.NewReport(p.Name(), pl.kernel)
@@ -286,11 +307,12 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 	}
 	p.applyNetCounters(rep, rs)
 
-	ci := p.costInputs(pl, tiles, jm, tileRaw)
-	if perTile {
-		ci.StreamTiles = tiles
+	pl.tiles, pl.tileRaw = tiles, tileRaw
+	if jm != nil {
+		pl.tasks = jm.Tasks
 	}
-	if err := Account(p.accountProfile(), ci, rep); err != nil {
+	p.sampleResident(pl)
+	if err := pl.charge(rep, &p.cfg, p.sctx.Spec(), p.accountProfile(), nil); err != nil {
 		return nil, err
 	}
 	if jm != nil {
@@ -308,41 +330,62 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 	return rep, nil
 }
 
-// residentRatio estimates the compression ratio Spark gets when it ships a
-// driver-resident buffer over the LAN, by encoding the actual bytes once
-// (Spark compresses everything it moves; a shipped buffer's ratio was
-// measured by its transfer instead). A ratio over SkipRatio ships raw.
-func (p *CloudPlugin) residentRatio(b []byte) float64 {
-	if len(b) > 1<<20 {
-		b = b[:1<<20]
+// sampleResident estimates, for each driver-resident buffer, the
+// compression ratio Spark gets when it ships the buffer over the LAN — the
+// figure cost reads for it — by encoding its actual bytes once (Spark
+// compresses everything it moves; a shipped buffer's ratio was measured by
+// its transfer instead). A ratio over SkipRatio ships raw.
+func (p *CloudPlugin) sampleResident(pl *plan) {
+	for _, bs := range [][]bound{pl.ins, pl.outs} {
+		for k := range bs {
+			if b := &bs[k]; !b.ship {
+				r, err := p.cfg.Codec.Ratio(b.dev[:min(len(b.dev), 1<<20)])
+				if err != nil || r > xcompress.SkipRatio {
+					r = 1
+				}
+				b.ratio = r
+			}
+		}
 	}
-	r, err := p.cfg.Codec.Ratio(b)
-	if err != nil || r > xcompress.SkipRatio {
-		return 1
-	}
-	return r
 }
 
-// costInputs assembles the accounting inputs from what the plan's legs
-// measured. A leg the plan lacks contributes nothing: no shipped inputs means
-// no upload or fetch volume, no job means no tasks, no shipped outputs means
-// no write-back or download.
-func (p *CloudPlugin) costInputs(pl *plan, tiles int, jm *spark.JobMetrics, tileRaw int64) CostInputs {
+// charge prices the plan onto rep for the device cfg configures, of
+// topology spec, over profile prof: cost builds the accountant's inputs,
+// adjust (when set) applies a switch only a model can flip, and account
+// charges them.
+func (pl *plan) charge(rep *trace.Report, cfg *CloudConfig, spec spark.ClusterSpec, prof netsim.Profile, adjust func(*costInputs)) error {
+	ci := pl.cost(cfg, spec)
+	if adjust != nil {
+		adjust(&ci)
+	}
+	return account(prof, ci, rep)
+}
+
+// cost assembles the accounting inputs from what running the plan filled in —
+// what its legs and job measured, or what the pricing device derived. A leg the
+// plan lacks contributes nothing: no shipped inputs means no upload or fetch
+// volume, no job means no tasks, no shipped outputs means no write-back or
+// download.
+func (pl *plan) cost(cfg *CloudConfig, spec spark.ClusterSpec) costInputs {
 	r := pl.region
-	spec := p.sctx.Spec()
-	ci := CostInputs{
+	ci := costInputs{
 		Workers:            spec.Workers,
 		Cores:              spec.TotalCores(),
-		PipelinedTransfers: p.pipelined(),
-		ReconstructRaw:     tileRaw,
-		Costs:              p.cfg.Costs,
+		PipelinedTransfers: cfg.pipelined(),
+		ReconstructRaw:     pl.tileRaw,
+		Costs:              cfg.Costs,
 	}
-	if jm != nil {
-		ci.Tasks = jm.Tasks
-		ci.TaskCompute = make([]simtime.Duration, tiles)
-		ci.TaskEffective = make([]simtime.Duration, tiles)
-		for i, tm := range jm.Tasks {
-			jni := p.cfg.JNI.PerCall(tileBytes(r, tiles, i))
+	if pl.perTile && pl.tiles > 1 {
+		ci.StreamTiles = pl.tiles
+	}
+	if pl.tasks != nil {
+		ci.Tasks = pl.tasks
+		ci.TaskCompute = make([]simtime.Duration, pl.tiles)
+		ci.TaskEffective = make([]simtime.Duration, pl.tiles)
+		ci.JNIBytes = make([]int64, pl.tiles)
+		for i, tm := range pl.tasks {
+			ci.JNIBytes[i] = tileBytes(r, pl.tiles, i)
+			jni := cfg.JNI.PerCall(ci.JNIBytes[i])
 			ci.TaskCompute[i] = tm.Compute + jni
 			ci.TaskEffective[i] = tm.Effective + jni
 		}
@@ -364,9 +407,9 @@ func (p *CloudPlugin) costInputs(pl *plan, tiles int, jm *spark.JobMetrics, tile
 			hostEncode = max(hostEncode, b.encode)
 			driverDecode = max(driverDecode, b.decode)
 		} else {
-			lan = int64(float64(len(b.dev)) * p.residentRatio(b.dev))
+			lan = int64(float64(b.len()) * b.ratio)
 		}
-		if r == nil || len(r.Ins[k].Data) == 0 {
+		if r == nil || r.Ins[k].Len() == 0 {
 			continue
 		}
 		if r.Ins[k].Partitioned() {
@@ -391,11 +434,11 @@ func (p *CloudPlugin) costInputs(pl *plan, tiles int, jm *spark.JobMetrics, tile
 			driverEncode += b.encode
 			hostDecode = max(hostDecode, b.decode)
 		}
-		if r == nil || len(r.Outs[l].Data) == 0 {
+		if r == nil || r.Outs[l].Len() == 0 {
 			continue
 		}
 		if !b.ship {
-			collectRatio += p.residentRatio(b.dev) * (float64(len(b.dev)) / float64(outRaw))
+			collectRatio += b.ratio * (float64(b.len()) / float64(outRaw))
 			continue
 		}
 		collectRatio += float64(b.wire) / float64(outRaw)
@@ -404,8 +447,8 @@ func (p *CloudPlugin) costInputs(pl *plan, tiles int, jm *spark.JobMetrics, tile
 			ci.BarrierOutWire += b.wire
 		}
 	}
-	if outRaw > 0 && tileRaw > 0 {
-		ci.CollectWire = int64(float64(tileRaw) * collectRatio)
+	if outRaw > 0 && pl.tileRaw > 0 {
+		ci.CollectWire = int64(float64(pl.tileRaw) * collectRatio)
 	}
 	ci.HostCompress = simtime.FromReal(hostEncode)
 	ci.HostDecompress = simtime.FromReal(hostDecode)

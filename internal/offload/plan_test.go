@@ -452,9 +452,11 @@ func TestResidentCollectWireIsSizeWeighted(t *testing.T) {
 	}
 	pl := &plan{kernel: r.Kernel, region: r, outs: []bound{{name: "S", dev: small}, {name: "L", dev: large}}}
 	raw := r.OutBytesRaw()
-	ci := p.costInputs(pl, 8, nil, raw)
+	pl.tiles, pl.tileRaw = 8, raw
+	p.sampleResident(pl)
+	ci := pl.cost(&p.cfg, p.sctx.Spec())
 
-	rs, rl := p.residentRatio(small), p.residentRatio(large)
+	rs, rl := pl.outs[0].ratio, pl.outs[1].ratio
 	weighted := int64(rs*float64(len(small)) + rl*float64(len(large)))
 	if diff := ci.CollectWire - weighted; diff < -2 || diff > 2 {
 		t.Fatalf("CollectWire = %d, want the size-weighted %d (ratios %.3f over %d B, %.3f over %d B)",
@@ -478,7 +480,7 @@ func TestCostInputsResidentProbeAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 2 << 20 // residentRatio samples the first MiB of each
+	const n = 2 << 20 // sampleResident samples the first MiB of each
 	sparse := data.Generate(1, n/data.FloatSize, data.Sparse, 71).Bytes()
 	dense := data.Generate(1, n/data.FloatSize, data.Dense, 72).Bytes()
 	out := data.Generate(1, n/data.FloatSize, data.Sparse, 73).Bytes()
@@ -496,7 +498,9 @@ func TestCostInputsResidentProbeAllocBudget(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ci := p.costInputs(pl, 8, nil, n)
+	pl.tiles, pl.tileRaw = 8, n
+	p.sampleResident(pl)
+	ci := pl.cost(&p.cfg, p.sctx.Spec())
 	runtime.ReadMemStats(&after)
 
 	if ci.DistributeWire <= 0 || ci.DistributeWire >= n/2 || ci.BroadcastWire != n || ci.CollectWire <= 0 || ci.CollectWire >= n/2 {
@@ -505,6 +509,6 @@ func TestCostInputsResidentProbeAllocBudget(t *testing.T) {
 	}
 	const sampled = 3 << 20
 	if got := after.TotalAlloc - before.TotalAlloc; got > sampled*3/2 {
-		t.Fatalf("costInputs allocated %d bytes to price %d sampled bytes, want at most 1.5x", got, sampled)
+		t.Fatalf("pricing allocated %d bytes to price %d sampled bytes, want at most 1.5x", got, sampled)
 	}
 }

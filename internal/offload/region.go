@@ -8,10 +8,12 @@
 package offload
 
 import (
+	"cmp"
 	"fmt"
 
 	"ompcloud/internal/fatbin"
 	"ompcloud/internal/simtime"
+	"ompcloud/internal/spark"
 )
 
 // ReduceOp selects how per-tile copies of an output variable are combined
@@ -79,6 +81,15 @@ func (b *Buffer) Partitioned() bool { return b.BytesPerIter > 0 }
 
 // Len reports the buffer's length in bytes, size-only or not.
 func (b *Buffer) Len() int64 { return int64(len(b.Data)) + b.Size }
+
+// window reports the bytes of the buffer a tile of iterations [lo, hi)
+// touches: its window when partitioned, all of it otherwise.
+func (b *Buffer) window(lo, hi int64) int64 {
+	if b.Partitioned() {
+		return (hi - lo) * b.BytesPerIter
+	}
+	return b.Len()
+}
 
 // Region is the lowered form of one `omp target` construct containing a
 // single DOALL `parallel for` of N iterations. More complex constructs
@@ -186,46 +197,15 @@ func (r *Region) TileCount(cores int) int {
 	if r.N == 0 {
 		return 0
 	}
-	t := r.Tiles
-	if t == 0 {
-		t = cores
-	}
-	if int64(t) > r.N {
-		t = int(r.N)
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return int(max(1, min(int64(cmp.Or(r.Tiles, cores)), r.N)))
 }
 
-// TileRange reports the iteration interval [lo, hi) of tile p out of tiles,
-// matching the Spark-side partitioning so partitioned buffers line up with
-// loop tiles. (Same arithmetic as spark.PartitionRange, duplicated here to
-// keep the dependency one-way: spark does not import offload and vice
-// versa.)
+// TileRange reports the iteration interval [lo, hi) of tile p out of tiles:
+// Spark's partition of the loop, so partitioned buffers line up with loop
+// tiles.
 func TileRange(n int64, tiles, p int) (lo, hi int64) {
-	if tiles < 1 || p < 0 || p >= tiles {
-		panic(fmt.Sprintf("offload: bad tile %d of %d", p, tiles))
-	}
-	base := n / int64(tiles)
-	rem := n % int64(tiles)
-	ip := int64(p)
-	if ip < rem {
-		lo = ip * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (ip-rem)*base
-	return lo, lo + base
-}
-
-// InBytesRaw sums the raw sizes of all inputs.
-func (r *Region) InBytesRaw() int64 {
-	var n int64
-	for i := range r.Ins {
-		n += r.Ins[i].Len()
-	}
-	return n
+	l, h := spark.PartitionRange(int(n), tiles, p)
+	return int64(l), int64(h)
 }
 
 // OutBytesRaw sums the raw sizes of all outputs.

@@ -4,13 +4,15 @@
 // benchmark harness measures three machine constants for real (per-kernel
 // compute throughput, gzip behaviour on really generated sparse/dense data,
 // the host's codec width) and runs each benchmark's own program, lowered onto
-// size-only buffers, on a model device that prices it through the
-// virtual-time accountant (offload.Account) the measured execution path uses.
-// Shapes — who wins, by what factor, where overheads grow — come out of the
-// shared cost arithmetic; only the calibrated constants are machine-specific.
+// size-only buffers, on offload's pricing device, which builds the plans the
+// cloud device builds and prices them through the same cost builder and
+// virtual-time accountant the measured execution path uses. Shapes — who
+// wins, by what factor, where overheads grow — come out of the shared cost
+// arithmetic; only the calibrated constants are machine-specific.
 package perf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -20,6 +22,7 @@ import (
 	"ompcloud/internal/kernels"
 	"ompcloud/internal/netsim"
 	"ompcloud/internal/offload"
+	"ompcloud/internal/omp"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/trace"
@@ -55,15 +58,7 @@ type CalibrateOptions struct {
 }
 
 func (o CalibrateOptions) withDefaults() CalibrateOptions {
-	if o.N == 0 {
-		o.N = 256
-	}
-	if o.ProbeBytes == 0 {
-		o.ProbeBytes = 4 << 20
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	o.N, o.ProbeBytes, o.Seed = cmp.Or(o.N, 256), cmp.Or(o.ProbeBytes, 4<<20), cmp.Or(o.Seed, 1)
 	return o
 }
 
@@ -118,13 +113,13 @@ type Scenario struct {
 	Workers        int // cluster workers
 	CoresPerWorker int
 
-	Profile netsim.Profile // 0-value = PaperProfile()
-	Costs   spark.Costs    // 0-value = spark.DefaultCosts()
-	JNI     offload.JNI    // 0-value = offload.DefaultJNI()
-
 	// DisableTiling models running without Algorithm 1: one Spark task
 	// per loop iteration instead of per core (ablation).
 	DisableTiling bool
+	// DisablePartitioning models Listing 1 without Listing 2's extension:
+	// every loop input is broadcast whole to every worker, and crosses every
+	// task's JNI boundary whole (ablation).
+	DisablePartitioning bool
 	// DisableCompression models shipping raw bytes (ablation).
 	DisableCompression bool
 	// StarBroadcast replaces the BitTorrent broadcast with naive
@@ -143,9 +138,6 @@ type Scenario struct {
 	// compression spread over HostParallel cores and overlapped with the
 	// wire, so each host leg costs max(codec, wire) instead of their sum.
 	SequentialTransfer bool
-	// HostParallel is the host core count feeding the chunked pipeline's
-	// parallel compression; 0 means the calibrated Calibration.HostParallel.
-	HostParallel int
 }
 
 // PaperProfile is the network profile fitted to the paper's measured
@@ -162,18 +154,7 @@ func PaperProfile() netsim.Profile {
 }
 
 func (s Scenario) withDefaults() Scenario {
-	if s.N == 0 {
-		s.N = s.Bench.PaperN
-	}
-	if s.Profile == (netsim.Profile{}) {
-		s.Profile = PaperProfile()
-	}
-	if s.Costs == (spark.Costs{}) {
-		s.Costs = spark.DefaultCosts()
-	}
-	if s.JNI == (offload.JNI{}) {
-		s.JNI = offload.DefaultJNI()
-	}
+	s.N = cmp.Or(s.N, s.Bench.PaperN)
 	return s
 }
 
@@ -201,8 +182,8 @@ func (c *Calibration) HostSeconds(b *kernels.Benchmark, n, threads int) (float64
 }
 
 // Predict produces the full phase report of one cloud-offloaded paper-scale
-// execution: the benchmark's own program runs on the model device, which
-// prices each region and environment with the accountant measured runs use.
+// execution: the benchmark's own program runs on the pricing device of the
+// cloud device the scenario describes, with the calibrated rates.
 func (c *Calibration) Predict(s Scenario) (*trace.Report, error) {
 	s = s.withDefaults()
 	thr, ok := c.Throughput[s.Bench.Name]
@@ -213,38 +194,83 @@ func (c *Calibration) Predict(s Scenario) (*trace.Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("perf: no compression probe for %v", s.Kind)
 	}
-	// The codec's adaptive skip ships near-incompressible data raw.
-	probe = probe.Effective()
-	if s.DisableCompression {
-		probe = xcompress.Probe{Ratio: 1}
+	cfg := offload.CloudConfig{
+		Spec:        spark.ClusterSpec{Workers: s.Workers, CoresPerWorker: s.CoresPerWorker},
+		Profile:     PaperProfile(),
+		RunOnDriver: s.RunOnDriver,
 	}
-	spec := spark.ClusterSpec{Workers: s.Workers, CoresPerWorker: s.CoresPerWorker}
-	if err := spec.Validate(); err != nil {
+	if s.DisableCompression {
+		cfg.Codec.MinSize = -1
+	}
+	if s.SequentialTransfer {
+		cfg.ChunkBytes = -1
+	}
+	m := offload.Pricing{
+		IterOps: kernels.IterOps, Throughput: thr,
+		// The codec's adaptive skip ships near-incompressible data raw.
+		Probe:        probe.Effective(),
+		HostParallel: c.HostParallel,
+		WarmCache:    s.WarmCache, StarBroadcast: s.StarBroadcast,
+	}
+	if s.DisableTiling || s.DisablePartitioning {
+		m.Loop = func(r *offload.Region) {
+			if s.DisableTiling {
+				r.Tiles = int(r.N) // one task per iteration
+			}
+			if s.DisablePartitioning {
+				for i := range r.Ins {
+					r.Ins[i].BytesPerIter = 0
+				}
+			}
+		}
+	}
+	d, err := offload.NewPricingDevice(cfg, m)
+	if err != nil {
 		return nil, err
 	}
-	hostPar := s.HostParallel
-	if hostPar <= 0 {
-		hostPar = c.HostParallel
-	}
-	if hostPar <= 0 && !s.SequentialTransfer {
-		return nil, fmt.Errorf("perf: calibration records no host codec width")
-	}
-	profile := s.Profile
-	if s.RunOnDriver {
-		profile.WAN = profile.LAN
-		profile.WAN.Name = "lan-as-wan"
-	}
-	d := &device{
-		name:  fmt.Sprintf("model-%dx%d", s.Workers, s.CoresPerWorker),
-		cores: spec.TotalCores(),
-		s:     s, thr: thr, probe: probe, hostPar: hostPar, profile: profile,
-	}
-	rep, err := d.run(s.Bench, s.N)
+	rep, err := run(d, s.Bench, s.N)
 	if err != nil {
 		return nil, err
 	}
 	rep.Kernel = s.Bench.Name
 	return rep, nil
+}
+
+// Program is what a benchmark's program lowers to at one dimension: its
+// parallel loops in program order, over size-only buffers, and the raw bytes
+// it maps across the host-target link.
+type Program struct {
+	Loops   []*offload.Region
+	In, Out int64
+}
+
+// Lower runs benchmark b's program at dimension n on size-only buffers and
+// reports what it lowered to: the pricing device's loops, and the bytes it
+// ships across the host-target link over a raw wire.
+func Lower(b *kernels.Benchmark, n int) (*Program, error) {
+	prog := &Program{}
+	d, err := offload.NewPricingDevice(offload.CloudConfig{Spec: spark.ClusterSpec{Workers: 1, CoresPerWorker: 1}}, offload.Pricing{
+		IterOps: kernels.IterOps, Throughput: 1, Probe: xcompress.Probe{Ratio: 1}, HostParallel: 1,
+		Loop: func(r *offload.Region) { prog.Loops = append(prog.Loops, r) },
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep, err := run(d, b, n)
+	if err != nil {
+		return nil, err
+	}
+	prog.In, prog.Out = rep.BytesUploaded, rep.BytesDownloaded
+	return prog, nil
+}
+
+// run runs benchmark b's program at dimension n, on size-only buffers, on d.
+func run(d *offload.PricingDevice, b *kernels.Benchmark, n int) (*trace.Report, error) {
+	rt, err := omp.NewRuntime(1)
+	if err != nil {
+		return nil, err
+	}
+	return b.Prepare(n, data.SizeOnly, 0).Run(rt, rt.RegisterDevice(d))
 }
 
 // Speedups reports the three Figure 4 series of a prediction: full, spark,

@@ -55,6 +55,11 @@ type Report struct {
 	BytesScattered int64 `json:"bytes_scattered"`
 	BytesBroadcast int64 `json:"bytes_broadcast"`
 	BytesCollected int64 `json:"bytes_collected"`
+	// BytesReconstructed is the raw volume the driver combined rebuilding the
+	// outputs (Eq. 8): every tile's output copy. TileBytes lists, tile by
+	// tile, the raw bytes each task marshalled across the JNI boundary.
+	BytesReconstructed int64   `json:"bytes_reconstructed,omitempty"`
+	TileBytes          []int64 `json:"tile_bytes,omitempty"`
 	// TaskFailures counts retried task attempts (fault tolerance events).
 	TaskFailures int `json:"task_failures"`
 	// StorageRetries counts storage-leg operations that had to be
@@ -157,7 +162,8 @@ const (
 
 // Merge folds several reports into one region-level report. Phase work, byte
 // volumes, counters, tiles and CostUSD sum either way — they are real work
-// done (and paid for) somewhere. The relation decides the rest:
+// done (and paid for) somewhere — and TileBytes concatenate in report order.
+// The relation decides the rest:
 //
 //   - Cores: a Sequential merge keeps the widest phase's count (the same
 //     device served every phase); a Parallel merge adds the members' up.
@@ -186,6 +192,8 @@ func Merge(device, kernel string, rel Relation, reps ...*Report) *Report {
 		out.BytesScattered += r.BytesScattered
 		out.BytesBroadcast += r.BytesBroadcast
 		out.BytesCollected += r.BytesCollected
+		out.BytesReconstructed += r.BytesReconstructed
+		out.TileBytes = append(out.TileBytes, r.TileBytes...)
 		out.TaskFailures += r.TaskFailures
 		out.StorageRetries += r.StorageRetries
 		out.ReexecutedTasks += r.ReexecutedTasks
