@@ -254,13 +254,22 @@ func store(w []byte, c []float32, shared bool) {
 
 // mulAdd is the micro-kernel mm, mm.bcast and gemm share: for the rows x n
 // tiles c and a and the n x n matrix b, c[i][j] += (alpha*a[i][k]) * b[k][j].
-// It sweeps j once per block of 2 rows x 4 k, holding the eight scaled a
-// values and the two running sums in registers, so b's rows are loaded once
-// per two output rows and c once per four k instead of once per k. Every
-// c[i][j] still receives its n products one at a time in ascending k — the
-// order of the plain i-k-j loop in serial.go — so the result is bit-identical
-// to it; alpha = 1 multiplies exactly.
+// On an AVX2 host mulAddSIMD computes the 4-row blocks (muladd_amd64.go);
+// the rows it leaves, and every row elsewhere, take mulAddGo. Both give every
+// c[i][j] its n products one at a time in ascending k, each product rounded
+// before it is added, so either path is bit-identical to serial.go.
 func mulAdd(c, a, b []float32, rows, n int, alpha float32) {
+	i := mulAddSIMD(c, a, b, rows, n, alpha)
+	mulAddGo(c[i*n:], a[i*n:], b, rows-i, n, alpha)
+}
+
+// mulAddGo is the portable loop: it sweeps j once per block of 2 rows x 4 k,
+// holding the eight scaled a values and the two running sums in registers,
+// so b's rows are loaded once per two output rows and c once per four k
+// instead of once per k. Every c[i][j] still receives its n products one at
+// a time in ascending k — the order of the plain i-k-j loop in serial.go —
+// so the result is bit-identical to it; alpha = 1 multiplies exactly.
+func mulAddGo(c, a, b []float32, rows, n int, alpha float32) {
 	i := 0
 	for ; i+2 <= rows; i += 2 {
 		a0, a1 := a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n]

@@ -213,7 +213,8 @@ func TestKernelBodiesAllocateNothing(t *testing.T) {
 
 // BenchmarkKernelTile times one tile of the two benchmark-sized loop bodies
 // (gemm-dense: N=1536 in 96-row tiles; 3mm-env: N=1024 in 64-row tiles) on
-// one core and reports its GFLOP/s next to B/op.
+// one core, on the AVX2 micro-kernel (simd; skipped on a host without AVX2)
+// and on the generic loop, and reports its GFLOP/s next to B/op.
 func BenchmarkKernelTile(b *testing.B) {
 	for _, tc := range []struct {
 		kernel  string
@@ -222,24 +223,31 @@ func BenchmarkKernelTile(b *testing.B) {
 		{"gemm", 1536, 96},
 		{"mm", 1024, 64},
 	} {
-		b.Run(fmt.Sprintf("%s-%dx%d", tc.kernel, tc.n, tc.rows), func(b *testing.B) {
-			k, err := fatbin.Lookup(tc.kernel)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tile := func(seed int64) []byte { return data.Generate(tc.rows, tc.n, data.Dense, seed).Bytes() }
-			in := [][]byte{tile(1), data.Generate(tc.n, tc.n, data.Dense, 2).Bytes(), tile(3)} // mm ignores C
-			out := [][]byte{tile(4)}
-			scalars := []int64{int64(tc.n)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := k.Body(0, int64(tc.rows), scalars, in, out); err != nil {
-					b.Fatal(err)
+		k, err := fatbin.Lookup(tc.kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tile := func(seed int64) []byte { return data.Generate(tc.rows, tc.n, data.Dense, seed).Bytes() }
+		in := [][]byte{tile(1), data.Generate(tc.n, tc.n, data.Dense, 2).Bytes(), tile(3)} // mm ignores C
+		out := [][]byte{tile(4)}
+		scalars := []int64{int64(tc.n)}
+		for _, path := range []string{"simd", "generic"} {
+			b.Run(fmt.Sprintf("%s-%dx%d/%s", tc.kernel, tc.n, tc.rows, path), func(b *testing.B) {
+				if path == "simd" {
+					requireAVX2(b)
 				}
-			}
-			flops := 2 * float64(tc.rows) * float64(tc.n) * float64(tc.n) * float64(b.N)
-			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+				withAVX2(path == "simd", func() {
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := k.Body(0, int64(tc.rows), scalars, in, out); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				flops := 2 * float64(tc.rows) * float64(tc.n) * float64(tc.n) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

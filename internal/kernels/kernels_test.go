@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"ompcloud/internal/data"
@@ -56,6 +57,30 @@ func TestAllBenchmarksOnCloud(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMulAddBenchmarksVerifyBitForBit pins Verify's exactness on the four
+// benchmarks mulAdd serves: a cloud run at n = 70, off the micro-kernel's
+// 16-column strips, passes it, and the same output one ulp off in a single
+// element fails it.
+func TestMulAddBenchmarksVerifyBitForBit(t *testing.T) {
+	rt, cloud := newRuntime(t)
+	for _, b := range []*Benchmark{GEMM, MatMul, TwoMM, ThreeMM} {
+		t.Run(b.Name, func(t *testing.T) {
+			w := b.Prepare(70, data.Dense, 11)
+			if _, err := w.Run(rt, cloud); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			out := w.Outputs()[0]
+			out[len(out)/2] = math.Nextafter32(out[len(out)/2], float32(math.Inf(1)))
+			if err := w.Verify(); err == nil {
+				t.Fatal("Verify accepts an output one ulp off the serial reference")
+			}
+		})
 	}
 }
 
