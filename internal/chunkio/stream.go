@@ -424,7 +424,7 @@ type OutStream struct {
 //
 // Content-defined chunking is forced off: Gear cuts depend on bytes that a
 // streaming producer has not written yet, so an OutStream always uses
-// fixed-size cuts regardless of Options.CDC. Output buffers are fresh per
+// fixed-size cuts regardless of Options.CDC. An output's bytes are new per
 // job anyway — the cross-session dedup payoff CDC exists for belongs to the
 // input side.
 func NewOutStream(st storage.Store, key string, src, dst []byte, o Options, ready func(lo, hi int64)) (*OutStream, error) {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -83,11 +84,12 @@ func misaligned(t *testing.T, b []byte) []byte {
 }
 
 // runTiles drives tc's body over the tiles cut at the given boundaries and
-// returns the assembled output. Partitioned out windows arrive pre-filled
-// with NaN bit patterns (the stale bytes a host caller's buffer may hold);
-// with alias set, a tofrom window is the input window itself. place
-// rewrites every window before the call (identity, or misaligned).
-func runTiles(t *testing.T, tc bodyCase, cuts []int, alias bool, place func([]byte) []byte) []float32 {
+// returns the assembled output. Partitioned out windows arrive with every
+// byte set to stale (the bytes a host caller's buffer, or a recycled driver
+// buffer, may hold: 0xFF makes every float32 a NaN); with alias set, a tofrom
+// window is the input window itself. place rewrites every window before the
+// call (identity, or misaligned).
+func runTiles(t *testing.T, tc bodyCase, cuts []int, alias bool, stale byte, place func([]byte) []byte) []float32 {
 	t.Helper()
 	k, err := fatbin.Lookup(tc.kernel)
 	if err != nil {
@@ -107,11 +109,7 @@ func runTiles(t *testing.T, tc bodyCase, cuts []int, alias bool, place func([]by
 		case alias && tc.tofrom >= 0:
 			out = in[tc.tofrom]
 		default:
-			stale := make([]byte, (hi-lo)*tc.perIter*data.FloatSize)
-			for j := range stale {
-				stale[j] = 0xFF // every float32 a NaN
-			}
-			out = place(stale)
+			out = place(bytes.Repeat([]byte{stale}, (hi-lo)*tc.perIter*data.FloatSize))
 		}
 		if err := k.Body(int64(lo), int64(hi), tc.scalars, in, [][]byte{out}); err != nil {
 			t.Fatal(err)
@@ -136,9 +134,13 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestBodiesOverwriteStaleOutputs pins the output-window contract of
-// fatbin.LoopBody for bodies that write in place: a partitioned window is not
-// zeroed and a tofrom window may be the input's own memory, and either way
-// the result equals the serial reference bit for bit.
+// fatbin.LoopBody for bodies that write in place, which the cloud device's
+// recycled driver buffers rely on: a partitioned window is not zeroed — it
+// holds NaNs or any other stale bytes (0xA5) — and a tofrom window may be the
+// input's own memory, and either way the result equals the serial reference
+// bit for bit, on the AVX2 micro-kernel and on the generic mulAdd loop alike.
+// A size large enough for the micro-kernel's 4-row blocks and 16-column
+// strips runs beside a small ragged one.
 func TestBodiesOverwriteStaleOutputs(t *testing.T) {
 	const n = 13
 	keep := func(b []byte) []byte { return b }
@@ -146,15 +148,39 @@ func TestBodiesOverwriteStaleOutputs(t *testing.T) {
 	if len(cases) != len(fatbin.Default.Names()) {
 		t.Fatalf("%d body cases for %d registered kernels", len(cases), len(fatbin.Default.Names()))
 	}
+	// The host's own path, NaN-filled windows, a small ragged size.
 	for _, tc := range cases {
 		for _, alias := range []bool{false, true} {
 			if alias && tc.tofrom < 0 {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/alias=%v", tc.kernel, alias), func(t *testing.T) {
-				sameBits(t, tc.kernel, runTiles(t, tc, []int{0, 5, 6, n}, alias, keep), tc.want)
+				sameBits(t, tc.kernel, runTiles(t, tc, []int{0, 5, 6, n}, alias, 0xFF, keep), tc.want)
 			})
 		}
+	}
+	// Each path forced in turn, both stale patterns, and a size that fills
+	// the micro-kernel's blocks and strips.
+	for _, path := range []string{"simd", "generic"} {
+		if path == "simd" && !useAVX2 {
+			continue // the generic loop is the only path on this host
+		}
+		withAVX2(path == "simd", func() {
+			for _, n := range []int{13, 37} {
+				for _, tc := range bodyCases(n) {
+					for _, stale := range []byte{0xFF, 0xA5} {
+						for _, alias := range []bool{false, true} {
+							if alias && tc.tofrom < 0 {
+								continue
+							}
+							t.Run(fmt.Sprintf("%s/n=%d/%s/stale=%#x/alias=%v", path, n, tc.kernel, stale, alias), func(t *testing.T) {
+								sameBits(t, tc.kernel, runTiles(t, tc, []int{0, 5, 6, 11, n}, alias, stale, keep), tc.want)
+							})
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -176,15 +202,15 @@ func TestBlockedBodiesMatchSerialOnEveryShape(t *testing.T) {
 					cuts = cuts[1:]
 				}
 				name := fmt.Sprintf("%s/n=%d/rows=%d", tc.kernel, n, rows)
-				sameBits(t, name, runTiles(t, tc, cuts, false, keep), tc.want)
-				sameBits(t, name+"/misaligned", runTiles(t, tc, cuts, false, skew), tc.want)
+				sameBits(t, name, runTiles(t, tc, cuts, false, 0xFF, keep), tc.want)
+				sameBits(t, name+"/misaligned", runTiles(t, tc, cuts, false, 0xFF, skew), tc.want)
 			}
 		}
 	}
 	// The other bodies share the view helpers, not the micro-kernel: one
 	// misaligned pass each, aliasing included.
 	for _, tc := range bodyCases(13)[3:] {
-		sameBits(t, tc.kernel+"/misaligned", runTiles(t, tc, []int{0, 6, 13}, tc.tofrom >= 0, skew), tc.want)
+		sameBits(t, tc.kernel+"/misaligned", runTiles(t, tc, []int{0, 6, 13}, tc.tofrom >= 0, 0xFF, skew), tc.want)
 	}
 }
 

@@ -30,6 +30,8 @@ type Env interface {
 	// and partition strides only.
 	Run(r *Region) (*trace.Report, error)
 	// Buffer exposes the device-resident bytes of an environment buffer.
+	// They are valid until the next Run or Close: a loop that rewrites a
+	// buffer may give it new bytes.
 	Buffer(name string) ([]byte, error)
 	// Close copies Download buffers back to the host and releases the
 	// environment. The returned report carries the copy-out costs.
@@ -142,7 +144,9 @@ func (e *sharedEnv) Close() (*trace.Report, error) {
 // the cloud device and the pricing device alike. It only decides bindings;
 // each of its three entry points is a plan its device runs — the cloud device
 // under its guard, the pricing device priced — so both ship and keep
-// resident exactly the same buffers.
+// resident exactly the same buffers. The resident buffers are arena memory
+// (arena.go), held from the open, or the loop that last rewrote them, to the
+// close.
 type planEnv struct {
 	run    func(*plan) (*trace.Report, error)
 	prefix string
@@ -150,7 +154,7 @@ type planEnv struct {
 	mu     sync.Mutex
 	open   bool
 	decl   []EnvBuffer
-	device map[string]bound // driver-resident copies
+	device map[string]bound // driver-resident copies and their sampled ratios
 }
 
 // openPlanEnv opens an environment with a transfer-only plan that ships the
@@ -169,11 +173,16 @@ func openPlanEnv(bufs []EnvBuffer, prefix string, run func(*plan) (*trace.Report
 		if b.Upload {
 			pl.ins = append(pl.ins, bound{name: b.Name, ship: true, host: b.Data, size: b.Size})
 		} else {
-			e.device[b.Name] = bound{name: b.Name, dev: make([]byte, len(b.Data)), size: b.Size}
+			dev := getBuf(len(b.Data))
+			clear(dev)
+			e.device[b.Name] = bound{name: b.Name, dev: dev, size: b.Size}
 		}
 	}
 	rep, err := run(pl)
 	if err != nil {
+		for _, b := range e.device {
+			putBuf(b.dev)
+		}
 		return nil, nil, err
 	}
 	for _, in := range pl.ins {
@@ -199,8 +208,10 @@ func (e *planEnv) Buffer(name string) ([]byte, error) {
 
 // Run executes one parallel loop entirely inside the cluster — the
 // all-resident plan: partitioned slices of the device buffers scatter to the
-// workers, results reconstruct into the device buffers, and nothing touches
-// storage or the WAN. The region's own buffers supply sizes only.
+// workers, results reconstruct into buffers of their own that replace the
+// device buffers the loop rewrote, and nothing touches storage or the WAN.
+// The region's own buffers supply sizes only. Every buffer the loop bound
+// keeps the ratio the plan sampled for it.
 func (e *planEnv) Run(r *Region) (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -228,14 +239,30 @@ func (e *planEnv) Run(r *Region) (*trace.Report, error) {
 	if pl.outs, err = bind("output", r.Outs); err != nil {
 		return nil, err
 	}
-	return e.run(pl)
+	rep, err := e.run(pl)
+	if err != nil {
+		return rep, err
+	}
+	for _, bs := range [][]bound{pl.ins, pl.outs} {
+		for _, b := range bs {
+			d := e.device[b.name]
+			d.ratio = b.ratio
+			if b.final != nil {
+				putBuf(d.dev)
+				d.dev = b.final
+			}
+			e.device[b.name] = d
+		}
+	}
+	return rep, nil
 }
 
 // Close brings the Download buffers home (Fig. 1 steps 7-8) with a
-// transfer-only plan, then invalidates the environment; the plan ending
-// deletes the environment's stored objects. A plan the guard did not admit
-// (open breaker, failed health probe) never ran: the environment stays open
-// with its results and objects intact, so the transient error can be retried.
+// transfer-only plan, then invalidates the environment and gives its buffers
+// back to the arena; the plan ending deletes the environment's stored
+// objects. A plan the guard did not admit (open breaker, failed health probe)
+// never ran: the environment stays open with its results and objects intact,
+// so the transient error can be retried.
 func (e *planEnv) Close() (*trace.Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -249,7 +276,14 @@ func (e *planEnv) Close() (*trace.Report, error) {
 		}
 	}
 	rep, err := e.run(pl)
-	e.open = err == errUnavailable
+	if err == errUnavailable {
+		return rep, err
+	}
+	e.open = false
+	for _, b := range e.device {
+		putBuf(b.dev)
+	}
+	e.device = nil
 	return rep, err
 }
 

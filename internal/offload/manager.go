@@ -142,6 +142,11 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 	var snap []outSnapshot
 	if fallbackPolicyOf(dev) != FallbackFail {
 		snap = inputAliasedOuts(r)
+		defer func() {
+			for _, s := range snap {
+				putBuf(s.data)
+			}
+		}()
 	}
 	rep, err := dev.Run(r)
 	if err == nil {
@@ -156,7 +161,8 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 	return m.runFallback(r, err.Error(), err)
 }
 
-// outSnapshot is the pre-run content of one output buffer.
+// outSnapshot is the pre-run content of one output buffer, in arena memory
+// (arena.go) until the run and any restore are over.
 type outSnapshot struct {
 	out  int // index into Region.Outs
 	data []byte
@@ -166,18 +172,21 @@ type outSnapshot struct {
 // device run may write output tiles into the user's buffers before it fails
 // (the streaming dataflow downloads as it goes). For a pure map(from:)
 // output that is harmless: the host pass rewrites it in full, as the cloud
-// device — which starts every output from zeroes, not from the host's bytes
-// — already requires of the loop. But a map(tofrom:) variable is the same
-// backing array in Ins and Outs (and two mappings may overlap at different
-// offsets), so there the half-done run has scribbled over the host pass's
-// *input*; those, and only those, are snapshotted while fallback is still
-// possible and restored before the host pass.
+// device — which builds every output in driver memory holding whatever its
+// last user left, never from the host's bytes — already requires of the
+// loop. But a map(tofrom:) variable is the same backing array in Ins and Outs
+// (and two mappings may overlap at different offsets), so there the half-done
+// run has scribbled over the host pass's *input*; those, and only those, are
+// snapshotted while fallback is still possible and restored before the host
+// pass.
 func inputAliasedOuts(r *Region) []outSnapshot {
 	var snap []outSnapshot
 	for i := range r.Outs {
 		for k := range r.Ins {
 			if bytesOverlap(r.Outs[i].Data, r.Ins[k].Data) {
-				snap = append(snap, outSnapshot{out: i, data: append([]byte(nil), r.Outs[i].Data...)})
+				data := getBuf(len(r.Outs[i].Data))
+				copy(data, r.Outs[i].Data)
+				snap = append(snap, outSnapshot{out: i, data: data})
 				break
 			}
 		}

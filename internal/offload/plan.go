@@ -28,10 +28,11 @@ import (
 
 // bound binds one buffer of a plan to where it lives. A shipped buffer
 // crosses the host-target link through cloud storage: an input travels host
-// -> dev (the engine allocates dev), an output dev -> host. A resident buffer
-// stays on the driver: tasks read an input's dev, reconstruction overwrites
-// an output's dev, and nothing touches storage. A size-only bound (the
-// pricing device's) has neither host nor dev bytes, only size.
+// -> dev (the engine draws dev from the arena), an output dev -> host. A
+// resident buffer stays on the driver: tasks read an input's dev,
+// reconstruction builds an output's new bytes in final, and nothing touches
+// storage. A size-only bound (the pricing device's) has neither host nor dev
+// bytes, only size.
 type bound struct {
 	name string
 	ship bool
@@ -39,12 +40,14 @@ type bound struct {
 	dev  []byte
 	size int64
 	// ratio is a resident buffer's wire bytes per raw byte when Spark moves
-	// it over the LAN; a shipped buffer's LAN volume is its stored wire.
+	// it over the LAN (0 until sampled); a shipped buffer's LAN volume is its
+	// stored wire.
 	ratio float64
 
 	// What executing the plan fills in. An output's final is the buffer
 	// reconstruction builds and the output leg ships; stream mirrors it home
-	// chunk by chunk under per-tile release.
+	// chunk by chunk under per-tile release. A loop's finals are drawn from
+	// the arena; a transfer-only plan ships dev as it is.
 	final  []byte
 	stream *chunkio.OutStream
 	// A shipped buffer's transfer accounting.
@@ -118,8 +121,9 @@ type plan struct {
 	ins, outs []bound
 	// prefix is the key scope of the objects the plan owns: the transfer legs
 	// store under it, and everything under it is deleted when the plan ends —
-	// unless it succeeded and keep is set, which hands the objects to a later
-	// plan (env open -> env close, which owns them even when it ships
+	// unless it succeeded and keep is set, which hands the objects, and the
+	// driver copies of the shipped inputs, to a later plan (env open -> the
+	// environment's loops and close, which owns them even when it ships
 	// nothing). "" owns nothing; a plan that ships needs a scope.
 	prefix string
 	keep   bool
@@ -194,9 +198,11 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 		tiles = r.TileCount(p.Cores())
 		if tiles == 0 {
 			// Zero-trip loop: reductions take their identity (partitioned
-			// outputs are empty), nothing moves.
+			// outputs are empty), nothing moves. A rewritten resident
+			// buffer's sampled ratio no longer holds.
 			for l := range r.Outs {
-				copy(pl.outs[l].content(), reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data)))
+				setIdentity(r.Outs[l].Reduce, pl.outs[l].content())
+				pl.outs[l].ratio = 0
 			}
 			return rep, nil
 		}
@@ -232,15 +238,34 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 		sess = p.openSession(r, tiles, pl.ins)
 	}
 
-	// Input transfer. Barrier: it completes before anything else starts.
-	// Per tile: it runs behind the job, opening tile gates as windows land —
-	// against driver-side buffers whose headers must therefore be fixed
-	// before any transfer starts.
+	// Driver memory, drawn before any leg starts — a per-tile input leg
+	// opens tile gates against windows of dev, and tasks compute into
+	// windows of final — and given back by release once the last reader is
+	// done. Its defer is registered before the output streams' Abort, so it
+	// runs after every Abort has drained. finals are rebuilt off to the side
+	// (a tofrom buffer is both read by tasks and written here): a partitioned
+	// one is covered exactly by its tiles' windows and stays dirty until
+	// then, a reduction starts from its identity. A transfer-only plan ships
+	// the resident bytes as they are.
 	for k := range pl.ins {
 		if b := &pl.ins[k]; b.ship {
-			b.dev = make([]byte, len(b.host))
+			b.dev = getBuf(len(b.host))
 		}
 	}
+	for l := range pl.outs {
+		b := &pl.outs[l]
+		b.final = b.dev
+		if r != nil {
+			b.final = getBuf(len(r.Outs[l].Data))
+			if !r.Outs[l].Partitioned() {
+				setIdentity(r.Outs[l].Reduce, b.final)
+			}
+		}
+	}
+	defer func() { pl.release(err != nil) }()
+
+	// Input transfer. Barrier: it completes before anything else starts.
+	// Per tile: it runs behind the job, opening tile gates as windows land.
 	var sched *tileSched
 	inDone := make(chan error, 1)
 	if perTile {
@@ -250,15 +275,9 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 		return nil, err
 	}
 
-	// Spark job and reconstruction. finals are rebuilt off to the side — a
-	// tofrom buffer is both read by tasks and written here — and only land
-	// in their resident dev once the job is over. A transfer-only plan ships
-	// the resident bytes as they are.
+	// Spark job and reconstruction.
 	var jm *spark.JobMetrics
 	var tileRaw int64
-	for l := range pl.outs {
-		pl.outs[l].final = pl.outs[l].dev
-	}
 	if r != nil {
 		defer func() {
 			for l := range pl.outs {
@@ -269,7 +288,6 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 		}()
 		for l := range pl.outs {
 			b := &pl.outs[l]
-			b.final = reduceIdentity(r.Outs[l].Reduce, len(r.Outs[l].Data))
 			if !perTile || !b.ship {
 				continue
 			}
@@ -297,7 +315,7 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 		}
 		for l := range pl.outs {
 			if b := &pl.outs[l]; !b.ship {
-				copy(b.dev, b.final)
+				b.dev = b.final // the rebuilt bytes are the resident buffer now
 			}
 		}
 	}
@@ -330,20 +348,66 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 	return rep, nil
 }
 
+// release gives back to the arena the driver memory execute drew for the
+// plan, once nothing reads or writes it any more. A failed plan gives back
+// everything it drew. A plan that succeeded keeps what it hands on: its
+// shipped inputs' driver copies when keep is set (an environment's open), and
+// its resident outputs' finals, which the environment swaps in for the
+// buffers the loop rewrote.
+func (pl *plan) release(failed bool) {
+	for k := range pl.ins {
+		if b := &pl.ins[k]; b.ship && (failed || !pl.keep) {
+			putBuf(b.dev)
+			b.dev = nil
+		}
+	}
+	if pl.region == nil {
+		return // the finals are the resident devs
+	}
+	for l := range pl.outs {
+		if b := &pl.outs[l]; failed || b.ship {
+			putBuf(b.final)
+			b.final = nil
+		}
+	}
+}
+
 // sampleResident estimates, for each driver-resident buffer, the
 // compression ratio Spark gets when it ships the buffer over the LAN — the
 // figure cost reads for it — by encoding its actual bytes once (Spark
 // compresses everything it moves; a shipped buffer's ratio was measured by
-// its transfer instead). A ratio over SkipRatio ships raw.
+// its transfer instead). A ratio over SkipRatio ships raw. A buffer is probed
+// once, on the bytes it holds after the plan, and every bound of it gets the
+// one figure: a buffer the loop rewrote is probed on its new bytes, and one
+// whose ratio an earlier plan sampled keeps it. The probes run one after
+// another: each holds a codec's pooled state, and a plan's first probes would
+// otherwise each allocate one.
 func (p *CloudPlugin) sampleResident(pl *plan) {
+	ratios := make(map[string]float64, len(pl.ins)+len(pl.outs))
+	probe := func(b *bound) {
+		if _, ok := ratios[b.name]; ok {
+			return
+		}
+		r, err := p.cfg.Codec.Ratio(b.dev[:min(len(b.dev), 1<<20)])
+		if err != nil || r > xcompress.SkipRatio {
+			r = 1
+		}
+		ratios[b.name] = r
+	}
+	for l := range pl.outs {
+		if b := &pl.outs[l]; !b.ship {
+			probe(b)
+		}
+	}
+	for k := range pl.ins {
+		if b := &pl.ins[k]; !b.ship && b.ratio == 0 {
+			probe(b)
+		}
+	}
 	for _, bs := range [][]bound{pl.ins, pl.outs} {
 		for k := range bs {
-			if b := &bs[k]; !b.ship {
-				r, err := p.cfg.Codec.Ratio(b.dev[:min(len(b.dev), 1<<20)])
-				if err != nil || r > xcompress.SkipRatio {
-					r = 1
-				}
-				b.ratio = r
+			if r, ok := ratios[bs[k].name]; ok && !bs[k].ship {
+				bs[k].ratio = r
 			}
 		}
 	}

@@ -44,22 +44,30 @@ func combine(op ReduceOp, dst, src []byte) error {
 	return nil
 }
 
-// reduceIdentity initializes an accumulator for the reduction. Bit-OR and
-// sum start from zero bytes; max/min start from -inf/+inf in every lane
-// (representable stand-ins that survive float32 math).
+// reduceIdentity initializes an accumulator for the reduction.
 func reduceIdentity(op ReduceOp, n int) []byte {
 	buf := make([]byte, n)
+	setIdentity(op, buf)
+	return buf
+}
+
+// setIdentity overwrites buf with the reduction's identity. Bit-OR, sum and a
+// partitioned output (ReduceNone) start from zero bytes; max/min start from
+// -inf/+inf in every lane (representable stand-ins that survive float32
+// math).
+func setIdentity(op ReduceOp, buf []byte) {
 	switch op {
 	case ReduceMaxF32:
-		for i := 0; i < n/data.FloatSize; i++ {
+		for i := 0; i < len(buf)/data.FloatSize; i++ {
 			data.PutFloat(buf, i, -1e38)
 		}
 	case ReduceMinF32:
-		for i := 0; i < n/data.FloatSize; i++ {
+		for i := 0; i < len(buf)/data.FloatSize; i++ {
 			data.PutFloat(buf, i, 1e38)
 		}
+	default:
+		clear(buf)
 	}
-	return buf
 }
 
 // tileWindow slices the byte window of tile iterations [lo, hi) out of a

@@ -72,7 +72,8 @@ func fenced(n int, fill byte) (dst []byte, intact func() bool) {
 // must not write outside dst, and a nil return must mean every byte of dst
 // was written (two decodes over differently pre-filled windows agree) — and
 // once as a payload: its frame under each verdict must decode to exactly it,
-// and into no other length.
+// into a zeroed destination and into a dirty one alike (the offload driver
+// fetches into recycled memory), and into no other length.
 func FuzzDecodeInto(f *testing.F) {
 	addFrameSeeds(f)
 	c := Codec{MinSize: 1}
@@ -107,6 +108,10 @@ func FuzzDecodeInto(f *testing.F) {
 			back, err := decodeFrame(frame, len(in))
 			if err != nil || !bytes.Equal(back, in) {
 				t.Fatalf("verdict %d: round trip failed: %v", v, err)
+			}
+			dirty, intact := fenced(len(in), 0xA5)
+			if err := DecodeInto(frame, dirty); err != nil || !intact() || !bytes.Equal(dirty, back) {
+				t.Fatalf("verdict %d: decoding into a dirty destination gave other bytes than into a zeroed one (%v)", v, err)
 			}
 			if _, err := decodeFrame(frame, len(in)+1); err == nil {
 				t.Fatalf("verdict %d: decoded into a dst one byte too long", v)
