@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"time"
@@ -196,13 +194,15 @@ func RunTransferBench(mib int, seed int64) (*TransferBench, error) {
 
 // runDedupPasses uploads the payload twice with content-defined chunks and
 // content-addressed chunk keys. The second pass simulates a fresh session:
-// no in-memory state survives, only the store — a new chunk index is primed
-// by listing it, exactly what offload.CloudPlugin's Dedup mode does.
+// no in-memory state survives, only the store — a new chunkio.Index is
+// primed by listing it, exactly what offload.CloudPlugin's Dedup mode does,
+// so a hit is Stat-checked and every chunk read back is checked against its
+// content key, as on the device.
 func runDedupPasses(kind data.Kind, payload []byte, wan netsim.Link) (*DedupCase, error) {
 	st := storage.NewMemStore()
 	pass := func(key string) (*chunkio.UploadResult, time.Duration, error) {
-		idx := storage.NewChunkIndex("cache/c/")
-		if _, err := idx.Load(st); err != nil {
+		idx := chunkio.NewIndex(st, false)
+		if _, err := idx.Load(); err != nil {
 			return nil, 0, err
 		}
 		opts := chunkio.Options{
@@ -210,16 +210,7 @@ func runDedupPasses(kind data.Kind, payload []byte, wan netsim.Link) (*DedupCase
 			ChunkSize:     0,
 			CDC:           true,
 			WireBytesPerS: wan.BitsPerSs / 8,
-			ChunkKey: func(sum [sha256.Size]byte) string {
-				return "cache/c/" + hex.EncodeToString(sum[:])
-			},
-			Have: func(key string) (int64, bool) {
-				if !idx.Have(key) {
-					return 0, false
-				}
-				return idx.WireSize(key)
-			},
-			OnStored: idx.Remember,
+			Index:         idx,
 		}
 		up, err := chunkio.Upload(st, key, payload, opts)
 		if err != nil {

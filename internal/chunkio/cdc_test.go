@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,30 +188,14 @@ func TestCDCPipeRoundTrip(t *testing.T) {
 	}
 }
 
-// cachedOptions wires the content-addressed cache hooks the offload layer
-// uses, backed by a shared map, and returns the options plus the sum
-// registry (key -> decoded-content sha256) for ChunkSum-style lookups.
-func cachedOptions(chunk int, cdc bool, have *sync.Map) Options {
+// cachedOptions wires a content index the way the offload layer does.
+func cachedOptions(chunk int, cdc bool, idx *Index) Options {
 	return Options{
 		Codec:     xcompress.Codec{MinSize: 1},
 		ChunkSize: chunk,
 		Parallel:  2,
 		CDC:       cdc,
-		ChunkKey: func(sum [sha256.Size]byte) string {
-			return fmt.Sprintf("cache/c/%x", sum)
-		},
-		Have: func(key string) (int64, bool) {
-			v, ok := have.Load(key)
-			if !ok {
-				return 0, false
-			}
-			return v.(int64), true
-		},
-		OnStored: func(key string, wire int64) {
-			if strings.HasPrefix(key, "cache/c/") {
-				have.Store(key, wire)
-			}
-		},
+		Index:     idx,
 	}
 }
 
@@ -226,8 +208,7 @@ func TestCDCDedupResendsOnlyDirtyChunks(t *testing.T) {
 
 	resend := func(cdc bool) float64 {
 		st := storage.NewMemStore()
-		var have sync.Map
-		o := cachedOptions(chunk, cdc, &have)
+		o := cachedOptions(chunk, cdc, NewIndex(st, true))
 		if _, err := Upload(st, "v1", base, o); err != nil {
 			t.Fatalf("Upload v1: %v", err)
 		}
@@ -258,25 +239,18 @@ func TestCDCDedupSecondPassResendsNothing(t *testing.T) {
 	const chunk = 8 << 10
 	data := compressible(256<<10, 53)
 	st := storage.NewMemStore()
-	var have sync.Map
-	o := cachedOptions(chunk, true, &have)
+	o := cachedOptions(chunk, true, NewIndex(st, true))
 	if _, err := Upload(st, "run1", data, o); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Second session": fresh hook state rebuilt from the store, the way
-	// the offload plugin primes storage.ChunkIndex.
-	idx := storage.NewChunkIndex("cache/c/")
-	if _, err := idx.Load(st); err != nil {
+	// "Second session": a fresh index rebuilt from the store, the way the
+	// offload plugin primes it under Dedup.
+	idx := NewIndex(st, false)
+	if _, err := idx.Load(); err != nil {
 		t.Fatal(err)
 	}
-	o2 := cachedOptions(chunk, true, &sync.Map{})
-	o2.Have = func(key string) (int64, bool) {
-		if !idx.Have(key) {
-			return 0, false
-		}
-		return idx.WireSize(key)
-	}
+	o2 := cachedOptions(chunk, true, idx)
 	up, err := Upload(st, "run2", data, o2)
 	if err != nil {
 		t.Fatal(err)
@@ -300,53 +274,27 @@ func TestCDCDedupSecondPassResendsNothing(t *testing.T) {
 // TestChunkSumChaosDetectsCorruptCachedChunk is the dedup x fault-schedule chaos
 // case: raw frames carry no checksum, so a bit-rotted content-addressed
 // chunk would decode "successfully" into wrong bytes and be served. The
-// ChunkSum hook must catch it, classify it transient, and heal via re-fetch.
+// fetch path's check against the hash the chunk key names must catch it,
+// classify it transient, and heal via re-fetch.
 func TestChunkSumChaosDetectsCorruptCachedChunk(t *testing.T) {
 	const chunk = 8 << 10
 	data := incompressible(6*chunk, 61) // raw frames: no CRC of their own
 	inner := storage.NewMemStore()
-	var have sync.Map
-	sums := sync.Map{} // part key -> content sha256
-	o := cachedOptions(chunk, true, &have)
-	baseKey := o.ChunkKey
-	o.ChunkKey = func(sum [sha256.Size]byte) string {
-		key := baseKey(sum)
-		sums.Store(key, sum)
-		return key
-	}
+	o := cachedOptions(chunk, true, NewIndex(inner, true))
 	if _, err := Upload(inner, "obj", data, o); err != nil {
 		t.Fatal(err)
-	}
-
-	chunkSum := func(key string) ([sha256.Size]byte, bool) {
-		v, ok := sums.Load(key)
-		if !ok {
-			return [sha256.Size]byte{}, false
-		}
-		return v.([sha256.Size]byte), true
 	}
 
 	// The flipped bit lands at payload byte 100 — past the frame tag, so
 	// a raw frame still "decodes" cleanly, just wrong.
 	const flipBit = 100*8 + 3
-
-	// Control: without ChunkSum the flipped bit sails straight through.
 	flip := faults.Entry{Op: "get", Key: "cache/c/", Count: 1, Do: faults.Flip, Bit: flipBit}
-	fs := storage.WithFaults(inner, faults.New(1).Add(flip))
 	o.Parallel = 1 // deterministic fault placement
-	got, _, err := download(fs, "obj", len(data), o)
-	if err != nil {
-		t.Fatalf("control download: %v", err)
-	}
-	if bytes.Equal(got, data) {
-		t.Fatal("control: injected bit flip had no effect; chaos premise broken")
-	}
 
-	// With ChunkSum and a retry budget the corruption is detected and the
-	// chunk re-fetched rather than served.
+	// With a retry budget the corruption is detected and the chunk
+	// re-fetched rather than served.
 	sched := faults.New(1).Add(flip)
-	fs = storage.WithFaults(inner, sched)
-	o.ChunkSum = chunkSum
+	fs := storage.WithFaults(inner, sched)
 	o.Retry = resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}
 	got, res, err := download(fs, "obj", len(data), o)
 	if err != nil {
@@ -458,20 +406,16 @@ func TestGetUnitSteadyStateZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := st.Put("cache/c/chunk", enc); err != nil {
+				key := ChunkKey(sum)
+				if err := st.Put(key, enc); err != nil {
 					t.Fatal(err)
 				}
-				o := Options{
-					Codec: codec,
-					ChunkSum: func(string) ([sha256.Size]byte, bool) {
-						return sum, true
-					},
-				}
+				o := Options{Codec: codec}
 				var retries atomic.Int64
 				gu := newGetUnit(st, &o, &retries)
 				dst := make([]byte, len(raw))
 				allocs := testing.AllocsPerRun(100, func() {
-					if _, _, err := gu.fetch("cache/c/chunk", dst); err != nil {
+					if _, _, err := gu.fetch(key, dst); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -82,25 +82,12 @@ type Options struct {
 	// unknown, which the verdict treats as codec-bound (an effectively
 	// infinite wire).
 	WireBytesPerS float64
-	// ChunkSum, when non-nil, resolves a part key to the sha256 of its
-	// decoded content. Fetches verify every resolvable chunk after
-	// decoding and treat a mismatch as a transient corruption (the retry
-	// policy re-fetches). This closes the raw-frame integrity hole —
-	// deflate frames carry a CRC, raw frames carry nothing — and is how
-	// dedup'd cache chunks are guarded against bit rot.
-	ChunkSum func(key string) (sum [sha256.Size]byte, ok bool)
-
-	// ChunkKey, when non-nil, stores parts content-addressed under the
-	// returned key instead of "<key>.NNNNN.part" — the hook for
-	// chunk-granular upload caching.
-	ChunkKey func(sum [sha256.Size]byte) string
-	// Have reports the wire size of an already-stored chunk; chunks it
-	// acknowledges are not re-encoded or re-sent (a partially-changed
-	// buffer only resends its dirty chunks). Only consulted when
-	// ChunkKey is set.
-	Have func(key string) (wire int64, ok bool)
-	// OnStored is invoked after each part is written (cache bookkeeping).
-	OnStored func(key string, wire int64)
+	// Index, when non-nil, stores parts content-addressed under ChunkKey
+	// instead of "<key>.NNNNN.part": a chunk the index already holds (and
+	// its store still does) is not re-encoded or re-sent, so a
+	// partially-changed buffer only resends its dirty chunks, and every
+	// part stored is remembered.
+	Index *Index
 	// OnManifest is invoked after a multipart upload commits its manifest
 	// frame, handing the caller the exact bytes just written. A reader on
 	// the same side of the WAN can then pass them back via HaveObject and
@@ -323,10 +310,13 @@ func (u *putUnit) put(key string, head, body []byte) error {
 
 // getUnit is one download worker's retry machinery, allocated once per
 // worker for the same reason as putUnit. Each fetch is one retry unit: move
-// the frame into the chunk's disjoint destination window, then verify the
-// decoded content hash when Options.ChunkSum can resolve the key. A hash
-// mismatch is classified transient — the store's authoritative copy may be
-// intact — so the policy re-fetches and fully overwrites the window.
+// the frame into the chunk's disjoint destination window, then, for a part
+// stored under a chunk key ("cache/c/<sha256>"), check the decoded bytes
+// against the hash the key names. That closes the raw-frame integrity hole
+// (deflate frames carry a CRC, raw frames nothing) and guards reused cache
+// chunks against bit rot. A mismatch is classified transient — the store's
+// authoritative copy may be intact — so the policy re-fetches and fully
+// overwrites the window.
 //
 // A store that streams (storage.StreamGetter) hands the frame to an
 // xcompress.FrameReader as it arrives: a raw frame's body lands in the
@@ -363,10 +353,8 @@ func (u *getUnit) fetchOnce() error {
 	if err != nil {
 		return err
 	}
-	if u.o.ChunkSum != nil {
-		if want, ok := u.o.ChunkSum(u.key); ok && sha256.Sum256(u.dst) != want {
-			return corruptErr(fmt.Errorf("chunkio: %s decoded bytes fail their content hash", u.key))
-		}
+	if want, ok := chunkSumOf(u.key); ok && sha256.Sum256(u.dst) != want {
+		return corruptErr(fmt.Errorf("chunkio: %s decoded bytes fail their content hash", u.key))
 	}
 	u.wire = wire
 	return nil
@@ -656,7 +644,7 @@ func DownloadInto(st storage.Store, key string, dst []byte, o Options) (*Downloa
 // PartKeys lists the storage keys a chunked object at key would occupy for a
 // payload of rawSize bytes (manifest key itself excluded) — used by cleanup
 // paths that cannot List. It assumes fixed-size cuts at default part keys:
-// content-defined (CDC) or content-addressed (ChunkKey) layouts cannot be
+// content-defined (CDC) or content-addressed (Index) layouts cannot be
 // enumerated from a size alone — their cleanup must track keys explicitly
 // or parse the manifest.
 func PartKeys(key string, rawSize int64, o Options) []string {

@@ -2,8 +2,6 @@ package chunkio
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -268,26 +266,10 @@ func TestChunkReuseSkipsCleanChunks(t *testing.T) {
 		data = append(data, compressible(chunk, int64(200+i))...)
 	}
 	st := storage.NewMemStore()
-
-	var mu sync.Mutex
-	have := map[string]int64{}
 	o := Options{
 		Codec:     xcompress.Codec{MinSize: 1},
 		ChunkSize: chunk,
-		ChunkKey: func(sum [sha256.Size]byte) string {
-			return "cache/c/" + hex.EncodeToString(sum[:])
-		},
-		Have: func(key string) (int64, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			w, ok := have[key]
-			return w, ok
-		},
-		OnStored: func(key string, wire int64) {
-			mu.Lock()
-			defer mu.Unlock()
-			have[key] = wire
-		},
+		Index:     NewIndex(st, true),
 	}
 
 	up1, err := Upload(st, "obj", data, o)

@@ -24,10 +24,9 @@ import (
 func TestDirtyDestinationsReproduceTheSource(t *testing.T) {
 	const chunk = 4 << 10
 	src := sparseFloats((10*chunk+36)/4, 0.02, 91) // ten and a bit chunks, mostly zero words
-	sums := make(map[string][sha256.Size]byte)
-	for i, lo := 0, 0; lo < len(src); i, lo = i+1, lo+chunk {
-		sums[partKey("obj", i)] = sha256.Sum256(src[lo:min(lo+chunk, len(src))])
-	}
+	// Parts are content-addressed, so every fetch checks a chunk against
+	// the hash its key names.
+	part1 := ChunkKey(sha256.Sum256(src[chunk : 2*chunk]))
 	garbage := func() []byte { return bytes.Repeat([]byte{0xA5}, len(src)) }
 
 	entries := []struct {
@@ -80,11 +79,7 @@ func TestDirtyDestinationsReproduceTheSource(t *testing.T) {
 			for _, e := range entries {
 				t.Run(fmt.Sprintf("%s/%v/%s", sk.name, c.algo, e.name), func(t *testing.T) {
 					st := sk.make()
-					o := Options{Codec: xcompress.Codec{MinSize: 1, Algo: c.algo}, ChunkSize: chunk, Parallel: 3}
-					o.ChunkSum = func(key string) ([sha256.Size]byte, bool) {
-						sum, ok := sums[key]
-						return sum, ok
-					}
+					o := Options{Codec: xcompress.Codec{MinSize: 1, Algo: c.algo}, ChunkSize: chunk, Parallel: 3, Index: NewIndex(st, true)}
 					if e.name == "DownloadInto" {
 						if _, err := Upload(st, "obj", src, o); err != nil {
 							t.Fatal(err)
@@ -96,7 +91,7 @@ func TestDirtyDestinationsReproduceTheSource(t *testing.T) {
 						// raw frame decodes into bytes that fail their hash, a
 						// compressed one fails to decode; either way the
 						// window is dirty until the retry rewrites it.
-						sched = faults.New(1).Add(faults.Entry{Op: "get", Key: "obj.00001.part", Count: 1, Do: faults.Flip, Bit: 8*5 + 3})
+						sched = faults.New(1).Add(faults.Entry{Op: "get", Key: part1, Count: 1, Do: faults.Flip, Bit: 8*5 + 3})
 						st = storage.WithFaults(st, sched)
 						o.Retry = resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}
 					}
@@ -110,7 +105,7 @@ func TestDirtyDestinationsReproduceTheSource(t *testing.T) {
 					if sched != nil && sched.Fired(faults.Store) != 1 {
 						t.Fatalf("the flip fired %d times, want once", sched.Fired(faults.Store))
 					}
-					frame, err := st.Get("obj.00001.part")
+					frame, err := st.Get(part1)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -80,8 +79,8 @@ func snapshot(t *testing.T, st storage.Store) map[string][]byte {
 // objects under identical keys, the same accounting, and the payload back.
 func TestEntryPointsStoreIdenticalObjects(t *testing.T) {
 	const chunk = 2 << 10
-	plain := func(cs int) func(*sync.Map) Options {
-		return func(*sync.Map) Options {
+	plain := func(cs int) func(storage.Store) Options {
+		return func(storage.Store) Options {
 			return Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: cs, Parallel: 3}
 		}
 	}
@@ -100,7 +99,7 @@ func TestEntryPointsStoreIdenticalObjects(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		buf     []byte
-		opts    func(have *sync.Map) Options
+		opts    func(st storage.Store) Options
 		seed    []byte // stored under "seed" with the same options first
 		skip    string // entry point the row does not apply to
 		chunks  int
@@ -110,7 +109,7 @@ func TestEntryPointsStoreIdenticalObjects(t *testing.T) {
 		{name: "empty", buf: nil, opts: plain(chunk), chunks: 1, objects: 1},
 		{name: "one chunk", buf: compressible(chunk, 302), opts: plain(chunk), chunks: 1, objects: 1},
 		{name: "one chunk adaptive", buf: compressible(chunk-5, 303), chunks: 1, objects: 1,
-			opts: func(*sync.Map) Options {
+			opts: func(storage.Store) Options {
 				return Options{Codec: xcompress.Codec{MinSize: 1, Algo: xcompress.AlgoAdaptive}, ChunkSize: chunk, WireBytesPerS: 1e6}
 			}},
 		{name: "many chunks", buf: many, opts: plain(chunk), chunks: 10, objects: 11},
@@ -119,11 +118,11 @@ func TestEntryPointsStoreIdenticalObjects(t *testing.T) {
 		// OutStream keeps fixed cuts whatever Options.CDC says: its producer
 		// has not written the bytes content cuts would depend on.
 		{name: "cdc", buf: incompressible(64<<10, 305), skip: "OutStream",
-			opts: func(*sync.Map) Options {
+			opts: func(storage.Store) Options {
 				return Options{Codec: xcompress.Codec{MinSize: 1}, ChunkSize: chunk, Parallel: 3, CDC: true}
 			}},
 		{name: "content-addressed, half warm", buf: many, seed: warm, chunks: 10, reused: 5,
-			opts: func(have *sync.Map) Options { return cachedOptions(chunk, false, have) }},
+			opts: func(st storage.Store) Options { return cachedOptions(chunk, false, NewIndex(st, true)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var refName string
@@ -134,8 +133,7 @@ func TestEntryPointsStoreIdenticalObjects(t *testing.T) {
 					continue
 				}
 				st := storage.NewMemStore()
-				var have sync.Map
-				o := tc.opts(&have)
+				o := tc.opts(st)
 				if tc.seed != nil {
 					if _, err := Upload(st, "seed", tc.seed, o); err != nil {
 						t.Fatalf("%s: seeding: %v", ep.name, err)
@@ -190,20 +188,22 @@ func TestEntryPointsStoreIdenticalObjects(t *testing.T) {
 // entries another manifest may reference and a resumed run reuses. Run with
 // -race.
 func TestFailedStoreLeavesNoParts(t *testing.T) {
+	// Every 1 KiB chunk differs, so the content-addressed rows store each
+	// one instead of reusing the first.
 	src := make([]byte, 16<<10)
 	for i := range src {
-		src[i] = byte(i * 31)
+		src[i] = byte(i*31 + i>>10)
 	}
 	for _, ep := range entryPoints {
 		for _, addressed := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/addressed=%v", ep.name, addressed), func(t *testing.T) {
 				o := streamTestOptions(1 << 10)
+				ms := storage.NewMemStore()
 				match := ".part"
 				if addressed {
 					match = "cache/c/"
-					o.ChunkKey = func(sum [32]byte) string { return fmt.Sprintf("cache/c/%x", sum[:8]) }
+					o.Index = NewIndex(ms, true)
 				}
-				ms := storage.NewMemStore()
 				// Let the first three part PUTs land, then kill every further
 				// one: the failure arrives with orphan candidates in the store.
 				fs := storage.WithFaults(ms, faults.New(1).Add(faults.Entry{

@@ -44,7 +44,7 @@ type PipeResult struct {
 
 // pipeState is the chunk engine: one transfer's chunks, the workers that
 // move them and the accounting they leave. A chunk has two optional halves.
-// The store half cuts the chunk out of src, asks the chunk cache whether the
+// The store half cuts the chunk out of src, asks the content index whether the
 // store already has it, encodes it under the plan, PUTs it and records its
 // manifest entry. The fetch half GETs the entry's key, decodes it into the
 // same window of dst, checks the decoded content hash and announces the
@@ -206,24 +206,24 @@ func (ps *pipeState) runChunk(i int, pu *putUnit, gu *getUnit) {
 }
 
 // storeChunk is the store half of chunk i. Parts are keyed by position, or
-// by content when the chunk cache is wired (Options.ChunkKey): a chunk the
-// cache already has skips its encode and PUT, and only its manifest entry is
+// by content when an index is wired (Options.Index): a chunk the index
+// already has skips its encode and PUT, and only its manifest entry is
 // written.
 func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
-	ckey := ps.key
-	if !ps.single {
-		ckey = partKey(ps.key, i)
-		if ps.o.ChunkKey != nil {
-			ckey = ps.o.ChunkKey(sha256.Sum256(chunk))
-			if ps.o.Have != nil {
-				if wire, ok := ps.o.Have(ckey); ok {
-					ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
-					ps.reused.Add(1)
-					ps.reusedRaw.Add(int64(len(chunk)))
-					return nil
-				}
-			}
+	ckey, idx := ps.key, ps.o.Index
+	switch {
+	case ps.single:
+		idx = nil
+	case idx != nil:
+		ckey = ChunkKey(sha256.Sum256(chunk))
+		if wire, ok := idx.Have(ckey); ok {
+			ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
+			ps.reused.Add(1)
+			ps.reusedRaw.Add(int64(len(chunk)))
+			return nil
 		}
+	default:
+		ckey = partKey(ps.key, i)
 	}
 	head, body, bp, err := ps.encode(i, ckey, chunk)
 	if err == nil {
@@ -243,8 +243,8 @@ func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
 	wire := int64(len(head) + len(body))
 	ps.entries[i] = chunkEntry{Key: ckey, Raw: int64(len(chunk)), Wire: wire}
 	ps.sent.Add(wire)
-	if ps.o.OnStored != nil && !ps.single {
-		ps.o.OnStored(ckey, wire)
+	if idx != nil {
+		idx.Remember(ckey, wire)
 	}
 	return nil
 }
@@ -291,13 +291,13 @@ func (ps *pipeState) firstErr() error {
 }
 
 // discardParts deletes the objects a failed transfer stored, so an aborted
-// transfer leaves no orphans behind. Content-addressed chunks (ChunkKey set)
+// transfer leaves no orphans behind. Content-addressed chunks (Index set)
 // are exempt: they are shared cache entries that other manifests may already
 // reference, and re-uploads find them by content. Best effort — a store too
 // broken to delete is a store whose garbage the caller's prefix cleanup or
 // wipe handles.
 func (ps *pipeState) discardParts() {
-	if !ps.store || ps.o.ChunkKey != nil {
+	if !ps.store || ps.o.Index != nil {
 		return
 	}
 	for _, e := range ps.entries {

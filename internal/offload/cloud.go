@@ -285,17 +285,8 @@ type CloudPlugin struct {
 	cfg   CloudConfig
 	name  string // fixed at construction: stable across elastic scaling
 	sctx  *spark.Context
-	cache *uploadCache     // nil unless EnableCache
+	index *chunkio.Index   // nil unless EnableCache or Dedup
 	pool  *remoteexec.Pool // nil unless WorkerAddrs configured
-
-	// chunkIdx is the persistent cross-session chunk index (nil unless
-	// Dedup); idxOnce lazily primes it from the store at first upload.
-	// dedupHits/dedupBytes count chunks (and wire bytes) the index kept
-	// off the WAN.
-	chunkIdx   *storage.ChunkIndex
-	idxOnce    sync.Once
-	dedupHits  atomic.Int64
-	dedupBytes atomic.Int64
 
 	// breaker guards the device against consecutive workflow failures
 	// (nil when disabled); healthKey is this plugin's private probe key,
@@ -403,11 +394,8 @@ func NewCloudPlugin(cfg CloudConfig) (*CloudPlugin, error) {
 			},
 		}
 	}
-	if cfg.EnableCache {
-		p.cache = newUploadCache()
-	}
-	if cfg.Dedup {
-		p.chunkIdx = storage.NewChunkIndex(chunkPrefix)
+	if cfg.EnableCache || cfg.Dedup {
+		p.index = chunkio.NewIndex(cfg.Store, cfg.EnableCache)
 	}
 	p.initErr = p.init()
 	if p.initErr == nil && len(cfg.WorkerAddrs) > 0 {
@@ -619,17 +607,25 @@ func (p *CloudPlugin) Cluster() *cloud.Cluster {
 // SparkContext exposes the engine context (metrics, chaos testing).
 func (p *CloudPlugin) SparkContext() *spark.Context { return p.sctx }
 
-// CacheStats reports upload-cache effectiveness (zero value when the cache
-// is disabled) plus the manifest round trips avoided by frame reuse, which
-// accrue regardless of the cache setting.
+// CacheStats reports content-index effectiveness at both granularities.
+type CacheStats struct {
+	chunkio.IndexStats
+	// AvoidedGets counts manifest round trips the plugin skipped because
+	// it still held the frame it had just written (the barriered output leg
+	// downloading a manifest its store half authored, and the per-tile legs,
+	// whose in-process consumers never fetch the manifest at all). Filled
+	// even when the content index itself is disabled.
+	AvoidedGets int64
+}
+
+// CacheStats reports the content index's counters (zero without
+// EnableCache or Dedup) plus the manifest round trips avoided by frame
+// reuse, which accrue regardless of either setting.
 func (p *CloudPlugin) CacheStats() CacheStats {
-	var s CacheStats
-	if p.cache != nil {
-		s = p.cache.stats()
+	s := CacheStats{AvoidedGets: p.avoidedGets.Load()}
+	if p.index != nil {
+		s.IndexStats = p.index.Stats()
 	}
-	s.AvoidedGets = p.avoidedGets.Load()
-	s.DedupHits = p.dedupHits.Load()
-	s.DedupBytes = p.dedupBytes.Load()
 	return s
 }
 
@@ -654,8 +650,8 @@ func (p *CloudPlugin) streaming() bool { return p.cfg.pipelined() && p.cfg.Overl
 
 // chunkOpts assembles the transfer-engine options, including the per-leg
 // retry policy (rs accumulates the run's resilience accounting). withCache
-// additionally wires the chunk-granular content-addressed cache hooks, so
-// clean chunks of a partially-changed buffer are recognized and not
+// additionally wires the content index, primed from the store under Dedup,
+// so clean chunks of a partially-changed buffer are recognized and not
 // re-sent.
 func (p *CloudPlugin) chunkOpts(withCache bool, rs *runStats) chunkio.Options {
 	o := chunkio.Options{
@@ -667,15 +663,10 @@ func (p *CloudPlugin) chunkOpts(withCache bool, rs *runStats) chunkio.Options {
 		// host-target link; the upload legs ride the (possibly
 		// RunOnDriver-rewritten) WAN.
 		WireBytesPerS: p.cfg.Profile.WAN.BitsPerSs / 8,
-		// Content-addressed chunk keys carry their own content hash;
-		// verifying decoded bytes against it turns a corrupt cached chunk
-		// into a transient retry instead of silently reused wrong data.
-		// Non-content keys (per-job part keys) are not affected.
-		ChunkSum:     chunkSumOf,
-		Retry:        p.retryPolicy(&rs.retries),
-		Ctx:          rs.ctx,
-		Stats:        &rs.xfer,
-		MetricDevice: p.cfg.DeviceName,
+		Retry:         p.retryPolicy(&rs.retries),
+		Ctx:           rs.ctx,
+		Stats:         &rs.xfer,
+		MetricDevice:  p.cfg.DeviceName,
 	}
 	o.PutTimeout, o.GetTimeout = p.legDeadlines()
 	o.HedgeDelay = p.hedgeDelay()
@@ -687,77 +678,15 @@ func (p *CloudPlugin) chunkOpts(withCache bool, rs *runStats) chunkio.Options {
 		o.WireBytesPerS = obs
 		o.ChunkSize = degradedChunkBytes(p.cfg.ChunkBytes)
 	}
-	if withCache && (p.cache != nil || p.chunkIdx != nil) {
-		if p.chunkIdx != nil {
-			p.primeIndex()
+	if withCache && p.index != nil {
+		if p.cfg.Dedup {
+			// A failed Load is non-fatal: an empty index only costs
+			// re-uploads.
+			_, _ = p.index.Load()
 		}
-		o.ChunkKey = chunkContentKey
-		o.Have = p.chunkHave
-		o.OnStored = p.rememberChunk
+		o.Index = p.index
 	}
 	return o
-}
-
-// primeIndex loads the persistent chunk index from the store, once per
-// plugin: a fresh session discovers the chunks earlier sessions left under
-// "cache/c/" and reuses them instead of re-sending. A failed Load is
-// non-fatal — the index is an availability hint, and an empty one only
-// costs re-uploads.
-func (p *CloudPlugin) primeIndex() {
-	p.idxOnce.Do(func() {
-		if n, err := p.chunkIdx.Load(p.cfg.Store); err == nil && n > 0 {
-			span.Metrics().Counter("cache.dedup.indexed").Add(int64(n))
-		}
-	})
-}
-
-// chunkHave answers the engine's "is this chunk already stored?" query from
-// the session chunk cache and, with Dedup, the persistent cross-session
-// index — verifying against the store before trusting either, since stores
-// can be wiped between jobs. Index hits are what dedup saves: chunks some
-// earlier session (or earlier upload with no session cache) shipped.
-func (p *CloudPlugin) chunkHave(key string) (int64, bool) {
-	wire, ok := int64(0), false
-	if p.cache != nil {
-		wire, ok = p.cache.lookupChunk(key)
-	}
-	fromIdx := false
-	if !ok && p.chunkIdx != nil && p.chunkIdx.Have(key) {
-		wire, ok = p.chunkIdx.WireSize(key)
-		fromIdx = ok
-	}
-	if !ok {
-		return 0, false
-	}
-	if _, err := p.cfg.Store.Stat(key); err != nil {
-		if p.cache != nil {
-			p.cache.forgetChunk(key)
-		}
-		if p.chunkIdx != nil {
-			p.chunkIdx.Forget(key)
-		}
-		return 0, false
-	}
-	if fromIdx {
-		p.dedupHits.Add(1)
-		p.dedupBytes.Add(wire)
-		m := span.Metrics()
-		m.Counter("cache.dedup.hits").Inc()
-		m.Counter("cache.dedup.bytes").Add(wire)
-	}
-	return wire, true
-}
-
-// rememberChunk records a freshly stored chunk with the session cache and
-// the persistent index, so both within-run repeats and future sessions
-// recognize it.
-func (p *CloudPlugin) rememberChunk(key string, wire int64) {
-	if p.cache != nil {
-		p.cache.rememberChunk(key, wire)
-	}
-	if p.chunkIdx != nil {
-		p.chunkIdx.Remember(key, wire)
-	}
 }
 
 // cleanup deletes the job's objects, best effort.

@@ -1,7 +1,6 @@
 package offload
 
 import (
-	"crypto/sha256"
 	"strings"
 	"testing"
 	"time"
@@ -43,24 +42,6 @@ func TestDedupAndCDCRequireChunkedPath(t *testing.T) {
 	}
 }
 
-func TestChunkSumOf(t *testing.T) {
-	sum := sha256.Sum256([]byte("chunk payload"))
-	got, ok := chunkSumOf(chunkContentKey(sum))
-	if !ok || got != sum {
-		t.Fatal("round trip through chunkContentKey must recover the hash")
-	}
-	for _, key := range []string{
-		"jobs/000001/in/A.00001.part",                    // per-job part key
-		"cache/" + strings.Repeat("ab", sha256.Size),     // buffer, not chunk
-		chunkPrefix + strings.Repeat("g", 2*sha256.Size), // not hex
-		chunkPrefix + "abcd",                             // truncated
-	} {
-		if _, ok := chunkSumOf(key); ok {
-			t.Fatalf("%q must not parse as a chunk key", key)
-		}
-	}
-}
-
 // TestCrossSessionDedup is the headline dedup scenario: a second plugin
 // instance — a fresh process with no in-memory state, sharing only the
 // storage service — re-offloads the same inputs and re-sends (almost)
@@ -83,7 +64,7 @@ func TestCrossSessionDedup(t *testing.T) {
 	if first.BytesUploaded < n {
 		t.Fatalf("cold session uploaded only %d bytes", first.BytesUploaded)
 	}
-	if chunks, _ := st.List(chunkPrefix); len(chunks) < 2 {
+	if chunks, _ := st.List("cache/c/"); len(chunks) < 2 {
 		t.Fatalf("cleanup must leave content chunks behind, found %d", len(chunks))
 	}
 
@@ -133,7 +114,7 @@ func TestDedupSurvivesStoreWipe(t *testing.T) {
 	if _, err := p.Run(scale2Region(n, in.Bytes(), out)); err != nil {
 		t.Fatal(err)
 	}
-	keys, _ := st.List(chunkPrefix)
+	keys, _ := st.List("cache/c/")
 	for _, k := range keys {
 		if err := st.Delete(k); err != nil {
 			t.Fatal(err)
@@ -155,7 +136,7 @@ func TestDedupSurvivesStoreWipe(t *testing.T) {
 }
 
 // TestDedupChaosCorruptChunkHeals: a bit flip in a cached content chunk is
-// caught by the end-to-end content hash (chunkSumOf) and healed by a retry —
+// caught by the end-to-end content hash its chunk key names and healed by a retry —
 // the dedup'd cold path must not become a silent-corruption path.
 func TestDedupChaosCorruptChunkHeals(t *testing.T) {
 	sched := faults.New(1)
@@ -168,7 +149,7 @@ func TestDedupChaosCorruptChunkHeals(t *testing.T) {
 	// Flip a payload bit (byte 100 — clear of the frame tag, which would
 	// fail decode rather than exercise the hash) on one chunk GET.
 	const flipBit = 100*8 + 3
-	sched.Add(faults.Entry{Op: "get", Key: chunkPrefix, Count: 1, Do: faults.Flip, Bit: flipBit})
+	sched.Add(faults.Entry{Op: "get", Key: "cache/c/", Count: 1, Do: faults.Flip, Bit: flipBit})
 
 	out := make([]byte, 4*n)
 	if _, err := p.Run(scale2Region(n, in.Bytes(), out)); err != nil {

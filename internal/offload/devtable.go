@@ -177,12 +177,12 @@ func NewMultiDeviceFromConfig(f *config.File) (*MultiDevice, error) {
 		return nil, err
 	}
 	var members []Plugin
-	var absorber *HostPlugin
 	if hostThreads > 0 {
-		if absorber, err = NewHostPlugin(hostThreads); err != nil {
+		host, err := NewHostPlugin(hostThreads)
+		if err != nil {
 			return nil, err
 		}
-		members = append(members, absorber)
+		members = append(members, host)
 	}
 	for _, e := range entries {
 		p, err := NewCloudPlugin(e.Config)
@@ -191,11 +191,7 @@ func NewMultiDeviceFromConfig(f *config.File) (*MultiDevice, error) {
 		}
 		members = append(members, p)
 	}
-	return NewMultiDevice(MultiDeviceConfig{
-		Members:  members,
-		Weights:  weights,
-		Absorber: absorber,
-	})
+	return NewMultiDevice(MultiDeviceConfig{Members: members, Weights: weights})
 }
 
 // NewDevicePluginFromConfig builds whatever device the config file

@@ -102,18 +102,14 @@ func (p *CloudPlugin) transferIn(pl *plan, rs *runStats, sched *tileSched, sess 
 	}
 	upload := func(k int) error {
 		b := &pl.ins[k]
-		b.key = pl.prefix + "/in/" + b.name
-		if p.cache != nil {
-			b.key = contentKey(b.contentSum())
-			if wire, ok := p.cache.lookup(b.key); ok {
-				// Verify the object still exists before trusting the
-				// cache: stores can be wiped between jobs.
-				if _, err := p.cfg.Store.Stat(b.key); err == nil {
-					b.wire, b.cached = wire, true
-					return nil
-				}
-				p.cache.forget(b.key)
+		if p.cfg.EnableCache {
+			b.key = chunkio.ContentKey(b.contentSum())
+			if wire, ok := p.index.Have(b.key); ok {
+				b.wire, b.cached = wire, true
+				return nil
 			}
+		} else {
+			b.key = pl.prefix + "/in/" + b.name
 		}
 		var up *chunkio.UploadResult
 		var err error
@@ -132,8 +128,8 @@ func (p *CloudPlugin) transferIn(pl *plan, rs *runStats, sched *tileSched, sess 
 			return fmt.Errorf("offload: uploading %s: %w", b.name, err)
 		}
 		b.wire, b.sent, b.encode = up.TotalWire, up.SentWire, up.CompressWall
-		if p.cache != nil {
-			p.cache.remember(b.key, up.TotalWire)
+		if p.cfg.EnableCache {
+			p.index.Remember(b.key, up.TotalWire)
 		}
 		return nil
 	}

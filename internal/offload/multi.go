@@ -45,11 +45,6 @@ type MultiDeviceConfig struct {
 	// Weights, when non-empty, fixes the static split weights (one per
 	// member, all > 0), disabling throughput-based rebalancing.
 	Weights []float64
-	// Absorber re-runs the slice of a member that fails mid-flight with a
-	// transient error, so one tripped device degrades the split instead of
-	// failing the region. Nil selects the first *HostPlugin member, else a
-	// fresh 16-thread host device.
-	Absorber *HostPlugin
 	// NoRebalance pins every run to the seeded weights (benchmarks
 	// isolating the first-run split). Default off: observed rates win once
 	// every member has one.
@@ -60,7 +55,11 @@ type MultiDeviceConfig struct {
 
 // MultiDevice is the device-set plugin.
 type MultiDevice struct {
-	cfg      MultiDeviceConfig
+	cfg MultiDeviceConfig
+	// absorber re-runs the slice of a member that fails mid-flight with a
+	// transient error, so one tripped device degrades the split instead of
+	// failing the region: the first *HostPlugin member, else a fresh
+	// 16-thread host device.
 	absorber *HostPlugin
 	name     string
 
@@ -100,13 +99,10 @@ func NewMultiDevice(cfg MultiDeviceConfig) (*MultiDevice, error) {
 		}
 	}
 	md := &MultiDevice{cfg: cfg, name: "multi(" + strings.Join(names, "+") + ")"}
-	md.absorber = cfg.Absorber
-	if md.absorber == nil {
-		for _, m := range cfg.Members {
-			if h, ok := m.(*HostPlugin); ok {
-				md.absorber = h
-				break
-			}
+	for _, m := range cfg.Members {
+		if h, ok := m.(*HostPlugin); ok {
+			md.absorber = h
+			break
 		}
 	}
 	if md.absorber == nil {

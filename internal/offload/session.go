@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"ompcloud/internal/chunkio"
 )
 
 // This file implements resumable offload sessions: a session journal
@@ -92,11 +94,9 @@ func (p *CloudPlugin) openSession(r *Region, tiles int, ins []bound) *session {
 		var j sessionJournal
 		if json.Unmarshal(blob, &j) == nil && j.Version == sessionJournalVersion &&
 			j.Kernel == r.Kernel && j.Tiles == tiles {
-			if p.cache != nil {
+			if p.cfg.EnableCache {
 				for _, in := range j.Inputs {
-					if in.Key != "" {
-						p.cache.remember(in.Key, in.Wire)
-					}
+					p.index.Remember(in.Key, in.Wire)
 				}
 			}
 			p.logf("offload: session %s: resuming (journal found, %d inputs primed)",
@@ -128,13 +128,11 @@ func (s *session) writeJournal(r *Region, ins []bound) {
 		N:       r.N,
 		Tiles:   s.tiles,
 	}
-	if s.p.cache != nil {
-		for k := range ins {
-			if strings.HasPrefix(ins[k].key, "cache/") {
-				j.Inputs = append(j.Inputs, journalInput{
-					Name: r.Ins[k].Name, Key: ins[k].key, Wire: ins[k].wire,
-				})
-			}
+	for k := range ins {
+		if chunkio.IsContentKey(ins[k].key) {
+			j.Inputs = append(j.Inputs, journalInput{
+				Name: r.Ins[k].Name, Key: ins[k].key, Wire: ins[k].wire,
+			})
 		}
 	}
 	blob, err := json.Marshal(&j)

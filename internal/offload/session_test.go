@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/chunkio"
 	"ompcloud/internal/data"
 	"ompcloud/internal/faults"
 	"ompcloud/internal/spark"
@@ -288,9 +289,9 @@ func TestIdentitiesDoNotMove(t *testing.T) {
 		{"shipped session", sessionID(r, 3, shipped), "2127597ed7b980326412c069904c809c15019ddd63bced771554ba22cb2e045b"},
 		{"resident session", sessionID(r, 2, []bound{{name: "A", dev: a}, {name: "B", dev: b}}), "0638236c2188eaa762945164f8b66e29dbcad4317f8d90a9367124cff0eec3c1"},
 		// The session hashed the inputs; the keys reuse those sums.
-		{"key A", contentKey(shipped[0].contentSum()), "cache/252678db30f547a20abb656587f50e8e9c423f2619ba412b6129897cf00405c7"},
-		{"key B", contentKey(shipped[1].contentSum()), "cache/70da449788bfa33451b353936fdf55b4a222de578c6493567c42e43b59564155"},
-		{"key of nothing", contentKey((&bound{ship: true}).contentSum()), "cache/e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{"key A", chunkio.ContentKey(shipped[0].contentSum()), "cache/252678db30f547a20abb656587f50e8e9c423f2619ba412b6129897cf00405c7"},
+		{"key B", chunkio.ContentKey(shipped[1].contentSum()), "cache/70da449788bfa33451b353936fdf55b4a222de578c6493567c42e43b59564155"},
+		{"key of nothing", chunkio.ContentKey((&bound{ship: true}).contentSum()), "cache/e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %s, want %s", tc.what, tc.got, tc.want)

@@ -355,8 +355,8 @@ func TestFromConfigCacheAndVerbose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.cache == nil {
-		t.Fatal("enable-cache should install the upload cache")
+	if p.index == nil {
+		t.Fatal("enable-cache should install the content index")
 	}
 	n := int64(128)
 	in := data.Generate(1, int(n), data.Dense, 40)
