@@ -640,22 +640,3 @@ func DownloadInto(st storage.Store, key string, dst []byte, o Options) (*Downloa
 	res.Down.RootCached = rootCached
 	return &res.Down, nil
 }
-
-// PartKeys lists the storage keys a chunked object at key would occupy for a
-// payload of rawSize bytes (manifest key itself excluded) — used by cleanup
-// paths that cannot List. It assumes fixed-size cuts at default part keys:
-// content-defined (CDC) or content-addressed (Index) layouts cannot be
-// enumerated from a size alone — their cleanup must track keys explicitly
-// or parse the manifest.
-func PartKeys(key string, rawSize int64, o Options) []string {
-	cs := int64(o.chunkSize())
-	if rawSize <= cs {
-		return nil
-	}
-	n := int((rawSize + cs - 1) / cs)
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = partKey(key, i)
-	}
-	return keys
-}

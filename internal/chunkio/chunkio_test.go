@@ -331,6 +331,22 @@ func TestDownloadMissingPartFails(t *testing.T) {
 	}
 }
 
+// partKeys lists the storage keys a chunked object at key occupies for a
+// payload of rawSize bytes (manifest key itself excluded), for fixed-size
+// cuts at default part keys.
+func partKeys(key string, rawSize int64, o Options) []string {
+	cs := int64(o.chunkSize())
+	if rawSize <= cs {
+		return nil
+	}
+	n := int((rawSize + cs - 1) / cs)
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = partKey(key, i)
+	}
+	return keys
+}
+
 func TestPartKeysMatchStoredLayout(t *testing.T) {
 	const chunk = 4 << 10
 	data := incompressible(5*chunk+1, 14)
@@ -339,17 +355,17 @@ func TestPartKeysMatchStoredLayout(t *testing.T) {
 	if _, err := Upload(st, "obj", data, o); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
-	keys := PartKeys("obj", int64(len(data)), o)
+	keys := partKeys("obj", int64(len(data)), o)
 	if len(keys) != 6 {
-		t.Fatalf("PartKeys returned %d keys, want 6", len(keys))
+		t.Fatalf("partKeys returned %d keys, want 6", len(keys))
 	}
 	for _, k := range keys {
 		if _, err := st.Stat(k); err != nil {
 			t.Errorf("expected part %s on store: %v", k, err)
 		}
 	}
-	if keys := PartKeys("obj", chunk, o); keys != nil {
-		t.Errorf("PartKeys for single-chunk payload = %v, want nil", keys)
+	if keys := partKeys("obj", chunk, o); keys != nil {
+		t.Errorf("partKeys for single-chunk payload = %v, want nil", keys)
 	}
 }
 

@@ -193,12 +193,6 @@ func WithBootTime(d simtime.Duration) Option {
 	return func(p *SimProvider) { p.bootTime = d }
 }
 
-// WithAuthFailure makes every Launch fail with ErrBadCredentials; used to
-// exercise the host-fallback path.
-func WithAuthFailure() Option {
-	return func(p *SimProvider) { p.authFail = true }
-}
-
 // WithClock shares an external virtual clock.
 func WithClock(c *simtime.Clock) Option {
 	return func(p *SimProvider) { p.clock = c }

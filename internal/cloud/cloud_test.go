@@ -109,8 +109,13 @@ func TestInvalidTransitions(t *testing.T) {
 	}
 }
 
+// withAuthFailure makes every Launch fail with ErrBadCredentials.
+func withAuthFailure() Option {
+	return func(p *SimProvider) { p.authFail = true }
+}
+
 func TestAuthFailure(t *testing.T) {
-	p := NewSimProvider(testCreds(), WithAuthFailure())
+	p := NewSimProvider(testCreds(), withAuthFailure())
 	it, _ := LookupType("c3.large")
 	if _, err := p.Launch(it, 1); !errors.Is(err, ErrBadCredentials) {
 		t.Fatalf("want ErrBadCredentials, got %v", err)

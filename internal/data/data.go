@@ -196,14 +196,6 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, V: slices.Clone(m.V)}
 }
 
-// MatrixFromBytes rebuilds a matrix of known shape from its payload.
-func MatrixFromBytes(rows, cols int, b []byte) (*Matrix, error) {
-	if len(b) != rows*cols*FloatSize {
-		return nil, fmt.Errorf("data: payload is %d bytes, want %d for %dx%d", len(b), rows*cols*FloatSize, rows, cols)
-	}
-	return &Matrix{Rows: rows, Cols: cols, V: Floats(b)}, nil
-}
-
 // MaxAbsDiff reports the largest absolute element difference between two
 // equally sized float32 slices, used to verify offloaded results against the
 // serial reference.
@@ -227,14 +219,4 @@ func MaxAbsDiff(a, b []float32) (float64, error) {
 func AlmostEqual(a, b []float32, tol float64) bool {
 	d, err := MaxAbsDiff(a, b)
 	return err == nil && d <= tol
-}
-
-// Checksum is a cheap order-independent fingerprint used by tests to compare
-// reconstructed buffers without holding two full copies.
-func Checksum(b []byte) uint64 {
-	var sum uint64
-	for i, c := range b {
-		sum += uint64(c) * (uint64(i%8191) + 1)
-	}
-	return sum
 }

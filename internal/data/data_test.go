@@ -128,20 +128,6 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 }
 
-func TestMatrixFromBytes(t *testing.T) {
-	m := Generate(8, 8, Dense, 2)
-	back, err := MatrixFromBytes(8, 8, m.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := MaxAbsDiff(m.V, back.V); d != 0 {
-		t.Fatal("matrix byte round trip mismatch")
-	}
-	if _, err := MatrixFromBytes(8, 9, m.Bytes()); err == nil {
-		t.Fatal("shape mismatch should error")
-	}
-}
-
 func TestNewMatrixNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -199,17 +185,6 @@ func TestMaxAbsDiffAndAlmostEqual(t *testing.T) {
 	}
 	if AlmostEqual(a, b[:2], 1) {
 		t.Fatal("length mismatch should not be equal")
-	}
-}
-
-func TestChecksumDiscriminates(t *testing.T) {
-	a := Bytes([]float32{1, 2, 3, 4})
-	b := Bytes([]float32{1, 2, 3, 5})
-	if Checksum(a) == Checksum(b) {
-		t.Fatal("checksum collision on trivially different buffers")
-	}
-	if Checksum(a) != Checksum(a) {
-		t.Fatal("checksum must be deterministic")
 	}
 }
 

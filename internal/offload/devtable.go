@@ -114,21 +114,6 @@ func constructDevices(drafts []deviceDraft) ([]DeviceEntry, error) {
 	return entries, nil
 }
 
-// ParseDeviceTable reads the named device blocks of a configuration file
-// into a device table, sorted by name (the split's deterministic device
-// order). An empty table — no [device "..."] sections — means the file uses
-// the legacy single-[cluster] layout; callers then fall back to
-// NewCloudPluginFromConfig. Duplicate blocks, duplicate names, unknown keys
-// and non-positive explicit weights are configuration errors, and no
-// block's store is opened unless every block is valid.
-func ParseDeviceTable(f *config.File) ([]DeviceEntry, error) {
-	drafts, err := readDeviceTable(f)
-	if err != nil {
-		return nil, err
-	}
-	return constructDevices(drafts)
-}
-
 // NewMultiDeviceFromConfig assembles the multi-device split of a config
 // file with [device "..."] blocks: the named clouds, plus a host member
 // when [host] threads is positive (default 16 — the paper's region splits

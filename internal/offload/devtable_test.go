@@ -3,8 +3,21 @@ package offload
 import (
 	"testing"
 
+	"ompcloud/internal/config"
 	"ompcloud/internal/netsim"
 )
+
+// parseDeviceTable reads and opens the named device blocks of a
+// configuration file as NewMultiDeviceFromConfig does, without its host
+// member: sorted by name, and no block's store opened unless every block is
+// valid. An empty table means the legacy single-[cluster] layout.
+func parseDeviceTable(f *config.File) ([]DeviceEntry, error) {
+	drafts, err := readDeviceTable(f)
+	if err != nil {
+		return nil, err
+	}
+	return constructDevices(drafts)
+}
 
 func TestParseDeviceTable(t *testing.T) {
 	f := parseConf(t, `
@@ -23,7 +36,7 @@ weight = 2.5
 [device us-east]
 cluster.cores-per-worker = 16
 `)
-	entries, err := ParseDeviceTable(f)
+	entries, err := parseDeviceTable(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +76,7 @@ cluster.cores-per-worker = 16
 
 func TestParseDeviceTableEmptyIsLegacy(t *testing.T) {
 	f := parseConf(t, "[cluster]\nworkers = 4\n")
-	entries, err := ParseDeviceTable(f)
+	entries, err := parseDeviceTable(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ cluster.workers = many
 	}
 	for name, text := range cases {
 		f := parseConf(t, text)
-		if _, err := ParseDeviceTable(f); err == nil {
+		if _, err := parseDeviceTable(f); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -256,7 +256,7 @@ cluster.workers = 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ParseDeviceTable(f)
+	entries, err := parseDeviceTable(f)
 	if err != nil {
 		t.Fatal(err)
 	}

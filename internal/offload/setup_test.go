@@ -526,7 +526,7 @@ func TestFromConfigValidatesBeforeConstructing(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 		if strings.HasPrefix(name, "second device") {
-			if _, err := ParseDeviceTable(parseConf(t, text)); err == nil {
+			if _, err := parseDeviceTable(parseConf(t, text)); err == nil {
 				t.Errorf("%s: device table accepted", name)
 			}
 		}

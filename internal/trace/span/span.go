@@ -326,9 +326,6 @@ func Disable() { defaultRec.Store(nil) }
 // Recorder methods are nil-safe, so call sites never need the nil check.
 func Default() *Recorder { return defaultRec.Load() }
 
-// Enabled reports whether a default recorder is installed.
-func Enabled() bool { return defaultRec.Load() != nil }
-
 // Start opens a wall-clock span on the default recorder (no-op scope when
 // disabled).
 func Start(name, cat string, parent ID) *Scope { return Default().Start(name, cat, parent) }

@@ -25,7 +25,8 @@ const DefaultMinSize = 1 << 16 // 64 KiB
 // gzip would spend seconds per gigabyte to save 9% of a fast link's time.
 const SkipRatio = 0.85
 
-// sampleSize is how much of a buffer's head the adaptive probe compresses.
+// sampleSize is the size of each of the auto probe's three samples (head,
+// middle and tail; see probeVerdict). The adaptive policy samples probeSeg.
 const sampleSize = 256 << 10
 
 // Algo selects the frame codec family a Codec uses.
