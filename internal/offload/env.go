@@ -154,12 +154,14 @@ type planEnv struct {
 	mu     sync.Mutex
 	open   bool
 	decl   []EnvBuffer
-	device map[string]bound // driver-resident copies and their sampled ratios
+	device map[string]bound // driver-resident copies and their LAN ratios: measured by the upload, or sampled
 }
 
 // openPlanEnv opens an environment with a transfer-only plan that ships the
 // map(to:) buffers through cloud storage (Fig. 1 steps 1-3) once for the
-// whole environment; map(from:)/alloc buffers start zeroed on the device.
+// whole environment; map(from:)/alloc buffers start zeroed on the device. A
+// shipped buffer stays resident at the ratio its upload measured, so no loop
+// probes it again; an alloc'd one is probed by the first loop that binds it.
 func openPlanEnv(bufs []EnvBuffer, prefix string, run func(*plan) (*trace.Report, error)) (Env, *trace.Report, error) {
 	e := &planEnv{
 		run:    run,
@@ -186,7 +188,7 @@ func openPlanEnv(bufs []EnvBuffer, prefix string, run func(*plan) (*trace.Report
 		return nil, nil, err
 	}
 	for _, in := range pl.ins {
-		e.device[in.name] = bound{name: in.name, dev: in.dev, size: in.size}
+		e.device[in.name] = bound{name: in.name, dev: in.dev, size: in.size, ratio: in.shippedRatio()}
 	}
 	return e, rep, nil
 }

@@ -40,8 +40,9 @@ type bound struct {
 	dev  []byte
 	size int64
 	// ratio is a resident buffer's wire bytes per raw byte when Spark moves
-	// it over the LAN (0 until sampled); a shipped buffer's LAN volume is its
-	// stored wire.
+	// it over the LAN: an environment input's is what its upload measured
+	// (shippedRatio), any other's is sampled (0 until then). A shipped
+	// buffer's LAN volume is its stored wire.
 	ratio float64
 
 	// What executing the plan fills in. An output's final is the buffer
@@ -74,6 +75,21 @@ func (b *bound) content() []byte {
 
 // len reports the buffer's length in bytes, size-only or not.
 func (b *bound) len() int64 { return int64(len(b.content())) + b.size }
+
+// shippedRatio is the wire bytes per raw byte a shipped buffer's transfer
+// measured, under the rule sampleResident applies to a probe: over SkipRatio
+// moves raw. It reads wire, not sent, so a cache hit keeps the stored
+// object's ratio; a zero-length buffer has none (0).
+func (b *bound) shippedRatio() float64 {
+	n := b.len()
+	if n == 0 {
+		return 0
+	}
+	if r := float64(b.wire) / float64(n); r <= xcompress.SkipRatio {
+		return r
+	}
+	return 1
+}
 
 // contentSum is the sha256 of content(), hashed on first use.
 func (b *bound) contentSum() [sha256.Size]byte {
@@ -375,13 +391,15 @@ func (pl *plan) release(failed bool) {
 // sampleResident estimates, for each driver-resident buffer, the
 // compression ratio Spark gets when it ships the buffer over the LAN — the
 // figure cost reads for it — by encoding its actual bytes once (Spark
-// compresses everything it moves; a shipped buffer's ratio was measured by
-// its transfer instead). A ratio over SkipRatio ships raw. A buffer is probed
-// once, on the bytes it holds after the plan, and every bound of it gets the
-// one figure: a buffer the loop rewrote is probed on its new bytes, and one
-// whose ratio an earlier plan sampled keeps it. The probes run one after
-// another: each holds a codec's pooled state, and a plan's first probes would
-// otherwise each allocate one.
+// compresses everything it moves). It probes only bytes the device produced:
+// a loop's outputs, and alloc'd buffers a loop reads. A buffer that crossed
+// the link — shipped by this plan, or uploaded by an environment's open —
+// keeps the ratio its transfer measured. A ratio over SkipRatio ships raw. A
+// buffer is probed once, on the bytes it holds after the plan, and every
+// bound of it gets the one figure: a buffer the loop rewrote is probed on its
+// new bytes, and one whose ratio is already known keeps it. The probes run
+// one after another: each holds a codec's pooled state, and a plan's first
+// probes would otherwise each allocate one.
 func (p *CloudPlugin) sampleResident(pl *plan) {
 	ratios := make(map[string]float64, len(pl.ins)+len(pl.outs))
 	probe := func(b *bound) {

@@ -512,3 +512,142 @@ func TestCostInputsResidentProbeAllocBudget(t *testing.T) {
 		t.Fatalf("pricing allocated %d bytes to price %d sampled bytes, want at most 1.5x", got, sampled)
 	}
 }
+
+// An environment input crossed the link once, and the open measured its
+// wire: a loop moves it over the LAN at that ratio. It used to probe the
+// input's head MiB again, and on a buffer whose head is dense but whose bulk
+// is sparse that head-only verdict ("raw") scattered the whole 4 MiB for a
+// buffer that uploaded in about one.
+func TestEnvInputMovesAtItsTransferRatio(t *testing.T) {
+	p, err := NewCloudPlugin(memCloudConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 20 // floats: a 4 MiB input
+	in := data.Generate(1, n, data.Sparse, 83).Bytes()
+	copy(in, data.Generate(1, n/4, data.Dense, 84).Bytes())
+	out := make([]byte, 4*n)
+	env, open, err := p.OpenEnv([]EnvBuffer{
+		{Name: "A", Data: in, Upload: true},
+		{Name: "B", Data: out, Download: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	loop, err := env.Run(scale2Region(n, in, out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open.BytesUploaded <= 0 || open.BytesUploaded >= n*4/2 {
+		t.Fatalf("open uploaded %d B of %d: want the sparse bulk compressed", open.BytesUploaded, 4*n)
+	}
+	if loop.BytesScattered != open.BytesUploaded {
+		t.Fatalf("loop scattered %d B, want the %d B the open's upload measured", loop.BytesScattered, open.BytesUploaded)
+	}
+}
+
+// Each shipped input of an environment carries the ratio its upload
+// measured: wire over length, 1 over SkipRatio, the stored object's ratio on
+// a cache hit. A zero-length input carries none and the first loop that
+// reads it probes it.
+func TestEnvCarriesUploadRatio(t *testing.T) {
+	const n = 256 << 10 // floats: 1 MiB
+	sparse := data.Generate(1, n, data.Sparse, 85).Bytes()
+	dense := data.Generate(1, n, data.Dense, 86).Bytes()
+	small := sparse[:xcompress.DefaultMinSize/2]
+	carried := func(t *testing.T, env Env, name string) float64 {
+		t.Helper()
+		e := env.(*planEnv)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.device[name].ratio
+	}
+	measured := func(open *trace.Report, in []byte) float64 {
+		return float64(open.BytesUploaded) / float64(len(in))
+	}
+	one := func(*trace.Report, []byte) float64 { return 1 }
+	for _, c := range []struct {
+		name  string
+		codec xcompress.Codec
+		in    []byte
+		want  func(open *trace.Report, in []byte) float64
+	}{
+		{"auto-sparse", xcompress.Codec{}, sparse, measured},
+		{"raw", xcompress.Codec{Algo: xcompress.AlgoRaw}, sparse, one},
+		{"disabled", xcompress.Codec{MinSize: -1}, sparse, one},
+		{"under-min-size", xcompress.Codec{}, small, one},
+		{"dense", xcompress.Codec{}, dense, one},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := memCloudConfig()
+			cfg.Codec = c.codec
+			p, err := NewCloudPlugin(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, open, err := p.OpenEnv([]EnvBuffer{{Name: "A", Data: c.in, Upload: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			if got, want := carried(t, env, "A"), c.want(open, c.in); got != want || got <= 0 || got > 1 {
+				t.Fatalf("carried ratio %v, want %v (%d B uploaded of %d)", got, want, open.BytesUploaded, len(c.in))
+			}
+		})
+	}
+
+	t.Run("cache-hit", func(t *testing.T) {
+		p := cachedPlugin(t)
+		var ratios [2]float64
+		for i := range ratios {
+			env, open, err := p.OpenEnv([]EnvBuffer{{Name: "A", Data: sparse, Upload: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 && open.BytesUploaded != 0 {
+				t.Fatalf("second open uploaded %d B, want a cache hit", open.BytesUploaded)
+			}
+			ratios[i] = carried(t, env, "A")
+			if i == 0 && ratios[0] != measured(open, sparse) {
+				t.Fatalf("first open carries %v, want its upload's %v", ratios[0], measured(open, sparse))
+			}
+			if _, err := env.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ratios[0] <= 0 || ratios[0] >= xcompress.SkipRatio || ratios[1] != ratios[0] {
+			t.Fatalf("carried ratios %v: want the cache hit to keep the stored object's compressible ratio", ratios)
+		}
+	})
+
+	t.Run("zero-length", func(t *testing.T) {
+		p, err := NewCloudPlugin(memCloudConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 16
+		in := data.Generate(1, n, data.Dense, 87).Bytes()
+		out := make([]byte, 4*n)
+		env, _, err := p.OpenEnv([]EnvBuffer{
+			{Name: "A", Data: in, Upload: true},
+			{Name: "Z", Data: nil, Upload: true},
+			{Name: "B", Data: out, Download: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		if got := carried(t, env, "Z"); got != 0 {
+			t.Fatalf("zero-length input carries %v, want 0 until a loop probes it", got)
+		}
+		r := scale2Region(n, in, out)
+		r.Ins = append(r.Ins, Buffer{Name: "Z"})
+		if _, err := env.Run(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := carried(t, env, "Z"); got != 1 {
+			t.Fatalf("zero-length input after a loop carries %v, want the probe's 1", got)
+		}
+	})
+}

@@ -2,6 +2,8 @@ package xcompress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -302,4 +304,56 @@ func TestChunkVerdictZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("adaptive per-chunk verdict: %v allocs/run, want 0", allocs)
 	}
+}
+
+// denseFloats fills n bytes with uniform float32 words in [-1, 1), the
+// benchmark's dense matrices: gzip gets ~0.91 of them, over SkipRatio.
+func denseFloats(n int, seed int64) []byte {
+	b := make([]byte, n)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i+4 <= n; i += 4 {
+		binary.LittleEndian.PutUint32(b[i:], math.Float32bits(rng.Float32()*2-1))
+	}
+	return b
+}
+
+// BenchmarkProbeVerdict times the codec's two probes: AlgoAuto's verdict
+// over a 4 MiB buffer (Planner: up to three 256 KiB gzip samples, plus a
+// zero-run frame of the first that compresses), and Codec.Ratio over the
+// 1 MiB head a driver-resident buffer is priced on. ms/probe is one
+// decision's cost; MB/s is the bytes it decides for per second.
+func BenchmarkProbeVerdict(b *testing.B) {
+	const n = 4 << 20
+	head := sparseFloats(n, 0.02, 3)
+	copy(head, denseFloats(1<<20, 4))
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		want Verdict
+	}{
+		{"dense", denseFloats(n, 1), VerdictRaw},
+		{"sparse-2pct", sparseFloats(n, 0.02, 2), VerdictZero},
+		{"dense-head-sparse-bulk", head, VerdictZero},
+	} {
+		b.Run("planner/"+c.name, func(b *testing.B) {
+			if v := bufferVerdict(Codec{}, c.buf, 0); v != c.want {
+				b.Fatalf("verdict %d, want %d", v, c.want)
+			}
+			b.SetBytes(n)
+			for b.Loop() {
+				Codec{}.Planner(c.buf, 0)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/probe")
+		})
+	}
+	b.Run("ratio/dense-1MiB", func(b *testing.B) {
+		sample := denseFloats(1<<20, 5)
+		b.SetBytes(int64(len(sample)))
+		for b.Loop() {
+			if r, err := (Codec{}).Ratio(sample); err != nil || r != 1 {
+				b.Fatalf("ratio %v, %v: want a raw verdict's 1", r, err)
+			}
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/probe")
+	})
 }
