@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/data"
 	"ompcloud/internal/fatbin"
 	"ompcloud/internal/faults"
@@ -21,70 +22,19 @@ import (
 // on NaNs, which show in the outputs every test compares, and under -race as
 // a race with the poisoning write.
 func TestMain(m *testing.M) {
-	arenaPoison.Store(true)
+	arena.Poison(true)
 	os.Exit(m.Run())
 }
 
 // arenaSettles returns a check that fails t unless every arena buffer drawn
 // since the call has gone back.
 func arenaSettles(t *testing.T) func() {
-	before := arenaHeld.Load()
+	before := arena.Held()
 	return func() {
 		t.Helper()
-		if held := arenaHeld.Load() - before; held != 0 {
+		if held := arena.Held() - before; held != 0 {
 			t.Errorf("%d arena bytes were drawn and never given back", held)
 		}
-	}
-}
-
-func TestArenaClasses(t *testing.T) {
-	seen := make(map[int]int) // class -> capacity
-	for n := arenaMin; n <= 1<<20; n++ {
-		class, size := arenaClass(n)
-		if size < n || (size-n)*8 >= n {
-			t.Fatalf("%d bytes: class capacity %d, want at least n and under n/8 more", n, size)
-		}
-		if c, again := arenaClass(size); c != class || again != size {
-			t.Fatalf("%d bytes: capacity %d maps to class %d (%d), not back to %d", n, size, c, again, class)
-		}
-		if prev, ok := seen[class]; ok && prev != size {
-			t.Fatalf("class %d has capacities %d and %d", class, prev, size)
-		}
-		seen[class] = size
-	}
-	for _, n := range []int{1 << 30, 1<<40 + 1, 1 << 62} {
-		if class, size := arenaClass(n); class < 0 || class >= len(arena.class) || size < n {
-			t.Fatalf("%d bytes: class %d of %d, capacity %d", n, class, len(arena.class), size)
-		}
-	}
-}
-
-// A Get or a Put on the arena allocates nothing once a class has been used:
-// drawing driver memory must not cost the daemon's small jobs what it saves
-// the stream regions.
-func TestArenaGetPutAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	putBuf(getBuf(40 << 10))
-	if allocs := testing.AllocsPerRun(100, func() { putBuf(getBuf(40 << 10)) }); allocs != 0 {
-		t.Fatalf("getBuf + putBuf: %v allocations, want 0", allocs)
-	}
-}
-
-// A buffer given back is handed out again, dirty, and counted as a hit.
-func TestArenaRecyclesDirty(t *testing.T) {
-	arenaPoison.Store(false)
-	defer arenaPoison.Store(true)
-	b := getBuf(100 << 10)
-	for i := range b {
-		b[i] = 7
-	}
-	putBuf(b)
-	again := getBuf(99 << 10)
-	defer putBuf(again)
-	if &again[0] != &b[0] || again[0] != 7 {
-		t.Fatal("a buffer of the same class was not reused as it was left")
 	}
 }
 
@@ -199,6 +149,44 @@ func TestArenaLifecycle(t *testing.T) {
 		settled()
 	})
 
+	// A device set splits the region between the host and two cloud
+	// members. One member's uploads fail, so the host re-absorbs its slice
+	// into the same staging. The members' staging comes from the arena
+	// dirty — poisoned by the run before — and goes back after the merge.
+	t.Run("multidev-member-reabsorbed", func(t *testing.T) {
+		settled := arenaSettles(t)
+		member := func(name string, sched *faults.Schedule) Plugin {
+			cfg := resilientConfig(storage.NewMemStore())
+			cfg.DeviceName, cfg.Faults, cfg.RetryMax = name, sched, -1
+			p, err := NewCloudPlugin(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			return p
+		}
+		host, _ := NewHostPlugin(2)
+		trip := faults.New(1).Add(faults.Entry{Op: "put", Key: "jobs/"})
+		md, err := NewMultiDevice(MultiDeviceConfig{Members: []Plugin{host, member("ok", nil), member("trip", trip)}, NoRebalance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := range 2 {
+			out := make([]byte, len(in))
+			rep, err := md.Run(scale2Region(n, in, out))
+			if err != nil || !rep.FellBack || !strings.Contains(rep.FallbackReason, "trip") {
+				t.Fatalf("run %d: rep %+v, err %v; want the trip member's slice re-absorbed", run, rep, err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("run %d: the merged output differs from the serial reference", run)
+			}
+		}
+		if shares := md.LastShares(); shares[2] == 0 {
+			t.Fatalf("shares %v: the failing member was given no slice", shares)
+		}
+		settled()
+	})
+
 	// Loops that rewrite an environment's buffers swap new bytes in and give
 	// the old ones back; a tofrom loop reads the buffer it replaces. A close
 	// whose download fails still ends the environment and gives its
@@ -246,23 +234,4 @@ func TestArenaLifecycle(t *testing.T) {
 		}
 		settled()
 	})
-}
-
-// An idle buffer outlives the collection that may be running when it goes
-// back and one whole collection after it, and is dropped with the second.
-func TestArenaDropsAfterTwoWholeCollections(t *testing.T) {
-	var a idleBuffers
-	a.class[0] = []idleBuf{{new(byte), 10}, {new(byte), 12}}
-	for _, step := range []struct {
-		done uint64
-		want int
-	}{{12, 2}, {13, 1}, {14, 1}, {15, 0}} {
-		a.dropIdle(step.done)
-		if got := len(a.class[0]); got != step.want {
-			t.Fatalf("after %d collections: %d idle buffers, want %d", step.done, got, step.want)
-		}
-	}
-	if a.class[0][:1][0].p != nil {
-		t.Fatal("a dropped buffer is still referenced")
-	}
 }

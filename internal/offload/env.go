@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/trace"
 )
 
@@ -145,8 +146,8 @@ func (e *sharedEnv) Close() (*trace.Report, error) {
 // each of its three entry points is a plan its device runs — the cloud device
 // under its guard, the pricing device priced — so both ship and keep
 // resident exactly the same buffers. The resident buffers are arena memory
-// (arena.go), held from the open, or the loop that last rewrote them, to the
-// close.
+// (internal/arena), held from the open, or the loop that last rewrote them,
+// to the close.
 type planEnv struct {
 	run    func(*plan) (*trace.Report, error)
 	prefix string
@@ -175,7 +176,7 @@ func openPlanEnv(bufs []EnvBuffer, prefix string, run func(*plan) (*trace.Report
 		if b.Upload {
 			pl.ins = append(pl.ins, bound{name: b.Name, ship: true, host: b.Data, size: b.Size})
 		} else {
-			dev := getBuf(len(b.Data))
+			dev := arena.Get(len(b.Data))
 			clear(dev)
 			e.device[b.Name] = bound{name: b.Name, dev: dev, size: b.Size}
 		}
@@ -183,7 +184,7 @@ func openPlanEnv(bufs []EnvBuffer, prefix string, run func(*plan) (*trace.Report
 	rep, err := run(pl)
 	if err != nil {
 		for _, b := range e.device {
-			putBuf(b.dev)
+			arena.Put(b.dev)
 		}
 		return nil, nil, err
 	}
@@ -250,7 +251,7 @@ func (e *planEnv) Run(r *Region) (*trace.Report, error) {
 			d := e.device[b.name]
 			d.ratio = b.ratio
 			if b.final != nil {
-				putBuf(d.dev)
+				arena.Put(d.dev)
 				d.dev = b.final
 			}
 			e.device[b.name] = d
@@ -283,7 +284,7 @@ func (e *planEnv) Close() (*trace.Report, error) {
 	}
 	e.open = false
 	for _, b := range e.device {
-		putBuf(b.dev)
+		arena.Put(b.dev)
 	}
 	e.device = nil
 	return rep, err

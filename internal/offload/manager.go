@@ -5,6 +5,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/trace"
 )
@@ -144,7 +145,7 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 		snap = inputAliasedOuts(r)
 		defer func() {
 			for _, s := range snap {
-				putBuf(s.data)
+				arena.Put(s.data)
 			}
 		}()
 	}
@@ -162,7 +163,7 @@ func (m *Manager) Run(id int, r *Region) (*trace.Report, error) {
 }
 
 // outSnapshot is the pre-run content of one output buffer, in arena memory
-// (arena.go) until the run and any restore are over.
+// (internal/arena) until the run and any restore are over.
 type outSnapshot struct {
 	out  int // index into Region.Outs
 	data []byte
@@ -184,7 +185,7 @@ func inputAliasedOuts(r *Region) []outSnapshot {
 	for i := range r.Outs {
 		for k := range r.Ins {
 			if bytesOverlap(r.Outs[i].Data, r.Ins[k].Data) {
-				data := getBuf(len(r.Outs[i].Data))
+				data := arena.Get(len(r.Outs[i].Data))
 				copy(data, r.Outs[i].Data)
 				snap = append(snap, outSnapshot{out: i, data: data})
 				break

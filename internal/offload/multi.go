@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/simtime"
 	"ompcloud/internal/spark"
 	"ompcloud/internal/trace"
@@ -208,10 +209,13 @@ func (m *MultiDevice) weightsFor(r *Region) []float64 {
 
 // subRegion carves member i's slice [lo, hi) out of the parent region:
 // partitioned inputs alias their window of the user buffer (read-only),
-// broadcast inputs alias whole, and every output gets fresh staging so
+// broadcast inputs alias whole, and every output gets staging of its own so
 // concurrent members never write one array and a failed member's partial
 // output never leaks — the merger copies staging into user buffers only
-// after the member (or its absorber re-run) succeeds.
+// after the member (or its absorber re-run) succeeds. The staging is arena
+// memory (internal/arena), dirty: a member that succeeds has written every
+// byte of it, as any device writes its outputs whole, and Run gives it back
+// once every member has finished.
 type subRegion struct {
 	reg   *Region
 	lo    int64
@@ -241,13 +245,20 @@ func carveSubRegion(r *Region, lo, hi int64, tiles int) subRegion {
 	for l := range r.Outs {
 		sub.Outs[l] = r.Outs[l]
 		if r.Outs[l].Partitioned() {
-			staging[l] = make([]byte, width*r.Outs[l].BytesPerIter)
+			staging[l] = arena.Get(int(width * r.Outs[l].BytesPerIter))
 		} else {
-			staging[l] = make([]byte, len(r.Outs[l].Data))
+			staging[l] = arena.Get(len(r.Outs[l].Data))
 		}
 		sub.Outs[l].Data = staging[l]
 	}
 	return subRegion{reg: sub, lo: lo, outs: staging, width: width}
+}
+
+// release gives the staging back to the arena.
+func (s subRegion) release() {
+	for _, b := range s.outs {
+		arena.Put(b)
+	}
 }
 
 // memberTiles apportions an explicit parent tile override across the
@@ -303,6 +314,13 @@ func (m *MultiDevice) Run(r *Region) (*trace.Report, error) {
 		absorbed bool
 	}
 	subs := make([]subRegion, len(ranges))
+	// Every member has finished by the time Run returns (wg.Wait), merged or
+	// failed.
+	defer func() {
+		for i := range subs {
+			subs[i].release()
+		}
+	}()
 	results := make([]result, len(ranges))
 	var wg sync.WaitGroup
 	for i, rg := range ranges {

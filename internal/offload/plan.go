@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/chunkio"
 	"ompcloud/internal/netsim"
 	"ompcloud/internal/resilience"
@@ -254,10 +255,16 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 		sess = p.openSession(r, tiles, pl.ins)
 	}
 
-	// Driver memory, drawn before any leg starts — a per-tile input leg
-	// opens tile gates against windows of dev, and tasks compute into
-	// windows of final — and given back by release once the last reader is
-	// done. Its defer is registered before the output streams' Abort, so it
+	// Driver memory, drawn from the arena (internal/arena) before any leg
+	// starts — a per-tile input leg opens tile gates against windows of dev,
+	// and tasks compute into windows of final — and given back by release
+	// once the last reader is done. It is dirty, and every byte of it is
+	// written before it is read: a fetch writes every byte of its window,
+	// zeros included (xcompress's decodeZero); the tile windows of a
+	// partitioned output cover it exactly (Region.Validate); a loop body
+	// overwrites every element of its window (kernels/bodies.go); and a
+	// buffer that is read first — a reduction's accumulator, an
+	// environment's map(from:)/alloc buffer — is set before use. Its defer is registered before the output streams' Abort, so it
 	// runs after every Abort has drained. finals are rebuilt off to the side
 	// (a tofrom buffer is both read by tasks and written here): a partitioned
 	// one is covered exactly by its tiles' windows and stays dirty until
@@ -265,14 +272,14 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 	// the resident bytes as they are.
 	for k := range pl.ins {
 		if b := &pl.ins[k]; b.ship {
-			b.dev = getBuf(len(b.host))
+			b.dev = arena.Get(len(b.host))
 		}
 	}
 	for l := range pl.outs {
 		b := &pl.outs[l]
 		b.final = b.dev
 		if r != nil {
-			b.final = getBuf(len(r.Outs[l].Data))
+			b.final = arena.Get(len(r.Outs[l].Data))
 			if !r.Outs[l].Partitioned() {
 				setIdentity(r.Outs[l].Reduce, b.final)
 			}
@@ -373,7 +380,7 @@ func (p *CloudPlugin) execute(pl *plan) (rep *trace.Report, err error) {
 func (pl *plan) release(failed bool) {
 	for k := range pl.ins {
 		if b := &pl.ins[k]; b.ship && (failed || !pl.keep) {
-			putBuf(b.dev)
+			arena.Put(b.dev)
 			b.dev = nil
 		}
 	}
@@ -382,7 +389,7 @@ func (pl *plan) release(failed bool) {
 	}
 	for l := range pl.outs {
 		if b := &pl.outs[l]; failed || b.ship {
-			putBuf(b.final)
+			arena.Put(b.final)
 			b.final = nil
 		}
 	}

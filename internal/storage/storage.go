@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"ompcloud/internal/arena"
 )
 
 // ErrNotFound is returned when a key does not exist.
@@ -140,36 +142,105 @@ func GetStream(st Store, key string, fn func(size int64, r io.Reader) error) (in
 }
 
 // ownedStore is the copy-free path between a Server and the store it fronts,
-// for stores whose objects are immutable once stored. It stays unexported:
-// the public Put keeps its "copies on Put" contract (chunkio recycles its
-// encode buffers on it), and only Server — which reads a PUT body into a
-// buffer nobody else holds and writes a GET reply without modifying it — can
-// promise what these two methods require.
+// for stores whose objects' bytes are never written while they are stored or
+// while anyone reads them. It stays unexported: the public Put keeps its
+// "copies on Put" contract (chunkio recycles its encode buffers on it), and
+// only Server — which reads a PUT body into a buffer nobody else holds and
+// writes a GET reply without modifying it — can promise what these two
+// methods require.
 type ownedStore interface {
 	// putOwned stores data itself, not a copy; the caller must not touch
-	// data afterwards.
+	// data afterwards, whether or not the call succeeds. An object of an
+	// inArena size must be arena memory.
 	putOwned(key string, data []byte) error
-	// getShared returns the stored object itself; the caller must not
-	// modify it.
-	getShared(key string) ([]byte, error)
+	// getShared returns the stored object itself, held for the caller until
+	// it calls release; the caller must not modify its bytes.
+	getShared(key string) (object, error)
 }
 
-// putOwned hands data over to st when st can take ownership and falls back
-// to the copying Put otherwise, so wrappers that must see every write
-// (WithFaults, Throttled) are never bypassed.
+// putOwned hands data over to st when st can take ownership. Otherwise it
+// falls back to the copying Put, so wrappers that must see every write
+// (WithFaults, Throttled) are never bypassed, and gives data back to the
+// arena once Put has copied it.
 func putOwned(st Store, key string, data []byte) error {
 	if o, ok := st.(ownedStore); ok {
 		return o.putOwned(key, data)
 	}
+	defer freeObject(data)
 	return st.Put(key, data)
 }
 
-// getShared is the read mirror of putOwned.
-func getShared(st Store, key string) ([]byte, error) {
+// getShared is the read mirror of putOwned: a store without the hook hands
+// over a private copy, which release leaves to the garbage collector.
+func getShared(st Store, key string) (object, error) {
 	if o, ok := st.(ownedStore); ok {
 		return o.getShared(key)
 	}
-	return st.Get(key)
+	b, err := st.Get(key)
+	return object{data: b}, err
+}
+
+// objectMin is the smallest object whose bytes come from the arena. Smaller
+// ones stay plain allocations: recycling the daemon's 4 KiB chunks cost its
+// jobs more time than zeroing them did.
+const objectMin = 64 << 10
+
+// inArena reports whether an n-byte object's bytes are arena memory: from
+// objectMin up to eagerAllocMax, past which a PUT body grows as it arrives
+// (readBody); MemStore.Put's copy follows the same rule.
+func inArena(n uint64) bool { return n >= objectMin && n <= eagerAllocMax }
+
+// newObject returns the bytes of an n-byte object, arena memory and dirty
+// when inArena(n).
+func newObject(n int) []byte {
+	if inArena(uint64(n)) {
+		return arena.Get(n)
+	}
+	return make([]byte, n)
+}
+
+// freeObject gives an object's bytes that nothing references any more back
+// to the arena when they came from there.
+func freeObject(b []byte) {
+	if inArena(uint64(len(b))) {
+		arena.Put(b)
+	}
+}
+
+// object is one stored object's bytes and, when they are arena memory, their
+// reference count: the store's own reference while the object is stored,
+// plus one per reader — a Get or GetAppend copying it, a Server reply being
+// written from it. Whoever drops the last reference gives the bytes back, so
+// they are never written while the object is stored or while anyone reads
+// it. A plain allocation has no count and is the garbage collector's.
+type object struct {
+	data []byte
+	refs *atomic.Int32
+}
+
+// storedObject makes data an object whose one reference is the store's.
+func storedObject(data []byte) object {
+	o := object{data: data}
+	if inArena(uint64(len(data))) {
+		o.refs = new(atomic.Int32)
+		o.refs.Store(1)
+	}
+	return o
+}
+
+// hold takes a reader's reference. The caller holds the store's lock, under
+// which the object is still stored.
+func (o object) hold() {
+	if o.refs != nil {
+		o.refs.Add(1)
+	}
+}
+
+// release drops one reference, giving the bytes back with the last.
+func (o object) release() {
+	if o.refs != nil && o.refs.Add(-1) == 0 {
+		arena.Put(o.data)
+	}
 }
 
 // validKey rejects keys that would be unsafe as file names or wire strings.
@@ -184,11 +255,30 @@ func validKey(key string) error {
 }
 
 // noKeyUnder reports whether validKey rejects every key that starts with
-// prefix, so List may answer empty without reading the store. A List prefix
-// arrives unchecked from the wire, and one holding ".." or a leading slash
-// would otherwise point DiskStore's walk outside its root.
+// prefix, so List may answer empty without reading the store: one holding a
+// NUL, a newline or "..", or starting with a slash. A List prefix arrives
+// unchecked from the wire, and one holding ".." or a leading slash would
+// otherwise point DiskStore's walk outside its root. It reads prefix once.
 func noKeyUnder(prefix string) bool {
-	return strings.ContainsAny(prefix, "\x00\n") || strings.Contains(prefix, "..") || strings.HasPrefix(prefix, "/")
+	for i := 0; i < len(prefix); i++ {
+		c := prefix[i]
+		if c > '/' {
+			continue // every byte the rules look at is '/' or below
+		}
+		switch c {
+		case 0, '\n':
+			return true
+		case '/':
+			if i == 0 {
+				return true
+			}
+		case '.':
+			if i > 0 && prefix[i-1] == '.' {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // keyDir is the directory part of a key: everything up to and including its
@@ -209,7 +299,7 @@ type MemStore struct {
 // memDir is one directory of a MemStore: the objects directly in it, by
 // full key, and the full names of its immediate subdirectories.
 type memDir struct {
-	objects map[string][]byte
+	objects map[string]object
 	subdirs map[string]struct{}
 }
 
@@ -223,7 +313,7 @@ func NewMemStore() *MemStore {
 func (s *MemStore) dir(d string) *memDir {
 	e := s.dirs[d]
 	if e == nil {
-		e = &memDir{objects: make(map[string][]byte), subdirs: make(map[string]struct{})}
+		e = &memDir{objects: make(map[string]object), subdirs: make(map[string]struct{})}
 		s.dirs[d] = e
 		if d != "" {
 			s.dir(keyDir(d[:len(d)-1])).subdirs[d] = struct{}{}
@@ -232,11 +322,11 @@ func (s *MemStore) dir(d string) *memDir {
 	return e
 }
 
-// object returns the object stored under key. Callers hold mu.
-func (s *MemStore) object(key string) ([]byte, bool) {
+// lookup returns the object stored under key. Callers hold mu.
+func (s *MemStore) lookup(key string) (object, bool) {
 	e := s.dirs[keyDir(key)]
 	if e == nil {
-		return nil, false
+		return object{}, false
 	}
 	obj, ok := e.objects[key]
 	return obj, ok
@@ -256,20 +346,35 @@ func (s *MemStore) collect(keys []string, d string) []string {
 
 // Put implements Store: the object is a private copy of data.
 func (s *MemStore) Put(key string, data []byte) error {
-	cp := make([]byte, len(data))
+	if err := validKey(key); err != nil {
+		return err
+	}
+	cp := newObject(len(data))
 	copy(cp, data)
-	return s.putOwned(key, cp)
+	s.store(key, cp)
+	return nil
 }
 
 // putOwned implements ownedStore: data itself becomes the stored object.
 func (s *MemStore) putOwned(key string, data []byte) error {
 	if err := validKey(key); err != nil {
+		freeObject(data)
 		return err
 	}
-	s.mu.Lock()
-	s.dir(keyDir(key)).objects[key] = data
-	s.mu.Unlock()
+	s.store(key, data)
 	return nil
+}
+
+// store makes data the object stored under key and drops the store's
+// reference to the object it replaces.
+func (s *MemStore) store(key string, data []byte) {
+	obj := storedObject(data)
+	s.mu.Lock()
+	objects := s.dir(keyDir(key)).objects
+	old := objects[key]
+	objects[key] = obj
+	s.mu.Unlock()
+	old.release()
 }
 
 // Get implements Store.
@@ -278,23 +383,25 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := make([]byte, len(obj))
-	copy(cp, obj)
+	cp := make([]byte, len(obj.data))
+	copy(cp, obj.data)
+	obj.release()
 	return cp, nil
 }
 
-// getShared implements ownedStore. A stored object is never written again —
-// Put and Delete replace or drop the map entry, not the bytes — so a reader
-// holding the slice keeps seeing the object it asked for.
-func (s *MemStore) getShared(key string) ([]byte, error) {
+// getShared implements ownedStore. Put and Delete replace or drop the map
+// entry, and the bytes behind it go back to the arena only once the reader
+// releases them, so a reader keeps seeing the object it asked for.
+func (s *MemStore) getShared(key string) (object, error) {
 	if err := validKey(key); err != nil {
-		return nil, err
+		return object{}, err
 	}
 	s.mu.RLock()
-	obj, ok := s.object(key)
+	obj, ok := s.lookup(key)
+	obj.hold()
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+		return object{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	return obj, nil
 }
@@ -306,7 +413,9 @@ func (s *MemStore) GetAppend(key string, dst []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	return append(dst, obj...), nil
+	dst = append(dst, obj.data...)
+	obj.release()
+	return dst, nil
 }
 
 // Delete implements Store. It drops every directory the deletion leaves
@@ -316,12 +425,13 @@ func (s *MemStore) Delete(key string) error {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	d := keyDir(key)
 	e := s.dirs[d]
 	if e == nil {
+		s.mu.Unlock()
 		return nil
 	}
+	old := e.objects[key]
 	delete(e.objects, key)
 	for d != "" && len(e.objects) == 0 && len(e.subdirs) == 0 {
 		delete(s.dirs, d)
@@ -330,6 +440,8 @@ func (s *MemStore) Delete(key string) error {
 		e = s.dirs[d]
 		delete(e.subdirs, child)
 	}
+	s.mu.Unlock()
+	old.release()
 	return nil
 }
 
@@ -368,12 +480,12 @@ func (s *MemStore) Stat(key string) (int64, error) {
 		return 0, err
 	}
 	s.mu.RLock()
-	obj, ok := s.object(key)
+	obj, ok := s.lookup(key)
 	s.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return int64(len(obj)), nil
+	return int64(len(obj.data)), nil
 }
 
 // DiskStore persists objects as files under a root directory, one file per
@@ -617,10 +729,11 @@ func (m *Metered) Get(key string) ([]byte, error) {
 	return b, m.noteGet(len(b), err)
 }
 
-// getShared implements ownedStore.
-func (m *Metered) getShared(key string) ([]byte, error) {
-	b, err := getShared(m.inner, key)
-	return b, m.noteGet(len(b), err)
+// getShared implements ownedStore, handing the inner store's hold on the
+// object to the caller.
+func (m *Metered) getShared(key string) (object, error) {
+	obj, err := getShared(m.inner, key)
+	return obj, m.noteGet(len(obj.data), err)
 }
 
 // GetAppend implements AppendGetter, forwarding to the inner store's

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -364,4 +365,48 @@ func TestDiskStoreIgnoresTempFiles(t *testing.T) {
 	if err != nil || len(keys) != 1 || keys[0] != "real" {
 		t.Fatalf("List = %v, %v", keys, err)
 	}
+}
+
+// TestKeyRules: validKey accepts a key and List reads the store for a prefix
+// unless it holds a NUL, a newline or "..", or starts with a slash, the set
+// the checks rejected when they were three scans of the key; noKeyUnder
+// reads the key once.
+func TestKeyRules(t *testing.T) {
+	for _, key := range []string{"k", "a/b", "jobs/x/in/A", "cache/c/0f", "a.b", "a/.b", "./a", ".a.", "a/b/", "x.y.z", ". .", "a./.b", "a//b", "-"} {
+		if err := validKey(key); err != nil {
+			t.Errorf("validKey(%q) = %v, want accepted", key, err)
+		}
+	}
+	for _, key := range []string{"", "..", "a..b", "a/../b", "../a", "a/..", "...", "/a", "/", "//a", "a\x00b", "\x00", "a\nb", "\n", "a/b\n"} {
+		if err := validKey(key); err == nil {
+			t.Errorf("validKey(%q) accepted", key)
+		}
+	}
+	for prefix, none := range map[string]bool{
+		"": false, "k": false, "k/": false, "jobs/": false, ".": false, "a.": false, "a/.": false,
+		"..": true, "../": true, "k/../../": true, "/": true, "/k": true, "k\x00": true, "k\n": true,
+	} {
+		if got := noKeyUnder(prefix); got != none {
+			t.Errorf("noKeyUnder(%q) = %v, want %v", prefix, got, none)
+		}
+	}
+	// The three scans, as a reference over every string of up to four bytes
+	// drawn from the characters the rules look at.
+	ref := func(p string) bool {
+		return strings.ContainsAny(p, "\x00\n") || strings.Contains(p, "..") || strings.HasPrefix(p, "/")
+	}
+	alphabet := []byte{'a', '.', '/', 0, '\n'}
+	var walk func(p []byte)
+	walk = func(p []byte) {
+		if got, want := noKeyUnder(string(p)), ref(string(p)); got != want {
+			t.Fatalf("noKeyUnder(%q) = %v, the three scans say %v", p, got, want)
+		}
+		if len(p) == 4 {
+			return
+		}
+		for _, c := range alphabet {
+			walk(append(p, c))
+		}
+	}
+	walk(nil)
 }

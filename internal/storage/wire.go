@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/endpoint"
 )
 
@@ -211,8 +212,15 @@ func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
 		if bn > maxObjectSize {
 			return fmt.Errorf("storage: oversized object")
 		}
-		body, err := readBody(r, nil, bn)
+		// A body of an arena size is read into arena memory, which the
+		// socket read overwrites whole.
+		var dst []byte
+		if inArena(bn) {
+			dst = arena.Get(int(bn))[:0]
+		}
+		body, err := readBody(r, dst, bn)
 		if err != nil {
+			arena.Put(dst)
 			return err
 		}
 		// Nobody else holds body: the store may keep it as the object.
@@ -222,12 +230,14 @@ func (s *Server) serveOne(op byte, r *bufio.Reader, w *bufio.Writer) error {
 		return reply(statusOK, nil)
 	case opGet:
 		// Written to the socket and dropped, never modified: the stored
-		// object itself will do.
-		b, err := getShared(s.store, key)
+		// object itself will do, held until the reply is written.
+		obj, err := getShared(s.store, key)
 		if err != nil {
 			return fail(err)
 		}
-		return reply(statusOK, b)
+		err = reply(statusOK, obj.data)
+		obj.release()
+		return err
 	case opDelete:
 		if err := s.store.Delete(key); err != nil {
 			return fail(err)

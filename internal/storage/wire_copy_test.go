@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
 	"testing"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/faults"
 )
 
@@ -38,10 +40,12 @@ func totalAlloc(f func()) uint64 {
 }
 
 // TestWireCopyBudget pins the copies a byte pays crossing the store, client
-// and server counted together (they share this process): a PUT allocates its
-// body once — the buffer the server read it into becomes the stored object —
-// and so does a two-part PUT, whose parts the client writes from where they
-// lie; a GET into a buffer with room, or streamed into the caller's own
+// and server counted together (they share this process): a PUT to a fresh
+// key allocates its body once — the arena buffer the server read it into
+// becomes the stored object — and a PUT that overwrites a key, one-piece or
+// two-part (the client writes the parts from where they lie), allocates
+// nothing in steady state, because the object it replaces gives its buffer
+// back; a GET into a buffer with room, or streamed into the caller's own
 // buffer, allocates nothing on either side.
 func TestWireCopyBudget(t *testing.T) {
 	if raceEnabled {
@@ -97,21 +101,32 @@ func TestWireCopyBudget(t *testing.T) {
 					}
 				})
 			}
-			round() // warm-up: connection buffers, goroutine stacks
+			round() // warm-up: connection buffers, goroutine stacks, the arena
 			round()
-			for _, c := range []struct {
-				what  string
-				bytes uint64
-			}{{"PUTs", put}, {"two-part PUTs", parts}} {
-				if c.bytes < n*size || c.bytes > n*size+slack {
-					t.Errorf("%d %s of %d bytes allocated %d bytes process-wide, want one body each (%d..%d)",
-						n, c.what, size, c.bytes, n*size, n*size+slack)
+			// Fresh keys keep every body, so none goes back for the next
+			// PUT. Their bodies are 7/8 of the others: an arena size class
+			// of its own, where no other test of the package leaves an idle
+			// buffer a fresh PUT could take.
+			const freshSize = size - size/8
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("fresh/%d", i)
+			}
+			fresh := totalAlloc(func() {
+				for _, key := range keys {
+					if err := cli.Put(key, body[:freshSize]); err != nil {
+						t.Fatal(err)
+					}
 				}
+			})
+			if fresh < n*freshSize || fresh > n*freshSize+slack {
+				t.Errorf("%d PUTs of %d bytes to fresh keys allocated %d bytes process-wide, want one body each (%d..%d)",
+					n, freshSize, fresh, n*freshSize, n*freshSize+slack)
 			}
 			for _, c := range []struct {
 				what  string
 				bytes uint64
-			}{{"GETs", get}, {"streamed GETs", stream}} {
+			}{{"PUTs overwriting a key", put}, {"two-part PUTs overwriting a key", parts}, {"GETs", get}, {"streamed GETs", stream}} {
 				if c.bytes > slack {
 					t.Errorf("%d %s of %d bytes allocated %d bytes process-wide, want none (<= %d)", n, c.what, size, c.bytes, slack)
 				}
@@ -325,4 +340,54 @@ func TestServerDoesNotBypassWrappers(t *testing.T) {
 			t.Fatalf("a GET crossed a partitioned link (err %v, %d refused)", err, sched.Fired(faults.Store))
 		}
 	})
+}
+
+// BenchmarkServerPutGetDelete times a 1 MiB PUT, GET and DELETE of one key
+// over loopback, client and server in this process, and reports MB/s of
+// object bytes moved (PUT and GET) and B/op. Recycled, the deleted object's
+// buffer serves the next PUT; cold, the benchmark takes each freed buffer
+// out of the arena and drops it, so every PUT reads into memory the runtime
+// has just allocated and zeroed, as every PUT did before the store drew from
+// the arena.
+func BenchmarkServerPutGetDelete(b *testing.B) {
+	const size = 1 << 20
+	arena.Poison(false) // TestMain's, for the tests; it would time a fill per PUT
+	defer arena.Poison(true)
+	for _, cold := range []bool{false, true} {
+		name := "recycled"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			cli := loopback(b, NewMemStore())
+			body := bytes.Repeat([]byte{0x5a}, size)
+			dst := make([]byte, 0, size)
+			cycle := func() {
+				if err := cli.Put("k", body); err != nil {
+					b.Fatal(err)
+				}
+				if out, err := cli.GetAppend("k", dst); err != nil || len(out) != size {
+					b.Fatalf("get: %d bytes, %v", len(out), err)
+				}
+				if err := cli.Delete("k"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cycle() // the connection, and a buffer of the class in the arena
+			if cold {
+				arena.Get(size)
+			}
+			b.SetBytes(2 * size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+				if cold {
+					b.StopTimer()
+					arena.Get(size) // the buffer the DELETE gave back, dropped
+					b.StartTimer()
+				}
+			}
+		})
+	}
 }

@@ -46,14 +46,49 @@ func nextFrame(b []byte) (status byte, payload, rest []byte, ok bool) {
 	return b[0], b[9 : 9+n], b[9+n:], true
 }
 
+// fuzzRequest is one request of a fuzzed connection's input.
+type fuzzRequest struct {
+	op   byte
+	key  string
+	body []byte
+}
+
+// parseRequests is the fuzzer's own reading of the request format: the whole
+// requests at the head of b, up to the first the server cannot frame.
+func parseRequests(b []byte) []fuzzRequest {
+	var reqs []fuzzRequest
+	for len(b) >= 5 {
+		n := binary.BigEndian.Uint32(b[1:5])
+		if n > maxKeySize || uint64(len(b)-5) < uint64(n) {
+			break
+		}
+		req := fuzzRequest{op: b[0], key: string(b[5 : 5+n])}
+		b = b[5+n:]
+		if req.op == opPut {
+			if len(b) < 8 {
+				break
+			}
+			bn := binary.BigEndian.Uint64(b)
+			if bn > maxObjectSize || uint64(len(b)-8) < bn {
+				break
+			}
+			req.body, b = b[8:8+bn], b[8+bn:]
+		}
+		reqs = append(reqs, req)
+	}
+	return reqs
+}
+
 // FuzzServeOne feeds arbitrary bytes to the server's request decoder as one
 // connection's input. Whatever arrives, the server must not panic, must not
 // allocate or retain more than a small multiple of what it was sent (plus
 // one eagerly allocated block), and must leave behind only whole response
-// frames: a connection either answers in frame or closes. An input that
-// opens with a whole List request is also served by a disk store whose root
-// has a file beside it: whatever the prefix, the reply names only keys in
-// the store.
+// frames: a connection either answers in frame or closes. Every GET reply
+// holds what a model of the last successful PUT and DELETE per key says,
+// so an object overwritten or deleted — whose bytes go back to the arena —
+// never shows through a later reply. An input that opens with a whole List
+// request is also served by a disk store whose root has a file beside it:
+// whatever the prefix, the reply names only keys in the store.
 func FuzzServeOne(f *testing.F) {
 	f.Add(request(opPut, "k", []byte("body")))
 	f.Add(append(request(opPut, "a/b", []byte("v1")), request(opGet, "a/b", nil)...))
@@ -75,6 +110,13 @@ func FuzzServeOne(f *testing.F) {
 	large := request(opPut, "k", nil)
 	binary.BigEndian.PutUint64(large[len(large)-8:], eagerAllocMax+1) // past the eager threshold, cut short
 	f.Add(append(large, make([]byte, 100)...))
+	join := func(reqs ...[]byte) []byte { return bytes.Join(reqs, nil) }
+	f.Add(join(request(opPut, "k", []byte("v1")), request(opPut, "k", []byte("second")), request(opGet, "k", nil),
+		request(opDelete, "k", nil), request(opGet, "k", nil), request(opPut, "k", []byte("v3")), request(opGet, "k", nil)))
+	big := func(v byte) []byte { return bytes.Repeat([]byte{v}, objectMin) } // arena objects
+	f.Add(join(request(opPut, "a/k", big(1)), request(opGet, "a/k", nil), request(opPut, "a/k", big(2)),
+		request(opGet, "a/k", nil), request(opDelete, "a/k", nil), request(opPut, "b", big(3)), request(opGet, "a/k", nil),
+		request(opGet, "b", nil)))
 
 	base := f.TempDir()
 	if err := os.WriteFile(filepath.Join(base, "outside"), []byte{1}, 0o644); err != nil {
@@ -123,18 +165,37 @@ func FuzzServeOne(f *testing.F) {
 		stored := 0
 		for _, d := range mem.dirs {
 			for _, obj := range d.objects {
-				stored += len(obj)
+				stored += len(obj.data)
 			}
 		}
 		if stored > len(in) {
 			t.Fatalf("%d request bytes left %d bytes stored", len(in), stored)
 		}
-		for rest := out.Bytes(); len(rest) > 0; {
-			status, _, after, ok := nextFrame(rest)
+		reqs := parseRequests(in)
+		model := make(map[string][]byte)
+		for i, rest := 0, out.Bytes(); len(rest) > 0; i++ {
+			status, payload, after, ok := nextFrame(rest)
 			if !ok || status > statusError {
 				t.Fatalf("response stream is out of frame at byte %d of %d", out.Len()-len(rest), out.Len())
 			}
 			rest = after
+			if i >= len(reqs) {
+				t.Fatalf("reply %d answers no whole request (%d in the input)", i, len(reqs))
+			}
+			req := reqs[i]
+			want, stored := model[req.key]
+			switch {
+			case status != statusOK:
+				if req.op == opGet && status == statusNotFound && stored {
+					t.Fatalf("request %d: GET %q found nothing; the last PUT stored %d bytes", i, req.key, len(want))
+				}
+			case req.op == opPut:
+				model[req.key] = req.body
+			case req.op == opDelete:
+				delete(model, req.key)
+			case req.op == opGet && (!stored || !bytes.Equal(payload, want)):
+				t.Fatalf("request %d: GET %q returned %d bytes; the last PUT stored %d (present %v)", i, req.key, len(payload), len(want), stored)
+			}
 		}
 	})
 }
