@@ -1,11 +1,15 @@
-// Package arena recycles the process's large transient buffers: the driver's
-// (offload: Fig. 1 step 3's received inputs, Eq. 8's rebuilt outputs,
-// environment-resident buffers, the fallback guard's snapshot) and the store
-// server's objects (storage: steps 2 and 7). Made fresh, each was zeroed,
-// serially, before a fetch, the tiles or a socket read overwrote every byte
-// of it. They come from one process-wide set of size classes instead, and
-// the garbage collector decides how long idle memory stays, so there is
-// nothing to tune.
+// Package arena recycles the process's large transient buffers and costly
+// transient state: the driver's buffers (offload: Fig. 1 step 3's received
+// inputs, Eq. 8's rebuilt outputs, environment-resident buffers, the
+// fallback guard's snapshot), the store server's objects (storage: steps 2
+// and 7), and the scratch and codec state every chunk of a transfer passes
+// through — chunkio's encode and wire scratch, xcompress's frame and probe
+// scratch and its gzip writers and readers (Pool), storage's joined parts.
+// Made fresh, each buffer was zeroed, serially, before a fetch, the tiles or
+// a socket read overwrote every byte of it, and each gzip writer rebuilt its
+// ~1.3 MB of deflate tables. They come from one process-wide set of size
+// classes and pools instead, and the garbage collector decides how long idle
+// memory stays, so there is nothing to tune.
 //
 // A buffer from the arena is dirty: it holds whatever its last holder left.
 // Its holder writes every byte before reading it, and gives it back only
@@ -13,15 +17,20 @@
 // keeps both rules (offload/plan.go for the driver, storage.MemStore for
 // stored objects).
 //
-// Retention is the garbage collector's: an idle buffer is dropped once two
-// whole collections have run since it was given back. The count is the
-// runtime's own, read when a buffer is given back and again when one is
-// dropped, so a collection that starts before a give-back and ends after it,
-// or a cleanup that runs late, costs no buffer a collection early. A process
-// that gives its buffers back at the end of one region and draws them at the
-// start of the next keeps them unless two whole collections fall between. The
-// arena is not a sync.Pool because a pool keeps one item per processor where
-// no other processor can take it: with the two same-sized buffers a stream
+// Retention is the garbage collector's: an idle buffer or pooled value is
+// dropped once two whole collections have run since it was given back or
+// its list last handed out another. The count is the runtime's own, read
+// when a buffer is given back or handed out and again when one is dropped,
+// so a collection that starts before a give-back and ends after it, or a
+// cleanup that runs late, costs no buffer a collection early. A process
+// that gives its buffers back at the end of one operation and draws them at
+// the start of the next keeps them unless two whole collections fall
+// between — a benchmark harness's forced collection and one the next
+// operation's own allocation triggers do not empty it, as they empty a
+// sync.Pool — and keeps the spares an operation that overlapped more work
+// than usual left behind while it draws from their list. The arena is not a
+// sync.Pool either because a pool keeps one item per processor where no
+// other processor can take it: with the two same-sized buffers a stream
 // region draws (an input's dev and an output's final), about every other
 // region missed one of them.
 package arena
@@ -60,24 +69,70 @@ var (
 	poison atomic.Bool
 )
 
-// idleBuffers holds each class's idle buffers, oldest first.
+// idleBuffers holds each class's idle buffers, oldest first, and the pools
+// whose idle values age with them.
 type idleBuffers struct {
-	mu     sync.Mutex
-	class  [64 << classBits][]idleBuf
+	mu    sync.Mutex
+	class [64 << classBits]idleList[*byte]
+	pools []interface{ dropIdle(done uint64) }
+	// seen is the latest count of completed collections read, by a
+	// give-back or a sweep: a hand-out stamps the spares it leaves with it
+	// rather than read the runtime's count again.
+	seen   uint64
 	cycles [1]metrics.Sample // read under mu: a sample on the stack would escape
 }
 
-// idleBuf is an idle buffer, a pointer to its first byte (the class gives the
-// capacity back), and the number of garbage collections the runtime had
-// completed when it was given back.
-type idleBuf struct {
-	p  *byte
+// idleList is a list of idle items, oldest first: the one retention rule
+// the buffer classes and every Pool share.
+type idleList[P any] []idleItem[P]
+
+// idleItem is an idle item (for a buffer, a pointer to its first byte: the
+// class gives the capacity back) and the number of garbage collections the
+// runtime had completed when it was given back, or when its list last
+// handed out another item, whichever is later.
+type idleItem[P any] struct {
+	p  P
 	gc uint64
 }
 
-// idleCycles is how many collections must complete after the count an idle
-// buffer was given back at before it is dropped: one that may have been
-// running at the give-back, and two whole ones.
+// push appends p, given back when done collections had completed.
+func (l *idleList[P]) push(p P, done uint64) { *l = append(*l, idleItem[P]{p, done}) }
+
+// pop removes and returns the newest item, if there is one, and stamps the
+// items it leaves with done, a count of completed collections no later than
+// now: a list in use keeps its spares, so an item needed only when more work
+// than usual overlaps is still there the next time.
+func (l *idleList[P]) pop(done uint64) (p P, ok bool) {
+	n := len(*l)
+	if n == 0 {
+		return p, false
+	}
+	p = (*l)[n-1].p
+	(*l)[n-1] = idleItem[P]{}
+	*l = (*l)[:n-1]
+	for i := range *l {
+		(*l)[i].gc = max((*l)[i].gc, done)
+	}
+	return p, true
+}
+
+// drop drops the items given back idleCycles or more collections before
+// done had completed.
+func (l *idleList[P]) drop(done uint64) {
+	c := *l
+	kept := c[:0]
+	for _, b := range c {
+		if done-b.gc < idleCycles {
+			kept = append(kept, b)
+		}
+	}
+	clear(c[len(kept):])
+	*l = kept
+}
+
+// idleCycles is how many collections must complete after an idle item's
+// count before it is dropped: one that may have been running when it was
+// stamped, and two whole ones.
 const idleCycles = 3
 
 func init() { ageOnGC() }
@@ -97,7 +152,8 @@ func ageOnGC() {
 func (a *idleBuffers) gcCycles() uint64 {
 	a.cycles[0].Name = "/gc/cycles/total:gc-cycles"
 	metrics.Read(a.cycles[:])
-	return a.cycles[0].Value.Uint64()
+	a.seen = a.cycles[0].Value.Uint64()
+	return a.seen
 }
 
 // age drops the buffers given back idleCycles or more collections ago.
@@ -107,19 +163,14 @@ func (a *idleBuffers) age() {
 	a.dropIdle(a.gcCycles())
 }
 
-// dropIdle drops the buffers given back idleCycles or more collections
-// before done had completed. The caller holds a.mu.
+// dropIdle drops the buffers and pooled values given back idleCycles or
+// more collections before done had completed. The caller holds a.mu.
 func (a *idleBuffers) dropIdle(done uint64) {
 	for i := range a.class {
-		c := a.class[i]
-		kept := c[:0]
-		for _, b := range c {
-			if done-b.gc < idleCycles {
-				kept = append(kept, b)
-			}
-		}
-		clear(c[len(kept):])
-		a.class[i] = kept
+		a.class[i].drop(done)
+	}
+	for _, p := range a.pools {
+		p.dropIdle(done)
 	}
 }
 
@@ -127,21 +178,14 @@ func (a *idleBuffers) dropIdle(done uint64) {
 func (a *idleBuffers) take(class int) *byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := a.class[class]
-	n := len(c)
-	if n == 0 {
-		return nil
-	}
-	p := c[n-1].p
-	c[n-1] = idleBuf{}
-	a.class[class] = c[:n-1]
+	p, _ := a.class[class].pop(a.seen)
 	return p
 }
 
 func (a *idleBuffers) give(class int, p *byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.class[class] = append(a.class[class], idleBuf{p, a.gcCycles()})
+	a.class[class].push(p, a.gcCycles())
 }
 
 // sizeClass reports the size class of an n-byte buffer, n >= minSize, and
@@ -160,16 +204,22 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	class, size := sizeClass(n)
-	reg := span.Metrics()
-	reg.Gauge(metricHeld).Set(held.Add(int64(size)))
-	hits, misses := reg.Counter(metricHits), reg.Counter(metricMisses)
+	m := arenaMeters()
+	m.held.Set(held.Add(int64(size)))
 	if p := idle.take(class); p != nil {
-		hits.Inc()
+		m.hits.Inc()
 		return unsafe.Slice(p, size)[:n]
 	}
-	misses.Inc()
+	m.misses.Inc()
 	return make([]byte, n, size)
 }
+
+// Scratch returns an empty buffer with room for at least n bytes, for a
+// caller that appends into it: from the arena's classes even where n is
+// below the smallest, so small scratch is recycled too. It goes back with
+// Put, whatever its length; a buffer that appending outgrew is not the
+// arena's, and the one Scratch returned goes back in its place.
+func Scratch(n int) []byte { return Get(max(n, minSize))[:0] }
 
 // Put gives b, which Get returned, back to the arena. Nothing may read or
 // write b afterwards.
@@ -188,8 +238,35 @@ func Put(b []byte) {
 			b[i] = 0xFF
 		}
 	}
-	span.Metrics().Gauge(metricHeld).Set(held.Add(-int64(size)))
+	arenaMeters().held.Set(held.Add(-int64(size)))
 	idle.give(class, unsafe.SliceData(b))
+}
+
+// meters are the arena's metrics in the registry they were looked up in.
+type meters struct {
+	reg          *span.Registry
+	hits, misses *span.Counter
+	held         *span.Gauge
+}
+
+// current holds the meters of the default registry last seen, so Get and
+// Put look their metrics up only when the registry is replaced, not under
+// the registry's lock on every call.
+var current atomic.Pointer[meters]
+
+func arenaMeters() *meters {
+	reg := span.Metrics()
+	if m := current.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	return lookUpMeters(reg)
+}
+
+// lookUpMeters looks the arena's metrics up in reg, once per registry.
+func lookUpMeters(reg *span.Registry) *meters {
+	m := &meters{reg: reg, hits: reg.Counter(metricHits), misses: reg.Counter(metricMisses), held: reg.Gauge(metricHeld)}
+	current.Store(m)
+	return m
 }
 
 // Held reports the capacity handed out by Get and not yet given back, so a
@@ -199,3 +276,40 @@ func Held() int64 { return held.Load() }
 // Poison turns on or off the overwriting of every buffer given back with
 // 0xFF. Only tests turn it on.
 func Poison(on bool) { poison.Store(on) }
+
+// Pool recycles values of one type — state too costly to build for each
+// use, such as a compressor's window and tables — under the buffers' rule:
+// an idle value is dropped once two whole collections have run since it was
+// given back or the pool last handed out another. The zero value with New
+// set is ready to use. A Pool must not be copied after first use.
+type Pool[T any] struct {
+	// New makes a value when no idle one is left.
+	New func() *T
+
+	idle       idleList[*T] // guarded by idle.mu, as is registered
+	registered bool
+}
+
+// Get returns an idle value, the newest, or a new one.
+func (p *Pool[T]) Get() *T {
+	idle.mu.Lock()
+	v, ok := p.idle.pop(idle.seen)
+	idle.mu.Unlock()
+	if !ok {
+		return p.New()
+	}
+	return v
+}
+
+// Put gives v back to the pool. Nothing may use v afterwards.
+func (p *Pool[T]) Put(v *T) {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	if !p.registered {
+		p.registered = true
+		idle.pools = append(idle.pools, p)
+	}
+	p.idle.push(v, idle.gcCycles())
+}
+
+func (p *Pool[T]) dropIdle(done uint64) { p.idle.drop(done) }

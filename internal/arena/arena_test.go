@@ -1,6 +1,9 @@
 package arena
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestArenaClasses(t *testing.T) {
 	seen := make(map[int]int) // class -> capacity
@@ -88,7 +91,7 @@ func TestArenaHeld(t *testing.T) {
 // back and one whole collection after it, and is dropped with the second.
 func TestArenaDropsAfterTwoWholeCollections(t *testing.T) {
 	var a idleBuffers
-	a.class[0] = []idleBuf{{new(byte), 10}, {new(byte), 12}}
+	a.class[0] = idleList[*byte]{{new(byte), 10}, {new(byte), 12}}
 	for _, step := range []struct {
 		done uint64
 		want int
@@ -100,5 +103,75 @@ func TestArenaDropsAfterTwoWholeCollections(t *testing.T) {
 	}
 	if a.class[0][:1][0].p != nil {
 		t.Fatal("a dropped buffer is still referenced")
+	}
+}
+
+// A pooled value and a scratch buffer given back outlive the two
+// collections a benchmark harness's forced collection and the next
+// operation's own allocation make between two operations: both are handed
+// out again, where a sync.Pool would have emptied.
+func TestArenaOutlivesTwoCollections(t *testing.T) {
+	type state struct{ window [1 << 10]byte }
+	made := 0
+	pool := Pool[state]{New: func() *state { made++; return new(state) }}
+	v := pool.Get()
+	s := Scratch(100)
+	if cap(s) < minSize || len(s) != 0 {
+		t.Fatalf("Scratch(100): len %d cap %d, want an empty buffer of a class", len(s), cap(s))
+	}
+	s = append(s, 1)
+	pool.Put(v)
+	Put(s)
+	runtime.GC()
+	runtime.GC()
+	if got := pool.Get(); got != v || made != 1 {
+		t.Fatalf("pool made %d values and handed out %p, want the one given back (%p)", made, got, v)
+	}
+	if again := Scratch(200); &again[:1][0] != &s[0] {
+		t.Fatal("a scratch buffer given back was not reused after two collections")
+	} else {
+		Put(again)
+	}
+}
+
+// A pool's idle values age with the buffers: the sweep each collection
+// runs keeps a value through two whole collections after its give-back and
+// drops it with the third count.
+func TestPoolAgesWithTheBuffers(t *testing.T) {
+	made := 0
+	pool := Pool[int]{New: func() *int { made++; return new(int) }}
+	v := pool.Get()
+	sweep := func(after uint64) {
+		idle.mu.Lock()
+		defer idle.mu.Unlock()
+		idle.dropIdle(pool.idle[0].gc + after)
+	}
+	pool.Put(v)
+	sweep(idleCycles - 1)
+	if got := pool.Get(); got != v {
+		t.Fatal("a value idle through two whole collections was dropped")
+	}
+	pool.Put(v)
+	sweep(idleCycles)
+	if pool.Get(); made != 2 {
+		t.Fatalf("a value idle through a third collection was kept (%d made)", made)
+	}
+}
+
+// A list that hands out an item keeps the spares it leaves: they are
+// stamped with the count at the hand-out and age from there.
+func TestListKeepsSparesWhileInUse(t *testing.T) {
+	spare, used := new(byte), new(byte)
+	l := idleList[*byte]{{spare, 10}, {used, 10}}
+	if p, _ := l.pop(12); p != used {
+		t.Fatal("pop did not hand out the newest item")
+	}
+	l.drop(14)
+	if len(l) != 1 || l[0].p != spare {
+		t.Fatal("a spare was dropped two collections after its list was last drawn from")
+	}
+	l.drop(15)
+	if len(l) != 0 {
+		t.Fatal("a spare outlived a third collection with its list unused")
 	}
 }

@@ -35,10 +35,10 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace/span"
@@ -210,31 +210,20 @@ type manifest struct {
 // can keep one flat file per key.
 func partKey(key string, i int) string { return fmt.Sprintf("%s.%05d.part", key, i) }
 
-// encBufs pools per-chunk encode scratch. Stores copy on Put — MemStore into
-// the stored object, RemoteStore onto the socket; only storage.Server hands a
-// buffer it read itself to the store uncopied — so a buffer is reusable the
-// moment its PUT returns; without the pool every compressed chunk of every
-// transfer allocates ~1 MiB of garbage (xcompress pools the deflate state,
-// this pools the output it writes into). A raw chunk borrows none: its frame
-// is its tag and its window of the source (pipeState.encode).
-var encBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)
-	return &b
-}}
-
-// wireBufs pools download-side wire scratch: the encoded bytes fetched from
-// the store before decoding, on every read that does not stream (getUnit).
-// The upload mirror is encBufs; without this pool every such chunk GET
-// materializes ~1 MiB of garbage through storage.Get even though the bytes
-// are dead the moment DecodeInto returns. The pool only pays off on a store
-// that reads into the buffer it is handed (storage.AppendGetter): MemStore,
-// DiskStore, RemoteStore, and Metered or PrefixStore over one of them.
-// Behind WithFaults or Throttled, which must see every Get, each
-// chunk still costs the Get's copy.
-var wireBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, DefaultChunkSize+DefaultChunkSize/8+64)
-	return &b
-}}
+// frameRoom is the room an encode or wire scratch buffer from the arena has
+// for an n-byte chunk's frame: a compressed frame is never longer than the
+// raw one, n+1 bytes, and the encoders may run past it before they fall
+// back to raw. Stores copy on Put — MemStore into the stored object,
+// RemoteStore onto the socket; only storage.Server hands a buffer it read
+// itself to the store uncopied — so encode scratch is free again the moment
+// its PUT returns, and wire scratch (the encoded bytes a read that does not
+// stream fetches, getUnit) the moment DecodeInto returns; without the arena
+// every compressed chunk of every transfer would allocate its frame. The
+// wire scratch only pays off on a store that reads into the buffer it is
+// handed (storage.AppendGetter): MemStore, DiskStore, RemoteStore, and
+// Metered or PrefixStore over one of them. Behind WithFaults or Throttled,
+// which must see every Get, each chunk still costs the Get's copy.
+func frameRoom(n int) int { return n + n/8 + 64 }
 
 // histPair fans one latency observation into the base histogram and, when a
 // device is configured, its device-keyed variant (span.DevKey). The base
@@ -288,7 +277,7 @@ func (u *putUnit) put(key string, head, body []byte) error {
 	if u.o.PutTimeout > 0 {
 		// A deadline-abandoned attempt keeps reading its parts after put
 		// returns, and the caller reuses them the moment we do — head is
-		// encBufs scratch, body a window of a live buffer — so the guard
+		// arena scratch, body a window of a live buffer — so the guard
 		// pays one private copy of the frame per object. The deadline-off
 		// path (the default) copies neither.
 		head, body = append(append(make([]byte, 0, len(head)+len(body)), head...), body...), nil
@@ -323,7 +312,7 @@ func (u *putUnit) put(key string, head, body []byte) error {
 // window with no copy, any other frame is decoded once the connection is
 // back in its pool. Any other store, and any guarded attempt — which must
 // never write where the caller can see (netguard.go) — pulls the frame into
-// pooled scratch and decodes it from there.
+// arena scratch and decodes it from there.
 type getUnit struct {
 	st      storage.Store
 	o       *Options
@@ -384,7 +373,7 @@ func (u *getUnit) receive() (int64, error) {
 		}
 		u.stream = false // this store cannot stream: copy from here on
 	}
-	enc, bp, err := guardedGet(u.st, u.key, u.o.GetTimeout, u.o.HedgeDelay, u.o.Stats)
+	enc, scratch, err := guardedGet(u.st, u.key, frameRoom(len(u.dst)), u.o.GetTimeout, u.o.HedgeDelay, u.o.Stats)
 	if err != nil {
 		return 0, classifyGetErr(fmt.Errorf("chunkio: fetching %s: %w", u.key, err))
 	}
@@ -394,7 +383,7 @@ func (u *getUnit) receive() (int64, error) {
 		u.dur = time.Since(start)
 	}
 	wire := int64(len(enc))
-	wireBufs.Put(bp) // enc aliases the pooled buffer; dead once decoded
+	arena.Put(scratch) // enc is in it, or outgrew it; dead once decoded
 	if err != nil {
 		return 0, corruptErr(fmt.Errorf("chunkio: decoding %s: %w", u.key, err))
 	}
@@ -593,15 +582,16 @@ func DownloadInto(st storage.Store, key string, dst []byte, o Options) (*Downloa
 			// The root GET rides the same guards as part GETs: a stalled
 			// manifest read would otherwise serialize the whole download
 			// behind one stuck stream. parseRoot never keeps a reference
-			// into obj (decode copies, JSON copies), so the pooled wire
-			// buffer goes straight back.
-			obj, bp, err := guardedGet(st, key, o.GetTimeout, o.HedgeDelay, o.Stats)
+			// into obj (decode copies, JSON copies), so the wire buffer
+			// goes straight back. A root is a manifest or a single-layout
+			// frame: the buffer has a default chunk frame's room.
+			obj, scratch, err := guardedGet(st, key, frameRoom(DefaultChunkSize), o.GetTimeout, o.HedgeDelay, o.Stats)
 			if err != nil {
 				return classifyGetErr(err)
 			}
 			rootWire = int64(len(obj))
 			perr := parseRoot(obj)
-			wireBufs.Put(bp)
+			arena.Put(scratch)
 			return perr
 		})
 		newHistPair("chunkio.get.seconds", o.MetricDevice).Observe(time.Since(start).Seconds())

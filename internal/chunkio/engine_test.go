@@ -345,7 +345,6 @@ func FuzzDownloadRoot(f *testing.F) {
 	f.Add([]byte{})
 
 	dst := make([]byte, len(payload))
-	wireBuf := uint64(cap(*wireBufs.New().(*[]byte)))
 	f.Fuzz(func(t *testing.T, root []byte) {
 		for i := range dst {
 			dst[i] = 0xEE
@@ -355,14 +354,9 @@ func FuzzDownloadRoot(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		res, err := DownloadInto(st, "obj", dst, o)
 		runtime.ReadMemStats(&after)
-		// 4 MiB covers a cold wireBufs pool: one ~1.1 MiB buffer per worker
-		// and one for the root. The race detector makes sync.Pool drop a
-		// quarter of its Puts, so under it any store Get may find the pool
-		// empty: one fresh wire buffer per Get on top.
+		// 4 MiB covers a cold arena: one wire buffer per worker and one
+		// (~1.1 MiB) for the root.
 		limit := uint64(4<<20 + 128*(len(dst)+len(root)))
-		if raceEnabled {
-			limit += uint64(st.gets.Load()) * wireBuf
-		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Fatalf("a %d-byte root made DownloadInto allocate %d bytes (limit %d)", len(root), got, limit)
 		}

@@ -14,10 +14,10 @@ package chunkio
 //     reading its head and body until the store returns. Callers whose
 //     parts live in a recycled pool or a live buffer therefore copy them
 //     first (see putUnit.put).
-//   - guardedGet gives every attempt its own pooled wire buffer and moves
+//   - guardedGet gives every attempt its own arena wire buffer and moves
 //     results through a buffered channel — an ownership transfer. The
 //     winner's buffer goes to the caller; losers and post-abandon stragglers
-//     are drained back to wireBufs by a reaper goroutine, so no attempt ever
+//     are given back to the arena by a reaper goroutine, so no attempt ever
 //     writes into memory the caller can see and no buffer leaks.
 
 import (
@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace/span"
@@ -107,49 +108,48 @@ func guardedPut(st storage.Store, key string, head, body []byte, timeout time.Du
 
 // getRes is one GET attempt's result crossing the ownership channel.
 type getRes struct {
-	enc    []byte
-	bp     *[]byte
-	err    error
-	backup bool
+	enc     []byte
+	scratch []byte
+	err     error
+	backup  bool
 }
 
-// getAttempt is one GET into a pooled wire buffer; on success the caller
-// owns bp. A standalone function (not a closure inside guardedGet) so the
-// unguarded fast path stays allocation-free.
-func getAttempt(st storage.Store, key string) ([]byte, *[]byte, error) {
-	bp := wireBufs.Get().(*[]byte)
-	enc, err := storage.GetAppend(st, key, (*bp)[:0])
-	if cap(enc) > cap(*bp) {
-		*bp = enc[:0] // keep any growth for the next borrower
-	}
+// getAttempt is one GET into a wire buffer from the arena with room for
+// room bytes; on success the caller owns scratch, which enc is in unless
+// the object outgrew it. A standalone function (not a closure inside
+// guardedGet) so the unguarded fast path stays allocation-free.
+func getAttempt(st storage.Store, key string, room int) (enc, scratch []byte, err error) {
+	scratch = arena.Scratch(room)
+	enc, err = storage.GetAppend(st, key, scratch)
 	if err != nil {
-		wireBufs.Put(bp)
+		arena.Put(scratch)
 		return nil, nil, err
 	}
-	return enc, bp, nil
+	return enc, scratch, nil
 }
 
-// guardedGet fetches key into a pooled wire buffer, bounded by timeout and
-// hedged after hedge (either 0 disables that guard; both 0 is the plain
-// synchronous path). On success the caller owns bp and must return it to
-// wireBufs once enc is dead. On any error both return values are nil and
-// every buffer is already back in (or on its way back to) the pool.
-func guardedGet(st storage.Store, key string, timeout, hedge time.Duration, stats *TransferStats) ([]byte, *[]byte, error) {
+// guardedGet fetches key into a wire buffer from the arena with room for
+// room bytes, bounded by timeout and hedged after hedge (either 0 disables
+// that guard; both 0 is the plain synchronous path). On success the caller
+// owns scratch and must give it back (arena.Put) once enc is dead. On any
+// error both return values are nil and every buffer is already back in (or
+// on its way back to) the arena.
+func guardedGet(st storage.Store, key string, room int, timeout, hedge time.Duration, stats *TransferStats) (enc, scratch []byte, err error) {
 	if timeout <= 0 && hedge <= 0 {
-		return getAttempt(st, key)
+		return getAttempt(st, key, room)
 	}
 
 	ch := make(chan getRes, 2) // buffered: abandoned attempts never block
 	launch := func(backup bool) {
 		go func() {
-			enc, bp, err := getAttempt(st, key)
-			ch <- getRes{enc: enc, bp: bp, err: err, backup: backup}
+			enc, scratch, err := getAttempt(st, key, room)
+			ch <- getRes{enc: enc, scratch: scratch, err: err, backup: backup}
 		}()
 	}
 	inflight := 1
 	launch(false)
 
-	// reap returns n outstanding attempts' buffers to the pool without
+	// reap gives n outstanding attempts' buffers back to the arena without
 	// making the caller wait for them.
 	reap := func(n int) {
 		if n <= 0 {
@@ -157,9 +157,7 @@ func guardedGet(st storage.Store, key string, timeout, hedge time.Duration, stat
 		}
 		go func() {
 			for i := 0; i < n; i++ {
-				if r := <-ch; r.bp != nil {
-					wireBufs.Put(r.bp)
-				}
+				arena.Put((<-ch).scratch)
 			}
 		}()
 	}
@@ -196,7 +194,7 @@ func guardedGet(st storage.Store, key string, timeout, hedge time.Duration, stat
 				span.Event("net.hedge.win", "net", span.Attr{Key: "key", Val: key})
 			}
 			reap(inflight)
-			return r.enc, r.bp, nil
+			return r.enc, r.scratch, nil
 		case <-hedgeC:
 			hedgeC = nil
 			stats.hedged()

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/resilience"
 	"ompcloud/internal/storage"
 	"ompcloud/internal/trace/span"
@@ -225,18 +226,13 @@ func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
 	default:
 		ckey = partKey(ps.key, i)
 	}
-	head, body, bp, err := ps.encode(i, ckey, chunk)
+	head, body, scratch, err := ps.encode(i, ckey, chunk)
 	if err == nil {
 		if err = pu.put(ckey, head, body); err != nil {
 			err = fmt.Errorf("chunkio: storing %s: %w", ckey, err)
 		}
 	}
-	if bp != nil {
-		if head != nil {
-			*bp = head // keep any growth for the next borrower
-		}
-		encBufs.Put(bp) // stores copy on Put; safe once put returns
-	}
+	arena.Put(scratch) // stores copy on Put; safe once put returns
 	if err != nil {
 		return err
 	}
@@ -252,20 +248,18 @@ func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
 // encode gives chunk i's frame under the plan as the two parts of
 // xcompress.Codec.Frame. A raw frame is the tag and the chunk itself: it
 // borrows no scratch and records no codec time. Any other frame is encoded,
-// and timed, into scratch borrowed from encBufs, returned as bp for the
-// caller to give back once its PUT is done. The single layout's one chunk
-// borrows nothing: it can be the whole buffer (chunk-bytes = -1), and a
-// buffer that large must not be parked in the pool.
-func (ps *pipeState) encode(i int, ckey string, chunk []byte) (head, body []byte, bp *[]byte, err error) {
+// and timed, into scratch drawn from the arena, returned for the caller to
+// give back once its PUT is done. The single layout's one chunk draws
+// nothing: it can be the whole buffer (chunk-bytes = -1), and a buffer that
+// large must not be parked in the arena.
+func (ps *pipeState) encode(i int, ckey string, chunk []byte) (head, body, scratch []byte, err error) {
 	v := ps.plan(chunk)
 	if v == xcompress.VerdictRaw {
 		head, body, err = ps.o.Codec.Frame(nil, chunk, v)
 		return head, body, nil, err
 	}
-	var scratch []byte
 	if !ps.single {
-		bp = encBufs.Get().(*[]byte)
-		scratch = (*bp)[:0]
+		scratch = arena.Scratch(frameRoom(len(chunk)))
 	}
 	sc := span.Start("chunk.compress", "chunk", 0)
 	sc.SetAttr("key", ckey)
@@ -278,7 +272,7 @@ func (ps *pipeState) encode(i int, ckey string, chunk []byte) (head, body []byte
 		// Encoding is local CPU work: retrying cannot help.
 		err = resilience.MarkPermanent(fmt.Errorf("chunkio: encoding %s: %w", ckey, err))
 	}
-	return head, body, bp, err
+	return head, body, scratch, err
 }
 
 func (ps *pipeState) firstErr() error {

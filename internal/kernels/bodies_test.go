@@ -138,9 +138,9 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 // recycled driver buffers rely on: a partitioned window is not zeroed — it
 // holds NaNs or any other stale bytes (0xA5) — and a tofrom window may be the
 // input's own memory, and either way the result equals the serial reference
-// bit for bit, on the AVX2 micro-kernel and on the generic mulAdd loop alike.
-// A size large enough for the micro-kernel's 4-row blocks and 16-column
-// strips runs beside a small ragged one.
+// bit for bit, on each micro-kernel and on the generic mulAdd loop alike.
+// Sizes large enough for the micro-kernels' 4-row blocks and 16-, 32- and
+// 64-column strips run beside a small ragged one.
 func TestBodiesOverwriteStaleOutputs(t *testing.T) {
 	const n = 13
 	keep := func(b []byte) []byte { return b }
@@ -159,21 +159,30 @@ func TestBodiesOverwriteStaleOutputs(t *testing.T) {
 			})
 		}
 	}
-	// Each path forced in turn, both stale patterns, and a size that fills
-	// the micro-kernel's blocks and strips.
-	for _, path := range []string{"simd", "generic"} {
-		if path == "simd" && !useAVX2 {
-			continue // the generic loop is the only path on this host
-		}
-		withAVX2(path == "simd", func() {
-			for _, n := range []int{13, 37} {
+	// Each path forced in turn — simd is the host's widest micro-kernel,
+	// avx2 the narrower one beside it on an AVX-512 host —, both stale
+	// patterns, and sizes that fill the micro-kernels' blocks and strips.
+	type forced struct {
+		name string
+		path kernelPath
+	}
+	forcings := []forced{{"generic", pathGeneric}}
+	if hostPath > pathGeneric {
+		forcings = append(forcings, forced{"simd", hostPath})
+	}
+	if hostPath > pathAVX2 {
+		forcings = append(forcings, forced{"avx2", pathAVX2})
+	}
+	for _, f := range forcings {
+		withPath(f.path, func() {
+			for _, n := range []int{13, 37, 70} {
 				for _, tc := range bodyCases(n) {
 					for _, stale := range []byte{0xFF, 0xA5} {
 						for _, alias := range []bool{false, true} {
 							if alias && tc.tofrom < 0 {
 								continue
 							}
-							t.Run(fmt.Sprintf("%s/n=%d/%s/stale=%#x/alias=%v", path, n, tc.kernel, stale, alias), func(t *testing.T) {
+							t.Run(fmt.Sprintf("%s/n=%d/%s/stale=%#x/alias=%v", f.name, n, tc.kernel, stale, alias), func(t *testing.T) {
 								sameBits(t, tc.kernel, runTiles(t, tc, []int{0, 5, 6, 11, n}, alias, stale, keep), tc.want)
 							})
 						}
@@ -237,10 +246,12 @@ func TestKernelBodiesAllocateNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelTile times one tile of the two benchmark-sized loop bodies
-// (gemm-dense: N=1536 in 96-row tiles; 3mm-env: N=1024 in 64-row tiles) on
-// one core, on the AVX2 micro-kernel (simd; skipped on a host without AVX2)
-// and on the generic loop, and reports its GFLOP/s next to B/op.
+// BenchmarkKernelTile times one tile of the three benchmark-sized loop
+// bodies (gemm-dense: N=1536 in 96-row tiles; 3mm-env: N=1024 in 64-row
+// tiles; daemon-smalljobs: N=96 in 6-row tiles) on one core, on the AVX-512
+// micro-kernel (avx512; skipped on a host without it), the AVX2 one (avx2;
+// skipped on a host without AVX2) and the generic loop, and reports its
+// GFLOP/s next to B/op.
 func BenchmarkKernelTile(b *testing.B) {
 	for _, tc := range []struct {
 		kernel  string
@@ -248,6 +259,7 @@ func BenchmarkKernelTile(b *testing.B) {
 	}{
 		{"gemm", 1536, 96},
 		{"mm", 1024, 64},
+		{"gemm", 96, 6},
 	} {
 		k, err := fatbin.Lookup(tc.kernel)
 		if err != nil {
@@ -257,12 +269,15 @@ func BenchmarkKernelTile(b *testing.B) {
 		in := [][]byte{tile(1), data.Generate(tc.n, tc.n, data.Dense, 2).Bytes(), tile(3)} // mm ignores C
 		out := [][]byte{tile(4)}
 		scalars := []int64{int64(tc.n)}
-		for _, path := range []string{"simd", "generic"} {
-			b.Run(fmt.Sprintf("%s-%dx%d/%s", tc.kernel, tc.n, tc.rows, path), func(b *testing.B) {
-				if path == "simd" {
+		for _, path := range []kernelPath{pathAVX512, pathAVX2, pathGeneric} {
+			b.Run(fmt.Sprintf("%s-%dx%d/%v", tc.kernel, tc.n, tc.rows, path), func(b *testing.B) {
+				switch path {
+				case pathAVX512:
+					requireAVX512(b)
+				case pathAVX2:
 					requireAVX2(b)
 				}
-				withAVX2(path == "simd", func() {
+				withPath(path, func() {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

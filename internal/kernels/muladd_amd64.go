@@ -1,9 +1,17 @@
 package kernels
 
-// useAVX2 reports whether mulAdd hands its 4-row blocks to the AVX2
-// micro-kernel. It is set once, from CPUID, and read-only outside tests,
-// which flip it to run the generic loop on the same host.
-var useAVX2 = hasAVX2()
+// hostPath is the widest micro-kernel this CPU runs, read once from CPUID.
+var hostPath = detectPath()
+
+func detectPath() kernelPath {
+	switch {
+	case hasAVX512():
+		return pathAVX512
+	case hasAVX2():
+		return pathAVX2
+	}
+	return pathGeneric
+}
 
 // hasAVX2 reports whether the CPU executes AVX2 and the OS saves the YMM
 // registers across context switches (CPUID.1:ECX.OSXSAVE, CPUID.1:ECX.AVX,
@@ -24,6 +32,22 @@ func hasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
+// hasAVX512 reports whether the CPU executes AVX-512F and the OS saves the
+// opmask and all 32 ZMM registers across context switches
+// (CPUID.(7,0):EBX.AVX512F, XCR0 bits 5-7), on top of AVX2, which the
+// 512-bit path's last 16-column strip runs on.
+func hasAVX512() bool {
+	if !hasAVX2() {
+		return false
+	}
+	const opmaskZMM = 1<<5 | 1<<6 | 1<<7
+	if xcr0, _ := xgetbv(); xcr0&opmaskZMM != opmaskZMM {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -39,41 +63,65 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func mulAdd4x16(c, p, b *float32, ldn, kb, width int)
 
-// The micro-kernel walks the tile in kBlock x panel blocks of b, k blocks
-// outermost: a 128 x 256 block of b (128 KiB) stays in L2 while every 4-row
-// block of the tile passes over it, and one mulAdd4x16 call — one row block,
-// one k block, one panel — is at most 131 072 multiply-adds, so it never
-// holds off a GC stop-the-world for long.
+// mulAdd4x64 is mulAdd4x16 on ZMM registers: it holds a 4 x 64 block's sums
+// in sixteen registers across all kb steps, and a last 32 columns, if width
+// leaves them, in eight. width is a positive multiple of 32 and kb is
+// positive.
+//
+//go:noescape
+func mulAdd4x64(c, p, b *float32, ldn, kb, width int)
+
+// The micro-kernels walk the tile in kBlock x panel blocks of b: k blocks
+// outermost, then 4-row blocks, then panels. A 4-row block's coefficients
+// are packed once per k block and serve every panel, and the k block of b
+// (512 KiB at n = 1024, 768 KiB at 1536) stays in L2 while every row block
+// passes over it. One micro-kernel call — one row block, one k block, one
+// panel — is at most 131 072 multiply-adds, so it never holds off a GC
+// stop-the-world for long.
 const (
 	kBlock = 128
 	panel  = 256
 )
 
-// mulAddSIMD runs the AVX2 micro-kernel over the first rows&^3 rows of the
-// tile and reports how many rows it computed; mulAdd finishes the rest with
-// the generic loop. Columns past the last full 16-column strip take the
-// scalar loop of serial.go, after the vector columns. Every c[i][j] receives
-// its n products one at a time in ascending k — k blocks in order, steps in
-// order within a block — so the result is bit-identical to serial.go.
+// mulAddSIMD runs the micro-kernel blockPath picks over the first rows&^3
+// rows of the tile and reports how many rows it computed; mulAdd finishes
+// the rest with the generic loop. On the 512-bit path the columns up to the
+// last full 32-column strip take mulAdd4x64 and a 16-column strip after
+// them mulAdd4x16; on the AVX2 path every full 16-column strip takes
+// mulAdd4x16. Columns past the last 16-column strip take the scalar loop of
+// serial.go, after the vector columns. Every c[i][j] receives its n
+// products one at a time in ascending k — k blocks in order, steps in order
+// within a block — so the result is bit-identical to serial.go.
 func mulAddSIMD(c, a, b []float32, rows, n int, alpha float32) int {
 	rows &^= 3
-	if !useAVX2 || rows == 0 || n < 16 {
+	path := blockPath(n)
+	if path == pathGeneric || rows == 0 {
 		return 0
 	}
-	nv := n &^ 15
+	nv, wide := n&^15, 0
+	if path == pathAVX512 {
+		wide = n &^ 31
+	}
 	var p [4 * kBlock]float32
 	for k0 := 0; k0 < n; k0 += kBlock {
 		kb := min(kBlock, n-k0)
-		for j0 := 0; j0 < nv; j0 += panel {
-			w := min(panel, nv-j0)
-			bs := b[k0*n+j0 : (k0+kb-1)*n+j0+w]
-			for i := 0; i < rows; i += 4 {
-				for k := range kb {
-					for r := range 4 {
-						p[4*k+r] = alpha * a[(i+r)*n+k0+k]
-					}
+		for i := 0; i < rows; i += 4 {
+			for k := range kb {
+				for r := range 4 {
+					p[4*k+r] = alpha * a[(i+r)*n+k0+k]
 				}
+			}
+			for j0 := 0; j0 < nv; j0 += panel {
+				w := min(panel, nv-j0)
+				bs := b[k0*n+j0 : (k0+kb-1)*n+j0+w]
 				cs := c[i*n+j0 : (i+3)*n+j0+w]
+				if w512 := min(w, wide-j0); w512 > 0 {
+					mulAdd4x64(&cs[0], &p[0], &bs[0], n, kb, w512)
+					if w512 == w {
+						continue
+					}
+					bs, cs, w = bs[w512:], cs[w512:], w-w512
+				}
 				mulAdd4x16(&cs[0], &p[0], &bs[0], n, kb, w)
 			}
 		}

@@ -2,8 +2,8 @@
 
 package kernels
 
-// useAVX2 is false off amd64: mulAdd runs the generic loop alone.
-var useAVX2 = false
+// hostPath is the generic loop off amd64: mulAdd runs mulAddGo alone.
+const hostPath = pathGeneric
 
 // mulAddSIMD computes no rows off amd64.
 func mulAddSIMD(c, a, b []float32, rows, n int, alpha float32) int { return 0 }

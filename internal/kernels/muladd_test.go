@@ -8,37 +8,62 @@ import (
 	"testing"
 )
 
-// withAVX2 runs f with mulAdd's dispatch forced to on or off.
-func withAVX2(on bool, f func()) {
-	saved := useAVX2
-	useAVX2 = on
-	defer func() { useAVX2 = saved }()
+func (p kernelPath) String() string {
+	return [...]string{"generic", "avx2", "avx512"}[p]
+}
+
+// withPath runs f with mulAdd's dispatch capped at path.
+func withPath(path kernelPath, f func()) {
+	saved := mulAddPath
+	mulAddPath = path
+	defer func() { mulAddPath = saved }()
 	f()
 }
 
-// requireAVX2 skips a test of the SIMD path on a host that cannot run it:
-// comparing the generic loop with itself would pass and prove nothing.
+// requireAVX2 skips a test of the SIMD paths on a host that cannot run
+// them: comparing the generic loop with itself would pass and prove nothing.
 func requireAVX2(tb testing.TB) {
 	tb.Helper()
-	if !useAVX2 {
+	if hostPath < pathAVX2 {
 		tb.Skip("no AVX2 micro-kernel on this host")
 	}
 }
 
-// mulAddBothPaths runs mulAdd over the same c, a and b on the SIMD path and
-// on the generic loop and fails unless every element agrees bit for bit,
-// two NaNs counting as equal whatever their payloads.
-func mulAddBothPaths(t *testing.T, what string, c, a, b []float32, rows, n int, alpha float32) {
+// requireAVX512 skips a test of the 512-bit path on a host that cannot run
+// it.
+func requireAVX512(tb testing.TB) {
+	tb.Helper()
+	if hostPath < pathAVX512 {
+		tb.Skip("no AVX-512 micro-kernel on this host")
+	}
+}
+
+// simdPaths are the micro-kernel paths this host runs, narrowest first.
+func simdPaths() []kernelPath {
+	var paths []kernelPath
+	for p := pathAVX2; p <= hostPath; p++ {
+		paths = append(paths, p)
+	}
+	return paths
+}
+
+// mulAddAllPaths runs mulAdd over the same c, a and b on every SIMD path
+// the host runs and on the generic loop and fails unless every element
+// agrees bit for bit, two NaNs counting as equal whatever their payloads.
+func mulAddAllPaths(t *testing.T, what string, c, a, b []float32, rows, n int, alpha float32) {
 	t.Helper()
-	simd, generic := append([]float32(nil), c...), append([]float32(nil), c...)
-	withAVX2(true, func() { mulAdd(simd, a, b, rows, n, alpha) })
-	withAVX2(false, func() { mulAdd(generic, a, b, rows, n, alpha) })
-	for i := range generic {
-		g, s := generic[i], simd[i]
-		bothNaN := math.IsNaN(float64(g)) && math.IsNaN(float64(s))
-		if math.Float32bits(g) != math.Float32bits(s) && !bothNaN {
-			t.Fatalf("%s: c[%d][%d] = %v (%#x) on the SIMD path, %v (%#x) on the generic loop",
-				what, i/n, i%n, s, math.Float32bits(s), g, math.Float32bits(g))
+	generic := append([]float32(nil), c...)
+	withPath(pathGeneric, func() { mulAdd(generic, a, b, rows, n, alpha) })
+	for _, path := range simdPaths() {
+		simd := append([]float32(nil), c...)
+		withPath(path, func() { mulAdd(simd, a, b, rows, n, alpha) })
+		for i := range generic {
+			g, s := generic[i], simd[i]
+			bothNaN := math.IsNaN(float64(g)) && math.IsNaN(float64(s))
+			if math.Float32bits(g) != math.Float32bits(s) && !bothNaN {
+				t.Fatalf("%s: c[%d][%d] = %v (%#x) on the %v path, %v (%#x) on the generic loop",
+					what, i/n, i%n, s, math.Float32bits(s), path, g, math.Float32bits(g))
+			}
 		}
 	}
 }
@@ -54,8 +79,8 @@ var specials = []float32{
 }
 
 // offsetFloats returns n random floats, with one special in roughly every
-// sixteen, starting off floats into a fresh buffer, so across off = 0..7
-// the slice starts at every 4-byte offset from a 32-byte boundary.
+// sixteen, starting off floats into a fresh buffer, so across off = 0..15
+// the slice starts at every 4-byte offset from a 64-byte boundary.
 func offsetFloats(rng *rand.Rand, n, off int) []float32 {
 	v := make([]float32, off+n)[off:]
 	for i := range v {
@@ -68,34 +93,53 @@ func offsetFloats(rng *rand.Rand, n, off int) []float32 {
 	return v
 }
 
-// TestMulAddPathsAgree is the differential test of the AVX2 micro-kernel
-// against the generic loop: every n from 1 to 300 (16-column strips with
-// every column remainder, k blocks and panels with their edges), 1 to 9 rows
-// (4-row blocks plus every row remainder; all nine where n is within one of
-// a multiple of 16, two elsewhere), alpha 1 and Alpha, inputs off 32-byte
-// alignment and sprinkled with zeros, subnormals and infinities.
+// stripEdge reports whether n is within one of a multiple of 16, 32 or 64:
+// the edges of the 16-, 32- and 64-column strips (and of the k blocks and
+// panels, multiples of all three).
+func stripEdge(n int) bool {
+	for _, w := range []int{16, 32, 64} {
+		if j := n % w; j <= 1 || j == w-1 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMulAddPathsAgree is the differential test of the AVX2 and AVX-512
+// micro-kernels against the generic loop: every n from 1 to 300 (strips of
+// each width with every column remainder, k blocks and panels with their
+// edges) and the strip edges of three n past 300 whose last panel holds two,
+// three and eight 64-column strips, 1 to 9 rows (4-row blocks plus every row
+// remainder; all nine at a strip edge, two elsewhere), alpha 1 and Alpha,
+// inputs off 64-byte alignment and sprinkled with zeros, subnormals and
+// infinities.
 func TestMulAddPathsAgree(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(1))
 	every := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	ns := make([]int, 0, 309)
 	for n := 1; n <= 300; n++ {
-		b := offsetFloats(rng, n*n, (n+3)%8)
+		ns = append(ns, n)
+	}
+	ns = append(ns, 383, 384, 385, 447, 448, 449, 767, 768, 769)
+	for _, n := range ns {
+		b := offsetFloats(rng, n*n, (n+3)%16)
 		rowsList := []int{1 + n%9, 1 + (n+4)%9}
-		if j := n % 16; j <= 1 || j == 15 {
-			rowsList = every // strip, k-block and panel edges
+		if stripEdge(n) {
+			rowsList = every
 		}
 		for _, rows := range rowsList {
 			for _, alpha := range []float32{1, Alpha} {
-				off := (n + rows) % 8
+				off := (n + rows) % 16
 				a := offsetFloats(rng, rows*n, off)
-				c := offsetFloats(rng, rows*n, (off+5)%8)
-				mulAddBothPaths(t, fmt.Sprintf("rows=%d n=%d alpha=%v off=%d", rows, n, alpha, off), c, a, b, rows, n, alpha)
+				c := offsetFloats(rng, rows*n, (off+5)%16)
+				mulAddAllPaths(t, fmt.Sprintf("rows=%d n=%d alpha=%v off=%d", rows, n, alpha, off), c, a, b, rows, n, alpha)
 			}
 		}
 	}
 }
 
-// FuzzMulAdd drives both paths over a fuzzed shape and fuzzed float bits:
+// FuzzMulAdd drives every path the host runs over a fuzzed shape and fuzzed float bits:
 // raw is read as little-endian float32 bit patterns, cycled to fill c, a
 // and b.
 func FuzzMulAdd(f *testing.F) {
@@ -112,7 +156,7 @@ func FuzzMulAdd(f *testing.F) {
 	f.Add(uint8(9), uint16(257), false, uint8(7), bits(float32(math.Inf(1)), 0, 1.5))
 	f.Fuzz(func(t *testing.T, rows8 uint8, n16 uint16, scaled bool, off8 uint8, raw []byte) {
 		requireAVX2(t)
-		rows, n, off := 1+int(rows8)%9, 1+int(n16)%300, int(off8)%8
+		rows, n, off := 1+int(rows8)%9, 1+int(n16)%300, int(off8)%16
 		if len(raw) < 4 {
 			raw = append(raw, 0, 0, 0, 0)
 		}
@@ -132,7 +176,7 @@ func FuzzMulAdd(f *testing.F) {
 		if scaled {
 			alpha = Alpha
 		}
-		a, b, c := fill(rows*n, off), fill(n*n, (off+1)%8), fill(rows*n, (off+2)%8)
-		mulAddBothPaths(t, fmt.Sprintf("rows=%d n=%d alpha=%v off=%d", rows, n, alpha, off), c, a, b, rows, n, alpha)
+		a, b, c := fill(rows*n, off), fill(n*n, (off+1)%16), fill(rows*n, (off+2)%16)
+		mulAddAllPaths(t, fmt.Sprintf("rows=%d n=%d alpha=%v off=%d", rows, n, alpha, off), c, a, b, rows, n, alpha)
 	})
 }

@@ -45,7 +45,7 @@ type Store interface {
 // AppendGetter is an optional Store extension for allocation-free reads:
 // the object's bytes are appended to a caller-owned buffer instead of a
 // freshly allocated copy. The chunked-transfer GET hot path uses it with a
-// pooled wire buffer so a warm download performs zero allocations per chunk.
+// recycled wire buffer so a warm download performs zero allocations per chunk.
 // MemStore, DiskStore and RemoteStore (the client every deployment uses)
 // read natively into dst; Metered and PrefixStore forward to what they wrap.
 type AppendGetter interface {
@@ -82,25 +82,23 @@ type PartsPutter interface {
 	PutParts(key string, head, body []byte) error
 }
 
-// joinMax is the largest object PutParts's fallback joins in pooled
-// scratch; a larger one (a whole buffer stored unchunked) gets a buffer of
-// its own rather than being parked in the pool.
-const joinMax = 4 << 20
-
-// joinBufs pools the fallback's joined objects. Put copies, so a buffer is
+// joinMax is the largest object PutParts's fallback joins in scratch from
+// the arena; a larger one (a whole buffer stored unchunked) gets a buffer of
+// its own rather than being parked in the arena. Put copies, so scratch is
 // free again the moment Put returns.
-var joinBufs = sync.Pool{New: func() any { return new([]byte) }}
+const joinMax = 4 << 20
 
 // PutParts stores head followed by body under key, through the store's
 // native PartsPutter when it has one. Any other store is handed one buffer
-// holding both — in pooled scratch, unless one part is empty and is the
+// holding both — in arena scratch, unless one part is empty and is the
 // object — through its Put, so wrappers that must see every write
 // (WithFaults, Throttled) still see this one.
 func PutParts(st Store, key string, head, body []byte) error {
 	if pp, ok := st.(PartsPutter); ok {
 		return pp.PutParts(key, head, body)
 	}
-	switch n := len(head) + len(body); {
+	n := len(head) + len(body)
+	switch {
 	case len(body) == 0:
 		return st.Put(key, head)
 	case len(head) == 0:
@@ -108,11 +106,9 @@ func PutParts(st Store, key string, head, body []byte) error {
 	case n > joinMax:
 		return st.Put(key, append(append(make([]byte, 0, n), head...), body...))
 	}
-	bp := joinBufs.Get().(*[]byte)
-	obj := append(append((*bp)[:0], head...), body...)
+	obj := append(append(arena.Scratch(n), head...), body...)
 	err := st.Put(key, obj)
-	*bp = obj[:0] // keep the grown buffer
-	joinBufs.Put(bp)
+	arena.Put(obj)
 	return err
 }
 
@@ -351,6 +347,18 @@ func (s *MemStore) Put(key string, data []byte) error {
 	}
 	cp := newObject(len(data))
 	copy(cp, data)
+	s.store(key, cp)
+	return nil
+}
+
+// PutParts implements PartsPutter: head and body are copied straight into
+// the stored object, with no joined copy of the two before it.
+func (s *MemStore) PutParts(key string, head, body []byte) error {
+	if err := validKey(key); err != nil {
+		return err
+	}
+	cp := newObject(len(head) + len(body))
+	copy(cp[copy(cp, head):], body)
 	s.store(key, cp)
 	return nil
 }

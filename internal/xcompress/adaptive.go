@@ -28,7 +28,11 @@ package xcompress
 // DeflateBytesPerS for this host can no longer pick a codec that loses on
 // both axes.
 
-import "math"
+import (
+	"math"
+
+	"ompcloud/internal/arena"
+)
 
 const (
 	// DeflateBytesPerS estimates single-core gzip BestSpeed compression
@@ -87,14 +91,13 @@ func sampleEntropy(b []byte) float64 {
 
 // zeroSampleRatio runs the zero-run codec over three small segments (head,
 // middle, tail) and returns the combined compression ratio. Segments it
-// declines (nothing to drop) count as ratio 1. The trial scratch is pooled, so
-// chunkVerdict stays allocation-free on the hot path.
+// declines (nothing to drop) count as ratio 1. The trial scratch comes from
+// the arena, so chunkVerdict stays allocation-free on the hot path.
 func zeroSampleRatio(chunk []byte) float64 {
-	bp := scratchBufs.Get().(*[]byte)
+	scratch := probeScratch(min(len(chunk), probeSeg))
 	total, wire := 0, 0
 	trial := func(seg []byte) {
-		out, ok := appendZero((*bp)[:0], seg)
-		*bp = out[:0] // keep the grown buffer
+		out, ok := appendZero(scratch, seg)
 		if ok {
 			wire += len(out)
 		} else {
@@ -110,7 +113,7 @@ func zeroSampleRatio(chunk []byte) float64 {
 		trial(chunk[mid : mid+probeSeg])
 		trial(chunk[len(chunk)-probeSeg:])
 	}
-	scratchBufs.Put(bp)
+	arena.Put(scratch)
 	if total == 0 {
 		return 1
 	}

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
+
+	"ompcloud/internal/arena"
 )
 
 // The frame engine: AppendEncode is the only code that builds a compressed
@@ -19,7 +20,8 @@ import (
 // gzip.NewWriterLevel allocates its deflate window and hash tables (~1.3 MB)
 // on every call and gzip.NewReader its inflate window, so an unpooled path
 // trades the streaming dataflow's barrier win for GC churn: writers, readers
-// and probe scratch are pooled.
+// and probe scratch are recycled through the arena, which keeps them across
+// the collections that fall between two transfers.
 
 // deflateLevel favours throughput over ratio. Offloading is latency-bound:
 // the buffer cannot leave the host until gzip finishes, and at default
@@ -28,11 +30,13 @@ import (
 const deflateLevel = gzip.BestSpeed
 
 // pooledWriter bundles the gzip writer with the caller-owned slice it appends
-// into, so a pooled encode buffer backs the stream with no per-chunk
+// into, so a recycled encode buffer backs the stream with no per-chunk
 // allocation (the gzip.Writer holds its io.Writer, so a per-call sink would
-// escape to the heap).
+// escape to the heap). A size probe points the writer at n instead, which
+// only counts.
 type pooledWriter struct {
 	b  []byte
+	n  byteCount
 	zw *gzip.Writer
 }
 
@@ -41,7 +45,15 @@ func (w *pooledWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-var gzWriterPool = sync.Pool{New: func() any {
+// byteCount is a writer that keeps only the number of bytes written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
+}
+
+var gzWriterPool = arena.Pool[pooledWriter]{New: func() *pooledWriter {
 	w := new(pooledWriter)
 	w.zw, _ = gzip.NewWriterLevel(w, deflateLevel) // a constant, valid level
 	return w
@@ -58,19 +70,17 @@ type pooledReader struct {
 	one [1]byte
 }
 
-var gzReaderPool = sync.Pool{New: func() any { return new(pooledReader) }}
+var gzReaderPool = arena.Pool[pooledReader]{New: func() *pooledReader { return new(pooledReader) }}
 
-// scratchBufs pools the size probes' output scratch (frameBody, and the
-// adaptive verdict's zero-run trial), so a verdict allocates nothing once
-// warm.
-var scratchBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, probeSeg+256)
-	return &b
-}}
+// probeScratch draws the size probes' output scratch (frameBody, and the
+// adaptive verdict's zero-run trial) from the arena, room for an n-byte
+// sample's frame, so a verdict allocates nothing once warm. It goes back
+// with arena.Put.
+func probeScratch(n int) []byte { return arena.Scratch(n + n/8 + 256) }
 
 // AppendEncode appends buf's wire frame — a one-byte tag, then the raw bytes,
 // a gzip stream or zero-run sequences — to dst (reusing dst's capacity, so a
-// pooled scratch slice makes the hot path allocation-free once warm) and
+// recycled scratch slice makes the hot path allocation-free once warm) and
 // returns the extended slice. The verdict is the caller's, from Planner;
 // VerdictAuto plans buf on its own. A compressed frame that would exceed
 // len(buf)+1 bytes falls back to raw.
@@ -123,7 +133,7 @@ func appendDeflate(dst, src []byte) ([]byte, error) {
 		dst = make([]byte, 0, len(src)/2+64)
 	}
 	start := len(dst)
-	w := gzWriterPool.Get().(*pooledWriter)
+	w := gzWriterPool.Get()
 	w.b = append(dst, tagGzip)
 	w.zw.Reset(w)
 	_, err := w.zw.Write(src)
@@ -142,6 +152,25 @@ func appendDeflate(dst, src []byte) ([]byte, error) {
 		return appendRaw(out[:start], src), nil
 	}
 	return out, nil
+}
+
+// deflateSize reports the length of src's deflate frame body — the gzip
+// stream, or len(src) where appendDeflate falls back to raw — writing the
+// stream nowhere, so a size probe needs no scratch.
+func deflateSize(src []byte) (int, error) {
+	w := gzWriterPool.Get()
+	w.n = 0
+	w.zw.Reset(&w.n)
+	_, err := w.zw.Write(src)
+	if cerr := w.zw.Close(); err == nil {
+		err = cerr
+	}
+	n := int(w.n)
+	gzWriterPool.Put(w)
+	if err != nil {
+		return 0, fmt.Errorf("xcompress: %w", err)
+	}
+	return min(n, len(src)), nil
 }
 
 // DecodeInto reverses AppendEncode directly into dst, which must be exactly
@@ -174,7 +203,7 @@ func DecodeInto(wire, dst []byte) error {
 }
 
 func decodeDeflate(body, dst []byte) error {
-	pr := gzReaderPool.Get().(*pooledReader)
+	pr := gzReaderPool.Get()
 	defer func() {
 		pr.br.Reset(nil)
 		gzReaderPool.Put(pr)
@@ -202,17 +231,17 @@ func decodeDeflate(body, dst []byte) error {
 // FrameReader reads wire frames off a stream into their payloads'
 // destinations, ending exactly as DecodeInto would on the same bytes. A raw
 // frame whose body is its destination's length is read straight into the
-// destination. Any other frame is read whole into pooled scratch and decoded
+// destination. Any other frame is read whole into arena scratch and decoded
 // in a second step, Decode, which the caller takes once it has let the
 // stream go. The zero value is ready for Reset.
 type FrameReader struct {
 	dst   []byte
 	tag   [1]byte
-	frame *[]byte // what Receive set aside for Decode, in pooled scratch
+	frame []byte // what Receive set aside for Decode
+	// scratch is the arena buffer Receive drew for frame; frame is in it
+	// unless the frame outgrew it.
+	scratch []byte
 }
-
-// frameBufs pools the frames a FrameReader sets aside.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // eagerFrame is the largest frame length Receive sizes its scratch for
 // before the bytes arrive; past it the scratch grows no faster than they do,
@@ -242,10 +271,9 @@ func (f *FrameReader) Receive(n int64, r io.Reader) error {
 		}
 		head, n = f.tag[:], n-1
 	}
-	bp := frameBufs.Get().(*[]byte)
-	frame, err := appendFull(append((*bp)[:0], head...), r, n)
-	*bp = frame // keep the grown buffer
-	f.frame = bp
+	f.scratch = arena.Scratch(int(min(n+int64(len(head)), eagerFrame)))
+	var err error
+	f.frame, err = appendFull(append(f.scratch, head...), r, n)
 	if err != nil {
 		f.release()
 	}
@@ -256,21 +284,20 @@ func (f *FrameReader) Receive(n int64, r io.Reader) error {
 func (f *FrameReader) Pending() bool { return f.frame != nil }
 
 // Decode decodes the frame Receive set aside into dst (DecodeInto) and
-// returns its scratch to the pool.
+// gives its scratch back to the arena.
 func (f *FrameReader) Decode() error {
 	if f.frame == nil {
 		return nil
 	}
-	err := DecodeInto(*f.frame, f.dst)
+	err := DecodeInto(f.frame, f.dst)
 	f.release()
 	return err
 }
 
 func (f *FrameReader) release() {
 	if f.frame != nil {
-		*f.frame = (*f.frame)[:0]
-		frameBufs.Put(f.frame)
-		f.frame = nil
+		arena.Put(f.scratch)
+		f.frame, f.scratch = nil, nil
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"ompcloud/internal/arena"
 	"ompcloud/internal/simtime"
 )
 
@@ -211,10 +212,9 @@ func probeVerdict(buf []byte) Verdict {
 		}
 		// appendZero itself, not a zero-run verdict's frame: a declined
 		// sample must not cost a second deflate to say so.
-		bp := scratchBufs.Get().(*[]byte)
-		z, ok := appendZero((*bp)[:0], sample)
-		*bp = z[:0] // keep the grown buffer
-		scratchBufs.Put(bp)
+		scratch := probeScratch(len(sample))
+		z, ok := appendZero(scratch, sample)
+		arena.Put(scratch)
 		if ok && len(z)-1 <= gz {
 			return VerdictZero
 		}
@@ -230,19 +230,22 @@ func IsCompressed(wire []byte) bool {
 }
 
 // frameBody is the one size probe: the frame-body bytes of sample encoded
-// under v into pooled scratch — exactly len(sample) for a raw frame, chosen
-// (which needs no encode to say so) or fallen back to.
+// under v — exactly len(sample) for a raw frame, chosen (which needs no
+// encode to say so) or fallen back to. A deflate stream is only counted; a
+// zero-run frame is encoded into arena scratch.
 func frameBody(sample []byte, v Verdict) (int, error) {
-	if v == VerdictRaw {
+	switch v {
+	case VerdictRaw:
 		return len(sample), nil
+	case VerdictGzip:
+		return deflateSize(sample)
 	}
-	bp := scratchBufs.Get().(*[]byte)
-	defer scratchBufs.Put(bp)
-	enc, err := Codec{}.AppendEncode((*bp)[:0], sample, v)
+	scratch := probeScratch(len(sample))
+	defer arena.Put(scratch)
+	enc, err := Codec{}.AppendEncode(scratch, sample, v)
 	if err != nil {
 		return 0, err
 	}
-	*bp = enc[:0] // keep the grown buffer
 	return len(enc) - 1, nil
 }
 

@@ -182,3 +182,29 @@ func TestProbePredictions(t *testing.T) {
 		t.Fatal("zero-throughput probe should predict 0")
 	}
 }
+
+// The deflate size probe counts exactly the frame body AppendEncode builds
+// under a gzip verdict: the stream, or the payload where the stream would
+// have been longer and the frame fell back to raw.
+func TestDeflateSizeMatchesFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := make([]byte, 100<<10)
+	rng.Read(random)
+	sparse := make([]byte, 300<<10)
+	for i := 0; i < len(sparse); i += 97 {
+		sparse[i] = byte(i)
+	}
+	for _, in := range [][]byte{nil, []byte("x"), random, sparse, bytes.Repeat([]byte("ompcloud "), 5000)} {
+		frame, err := Codec{}.AppendEncode(nil, in, VerdictGzip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := deflateSize(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(frame) - 1; got != want {
+			t.Fatalf("%d-byte payload: deflateSize %d, frame body %d", len(in), got, want)
+		}
+	}
+}
