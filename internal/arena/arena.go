@@ -17,22 +17,23 @@
 // keeps both rules (offload/plan.go for the driver, storage.MemStore for
 // stored objects).
 //
-// Retention is the garbage collector's: an idle buffer or pooled value is
-// dropped once two whole collections have run since it was given back or
-// its list last handed out another. The count is the runtime's own, read
-// when a buffer is given back or handed out and again when one is dropped,
-// so a collection that starts before a give-back and ends after it, or a
-// cleanup that runs late, costs no buffer a collection early. A process
-// that gives its buffers back at the end of one operation and draws them at
-// the start of the next keeps them unless two whole collections fall
-// between — a benchmark harness's forced collection and one the next
-// operation's own allocation triggers do not empty it, as they empty a
-// sync.Pool — and keeps the spares an operation that overlapped more work
-// than usual left behind while it draws from their list. The arena is not a
-// sync.Pool either because a pool keeps one item per processor where no
-// other processor can take it: with the two same-sized buffers a stream
-// region draws (an input's dev and an output's final), about every other
-// region missed one of them.
+// Retention is the garbage collector's, counted in the runtime's completed
+// collections: the sweep that runs after each collection reads the count,
+// stamps the items given back since the sweep before with it, and drops the
+// items stamped three or more collections before. The count a give-back is
+// stamped with is thus the one at the give-back or later, and neither a
+// give-back nor a hand-out reads a runtime metric. An idle buffer or pooled
+// value outlives the collection that may be running, or ended but not yet
+// been swept, when it goes back and two whole ones after it; most often, as
+// its first sweep comes a collection after the give-back, a third. A
+// process that gives its buffers back at the end of one operation and
+// draws them at the start of the next keeps them while no more than two
+// whole collections fall between: a benchmark harness's forced collection
+// and one the next operation's own allocation triggers do not empty it, as
+// they empty a sync.Pool. The arena is not a sync.Pool either because a pool
+// keeps one item per processor where no other processor can take it: with
+// the two same-sized buffers a stream region draws (an input's dev and an
+// output's final), about every other region missed one of them.
 package arena
 
 import (
@@ -72,13 +73,9 @@ var (
 // idleBuffers holds each class's idle buffers, oldest first, and the pools
 // whose idle values age with them.
 type idleBuffers struct {
-	mu    sync.Mutex
-	class [64 << classBits]idleList[*byte]
-	pools []interface{ dropIdle(done uint64) }
-	// seen is the latest count of completed collections read, by a
-	// give-back or a sweep: a hand-out stamps the spares it leaves with it
-	// rather than read the runtime's count again.
-	seen   uint64
+	mu     sync.Mutex
+	class  [64 << classBits]idleList[*byte]
+	pools  []interface{ dropIdle(done uint64) }
 	cycles [1]metrics.Sample // read under mu: a sample on the stack would escape
 }
 
@@ -88,21 +85,20 @@ type idleList[P any] []idleItem[P]
 
 // idleItem is an idle item (for a buffer, a pointer to its first byte: the
 // class gives the capacity back) and the number of garbage collections the
-// runtime had completed when it was given back, or when its list last
-// handed out another item, whichever is later.
+// first sweep after its give-back read, or unswept.
 type idleItem[P any] struct {
 	p  P
 	gc uint64
 }
 
-// push appends p, given back when done collections had completed.
-func (l *idleList[P]) push(p P, done uint64) { *l = append(*l, idleItem[P]{p, done}) }
+// unswept stamps an item no sweep has seen since its give-back.
+const unswept = ^uint64(0)
 
-// pop removes and returns the newest item, if there is one, and stamps the
-// items it leaves with done, a count of completed collections no later than
-// now: a list in use keeps its spares, so an item needed only when more work
-// than usual overlaps is still there the next time.
-func (l *idleList[P]) pop(done uint64) (p P, ok bool) {
+// push appends p, given back now.
+func (l *idleList[P]) push(p P) { *l = append(*l, idleItem[P]{p, unswept}) }
+
+// pop removes and returns the newest item, if there is one.
+func (l *idleList[P]) pop() (p P, ok bool) {
 	n := len(*l)
 	if n == 0 {
 		return p, false
@@ -110,18 +106,19 @@ func (l *idleList[P]) pop(done uint64) (p P, ok bool) {
 	p = (*l)[n-1].p
 	(*l)[n-1] = idleItem[P]{}
 	*l = (*l)[:n-1]
-	for i := range *l {
-		(*l)[i].gc = max((*l)[i].gc, done)
-	}
 	return p, true
 }
 
-// drop drops the items given back idleCycles or more collections before
-// done had completed.
+// drop stamps the unswept items with done, a count of completed
+// collections read after their give-back, and drops the items stamped
+// idleCycles or more collections before done.
 func (l *idleList[P]) drop(done uint64) {
 	c := *l
 	kept := c[:0]
 	for _, b := range c {
+		if b.gc == unswept {
+			b.gc = done
+		}
 		if done-b.gc < idleCycles {
 			kept = append(kept, b)
 		}
@@ -131,8 +128,7 @@ func (l *idleList[P]) drop(done uint64) {
 }
 
 // idleCycles is how many collections must complete after an idle item's
-// count before it is dropped: one that may have been running when it was
-// stamped, and two whole ones.
+// stamp before it is dropped.
 const idleCycles = 3
 
 func init() { ageOnGC() }
@@ -147,24 +143,20 @@ func ageOnGC() {
 	}, struct{}{})
 }
 
-// gcCycles reports how many garbage collections the runtime has completed.
-// The caller holds a.mu.
-func (a *idleBuffers) gcCycles() uint64 {
-	a.cycles[0].Name = "/gc/cycles/total:gc-cycles"
-	metrics.Read(a.cycles[:])
-	a.seen = a.cycles[0].Value.Uint64()
-	return a.seen
-}
-
-// age drops the buffers given back idleCycles or more collections ago.
+// age reads how many garbage collections the runtime has completed, stamps
+// the items given back since the last sweep with it and drops the items
+// stamped idleCycles or more collections before.
 func (a *idleBuffers) age() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.dropIdle(a.gcCycles())
+	a.cycles[0].Name = "/gc/cycles/total:gc-cycles"
+	metrics.Read(a.cycles[:])
+	a.dropIdle(a.cycles[0].Value.Uint64())
 }
 
-// dropIdle drops the buffers and pooled values given back idleCycles or
-// more collections before done had completed. The caller holds a.mu.
+// dropIdle stamps the buffers and pooled values given back since the last
+// sweep with done and drops those stamped idleCycles or more collections
+// before it. The caller holds a.mu.
 func (a *idleBuffers) dropIdle(done uint64) {
 	for i := range a.class {
 		a.class[i].drop(done)
@@ -178,14 +170,14 @@ func (a *idleBuffers) dropIdle(done uint64) {
 func (a *idleBuffers) take(class int) *byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	p, _ := a.class[class].pop(a.seen)
+	p, _ := a.class[class].pop()
 	return p
 }
 
 func (a *idleBuffers) give(class int, p *byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.class[class].push(p, a.gcCycles())
+	a.class[class].push(p)
 }
 
 // sizeClass reports the size class of an n-byte buffer, n >= minSize, and
@@ -278,9 +270,8 @@ func Held() int64 { return held.Load() }
 func Poison(on bool) { poison.Store(on) }
 
 // Pool recycles values of one type — state too costly to build for each
-// use, such as a compressor's window and tables — under the buffers' rule:
-// an idle value is dropped once two whole collections have run since it was
-// given back or the pool last handed out another. The zero value with New
+// use, such as a compressor's window and tables — under the buffers' rule
+// (see the package doc). The zero value with New
 // set is ready to use. A Pool must not be copied after first use.
 type Pool[T any] struct {
 	// New makes a value when no idle one is left.
@@ -293,7 +284,7 @@ type Pool[T any] struct {
 // Get returns an idle value, the newest, or a new one.
 func (p *Pool[T]) Get() *T {
 	idle.mu.Lock()
-	v, ok := p.idle.pop(idle.seen)
+	v, ok := p.idle.pop()
 	idle.mu.Unlock()
 	if !ok {
 		return p.New()
@@ -309,7 +300,7 @@ func (p *Pool[T]) Put(v *T) {
 		p.registered = true
 		idle.pools = append(idle.pools, p)
 	}
-	p.idle.push(v, idle.gcCycles())
+	p.idle.push(v)
 }
 
 func (p *Pool[T]) dropIdle(done uint64) { p.idle.drop(done) }

@@ -134,44 +134,59 @@ func TestArenaOutlivesTwoCollections(t *testing.T) {
 	}
 }
 
-// A pool's idle values age with the buffers: the sweep each collection
-// runs keeps a value through two whole collections after its give-back and
-// drops it with the third count.
+// A pool's idle values age with the buffers: the first sweep after a
+// give-back stamps the value with the count it read, and the sweeps keep it
+// until the third collection after that count.
 func TestPoolAgesWithTheBuffers(t *testing.T) {
 	made := 0
 	pool := Pool[int]{New: func() *int { made++; return new(int) }}
 	v := pool.Get()
-	sweep := func(after uint64) {
+	// sweepAfter runs a sweep, which stamps v, then another that reads a
+	// count more collections past v's stamp.
+	sweepAfter := func(more uint64) {
+		idle.age()
 		idle.mu.Lock()
 		defer idle.mu.Unlock()
-		idle.dropIdle(pool.idle[0].gc + after)
+		idle.dropIdle(pool.idle[0].gc + more)
 	}
 	pool.Put(v)
-	sweep(idleCycles - 1)
+	sweepAfter(idleCycles - 1)
 	if got := pool.Get(); got != v {
 		t.Fatal("a value idle through two whole collections was dropped")
 	}
 	pool.Put(v)
-	sweep(idleCycles)
+	sweepAfter(idleCycles)
 	if pool.Get(); made != 2 {
 		t.Fatalf("a value idle through a third collection was kept (%d made)", made)
 	}
 }
 
-// A list that hands out an item keeps the spares it leaves: they are
-// stamped with the count at the hand-out and age from there.
-func TestListKeepsSparesWhileInUse(t *testing.T) {
-	spare, used := new(byte), new(byte)
-	l := idleList[*byte]{{spare, 10}, {used, 10}}
-	if p, _ := l.pop(12); p != used {
-		t.Fatal("pop did not hand out the newest item")
+// A give-back is stamped by the first sweep after it, with the count that
+// sweep read, not by the sweep before; a hand-out from its list leaves the
+// stamp alone.
+func TestSweepStampsGiveBacks(t *testing.T) {
+	var a idleBuffers
+	spare := new(byte)
+	a.dropIdle(10)
+	a.give(0, spare)
+	a.give(0, new(byte))
+	a.dropIdle(11)
+	a.take(0)
+	for _, done := range []uint64{12, 13} {
+		if a.dropIdle(done); len(a.class[0]) != 1 || a.class[0][0].p != spare {
+			t.Fatalf("a buffer first swept at 11 was dropped at %d", done)
+		}
 	}
-	l.drop(14)
-	if len(l) != 1 || l[0].p != spare {
-		t.Fatal("a spare was dropped two collections after its list was last drawn from")
+	if a.dropIdle(14); len(a.class[0]) != 0 {
+		t.Fatal("a buffer first swept at 11 outlived the count 14")
 	}
-	l.drop(15)
-	if len(l) != 0 {
-		t.Fatal("a spare outlived a third collection with its list unused")
+}
+
+// BenchmarkScratchPut times the round trip of a daemon chunk GET's wire
+// scratch: drawn and given back once per 4 KiB chunk.
+func BenchmarkScratchPut(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		Put(Scratch(4672))
 	}
 }

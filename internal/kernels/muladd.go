@@ -13,18 +13,13 @@ const (
 	pathAVX512
 )
 
-// mulAddPath is the widest path mulAdd may take. It starts as the widest
-// path the CPU runs (hostPath, read once at init) and only tests lower it,
-// to run a narrower path on the same host.
-var mulAddPath = hostPath
-
 // blockPath is the dispatch: the path mulAddSIMD takes for the 4-row blocks
 // of an n-column tile. A path runs only where its narrowest strip fits.
 func blockPath(n int) kernelPath {
 	switch {
-	case mulAddPath >= pathAVX512 && n >= 32:
+	case hostPath >= pathAVX512 && n >= 32:
 		return pathAVX512
-	case mulAddPath >= pathAVX2 && n >= 16:
+	case hostPath >= pathAVX2 && n >= 16:
 		return pathAVX2
 	}
 	return pathGeneric

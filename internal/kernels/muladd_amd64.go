@@ -1,6 +1,7 @@
 package kernels
 
 // hostPath is the widest micro-kernel this CPU runs, read once from CPUID.
+// Only tests lower it, to run a narrower path on the same host.
 var hostPath = detectPath()
 
 func detectPath() kernelPath {

@@ -14,9 +14,9 @@ func (p kernelPath) String() string {
 
 // withPath runs f with mulAdd's dispatch capped at path.
 func withPath(path kernelPath, f func()) {
-	saved := mulAddPath
-	mulAddPath = path
-	defer func() { mulAddPath = saved }()
+	saved := hostPath
+	hostPath = path
+	defer func() { hostPath = saved }()
 	f()
 }
 
