@@ -4,7 +4,8 @@
 // fallback guard's snapshot), the store server's objects (storage: steps 2
 // and 7), and the scratch and codec state every chunk of a transfer passes
 // through — chunkio's encode and wire scratch, xcompress's frame and probe
-// scratch and its gzip writers and readers (Pool), storage's joined parts.
+// scratch and its gzip writers and readers (Pool), storage's joined parts
+// and the store server's per-connection reader and writer (Pool).
 // Made fresh, each buffer was zeroed, serially, before a fetch, the tiles or
 // a socket read overwrote every byte of it, and each gzip writer rebuilt its
 // ~1.3 MB of deflate tables. They come from one process-wide set of size

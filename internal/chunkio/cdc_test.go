@@ -492,3 +492,38 @@ func TestTransferAllocBudget(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 }
+
+// TestSingleChunkEncodeDrawsScratch: a compressible buffer of at most one
+// chunk is stored in the single layout, one frame at its root key, and that
+// frame is encoded into arena scratch like any chunk's. Encoded into a fresh
+// slice instead, each upload of this 512 KiB buffer allocates the frame's
+// len/2+64 bytes again, grown by doubling.
+func TestSingleChunkEncodeDrawsScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc gates are meaningless under -race instrumentation")
+	}
+	data := compressible(512<<10, 74)
+	upload := func() {
+		res, err := Upload(discardStore{}, "obj", data, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Chunks != 1 || res.SentWire >= int64(len(data))/2 {
+			t.Fatalf("upload of %d bytes: %d chunks, %d bytes sent; want one compressed frame", len(data), res.Chunks, res.SentWire)
+		}
+	}
+	upload() // warm-up: the arena's scratch class, the gzip writer
+	upload()
+	const uploads, budget = 20, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range uploads {
+		upload()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / uploads
+	t.Logf("bytes per upload: %d", per)
+	if per > budget {
+		t.Errorf("an upload of a %d-byte compressible buffer allocated %d bytes, want <= %d", len(data), per, budget)
+	}
+}

@@ -249,16 +249,16 @@ func (ps *pipeState) storeChunk(i int, chunk []byte, pu *putUnit) error {
 // xcompress.Codec.Frame. A raw frame is the tag and the chunk itself: it
 // borrows no scratch and records no codec time. Any other frame is encoded,
 // and timed, into scratch drawn from the arena, returned for the caller to
-// give back once its PUT is done. The single layout's one chunk draws
-// nothing: it can be the whole buffer (chunk-bytes = -1), and a buffer that
-// large must not be parked in the arena.
+// give back once its PUT is done. So does the single layout's one chunk up
+// to DefaultChunkSize; past that it can be the whole buffer (chunk-bytes =
+// -1), a buffer too large to park in the arena, and it draws nothing.
 func (ps *pipeState) encode(i int, ckey string, chunk []byte) (head, body, scratch []byte, err error) {
 	v := ps.plan(chunk)
 	if v == xcompress.VerdictRaw {
 		head, body, err = ps.o.Codec.Frame(nil, chunk, v)
 		return head, body, nil, err
 	}
-	if !ps.single {
+	if !ps.single || len(chunk) <= DefaultChunkSize {
 		scratch = arena.Scratch(frameRoom(len(chunk)))
 	}
 	sc := span.Start("chunk.compress", "chunk", 0)

@@ -127,6 +127,9 @@ func mulAddSIMD(c, a, b []float32, rows, n int, alpha float32) int {
 			}
 		}
 	}
+	if nv == n {
+		return rows
+	}
 	for i := range rows {
 		ci, ai := c[i*n+nv:(i+1)*n], a[i*n:(i+1)*n]
 		for k, v := range ai {

@@ -162,9 +162,30 @@ func (s *Server) Close() error { return s.ep.Close() }
 // until the timeout to finish its operation and receive its response.
 func (s *Server) Drain(timeout time.Duration) error { return s.ep.Drain(timeout) }
 
+// connBufs is the 64 KiB reader and writer a served connection frames its
+// requests and replies through. Each connection draws the pair from
+// connBufPool and gives it back when it closes: a client dials a connection
+// per concurrent round trip, and a server that lives for one region sees
+// all of them new, so fresh pairs were most of what a region allocated.
+type connBufs struct {
+	r *bufio.Reader
+	w *bufio.Writer
+}
+
+var connBufPool = arena.Pool[connBufs]{New: func() *connBufs {
+	return &connBufs{r: bufio.NewReaderSize(nil, 1<<16), w: bufio.NewWriterSize(nil, 1<<16)}
+}}
+
 func (s *Server) serveConn(c *endpoint.Conn) {
-	r := bufio.NewReaderSize(c, 1<<16)
-	w := bufio.NewWriterSize(c, 1<<16)
+	bufs := connBufPool.Get()
+	r, w := bufs.r, bufs.w
+	r.Reset(c)
+	w.Reset(c)
+	defer func() {
+		r.Reset(nil)
+		w.Reset(nil)
+		connBufPool.Put(bufs)
+	}()
 	for {
 		// A request has begun once its op byte is in.
 		op, err := r.ReadByte()

@@ -318,7 +318,7 @@ func denseFloats(n int, seed int64) []byte {
 }
 
 // BenchmarkProbeVerdict times the codec's two probes: AlgoAuto's verdict
-// over a 4 MiB buffer (Planner: up to three 256 KiB gzip samples, plus a
+// over a 4 MiB buffer (Planner: up to three 64 KiB gzip samples, plus a
 // zero-run frame of the first that compresses), and Codec.Ratio over the
 // 1 MiB head a driver-resident buffer is priced on. ms/probe is one
 // decision's cost; MB/s is the bytes it decides for per second.

@@ -83,7 +83,7 @@ func TestAppendEncodeDecodeIntoRoundTrip(t *testing.T) {
 
 // TestEncodeIsThePlannedChunkFrame is the stored-bytes change of the
 // one-engine refactor, stated: a buffer encoded whole under AlgoAuto — the
-// single layout of a 256 KiB–1 MiB buffer, or the sequential policy's one
+// single layout of a 64 KiB–1 MiB buffer, or the sequential policy's one
 // big frame — is the very frame a chunk of a multi-chunk buffer gets, with
 // no mid-stream sync-flush marker from an inline probe.
 func TestEncodeIsThePlannedChunkFrame(t *testing.T) {

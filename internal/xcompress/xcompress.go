@@ -14,6 +14,7 @@ import (
 
 	"ompcloud/internal/arena"
 	"ompcloud/internal/simtime"
+	"ompcloud/internal/trace/span"
 )
 
 // DefaultMinSize is the default threshold below which buffers are sent raw:
@@ -27,8 +28,20 @@ const DefaultMinSize = 1 << 16 // 64 KiB
 const SkipRatio = 0.85
 
 // sampleSize is the size of each of the auto probe's three samples (head,
-// middle and tail; see probeVerdict). The adaptive policy samples probeSeg.
-const sampleSize = 256 << 10
+// middle and tail; see probeVerdict), and a buffer no larger than it is not
+// probed. It is a deflate block's worth: BestSpeed codes its input in blocks
+// of at most 65 535 bytes, each with Huffman tables of its own, so a block
+// is the unit a deflate ratio is decided in, and a longer sample only
+// averages more of them. The adaptive policy samples probeSeg.
+const sampleSize = 64 << 10
+
+// The auto probe's work, counted in the default registry: the probes run,
+// and the sample bytes they encoded to decide (deflate samples and zero-run
+// trials alike).
+const (
+	metricProbes     = "xcompress.probes"
+	metricProbeBytes = "xcompress.probe_bytes"
+)
 
 // Algo selects the frame codec family a Codec uses.
 type Algo int
@@ -198,10 +211,14 @@ func probeVerdict(buf []byte) Verdict {
 		// fallback is the decider.
 		return VerdictGzip
 	}
+	m := span.Metrics()
+	m.Counter(metricProbes).Inc()
+	encoded := m.Counter(metricProbeBytes)
 	mid := (len(buf) - sampleSize) / 2
 	for _, at := range [...]int{0, mid, len(buf) - sampleSize} {
 		sample := buf[at : at+sampleSize]
 		gz, err := frameBody(sample, VerdictGzip)
+		encoded.Add(sampleSize)
 		if err != nil {
 			// An encode error reads as "compressible": the full encode
 			// will find out the truth.
@@ -214,6 +231,7 @@ func probeVerdict(buf []byte) Verdict {
 		// sample must not cost a second deflate to say so.
 		scratch := probeScratch(len(sample))
 		z, ok := appendZero(scratch, sample)
+		encoded.Add(sampleSize)
 		arena.Put(scratch)
 		if ok && len(z)-1 <= gz {
 			return VerdictZero
